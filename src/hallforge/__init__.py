@@ -35,7 +35,7 @@ from .quivers import (Arrow, Quiver, canonical_quiver_json, dims_add,
                       dims_sub, dimvecs_up_to, line_quiver, quiver_from_dict,
                       quiver_to_dict, subdimvecs, topological_order,
                       validate_quiver)
-from .reps import (ClassRegistry, IsoClassId, Rep, aut_count, direct_sum,
+from .reps import (ClassRegistry, IsoClassId, Rep, direct_sum,
                    enumerate_iso_classes, hom_basis, hom_dim, is_isomorphic,
                    semisimple_rep, simple_rep, zero_rep)
 from .scalars import QSqrtScalar, parse_scalar, sqrt_of_fraction
@@ -66,7 +66,7 @@ __all__ = [
     "Arrow", "Quiver", "canonical_quiver_json", "dims_add", "dims_sub",
     "dimvecs_up_to", "line_quiver", "quiver_from_dict", "quiver_to_dict",
     "subdimvecs", "topological_order", "validate_quiver",
-    "ClassRegistry", "IsoClassId", "Rep", "aut_count", "direct_sum",
+    "ClassRegistry", "IsoClassId", "Rep", "direct_sum",
     "enumerate_iso_classes", "hom_basis", "hom_dim", "is_isomorphic",
     "semisimple_rep", "simple_rep", "zero_rep",
     "QSqrtScalar", "parse_scalar", "sqrt_of_fraction",

@@ -7,7 +7,6 @@ counting (t = 1), which the crosscheck routines compare term by term.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -18,7 +17,7 @@ from .errors import IncompatibleObjects, RewriteBudgetExceeded, UnsupportedPerio
 from .hall import ext1_count, euler_add, euler_mult, gamma_coeff, hall_number
 from .quivers import dims_add, dims_sub, subdimvecs
 from .reps import ClassRegistry, IsoClassId
-from .scalars import QSqrtScalar, sqrt_of_fraction
+from .scalars import QSqrtScalar, q_exponent, sqrt_of_fraction
 
 DEFAULT_REWRITE_BUDGET = 100_000
 
@@ -165,17 +164,101 @@ class DerivedHall:
         return out
 
     def multiply(self, x: HallVector, y: HallVector) -> HallVector:
-        out = HallVector(self.q)
-        for gx, cx in x.items():
-            for gy, cy in y.items():
-                out = out.add(self.multiply_graded(gx, gy).scale(cx * cy))
-        return out
+        out: dict[GradedObject, QSqrtScalar] = {}
+        for gx, cx in x.terms.items():
+            for gy, cy in y.terms.items():
+                c = cx * cy
+                for g, cg in self.multiply_graded(gx, gy).terms.items():
+                    out[g] = out[g] + cg * c if g in out else cg * c
+        return HallVector(self.q, out)
 
     def product_of(self, factors: list[GradedObject]) -> HallVector:
         out = self.one()
         for g in factors:
             out = self.multiply(out, HallVector.basis(self.q, g))
         return out
+
+    def _lt_step(self, a1: IsoClassId, a2: IsoClassId, s_i: IsoClassId,
+                 s_next: IsoClassId) -> dict[IsoClassId, int]:
+        """One degree of the local-to-global sum, as integer weights by middle class.
+
+        At a degree with left component a1 and right component a2: a
+        sub/quotient split M -> a1 -> s_next, a piece s_i -> a2 -> N glued
+        from the right component, and a middle extension X of M by N, weighted
+        by g^{a1}_{s_next,M} g^{a2}_{N,s_i} g^X_{M,N} a_M a_N a_{s_i}.  The Euler
+        and remaining Aut factors depend on the boundary and are applied by the
+        caller.  Memoized per registry, so products share steps.
+        """
+        memo = self.reg.memo("lt_step")
+        key = (a1, a2, s_i, s_next)
+        if key in memo:
+            return memo[key]
+        reg = self.reg
+        dm, dn = dims_sub(a1.dims, s_next.dims), dims_sub(a2.dims, s_i.dims)
+        out: dict[IsoClassId, int] = {}
+        for m_cls in reg.classes(dm):
+            g_a1 = hall_number(reg, s_next, m_cls, a1)
+            if g_a1 == 0:
+                continue
+            for n_cls in reg.classes(dn):
+                g_a2 = hall_number(reg, n_cls, s_i, a2)
+                if g_a2 == 0:
+                    continue
+                base = (g_a1 * g_a2 * reg.aut_count(m_cls) * reg.aut_count(n_cls)
+                        * reg.aut_count(s_i))
+                for x_cls in reg.classes(dims_add(dm, dn)):
+                    g_x = hall_number(reg, m_cls, n_cls, x_cls)
+                    if g_x:
+                        out[x_cls] = out.get(x_cls, 0) + base * g_x
+        memo[key] = out
+        return out
+
+    def _lt_paths(self, a: GradedObject, b: GradedObject, degrees: range,
+                  euler_exp) -> tuple[dict[tuple, int], int]:
+        """Sum of products of degree steps over chains s_first, ..., s_last, s_first.
+
+        s_i runs over the classes of dims <= min(b_i, a_{i-1}).  A frontier
+        DP fixes s_first, carries (s_i, X components so far) and closes the
+        chain at s_first.  For t = 0 the degrees span the support, s_first is
+        forced to zero and the chain is open; for odd t they run over Z/t.
+        euler_exp(i, dims s_i, dims s_next) is the q-exponent of each step.
+        Returns {X components: W} and E such that the sum is W * q^E divided
+        by the Aut of the X components; taking each step's exponent relative
+        to its minimum over the candidate dims keeps every W an integer.
+        """
+        reg = self.reg
+        caps = [tuple(map(min, b.dims_at(i), a.dims_at(i - 1))) for i in degrees]
+        cands = [[c for d in subdimvecs(cap) for c in reg.classes(d)] for cap in caps]
+        n = len(caps)
+        # q^(exponent - floor) per degree and (dims s_i, dims s_next); E sums the floors.
+        q_pows: list[dict[tuple, int]] = []
+        e_total = 0
+        for k, i in enumerate(degrees):
+            exps = {(d, d_next): euler_exp(i, d, d_next) for d in subdimvecs(caps[k])
+                    for d_next in subdimvecs(caps[(k + 1) % n])}
+            floor = min(exps.values())
+            e_total += floor
+            q_pows.append({key: self.q ** (e - floor) for key, e in exps.items()})
+        total: dict[tuple, int] = {}
+        for s_first in cands[0]:
+            frontier: dict[tuple, int] = {(s_first, ()): 1}
+            for k, i in enumerate(degrees):
+                a1, a2 = class_at_or_zero(reg, a, i), class_at_or_zero(reg, b, i)
+                nexts = cands[k + 1] if k + 1 < n else [s_first]
+                new_frontier: dict[tuple, int] = {}
+                for (s_i, xs), w in frontier.items():
+                    for s_next in nexts:
+                        step = self._lt_step(a1, a2, s_i, s_next)
+                        if not step:
+                            continue
+                        scale = w * q_pows[k][s_i.dims, s_next.dims]
+                        for x_cls, num in step.items():
+                            nkey = (s_next, xs + ((i, x_cls),) if x_cls.total_dim else xs)
+                            new_frontier[nkey] = new_frontier.get(nkey, 0) + scale * num
+                frontier = new_frontier
+            for (_s, xs), w in frontier.items():
+                total[xs] = total.get(xs, 0) + w
+        return total, e_total
 
     def lt_mul_t0(self, a: GradedObject, b: GradedObject) -> HallVector:
         """Local-to-global product for bounded (t = 0) complexes.
@@ -184,161 +267,78 @@ class DerivedHall:
         (I^i, M^i) of the left component, a piece N^i glued from the right
         component over I^{i-1}, and a middle extension class X^i of M^i by
         N^i; weighted by automorphism ratios, one cross-degree Euler factor
-        per consecutive pair, and a sum-independent Euler prefactor.
+        per consecutive pair, and a sum-independent Euler prefactor.  The
+        chain is open: I is zero below and above the support.
         """
         if self.t != 0:
             raise UnsupportedPeriod("this route is the t = 0 product")
         reg = self.reg
         quiver = reg.quiver
-        zero = reg.zero_class()
         support = sorted(set(a.support) | set(b.support))
         if not support:
             return self.one()
         lo, hi = support[0], support[-1]
 
         pref_exp = 0
+        aut_ab = 1
         for i in range(lo, hi + 1):
+            aut_ab *= (reg.aut_count(class_at_or_zero(reg, a, i))
+                       * reg.aut_count(class_at_or_zero(reg, b, i)))
             da1 = a.dims_at(i)
             if not any(da1):
                 continue
             for k in range(2, hi - i + 1):
                 e = euler_add(quiver, b.dims_at(i + k), da1)
                 pref_exp += e if k % 2 == 0 else -e
-        prefactor = Fraction(self.q) ** pref_exp
 
-        # frontier: (I at previous degree, M at previous degree, X components so far) -> weight
-        frontier: dict[tuple[IsoClassId, IsoClassId, tuple], Fraction] = {
-            (zero, zero, ()): Fraction(1)}
-        for i in range(lo, hi + 1):
-            a1 = class_at_or_zero(reg, a, i)
-            a2 = class_at_or_zero(reg, b, i)
-            aut_a12 = reg.aut_count(a1) * reg.aut_count(a2)
-            new_frontier: dict[tuple[IsoClassId, IsoClassId, tuple], Fraction] = {}
-            for (i_prev, m_prev, xs), weight in frontier.items():
-                dn = dims_sub(a2.dims, i_prev.dims)
-                if any(x < 0 for x in dn):
-                    continue
-                for di in subdimvecs(a1.dims):
-                    dm = dims_sub(a1.dims, di)
-                    for i_cls in reg.classes(di):
-                        for m_cls in reg.classes(dm):
-                            g1 = hall_number(reg, i_cls, m_cls, a1)
-                            if g1 == 0:
-                                continue
-                            for n_cls in reg.classes(dn):
-                                g3 = hall_number(reg, n_cls, i_prev, a2)
-                                if g3 == 0:
-                                    continue
-                                cross = euler_mult(reg, n_cls.dims, m_prev.dims)
-                                base = (weight * g1 * g3 / cross
-                                        * Fraction(reg.aut_count(n_cls) * reg.aut_count(m_cls)
-                                                   * reg.aut_count(i_cls), aut_a12))
-                                for x_cls in reg.classes(dims_add(dm, dn)):
-                                    g2 = hall_number(reg, m_cls, n_cls, x_cls)
-                                    if g2 == 0:
-                                        continue
-                                    nxs = xs + ((i, x_cls),) if x_cls.total_dim else xs
-                                    nkey = (i_cls, m_cls, nxs)
-                                    new_frontier[nkey] = new_frontier.get(nkey, Fraction(0)) \
-                                        + base * g2
-            frontier = new_frontier
-        out: dict[GradedObject, QSqrtScalar] = {}
-        for (i_last, _m, xs), weight in frontier.items():
-            if i_last != zero:
-                continue
-            g = graded_object(0, quiver.n, xs)
-            coeff = out.get(g, QSqrtScalar.zero(self.q)) \
-                + QSqrtScalar.rational(self.q, weight * prefactor)
-            out[g] = coeff
-        return HallVector(self.q, out)
+        def euler_exp(i, d_s, d_next):
+            # 1 / <N^i, M^{i-1}>, with N^i = b_i - I^{i-1} and M^{i-1} = a_{i-1} - I^{i-1}.
+            return -euler_add(quiver, dims_sub(b.dims_at(i), d_s), dims_sub(a.dims_at(i - 1), d_s))
+
+        h, e = self._lt_paths(a, b, range(lo, hi + 1), euler_exp)
+        return HallVector(self.q, {
+            graded_object(0, quiver.n, xs):
+                QSqrtScalar.v_power(self.q, 2 * (e + pref_exp), Fraction(w, aut_ab))
+            for xs, w in h.items()})
 
     def lt_mul_odd(self, a: GradedObject, b: GradedObject) -> HallVector:
-        """Local-to-global product for odd-periodic complexes."""
+        """Local-to-global product for odd-periodic complexes.
+
+        The degree steps of lt_mul_t0 closed into a cycle over Z/t, each
+        weighted by 1 / (<a_i, S^i> <S^{i+1}, N^i>) and 1 / a_{X^i}, then
+        normalized by v^(sum of Euler forms) a'_X / (a'_a a'_b).
+        """
         t = self.t
         if t < 1:
             raise UnsupportedPeriod("this route needs odd positive t")
         reg = self.reg
         quiver = reg.quiver
+        a_dims = [a.dims_at(i) for i in range(t)]
+        b_dims = [b.dims_at(i) for i in range(t)]
 
         sqrt_exp = 0
         for i in range(t):
-            sqrt_exp += euler_add(quiver, a.dims_at(i), b.dims_at(i))
+            sqrt_exp += euler_add(quiver, a_dims[i], b_dims[i])
             for k in range(1, t):
-                e = euler_add(quiver, a.dims_at(i + k), b.dims_at(i))
+                e = euler_add(quiver, a_dims[(i + k) % t], b_dims[i])
                 sqrt_exp += e if k % 2 == 1 else -e
-        sqrt_factor = self.v_power(sqrt_exp)
 
-        s_cands: list[list[IsoClassId]] = []
-        for i in range(t):
-            cap = tuple(min(x, y) for x, y in zip(b.dims_at(i), a.dims_at(i - 1)))
-            cands = []
-            for d in subdimvecs(cap):
-                cands.extend(reg.classes(d))
-            s_cands.append(cands)
+        def euler_exp(i, d_s, d_next):
+            return -(euler_add(quiver, a_dims[i], d_s)
+                     + euler_add(quiver, d_next, dims_sub(b_dims[i], d_s)))
 
-        h_acc: dict[tuple, Fraction] = {}
-        for s_choice in itertools.product(*s_cands):
-            per_degree: list[list[tuple[tuple[int, IsoClassId] | None, Fraction]]] = []
-            dead = False
-            for i in range(t):
-                a1 = class_at_or_zero(reg, a, i)
-                a2 = class_at_or_zero(reg, b, i)
-                s_i = s_choice[i]
-                s_next = s_choice[(i + 1) % t]
-                dm = dims_sub(a1.dims, s_next.dims)
-                dn = dims_sub(a2.dims, s_i.dims)
-                if any(x < 0 for x in dm + dn):
-                    dead = True
-                    break
-                denom_euler = (euler_mult(reg, a1.dims, s_i.dims)
-                               * euler_mult(reg, s_next.dims, dn))
-                opts: list[tuple[tuple[int, IsoClassId] | None, Fraction]] = []
-                for m_cls in reg.classes(dm):
-                    g_a1 = hall_number(reg, s_next, m_cls, a1)
-                    if g_a1 == 0:
-                        continue
-                    for n_cls in reg.classes(dn):
-                        g_a2 = hall_number(reg, n_cls, s_i, a2)
-                        if g_a2 == 0:
-                            continue
-                        base = (Fraction(g_a1 * g_a2)
-                                * reg.aut_count(m_cls) * reg.aut_count(n_cls)
-                                * reg.aut_count(s_i) / denom_euler)
-                        for x_cls in reg.classes(dims_add(dm, dn)):
-                            g_x = hall_number(reg, m_cls, n_cls, x_cls)
-                            if g_x == 0:
-                                continue
-                            w = base * g_x / reg.aut_count(x_cls)
-                            item = (i, x_cls) if x_cls.total_dim else None
-                            opts.append((item, w))
-                if not opts:
-                    dead = True
-                    break
-                per_degree.append(opts)
-            if dead:
-                continue
-            partial: dict[tuple, Fraction] = {(): Fraction(1)}
-            for opts in per_degree:
-                nxt: dict[tuple, Fraction] = {}
-                for xs, wacc in partial.items():
-                    for item, w in opts:
-                        nxs = xs + (item,) if item else xs
-                        nxt[nxs] = nxt.get(nxs, Fraction(0)) + wacc * w
-                partial = nxt
-            for xs, w in partial.items():
-                h_acc[xs] = h_acc.get(xs, Fraction(0)) + w
-
-        ap_a = self.a_prime(a)
-        ap_b = self.a_prime(b)
+        h, e = self._lt_paths(a, b, range(t), euler_exp)
+        aut_a, v_a = self._a_prime_parts(a)
+        aut_b, v_b = self._a_prime_parts(b)
         out: dict[GradedObject, QSqrtScalar] = {}
-        for xs, h in h_acc.items():
-            if h == 0:
-                continue
+        for xs, w in h.items():
             g = graded_object(t, quiver.n, xs)
-            coeff = (self.rational(h) * sqrt_factor
-                     * self.a_prime(g) / (ap_a * ap_b))
-            acc = out.get(g, QSqrtScalar.zero(self.q)) + coeff
-            out[g] = acc
+            aut_g, v_g = self._a_prime_parts(g)
+            aut_x = 1
+            for _i, x_cls in xs:
+                aut_x *= reg.aut_count(x_cls)
+            out[g] = QSqrtScalar.v_power(self.q, sqrt_exp + 2 * e + v_g - v_a - v_b,
+                                         Fraction(w * aut_g, aut_x * aut_a * aut_b))
         return HallVector(self.q, out)
 
     # -- normalization invariants --------------------------------------------
@@ -372,16 +372,19 @@ class DerivedHall:
             out = out * h if i % 2 == 0 else out / h
         return out
 
-    def a_prime(self, g: GradedObject) -> QSqrtScalar:
-        """a'_g = |Aut_{D_t}(g)| * {g, g}^{1/2} (odd t)."""
+    def _a_prime_parts(self, g: GradedObject) -> tuple[int, int]:
+        """(|Aut_{D_t}(g)|, e) with {g, g} = q^e, so that a'_g = |Aut_{D_t}(g)| v^e."""
         if self.t < 1:
             raise UnsupportedPeriod("a' is defined for odd positive t")
         memo = self.reg.memo(("a_prime", self.t))
-        if g in memo:
-            return memo[g]
-        val = self.rational(self.aut_dt(g)) * sqrt_of_fraction(self.q, self.bracket(g, g))
-        memo[g] = val
-        return val
+        if g not in memo:
+            memo[g] = (self.aut_dt(g), q_exponent(self.bracket(g, g), self.q))
+        return memo[g]
+
+    def a_prime(self, g: GradedObject) -> QSqrtScalar:
+        """a'_g = |Aut_{D_t}(g)| * {g, g}^{1/2} (odd t)."""
+        aut, e = self._a_prime_parts(g)
+        return QSqrtScalar.v_power(self.q, e, aut)
 
     def a_prime_endo_literal(self, g: GradedObject) -> QSqrtScalar:
         """Variant normalization using |End| instead of |Aut| (kept for comparison)."""

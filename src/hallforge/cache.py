@@ -3,14 +3,15 @@
 A cache file stores the isomorphism classes, orbit/automorphism counts and
 memoized subobject counts for one (quiver, field, periodicity) setup.  The
 fingerprint ties the file to the setup; loading a file whose fingerprint or
-layout does not match raises CacheInvalid.  Caching only affects speed, never
-results.
+layout does not match, or whose counts break the orbit identities, raises
+CacheInvalid.  Caching only affects speed, never results.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import os
+import uuid
 from pathlib import Path
 
 from .errors import CacheInvalid
@@ -65,9 +66,14 @@ def save_cache(reg: ClassRegistry, t: int,
         "hall_numbers": hall,
     }
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-    tmp.replace(path)
+    # A temp file of its own per writer, so concurrent saves never share one.
+    tmp = path.with_name(f"{path.stem}.{uuid.uuid4().hex}.tmp")
+    try:
+        tmp.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 

@@ -8,7 +8,8 @@ and prints a JSON report to stdout:
 
 Reports are deterministic for fixed inputs except for timing_ms.  Exit codes:
 0 all checks pass, 1 a checked identity failed, 2 usage error, 3 a resource
-bound (enumeration or rewriting budget) was hit.  When $HALLFORGE_CACHE names
+bound (enumeration or rewriting budget) was hit, 4 an engine fault (an internal
+consistency check failed or a zero scalar was inverted).  When $HALLFORGE_CACHE names
 a directory, enumeration state is loaded from and saved to it; a corrupt or
 mismatched cache file produces a warning on stderr and a fresh start, never a
 report entry.
@@ -23,14 +24,15 @@ import json
 import random
 import sys
 import time
+from typing import Iterable
 
 from .algebra import RELATION_FAMILIES, DerivedHall, relation_check
 from .cache import cache_directory, load_cache, save_cache
 from .complexes import check_period, format_graded, graded_object, parse_graded
-from .errors import (CacheInvalid, EnumerationTooLarge, IncompatibleObjects,
-                     InvalidField, NotAPureQPower, NotASubobject,
-                     NotHereditarySetup, RewriteBudgetExceeded,
-                     UnsupportedPeriod)
+from .errors import (CacheInvalid, DivisionByZero, EnumerationTooLarge,
+                     IncompatibleObjects, InternalInconsistency, InvalidField,
+                     NotAPureQPower, NotASubobject, NotHereditarySetup,
+                     RewriteBudgetExceeded, UnsupportedPeriod)
 from .hall import gamma_coeff, green_sides, hall_number
 from .quivers import (Quiver, dims_add, dims_sub, dimvecs_up_to, line_quiver,
                       quiver_from_dict, quiver_to_dict, subdimvecs)
@@ -40,6 +42,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 SAMPLE_CAP = 100
 
@@ -108,10 +111,26 @@ def graded_objects_within(reg: ClassRegistry, t: int, max_total: int) -> list:
     return out
 
 
-def _maybe_sample(items: list, seed: int | None) -> list:
-    if seed is None or len(items) <= SAMPLE_CAP:
-        return items
-    return random.Random(seed).sample(items, SAMPLE_CAP)
+def _maybe_sample(objs: list, repeat: int, seed: int | None) -> tuple[int, Iterable]:
+    """(count, tuples): every repeat-tuple of objs, or SAMPLE_CAP of them with a seed.
+
+    Samples are drawn as indices into the product and decoded one at a time,
+    so the product is never built; the draw picks the same tuples as
+    sampling the list itself would.
+    """
+    n = len(objs)
+    total = n ** repeat
+    if seed is None or total <= SAMPLE_CAP:
+        return total, itertools.product(objs, repeat=repeat)
+
+    def decode(index: int) -> tuple:
+        out = []
+        for _ in range(repeat):
+            index, k = divmod(index, n)
+            out.append(objs[k])
+        return tuple(reversed(out))
+
+    return SAMPLE_CAP, map(decode, random.Random(seed).sample(range(total), SAMPLE_CAP))
 
 
 # -- subcommand pipelines ---------------------------------------------------
@@ -228,8 +247,7 @@ def cmd_dha_assoc(args, reg: ClassRegistry, t: int):
     bound = args.max_dim if args.max_dim is not None else 2
     dh = DerivedHall(reg, t)
     objs = graded_objects_within(reg, t, bound)
-    triples = list(itertools.product(objs, repeat=3))
-    triples = _maybe_sample(triples, args.seed)
+    checked, triples = _maybe_sample(objs, 3, args.seed)
     counterexamples = []
     for a, b, c in triples:
         res = dh.assoc_check(a, b, c)
@@ -238,7 +256,7 @@ def cmd_dha_assoc(args, reg: ClassRegistry, t: int):
                    "c": format_graded(reg, c)}
             row.update(_first_mismatch(reg, res))
             counterexamples.append(row)
-    results = {"t": t, "objects": len(objs), "checked": len(triples),
+    results = {"t": t, "objects": len(objs), "checked": checked,
                "mismatches": len(counterexamples), "seed": args.seed}
     code = EXIT_MISMATCH if counterexamples else EXIT_OK
     fields = ["a", "b", "c", "basis", "lhs", "rhs"]
@@ -298,8 +316,7 @@ def cmd_crosscheck(args, reg: ClassRegistry, t: int):
     bound = args.max_dim if args.max_dim is not None else 2
     dh = DerivedHall(reg, t)
     objs = graded_objects_within(reg, t, bound)
-    pairs = list(itertools.product(objs, repeat=2))
-    pairs = _maybe_sample(pairs, args.seed)
+    checked, pairs = _maybe_sample(objs, 2, args.seed)
     counterexamples = []
     for a, b in pairs:
         res = dh.theorem_crosscheck(a, b)
@@ -307,7 +324,7 @@ def cmd_crosscheck(args, reg: ClassRegistry, t: int):
             row = {"a": format_graded(reg, a), "b": format_graded(reg, b)}
             row.update(_first_mismatch(reg, res))
             counterexamples.append(row)
-    results = {"t": t, "objects": len(objs), "checked": len(pairs),
+    results = {"t": t, "objects": len(objs), "checked": checked,
                "mismatches": len(counterexamples), "seed": args.seed}
     code = EXIT_MISMATCH if counterexamples else EXIT_OK
     fields = ["a", "b", "basis", "lhs", "rhs"]
@@ -373,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def dispatch(argv: list[str] | None = None) -> tuple[dict | None, int]:
     """Run one subcommand; returns (report, exit_code).  report is None when
-    the run failed before producing results (usage or resource errors)."""
+    the run failed before producing results (usage, resource or engine errors)."""
     parser = build_parser()
     args = parser.parse_args(argv)
     start = time.monotonic()
@@ -382,6 +399,8 @@ def dispatch(argv: list[str] | None = None) -> tuple[dict | None, int]:
         t = args.t
         check_period(t)
         dim = parse_dims(args.dim, quiver.n) if args.dim is not None else None
+        if args.max_dim is not None and args.max_dim < 0:
+            raise IncompatibleObjects(f"--max-dim must be nonnegative, got {args.max_dim}")
         reg = ClassRegistry(quiver, args.q)
         if cache_directory() is not None:
             try:
@@ -402,6 +421,9 @@ def dispatch(argv: list[str] | None = None) -> tuple[dict | None, int]:
     except (EnumerationTooLarge, RewriteBudgetExceeded) as e:
         print(f"error: resource bound hit: {e}", file=sys.stderr)
         return None, EXIT_RESOURCE
+    except (InternalInconsistency, DivisionByZero) as e:
+        print(f"error: internal fault ({type(e).__name__}): {e}", file=sys.stderr)
+        return None, EXIT_INTERNAL
     report = {
         "command": args.command,
         "fingerprint": report_fingerprint(quiver, args.q, t, args.max_dim, dim),

@@ -50,33 +50,15 @@ class FieldSpec:
     def __post_init__(self) -> None:
         check_prime(self.p)
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.p
 
     def inv(self, a: int) -> int:
         return inv_mod(a, self.p)
 
-    def elements(self) -> range:
-        return range(self.p)
-
 
 def vec_add(p: int, u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
     return tuple((x + y) % p for x, y in zip(u, v))
-
-def vec_sub(p: int, u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple((x - y) % p for x, y in zip(u, v))
-
-def vec_scale(p: int, c: int, u: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple((c * x) % p for x in u)
 
 
 @dataclass(frozen=True)
@@ -117,15 +99,6 @@ class Mat:
         return Mat(self.p, self.rows, self.cols,
                    tuple(vec_add(self.p, r, s) for r, s in zip(self.entries, other.entries)))
 
-    def sub(self, other: "Mat") -> "Mat":
-        self._check_same_shape(other)
-        return Mat(self.p, self.rows, self.cols,
-                   tuple(vec_sub(self.p, r, s) for r, s in zip(self.entries, other.entries)))
-
-    def scale(self, c: int) -> "Mat":
-        return Mat(self.p, self.rows, self.cols,
-                   tuple(vec_scale(self.p, c, r) for r in self.entries))
-
     def mul(self, other: "Mat") -> "Mat":
         if self.p != other.p:
             raise IncompatibleObjects("matrix product across different fields")
@@ -148,10 +121,6 @@ class Mat:
             raise IncompatibleObjects("vector length does not match column count")
         p = self.p
         return tuple(sum(a * b for a, b in zip(row, vec)) % p for row in self.entries)
-
-    def transpose(self) -> "Mat":
-        return Mat(self.p, self.cols, self.rows, tuple(zip(*self.entries)) if self.entries else
-                   tuple(() for _ in range(self.cols)))
 
     def _check_same_shape(self, other: "Mat") -> None:
         if self.p != other.p or self.rows != other.rows or self.cols != other.cols:

@@ -149,16 +149,8 @@ def dims_leq(d1: DimVec, d2: DimVec) -> bool:
     return all(a <= b for a, b in zip(d1, d2))
 
 
-def dims_nonneg(d: DimVec) -> bool:
-    return all(a >= 0 for a in d)
-
-
 def total_dim(d: DimVec) -> int:
     return sum(d)
-
-
-def zero_dims(n: int) -> DimVec:
-    return (0,) * n
 
 
 def subdimvecs(d: DimVec) -> Iterator[DimVec]:

@@ -13,27 +13,19 @@ from fractions import Fraction
 from .errors import DivisionByZero, IncompatibleObjects, NotAPureQPower
 
 
-def _pure_q_exponent(x: Fraction, q: int) -> int | None:
-    """e with x == q**e, or None."""
-    if x <= 0:
-        return None
-    num, den = x.numerator, x.denominator
-    if num > 1 and den > 1:
-        return None
-
-    def log_q(n: int) -> int | None:
-        e = 0
-        while n > 1:
-            if n % q:
-                return None
-            n //= q
-            e += 1
-        return e
-
-    if den == 1:
-        return log_q(num)
-    e = log_q(den)
-    return -e if e is not None and num == 1 else None
+def q_exponent(x, q: int) -> int:
+    """e with x == q**e; NotAPureQPower when there is none."""
+    x = Fraction(x)
+    num, den, sign = x.numerator, x.denominator, 1
+    if 0 < x < 1:
+        num, den, sign = den, num, -1
+    e = 0
+    while num > 1 and num % q == 0:
+        num //= q
+        e += 1
+    if num != 1 or den != 1:
+        raise NotAPureQPower(f"{x} is not an integer power of {q}")
+    return sign * e
 
 
 @dataclass(frozen=True)
@@ -57,11 +49,11 @@ class QSqrtScalar:
         return QSqrtScalar.rational(q, 1)
 
     @staticmethod
-    def v_power(q: int, e: int) -> "QSqrtScalar":
-        """(sqrt q)^e for any integer e."""
+    def v_power(q: int, e: int, coeff: int | Fraction = 1) -> "QSqrtScalar":
+        """coeff * (sqrt q)^e for any integer e and rational coeff."""
         # Floor division keeps odd in {0, 1} for negative e as well.
         half, odd = e // 2, e % 2
-        base = Fraction(q) ** half
+        base = Fraction(q) ** half * coeff
         if odd:
             return QSqrtScalar(q, Fraction(0), base)
         return QSqrtScalar(q, base, Fraction(0))
@@ -150,10 +142,7 @@ class QSqrtScalar:
         """Square root, defined only for positive pure powers of q."""
         if self.b != 0:
             raise NotAPureQPower(f"square root of {self} is outside Q(sqrt {self.q})")
-        e = _pure_q_exponent(self.a, self.q)
-        if e is None:
-            raise NotAPureQPower(f"{self.a} is not a positive integer power of {self.q}")
-        return QSqrtScalar.v_power(self.q, e)
+        return QSqrtScalar.v_power(self.q, q_exponent(self.a, self.q))
 
     def __str__(self) -> str:
         return f"{self.a} + {self.b}*v"

@@ -16,20 +16,22 @@ from hallforge.reps import (ClassRegistry, IsoClassId, Rep, hom_basis,
 ORACLE_HOM_BOUND = 5000
 
 
-def all_morphisms(m: Rep, n: Rep) -> list[tuple[Mat, ...]]:
+def all_morphisms(m: Rep, n: Rep, bound: int = ORACLE_HOM_BOUND) -> list[tuple[Mat, ...]]:
     """Every element of Hom(m, n), built as F_p-combinations of a hom basis."""
     basis = hom_basis(m, n)
     p = m.p
-    if p ** len(basis) > ORACLE_HOM_BOUND:
+    if p ** len(basis) > bound:
         raise AssertionError("oracle instance too large; shrink the test dims")
     zero = tuple(Mat.zeros(p, nv, mv) for nv, mv in zip(n.dims, m.dims))
-    out = []
-    for coeffs in itertools.product(range(p), repeat=len(basis)):
-        f = zero
-        for c, b in zip(coeffs, basis):
-            for _ in range(c):
-                f = tuple(fv.add(bv) for fv, bv in zip(f, b))
-        out.append(f)
+    out = [zero]
+    # Coefficient tuples in itertools.product order: the first basis
+    # element's coefficient varies slowest.
+    for b in basis:
+        multiples = [zero]
+        for _ in range(p - 1):
+            multiples.append(tuple(fv.add(bv) for fv, bv in zip(multiples[-1], b)))
+        out = [f if mult is zero else tuple(fv.add(mv) for fv, mv in zip(f, mult))
+               for f in out for mult in multiples]
     return out
 
 
@@ -104,9 +106,9 @@ def four_term_gamma_oracle(reg: ClassRegistry, a: IsoClassId, b: IsoClassId,
     return Fraction(count, reg.aut_count(a) * reg.aut_count(b))
 
 
-def aut_count_by_enumeration(rep: Rep) -> int:
-    """|Aut| by scanning End(rep) one morphism at a time."""
-    return sum(1 for f in all_morphisms(rep, rep)
+def aut_count_by_enumeration(rep: Rep, bound: int = ORACLE_HOM_BOUND) -> int:
+    """|Aut| by scanning End(rep) one morphism at a time (at most bound of them)."""
+    return sum(1 for f in all_morphisms(rep, rep, bound)
                if all(rank(fv) == d for fv, d in zip(f, rep.dims)))
 
 

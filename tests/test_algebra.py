@@ -9,8 +9,10 @@ import pytest
 from hallforge.algebra import (RELATION_FAMILIES, DerivedHall, HallVector,
                                relation_check)
 from hallforge.complexes import graded_object, stalk
-from hallforge.errors import (IncompatibleObjects, RewriteBudgetExceeded,
-                              UnsupportedPeriod)
+from hallforge.errors import (IncompatibleObjects, NotAPureQPower,
+                              RewriteBudgetExceeded, UnsupportedPeriod)
+from hallforge.quivers import line_quiver
+from hallforge.reps import ClassRegistry
 from hallforge.scalars import QSqrtScalar, parse_scalar
 from hallforge.cli import graded_objects_within
 
@@ -220,6 +222,17 @@ def test_a_prime_conventions_differ(d1, a1_f2):
 def test_a_prime_needs_odd_period(d0, a1_f2):
     with pytest.raises(UnsupportedPeriod):
         d0.a_prime(d0.unit_graded())
+
+
+def test_a_prime_rejects_a_bracket_that_is_no_q_power(monkeypatch):
+    # The product's integer kernel reads a' through the same pure-power check.
+    dh = DerivedHall(ClassRegistry(line_quiver(1), 2), 1)
+    monkeypatch.setattr(dh, "bracket", lambda x, y: Fraction(3, 2))
+    k = dh.stalk(dh.reg.classes((1,))[0])
+    with pytest.raises(NotAPureQPower):
+        dh.a_prime(k)
+    with pytest.raises(NotAPureQPower):
+        dh.multiply_graded(k, k)
 
 
 def test_aut_dt_counts(d3, a1_f2):

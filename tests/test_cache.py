@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -125,3 +127,56 @@ def test_fingerprint_separates_setups():
     assert fp != setup_fingerprint(a1, 3, 0)
     assert fp != setup_fingerprint(a1, 2, 1)
     assert len(fp) == 64 and all(c in "0123456789abcdef" for c in fp)
+
+
+def _tamper(tmp_path, edit):
+    """Save a warm A2 registry, apply edit to the stored classes, reload."""
+    reg = warm_registry()
+    path = save_cache(reg, 0, tmp_path)
+    payload = json.loads(path.read_text())
+    edit(payload["registry"]["classes"])
+    path.write_text(json.dumps(payload))
+    load_cache(ClassRegistry(line_quiver(2), 2), 0, tmp_path)
+
+
+def test_stored_aut_must_satisfy_orbit_stabilizer(tmp_path):
+    def double_aut(classes):
+        classes["1,1"][1]["aut"] *= 2
+    with pytest.raises(CacheInvalid, match="aut"):
+        _tamper(tmp_path, double_aut)
+
+
+def test_stored_orbits_must_partition_the_matrix_tuples(tmp_path):
+    def drop_aut_and_double_orbit(classes):
+        row = classes["1,1"][1]
+        row["aut"] = None
+        row["orbit"] *= 2
+    with pytest.raises(CacheInvalid, match="add up"):
+        _tamper(tmp_path, drop_aut_and_double_orbit)
+
+
+def test_concurrent_writers_do_not_share_a_temp_file(tmp_path):
+    reg = warm_registry()
+    errors = []
+
+    def writer():
+        try:
+            for _ in range(25):
+                save_cache(reg, 0, tmp_path)
+        except Exception as e:  # collected and asserted on below
+            errors.append(e)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=writer) for _ in range(6)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
+    assert [p.name for p in tmp_path.iterdir()] == [cache_path(reg.quiver, 2, 0, tmp_path).name]
+    assert load_cache(ClassRegistry(line_quiver(2), 2), 0, tmp_path) is True

@@ -1,7 +1,9 @@
 """Command-line interface: reports, exit codes, CSV, caching, sampling."""
 from __future__ import annotations
 
+import itertools
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,6 +12,7 @@ import pytest
 
 from hallforge import cli
 from hallforge.cache import CACHE_ENV_VAR, cache_path
+from hallforge.errors import DivisionByZero, InternalInconsistency
 from hallforge.quivers import line_quiver, quiver_to_dict
 
 
@@ -242,3 +245,48 @@ def test_cache_roundtrip_and_corruption(capsys, tmp_path, monkeypatch):
     assert "ignoring cache" in err
     after.pop("timing_ms")
     assert after == report
+
+
+def test_doubled_cached_aut_is_rejected_not_used(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
+    argv = ("dha-mul", "--t", "1", "--lhs", "[k1@0]", "--rhs", "[k1@0]")
+    code, report, _ = run_cli(capsys, *argv)
+    assert code == 0 and report["results"]["product"]["[k2@0]"] == "0 + 3/2*v"
+    path = cache_path(line_quiver(1), 2, 1)
+    payload = json.loads(path.read_text())
+    payload["registry"]["classes"]["1"][0]["aut"] *= 2
+    path.write_text(json.dumps(payload))
+
+    code, again, err = run_cli(capsys, *argv)
+    assert code == 0 and "ignoring cache" in err
+    assert again["results"] == report["results"]
+
+
+@pytest.mark.parametrize("fault", [InternalInconsistency, DivisionByZero])
+def test_engine_faults_have_their_own_exit_code(capsys, monkeypatch, fault):
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+
+    def broken(args, reg, t):
+        raise fault("planted")
+    monkeypatch.setitem(cli.COMMANDS, "classes", broken)
+    code, report, err = run_cli(capsys, "classes")
+    assert code == cli.EXIT_INTERNAL == 4
+    assert report is None and "error" in err and "planted" in err
+
+
+def test_negative_max_dim_is_usage_error(capsys, monkeypatch):
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    for command in ("classes", "dha-assoc"):
+        code, report, err = run_cli(capsys, command, "--max-dim", "-1")
+        assert code == cli.EXIT_USAGE and report is None and "error" in err
+
+
+@pytest.mark.parametrize("repeat,seed", [(2, 3), (3, 7), (3, 11)])
+def test_sampling_by_index_matches_sampling_the_list(repeat, seed):
+    objs = list(range(13))
+    full = list(itertools.product(objs, repeat=repeat))
+    count, drawn = cli._maybe_sample(objs, repeat, seed)
+    assert count == cli.SAMPLE_CAP
+    assert list(drawn) == random.Random(seed).sample(full, cli.SAMPLE_CAP)
+    count, every = cli._maybe_sample(objs, repeat, None)
+    assert count == len(full) and list(every) == full

@@ -7,8 +7,8 @@ import pytest
 from hallforge.errors import (EnumerationTooLarge, IncompatibleObjects,
                               InvalidField)
 from hallforge.linalg import gl_order, zero_subspace, full_subspace
-from hallforge.quivers import dimvecs_up_to, line_quiver
-from hallforge.reps import (ClassRegistry, Rep, aut_count, direct_sum,
+from hallforge.quivers import dimvecs_up_to, line_quiver, quiver_from_dict
+from hallforge.reps import (ClassRegistry, Rep, direct_sum,
                             enumerate_iso_classes, hom_dim, is_isomorphic,
                             quotient_by_subrep, semisimple_rep, simple_rep,
                             zero_rep)
@@ -66,6 +66,31 @@ def test_aut_count_matches_endomorphism_scan(a2_f2, a2_f3):
         for dims in [(1, 0), (1, 1), (2, 1)]:
             for c in reg.classes(dims):
                 assert reg.aut_count(c) == aut_count_by_enumeration(reg.representative(c))
+
+
+KRONECKER = {"vertices": ["1", "2"],
+             "arrows": [{"src": "1", "dst": "2", "label": "a"},
+                        {"src": "1", "dst": "2", "label": "b"}]}
+
+
+@pytest.mark.parametrize("quiver,p,max_total", [
+    (line_quiver(1), 2, 3), (line_quiver(1), 3, 3), (line_quiver(2), 2, 3),
+    (line_quiver(2), 3, 3), (quiver_from_dict(KRONECKER), 2, 3),
+])
+def test_orbit_stabilizer_matches_endomorphism_scan(quiver, p, max_total):
+    # The engine takes |Aut| = prod |GL(d_v)| / orbit; the scan of End checks it.
+    reg = ClassRegistry(quiver, p)
+    for c in reg.all_classes_total_le(max_total):
+        scanned = aut_count_by_enumeration(reg.representative(c), bound=p ** 9)
+        assert scanned == reg.aut_count(c)
+        assert scanned * reg.orbit_size(c) == reg.gl_product(c.dims)
+
+
+def test_orbit_stabilizer_on_the_largest_endomorphism_scan(a1_f2):
+    # k4 on one vertex over F_2: End is all of M_4(F_2), 2^16 morphisms.
+    k4 = a1_f2.classes((4,))[0]
+    assert aut_count_by_enumeration(a1_f2.representative(k4), bound=2 ** 16) \
+        == a1_f2.aut_count(k4) == gl_order(4, 2)
 
 
 def test_quotient_of_projective_is_simple(a2_f2):
@@ -141,7 +166,7 @@ def test_module_level_aut_count_on_vector_spaces():
     for q in (2, 3):
         for n in (1, 2, 3):
             rep = semisimple_rep(line_quiver(1), q, (n,))
-            assert aut_count(rep) == gl_order(n, q)
+            assert aut_count_by_enumeration(rep, bound=q ** 9) == gl_order(n, q)
 
 
 def test_enumeration_refuses_huge_sweeps():
