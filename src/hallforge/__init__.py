@@ -26,7 +26,7 @@ from .errors import (CacheInvalid, DivisionByZero, EnumerationTooLarge,
                      NotHereditarySetup, RewriteBudgetExceeded,
                      UnsupportedPeriod)
 from .hall import (euler_add, euler_mult, ext1_count, ext1_middle_count,
-                   gamma_coeff, green_sides, hall_number)
+                   gamma_coeff, gamma_terms, green_sides, hall_number)
 from .linalg import (FieldSpec, Mat, Subspace, count_matrices_of_rank,
                      enumerate_subspaces, gaussian_binomial, gl_order,
                      is_invertible, kernel_basis, rank, rref,
@@ -59,7 +59,7 @@ __all__ = [
     "NotAPureQPower", "NotASubobject", "NotHereditarySetup",
     "RewriteBudgetExceeded", "UnsupportedPeriod",
     "euler_add", "euler_mult", "ext1_count", "ext1_middle_count",
-    "gamma_coeff", "green_sides", "hall_number",
+    "gamma_coeff", "gamma_terms", "green_sides", "hall_number",
     "FieldSpec", "Mat", "Subspace", "count_matrices_of_rank",
     "enumerate_subspaces", "gaussian_binomial", "gl_order", "is_invertible",
     "kernel_basis", "rank", "rref", "subspace_from_vectors",

@@ -14,7 +14,7 @@ from .complexes import (GradedObject, check_period, class_at_or_zero,
                         dt_hom_with_cone_count, format_graded, graded_object,
                         hom_dt_count, stalk)
 from .errors import IncompatibleObjects, RewriteBudgetExceeded, UnsupportedPeriod
-from .hall import ext1_count, euler_add, euler_mult, gamma_coeff, hall_number
+from .hall import ext1_count, euler_add, euler_mult, gamma_terms, hall_number
 from .quivers import dims_add, dims_sub, subdimvecs
 from .reps import ClassRegistry, IsoClassId
 from .scalars import QSqrtScalar, q_exponent, sqrt_of_fraction
@@ -447,24 +447,15 @@ class DerivedHall:
                     self._push(pending, nw, coeff * self.rational(g_c))
             elif m_deg == n_deg + 1:
                 # Adjacent degrees: straighten through 4-term exact sequences.
-                b_cls, a_cls = left_cls, right_cls
-                for dm in subdimvecs(b_cls.dims):
-                    dn = dims_sub(dims_add(a_cls.dims, dm), b_cls.dims)
-                    if any(x < 0 for x in dn):
-                        continue
-                    for m_cls in reg.classes(dm):
-                        for n_cls in reg.classes(dn):
-                            gamma = gamma_coeff(reg, a_cls, b_cls, m_cls, n_cls)
-                            if gamma == 0:
-                                continue
-                            factor = gamma / euler_mult(reg, n_cls.dims, m_cls.dims)
-                            nw = head
-                            if n_cls.total_dim:
-                                nw = nw + ((n_cls, m_deg),)
-                            if m_cls.total_dim:
-                                nw = nw + ((m_cls, n_deg),)
-                            nw = nw + tail
-                            self._push(pending, nw, coeff * self.rational(factor))
+                for m_cls, n_cls, gamma in gamma_terms(reg, right_cls, left_cls):
+                    factor = gamma / euler_mult(reg, n_cls.dims, m_cls.dims)
+                    nw = head
+                    if n_cls.total_dim:
+                        nw = nw + ((n_cls, m_deg),)
+                    if m_cls.total_dim:
+                        nw = nw + ((m_cls, n_deg),)
+                    nw = nw + tail
+                    self._push(pending, nw, coeff * self.rational(factor))
             else:
                 # Far degrees: commute up to an Euler-form power.
                 e = euler_add(reg.quiver, right_cls.dims, left_cls.dims)
@@ -575,19 +566,10 @@ def relation_check(reg: ClassRegistry, family: str, a_cls: IsoClassId, b_cls: Is
         # Left: Z_B at degree n times Z_A at degree n+1.
         lhs = dh.multiply_graded(dh.stalk(b_cls, n), dh.stalk(a_cls, n + 1))
         rhs = HallVector(q)
-        for dm in subdimvecs(b_cls.dims):
-            dn = dims_sub(dims_add(a_cls.dims, dm), b_cls.dims)
-            if any(x < 0 for x in dn):
-                continue
-            for m_cls in reg.classes(dm):
-                for n_cls in reg.classes(dn):
-                    gamma = gamma_coeff(reg, a_cls, b_cls, m_cls, n_cls)
-                    if gamma == 0:
-                        continue
-                    factor = gamma / euler_mult(reg, n_cls.dims, m_cls.dims)
-                    prod = dh.multiply(dh.stalk_vector(n_cls, n + 1),
-                                       dh.stalk_vector(m_cls, n))
-                    rhs = rhs.add(prod.scale(factor))
+        for m_cls, n_cls, gamma in gamma_terms(reg, a_cls, b_cls):
+            factor = gamma / euler_mult(reg, n_cls.dims, m_cls.dims)
+            prod = dh.multiply(dh.stalk_vector(n_cls, n + 1), dh.stalk_vector(m_cls, n))
+            rhs = rhs.add(prod.scale(factor))
         return _compare(f"dh0_44[deg {n}]", lhs, rhs)
 
     if family == "dh0_45":
@@ -639,24 +621,16 @@ def relation_check(reg: ClassRegistry, family: str, a_cls: IsoClassId, b_cls: Is
         e_aa = euler_add(quiver, a_cls.dims, a_cls.dims)
         e_bb = euler_add(quiver, b_cls.dims, b_cls.dims)
         e_ba = euler_add(quiver, b_cls.dims, a_cls.dims)
-        for dm in subdimvecs(b_cls.dims):
-            dn = dims_sub(dims_add(a_cls.dims, dm), b_cls.dims)
-            if any(x < 0 for x in dn):
-                continue
-            for m_cls in reg.classes(dm):
-                e_mm = euler_add(quiver, dm, dm)
-                for n_cls in reg.classes(dn):
-                    gamma = gamma_coeff(reg, a_cls, b_cls, m_cls, n_cls)
-                    if gamma == 0:
-                        continue
-                    e_nn = euler_add(quiver, dn, dn)
-                    e_nm = euler_add(quiver, dn, dm)
-                    scalar = (dh.rational(gamma)
-                              * dh.v_power(e_aa + e_bb - e_mm - e_nn)
-                              * dh.v_power(-(e_ba + e_nm)))
-                    prod = dh.multiply(dh.stalk_vector(n_cls, n + 1),
-                                       dh.stalk_vector(m_cls, n))
-                    rhs = rhs.add(prod.scale(scalar))
+        for m_cls, n_cls, gamma in gamma_terms(reg, a_cls, b_cls):
+            dm, dn = m_cls.dims, n_cls.dims
+            e_mm = euler_add(quiver, dm, dm)
+            e_nn = euler_add(quiver, dn, dn)
+            e_nm = euler_add(quiver, dn, dm)
+            scalar = (dh.rational(gamma)
+                      * dh.v_power(e_aa + e_bb - e_mm - e_nn)
+                      * dh.v_power(-(e_ba + e_nm)))
+            prod = dh.multiply(dh.stalk_vector(n_cls, n + 1), dh.stalk_vector(m_cls, n))
+            rhs = rhs.add(prod.scale(scalar))
         return _compare(f"dh3_r2[deg {n}]", lhs, rhs)
 
     # dht_r3: far commutation at odd t >= 5.

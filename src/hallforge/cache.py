@@ -2,9 +2,11 @@
 
 A cache file stores the isomorphism classes, orbit/automorphism counts and
 memoized subobject counts for one (quiver, field, periodicity) setup.  The
-fingerprint ties the file to the setup; loading a file whose fingerprint or
-layout does not match, or whose counts break the orbit identities, raises
-CacheInvalid.  Caching only affects speed, never results.
+fingerprint ties the file to the setup, and a sha256 digest of the payload
+bytes, written as the file's first key, ties the counts to what was saved;
+loading a file whose fingerprint, layout or digest does not match, or whose
+counts break the orbit identities, raises CacheInvalid.  Caching only affects
+speed, never results.
 """
 from __future__ import annotations
 
@@ -19,7 +21,8 @@ from .quivers import Quiver, canonical_quiver_json
 from .reps import ClassRegistry
 
 CACHE_ENV_VAR = "HALLFORGE_CACHE"
-CACHE_FORMAT = 1
+CACHE_FORMAT = 2
+_BODY_START = len(b'{"sha256":"",') + 64  # where the payload's first key starts
 
 
 def setup_fingerprint(quiver: Quiver, q: int, t: int) -> str:
@@ -46,6 +49,21 @@ def cache_path(quiver: Quiver, q: int, t: int,
     return base / f"{setup_fingerprint(quiver, q, t)}.json"
 
 
+def encode_cache(payload: dict) -> bytes:
+    """The file bytes for payload: its compact sorted JSON, with the sha256 of
+    those bytes spliced in as a first key "sha256".
+
+    A reader checks the digest on the bytes it read, from a fixed offset,
+    without serialising anything again.
+    """
+    body = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return _digest_head(body) + body[1:]
+
+
+def _digest_head(body: bytes) -> bytes:
+    return b'{"sha256":"' + hashlib.sha256(body).hexdigest().encode("ascii") + b'",'
+
+
 def save_cache(reg: ClassRegistry, t: int,
                directory: str | os.PathLike | None = None) -> Path | None:
     """Write the registry state; returns the path, or None when no dir is set."""
@@ -69,7 +87,7 @@ def save_cache(reg: ClassRegistry, t: int,
     # A temp file of its own per writer, so concurrent saves never share one.
     tmp = path.with_name(f"{path.stem}.{uuid.uuid4().hex}.tmp")
     try:
-        tmp.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        tmp.write_bytes(encode_cache(payload))
         tmp.replace(path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -87,8 +105,9 @@ def load_cache(reg: ClassRegistry, t: int,
     if path is None or not path.exists():
         return False
     try:
-        payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as e:
+        raw = path.read_bytes()
+        payload = json.loads(raw)
+    except (OSError, ValueError) as e:
         raise CacheInvalid(f"cannot read cache file {path}: {e}") from None
     if not isinstance(payload, dict) or payload.get("format") != CACHE_FORMAT:
         raise CacheInvalid(f"cache file {path} has an unsupported layout")
@@ -97,12 +116,16 @@ def load_cache(reg: ClassRegistry, t: int,
         raise CacheInvalid(
             f"cache file {path} was built for a different setup "
             f"(found {payload.get('fingerprint')!r}, expected {expected!r})")
+    if raw[:_BODY_START] != _digest_head(b"{" + raw[_BODY_START:]):
+        raise CacheInvalid(f"cache file {path} does not match its sha256 digest")
     reg.import_state(payload.get("registry", {}))
     memo = reg.memo("hall_number")
     try:
-        for a_s, b_s, c_s, v in payload.get("hall_numbers", []):
-            key = (reg.parse_class_id(a_s), reg.parse_class_id(b_s), reg.parse_class_id(c_s))
-            memo[key] = int(v)
+        rows = payload.get("hall_numbers", [])
+        # Each distinct class id is parsed once: the rows repeat a few dozen ids.
+        ids = {s: reg.parse_class_id(s) for s in dict.fromkeys(s for row in rows for s in row[:3])}
+        for a_s, b_s, c_s, v in rows:
+            memo[ids[a_s], ids[b_s], ids[c_s]] = int(v)
     except Exception as e:
         raise CacheInvalid(f"cache file {path} holds bad subobject counts: {e}") from None
     return True

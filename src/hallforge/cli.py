@@ -9,7 +9,8 @@ and prints a JSON report to stdout:
 Reports are deterministic for fixed inputs except for timing_ms.  Exit codes:
 0 all checks pass, 1 a checked identity failed, 2 usage error, 3 a resource
 bound (enumeration or rewriting budget) was hit, 4 an engine fault (an internal
-consistency check failed or a zero scalar was inverted).  When $HALLFORGE_CACHE names
+consistency check failed, a zero scalar was inverted, or a scalar that must be
+a power of q was not).  When $HALLFORGE_CACHE names
 a directory, enumeration state is loaded from and saved to it; a corrupt or
 mismatched cache file produces a warning on stderr and a fresh start, never a
 report entry.
@@ -33,8 +34,8 @@ from .errors import (CacheInvalid, DivisionByZero, EnumerationTooLarge,
                      IncompatibleObjects, InternalInconsistency, InvalidField,
                      NotAPureQPower, NotASubobject, NotHereditarySetup,
                      RewriteBudgetExceeded, UnsupportedPeriod)
-from .hall import gamma_coeff, green_sides, hall_number
-from .quivers import (Quiver, dims_add, dims_sub, dimvecs_up_to, line_quiver,
+from .hall import gamma_terms, green_sides, subquotient_tables
+from .quivers import (Quiver, dims_sub, dimvecs_up_to, line_quiver,
                       quiver_from_dict, quiver_to_dict, subdimvecs)
 from .reps import ClassRegistry
 
@@ -47,7 +48,9 @@ EXIT_INTERNAL = 4
 SAMPLE_CAP = 100
 
 _USAGE_ERRORS = (InvalidField, NotHereditarySetup, UnsupportedPeriod,
-                 IncompatibleObjects, NotASubobject, NotAPureQPower)
+                 IncompatibleObjects, NotASubobject)
+# NotAPureQPower comes out of engine arithmetic (a', square roots), never user input.
+_ENGINE_FAULTS = (InternalInconsistency, DivisionByZero, NotAPureQPower)
 
 
 def report_fingerprint(quiver: Quiver, q: int, t: int,
@@ -137,14 +140,17 @@ def _maybe_sample(objs: list, repeat: int, seed: int | None) -> tuple[int, Itera
 # Each returns (results, counterexamples, exit_code, csv_fields, csv_rows).
 
 
-def cmd_classes(args, reg: ClassRegistry, t: int):
+def _swept_dims(args, reg: ClassRegistry) -> list:
+    """--dim alone, else every dims vector of total <= --max-dim (default 2), smallest first."""
     if args.dim is not None:
-        dims_list = [parse_dims(args.dim, reg.quiver.n)]
-    else:
-        bound = args.max_dim if args.max_dim is not None else 2
-        dims_list = sorted(dimvecs_up_to(reg.quiver.n, bound), key=lambda d: (sum(d), d))
+        return [parse_dims(args.dim, reg.quiver.n)]
+    bound = args.max_dim if args.max_dim is not None else 2
+    return sorted(dimvecs_up_to(reg.quiver.n, bound), key=lambda d: (sum(d), d))
+
+
+def cmd_classes(args, reg: ClassRegistry, t: int):
     rows = []
-    for dims in dims_list:
+    for dims in _swept_dims(args, reg):
         for cls in reg.classes(dims):
             rows.append({"dims": dims_str(dims), "id": reg.class_id_str(cls),
                          "orbit": reg.orbit_size(cls), "aut": reg.aut_count(cls)})
@@ -153,24 +159,13 @@ def cmd_classes(args, reg: ClassRegistry, t: int):
 
 
 def cmd_hall(args, reg: ClassRegistry, t: int):
-    if args.dim is not None:
-        dims_list = [parse_dims(args.dim, reg.quiver.n)]
-    else:
-        bound = args.max_dim if args.max_dim is not None else 2
-        dims_list = sorted(dimvecs_up_to(reg.quiver.n, bound), key=lambda d: (sum(d), d))
     rows = []
-    for dims in dims_list:
+    for dims in _swept_dims(args, reg):
         for c in reg.classes(dims):
-            for db in subdimvecs(dims):
-                da = dims_sub(dims, db)
-                for b in reg.classes(db):
-                    for a in reg.classes(da):
-                        g = hall_number(reg, a, b, c)
-                        if g:
-                            rows.append({"a": reg.class_id_str(a),
-                                         "b": reg.class_id_str(b),
-                                         "c": reg.class_id_str(c),
-                                         "value": g})
+            for b, quotients in subquotient_tables(reg, c)[1].items():
+                for a, g in quotients:
+                    rows.append({"a": reg.class_id_str(a), "b": reg.class_id_str(b),
+                                 "c": reg.class_id_str(c), "value": g})
     results = {"hall_numbers": rows, "count": len(rows)}
     return results, [], EXIT_OK, ["a", "b", "c", "value"], rows
 
@@ -205,19 +200,10 @@ def cmd_gamma(args, reg: ClassRegistry, t: int):
     classes = reg.all_classes_total_le(bound)
     for a in classes:
         for b in classes:
-            for dm in subdimvecs(b.dims):
-                dn = dims_sub(dims_add(a.dims, dm), b.dims)
-                if any(x < 0 for x in dn):
-                    continue
-                for m in reg.classes(dm):
-                    for n in reg.classes(dn):
-                        val = gamma_coeff(reg, a, b, m, n)
-                        if val:
-                            rows.append({"a": reg.class_id_str(a),
-                                         "b": reg.class_id_str(b),
-                                         "m": reg.class_id_str(m),
-                                         "n": reg.class_id_str(n),
-                                         "value": str(val)})
+            for m, n, val in gamma_terms(reg, a, b):
+                rows.append({"a": reg.class_id_str(a), "b": reg.class_id_str(b),
+                             "m": reg.class_id_str(m), "n": reg.class_id_str(n),
+                             "value": str(val)})
     results = {"gamma": rows, "count": len(rows)}
     return results, [], EXIT_OK, ["a", "b", "m", "n", "value"], rows
 
@@ -421,7 +407,7 @@ def dispatch(argv: list[str] | None = None) -> tuple[dict | None, int]:
     except (EnumerationTooLarge, RewriteBudgetExceeded) as e:
         print(f"error: resource bound hit: {e}", file=sys.stderr)
         return None, EXIT_RESOURCE
-    except (InternalInconsistency, DivisionByZero) as e:
+    except _ENGINE_FAULTS as e:
         print(f"error: internal fault ({type(e).__name__}): {e}", file=sys.stderr)
         return None, EXIT_INTERNAL
     report = {

@@ -179,10 +179,6 @@ class ComplexObj:
         return sum(r.total_dim for _, r in self.components)
 
 
-def _zero_morphism(p: int, src: Rep, tgt: Rep) -> Morphism:
-    return tuple(Mat.zeros(p, tgt.dims[v], src.dims[v]) for v in range(src.quiver.n))
-
-
 def complex_obj(t: int, quiver: Quiver, p: int, comps: dict[int, Rep],
                 diffs: dict[int, Morphism] | None = None, validate: bool = True) -> ComplexObj:
     """Canonicalize and (optionally) validate a complex given as degree dicts."""
@@ -452,18 +448,6 @@ def aut_ct_count(reg: ClassRegistry, c: ComplexObj,
 
 
 # -- enumeration of complex classes -------------------------------------------
-
-
-def _rank_profile_single_endo(p: int, d: Mat) -> tuple[int, ...]:
-    out = []
-    acc = d
-    for _ in range(d.rows):
-        r = rank(acc)
-        out.append(r)
-        if r == 0:
-            break
-        acc = acc.mul(d)
-    return tuple(out)
 
 
 def enumerate_complex_classes(reg: ClassRegistry, t: int, dims_by_degree,

@@ -186,27 +186,68 @@ def ext1_middle_count(reg: ClassRegistry, a: IsoClassId, b: IsoClassId, c: IsoCl
     return num // den
 
 
+def subquotient_tables(reg: ClassRegistry, c: IsoClassId) -> tuple[dict, dict]:
+    """The nonzero Hall numbers of c, as ({I: [(m, g^c_{I,m})]}, {I: [(n, g^c_{n,I})]}).
+
+    The first is keyed by quotient, the second by subobject; both fill in one
+    pass over subobject dims in subdimvecs order, subobject, then quotient.
+    """
+    memo = reg.memo("subquotient_tables")
+    tables = memo.get(c)
+    if tables is None:
+        by_quot: dict[IsoClassId, list] = {}
+        by_sub: dict[IsoClassId, list] = {}
+        for dsub in subdimvecs(c.dims):
+            quots = reg.classes(dims_sub(c.dims, dsub))
+            for sub in reg.classes(dsub):
+                for quot in quots:
+                    g = hall_number(reg, quot, sub, c)
+                    if g:
+                        by_quot.setdefault(quot, []).append((sub, g))
+                        by_sub.setdefault(sub, []).append((quot, g))
+        tables = memo[c] = (by_quot, by_sub)
+    return tables
+
+
+def gamma_terms(reg: ClassRegistry, a: IsoClassId,
+                b: IsoClassId) -> tuple[tuple[IsoClassId, IsoClassId, Fraction], ...]:
+    """Every nonzero gamma(a, b, m, n) as (m, n, value).
+
+    gamma counts 4-term exact sequences 0 -> m -> b -> a -> n -> 0, split at
+    the middle class I into 0 -> m -> b -> I -> 0 and 0 -> I -> a -> n -> 0:
+
+        gamma = a_m a_n / (a_a a_b) * sum_I g^b_{I,m} g^a_{n,I} a_I.
+
+    The sum is one join of b's table by quotient and a's table by subobject
+    on I, in integers.  Terms come in the order m's dims in subdimvecs(dims b),
+    then m's index, then n's index.
+    """
+    memo = reg.memo("gamma_terms")
+    terms = memo.get((a, b))
+    if terms is None:
+        by_sub = subquotient_tables(reg, a)[1]
+        sums: dict[tuple[IsoClassId, IsoClassId], int] = {}
+        for i_cls, subs in subquotient_tables(reg, b)[0].items():
+            quots = by_sub.get(i_cls)
+            if quots is None:
+                continue
+            a_i = reg.aut_count(i_cls)
+            for m, g_b in subs:
+                for n, g_a in quots:
+                    sums[m, n] = sums.get((m, n), 0) + g_b * g_a * a_i
+        den = reg.aut_count(a) * reg.aut_count(b)
+        order = sorted(sums, key=lambda mn: (mn[0].dims, mn[0].index, mn[1].index))
+        terms = memo[a, b] = tuple(
+            (m, n, Fraction(sums[m, n] * reg.aut_count(m) * reg.aut_count(n), den))
+            for m, n in order)
+    return terms
+
+
 def gamma_coeff(reg: ClassRegistry, a: IsoClassId, b: IsoClassId,
                 m: IsoClassId, n: IsoClassId) -> Fraction:
-    """Normalized count of 4-term exact sequences 0 -> m -> b -> a -> n -> 0.
-
-    gamma = sum_I g^b_{I,m} g^a_{n,I} a_m a_n a_I / (a_a a_b), where I runs over
-    classes of dims(b) - dims(m) = dims(a) - dims(n).
-    """
-    di = dims_sub(b.dims, m.dims)
-    if di != dims_sub(a.dims, n.dims) or any(x < 0 for x in di):
-        return Fraction(0)
-    total = Fraction(0)
-    for i_cls in reg.classes(di):
-        g_b = hall_number(reg, i_cls, m, b)
-        if g_b == 0:
-            continue
-        g_a = hall_number(reg, n, i_cls, a)
-        if g_a == 0:
-            continue
-        total += Fraction(g_b * g_a * reg.aut_count(i_cls))
-    return total * Fraction(reg.aut_count(m) * reg.aut_count(n),
-                            reg.aut_count(a) * reg.aut_count(b))
+    """Normalized count of 4-term exact sequences 0 -> m -> b -> a -> n -> 0:
+    the (m, n) term of gamma_terms(reg, a, b), or 0 when it has none."""
+    return next((v for m2, n2, v in gamma_terms(reg, a, b) if (m2, n2) == (m, n)), Fraction(0))
 
 
 def green_sides(reg: ClassRegistry, a: IsoClassId, b: IsoClassId,

@@ -32,12 +32,6 @@ class Quiver:
     def n(self) -> int:
         return len(self.vertices)
 
-    def vertex_index(self, name: str) -> int:
-        try:
-            return self.vertices.index(name)
-        except ValueError:
-            raise NotHereditarySetup(f"unknown vertex {name!r}") from None
-
 
 def validate_quiver(q: Quiver) -> None:
     """Check well-formedness and acyclicity; raises NotHereditarySetup.

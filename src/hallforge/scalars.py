@@ -130,9 +130,6 @@ class QSqrtScalar:
     def __bool__(self) -> bool:
         return self.a != 0 or self.b != 0
 
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def as_fraction(self) -> Fraction:
         if self.b != 0:
             raise NotAPureQPower(f"{self} is irrational")

@@ -2,14 +2,18 @@
 
 These deliberately avoid the library's counting code paths: morphism spaces
 are enumerated from hom_basis, exactness is checked with ranks and composites,
-and everything is counted one map at a time.  Slow but transparent.
+and everything is counted one map at a time.  Slow but transparent.  The one
+exception is gamma_by_middle_class_sum, which sums Hall numbers one gamma
+coefficient at a time to check the join in hall.gamma_terms.
 """
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
 
+from hallforge.hall import hall_number
 from hallforge.linalg import Mat, rank, subspace_from_vectors
+from hallforge.quivers import dims_sub
 from hallforge.reps import (ClassRegistry, IsoClassId, Rep, hom_basis,
                             is_isomorphic, quotient_by_subrep)
 
@@ -104,6 +108,26 @@ def four_term_gamma_oracle(reg: ClassRegistry, a: IsoClassId, b: IsoClassId,
                     continue
                 count += 1
     return Fraction(count, reg.aut_count(a) * reg.aut_count(b))
+
+
+def gamma_by_middle_class_sum(reg: ClassRegistry, a: IsoClassId, b: IsoClassId,
+                              m: IsoClassId, n: IsoClassId) -> Fraction:
+    """gamma(a, b, m, n) as one sum over the classes I of dims(b) - dims(m):
+
+        a_m a_n / (a_a a_b) * sum_I g^b_{I,m} g^a_{n,I} a_I,
+
+    with two hall_number lookups per I (the per-coefficient route that
+    hall.gamma_terms replaced by one join per pair)."""
+    di = dims_sub(b.dims, m.dims)
+    if di != dims_sub(a.dims, n.dims) or any(x < 0 for x in di):
+        return Fraction(0)
+    total = 0
+    for i_cls in reg.classes(di):
+        g_b = hall_number(reg, i_cls, m, b)
+        if g_b:
+            total += g_b * hall_number(reg, n, i_cls, a) * reg.aut_count(i_cls)
+    return Fraction(total * reg.aut_count(m) * reg.aut_count(n),
+                    reg.aut_count(a) * reg.aut_count(b))
 
 
 def aut_count_by_enumeration(rep: Rep, bound: int = ORACLE_HOM_BOUND) -> int:

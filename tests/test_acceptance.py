@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from hallforge.algebra import RELATION_FAMILIES, DerivedHall, relation_check
+from hallforge.cli import graded_objects_within
 from hallforge.complexes import graded_object, hom_dt_count
 from hallforge.hall import ext1_count, ext1_middle_count, green_sides, hall_number
 from hallforge.linalg import gaussian_binomial
@@ -49,26 +50,6 @@ def width2_objects(reg):
         objs.extend(graded_object(0, reg.quiver.n, [(d, c1), (d + 1, c2)])
                     for c1 in ones for c2 in ones)
     return objs
-
-
-def periodic_objects(reg, t, max_total):
-    """Zero-differential t-periodic objects with total dimension <= max_total."""
-    nonzero = [c for c in reg.all_classes_total_le(max_total) if c.total_dim >= 1]
-    out = []
-
-    def extend(deg, comps, used):
-        if deg == t:
-            out.append(graded_object(t, reg.quiver.n, dict(comps)))
-            return
-        extend(deg + 1, comps, used)
-        for cls in nonzero:
-            if used + cls.total_dim <= max_total:
-                comps[deg] = cls
-                extend(deg + 1, comps, used + cls.total_dim)
-                del comps[deg]
-
-    extend(0, {}, 0)
-    return out
 
 
 # -- 1: the comultiplication compatibility identity --------------------------------
@@ -126,7 +107,7 @@ def test_associativity_bounded_odd(a1_f2, a2_f2, t):
     counts = []
     for reg in (a1_f2, a2_f2):
         dh = DerivedHall(reg, t)
-        objs = periodic_objects(reg, t, 2)
+        objs = graded_objects_within(reg, t, 2)
         counts.append(len(objs))
         for a, b, c in itertools.product(objs, repeat=3):
             res = dh.assoc_check(a, b, c)
@@ -142,8 +123,8 @@ def test_t1_coefficients_match_cone_counting(a1_f2):
     obtained by counting morphisms with a fixed cone class."""
     start = time.monotonic()
     dh = DerivedHall(a1_f2, 1)
-    objs = periodic_objects(a1_f2, 1, 2)
-    cones = periodic_objects(a1_f2, 1, 4)
+    objs = graded_objects_within(a1_f2, 1, 2)
+    cones = graded_objects_within(a1_f2, 1, 4)
     cone_set = set(cones)
     for a, b in itertools.product(objs, repeat=2):
         prod = dh.multiply_graded(a, b)
@@ -193,7 +174,7 @@ def test_alternating_hom_identity_t1(a1_f2, a2_f2):
     its Euler-form closed form for all period-one pairs of total dim <= 2."""
     from hallforge.complexes import alt_hom_product
     for reg in (a1_f2, a2_f2):
-        objs = periodic_objects(reg, 1, 2)
+        objs = graded_objects_within(reg, 1, 2)
         for a, b in itertools.product(objs, repeat=2):
             literal = Fraction(1)
             for i in range(1):

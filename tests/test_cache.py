@@ -7,8 +7,9 @@ import threading
 
 import pytest
 
-from hallforge.cache import (CACHE_ENV_VAR, cache_directory, cache_path,
-                             load_cache, save_cache, setup_fingerprint)
+from hallforge.cache import (CACHE_ENV_VAR, CACHE_FORMAT, cache_directory,
+                             cache_path, encode_cache, load_cache, save_cache,
+                             setup_fingerprint)
 from hallforge.errors import CacheInvalid
 from hallforge.hall import hall_number
 from hallforge.quivers import line_quiver
@@ -106,7 +107,7 @@ def test_bad_registry_state_is_rejected(tmp_path):
     reg = ClassRegistry(line_quiver(1), 2)
     path = cache_path(reg.quiver, 2, 0, tmp_path)
     payload = {
-        "format": 1,
+        "format": CACHE_FORMAT,
         "fingerprint": setup_fingerprint(reg.quiver, 2, 0),
         "q": 2,
         "t": 0,
@@ -114,7 +115,7 @@ def test_bad_registry_state_is_rejected(tmp_path):
         "hall_numbers": [],
     }
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload))
+    path.write_bytes(encode_cache(payload))
     with pytest.raises(CacheInvalid):
         load_cache(reg, 0, tmp_path)
 
@@ -130,13 +131,36 @@ def test_fingerprint_separates_setups():
 
 
 def _tamper(tmp_path, edit):
-    """Save a warm A2 registry, apply edit to the stored classes, reload."""
+    """Save a warm A2 registry, apply edit to the stored classes, write the
+    file again under a fresh digest, reload: what the registry checks catch
+    in a file whose digest holds."""
     reg = warm_registry()
     path = save_cache(reg, 0, tmp_path)
     payload = json.loads(path.read_text())
+    del payload["sha256"]
     edit(payload["registry"]["classes"])
-    path.write_text(json.dumps(payload))
+    path.write_bytes(encode_cache(payload))
     load_cache(ClassRegistry(line_quiver(2), 2), 0, tmp_path)
+
+
+def test_file_is_json_led_by_the_digest_of_its_body(tmp_path):
+    path = save_cache(warm_registry(), 0, tmp_path)
+    payload = json.loads(path.read_text())
+    assert list(payload)[0] == "sha256" and payload["format"] == CACHE_FORMAT
+    del payload["sha256"]
+    assert path.read_bytes() == encode_cache(payload)
+
+
+@pytest.mark.parametrize("old,new", [(b'"k1.0","k0.1","k1.1",1]', b'"k1.0","k0.1","k1.1",2]'),
+                                     (b'"sha256":"', b'"sha256":"0')],
+                         ids=["hall-number", "digest"])
+def test_edited_bytes_break_the_digest(tmp_path, old, new):
+    path = save_cache(warm_registry(), 0, tmp_path)
+    raw = path.read_bytes()
+    assert raw.count(old) == 1
+    path.write_bytes(raw.replace(old, new))
+    with pytest.raises(CacheInvalid, match="digest"):
+        load_cache(ClassRegistry(line_quiver(2), 2), 0, tmp_path)
 
 
 def test_stored_aut_must_satisfy_orbit_stabilizer(tmp_path):

@@ -10,10 +10,14 @@ from fractions import Fraction
 
 import pytest
 
-from hallforge import cli
+from hallforge import algebra, cli
 from hallforge.cache import CACHE_ENV_VAR, cache_path
-from hallforge.errors import DivisionByZero, InternalInconsistency
+from hallforge.errors import DivisionByZero, InternalInconsistency, NotAPureQPower
 from hallforge.quivers import line_quiver, quiver_to_dict
+
+KRONECKER = {"vertices": ["1", "2"],
+             "arrows": [{"src": "1", "dst": "2", "label": "a"},
+                        {"src": "1", "dst": "2", "label": "b"}]}
 
 
 def run_cli(capsys, *argv):
@@ -260,6 +264,56 @@ def test_doubled_cached_aut_is_rejected_not_used(capsys, tmp_path, monkeypatch):
     code, again, err = run_cli(capsys, *argv)
     assert code == 0 and "ignoring cache" in err
     assert again["results"] == report["results"]
+
+
+def _double_cached_k1_k1_k2(text: str, in_place: bool) -> str:
+    if in_place:  # same bytes around it, so only the digest can tell
+        assert text.count('["k1","k1","k2",3]') == 1
+        return text.replace('["k1","k1","k2",3]', '["k1","k1","k2",6]')
+    payload = json.loads(text)
+    row = next(r for r in payload["hall_numbers"] if r[:3] == ["k1", "k1", "k2"])
+    row[3] *= 2
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize("in_place", [False, True], ids=["rewritten", "in-place"])
+def test_doubled_cached_hall_number_is_rejected_not_used(capsys, tmp_path, monkeypatch,
+                                                         in_place):
+    monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
+    argv = ("dha-mul", "--t", "1", "--lhs", "[k1@0]", "--rhs", "[k1@0]")
+    code, report, _ = run_cli(capsys, *argv)
+    assert code == 0 and report["results"]["product"]["[k2@0]"] == "0 + 3/2*v"
+    path = cache_path(line_quiver(1), 2, 1)
+    path.write_text(_double_cached_k1_k1_k2(path.read_text(), in_place))
+
+    code, again, err = run_cli(capsys, *argv)
+    assert code == 0 and "ignoring cache" in err and "digest" in err
+    assert again["results"]["product"]["[k2@0]"] == "0 + 3/2*v"
+
+
+def test_warm_gamma_report_equals_the_cold_one(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "cache"))
+    quiver = tmp_path / "kronecker.json"
+    quiver.write_text(json.dumps(KRONECKER))
+    argv = ("gamma", "--max-dim", "3", "--quiver", str(quiver))
+    code, cold, err = run_cli(capsys, *argv)
+    assert code == 0 and err == "" and cold["results"]["count"] > 0
+    code, warm, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    cold.pop("timing_ms"), warm.pop("timing_ms")
+    assert warm == cold
+
+
+def test_no_q_power_in_the_engine_is_an_internal_fault(capsys, monkeypatch):
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+
+    def no_power(x, q):
+        raise NotAPureQPower(f"{x} planted")
+    monkeypatch.setattr(algebra, "q_exponent", no_power)
+    code, report, err = run_cli(capsys, "dha-mul", "--t", "1",
+                                "--lhs", "[k1@0]", "--rhs", "[k1@0]")
+    assert code == cli.EXIT_INTERNAL == 4
+    assert report is None and "error: internal fault" in err and "planted" in err
 
 
 @pytest.mark.parametrize("fault", [InternalInconsistency, DivisionByZero])

@@ -6,12 +6,15 @@ from fractions import Fraction
 import pytest
 
 from hallforge.hall import (ext1_count, ext1_middle_count, euler_add,
-                            euler_mult, gamma_coeff, green_sides, hall_number)
+                            euler_mult, gamma_coeff, gamma_terms, green_sides,
+                            hall_number)
 from hallforge.linalg import gaussian_binomial
-from hallforge.quivers import dims_add, dims_sub, dimvecs_up_to, line_quiver, subdimvecs
+from hallforge.quivers import (dims_add, dims_sub, dimvecs_up_to, line_quiver,
+                               quiver_from_dict, subdimvecs)
 from hallforge.reps import ClassRegistry
 
-from .oracles import four_term_gamma_oracle, hall_number_injection_oracle
+from .oracles import (four_term_gamma_oracle, gamma_by_middle_class_sum,
+                      hall_number_injection_oracle)
 
 
 def _class_pairs_with_sum(reg, dsum):
@@ -143,6 +146,35 @@ def test_gamma_matches_four_term_oracle(request, fixture_name, n_cases):
                             four_term_gamma_oracle(reg, a, b, m, n)
                         checked += 1
     assert checked == n_cases
+
+
+KRONECKER = quiver_from_dict({"vertices": ["1", "2"],
+                              "arrows": [{"src": "1", "dst": "2", "label": "a"},
+                                         {"src": "1", "dst": "2", "label": "b"}]})
+
+
+@pytest.mark.parametrize("quiver,p", [
+    (line_quiver(1), 2), (line_quiver(1), 3), (line_quiver(2), 2),
+    (line_quiver(2), 3), (line_quiver(3), 2), (KRONECKER, 2),
+], ids=["A1-F2", "A1-F3", "A2-F2", "A2-F3", "A3-F2", "Kronecker-F2"])
+def test_gamma_terms_match_middle_class_sum(quiver, p):
+    # Same terms in the same order as the per-coefficient loop the CLI and
+    # the rewriter used to run: m's dims in subdimvecs order, m, then n.
+    reg = ClassRegistry(quiver, p)
+    classes = reg.all_classes_total_le(3)
+    for a in classes:
+        for b in classes:
+            want = []
+            for dm in subdimvecs(b.dims):
+                dn = dims_sub(dims_add(a.dims, dm), b.dims)
+                if any(x < 0 for x in dn):
+                    continue
+                for m in reg.classes(dm):
+                    for n in reg.classes(dn):
+                        value = gamma_by_middle_class_sum(reg, a, b, m, n)
+                        if value:
+                            want.append((m, n, value))
+            assert list(gamma_terms(reg, a, b)) == want, (a, b)
 
 
 def test_euler_form_values(a2_f2):
