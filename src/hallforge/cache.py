@@ -64,6 +64,12 @@ def _digest_head(body: bytes) -> bytes:
     return b'{"sha256":"' + hashlib.sha256(body).hexdigest().encode("ascii") + b'",'
 
 
+def cached_size(reg: ClassRegistry) -> tuple[int, int, int]:
+    """The sizes of the tables save_cache writes.  They only grow, so a registry
+    whose sizes equal those just after a load would save the loaded contents."""
+    return (*reg.export_size(), len(reg.memo("hall_number")))
+
+
 def save_cache(reg: ClassRegistry, t: int,
                directory: str | os.PathLike | None = None) -> Path | None:
     """Write the registry state; returns the path, or None when no dir is set."""

@@ -11,9 +11,9 @@ Reports are deterministic for fixed inputs except for timing_ms.  Exit codes:
 bound (enumeration or rewriting budget) was hit, 4 an engine fault (an internal
 consistency check failed, a zero scalar was inverted, or a scalar that must be
 a power of q was not).  When $HALLFORGE_CACHE names
-a directory, enumeration state is loaded from and saved to it; a corrupt or
-mismatched cache file produces a warning on stderr and a fresh start, never a
-report entry.
+a directory, enumeration state is loaded from it, and saved to it when the run
+added to it; a corrupt or mismatched cache file produces a warning on stderr
+and a fresh start, never a report entry.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ import time
 from typing import Iterable
 
 from .algebra import RELATION_FAMILIES, DerivedHall, relation_check
-from .cache import cache_directory, load_cache, save_cache
+from .cache import cache_directory, cached_size, load_cache, save_cache
 from .complexes import check_period, format_graded, graded_object, parse_graded
 from .errors import (CacheInvalid, DivisionByZero, EnumerationTooLarge,
                      IncompatibleObjects, InternalInconsistency, InvalidField,
@@ -388,15 +388,17 @@ def dispatch(argv: list[str] | None = None) -> tuple[dict | None, int]:
         if args.max_dim is not None and args.max_dim < 0:
             raise IncompatibleObjects(f"--max-dim must be nonnegative, got {args.max_dim}")
         reg = ClassRegistry(quiver, args.q)
+        loaded = None
         if cache_directory() is not None:
             try:
-                load_cache(reg, t)
+                loaded = cached_size(reg) if load_cache(reg, t) else None
             except CacheInvalid as e:
                 print(f"warning: ignoring cache: {e}", file=sys.stderr)
                 reg = ClassRegistry(quiver, args.q)
         results, counterexamples, code, csv_fields, csv_rows = \
             COMMANDS[args.command](args, reg, t)
-        if cache_directory() is not None:
+        # A run that added nothing to a cleanly loaded file leaves it untouched.
+        if cache_directory() is not None and cached_size(reg) != loaded:
             try:
                 save_cache(reg, t)
             except OSError as e:

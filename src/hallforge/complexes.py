@@ -16,8 +16,8 @@ from .errors import (EnumerationTooLarge, IncompatibleObjects, InternalInconsist
 from .hall import closed_subspace_tuples, ext1_count, euler_mult
 from .linalg import Mat, Subspace, is_invertible, kernel_basis, rank, subspace_from_vectors
 from .quivers import DimVec, Quiver, dims_add
-from .reps import (ClassRegistry, IsoClassId, Morphism, Rep, _hom_system, _unflatten,
-                   direct_sum, restrict_to_subspaces, quotient_by_subrep)
+from .reps import (ClassRegistry, IsoClassId, Morphism, Rep, _combine_flat, _hom_system,
+                   _unflatten, direct_sum, restrict_to_subspaces, quotient_by_subrep)
 
 DEFAULT_COMPLEX_ENUM_BOUND = 2 ** 17
 DEFAULT_CHAIN_ENUM_BOUND = 2 ** 16
@@ -490,9 +490,8 @@ def enumerate_complex_classes(reg: ClassRegistry, t: int, dims_by_degree,
                 system, shapes, offsets = _hom_system(comps[i], comps[ni])
                 basis = [tuple(v) for v in kernel_basis(system)]
                 if basis:
-                    nvars = sum(r * c for r, c in shapes)
-                    full = len(basis) == nvars
-                    blocks.append((i, basis, shapes, offsets, nvars, full))
+                    full = len(basis) == sum(r * c for r, c in shapes)
+                    blocks.append((i, basis, shapes, offsets, full))
                     combos *= p ** len(basis)
         if combos > bound:
             raise EnumerationTooLarge(
@@ -504,17 +503,8 @@ def enumerate_complex_classes(reg: ClassRegistry, t: int, dims_by_degree,
                                               for b in blocks)):
             diffs: dict[int, Morphism] = {}
             ok = True
-            for (i, basis, shapes, offsets, nvars, full), coeffs in zip(blocks, assignment):
-                if full:
-                    flat = coeffs
-                else:
-                    acc = [0] * nvars
-                    for cf, vec in zip(coeffs, basis):
-                        if cf == 0:
-                            continue
-                        for idx, x in enumerate(vec):
-                            acc[idx] = (acc[idx] + cf * x) % p
-                    flat = tuple(acc)
+            for (i, basis, shapes, offsets, full), coeffs in zip(blocks, assignment):
+                flat = coeffs if full else tuple(_combine_flat(p, basis, coeffs))
                 if any(flat):
                     diffs[i] = _unflatten(p, flat, shapes, offsets)
             # d.d = 0 across consecutive differentials.

@@ -6,6 +6,7 @@ representative of c that are isomorphic to b with quotient isomorphic to a
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterator
 
@@ -15,8 +16,7 @@ from .linalg import (Subspace, gaussian_binomial, rank, subspace_from_vectors,
 from .quivers import (DimVec, Quiver, dims_add, dims_leq, dims_sub, subdimvecs,
                       topological_order)
 from .reps import (ClassRegistry, IsoClassId, Rep, _arrows_vertex_disjoint,
-                   is_isomorphic, is_subrep, quotient_by_subrep,
-                   restrict_to_subspaces)
+                   is_subrep, quotient_by_subrep, restrict_to_subspaces)
 
 
 def euler_add(quiver: Quiver, d1: DimVec, d2: DimVec) -> int:
@@ -143,31 +143,32 @@ def hall_number(reg: ClassRegistry, a: IsoClassId, b: IsoClassId, c: IsoClassId)
     if _is_split_class(c):
         # Semisimple ambient: every subspace tuple is closed, subs and quotients
         # are semisimple of complementary dims, so only split a, b contribute.
+        g = 0
         if _is_split_class(a) and _is_split_class(b):
-            g = 1
-            for cv, bv in zip(c.dims, b.dims):
-                g *= gaussian_binomial(cv, bv, reg.p)
-        else:
-            g = 0
-        memo[key] = g
-        return g
-    if _arrows_vertex_disjoint(reg.quiver):
+            g = math.prod(gaussian_binomial(cv, bv, reg.p) for cv, bv in zip(c.dims, b.dims))
+    elif _arrows_vertex_disjoint(reg.quiver):
         g = _hall_number_rank_form(reg, a, b, c)
-        memo[key] = g
-        return g
-    rep_c = reg.representative(c)
-    rep_b = reg.representative(b)
-    rep_a = reg.representative(a)
-    g = 0
-    for subs in closed_subspace_tuples(rep_c, b.dims):
-        sub = restrict_to_subspaces(rep_c, subs)
-        if not is_isomorphic(sub, rep_b, reg.iso_enum_bound):
-            continue
-        quot = quotient_by_subrep(rep_c, subs)
-        if is_isomorphic(quot, rep_a, reg.iso_enum_bound):
-            g += 1
+    else:
+        g = _subobject_table(reg, c, b.dims).get((a, b), 0)
     memo[key] = g
     return g
+
+
+def _subobject_table(reg: ClassRegistry, c: IsoClassId,
+                     sub_dims: DimVec) -> dict[tuple[IsoClassId, IsoClassId], int]:
+    """{(quotient class, subobject class): count} over the subobjects of c of
+    dims sub_dims, from one walk that classifies each subobject and quotient."""
+    memo = reg.memo("subobject_table")
+    table = memo.get((c, sub_dims))
+    if table is None:
+        rep_c = reg.representative(c)
+        table = {}
+        for subs in closed_subspace_tuples(rep_c, sub_dims):
+            key = (reg.classify(quotient_by_subrep(rep_c, subs)),
+                   reg.classify(restrict_to_subspaces(rep_c, subs)))
+            table[key] = table.get(key, 0) + 1
+        memo[c, sub_dims] = table
+    return table
 
 
 def ext1_middle_count(reg: ClassRegistry, a: IsoClassId, b: IsoClassId, c: IsoClassId) -> int:

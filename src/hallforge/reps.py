@@ -1,13 +1,16 @@
 """Finite-dimensional quiver representations over F_p and their isomorphism classes.
 
 A representation assigns F_p^{d_v} to each vertex and a matrix to each arrow.
-The ClassRegistry enumerates all representations of a dimension vector, groups
-them into isomorphism classes by exhaustive search, and memoizes automorphism
-counts, Hom dimensions and (via its generic memo store) Hall numbers.
+The ClassRegistry lists the isomorphism classes of a dimension vector by
+sweeping matrix tuples with a prefix of vertex-disjoint arrows in rank normal
+form, groups them by exhaustive isomorphism search, and memoizes orbit and
+automorphism counts, Hom dimensions and (via its generic memo store) Hall
+numbers.
 """
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 
@@ -244,15 +247,26 @@ def quotient_by_subrep(m: Rep, subs: tuple[Subspace, ...]) -> Rep:
     return Rep(m.quiver, p, dims, tuple(mats))
 
 
+def _disjoint_prefix(q: Quiver) -> int:
+    """Length of the longest prefix of q.arrows in which no two arrows share an endpoint."""
+    seen: set[int] = set()
+    for i, a in enumerate(q.arrows):
+        if a.source in seen or a.target in seen:
+            return i
+        seen.update((a.source, a.target))
+    return len(q.arrows)
+
+
 def _arrows_vertex_disjoint(q: Quiver) -> bool:
     """True when no two arrows share an endpoint (so GL factors act per arrow)."""
-    seen: set[int] = set()
-    for a in q.arrows:
-        if a.source in seen or a.target in seen:
-            return False
-        seen.add(a.source)
-        seen.add(a.target)
-    return True
+    return _disjoint_prefix(q) == len(q.arrows)
+
+
+def _rank_form(p: int, rows: int, cols: int, r: int) -> Mat:
+    """The lex-first rows x cols matrix of rank r (row-major): the r x r
+    anti-diagonal in the bottom-right corner."""
+    return Mat(p, rows, cols, tuple(tuple(int(i >= rows - r and i + j == rows - r + cols - 1)
+                                          for j in range(cols)) for i in range(rows)))
 
 
 @dataclass(frozen=True)
@@ -290,6 +304,7 @@ class ClassRegistry:
         self._orbit: dict[IsoClassId, int] = {}
         self._aut: dict[IsoClassId, int] = {}
         self._hom_dim: dict[tuple[IsoClassId, IsoClassId], int] = {}
+        self._id_str: dict[IsoClassId, str] = {}
         self._memos: dict[str, dict] = {}
 
     def memo(self, name: str) -> dict:
@@ -304,67 +319,45 @@ class ClassRegistry:
         return dims
 
     def ensure_enumerated(self, dims: DimVec) -> None:
+        """Classes of dims, ordered and represented by their lex-first matrix tuples.
+
+        The longest prefix of pairwise vertex-disjoint arrows, whose base-change
+        groups act independently, is put in lex-first rank forms, each standing
+        for the #rank-r matrices equivalent to it; only the other arrows are
+        swept, and tuple_bound counts those tuples."""
         dims = self._check_dims(dims)
         if dims in self._classes:
             return
-        q = self.quiver
-        p = self.p
-        entry_counts = [dims[a.target] * dims[a.source] for a in q.arrows]
-        n_entries = sum(entry_counts)
-        n_tuples = p ** n_entries
-        if _arrows_vertex_disjoint(q):
-            # Per-vertex GL groups act on each arrow's matrix independently, so
-            # classes are exactly rank tuples (the zero tuple first, keeping the
-            # index-0-is-semisimple invariant) and orbit sizes multiply.
-            found: list[Rep] = []
-            orbits: list[int] = []
-            rank_ranges = [range(min(dims[a.source], dims[a.target]) + 1) for a in q.arrows]
-            for ranks in itertools.product(*rank_ranges):
-                mats = []
-                orbit = 1
-                for a, r in zip(q.arrows, ranks):
-                    rr, cc = dims[a.target], dims[a.source]
-                    mats.append(Mat(p, rr, cc,
-                                    tuple(tuple(1 if (i == j and i < r) else 0
-                                                for j in range(cc)) for i in range(rr))))
-                    orbit *= count_matrices_of_rank(rr, cc, r, p)
-                found.append(Rep(q, p, dims, tuple(mats)))
-                orbits.append(orbit)
-            if sum(orbits) != n_tuples:
-                raise InternalInconsistency(
-                    "rank-orbit sizes do not add up to the number of matrix tuples")
-            self._classes[dims] = found
-            for k, o in enumerate(orbits):
-                self._orbit[IsoClassId(dims, k)] = o
-            return
+        q, p = self.quiver, self.p
+        n_formed = _disjoint_prefix(q)
+        shapes = [(dims[a.target], dims[a.source]) for a in q.arrows]
+        swept = shapes[n_formed:]
+        offsets = list(itertools.accumulate((r * c for r, c in swept), initial=0))
+        rank_ranges = [range(min(shape) + 1) for shape in shapes[:n_formed]]
+        n_tuples = math.prod(map(len, rank_ranges)) * p ** offsets[-1]
         if n_tuples > self.tuple_bound:
             raise EnumerationTooLarge(
                 f"{n_tuples} matrix tuples for dims {dims} exceed bound {self.tuple_bound}")
         found: list[Rep] = []
         orbits: list[int] = []
-        signatures: dict[tuple, list[int]] = {}
-        for assignment in itertools.product(range(p), repeat=n_entries):
-            mats = []
-            pos = 0
-            for a, cnt in zip(q.arrows, entry_counts):
-                r, c = dims[a.target], dims[a.source]
-                chunk = assignment[pos:pos + cnt]
-                pos += cnt
-                mats.append(Mat(p, r, c, tuple(chunk[i * c:(i + 1) * c] for i in range(r))))
-            rep = Rep(q, p, dims, tuple(mats))
-            sig = self._signature(rep)
-            hit = None
-            for k in signatures.get(sig, ()):
-                if is_isomorphic(rep, found[k], self.iso_enum_bound):
-                    hit = k
-                    break
-            if hit is None:
-                signatures.setdefault(sig, []).append(len(found))
-                found.append(rep)
-                orbits.append(1)
-            else:
-                orbits[hit] += 1
-        if sum(orbits) != n_tuples:
+        for ranks in itertools.product(*rank_ranges):
+            forms = [_rank_form(p, r, c, k) for (r, c), k in zip(shapes, ranks)]
+            weight = math.prod(count_matrices_of_rank(r, c, k, p)
+                               for (r, c), k in zip(shapes, ranks))
+            # Tuples whose forms differ in rank are never isomorphic.
+            signatures: dict[tuple, list[int]] = {}
+            for assignment in itertools.product(range(p), repeat=offsets[-1]):
+                rep = Rep(q, p, dims, (*forms, *_unflatten(p, assignment, swept, offsets)))
+                bucket = signatures.setdefault(self._signature(rep) if swept else (), [])
+                hit = next((k for k in bucket
+                            if is_isomorphic(rep, found[k], self.iso_enum_bound)), None)
+                if hit is None:
+                    bucket.append(len(found))
+                    found.append(rep)
+                    orbits.append(weight)
+                else:
+                    orbits[hit] += weight
+        if sum(orbits) != p ** sum(r * c for r, c in shapes):
             raise InternalInconsistency("orbit sizes do not add up to the number of matrix tuples")
         self._classes[dims] = found
         for k, o in enumerate(orbits):
@@ -445,8 +438,11 @@ class ClassRegistry:
     # -- naming -------------------------------------------------------------
 
     def class_id_str(self, cid: IsoClassId) -> str:
-        base = "k" + ".".join(str(d) for d in cid.dims)
-        return base if cid.index == 0 else f"{base}#{cid.index}"
+        s = self._id_str.get(cid)
+        if s is None:
+            base = "k" + ".".join(str(d) for d in cid.dims)
+            s = self._id_str[cid] = base if cid.index == 0 else f"{base}#{cid.index}"
+        return s
 
     def parse_class_id(self, s: str) -> IsoClassId:
         m = _CLASS_ID_RE.match(s.strip())
@@ -477,6 +473,10 @@ class ClassRegistry:
                 })
             classes[key] = rows
         return {"classes": classes}
+
+    def export_size(self) -> tuple[int, int]:
+        """(dimension vectors, Aut counts) in export_state; both only grow."""
+        return len(self._classes), len(self._aut)
 
     def import_state(self, state: dict) -> None:
         """Load exported classes after checking their counts against theory.

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from hallforge import ClassRegistry
-from hallforge.quivers import line_quiver
+from hallforge.quivers import line_quiver, quiver_from_dict
 
 
 @pytest.fixture(scope="session")
@@ -24,3 +24,16 @@ def a2_f2() -> ClassRegistry:
 @pytest.fixture(scope="session")
 def a2_f3() -> ClassRegistry:
     return ClassRegistry(line_quiver(2), 3)
+
+
+@pytest.fixture(scope="session")
+def a3_f2() -> ClassRegistry:
+    return ClassRegistry(line_quiver(3), 2)
+
+
+@pytest.fixture(scope="session")
+def kronecker_f2() -> ClassRegistry:
+    return ClassRegistry(quiver_from_dict({
+        "vertices": ["1", "2"],
+        "arrows": [{"src": "1", "dst": "2", "label": "a"},
+                   {"src": "1", "dst": "2", "label": "b"}]}), 2)

@@ -304,6 +304,22 @@ def test_warm_gamma_report_equals_the_cold_one(capsys, tmp_path, monkeypatch):
     assert warm == cold
 
 
+def test_cache_file_is_rewritten_only_when_the_run_added_to_it(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "cache"))
+    quiver = tmp_path / "kronecker.json"
+    quiver.write_text(json.dumps(KRONECKER))
+    argv = ("hall", "--max-dim", "2", "--quiver", str(quiver))
+    assert run_cli(capsys, *argv)[0] == 0
+    path = cache_path(cli.load_quiver(str(quiver)), 2, 0)
+    before = (path.read_bytes(), path.stat().st_mtime_ns)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert (path.read_bytes(), path.stat().st_mtime_ns) == before
+    # Sweeping further computes new Hall numbers, which are written.
+    assert run_cli(capsys, "hall", "--max-dim", "3", "--quiver", str(quiver))[0] == 0
+    assert len(path.read_bytes()) > len(before[0])
+
+
 def test_no_q_power_in_the_engine_is_an_internal_fault(capsys, monkeypatch):
     monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
 

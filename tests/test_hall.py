@@ -65,6 +65,7 @@ def test_hall_values_with_field_size_dependence(a2_f2, a2_f3):
 
 @pytest.mark.parametrize("fixture_name,max_total,n_cases", [
     ("a1_f2", 4, 14), ("a1_f3", 3, 9), ("a2_f2", 3, 71), ("a2_f3", 3, 69),
+    ("a3_f2", 3, 220), ("kronecker_f2", 3, 259),
 ])
 def test_hall_numbers_match_injection_oracle(request, fixture_name, max_total,
                                              n_cases):

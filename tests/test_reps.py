@@ -100,18 +100,34 @@ def test_quotient_of_projective_is_simple(a2_f2):
     assert is_isomorphic(quot, simple_rep(line_quiver(2), 2, 0))
 
 
+def _assert_matches_brute_force(reg, dims):
+    brute_reps, brute_orbits = brute_force_classes(reg, dims)
+    cls = reg.classes(dims)
+    # Same classes in the same first-found order, with the same orbit sizes and
+    # the same representative: the lex-first matrix tuple of each orbit.
+    assert [reg.representative(c) for c in cls] == brute_reps
+    assert [reg.orbit_size(c) for c in cls] == brute_orbits
+
+
 @pytest.mark.parametrize("p,dims", [
     (2, (1, 1)), (2, (2, 1)), (2, (1, 2)), (2, (2, 2)), (3, (1, 1)), (3, (2, 1)),
 ])
 def test_fast_enumeration_matches_brute_force(p, dims):
-    reg = ClassRegistry(line_quiver(2), p)
-    brute_reps, brute_orbits = brute_force_classes(reg, dims)
-    cls = reg.classes(dims)
-    assert len(cls) == len(brute_reps)
-    for cid, brep, orb in zip(cls, brute_reps, brute_orbits):
-        # Same classes in the same first-found order, with the same orbit sizes.
-        assert is_isomorphic(reg.representative(cid), brep, reg.iso_enum_bound)
-        assert reg.orbit_size(cid) == orb
+    _assert_matches_brute_force(ClassRegistry(line_quiver(2), p), dims)
+
+
+def _dims_within(bound):
+    return list(itertools.product(*(range(b + 1) for b in bound)))
+
+
+@pytest.mark.parametrize("quiver,p,dims", [
+    *(("kronecker", 2, d) for d in _dims_within((2, 2)) + [(1, 3), (3, 1)]),
+    *(("kronecker", 3, d) for d in [(1, 2), (2, 1)]),
+    *(("a3", 2, d) for d in _dims_within((2, 2, 2))),
+])
+def test_shared_vertex_enumeration_matches_brute_force(quiver, p, dims):
+    q = quiver_from_dict(KRONECKER) if quiver == "kronecker" else line_quiver(3)
+    _assert_matches_brute_force(ClassRegistry(q, p), dims)
 
 
 @pytest.mark.parametrize("quiver_size,p,max_total", [
@@ -170,9 +186,19 @@ def test_module_level_aut_count_on_vector_spaces():
 
 
 def test_enumeration_refuses_huge_sweeps():
+    # Arrow a1 is put in rank form (2 ranks), a2 is swept: 2 * 2^25 tuples.
     reg = ClassRegistry(line_quiver(3), 2)
-    with pytest.raises(EnumerationTooLarge):
-        reg.classes((4, 4, 4))
+    with pytest.raises(EnumerationTooLarge, match="matrix tuples"):
+        reg.classes((1, 5, 5))
+
+
+def test_tuple_bound_counts_the_swept_tuples():
+    # Kronecker (2, 3): a in its 3 rank forms times 2^6 matrices b is 192
+    # tuples, where the full sweep has 2^12 = 4096.
+    reg = ClassRegistry(quiver_from_dict(KRONECKER), 2, tuple_bound=1000)
+    assert sum(reg.orbit_size(c) for c in reg.classes((2, 3))) == 2 ** 12
+    with pytest.raises(EnumerationTooLarge, match="2048 matrix tuples"):
+        reg.classes((3, 3))
 
 
 def test_bad_dims_rejected(a2_f2):
