@@ -4,23 +4,31 @@ Periodicity t is 0 (ordinary bounded complexes) or a positive odd integer
 (cyclic complexes with degrees in Z/t).  Graded objects (zero-differential
 complexes up to isomorphism) index the basis of the derived Hall algebra;
 ComplexObj carries honest differentials for the category C_t.
+
+A complex over Q is a representation of its degree quiver: one vertex (i, v)
+per degree i and vertex v, a copy of every arrow of Q at each degree, and one
+arrow (i, v) -> (i+1, v) per vertex carrying the differential.  Chain maps are
+the morphisms of these representations and subcomplexes their
+subrepresentations, so chain-map spaces, chain isomorphism, chain automorphism
+counts and sub/quotient complexes all come from reps.py.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (EnumerationTooLarge, IncompatibleObjects, InternalInconsistency,
-                     UnsupportedPeriod)
+                     NotASubobject, UnsupportedPeriod)
 from .hall import closed_subspace_tuples, ext1_count, euler_mult
-from .linalg import Mat, Subspace, is_invertible, kernel_basis, rank, subspace_from_vectors
-from .quivers import DimVec, Quiver, dims_add
-from .reps import (ClassRegistry, IsoClassId, Morphism, Rep, _combine_flat, _hom_system,
-                   _unflatten, direct_sum, restrict_to_subspaces, quotient_by_subrep)
+from .linalg import Mat, kernel_basis, rank, subspace_from_vectors
+from .quivers import Arrow, DimVec, Quiver, dims_add
+from .reps import (DEFAULT_ISO_ENUM_BOUND, ClassRegistry, IsoClassId, Morphism, Rep,
+                   _hom_elements, _hom_kernel, _isomorphisms, _unflatten, direct_sum, hom_dim,
+                   is_isomorphic, quotient_by_subrep, restrict_to_subspaces, zero_rep)
 
 DEFAULT_COMPLEX_ENUM_BOUND = 2 ** 17
-DEFAULT_CHAIN_ENUM_BOUND = 2 ** 16
 
 
 def check_period(t: int) -> None:
@@ -196,14 +204,16 @@ def complex_obj(t: int, quiver: Quiver, p: int, comps: dict[int, Rep],
     for deg, mor in (diffs or {}).items():
         if t > 0:
             deg %= t
-        if all(m.is_zero() for m in mor):
-            continue
+        if deg in diffs_norm:
+            raise IncompatibleObjects(f"two differentials share degree {deg}")
         diffs_norm[deg] = mor
-    c = ComplexObj(t, quiver, p, tuple(sorted(comps_norm.items())),
-                   tuple(sorted(diffs_norm.items())))
+    comps_sorted = tuple(sorted(comps_norm.items()))
     if validate:
-        validate_complex(c)
-    return c
+        # Zero differentials are checked too (vertex count, shapes) before they are dropped.
+        validate_complex(ComplexObj(t, quiver, p, comps_sorted, tuple(sorted(diffs_norm.items()))))
+    return ComplexObj(t, quiver, p, comps_sorted,
+                      tuple(sorted((deg, mor) for deg, mor in diffs_norm.items()
+                                   if not all(m.is_zero() for m in mor))))
 
 
 def validate_complex(c: ComplexObj) -> None:
@@ -280,94 +290,56 @@ def homology(reg: ClassRegistry, c: ComplexObj) -> GradedObject:
     return graded_object(c.t, q.n, items)
 
 
-# -- chain maps ---------------------------------------------------------------
+# -- chain maps, through the degree quiver ---------------------------------------
 
 
-def _chain_system(c1: ComplexObj, c2: ComplexObj):
-    """Linear system for chain maps c1 -> c2.
+@functools.lru_cache
+def _degree_quiver(q: Quiver, t: int, degrees: tuple[int, ...]) -> Quiver:
+    """Degree quiver of q over the given degrees, degree-major: vertex (i, v) is
+    number k * q.n + v for the k-th degree i.  Differential arrows join i to the
+    next degree when it is present; at t = 1 they are loops, so this quiver never
+    meets validate_quiver (nothing here needs it to be acyclic)."""
+    pos = {i: k for k, i in enumerate(degrees)}
+    vertices: list[str] = []
+    arrows: list[Arrow] = []
+    for k, i in enumerate(degrees):
+        vertices += [f"{name}@{i}" for name in q.vertices]
+        arrows += [Arrow(k * q.n + a.source, k * q.n + a.target, f"{a.label}@{i}")
+                   for a in q.arrows]
+        nk = pos.get((i + 1) % t if t else i + 1)
+        if nk is not None:
+            arrows += [Arrow(k * q.n + v, nk * q.n + v, f"d{v}@{i}") for v in range(q.n)]
+    return Quiver(tuple(vertices), tuple(arrows))
 
-    Variables: entries of f^i_v for degrees i where both complexes are nonzero.
-    Equations: per-degree morphism conditions over every arrow, plus
-    f^{i+1} d1^i = d2^i f^i per degree and vertex.
-    """
-    if c1.t != c2.t or c1.quiver != c2.quiver or c1.p != c2.p:
+
+def _as_reps(*cs: ComplexObj) -> tuple[Rep, ...]:
+    """The complexes as representations of one shared degree quiver, whose
+    degrees are Z/t for t > 0 and the sorted union of the degrees present for
+    t = 0; the mats follow _degree_quiver's arrow order."""
+    t, q, p = cs[0].t, cs[0].quiver, cs[0].p
+    if any(c.t != t or c.quiver != q or c.p != p for c in cs):
         raise IncompatibleObjects("complexes live in different categories")
-    q = c1.quiver
-    p = c1.p
-    degrees = sorted(set(c1.degrees) | set(c2.degrees))
-    var_shape: dict[tuple[int, int], tuple[int, int]] = {}
-    var_off: dict[tuple[int, int], int] = {}
-    acc = 0
-    for i in degrees:
-        r1, r2 = c1.comp_at(i), c2.comp_at(i)
-        if r1 is None or r2 is None:
-            continue
-        for v in range(q.n):
-            rr, cc = r2.dims[v], r1.dims[v]
-            if rr * cc:
-                var_shape[(i, v)] = (rr, cc)
-                var_off[(i, v)] = acc
-                acc += rr * cc
-    nvars = acc
-    rows: list[tuple[int, ...]] = []
-
-    def var_index(i: int, v: int, r: int, c: int) -> int | None:
-        key = (i, v)
-        if key not in var_off:
-            return None
-        _, cc = var_shape[key]
-        return var_off[key] + r * cc + c
-
-    # Morphism condition at each degree.
-    for i in degrees:
-        r1, r2 = c1.comp_at(i), c2.comp_at(i)
-        if r1 is None or r2 is None:
-            continue
-        for idx, a in enumerate(q.arrows):
-            s, tv = a.source, a.target
-            m1, m2 = r1.mats[idx], r2.mats[idx]
-            for rr in range(r2.dims[tv]):
-                for cc in range(r1.dims[s]):
-                    row = [0] * nvars
-                    for k in range(r1.dims[tv]):
-                        j = var_index(i, tv, rr, k)
-                        if j is not None:
-                            row[j] = (row[j] + m1.entries[k][cc]) % p
-                    for l in range(r2.dims[s]):
-                        j = var_index(i, s, l, cc)
-                        if j is not None:
-                            row[j] = (row[j] - m2.entries[rr][l]) % p
-                    if any(row):
-                        rows.append(tuple(row))
-    # Commutation with the differentials.
-    for i in degrees:
-        ni = c1.next_deg(i)
-        d1 = c1.diff_at(i)
-        d2 = c2.diff_at(i)
-        dims1_i = c1.dims_at(i)
-        dims2_n = c2.dims_at(ni)
-        for v in range(q.n):
-            for rr in range(dims2_n[v]):
-                for cc in range(dims1_i[v]):
-                    row = [0] * nvars
-                    if d1 is not None:
-                        for k in range(c1.dims_at(ni)[v]):
-                            j = var_index(ni, v, rr, k)
-                            if j is not None:
-                                row[j] = (row[j] + d1[v].entries[k][cc]) % p
-                    if d2 is not None:
-                        for l in range(c2.dims_at(i)[v]):
-                            j = var_index(i, v, l, cc)
-                            if j is not None:
-                                row[j] = (row[j] - d2[v].entries[rr][l]) % p
-                    if any(row):
-                        rows.append(tuple(row))
-    return Mat(p, len(rows), nvars, tuple(rows)), var_shape, var_off, nvars
+    degrees = tuple(range(t)) if t else tuple(sorted({i for c in cs for i in c.degrees}))
+    dq = _degree_quiver(q, t, degrees)
+    out = []
+    for c in cs:
+        dims: list[int] = []
+        mats: list[Mat] = []
+        for i in degrees:
+            rep, d, src = c.comp_at(i), c.diff_at(i), c.dims_at(i)
+            dims += src
+            mats += rep.mats if rep else [Mat.zeros(p, 0, 0)] * len(q.arrows)
+            ni = c.next_deg(i)
+            if ni in degrees:
+                tgt = c.dims_at(ni)
+                mats += d if d else [Mat.zeros(p, tgt[v], src[v]) for v in range(q.n)]
+        out.append(Rep(dq, p, tuple(dims), tuple(mats)))
+    return tuple(out)
 
 
 def hom_ct_dim(c1: ComplexObj, c2: ComplexObj) -> int:
-    system, _, _, nvars = _chain_system(c1, c2)
-    return nvars - rank(system)
+    """Dimension of the space of chain maps c1 -> c2."""
+    return hom_dim(*_as_reps(c1, c2))
 
 
 def hom_ct_count(c1: ComplexObj, c2: ComplexObj) -> int:
@@ -375,76 +347,22 @@ def hom_ct_count(c1: ComplexObj, c2: ComplexObj) -> int:
     return c1.p ** hom_ct_dim(c1, c2)
 
 
-def _flat_is_chain_auto(p: int, flat, var_shape, var_off) -> bool:
-    for key, (rr, cc) in var_shape.items():
-        if rr != cc:
-            return False
-        off = var_off[key]
-        m = Mat(p, rr, cc, tuple(tuple(flat[off + i * cc + j] for j in range(cc))
-                                 for i in range(rr)))
-        if not is_invertible(m):
-            return False
-    return True
-
-
 def is_chain_isomorphic(c1: ComplexObj, c2: ComplexObj,
-                        bound: int = DEFAULT_CHAIN_ENUM_BOUND) -> bool:
+                        bound: int = DEFAULT_ISO_ENUM_BOUND) -> bool:
     """Exhaustive chain-isomorphism test."""
-    if c1.t != c2.t or c1.quiver != c2.quiver or c1.p != c2.p:
-        raise IncompatibleObjects("complexes live in different categories")
-    degrees = sorted(set(c1.degrees) | set(c2.degrees))
-    for i in degrees:
-        if c1.dims_at(i) != c2.dims_at(i):
-            return False
-    if c1 == c2:
-        return True
-    if hom_ct_dim(c1, c1) != hom_ct_dim(c2, c2):
-        return False
-    system, var_shape, var_off, nvars = _chain_system(c1, c2)
-    basis = [tuple(v) for v in kernel_basis(system)]
-    p = c1.p
-    if len(basis) != hom_ct_dim(c2, c1):
-        return False
-    if p ** len(basis) > bound:
-        raise EnumerationTooLarge(
-            f"chain isomorphism search over {p}^{len(basis)} maps exceeds bound {bound}")
-    for coeffs in itertools.product(range(p), repeat=len(basis)):
-        flat = [0] * nvars
-        for cf, vec in zip(coeffs, basis):
-            if cf == 0:
-                continue
-            for idx, x in enumerate(vec):
-                flat[idx] = (flat[idx] + cf * x) % p
-        if _flat_is_chain_auto(p, flat, var_shape, var_off):
-            return True
-    return False
+    return is_isomorphic(*_as_reps(c1, c2), bound)
 
 
 def aut_ct_count(reg: ClassRegistry, c: ComplexObj,
-                 bound: int = DEFAULT_CHAIN_ENUM_BOUND) -> int:
+                 bound: int = DEFAULT_ISO_ENUM_BOUND) -> int:
     """|Aut_{C_t}(c)|; zero-differential complexes use per-component counts."""
     if not c.differentials:
         out = 1
         for _, rep in c.components:
             out *= reg.aut_count(reg.classify(rep))
         return out
-    system, var_shape, var_off, nvars = _chain_system(c, c)
-    basis = [tuple(v) for v in kernel_basis(system)]
-    p = c.p
-    if p ** len(basis) > bound:
-        raise EnumerationTooLarge(
-            f"chain automorphism count over {p}^{len(basis)} maps exceeds bound {bound}")
-    count = 0
-    for coeffs in itertools.product(range(p), repeat=len(basis)):
-        flat = [0] * nvars
-        for cf, vec in zip(coeffs, basis):
-            if cf == 0:
-                continue
-            for idx, x in enumerate(vec):
-                flat[idx] = (flat[idx] + cf * x) % p
-        if _flat_is_chain_auto(p, flat, var_shape, var_off):
-            count += 1
-    return count
+    (rep,) = _as_reps(c)
+    return sum(1 for _ in _isomorphisms(rep, rep, bound))
 
 
 # -- enumeration of complex classes -------------------------------------------
@@ -479,32 +397,27 @@ def enumerate_complex_classes(reg: ClassRegistry, t: int, dims_by_degree,
     for comp_choice in itertools.product(*class_lists):
         comps = {i: reg.representative(c) for i, c in zip(degrees, comp_choice)
                  if c.total_dim > 0}
-        # Differential blocks between consecutive nonzero components.  Each
-        # block carries the flat kernel basis of its Hom system so candidates
-        # are assembled with integer vectors, not matrix objects.
+        # Differential blocks between consecutive nonzero components; each
+        # block's candidates are the elements of its Hom space, as flat vectors.
         blocks = []
         combos = 1
         for i in degrees:
             ni = next_deg(i)
             if i in comps and ni in comps:
-                system, shapes, offsets = _hom_system(comps[i], comps[ni])
-                basis = [tuple(v) for v in kernel_basis(system)]
-                if basis:
-                    full = len(basis) == sum(r * c for r, c in shapes)
-                    blocks.append((i, basis, shapes, offsets, full))
-                    combos *= p ** len(basis)
+                kernel = _hom_kernel(comps[i], comps[ni])
+                if kernel[0]:
+                    blocks.append((i, kernel))
+                    combos *= p ** len(kernel[0])
         if combos > bound:
             raise EnumerationTooLarge(
                 f"{combos} differential choices for dims {dims_by_degree} exceed bound {bound}")
         single_endo = (q.n == 1 and not q.arrows and t == 1 and len(blocks) == 1)
         buckets: dict[tuple, list[int]] = {}
         survivors = 0
-        for assignment in itertools.product(*(itertools.product(range(p), repeat=len(b[1]))
-                                              for b in blocks)):
+        for assignment in itertools.product(*(_hom_elements(p, kernel) for _, kernel in blocks)):
             diffs: dict[int, Morphism] = {}
             ok = True
-            for (i, basis, shapes, offsets, full), coeffs in zip(blocks, assignment):
-                flat = coeffs if full else tuple(_combine_flat(p, basis, coeffs))
+            for (i, (_, shapes, offsets)), flat in zip(blocks, assignment):
                 if any(flat):
                     diffs[i] = _unflatten(p, flat, shapes, offsets)
             # d.d = 0 across consecutive differentials.
@@ -549,32 +462,6 @@ def enumerate_complex_classes(reg: ClassRegistry, t: int, dims_by_degree,
 # -- subcomplexes and Hall numbers in C_t --------------------------------------
 
 
-def _sub_diff(p: int, n_vertices: int, d: Morphism,
-              src: tuple[Subspace, ...], tgt: tuple[Subspace, ...]) -> Morphism:
-    out = []
-    for v in range(n_vertices):
-        cols = [tgt[v].coords(d[v].apply(b)) for b in src[v].basis]
-        out.append(Mat(p, tgt[v].dim, src[v].dim,
-                       tuple(tuple(col[i] for col in cols) for i in range(tgt[v].dim))))
-    return tuple(out)
-
-
-def _quot_diff(p: int, n_vertices: int, d: Morphism,
-               src: tuple[Subspace, ...], tgt: tuple[Subspace, ...]) -> Morphism:
-    out = []
-    for v in range(n_vertices):
-        src_comp = [c for c in range(src[v].ambient) if c not in src[v].pivots]
-        tgt_comp = [c for c in range(tgt[v].ambient) if c not in tgt[v].pivots]
-        cols = []
-        for c in src_comp:
-            e = tuple(1 if i == c else 0 for i in range(src[v].ambient))
-            residue = tgt[v].reduce(d[v].apply(e))
-            cols.append(tuple(residue[x] for x in tgt_comp))
-        out.append(Mat(p, len(tgt_comp), len(src_comp),
-                       tuple(tuple(col[i] for col in cols) for i in range(len(tgt_comp)))))
-    return tuple(out)
-
-
 def hall_number_ct(reg: ClassRegistry, a: GradedObject, b: GradedObject,
                    c: ComplexObj) -> int:
     """Subcomplexes of c isomorphic to Z_b with quotient complex isomorphic to Z_a."""
@@ -584,45 +471,20 @@ def hall_number_ct(reg: ClassRegistry, a: GradedObject, b: GradedObject,
     for i in degrees:
         if dims_add(a.dims_at(i), b.dims_at(i)) != c.dims_at(i):
             return 0
-    q = reg.quiver
-    za = zero_diff_complex(reg, a)
-    zb = zero_diff_complex(reg, b)
-    comp_degrees = list(c.degrees)
-    per_degree = [list(closed_subspace_tuples(c.comp_at(i), b.dims_at(i)))
-                  for i in comp_degrees]
+    rep_c, rep_a, rep_b = _as_reps(c, zero_diff_complex(reg, a), zero_diff_complex(reg, b))
+    # One tuple of subrepresentations per degree of the degree quiver, in its
+    # vertex order; restrict_to_subspaces then checks the differentials.
+    zero = zero_rep(reg.quiver, reg.p)
+    per_degree = [list(closed_subspace_tuples(c.comp_at(i) or zero, b.dims_at(i)))
+                  for i in (range(c.t) if c.t else c.degrees)]
     count = 0
     for assignment in itertools.product(*per_degree):
-        subs = dict(zip(comp_degrees, assignment))
-        ok = True
-        for i, mor in c.differentials:
-            ni = c.next_deg(i)
-            # Degrees with a differential have nonzero components on both ends.
-            for v in range(q.n):
-                for bv in subs[i][v].basis:
-                    if not subs[ni][v].contains(mor[v].apply(bv)):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
+        subs = tuple(itertools.chain.from_iterable(assignment))
+        try:
+            sub = restrict_to_subspaces(rep_c, subs)
+        except NotASubobject:  # not closed under the differentials
             continue
-        sub_comps: dict[int, Rep] = {}
-        quot_comps: dict[int, Rep] = {}
-        for i in comp_degrees:
-            rep = c.comp_at(i)
-            sub_comps[i] = restrict_to_subspaces(rep, subs[i])
-            quot_comps[i] = quotient_by_subrep(rep, subs[i])
-        sub_diffs: dict[int, Morphism] = {}
-        quot_diffs: dict[int, Morphism] = {}
-        for i, mor in c.differentials:
-            ni = c.next_deg(i)
-            sub_diffs[i] = _sub_diff(reg.p, q.n, mor, subs[i], subs[ni])
-            quot_diffs[i] = _quot_diff(reg.p, q.n, mor, subs[i], subs[ni])
-        sub_cplx = complex_obj(c.t, q, reg.p, sub_comps, sub_diffs, validate=False)
-        quot_cplx = complex_obj(c.t, q, reg.p, quot_comps, quot_diffs, validate=False)
-        if is_chain_isomorphic(sub_cplx, zb) and is_chain_isomorphic(quot_cplx, za):
+        if is_isomorphic(sub, rep_b) and is_isomorphic(quotient_by_subrep(rep_c, subs), rep_a):
             count += 1
     return count
 

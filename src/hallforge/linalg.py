@@ -92,7 +92,7 @@ class Mat:
         return Mat(p, n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
+        return not any(map(any, self.entries))
 
     def add(self, other: "Mat") -> "Mat":
         self._check_same_shape(other)
@@ -106,7 +106,8 @@ class Mat:
             raise IncompatibleObjects(
                 f"matrix product shape mismatch: {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         p = self.p
-        ot = tuple(zip(*other.entries)) if other.entries else ()
+        # With no rows, other still has other.cols (empty) columns.
+        ot = tuple(zip(*other.entries)) if other.entries else ((),) * other.cols
         out = []
         for r in self.entries:
             if other.cols == 0:

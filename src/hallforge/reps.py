@@ -13,6 +13,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import (EnumerationTooLarge, IncompatibleObjects, InternalInconsistency,
                      NotASubobject)
@@ -95,7 +96,9 @@ def _hom_system(m: Rep, n: Rep) -> tuple[Mat, list[tuple[int, int]], list[int]]:
 
     Variables are the entries of the vertex maps f_v : m_v -> n_v (shape
     n.dims[v] x m.dims[v]), vertices in order, each matrix row-major.  One
-    equation block per arrow a: s->t, reading f_t . m_a = n_a . f_s.
+    equation block per arrow a: s->t, reading f_t . m_a = n_a . f_s.  All-zero
+    rows, among them every row of an arrow that is zero in both m and n, are
+    left out: the row space, so the RREF and the kernel basis, stay the same.
     """
     _check_compatible(m, n)
     p = m.p
@@ -111,6 +114,8 @@ def _hom_system(m: Rep, n: Rep) -> tuple[Mat, list[tuple[int, int]], list[int]]:
     for idx, a in enumerate(q.arrows):
         s, t = a.source, a.target
         ma, na = m.mats[idx], n.mats[idx]
+        if ma.is_zero() and na.is_zero():
+            continue
         for i in range(n.dims[t]):
             for j in range(m.dims[s]):
                 row = [0] * nvars
@@ -118,7 +123,9 @@ def _hom_system(m: Rep, n: Rep) -> tuple[Mat, list[tuple[int, int]], list[int]]:
                     row[offsets[t] + i * m.dims[t] + k] += ma.entries[k][j]
                 for l in range(n.dims[s]):
                     row[offsets[s] + l * m.dims[s] + j] -= na.entries[i][l]
-                rows.append(tuple(x % p for x in row))
+                row = [x % p for x in row]
+                if any(row):
+                    rows.append(tuple(row))
     return Mat(p, len(rows), nvars, tuple(rows)), shapes, offsets
 
 
@@ -138,33 +145,58 @@ def _unflatten(p: int, vec: tuple[int, ...], shapes: list[tuple[int, int]],
     return tuple(out)
 
 
+def _hom_kernel(m: Rep, n: Rep) -> tuple[list[tuple[int, ...]], list[tuple[int, int]], list[int]]:
+    """(flat kernel basis, shapes, offsets) of the Hom(m, n) system."""
+    system, shapes, offsets = _hom_system(m, n)
+    return [tuple(v) for v in kernel_basis(system)], shapes, offsets
+
+
 def hom_basis(m: Rep, n: Rep) -> tuple[Morphism, ...]:
     """Deterministic F_p-basis of Hom(m, n) as per-vertex matrix tuples."""
-    system, shapes, offsets = _hom_system(m, n)
-    return tuple(_unflatten(m.p, v, shapes, offsets) for v in kernel_basis(system))
+    basis, shapes, offsets = _hom_kernel(m, n)
+    return tuple(_unflatten(m.p, v, shapes, offsets) for v in basis)
 
 
-def _combine_flat(p: int, flats: list[tuple[int, ...]], coeffs: tuple[int, ...]) -> list[int]:
-    n = len(flats[0]) if flats else 0
-    acc = [0] * n
-    for c, flat in zip(coeffs, flats):
-        if c == 0:
-            continue
-        for i, x in enumerate(flat):
-            acc[i] = (acc[i] + c * x) % p
-    return acc
+def _hom_elements(p: int, kernel) -> Iterator[tuple[int, ...]]:
+    """Every element of the Hom space that kernel = (basis, shapes, offsets)
+    from _hom_kernel spans, as a flat vector, with the coefficients in
+    itertools.product order (the first basis vector's varies slowest)."""
+    basis, shapes, _ = kernel
+    nvars = sum(r * c for r, c in shapes)
+    coeff_tuples = itertools.product(range(p), repeat=len(basis))
+    if len(basis) == nvars:
+        # The kernel is everything and kernel_basis returns the standard basis.
+        yield from coeff_tuples
+        return
+    for coeffs in coeff_tuples:
+        acc = [0] * nvars
+        for c, vec in zip(coeffs, basis):
+            if c:
+                for i, x in enumerate(vec):
+                    acc[i] = (acc[i] + c * x) % p
+        yield tuple(acc)
 
 
-def _invertible_from_flat(p: int, flat: list[int], shapes: list[tuple[int, int]],
-                          offsets: list[int]) -> bool:
-    for (r, c), off in zip(shapes, offsets):
-        if r != c:
-            return False
-        mat = Mat(p, r, c, tuple(tuple(flat[off + i * c + j] for j in range(c))
-                                 for i in range(r)))
-        if not is_invertible(mat):
-            return False
-    return True
+def _isomorphisms(m: Rep, n: Rep, bound: int, kernel=None) -> Iterator[tuple[int, ...]]:
+    """The invertible elements of Hom(m, n) as flat vectors, in _hom_elements
+    order (kernel = _hom_kernel(m, n) may be passed in when already computed).
+
+    Raises EnumerationTooLarge when Hom(m, n) has more than bound elements.
+    """
+    kernel = kernel if kernel is not None else _hom_kernel(m, n)
+    basis, shapes, offsets = kernel
+    p = m.p
+    if p ** len(basis) > bound:
+        raise EnumerationTooLarge(
+            f"isomorphism search over {p}^{len(basis)} candidate morphisms exceeds bound {bound}")
+    if any(r != c for r, c in shapes):
+        return
+    blocks = [(r, off) for (r, _), off in zip(shapes, offsets) if r]
+    for flat in _hom_elements(p, kernel):
+        if all(is_invertible(Mat(p, r, r, tuple(flat[off + i * r:off + i * r + r]
+                                                for i in range(r))))
+               for r, off in blocks):
+            yield flat
 
 
 def is_isomorphic(m: Rep, n: Rep, enum_bound: int = DEFAULT_ISO_ENUM_BOUND) -> bool:
@@ -177,20 +209,10 @@ def is_isomorphic(m: Rep, n: Rep, enum_bound: int = DEFAULT_ISO_ENUM_BOUND) -> b
     d_end = hom_dim(m, m)
     if hom_dim(n, n) != d_end:
         return False
-    d_mn = hom_dim(m, n)
-    if d_mn != d_end or hom_dim(n, m) != d_end:
+    kernel = _hom_kernel(m, n)
+    if len(kernel[0]) != d_end or hom_dim(n, m) != d_end:
         return False
-    if m.p ** d_mn > enum_bound:
-        raise EnumerationTooLarge(
-            f"isomorphism search over {m.p}^{d_mn} candidate morphisms exceeds bound {enum_bound}")
-    system, shapes, offsets = _hom_system(m, n)
-    basis = [tuple(v) for v in kernel_basis(system)]
-    p = m.p
-    for coeffs in itertools.product(range(p), repeat=len(basis)):
-        flat = _combine_flat(p, basis, coeffs)
-        if _invertible_from_flat(p, flat, shapes, offsets):
-            return True
-    return False
+    return next(_isomorphisms(m, n, enum_bound, kernel), None) is not None
 
 
 def is_subrep(m: Rep, subs: tuple[Subspace, ...]) -> bool:

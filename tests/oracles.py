@@ -2,20 +2,25 @@
 
 These deliberately avoid the library's counting code paths: morphism spaces
 are enumerated from hom_basis, exactness is checked with ranks and composites,
-and everything is counted one map at a time.  Slow but transparent.  The one
-exception is gamma_by_middle_class_sum, which sums Hall numbers one gamma
-coefficient at a time to check the join in hall.gamma_terms.
+and everything is counted one map at a time.  Chain maps are per-degree
+morphisms checked against the differentials one at a time, not solutions of
+one linear system.  Slow but transparent.  The one exception is
+gamma_by_middle_class_sum, which sums Hall numbers one gamma coefficient at a
+time to check the join in hall.gamma_terms.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
+from hallforge.complexes import (ComplexObj, GradedObject, class_at_or_zero,
+                                 zero_diff_complex)
 from hallforge.hall import hall_number
 from hallforge.linalg import Mat, rank, subspace_from_vectors
 from hallforge.quivers import dims_sub
 from hallforge.reps import (ClassRegistry, IsoClassId, Rep, hom_basis,
-                            is_isomorphic, quotient_by_subrep)
+                            is_isomorphic, quotient_by_subrep, zero_rep)
 
 ORACLE_HOM_BOUND = 5000
 
@@ -51,6 +56,10 @@ def _surjective(f: tuple[Mat, ...], tgt: Rep) -> bool:
     return all(rank(fv) == d for fv, d in zip(f, tgt.dims))
 
 
+def _columns(m: Mat) -> list[tuple[int, ...]]:
+    return [tuple(row[j] for row in m.entries) for j in range(m.cols)]
+
+
 def _compose(g: tuple[Mat, ...], f: tuple[Mat, ...]) -> tuple[Mat, ...]:
     return tuple(gv.mul(fv) for gv, fv in zip(g, f))
 
@@ -68,9 +77,7 @@ def hall_number_injection_oracle(reg: ClassRegistry, a: IsoClassId,
         if not _injective(f, rep_b):
             continue
         subs = tuple(
-            subspace_from_vectors(p, rep_c.dims[v],
-                                  [tuple(row[j] for row in f[v].entries)
-                                   for j in range(rep_b.dims[v])])
+            subspace_from_vectors(p, rep_c.dims[v], _columns(f[v]))
             for v in range(reg.quiver.n))
         quot = quotient_by_subrep(rep_c, subs)
         if is_isomorphic(quot, rep_a, reg.iso_enum_bound):
@@ -163,3 +170,51 @@ def brute_force_classes(reg: ClassRegistry, dims: tuple[int, ...]):
             found.append(rep)
             orbits.append(1)
     return found, orbits
+
+
+def _diff_or_zero(c: ComplexObj, i: int) -> tuple[Mat, ...]:
+    """d^i of c, with the omitted zero differential spelled out."""
+    src, tgt = c.dims_at(i), c.dims_at(c.next_deg(i))
+    return c.diff_at(i) or tuple(Mat.zeros(c.p, tgt[v], src[v]) for v in range(c.quiver.n))
+
+
+def chain_maps_by_enumeration(c1: ComplexObj, c2: ComplexObj) -> list[dict[int, tuple[Mat, ...]]]:
+    """Every chain map c1 -> c2 as {degree: morphism}: one element of
+    all_morphisms per degree where either complex is nonzero, kept when
+    f^{i+1} d1^i = d2^i f^i at every degree and vertex."""
+    zero = zero_rep(c1.quiver, c1.p)
+    degrees = sorted(set(c1.degrees) | set(c2.degrees))
+    per_degree = [all_morphisms(c1.comp_at(i) or zero, c2.comp_at(i) or zero) for i in degrees]
+    # Differentials join nonzero components only, so every pair checked here
+    # has both of its degrees in the product.
+    steps = [i for i in degrees if c1.diff_at(i) or c2.diff_at(i)]
+    out = []
+    for choice in itertools.product(*per_degree):
+        f = dict(zip(degrees, choice))
+        if all(_compose(f[c1.next_deg(i)], _diff_or_zero(c1, i))
+               == _compose(_diff_or_zero(c2, i), f[i]) for i in steps):
+            out.append(f)
+    return out
+
+
+def hall_number_ct_injection_oracle(reg: ClassRegistry, a: GradedObject, b: GradedObject,
+                                    c: ComplexObj) -> int:
+    """hall_number_ct via injective chain maps f: Z_b -> c whose cokernel has
+    zero differential (d maps c into im f) and the degreewise classes of a;
+    their number is the Hall number times |Aut(Z_b)|."""
+    p, n = reg.p, reg.quiver.n
+    count = 0
+    for f in chain_maps_by_enumeration(zero_diff_complex(reg, b), c):
+        if any(rank(fv) != d for i in f for fv, d in zip(f[i], b.dims_at(i))):
+            continue
+        image = {i: tuple(subspace_from_vectors(p, c.dims_at(i)[v], _columns(f[i][v]))
+                          for v in range(n)) for i in f}
+        if any(not image[c.next_deg(i)][v].contains(col)
+               for i, d in c.differentials for v in range(n) for col in _columns(d[v])):
+            continue
+        if all(reg.classify(quotient_by_subrep(c.comp_at(i), image[i]))
+               == class_at_or_zero(reg, a, i) for i in c.degrees):
+            count += 1
+    aut_b = math.prod(reg.aut_count(cls) for _, cls in b.components)
+    assert count % aut_b == 0
+    return count // aut_b

@@ -1,6 +1,7 @@
 """Periodic complexes: validation, homology, chain-level and derived counting."""
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,10 @@ from hallforge import (
     zero_diff_complex,
 )
 from hallforge.cli import graded_objects_within
+from hallforge.linalg import rank
+from hallforge.quivers import dims_sub, subdimvecs
+
+from .oracles import chain_maps_by_enumeration, hall_number_ct_injection_oracle
 
 
 def k_class(reg, n):
@@ -143,10 +148,31 @@ def test_parse_graded_rejects_malformed(a1_f2, text):
 
 def test_complex_obj_drops_zero_parts(a1_f2):
     rep = a1_f2.representative(k_class(a1_f2, 1))
-    zero_d = (Mat.zeros(2, 1, 1),)
+    # The zero differential k -> 0 is a 0x1 matrix.
+    zero_d = (Mat.zeros(2, 0, 1),)
     c = complex_obj(0, a1_f2.quiver, 2, {0: rep, 1: a1_f2.representative(a1_f2.zero_class())},
                     {0: zero_d})
     assert c.components == ((0, rep),)
+    assert c.differentials == ()
+
+
+def test_validate_checks_zero_differentials_before_dropping_them(a1_f2):
+    rep = a1_f2.representative(k_class(a1_f2, 1))
+    q = a1_f2.quiver
+    with pytest.raises(IncompatibleObjects, match="one matrix per vertex"):
+        complex_obj(0, q, 2, {0: rep}, {0: ()})
+    with pytest.raises(IncompatibleObjects, match="bad shape"):
+        complex_obj(1, q, 2, {0: rep}, {0: (Mat.zeros(2, 3, 3),)})
+    # Degree 1 has no component, so a 1x1 differential there is misshapen.
+    with pytest.raises(IncompatibleObjects, match="bad shape"):
+        complex_obj(0, q, 2, {0: rep}, {1: (Mat.zeros(2, 1, 1),)})
+    # Degrees 0 and 1 are one degree at t = 1, where the zero map would replace d.
+    d = nilpotent_square(a1_f2).differentials[0][1]
+    with pytest.raises(IncompatibleObjects, match="share degree"):
+        complex_obj(1, q, 2, {0: a1_f2.representative(k_class(a1_f2, 2))},
+                    {0: d, 1: (Mat.zeros(2, 2, 2),)})
+    # Without validation the zero parts are still dropped.
+    c = complex_obj(0, q, 2, {0: rep}, {0: ()}, validate=False)
     assert c.differentials == ()
 
 
@@ -254,6 +280,42 @@ def test_hall_number_ct_values(a1_f2):
     assert hall_number_ct(a1_f2, zk, zk, nilpotent_square(a1_f2)) == 1
     # Dimension mismatch short-circuits to zero.
     assert hall_number_ct(a1_f2, zk, zk, zero_diff_complex(a1_f2, zk)) == 0
+
+
+# (registry fixture, period, dims by degree): every class of each shape is
+# checked against chain maps enumerated degree by degree.
+CHAIN_SHAPES = [
+    ("a1_f2", 1, [(1,)]), ("a1_f2", 1, [(2,)]), ("a1_f2", 1, [(3,)]),
+    ("a2_f2", 1, [(1, 1)]), ("a2_f2", 1, [(2, 1)]), ("a2_f2", 1, [(1, 2)]),
+    ("a1_f2", 0, [(1,), (1,)]), ("a1_f2", 0, [(2,), (1,)]), ("a1_f2", 0, [(1,), (0,), (1,)]),
+    ("a1_f2", 3, [(1,), (1,), (1,)]), ("a1_f2", 3, [(2,), (1,), (0,)]),
+]
+
+
+def _graded_splits(reg, t, dims_by_degree):
+    """Every (a, b) of graded objects with a + b = dims_by_degree degreewise."""
+    per_degree = []
+    for d in dims_by_degree:
+        per_degree.append([(ca, cb) for db in subdimvecs(d)
+                           for cb in reg.classes(db) for ca in reg.classes(dims_sub(d, db))])
+    for choice in itertools.product(*per_degree):
+        yield (graded_object(t, reg.quiver.n, [(i, ca) for i, (ca, _) in enumerate(choice)]),
+               graded_object(t, reg.quiver.n, [(i, cb) for i, (_, cb) in enumerate(choice)]))
+
+
+@pytest.mark.parametrize("fixture,t,dims", CHAIN_SHAPES)
+def test_chain_counts_match_enumeration(request, fixture, t, dims):
+    reg = request.getfixturevalue(fixture)
+    classes = enumerate_complex_classes(reg, t, dims)
+    for c1 in classes:
+        ends = chain_maps_by_enumeration(c1, c1)
+        autos = [f for f in ends
+                 if all(rank(fv) == fv.rows == fv.cols for fm in f.values() for fv in fm)]
+        assert aut_ct_count(reg, c1) == len(autos)
+        for c2 in classes:
+            assert hom_ct_count(c1, c2) == len(chain_maps_by_enumeration(c1, c2))
+        for a, b in _graded_splits(reg, t, dims):
+            assert hall_number_ct(reg, a, b, c1) == hall_number_ct_injection_oracle(reg, a, b, c1)
 
 
 def test_ext1_ct_middle_counts(a1_f2):

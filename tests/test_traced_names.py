@@ -1,0 +1,41 @@
+"""Every name the benchmark's tracer wraps or imports must exist in hallforge.
+
+perfbench/tracing.py is read from its file, not imported.  A refactor that
+deletes or renames a traced function fails here instead of breaking
+`perfbench/run.py --trace 1`.
+"""
+from __future__ import annotations
+
+import importlib
+import types
+from pathlib import Path
+
+import pytest
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    # Compiled from its source, so nothing is written next to it.
+    module = types.ModuleType("perfbench_tracing")
+    exec(compile(TRACING.read_text(), str(TRACING), "exec"), module.__dict__)
+    return module
+
+
+@pytest.mark.parametrize("module,path", [(m, p) for m, p, _ in _load_tracing().LAYERS])
+def test_traced_layer_resolves(module, path):
+    # Tracer.install looks the last part up in its owner's own __dict__.
+    owner = importlib.import_module(f"hallforge.{module}")
+    *cls_path, attr = path.split(".")
+    for part in cls_path:
+        owner = getattr(owner, part)
+    assert attr in vars(owner), f"hallforge.{module}.{path} is gone"
+
+
+@pytest.mark.parametrize("module,attr", [
+    ("reps", "_arrows_vertex_disjoint"),   # hall_number and ensure_enumerated hooks
+    ("hall", "closed_subspace_tuples"),    # the wrapped generator
+    ("cache", "cache_path"),               # the load_cache hook
+])
+def test_traced_helper_exists(module, attr):
+    assert callable(getattr(importlib.import_module(f"hallforge.{module}"), attr))
