@@ -25,8 +25,8 @@ from .errors import (CacheInvalid, DivisionByZero, EnumerationTooLarge,
                      InvalidField, NotAPureQPower, NotASubobject,
                      NotHereditarySetup, RewriteBudgetExceeded,
                      UnsupportedPeriod)
-from .hall import (euler_add, euler_mult, ext1_count, ext1_middle_count,
-                   gamma_coeff, gamma_terms, green_sides, hall_number)
+from .hall import (euler_add, euler_mult, euler_table, ext1_count, ext1_dim,
+                   ext1_middle_count, gamma_coeff, gamma_terms, green_sides, hall_number)
 from .linalg import (FieldSpec, Mat, Subspace, count_matrices_of_rank,
                      enumerate_subspaces, gaussian_binomial, gl_order,
                      is_invertible, kernel_basis, rank, rref,
@@ -58,8 +58,8 @@ __all__ = [
     "IncompatibleObjects", "InternalInconsistency", "InvalidField",
     "NotAPureQPower", "NotASubobject", "NotHereditarySetup",
     "RewriteBudgetExceeded", "UnsupportedPeriod",
-    "euler_add", "euler_mult", "ext1_count", "ext1_middle_count",
-    "gamma_coeff", "gamma_terms", "green_sides", "hall_number",
+    "euler_add", "euler_mult", "euler_table", "ext1_count", "ext1_dim",
+    "ext1_middle_count", "gamma_coeff", "gamma_terms", "green_sides", "hall_number",
     "FieldSpec", "Mat", "Subspace", "count_matrices_of_rank",
     "enumerate_subspaces", "gaussian_binomial", "gl_order", "is_invertible",
     "kernel_basis", "rank", "rref", "subspace_from_vectors",

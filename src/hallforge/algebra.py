@@ -14,7 +14,7 @@ from .complexes import (GradedObject, check_period, class_at_or_zero,
                         dt_hom_with_cone_count, format_graded, graded_object,
                         hom_dt_count, stalk)
 from .errors import IncompatibleObjects, RewriteBudgetExceeded, UnsupportedPeriod
-from .hall import ext1_count, euler_add, euler_mult, gamma_terms, hall_number
+from .hall import ext1_count, euler_add, euler_mult, euler_table, gamma_terms, hall_number
 from .quivers import dims_add, dims_sub, subdimvecs
 from .reps import ClassRegistry, IsoClassId
 from .scalars import QSqrtScalar, q_exponent, sqrt_of_fraction
@@ -67,7 +67,8 @@ class HallVector:
         return HallVector(self.q, {g: x * c for g, x in self.terms.items()})
 
     def coeff(self, g: GradedObject) -> QSqrtScalar:
-        return self.terms.get(g, QSqrtScalar.zero(self.q))
+        c = self.terms.get(g)
+        return c if c is not None else QSqrtScalar.zero(self.q)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -100,8 +101,8 @@ class CheckResult:
 
 
 def _compare(label: str, lhs: HallVector, rhs: HallVector, notes: dict | None = None) -> CheckResult:
-    keys = sorted(set(lhs.terms) | set(rhs.terms), key=_graded_sort_key)
-    bad = tuple(g for g in keys if lhs.coeff(g) != rhs.coeff(g))
+    bad = tuple(sorted((g for g in lhs.terms.keys() | rhs.terms.keys()
+                        if lhs.coeff(g) != rhs.coeff(g)), key=_graded_sort_key))
     return CheckResult(label, not bad, lhs, rhs, bad, notes or {})
 
 
@@ -149,9 +150,9 @@ class DerivedHall:
     def multiply_graded(self, a: GradedObject, b: GradedObject) -> HallVector:
         self._check_graded(a)
         self._check_graded(b)
-        key = (a, b)
-        if key in self._mul:
-            return self._mul[key]
+        out = self._mul.get((a, b))
+        if out is not None:
+            return out
         if a.is_zero():
             out = HallVector.basis(self.q, b)
         elif b.is_zero():
@@ -160,7 +161,7 @@ class DerivedHall:
             out = self.lt_mul_t0(a, b)
         else:
             out = self.lt_mul_odd(a, b)
-        self._mul[key] = out
+        self._mul[a, b] = out
         return out
 
     def multiply(self, x: HallVector, y: HallVector) -> HallVector:
@@ -187,12 +188,8 @@ class DerivedHall:
         from the right component, and a middle extension X of M by N, weighted
         by g^{a1}_{s_next,M} g^{a2}_{N,s_i} g^X_{M,N} a_M a_N a_{s_i}.  The Euler
         and remaining Aut factors depend on the boundary and are applied by the
-        caller.  Memoized per registry, so products share steps.
+        caller, which memoizes the steps per registry, so products share them.
         """
-        memo = self.reg.memo("lt_step")
-        key = (a1, a2, s_i, s_next)
-        if key in memo:
-            return memo[key]
         reg = self.reg
         dm, dn = dims_sub(a1.dims, s_next.dims), dims_sub(a2.dims, s_i.dims)
         out: dict[IsoClassId, int] = {}
@@ -210,7 +207,6 @@ class DerivedHall:
                     g_x = hall_number(reg, m_cls, n_cls, x_cls)
                     if g_x:
                         out[x_cls] = out.get(x_cls, 0) + base * g_x
-        memo[key] = out
         return out
 
     def _lt_paths(self, a: GradedObject, b: GradedObject, degrees: range,
@@ -224,31 +220,43 @@ class DerivedHall:
         euler_exp(i, dims s_i, dims s_next) is the q-exponent of each step.
         Returns {X components: W} and E such that the sum is W * q^E divided
         by the Aut of the X components; taking each step's exponent relative
-        to its minimum over the candidate dims keeps every W an integer.
+        to its minimum over the candidate dims keeps every W an integer.  The
+        X components are in ascending degree: canonical GradedObject components.
         """
         reg = self.reg
-        caps = [tuple(map(min, b.dims_at(i), a.dims_at(i - 1))) for i in degrees]
-        cands = [[c for d in subdimvecs(cap) for c in reg.classes(d)] for cap in caps]
-        n = len(caps)
+        # Per cap: (subdimvecs(cap), the classes of those dims), memoized per registry.
+        below_memo = reg.memo("lt_below")
+        below = []
+        for i in degrees:
+            cap = tuple(map(min, b.dims_at(i), a.dims_at(i - 1)))
+            if cap not in below_memo:
+                dims = tuple(subdimvecs(cap))
+                below_memo[cap] = (dims, tuple(c for d in dims for c in reg.classes(d)))
+            below.append(below_memo[cap])
+        n = len(below)
         # q^(exponent - floor) per degree and (dims s_i, dims s_next); E sums the floors.
         q_pows: list[dict[tuple, int]] = []
         e_total = 0
         for k, i in enumerate(degrees):
-            exps = {(d, d_next): euler_exp(i, d, d_next) for d in subdimvecs(caps[k])
-                    for d_next in subdimvecs(caps[(k + 1) % n])}
+            exps = {(d, d_next): euler_exp(i, d, d_next) for d in below[k][0]
+                    for d_next in below[(k + 1) % n][0]}
             floor = min(exps.values())
             e_total += floor
             q_pows.append({key: self.q ** (e - floor) for key, e in exps.items()})
+        comps = [(class_at_or_zero(reg, a, i), class_at_or_zero(reg, b, i)) for i in degrees]
+        steps = reg.memo("lt_step")
         total: dict[tuple, int] = {}
-        for s_first in cands[0]:
+        for s_first in below[0][1]:
             frontier: dict[tuple, int] = {(s_first, ()): 1}
             for k, i in enumerate(degrees):
-                a1, a2 = class_at_or_zero(reg, a, i), class_at_or_zero(reg, b, i)
-                nexts = cands[k + 1] if k + 1 < n else [s_first]
+                a1, a2 = comps[k]
+                nexts = below[k + 1][1] if k + 1 < n else [s_first]
                 new_frontier: dict[tuple, int] = {}
                 for (s_i, xs), w in frontier.items():
                     for s_next in nexts:
-                        step = self._lt_step(a1, a2, s_i, s_next)
+                        step = steps.get((a1, a2, s_i, s_next))
+                        if step is None:
+                            step = steps[a1, a2, s_i, s_next] = self._lt_step(a1, a2, s_i, s_next)
                         if not step:
                             continue
                         scale = w * q_pows[k][s_i.dims, s_next.dims]
@@ -274,6 +282,7 @@ class DerivedHall:
             raise UnsupportedPeriod("this route is the t = 0 product")
         reg = self.reg
         quiver = reg.quiver
+        euler = euler_table(reg)
         support = sorted(set(a.support) | set(b.support))
         if not support:
             return self.one()
@@ -288,16 +297,16 @@ class DerivedHall:
             if not any(da1):
                 continue
             for k in range(2, hi - i + 1):
-                e = euler_add(quiver, b.dims_at(i + k), da1)
+                e = euler[b.dims_at(i + k), da1]
                 pref_exp += e if k % 2 == 0 else -e
 
         def euler_exp(i, d_s, d_next):
             # 1 / <N^i, M^{i-1}>, with N^i = b_i - I^{i-1} and M^{i-1} = a_{i-1} - I^{i-1}.
-            return -euler_add(quiver, dims_sub(b.dims_at(i), d_s), dims_sub(a.dims_at(i - 1), d_s))
+            return -euler[dims_sub(b.dims_at(i), d_s), dims_sub(a.dims_at(i - 1), d_s)]
 
         h, e = self._lt_paths(a, b, range(lo, hi + 1), euler_exp)
         return HallVector(self.q, {
-            graded_object(0, quiver.n, xs):
+            GradedObject(0, quiver.n, xs):
                 QSqrtScalar.v_power(self.q, 2 * (e + pref_exp), Fraction(w, aut_ab))
             for xs, w in h.items()})
 
@@ -313,26 +322,26 @@ class DerivedHall:
             raise UnsupportedPeriod("this route needs odd positive t")
         reg = self.reg
         quiver = reg.quiver
+        euler = euler_table(reg)
         a_dims = [a.dims_at(i) for i in range(t)]
         b_dims = [b.dims_at(i) for i in range(t)]
 
         sqrt_exp = 0
         for i in range(t):
-            sqrt_exp += euler_add(quiver, a_dims[i], b_dims[i])
+            sqrt_exp += euler[a_dims[i], b_dims[i]]
             for k in range(1, t):
-                e = euler_add(quiver, a_dims[(i + k) % t], b_dims[i])
+                e = euler[a_dims[(i + k) % t], b_dims[i]]
                 sqrt_exp += e if k % 2 == 1 else -e
 
         def euler_exp(i, d_s, d_next):
-            return -(euler_add(quiver, a_dims[i], d_s)
-                     + euler_add(quiver, d_next, dims_sub(b_dims[i], d_s)))
+            return -(euler[a_dims[i], d_s] + euler[d_next, dims_sub(b_dims[i], d_s)])
 
         h, e = self._lt_paths(a, b, range(t), euler_exp)
         aut_a, v_a = self._a_prime_parts(a)
         aut_b, v_b = self._a_prime_parts(b)
         out: dict[GradedObject, QSqrtScalar] = {}
         for xs, w in h.items():
-            g = graded_object(t, quiver.n, xs)
+            g = GradedObject(t, quiver.n, xs)
             aut_g, v_g = self._a_prime_parts(g)
             aut_x = 1
             for _i, x_cls in xs:
@@ -360,17 +369,17 @@ class DerivedHall:
         """{X, Y}: alternating product of shifted derived Hom counts."""
         self._check_graded(x)
         self._check_graded(y)
-        out = Fraction(1)
         if self.t > 0:
             rng = range(1, self.t + 1)
         else:
             if x.is_zero() or y.is_zero():
-                return out
+                return Fraction(1)
             rng = range(1, max(x.support) - min(y.support) + 2)
+        num = den = 1
         for i in rng:
             h = hom_dt_count(self.reg, x, y, shift=i)
-            out = out * h if i % 2 == 0 else out / h
-        return out
+            num, den = (num * h, den) if i % 2 == 0 else (num, den * h)
+        return Fraction(num, den)
 
     def _a_prime_parts(self, g: GradedObject) -> tuple[int, int]:
         """(|Aut_{D_t}(g)|, e) with {g, g} = q^e, so that a'_g = |Aut_{D_t}(g)| v^e."""

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (EnumerationTooLarge, IncompatibleObjects, InternalInconsistency,
                      NotASubobject, UnsupportedPeriod)
-from .hall import closed_subspace_tuples, ext1_count, euler_mult
+from .hall import closed_subspace_tuples, ext1_count, ext1_dim, euler_mult
 from .linalg import Mat, kernel_basis, rank, subspace_from_vectors
 from .quivers import Arrow, DimVec, Quiver, dims_add
 from .reps import (DEFAULT_ISO_ENUM_BOUND, ClassRegistry, IsoClassId, Morphism, Rep,
@@ -37,17 +37,25 @@ def check_period(t: int) -> None:
         raise UnsupportedPeriod(f"periodicity must be 0 or a positive odd integer, got {t!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GradedObject:
     """An isomorphism class of zero-differential t-periodic complexes.
 
     components holds (degree, class) pairs, sorted, zero classes omitted;
-    degrees are residues mod t when t > 0, arbitrary ints when t = 0.
+    degrees are residues mod t when t > 0, arbitrary ints when t = 0.  The
+    hash is that of (t, n_vertices, components), computed once.
     """
 
     t: int
     n_vertices: int
     components: tuple[tuple[int, IsoClassId], ...]
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.t, self.n_vertices, self.components)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def component(self, deg: int) -> IsoClassId | None:
         if self.t > 0:
@@ -518,13 +526,16 @@ def dt_hom_with_cone_count(reg: ClassRegistry, a: GradedObject, b: GradedObject,
     key = (a, b, x)
     if key in memo:
         return memo[key]
+    # The complex classes of the cone's dims, grouped by homology once per dims.
+    by_dims = reg.memo("complex_classes_by_homology")
     target = dims_add(a.dims_at(0), b.dims_at(0))
-    total = 0
-    for cplx in enumerate_complex_classes(reg, 1, (target,)):
-        if homology(reg, cplx) != x:
-            continue
-        total += ext1_ct_middle_count(reg, a, b, cplx)
-    memo[key] = total
+    if target not in by_dims:
+        groups: dict[GradedObject, list[ComplexObj]] = {}
+        for cplx in enumerate_complex_classes(reg, 1, (target,)):
+            groups.setdefault(homology(reg, cplx), []).append(cplx)
+        by_dims[target] = groups
+    total = memo[key] = sum(ext1_ct_middle_count(reg, a, b, cplx)
+                            for cplx in by_dims[target].get(x, ()))
     return total
 
 
@@ -537,22 +548,17 @@ def hom_dt_count(reg: ClassRegistry, a: GradedObject, b: GradedObject,
     if a.t != b.t:
         raise IncompatibleObjects("periodicities differ")
     t = a.t
-    if t > 0:
-        js = range(t)
-    else:
-        js = sorted({d - shift for d in a.support})
-    out = 1
-    for j in js:
-        src = a.component(j + shift)
-        if src is None:
-            continue
-        tgt_h = b.component(j)
-        tgt_e = b.component(j - 1)
+    b_at = dict(b.components)
+    e = 0
+    for d, src in a.components:
+        j = (d - shift) % t if t else d - shift
+        tgt_h = b_at.get(j)
+        tgt_e = b_at.get((j - 1) % t if t else j - 1)
         if tgt_h is not None:
-            out *= reg.p ** reg.hom_dim_classes(src, tgt_h)
+            e += reg.hom_dim_classes(src, tgt_h)
         if tgt_e is not None:
-            out *= ext1_count(reg, src, tgt_e)
-    return out
+            e += ext1_dim(reg, src, tgt_e)
+    return reg.p ** e
 
 
 def alt_hom_explicit(reg: ClassRegistry, a: GradedObject, b: GradedObject) -> Fraction:

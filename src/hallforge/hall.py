@@ -27,19 +27,39 @@ def euler_add(quiver: Quiver, d1: DimVec, d2: DimVec) -> int:
     return out
 
 
+class _EulerTable(dict):
+    """euler_add of one quiver keyed by (d1, d2); a pair is computed on its first lookup."""
+
+    def __init__(self, quiver: Quiver) -> None:
+        super().__init__()
+        self.quiver = quiver
+
+    def __missing__(self, key: tuple[DimVec, DimVec]) -> int:
+        value = self[key] = euler_add(self.quiver, *key)
+        return value
+
+
+def euler_table(reg: ClassRegistry) -> dict[tuple[DimVec, DimVec], int]:
+    """reg's Euler table: table[d1, d2] == euler_add(reg.quiver, d1, d2) for tuples d1, d2."""
+    return reg.memo("euler_add", lambda: _EulerTable(reg.quiver))
+
+
 def euler_mult(reg: ClassRegistry, d1: DimVec, d2: DimVec) -> Fraction:
     """Multiplicative Euler form |Hom|/|Ext1| = q^{euler_add}; depends only on dims."""
-    e = euler_add(reg.quiver, d1, d2)
-    q = reg.p
-    return Fraction(q ** e) if e >= 0 else Fraction(1, q ** (-e))
+    return Fraction(reg.p) ** euler_add(reg.quiver, d1, d2)
+
+
+def ext1_dim(reg: ClassRegistry, a: IsoClassId, b: IsoClassId) -> int:
+    """dim Ext^1(a, b) = dim Hom - <dims a, dims b> (hereditary)."""
+    e = reg.hom_dim_classes(a, b) - euler_table(reg)[a.dims, b.dims]
+    if e < 0:
+        raise InternalInconsistency("negative Ext^1 dimension; category is not behaving hereditarily")
+    return e
 
 
 def ext1_count(reg: ClassRegistry, a: IsoClassId, b: IsoClassId) -> int:
-    """|Ext^1(a, b)| via dim Ext^1 = dim Hom - <dims a, dims b> (hereditary)."""
-    e = reg.hom_dim_classes(a, b) - euler_add(reg.quiver, a.dims, b.dims)
-    if e < 0:
-        raise InternalInconsistency("negative Ext^1 dimension; category is not behaving hereditarily")
-    return reg.p ** e
+    """|Ext^1(a, b)| = q^{dim Ext^1(a, b)}."""
+    return reg.p ** ext1_dim(reg, a, b)
 
 
 def closed_subspace_tuples(rep: Rep, sub_dims: DimVec) -> Iterator[tuple[Subspace, ...]]:

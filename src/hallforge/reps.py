@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 from .errors import (EnumerationTooLarge, IncompatibleObjects, InternalInconsistency,
@@ -220,9 +220,11 @@ def is_subrep(m: Rep, subs: tuple[Subspace, ...]) -> bool:
     if len(subs) != m.quiver.n or any(s.ambient != d for s, d in zip(subs, m.dims)):
         raise IncompatibleObjects("one subspace per vertex with matching ambient dimension required")
     for idx, a in enumerate(m.quiver.arrows):
-        tgt = subs[a.target]
+        mat, tgt = m.mats[idx], subs[a.target]
+        if mat.is_zero():  # maps everything into every subspace
+            continue
         for b in subs[a.source].basis:
-            if not tgt.contains(m.mats[idx].apply(b)):
+            if not tgt.contains(mat.apply(b)):
                 return False
     return True
 
@@ -234,8 +236,9 @@ def restrict_to_subspaces(m: Rep, subs: tuple[Subspace, ...]) -> Rep:
     p = m.p
     mats = []
     for idx, a in enumerate(m.quiver.arrows):
-        src, tgt = subs[a.source], subs[a.target]
-        cols = [tgt.coords(m.mats[idx].apply(b)) for b in src.basis]
+        mat, src, tgt = m.mats[idx], subs[a.source], subs[a.target]
+        cols = ([(0,) * tgt.dim] * src.dim if mat.is_zero()
+                else [tgt.coords(mat.apply(b)) for b in src.basis])
         ents = tuple(tuple(col[i] for col in cols) for i in range(tgt.dim))
         mats.append(Mat(p, tgt.dim, src.dim, ents))
     return Rep(m.quiver, p, tuple(s.dim for s in subs), tuple(mats))
@@ -258,11 +261,14 @@ def quotient_by_subrep(m: Rep, subs: tuple[Subspace, ...]) -> Rep:
 
     mats = []
     for idx, a in enumerate(m.quiver.arrows):
-        s, t = a.source, a.target
+        mat, s, t = m.mats[idx], a.source, a.target
+        if mat.is_zero():
+            mats.append(Mat.zeros(p, len(comp[t]), len(comp[s])))
+            continue
         cols = []
         for c in comp[s]:
             e = tuple(1 if i == c else 0 for i in range(m.dims[s]))
-            cols.append(project(t, m.mats[idx].apply(e)))
+            cols.append(project(t, mat.apply(e)))
         ents = tuple(tuple(col[i] for col in cols) for i in range(len(comp[t])))
         mats.append(Mat(p, len(comp[t]), len(comp[s]), ents))
     dims = tuple(len(c) for c in comp)
@@ -291,16 +297,22 @@ def _rank_form(p: int, rows: int, cols: int, r: int) -> Mat:
                                           for j in range(cols)) for i in range(rows)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IsoClassId:
-    """Stable identifier of an isomorphism class: dimension vector + enumeration index."""
+    """Stable identifier of an isomorphism class: dimension vector + enumeration index.
+    Its total dimension and its hash, that of (dims, index), are computed once."""
 
     dims: DimVec
     index: int
+    total_dim: int = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def total_dim(self) -> int:
-        return total_dim(self.dims)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "total_dim", total_dim(self.dims))
+        object.__setattr__(self, "_hash", hash((self.dims, self.index)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def sort_key(self) -> tuple:
@@ -323,14 +335,16 @@ class ClassRegistry:
         self.iso_enum_bound = iso_enum_bound
         self.tuple_bound = tuple_bound
         self._classes: dict[DimVec, list[Rep]] = {}
+        self._ids: dict[DimVec, tuple[IsoClassId, ...]] = {}
         self._orbit: dict[IsoClassId, int] = {}
         self._aut: dict[IsoClassId, int] = {}
         self._hom_dim: dict[tuple[IsoClassId, IsoClassId], int] = {}
         self._id_str: dict[IsoClassId, str] = {}
         self._memos: dict[str, dict] = {}
 
-    def memo(self, name: str) -> dict:
-        return self._memos.setdefault(name, {})
+    def memo(self, name, factory=dict) -> dict:
+        """The memo table called name, made by factory() on first use."""
+        return self._memos.get(name) or self._memos.setdefault(name, factory())
 
     # -- class enumeration ------------------------------------------------
 
@@ -381,9 +395,13 @@ class ClassRegistry:
                     orbits[hit] += weight
         if sum(orbits) != p ** sum(r * c for r, c in shapes):
             raise InternalInconsistency("orbit sizes do not add up to the number of matrix tuples")
-        self._classes[dims] = found
-        for k, o in enumerate(orbits):
-            self._orbit[IsoClassId(dims, k)] = o
+        for cid, o in zip(self._store_classes(dims, found), orbits):
+            self._orbit[cid] = o
+
+    def _store_classes(self, dims: DimVec, reps: list[Rep]) -> tuple[IsoClassId, ...]:
+        self._classes[dims] = reps
+        ids = self._ids[dims] = tuple(IsoClassId(dims, k) for k in range(len(reps)))
+        return ids
 
     def _signature(self, rep: Rep) -> tuple:
         sig = [hom_dim(rep, rep)]
@@ -393,10 +411,14 @@ class ClassRegistry:
             sig.append(hom_dim(s, rep))
         return tuple(sig)
 
-    def classes(self, dims: DimVec) -> list[IsoClassId]:
-        dims = self._check_dims(dims)
-        self.ensure_enumerated(dims)
-        return [IsoClassId(dims, k) for k in range(len(self._classes[dims]))]
+    def classes(self, dims: DimVec) -> tuple[IsoClassId, ...]:
+        """The ids of dims in enumeration order, one shared tuple per dims."""
+        try:
+            return self._ids[dims]
+        except (KeyError, TypeError):  # not enumerated yet, or dims not a tuple
+            dims = self._check_dims(dims)
+            self.ensure_enumerated(dims)
+            return self._ids[dims]
 
     def representative(self, cid: IsoClassId) -> Rep:
         self.ensure_enumerated(cid.dims)
@@ -406,17 +428,15 @@ class ClassRegistry:
         return reps[cid.index]
 
     def zero_class(self) -> IsoClassId:
-        dims = (0,) * self.quiver.n
-        self.ensure_enumerated(dims)
-        return IsoClassId(dims, 0)
+        return self.classes((0,) * self.quiver.n)[0]
 
     def classify(self, rep: Rep) -> IsoClassId:
         if rep.quiver != self.quiver or rep.p != self.p:
             raise IncompatibleObjects("representation belongs to a different registry")
         self.ensure_enumerated(rep.dims)
-        for k, cand in enumerate(self._classes[rep.dims]):
+        for cid, cand in zip(self._ids[rep.dims], self._classes[rep.dims]):
             if is_isomorphic(rep, cand, self.iso_enum_bound):
-                return IsoClassId(rep.dims, k)
+                return cid
         raise InternalInconsistency("representation matched no enumerated class")
 
     def all_classes_total_le(self, max_total: int) -> list[IsoClassId]:
@@ -452,10 +472,10 @@ class ClassRegistry:
         return self._aut[cid]
 
     def hom_dim_classes(self, a: IsoClassId, b: IsoClassId) -> int:
-        key = (a, b)
-        if key not in self._hom_dim:
-            self._hom_dim[key] = hom_dim(self.representative(a), self.representative(b))
-        return self._hom_dim[key]
+        d = self._hom_dim.get((a, b))
+        if d is None:
+            d = self._hom_dim[a, b] = hom_dim(self.representative(a), self.representative(b))
+        return d
 
     # -- naming -------------------------------------------------------------
 
@@ -477,7 +497,7 @@ class ClassRegistry:
         if index >= len(self._classes[dims]):
             raise IncompatibleObjects(
                 f"class id {s!r}: only {len(self._classes[dims])} classes exist for dims {dims}")
-        return IsoClassId(dims, index)
+        return self._ids[dims][index]
 
     # -- cache support ------------------------------------------------------
 
@@ -486,8 +506,7 @@ class ClassRegistry:
         for dims, reps in sorted(self._classes.items()):
             key = ",".join(str(d) for d in dims)
             rows = []
-            for k, rep in enumerate(reps):
-                cid = IsoClassId(dims, k)
+            for cid, rep in zip(self._ids[dims], reps):
                 rows.append({
                     "mats": [[list(r) for r in m.entries] for m in rep.mats],
                     "orbit": self._orbit[cid],
@@ -531,9 +550,7 @@ class ClassRegistry:
                 if sum(orbits) != self.p ** n_entries:
                     raise CacheInvalid(f"stored orbits of dims {dims} do not add up to "
                                        f"{self.p}^{n_entries} matrix tuples")
-                self._classes[dims] = reps
-                for k, (orbit, aut) in enumerate(zip(orbits, auts)):
-                    cid = IsoClassId(dims, k)
+                for cid, orbit, aut in zip(self._store_classes(dims, reps), orbits, auts):
                     self._orbit[cid] = orbit
                     if aut is not None:
                         self._aut[cid] = aut

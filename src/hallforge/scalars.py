@@ -28,7 +28,7 @@ def q_exponent(x, q: int) -> int:
     return sign * e
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QSqrtScalar:
     """a + b*sqrt(q), exact."""
 
@@ -92,9 +92,12 @@ class QSqrtScalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return QSqrtScalar(self.q,
-                           self.a * o.a + self.q * self.b * o.b,
-                           self.a * o.b + self.b * o.a)
+        a, b, c, d = self.a, self.b, o.a, o.b
+        if not b:  # skip the products of a zero half, whose zero is reused
+            return QSqrtScalar(self.q, a * c if c else c, a * d if d else d)
+        if not a:
+            return QSqrtScalar(self.q, self.q * b * d if d else d, b * c if c else c)
+        return QSqrtScalar(self.q, a * c + self.q * b * d, a * d + b * c)
 
     __rmul__ = __mul__
 

@@ -255,6 +255,20 @@ def test_associativity_small_sweep(a1_f2, t):
         assert res.ok, (t, a, b, c, res.mismatches)
 
 
+@pytest.mark.parametrize("t", [0, 1, 3, 5])
+def test_product_commutes_with_shift(a2_f2, t):
+    # Shifting both factors shifts every term of the product: the benchmark
+    # digest undoes its per-round shifts on this symmetry.
+    shifts = (-2, -1, 1, 2) if t == 0 else range(1, max(t, 2))
+    dh = DerivedHall(a2_f2, t)
+    objects = graded_objects_within(a2_f2, t, 2)
+    for a, b in itertools.product(objects, repeat=2):
+        prod = dh.multiply_graded(a, b)
+        for s in shifts:
+            want = HallVector(dh.q, {g.shift(s): c for g, c in prod.terms.items()})
+            assert dh.multiply_graded(a.shift(s), b.shift(s)) == want, (t, s, a, b)
+
+
 def test_associativity_a2_spot(a2_f2):
     dh = DerivedHall(a2_f2, 1)
     s1 = dh.stalk(a2_f2.classes((1, 0))[0])

@@ -30,9 +30,12 @@ from hallforge import (
     stalk,
     zero_diff_complex,
 )
+from hallforge import complexes
 from hallforge.cli import graded_objects_within
+from hallforge.complexes import GradedObject
 from hallforge.linalg import rank
-from hallforge.quivers import dims_sub, subdimvecs
+from hallforge.quivers import dims_add, dims_sub, line_quiver, subdimvecs
+from hallforge.reps import ClassRegistry, IsoClassId
 
 from .oracles import chain_maps_by_enumeration, hall_number_ct_injection_oracle
 
@@ -71,6 +74,19 @@ def test_graded_object_basics(a1_f2):
     assert not g.is_zero()
     assert g.component(2) == k and g.component(1) is None
     assert g.dims_at(0) == (1,) and g.dims_at(5) == (0,)
+
+
+def test_graded_objects_compare_and_hash_by_value(a2_f2):
+    objs = graded_objects_within(a2_f2, 3, 2)
+    assert len(set(objs)) == len(objs)
+    for g in objs:
+        items = [(d + 3, IsoClassId(c.dims, c.index)) for d, c in reversed(g.components)]
+        twin = graded_object(3, 2, items)
+        assert twin is not g and twin == g and hash(twin) == hash(g)
+        assert GradedObject(3, 2, g.components) == g
+    k = a2_f2.classes((1, 0))[0]
+    assert stalk(a2_f2, 3, k, 0) != stalk(a2_f2, 3, k, 1)
+    assert stalk(a2_f2, 3, k, 0) != stalk(a2_f2, 5, k, 0)
 
 
 def test_graded_object_drops_zero_classes(a1_f2):
@@ -332,6 +348,35 @@ def test_cone_counts(a1_f2):
     assert dt_hom_with_cone_count(a1_f2, zk, zk, zk2) == 1
     assert dt_hom_with_cone_count(a1_f2, zk, zk, zero) == 1
     assert dt_hom_with_cone_count(a1_f2, zk, zk, zk) == 0
+
+
+def test_cone_counts_take_each_complex_class_homology_once(monkeypatch):
+    reg = ClassRegistry(line_quiver(2), 2)
+    objects = graded_objects_within(reg, 1, 1)
+    cones = graded_objects_within(reg, 1, 2)
+    targets = {dims_add(a.dims_at(0), b.dims_at(0)) for a in objects for b in objects}
+    n_classes = sum(len(enumerate_complex_classes(reg, 1, (d,))) for d in targets)
+    calls = []
+
+    def counting_homology(reg, c):
+        calls.append(c)
+        return homology(reg, c)
+
+    monkeypatch.setattr(complexes, "homology", counting_homology)
+    for a in objects:
+        for b in objects:
+            total = sum(dt_hom_with_cone_count(reg, a, b, x) for x in cones)
+            assert total == hom_dt_count(reg, a, b, 0), (a, b)
+    assert 0 < len(calls) <= n_classes
+
+
+def test_cone_count_hits_the_bound_again_on_a_second_call(a1_f2):
+    # The cone has dims (5,): 2^25 square-zero candidates.  A failed
+    # enumeration must leave nothing behind that a later call reads as "no cones".
+    k2, k3 = (stalk(a1_f2, 1, k_class(a1_f2, n)) for n in (2, 3))
+    for _ in range(2):
+        with pytest.raises(EnumerationTooLarge):
+            dt_hom_with_cone_count(a1_f2, k3, k2, k2)
 
 
 def test_cone_counts_need_period_one(a1_f2):

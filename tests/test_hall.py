@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from hallforge.hall import (ext1_count, ext1_middle_count, euler_add,
-                            euler_mult, gamma_coeff, gamma_terms, green_sides,
-                            hall_number)
+                            euler_mult, euler_table, gamma_coeff, gamma_terms,
+                            green_sides, hall_number)
 from hallforge.linalg import gaussian_binomial
 from hallforge.quivers import (dims_add, dims_sub, dimvecs_up_to, line_quiver,
                                quiver_from_dict, subdimvecs)
@@ -185,6 +185,21 @@ def test_euler_form_values(a2_f2):
     assert euler_add(q, (1, 1), (1, 1)) == 1
     assert euler_mult(a2_f2, (1, 0), (0, 1)) == Fraction(1, 2)
     assert euler_mult(a2_f2, (1, 1), (1, 1)) == 2
+
+
+D4 = quiver_from_dict({"vertices": ["1", "2", "3", "c"],
+                       "arrows": [{"src": v, "dst": "c", "label": f"a{v}"} for v in "123"]})
+
+
+@pytest.mark.parametrize("quiver", [line_quiver(2), line_quiver(3), D4, KRONECKER],
+                         ids=["A2", "A3", "D4", "Kronecker"])
+def test_euler_table_is_euler_add(quiver):
+    reg = ClassRegistry(quiver, 2)
+    table = euler_table(reg)
+    dims = list(dimvecs_up_to(quiver.n, 3))
+    for d1, d2 in itertools.product(dims, repeat=2):
+        assert table[d1, d2] == euler_add(quiver, d1, d2), (d1, d2)
+    assert euler_table(reg) is table and len(table) == len(dims) ** 2
 
 
 def test_euler_form_is_hom_minus_ext(a2_f2, a2_f3):

@@ -6,12 +6,12 @@ import pytest
 
 from hallforge.errors import (EnumerationTooLarge, IncompatibleObjects,
                               InvalidField)
-from hallforge.linalg import gl_order, zero_subspace, full_subspace
+from hallforge.linalg import Mat, full_subspace, gl_order, subspace_from_vectors, zero_subspace
 from hallforge.quivers import dimvecs_up_to, line_quiver, quiver_from_dict
-from hallforge.reps import (ClassRegistry, Rep, direct_sum,
+from hallforge.reps import (ClassRegistry, IsoClassId, Rep, direct_sum,
                             enumerate_iso_classes, hom_dim, is_isomorphic,
-                            quotient_by_subrep, semisimple_rep, simple_rep,
-                            zero_rep)
+                            quotient_by_subrep, restrict_to_subspaces,
+                            semisimple_rep, simple_rep, zero_rep)
 
 from .oracles import aut_count_by_enumeration, brute_force_classes
 
@@ -98,6 +98,17 @@ def test_quotient_of_projective_is_simple(a2_f2):
     subs = (zero_subspace(2, 1), full_subspace(2, 1))
     quot = quotient_by_subrep(p1, subs)
     assert is_isomorphic(quot, simple_rep(line_quiver(2), 2, 0))
+    # Zero arrows give zero blocks of the sub and quotient dims.
+    s = a2_f2.representative(a2_f2.classes((1, 1))[0])
+    assert restrict_to_subspaces(s, subs) == simple_rep(line_quiver(2), 2, 1)
+    assert quotient_by_subrep(s, subs) == simple_rep(line_quiver(2), 2, 0)
+    # Kronecker (2, 1) with a = 0 and b = [1 0], around the kernel of b.
+    kron = quiver_from_dict(KRONECKER)
+    m = Rep(kron, 2, (2, 1), (Mat.zeros(2, 1, 2), Mat(2, 1, 2, ((1, 0),))))
+    subs = (subspace_from_vectors(2, 2, [(0, 1)]), zero_subspace(2, 1))
+    assert restrict_to_subspaces(m, subs) == semisimple_rep(kron, 2, (1, 0))
+    assert quotient_by_subrep(m, subs) == Rep(kron, 2, (1, 1), (Mat(2, 1, 1, ((0,),)),
+                                                                 Mat(2, 1, 1, ((1,),))))
 
 
 def _assert_matches_brute_force(reg, dims):
@@ -199,6 +210,27 @@ def test_tuple_bound_counts_the_swept_tuples():
     assert sum(reg.orbit_size(c) for c in reg.classes((2, 3))) == 2 ** 12
     with pytest.raises(EnumerationTooLarge, match="2048 matrix tuples"):
         reg.classes((3, 3))
+
+
+def test_class_ids_compare_and_hash_by_value(a2_f2):
+    ids = a2_f2.all_classes_total_le(2)
+    assert len(set(ids)) == len(ids)
+    for c in ids:
+        twin = IsoClassId(tuple(list(c.dims)), c.index)
+        assert twin is not c and twin == c and hash(twin) == hash(c)
+        assert twin.sort_key == (sum(c.dims), c.dims, c.index)
+    assert IsoClassId((1, 1), 0) != IsoClassId((1, 1), 1)
+    assert IsoClassId((1, 0), 0) != IsoClassId((0, 1), 0)
+    assert {IsoClassId((1, 1), 1): "x"}[a2_f2.classes((1, 1))[1]] == "x"
+
+
+def test_classes_is_one_immutable_tuple_per_dims(a2_f2):
+    ids = a2_f2.classes((1, 1))
+    assert ids == (IsoClassId((1, 1), 0), IsoClassId((1, 1), 1))
+    with pytest.raises(TypeError):
+        ids[0] = ids[1]
+    assert a2_f2.classes([1, 1]) is ids
+    assert a2_f2.zero_class() is a2_f2.classes((0, 0))[0]
 
 
 def test_bad_dims_rejected(a2_f2):
