@@ -1,27 +1,30 @@
 """On-disk persistence of enumeration state, keyed by a setup fingerprint.
 
 A cache file stores the isomorphism classes, orbit/automorphism counts and
-memoized subobject counts for one (quiver, field, periodicity) setup.  The
-fingerprint ties the file to the setup, and a sha256 digest of the payload
-bytes, written as the file's first key, ties the counts to what was saved;
-loading a file whose fingerprint, layout or digest does not match, or whose
-counts break the orbit identities, raises CacheInvalid.  Caching only affects
-speed, never results.
+subobject tables of one (quiver, field, periodicity) setup: for each class c
+that hall._subobject_table walks and each subobject dims d, the nonzero
+{(quotient, subobject): count}, empty tables included.  Closed-form Hall
+numbers are recomputed.  The fingerprint ties the file to the setup, and a
+sha256 digest of the payload bytes, written as the file's first key, ties the
+counts to what was saved; loading a file whose fingerprint, layout (older
+formats included) or digest does not match, whose counts break the orbit
+identities, or whose tables no route reads raises CacheInvalid.  Caching only
+affects speed, never results.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import os
-import uuid
 from pathlib import Path
 
 from .errors import CacheInvalid
-from .quivers import Quiver, canonical_quiver_json
+from .hall import _walked
+from .quivers import Quiver, canonical_quiver_json, dims_sub
 from .reps import ClassRegistry
 
 CACHE_ENV_VAR = "HALLFORGE_CACHE"
-CACHE_FORMAT = 2
+CACHE_FORMAT = 3
 _BODY_START = len(b'{"sha256":"",') + 64  # where the payload's first key starts
 
 
@@ -67,7 +70,7 @@ def _digest_head(body: bytes) -> bytes:
 def cached_size(reg: ClassRegistry) -> tuple[int, int, int]:
     """The sizes of the tables save_cache writes.  They only grow, so a registry
     whose sizes equal those just after a load would save the loaded contents."""
-    return (*reg.export_size(), len(reg.memo("hall_number")))
+    return (*reg.export_size(), len(reg.memo("subobject_table")))
 
 
 def save_cache(reg: ClassRegistry, t: int,
@@ -76,22 +79,22 @@ def save_cache(reg: ClassRegistry, t: int,
     path = cache_path(reg.quiver, reg.p, t, directory)
     if path is None:
         return None
-    hall = [[reg.class_id_str(a), reg.class_id_str(b), reg.class_id_str(c), int(v)]
-            for (a, b, c), v in sorted(reg.memo("hall_number").items(),
-                                       key=lambda kv: (kv[0][0].sort_key,
-                                                       kv[0][1].sort_key,
-                                                       kv[0][2].sort_key))]
+    name = reg.class_id_str
+    # A table keeps its walk's order, which depends only on the representative of c.
+    tables = [[name(c), list(d), [[name(a), name(b), n] for (a, b), n in table.items()]]
+              for (c, d), table in sorted(reg.memo("subobject_table").items(),
+                                          key=lambda kv: (kv[0][0].sort_key, kv[0][1]))]
     payload = {
         "format": CACHE_FORMAT,
         "fingerprint": setup_fingerprint(reg.quiver, reg.p, t),
         "q": reg.p,
         "t": t,
         "registry": reg.export_state(),
-        "hall_numbers": hall,
+        "subobject_tables": tables,
     }
     path.parent.mkdir(parents=True, exist_ok=True)
     # A temp file of its own per writer, so concurrent saves never share one.
-    tmp = path.with_name(f"{path.stem}.{uuid.uuid4().hex}.tmp")
+    tmp = path.with_name(f"{path.stem}.{os.urandom(16).hex()}.tmp")
     try:
         tmp.write_bytes(encode_cache(payload))
         tmp.replace(path)
@@ -124,14 +127,23 @@ def load_cache(reg: ClassRegistry, t: int,
             f"(found {payload.get('fingerprint')!r}, expected {expected!r})")
     if raw[:_BODY_START] != _digest_head(b"{" + raw[_BODY_START:]):
         raise CacheInvalid(f"cache file {path} does not match its sha256 digest")
-    reg.import_state(payload.get("registry", {}))
-    memo = reg.memo("hall_number")
+    ids = {reg.class_id_str(cid): cid for cid in reg.import_state(payload.get("registry", {}))}
+    memo = reg.memo("subobject_table")
     try:
-        rows = payload.get("hall_numbers", [])
-        # Each distinct class id is parsed once: the rows repeat a few dozen ids.
-        ids = {s: reg.parse_class_id(s) for s in dict.fromkeys(s for row in rows for s in row[:3])}
-        for a_s, b_s, c_s, v in rows:
-            memo[ids[a_s], ids[b_s], ids[c_s]] = int(v)
-    except Exception as e:
-        raise CacheInvalid(f"cache file {path} holds bad subobject counts: {e}") from None
+        for c_s, d, entries in payload.get("subobject_tables", []):
+            c, d = ids[c_s], tuple(d)
+            if not _walked(reg, c):
+                raise CacheInvalid(f"no route reads a table of {c_s}")
+            if len(d) != len(c.dims) or not all(type(x) is int and 0 <= x <= y
+                                                for x, y in zip(d, c.dims)):
+                raise CacheInvalid(f"subobject dims {d} do not fit in {c_s}")
+            table = memo[c, d] = {}
+            for a_s, b_s, n in entries:
+                a, b = ids[a_s], ids[b_s]
+                if (a.dims, b.dims) != (dims_sub(c.dims, d), d) or type(n) is not int or n < 1:
+                    raise CacheInvalid(f"entry {[a_s, b_s, n]} is no (quotient, subobject, "
+                                       f"positive count) of {c_s} by dims {d}")
+                table[a, b] = n
+    except (CacheInvalid, KeyError, TypeError, ValueError) as e:  # unknown ids: KeyError
+        raise CacheInvalid(f"cache file {path} holds a bad subobject table: {e}") from None
     return True

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import itertools
 import json
@@ -329,7 +330,9 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parse_args leaves it unchanged)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--quiver", metavar="PATH", default=None,
                         help="quiver description as JSON; default: one vertex, no arrows")

@@ -152,6 +152,11 @@ def _hall_number_rank_form(reg: ClassRegistry, a: IsoClassId, b: IsoClassId,
     return g
 
 
+def _walked(reg: ClassRegistry, c: IsoClassId) -> bool:
+    """Whether c's Hall numbers come from the subobject walk: no closed form covers c."""
+    return not (_is_split_class(c) or _arrows_vertex_disjoint(reg.quiver))
+
+
 def hall_number(reg: ClassRegistry, a: IsoClassId, b: IsoClassId, c: IsoClassId) -> int:
     """Number of subobjects of c isomorphic to b with quotient isomorphic to a."""
     if dims_add(a.dims, b.dims) != tuple(c.dims):
@@ -160,24 +165,24 @@ def hall_number(reg: ClassRegistry, a: IsoClassId, b: IsoClassId, c: IsoClassId)
     key = (a, b, c)
     if key in memo:
         return memo[key]
-    if _is_split_class(c):
+    if _walked(reg, c):
+        g = _subobject_table(reg, c, b.dims).get((a, b), 0)
+    elif _is_split_class(c):
         # Semisimple ambient: every subspace tuple is closed, subs and quotients
         # are semisimple of complementary dims, so only split a, b contribute.
         g = 0
         if _is_split_class(a) and _is_split_class(b):
             g = math.prod(gaussian_binomial(cv, bv, reg.p) for cv, bv in zip(c.dims, b.dims))
-    elif _arrows_vertex_disjoint(reg.quiver):
-        g = _hall_number_rank_form(reg, a, b, c)
     else:
-        g = _subobject_table(reg, c, b.dims).get((a, b), 0)
+        g = _hall_number_rank_form(reg, a, b, c)
     memo[key] = g
     return g
 
 
 def _subobject_table(reg: ClassRegistry, c: IsoClassId,
                      sub_dims: DimVec) -> dict[tuple[IsoClassId, IsoClassId], int]:
-    """{(quotient class, subobject class): count} over the subobjects of c of
-    dims sub_dims, from one walk that classifies each subobject and quotient."""
+    """{(quotient class, subobject class): nonzero count} over the subobjects of c
+    of dims sub_dims, from one classifying walk; the cache persists these tables."""
     memo = reg.memo("subobject_table")
     table = memo.get((c, sub_dims))
     if table is None:
@@ -211,21 +216,27 @@ def subquotient_tables(reg: ClassRegistry, c: IsoClassId) -> tuple[dict, dict]:
     """The nonzero Hall numbers of c, as ({I: [(m, g^c_{I,m})]}, {I: [(n, g^c_{n,I})]}).
 
     The first is keyed by quotient, the second by subobject; both fill in one
-    pass over subobject dims in subdimvecs order, subobject, then quotient.
+    pass over subobject dims in subdimvecs order, subobject, then quotient.  A
+    walked class reads its subobject tables, any other calls hall_number.
     """
     memo = reg.memo("subquotient_tables")
     tables = memo.get(c)
     if tables is None:
         by_quot: dict[IsoClassId, list] = {}
         by_sub: dict[IsoClassId, list] = {}
+        walked = _walked(reg, c)
         for dsub in subdimvecs(c.dims):
-            quots = reg.classes(dims_sub(c.dims, dsub))
-            for sub in reg.classes(dsub):
-                for quot in quots:
-                    g = hall_number(reg, quot, sub, c)
-                    if g:
-                        by_quot.setdefault(quot, []).append((sub, g))
-                        by_sub.setdefault(sub, []).append((quot, g))
+            if walked:
+                counts = sorted(_subobject_table(reg, c, dsub).items(),
+                                key=lambda kv: (kv[0][1].index, kv[0][0].index))
+            else:
+                quots = reg.classes(dims_sub(c.dims, dsub))
+                counts = (((quot, sub), hall_number(reg, quot, sub, c))
+                          for sub in reg.classes(dsub) for quot in quots)
+            for (quot, sub), g in counts:
+                if g:
+                    by_quot.setdefault(quot, []).append((sub, g))
+                    by_sub.setdefault(sub, []).append((quot, g))
         tables = memo[c] = (by_quot, by_sub)
     return tables
 

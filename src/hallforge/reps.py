@@ -207,8 +207,11 @@ def is_isomorphic(m: Rep, n: Rep, enum_bound: int = DEFAULT_ISO_ENUM_BOUND) -> b
     if m == n:
         return True
     d_end = hom_dim(m, m)
-    if hom_dim(n, n) != d_end:
-        return False
+    return hom_dim(n, n) == d_end and _isomorphic_given_end(m, n, d_end, enum_bound)
+
+
+def _isomorphic_given_end(m: Rep, n: Rep, d_end: int, enum_bound: int) -> bool:
+    """is_isomorphic(m, n) for m, n of equal dims whose End both have dimension d_end."""
     kernel = _hom_kernel(m, n)
     if len(kernel[0]) != d_end or hom_dim(n, m) != d_end:
         return False
@@ -434,8 +437,13 @@ class ClassRegistry:
         if rep.quiver != self.quiver or rep.p != self.p:
             raise IncompatibleObjects("representation belongs to a different registry")
         self.ensure_enumerated(rep.dims)
+        d_end = None  # dim End(rep), computed once the first candidate differs from rep
         for cid, cand in zip(self._ids[rep.dims], self._classes[rep.dims]):
-            if is_isomorphic(rep, cand, self.iso_enum_bound):
+            if rep == cand:
+                return cid
+            d_end = hom_dim(rep, rep) if d_end is None else d_end
+            if self.hom_dim_classes(cid, cid) == d_end and _isomorphic_given_end(
+                    rep, cand, d_end, self.iso_enum_bound):
                 return cid
         raise InternalInconsistency("representation matched no enumerated class")
 
@@ -519,14 +527,16 @@ class ClassRegistry:
         """(dimension vectors, Aut counts) in export_state; both only grow."""
         return len(self._classes), len(self._aut)
 
-    def import_state(self, state: dict) -> None:
-        """Load exported classes after checking their counts against theory.
+    def import_state(self, state: dict) -> list[IsoClassId]:
+        """Load exported classes after checking their counts against theory;
+        returns the ids of the loaded classes.
 
         Each stored Aut must satisfy |Aut| * orbit = prod |GL(d_v)|, and the
         orbits of one dimension vector must partition all p^{#entries} matrix
         tuples; a file that breaks either raises CacheInvalid.
         """
         from .errors import CacheInvalid
+        loaded: list[IsoClassId] = []
         try:
             for key, rows in state.get("classes", {}).items():
                 dims = self._check_dims(tuple(int(x) for x in key.split(",")))
@@ -550,12 +560,15 @@ class ClassRegistry:
                 if sum(orbits) != self.p ** n_entries:
                     raise CacheInvalid(f"stored orbits of dims {dims} do not add up to "
                                        f"{self.p}^{n_entries} matrix tuples")
-                for cid, orbit, aut in zip(self._store_classes(dims, reps), orbits, auts):
+                ids = self._store_classes(dims, reps)
+                loaded.extend(ids)
+                for cid, orbit, aut in zip(ids, orbits, auts):
                     self._orbit[cid] = orbit
                     if aut is not None:
                         self._aut[cid] = aut
         except (KeyError, ValueError, TypeError, IncompatibleObjects) as e:
             raise CacheInvalid(f"registry state failed validation: {e}") from None
+        return loaded
 
 
 #: aut_count(registry, cid) as a module-level name, which perfbench/tracing.py

@@ -11,9 +11,13 @@ from hallforge.cache import (CACHE_ENV_VAR, CACHE_FORMAT, cache_directory,
                              cache_path, encode_cache, load_cache, save_cache,
                              setup_fingerprint)
 from hallforge.errors import CacheInvalid
-from hallforge.hall import hall_number
-from hallforge.quivers import line_quiver
+from hallforge.hall import hall_number, subquotient_tables
+from hallforge.quivers import line_quiver, quiver_from_dict
 from hallforge.reps import ClassRegistry
+
+KRONECKER = quiver_from_dict({"vertices": ["1", "2"],
+                              "arrows": [{"src": "1", "dst": "2", "label": "a"},
+                                         {"src": "1", "dst": "2", "label": "b"}]})
 
 
 def warm_registry():
@@ -28,23 +32,60 @@ def warm_registry():
     return reg
 
 
+def warm_kronecker(reverse=False):
+    """A Kronecker registry over F_2 that walked every class of dims (1,1) and (1,2)."""
+    reg = ClassRegistry(KRONECKER, 2)
+    for dims in [(1, 2), (1, 1)] if reverse else [(1, 1), (1, 2)]:
+        for c in reg.classes(dims)[::-1 if reverse else 1]:
+            reg.aut_count(c)
+            subquotient_tables(reg, c)
+    return reg
+
+
 def test_roundtrip_restores_everything(tmp_path):
-    reg = warm_registry()
+    reg = warm_kronecker()
     path = save_cache(reg, 0, tmp_path)
     assert path is not None and path.exists()
 
-    fresh = ClassRegistry(line_quiver(2), 2)
+    fresh = ClassRegistry(KRONECKER, 2)
     assert load_cache(fresh, 0, tmp_path) is True
-    for dims in [(1, 0), (0, 1), (1, 1), (2, 1)]:
+    for dims in [(1, 0), (0, 1), (1, 1), (1, 2)]:
         assert [reg.class_id_str(c) for c in reg.classes(dims)] \
             == [fresh.class_id_str(c) for c in fresh.classes(dims)]
         for c in fresh.classes(dims):
             assert fresh.orbit_size(c) == reg.orbit_size(c)
             assert fresh.aut_count(c) == reg.aut_count(c)
-    assert fresh.memo("hall_number") == reg.memo("hall_number")
+    assert fresh.memo("subobject_table") == reg.memo("subobject_table")
+    # The 3 + 4 non-split classes of (1,1) and (1,2), each walked for all its subobject dims.
+    assert len(fresh.memo("subobject_table")) == 3 * 4 + 4 * 6
     # A re-save of the loaded state reproduces the file byte for byte.
     again = save_cache(fresh, 0, tmp_path)
     assert again.read_bytes() == path.read_bytes()
+
+
+def test_saved_bytes_do_not_depend_on_the_walk_order(tmp_path):
+    first = save_cache(warm_kronecker(), 0, tmp_path).read_bytes()
+    assert save_cache(warm_kronecker(reverse=True), 0, tmp_path).read_bytes() == first
+
+
+def test_saved_file_holds_no_zero_count(tmp_path):
+    reg = warm_kronecker()
+    assert 0 in {hall_number(reg, a, b, c) for c in reg.classes((1, 2))
+                 for a in reg.classes((1, 1)) for b in reg.classes((0, 1))}
+    payload = json.loads(save_cache(reg, 0, tmp_path).read_text())
+    counts = [n for _, _, entries in payload["subobject_tables"] for _, _, n in entries]
+    assert counts and min(counts) > 0
+
+
+def test_closed_form_quiver_file_holds_class_data_only(tmp_path):
+    reg = warm_registry()
+    for c in reg.classes((2, 1)):
+        subquotient_tables(reg, c)
+    assert reg.memo("hall_number")
+    payload = json.loads(save_cache(reg, 0, tmp_path).read_text())
+    assert payload["subobject_tables"] == []
+    assert set(payload) == {"sha256", "format", "fingerprint", "q", "t", "registry",
+                            "subobject_tables"}
 
 
 def test_load_without_file_or_directory(tmp_path, monkeypatch):
@@ -112,7 +153,7 @@ def test_bad_registry_state_is_rejected(tmp_path):
         "q": 2,
         "t": 0,
         "registry": {"classes": {"1": [{"mats": "nonsense", "orbit": "x"}]}},
-        "hall_numbers": [],
+        "subobject_tables": [],
     }
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(encode_cache(payload))
@@ -151,16 +192,87 @@ def test_file_is_json_led_by_the_digest_of_its_body(tmp_path):
     assert path.read_bytes() == encode_cache(payload)
 
 
-@pytest.mark.parametrize("old,new", [(b'"k1.0","k0.1","k1.1",1]', b'"k1.0","k0.1","k1.1",2]'),
+@pytest.mark.parametrize("old,new", [(b'"k1.1#1",[0,1],[["k1.0","k0.1",1]]]',
+                                      b'"k1.1#1",[0,1],[["k1.0","k0.1",2]]]'),
                                      (b'"sha256":"', b'"sha256":"0')],
                          ids=["hall-number", "digest"])
 def test_edited_bytes_break_the_digest(tmp_path, old, new):
-    path = save_cache(warm_registry(), 0, tmp_path)
+    path = save_cache(warm_kronecker(), 0, tmp_path)
     raw = path.read_bytes()
     assert raw.count(old) == 1
     path.write_bytes(raw.replace(old, new))
     with pytest.raises(CacheInvalid, match="digest"):
+        load_cache(ClassRegistry(KRONECKER, 2), 0, tmp_path)
+
+
+def _reseal_tables(tmp_path, edit):
+    """Save a warm Kronecker registry, apply edit to its stored subobject tables,
+    write the file again under a fresh digest, reload: what the table checks
+    catch in a file whose digest holds."""
+    path = save_cache(warm_kronecker(), 0, tmp_path)
+    payload = json.loads(path.read_text())
+    del payload["sha256"]
+    edit(payload["subobject_tables"])
+    path.write_bytes(encode_cache(payload))
+    load_cache(ClassRegistry(KRONECKER, 2), 0, tmp_path)
+
+
+def _table(tables, c, d):
+    return next(entries for c2, d2, entries in tables if (c2, d2) == (c, d))
+
+
+def test_a_table_of_a_split_class_is_rejected(tmp_path):
+    def add_split_table(tables):
+        tables.append(["k1.1", [0, 1], [["k1.0", "k0.1", 1]]])
+    with pytest.raises(CacheInvalid, match="no route reads"):
+        _reseal_tables(tmp_path, add_split_table)
+
+
+def test_a_table_on_a_vertex_disjoint_quiver_is_rejected(tmp_path):
+    reg = warm_registry()
+    path = save_cache(reg, 0, tmp_path)
+    payload = json.loads(path.read_text())
+    del payload["sha256"]
+    payload["subobject_tables"] = [["k1.1#1", [0, 1], [["k1.0", "k0.1", 1]]]]
+    path.write_bytes(encode_cache(payload))
+    with pytest.raises(CacheInvalid, match="no route reads"):
         load_cache(ClassRegistry(line_quiver(2), 2), 0, tmp_path)
+
+
+@pytest.mark.parametrize("d", [[2, 0], [0], [0, 1, 0], [-1, 2], [0, 1.5], "01"])
+def test_table_dims_must_fit_in_the_class(tmp_path, d):
+    def add_table(tables):
+        tables.append(["k1.1#1", d, []])
+    with pytest.raises(CacheInvalid, match="do not fit"):
+        _reseal_tables(tmp_path, add_table)
+
+
+@pytest.mark.parametrize("entry", [["k0.1", "k1.0", 1], ["k1.1", "k0.0", 1]],
+                         ids=["swapped", "wrong-dims"])
+def test_an_entry_must_be_quotient_and_subobject_of_the_table_dims(tmp_path, entry):
+    def misplace(tables):
+        _table(tables, "k1.1#1", [0, 1])[0] = entry
+    with pytest.raises(CacheInvalid, match="is no .quotient, subobject"):
+        _reseal_tables(tmp_path, misplace)
+
+
+@pytest.mark.parametrize("count", [0, -1, 1.0, "1", True, None])
+def test_a_count_must_be_a_positive_int(tmp_path, count):
+    def recount(tables):
+        _table(tables, "k1.1#1", [0, 1])[0][2] = count
+    with pytest.raises(CacheInvalid, match="positive count"):
+        _reseal_tables(tmp_path, recount)
+
+
+@pytest.mark.parametrize("where", [0, 1], ids=["table", "entry"])
+def test_an_unknown_class_id_is_rejected(tmp_path, where):
+    def rename(tables):
+        if where == 0:
+            tables[0][0] = "k1.1#9"
+        else:
+            _table(tables, "k1.1#1", [0, 1])[0][0] = "k5.0"
+    with pytest.raises(CacheInvalid, match="k1.1#9|k5.0"):
+        _reseal_tables(tmp_path, rename)
 
 
 def test_stored_aut_must_satisfy_orbit_stabilizer(tmp_path):

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from hallforge import algebra, cli
-from hallforge.cache import CACHE_ENV_VAR, cache_path
+from hallforge.cache import CACHE_ENV_VAR, CACHE_FORMAT, cache_path, encode_cache
 from hallforge.errors import DivisionByZero, InternalInconsistency, NotAPureQPower
 from hallforge.quivers import line_quiver, quiver_to_dict
 
@@ -266,42 +266,79 @@ def test_doubled_cached_aut_is_rejected_not_used(capsys, tmp_path, monkeypatch):
     assert again["results"] == report["results"]
 
 
-def _double_cached_k1_k1_k2(text: str, in_place: bool) -> str:
+def _double_cached_kronecker_entry(text: str, in_place: bool) -> str:
+    """Double the stored count of S1 as the quotient of k1.1#1 by S2."""
+    entry = '"k1.1#1",[0,1],[["k1.0","k0.1",1]]]'
     if in_place:  # same bytes around it, so only the digest can tell
-        assert text.count('["k1","k1","k2",3]') == 1
-        return text.replace('["k1","k1","k2",3]', '["k1","k1","k2",6]')
+        assert text.count(entry) == 1
+        return text.replace(entry, entry.replace("1]]]", "2]]]"))
     payload = json.loads(text)
-    row = next(r for r in payload["hall_numbers"] if r[:3] == ["k1", "k1", "k2"])
-    row[3] *= 2
+    table = next(t for t in payload["subobject_tables"] if t[:2] == ["k1.1#1", [0, 1]])
+    table[2][0][2] *= 2
     return json.dumps(payload)
 
 
 @pytest.mark.parametrize("in_place", [False, True], ids=["rewritten", "in-place"])
 def test_doubled_cached_hall_number_is_rejected_not_used(capsys, tmp_path, monkeypatch,
                                                          in_place):
-    monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
-    argv = ("dha-mul", "--t", "1", "--lhs", "[k1@0]", "--rhs", "[k1@0]")
-    code, report, _ = run_cli(capsys, *argv)
-    assert code == 0 and report["results"]["product"]["[k2@0]"] == "0 + 3/2*v"
-    path = cache_path(line_quiver(1), 2, 1)
-    path.write_text(_double_cached_k1_k1_k2(path.read_text(), in_place))
-
-    code, again, err = run_cli(capsys, *argv)
-    assert code == 0 and "ignoring cache" in err and "digest" in err
-    assert again["results"]["product"]["[k2@0]"] == "0 + 3/2*v"
-
-
-def test_warm_gamma_report_equals_the_cold_one(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "cache"))
     quiver = tmp_path / "kronecker.json"
     quiver.write_text(json.dumps(KRONECKER))
-    argv = ("gamma", "--max-dim", "3", "--quiver", str(quiver))
+    argv = ("hall", "--dim", "1,1", "--quiver", str(quiver))
+    code, report, _ = run_cli(capsys, *argv)
+    row = {"a": "k1.0", "b": "k0.1", "c": "k1.1#1", "value": 1}
+    assert code == 0 and row in report["results"]["hall_numbers"]
+    path = cache_path(cli.load_quiver(str(quiver)), 2, 0)
+    path.write_text(_double_cached_kronecker_entry(path.read_text(), in_place))
+
+    code, again, err = run_cli(capsys, *argv)
+    assert code == 0 and "ignoring cache" in err and "digest" in err
+    assert again["results"] == report["results"]
+
+
+def test_warm_gamma_report_equals_the_cold_one(capsys, tmp_path, monkeypatch):
+    _assert_warm_report_equals_the_cold_one(capsys, tmp_path, monkeypatch,
+                                            "gamma", "--max-dim", "3")
+
+
+@pytest.mark.parametrize("command", ["hall", "classes"])
+def test_warm_report_equals_the_cold_one(capsys, tmp_path, monkeypatch, command):
+    _assert_warm_report_equals_the_cold_one(capsys, tmp_path, monkeypatch,
+                                            command, "--max-dim", "4")
+
+
+def _assert_warm_report_equals_the_cold_one(capsys, tmp_path, monkeypatch, *argv):
+    monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "cache"))
+    quiver = tmp_path / "kronecker.json"
+    quiver.write_text(json.dumps(KRONECKER))
+    argv = (*argv, "--quiver", str(quiver))
     code, cold, err = run_cli(capsys, *argv)
     assert code == 0 and err == "" and cold["results"]["count"] > 0
     code, warm, err = run_cli(capsys, *argv)
     assert code == 0 and err == ""
     cold.pop("timing_ms"), warm.pop("timing_ms")
     assert warm == cold
+
+
+def test_older_format_file_is_rejected_then_rebuilt(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "cache"))
+    quiver = tmp_path / "kronecker.json"
+    quiver.write_text(json.dumps(KRONECKER))
+    argv = ("hall", "--max-dim", "2", "--quiver", str(quiver))
+    code, cold, _ = run_cli(capsys, *argv)
+    path = cache_path(cli.load_quiver(str(quiver)), 2, 0)
+    payload = json.loads(path.read_text())
+    del payload["sha256"], payload["subobject_tables"]
+    payload["format"] = 2
+    payload["hall_numbers"] = [["k1.0", "k0.1", "k1.1#1", 1]]
+    path.write_bytes(encode_cache(payload))
+
+    code, again, err = run_cli(capsys, *argv)
+    assert code == 0 and "ignoring cache" in err and "unsupported layout" in err
+    assert again["results"] == cold["results"]
+    assert json.loads(path.read_text())["format"] == CACHE_FORMAT
+    code, warm, err = run_cli(capsys, *argv)
+    assert code == 0 and err == "" and warm["results"] == cold["results"]
 
 
 def test_cache_file_is_rewritten_only_when_the_run_added_to_it(capsys, tmp_path, monkeypatch):
@@ -318,6 +355,35 @@ def test_cache_file_is_rewritten_only_when_the_run_added_to_it(capsys, tmp_path,
     # Sweeping further computes new Hall numbers, which are written.
     assert run_cli(capsys, "hall", "--max-dim", "3", "--quiver", str(quiver))[0] == 0
     assert len(path.read_bytes()) > len(before[0])
+
+
+def test_dispatch_calls_in_one_process_share_no_state(tmp_path, monkeypatch):
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    runs = [("classes", "--max-dim", "3"),
+            ("hall", "--dim", "2", "--csv", str(tmp_path / "rows.csv")),
+            ("hall",),
+            ("classes", "--dim", "1", "--q", "3"),
+            ("classes",)]
+
+    def reports(fresh_parser: bool) -> list:
+        out = []
+        for argv in runs:
+            if fresh_parser:
+                cli.build_parser.cache_clear()
+            report, code = cli.dispatch(list(argv))
+            report.pop("timing_ms")
+            rows = tmp_path / "rows.csv"
+            out.append((code, report, rows.read_text() if rows.exists() else None))
+        return out
+
+    fresh = reports(True)
+    (tmp_path / "rows.csv").unlink()
+    assert cli.build_parser() is cli.build_parser()
+    assert reports(False) == fresh
+    assert [r["results"]["count"] for _, r, _ in fresh] == [4, 3, 6, 1, 3]
+    # Only the --csv run writes rows; later runs leave its 3 rows as they are.
+    assert [None if text is None else text.count("\n") for _, _, text in fresh] \
+        == [None, 4, 4, 4, 4]
 
 
 def test_no_q_power_in_the_engine_is_an_internal_fault(capsys, monkeypatch):
