@@ -14,7 +14,7 @@ from .complexes import (GradedObject, check_period, class_at_or_zero,
                         dt_hom_with_cone_count, format_graded, graded_object,
                         hom_dt_count, stalk)
 from .errors import IncompatibleObjects, RewriteBudgetExceeded, UnsupportedPeriod
-from .hall import ext1_count, euler_add, euler_mult, euler_table, gamma_terms, hall_number
+from .hall import ext1_count, euler_table, gamma_terms, hall_number
 from .quivers import dims_add, dims_sub, subdimvecs
 from .reps import ClassRegistry, IsoClassId
 from .scalars import QSqrtScalar, q_exponent, sqrt_of_fraction
@@ -49,7 +49,7 @@ class HallVector:
     def add(self, other: "HallVector") -> "HallVector":
         out = dict(self.terms)
         for g, c in other.terms.items():
-            s = out.get(g, QSqrtScalar.zero(self.q)) + c
+            s = out[g] + c if g in out else c
             if s:
                 out[g] = s
             else:
@@ -307,7 +307,7 @@ class DerivedHall:
         h, e = self._lt_paths(a, b, range(lo, hi + 1), euler_exp)
         return HallVector(self.q, {
             GradedObject(0, quiver.n, xs):
-                QSqrtScalar.v_power(self.q, 2 * (e + pref_exp), Fraction(w, aut_ab))
+                QSqrtScalar.v_power(self.q, 2 * (e + pref_exp), w, aut_ab)
             for xs, w in h.items()})
 
     def lt_mul_odd(self, a: GradedObject, b: GradedObject) -> HallVector:
@@ -347,7 +347,7 @@ class DerivedHall:
             for _i, x_cls in xs:
                 aut_x *= reg.aut_count(x_cls)
             out[g] = QSqrtScalar.v_power(self.q, sqrt_exp + 2 * e + v_g - v_a - v_b,
-                                         Fraction(w * aut_g, aut_x * aut_a * aut_b))
+                                         w * aut_g, aut_x * aut_a * aut_b)
         return HallVector(self.q, out)
 
     # -- normalization invariants --------------------------------------------
@@ -437,8 +437,7 @@ class DerivedHall:
                     break
             if spot is None:
                 g = graded_object(0, reg.quiver.n, [(d, c) for c, d in w])
-                acc = done.get(g, QSqrtScalar.zero(self.q)) + coeff
-                done[g] = acc
+                done[g] = done[g] + coeff if g in done else coeff
                 continue
             steps += 1
             if steps > budget:
@@ -457,22 +456,33 @@ class DerivedHall:
             elif m_deg == n_deg + 1:
                 # Adjacent degrees: straighten through 4-term exact sequences.
                 for m_cls, n_cls, gamma in gamma_terms(reg, right_cls, left_cls):
-                    factor = gamma / euler_mult(reg, n_cls.dims, m_cls.dims)
+                    factor = self._straighten_factor(gamma, n_cls, m_cls)
                     nw = head
                     if n_cls.total_dim:
                         nw = nw + ((n_cls, m_deg),)
                     if m_cls.total_dim:
                         nw = nw + ((m_cls, n_deg),)
                     nw = nw + tail
-                    self._push(pending, nw, coeff * self.rational(factor))
+                    self._push(pending, nw, coeff * factor)
             else:
                 # Far degrees: commute up to an Euler-form power.
-                e = euler_add(reg.quiver, right_cls.dims, left_cls.dims)
-                sign = 1 if (m_deg - n_deg) % 2 == 0 else -1
-                factor = self.rational(euler_mult(reg, right_cls.dims, left_cls.dims) ** sign)
+                factor = self._commute_factor(right_cls, left_cls, m_deg - n_deg)
                 nw = head + ((right_cls, m_deg), (left_cls, n_deg)) + tail
                 self._push(pending, nw, coeff * factor)
         return HallVector(self.q, done)
+
+    def _straighten_factor(self, gamma: Fraction, n_cls: IsoClassId,
+                           m_cls: IsoClassId) -> QSqrtScalar:
+        """The adjacent-degree rule's scalar gamma / <n, m>, where the
+        multiplicative Euler form <n, m> is q^{euler_add(n, m)}."""
+        e = euler_table(self.reg)[n_cls.dims, m_cls.dims]
+        return QSqrtScalar.v_power(self.q, -2 * e, gamma.numerator, gamma.denominator)
+
+    def _commute_factor(self, right_cls: IsoClassId, left_cls: IsoClassId,
+                        gap: int) -> QSqrtScalar:
+        """<right, left>^{(-1)^gap}: the scalar of the far-degree rule."""
+        e = euler_table(self.reg)[right_cls.dims, left_cls.dims]
+        return QSqrtScalar.v_power(self.q, 2 * e if gap % 2 == 0 else -2 * e)
 
     @staticmethod
     def _push(pending: dict, w: Word, c: QSqrtScalar) -> None:
@@ -493,7 +503,7 @@ class DerivedHall:
             return QSqrtScalar.zero(self.q)
         hom_total = hom_dt_count(self.reg, a, b, shift=0)
         return (self.rational(count)
-                * sqrt_of_fraction(self.q, Fraction(1, hom_total))
+                * QSqrtScalar.rational(self.q, 1, hom_total).sqrt()
                 * self.a_prime(x) / (self.a_prime(a) * self.a_prime(b)))
 
     def rp_product_t1(self, a: GradedObject, b: GradedObject) -> HallVector:
@@ -576,7 +586,7 @@ def relation_check(reg: ClassRegistry, family: str, a_cls: IsoClassId, b_cls: Is
         lhs = dh.multiply_graded(dh.stalk(b_cls, n), dh.stalk(a_cls, n + 1))
         rhs = HallVector(q)
         for m_cls, n_cls, gamma in gamma_terms(reg, a_cls, b_cls):
-            factor = gamma / euler_mult(reg, n_cls.dims, m_cls.dims)
+            factor = dh._straighten_factor(gamma, n_cls, m_cls)
             prod = dh.multiply(dh.stalk_vector(n_cls, n + 1), dh.stalk_vector(m_cls, n))
             rhs = rhs.add(prod.scale(factor))
         return _compare(f"dh0_44[deg {n}]", lhs, rhs)
@@ -586,8 +596,7 @@ def relation_check(reg: ClassRegistry, family: str, a_cls: IsoClassId, b_cls: Is
         if offset < 2:
             raise IncompatibleObjects("dh0_45 needs a degree gap of at least 2")
         lhs = dh.multiply_graded(dh.stalk(b_cls, n), dh.stalk(a_cls, m))
-        sign = 1 if (m - n) % 2 == 0 else -1
-        factor = euler_mult(reg, a_cls.dims, b_cls.dims) ** sign
+        factor = dh._commute_factor(a_cls, b_cls, m - n)
         rhs = dh.multiply_graded(dh.stalk(a_cls, m), dh.stalk(b_cls, n)).scale(factor)
         return _compare(f"dh0_45[deg {n}, gap {offset}]", lhs, rhs)
 
@@ -602,7 +611,7 @@ def relation_check(reg: ClassRegistry, family: str, a_cls: IsoClassId, b_cls: Is
         for g, _c in rhs.items():
             count = dt_hom_with_cone_count(reg, a_g, b_g, g)
             hom_total = hom_dt_count(reg, a_g, b_g, shift=0)
-            alt_c = (dh.rational(count) * sqrt_of_fraction(q, Fraction(1, hom_total))
+            alt_c = (dh.rational(count) * QSqrtScalar.rational(q, 1, hom_total).sqrt()
                      * dh.a_prime_endo_literal(g) / denom)
             if alt_c:
                 alt = alt.add(HallVector(q, {g: alt_c}))
@@ -615,7 +624,7 @@ def relation_check(reg: ClassRegistry, family: str, a_cls: IsoClassId, b_cls: Is
     if family == "dh3_r1":
         lhs = dh.multiply_graded(dh.stalk(a_cls, n), dh.stalk(b_cls, n))
         rhs = HallVector(q)
-        e_ba = euler_add(reg.quiver, b_cls.dims, a_cls.dims)
+        e_ba = euler_table(reg)[b_cls.dims, a_cls.dims]
         for c_cls in reg.classes(dims_add(a_cls.dims, b_cls.dims)):
             g = hall_number(reg, a_cls, b_cls, c_cls)
             if g:
@@ -626,18 +635,15 @@ def relation_check(reg: ClassRegistry, family: str, a_cls: IsoClassId, b_cls: Is
     if family == "dh3_r2":
         lhs = dh.multiply_graded(dh.stalk(b_cls, n), dh.stalk(a_cls, n + 1))
         rhs = HallVector(q)
-        quiver = reg.quiver
-        e_aa = euler_add(quiver, a_cls.dims, a_cls.dims)
-        e_bb = euler_add(quiver, b_cls.dims, b_cls.dims)
-        e_ba = euler_add(quiver, b_cls.dims, a_cls.dims)
+        euler = euler_table(reg)
+        e_aa = euler[a_cls.dims, a_cls.dims]
+        e_bb = euler[b_cls.dims, b_cls.dims]
+        e_ba = euler[b_cls.dims, a_cls.dims]
         for m_cls, n_cls, gamma in gamma_terms(reg, a_cls, b_cls):
             dm, dn = m_cls.dims, n_cls.dims
-            e_mm = euler_add(quiver, dm, dm)
-            e_nn = euler_add(quiver, dn, dn)
-            e_nm = euler_add(quiver, dn, dm)
-            scalar = (dh.rational(gamma)
-                      * dh.v_power(e_aa + e_bb - e_mm - e_nn)
-                      * dh.v_power(-(e_ba + e_nm)))
+            scalar = QSqrtScalar.v_power(
+                q, e_aa + e_bb - euler[dm, dm] - euler[dn, dn] - e_ba - euler[dn, dm],
+                gamma.numerator, gamma.denominator)
             prod = dh.multiply(dh.stalk_vector(n_cls, n + 1), dh.stalk_vector(m_cls, n))
             rhs = rhs.add(prod.scale(scalar))
         return _compare(f"dh3_r2[deg {n}]", lhs, rhs)
@@ -651,8 +657,8 @@ def relation_check(reg: ClassRegistry, family: str, a_cls: IsoClassId, b_cls: Is
         # terms appear on one side only and no scalar commutation can hold.
         raise IncompatibleObjects(f"degree gap must lie in 2..{dh.t - 2}")
     lhs = dh.multiply_graded(dh.stalk(a_cls, n), dh.stalk(b_cls, j))
-    e_sym = (euler_add(reg.quiver, a_cls.dims, b_cls.dims)
-             + euler_add(reg.quiver, b_cls.dims, a_cls.dims))
+    euler = euler_table(reg)
+    e_sym = euler[a_cls.dims, b_cls.dims] + euler[b_cls.dims, a_cls.dims]
     sign = 1 if offset % 2 == 0 else -1
     factor = dh.v_power(sign * e_sym)
     rhs = dh.multiply_graded(dh.stalk(b_cls, j), dh.stalk(a_cls, n)).scale(factor)

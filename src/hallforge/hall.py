@@ -46,7 +46,7 @@ def euler_table(reg: ClassRegistry) -> dict[tuple[DimVec, DimVec], int]:
 
 def euler_mult(reg: ClassRegistry, d1: DimVec, d2: DimVec) -> Fraction:
     """Multiplicative Euler form |Hom|/|Ext1| = q^{euler_add}; depends only on dims."""
-    return Fraction(reg.p) ** euler_add(reg.quiver, d1, d2)
+    return Fraction(reg.p) ** euler_table(reg)[tuple(d1), tuple(d2)]
 
 
 def ext1_dim(reg: ClassRegistry, a: IsoClassId, b: IsoClassId) -> int:

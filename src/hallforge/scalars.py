@@ -1,62 +1,119 @@
 """Exact arithmetic in Q(sqrt(q)) for a fixed prime q.
 
-A scalar is a + b*sqrt(q) with rational a, b.  Since sqrt(q) is irrational,
-the representation is unique, equality is componentwise, and a nonzero scalar
-always has an inverse (conjugate over norm).  Square roots are only taken of
-verified pure powers of q; anything else raises NotAPureQPower.
+A scalar a + b*sqrt(q) is one integer triple (x, y, d) meaning
+(x + y*sqrt(q)) / d, kept canonical: d > 0 and gcd(x, y, d) = 1.  Since
+sqrt(q) is irrational the value fixes the triple, so equality and hashing are
+componentwise; each operation reduces its result with one math.gcd, and a
+nonzero scalar has an inverse (conjugate over norm).  Fractions appear only at
+the edges: the a and b properties, as_fraction and rational arguments.  Square
+roots are only taken of verified pure powers of q; anything else raises
+NotAPureQPower.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import DivisionByZero, IncompatibleObjects, NotAPureQPower
+
+
+def _ratio_str(num: int, den: int) -> str:
+    """num/den in lowest terms, printed as str(Fraction(num, den)) prints it."""
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def _q_exponent(num: int, den: int, q: int) -> int:
+    """e with num/den == q**e (lowest terms, den > 0); NotAPureQPower when there is none."""
+    n, m, sign = num, den, 1
+    if 0 < n < m:
+        n, m, sign = m, n, -1
+    e = 0
+    while n > 1 and n % q == 0:
+        n //= q
+        e += 1
+    if n != 1 or m != 1:
+        raise NotAPureQPower(f"{_ratio_str(num, den)} is not an integer power of {q}")
+    return sign * e
 
 
 def q_exponent(x, q: int) -> int:
     """e with x == q**e; NotAPureQPower when there is none."""
     x = Fraction(x)
-    num, den, sign = x.numerator, x.denominator, 1
-    if 0 < x < 1:
-        num, den, sign = den, num, -1
-    e = 0
-    while num > 1 and num % q == 0:
-        num //= q
-        e += 1
-    if num != 1 or den != 1:
-        raise NotAPureQPower(f"{x} is not an integer power of {q}")
-    return sign * e
+    return _q_exponent(x.numerator, x.denominator, q)
 
 
-@dataclass(frozen=True, slots=True)
+_new = object.__new__
+
+
+def _make(q: int, x: int, y: int, d: int) -> "QSqrtScalar":
+    """(x + y*sqrt(q)) / d from d > 0, reduced by the common divisor of x, y, d."""
+    g = gcd(x, y, d)
+    if g != 1:
+        x, y, d = x // g, y // g, d // g
+    s = _new(QSqrtScalar)
+    s.q = q
+    s.x = x
+    s.y = y
+    s.d = d
+    return s
+
+
 class QSqrtScalar:
-    """a + b*sqrt(q), exact."""
+    """(x + y*sqrt(q)) / d, exact, with d > 0 and gcd(x, y, d) = 1.
 
-    q: int
-    a: Fraction
-    b: Fraction
+    QSqrtScalar(q, a, b) is a + b*sqrt(q) for rationals a, b.  Instances are
+    values: the operations build new ones and never change an existing one.
+    """
+
+    __slots__ = ("q", "x", "y", "d")
+
+    def __init__(self, q: int, a, b):
+        a, b = Fraction(a), Fraction(b)
+        x, y = a.numerator * b.denominator, b.numerator * a.denominator
+        d = a.denominator * b.denominator
+        g = gcd(x, y, d)
+        self.q, self.x, self.y, self.d = q, x // g, y // g, d // g
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.x, self.d)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.y, self.d)
 
     @staticmethod
-    def rational(q: int, x) -> "QSqrtScalar":
-        return QSqrtScalar(q, Fraction(x), Fraction(0))
+    def rational(q: int, num, den: int = 1) -> "QSqrtScalar":
+        """num / den for an int (or rational) num and an int den."""
+        return QSqrtScalar.v_power(q, 0, num, den)
 
     @staticmethod
     def zero(q: int) -> "QSqrtScalar":
-        return QSqrtScalar.rational(q, 0)
+        return _make(q, 0, 0, 1)
 
     @staticmethod
     def one(q: int) -> "QSqrtScalar":
-        return QSqrtScalar.rational(q, 1)
+        return _make(q, 1, 0, 1)
 
     @staticmethod
-    def v_power(q: int, e: int, coeff: int | Fraction = 1) -> "QSqrtScalar":
-        """coeff * (sqrt q)^e for any integer e and rational coeff."""
+    def v_power(q: int, e: int, num=1, den: int = 1) -> "QSqrtScalar":
+        """(num / den) * (sqrt q)^e for any integer e, int (or rational) num and int den."""
+        if type(num) is not int:
+            num = Fraction(num)
+            num, den = num.numerator, num.denominator * den
+        if den <= 0:
+            if den == 0:
+                raise DivisionByZero("scalar with denominator 0")
+            num, den = -num, -den
         # Floor division keeps odd in {0, 1} for negative e as well.
         half, odd = e // 2, e % 2
-        base = Fraction(q) ** half * coeff
-        if odd:
-            return QSqrtScalar(q, Fraction(0), base)
-        return QSqrtScalar(q, base, Fraction(0))
+        if half >= 0:
+            num *= q ** half
+        else:
+            den *= q ** -half
+        return _make(q, 0, num, den) if odd else _make(q, num, 0, den)
 
     def _coerce(self, other) -> "QSqrtScalar":
         if isinstance(other, QSqrtScalar):
@@ -68,15 +125,18 @@ class QSqrtScalar:
         return NotImplemented
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is QSqrtScalar and other.q == self.q else self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return QSqrtScalar(self.q, self.a + o.a, self.b + o.b)
+        d1, d2 = self.d, o.d
+        if d1 == d2:
+            return _make(self.q, self.x + o.x, self.y + o.y, d1)
+        return _make(self.q, self.x * d2 + o.x * d1, self.y * d2 + o.y * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QSqrtScalar(self.q, -self.a, -self.b)
+        return _make(self.q, -self.x, -self.y, self.d)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -89,24 +149,24 @@ class QSqrtScalar:
         return o - self if o is not NotImplemented else NotImplemented
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is QSqrtScalar and other.q == self.q else self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        a, b, c, d = self.a, self.b, o.a, o.b
-        if not b:  # skip the products of a zero half, whose zero is reused
-            return QSqrtScalar(self.q, a * c if c else c, a * d if d else d)
-        if not a:
-            return QSqrtScalar(self.q, self.q * b * d if d else d, b * c if c else c)
-        return QSqrtScalar(self.q, a * c + self.q * b * d, a * d + b * c)
+        q, x1, y1, x2, y2 = self.q, self.x, self.y, o.x, o.y
+        return _make(q, x1 * x2 + q * y1 * y2, x1 * y2 + y1 * x2, self.d * o.d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QSqrtScalar":
-        norm = self.a * self.a - self.q * self.b * self.b
+        x, y, d = self.x, self.y, self.d
+        norm = x * x - self.q * y * y
         if norm == 0:
             # sqrt(q) irrational: norm vanishes only for the zero scalar.
             raise DivisionByZero("cannot invert the zero scalar")
-        return QSqrtScalar(self.q, self.a / norm, -self.b / norm)
+        if norm < 0:
+            x, y, norm = -x, -y, -norm
+        # 1 / ((x + y sqrt q) / d) = d (x - y sqrt q) / norm.
+        return _make(self.q, d * x, -d * y, norm)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -130,22 +190,31 @@ class QSqrtScalar:
             e >>= 1
         return out
 
+    def __eq__(self, other) -> bool:
+        if type(other) is not QSqrtScalar:
+            return NotImplemented
+        return (self.x == other.x and self.y == other.y and self.d == other.d
+                and self.q == other.q)
+
+    def __hash__(self) -> int:
+        return hash((self.q, self.x, self.y, self.d))
+
     def __bool__(self) -> bool:
-        return self.a != 0 or self.b != 0
+        return self.x != 0 or self.y != 0
 
     def as_fraction(self) -> Fraction:
-        if self.b != 0:
+        if self.y != 0:
             raise NotAPureQPower(f"{self} is irrational")
-        return self.a
+        return Fraction(self.x, self.d)
 
     def sqrt(self) -> "QSqrtScalar":
         """Square root, defined only for positive pure powers of q."""
-        if self.b != 0:
+        if self.y != 0:
             raise NotAPureQPower(f"square root of {self} is outside Q(sqrt {self.q})")
-        return QSqrtScalar.v_power(self.q, q_exponent(self.a, self.q))
+        return QSqrtScalar.v_power(self.q, _q_exponent(self.x, self.d, self.q))
 
     def __str__(self) -> str:
-        return f"{self.a} + {self.b}*v"
+        return f"{_ratio_str(self.x, self.d)} + {_ratio_str(self.y, self.d)}*v"
 
     __repr__ = __str__
 

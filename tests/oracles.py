@@ -6,7 +6,9 @@ and everything is counted one map at a time.  Chain maps are per-degree
 morphisms checked against the differentials one at a time, not solutions of
 one linear system.  Slow but transparent.  The one exception is
 gamma_by_middle_class_sum, which sums Hall numbers one gamma coefficient at a
-time to check the join in hall.gamma_terms.
+time to check the join in hall.gamma_terms.  FractionPairScalar is the
+plain pair-of-Fractions model of Q(sqrt q) that hallforge.scalars' integer
+triples are checked against.
 """
 from __future__ import annotations
 
@@ -218,3 +220,50 @@ def hall_number_ct_injection_oracle(reg: ClassRegistry, a: GradedObject, b: Grad
     aut_b = math.prod(reg.aut_count(cls) for _, cls in b.components)
     assert count % aut_b == 0
     return count // aut_b
+
+
+class FractionPairScalar:
+    """a + b*sqrt(q) held as two Fractions, with the textbook field operations."""
+
+    def __init__(self, q: int, a, b=0):
+        self.q, self.a, self.b = q, Fraction(a), Fraction(b)
+
+    def __add__(self, other: "FractionPairScalar") -> "FractionPairScalar":
+        return FractionPairScalar(self.q, self.a + other.a, self.b + other.b)
+
+    def __neg__(self) -> "FractionPairScalar":
+        return FractionPairScalar(self.q, -self.a, -self.b)
+
+    def __sub__(self, other: "FractionPairScalar") -> "FractionPairScalar":
+        return self + (-other)
+
+    def __mul__(self, other: "FractionPairScalar") -> "FractionPairScalar":
+        return FractionPairScalar(self.q, self.a * other.a + self.q * self.b * other.b,
+                                  self.a * other.b + self.b * other.a)
+
+    def inverse(self) -> "FractionPairScalar":
+        # The norm vanishes only for zero, where the divisions below raise.
+        norm = self.a * self.a - self.q * self.b * self.b
+        return FractionPairScalar(self.q, self.a / norm, -self.b / norm)
+
+    def __truediv__(self, other: "FractionPairScalar") -> "FractionPairScalar":
+        return self * other.inverse()
+
+    def __pow__(self, e: int) -> "FractionPairScalar":
+        base = self if e >= 0 else self.inverse()
+        out = FractionPairScalar(self.q, 1)
+        for _ in range(abs(e)):
+            out = out * base
+        return out
+
+    def __eq__(self, other) -> bool:
+        return (self.q, self.a, self.b) == (other.q, other.a, other.b)
+
+    def __hash__(self) -> int:
+        return hash((self.q, self.a, self.b))
+
+    def __bool__(self) -> bool:
+        return bool(self.a or self.b)
+
+    def __str__(self) -> str:
+        return f"{self.a} + {self.b}*v"

@@ -115,6 +115,19 @@ def test_associativity_bounded_odd(a1_f2, a2_f2, t):
     timed(f"associativity t={t} (objects {counts})", start)
 
 
+def test_associativity_a1_t5_full(a1_f2):
+    """All 9,261 triples of 5-periodic A1 objects with total dimension <= 2.
+    The A2 sweep at t = 5 (357,911 triples) is a recorded CLI run instead."""
+    start = time.monotonic()
+    dh = DerivedHall(a1_f2, 5)
+    objs = graded_objects_within(a1_f2, 5, 2)
+    assert len(objs) == 21
+    for a, b, c in itertools.product(objs, repeat=3):
+        res = dh.assoc_check(a, b, c)
+        assert res.ok, (a, b, c, res.mismatches)
+    timed("associativity t=5 on A1 (9261 triples)", start)
+
+
 # -- 3: the t=1 product against independent cone counting ------------------------------
 
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -426,3 +427,27 @@ def test_word_rewriting_is_t0_only(d1, a1_f2):
     k = k_class(a1_f2, 1)
     with pytest.raises(UnsupportedPeriod):
         d1.normalize_generator_word(((k, 0),))
+
+
+def test_memo_hit_assoc_pass_builds_no_fraction(a2_f2, monkeypatch):
+    """Scalars are integer triples: once the products are memoized, a second
+    pass of t = 5 associativity checks builds no Fraction at all."""
+    dh = DerivedHall(a2_f2, 5)
+    objs = graded_objects_within(a2_f2, 5, 2)
+    n = len(objs)
+    codes = random.Random(5).sample(range(n ** 3), 200)
+    triples = [(objs[c // (n * n)], objs[c // n % n], objs[c % n]) for c in codes]
+    for a, b, c in triples:
+        assert dh.assoc_check(a, b, c).ok
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    for a, b, c in triples:
+        assert dh.assoc_check(a, b, c).ok
+    monkeypatch.undo()
+    assert not built, f"{len(built)} Fractions built, the first from {built[0]}"
