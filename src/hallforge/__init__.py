@@ -13,13 +13,11 @@ from .algebra import (RELATION_FAMILIES, CheckResult, DerivedHall, HallVector,
 from .cache import (CACHE_ENV_VAR, cache_path, load_cache, save_cache,
                     setup_fingerprint)
 from .complexes import (ComplexObj, GradedObject, alt_hom_explicit,
-                        alt_hom_product, aut_ct_count, check_period,
-                        class_at_or_zero, complex_obj, dt_hom_with_cone_count,
-                        enumerate_complex_classes, ext1_ct_middle_count,
-                        format_graded, graded_object, hall_number_ct,
-                        hom_ct_count, hom_ct_dim, hom_dt_count, homology,
-                        parse_graded, stalk, validate_complex,
-                        zero_diff_complex)
+                        alt_hom_product, check_period, class_at_or_zero,
+                        complex_obj, cone_counts, dt_hom_with_cone_count,
+                        enumerate_complex_classes, format_graded,
+                        graded_object, hom_dt_count, homology, parse_graded,
+                        stalk, validate_complex, zero_diff_complex)
 from .errors import (CacheInvalid, DivisionByZero, EnumerationTooLarge,
                      HallforgeError, IncompatibleObjects, InternalInconsistency,
                      InvalidField, NotAPureQPower, NotASubobject,
@@ -48,12 +46,10 @@ __all__ = [
     "CACHE_ENV_VAR", "cache_path", "load_cache", "save_cache",
     "setup_fingerprint",
     "ComplexObj", "GradedObject", "alt_hom_explicit", "alt_hom_product",
-    "aut_ct_count", "check_period", "class_at_or_zero", "complex_obj",
-    "dt_hom_with_cone_count", "enumerate_complex_classes",
-    "ext1_ct_middle_count", "format_graded", "graded_object",
-    "hall_number_ct", "hom_ct_count", "hom_ct_dim", "hom_dt_count",
-    "homology", "parse_graded", "stalk", "validate_complex",
-    "zero_diff_complex",
+    "check_period", "class_at_or_zero", "complex_obj", "cone_counts",
+    "dt_hom_with_cone_count", "enumerate_complex_classes", "format_graded",
+    "graded_object", "hom_dt_count", "homology", "parse_graded", "stalk",
+    "validate_complex", "zero_diff_complex",
     "CacheInvalid", "DivisionByZero", "EnumerationTooLarge", "HallforgeError",
     "IncompatibleObjects", "InternalInconsistency", "InvalidField",
     "NotAPureQPower", "NotASubobject", "NotHereditarySetup",

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .complexes import (GradedObject, check_period, class_at_or_zero,
+from .complexes import (GradedObject, check_period, class_at_or_zero, cone_counts,
                         dt_hom_with_cone_count, format_graded, graded_object,
                         hom_dt_count, stalk)
 from .errors import IncompatibleObjects, RewriteBudgetExceeded, UnsupportedPeriod
@@ -114,6 +114,7 @@ class DerivedHall:
         self.reg = reg
         self.t = t
         self.q = reg.p
+        self._n = reg.quiver.n
         self._mul = reg.memo(("dha_mul", t))
 
     # -- scalar helpers -----------------------------------------------------
@@ -130,7 +131,7 @@ class DerivedHall:
     # -- basis helpers ------------------------------------------------------
 
     def unit_graded(self) -> GradedObject:
-        return graded_object(self.t, self.reg.quiver.n, [])
+        return graded_object(self.t, self._n, [])
 
     def one(self) -> HallVector:
         return HallVector.basis(self.q, self.unit_graded())
@@ -142,7 +143,7 @@ class DerivedHall:
         return HallVector.basis(self.q, self.stalk(cls, deg))
 
     def _check_graded(self, g: GradedObject) -> None:
-        if g.t != self.t or g.n_vertices != self.reg.quiver.n:
+        if g.t != self.t or g.n_vertices != self._n:
             raise IncompatibleObjects("graded object does not belong to this algebra")
 
     # -- multiplication -----------------------------------------------------
@@ -507,21 +508,12 @@ class DerivedHall:
                 * self.a_prime(x) / (self.a_prime(a) * self.a_prime(b)))
 
     def rp_product_t1(self, a: GradedObject, b: GradedObject) -> HallVector:
-        """The whole product [a][b] at t = 1 through the cone-counting oracle."""
+        """The whole product [a][b] at t = 1 through the cone-counting oracle:
+        one term per cone that some morphism Z_a -> Z_b has."""
         if self.t != 1:
             raise UnsupportedPeriod("the cone-counting oracle is defined at t = 1")
-        reg = self.reg
-        target = dims_add(a.dims_at(0), b.dims_at(0))
-        out: dict[GradedObject, QSqrtScalar] = {}
-        for d in subdimvecs(target):
-            if any((x - y) % 2 for x, y in zip(target, d)):
-                continue
-            for cls in reg.classes(d):
-                g = graded_object(1, reg.quiver.n, [(0, cls)])
-                c = self.dht_constant_oracle_t1(a, b, g)
-                if c:
-                    out[g] = c
-        return HallVector(self.q, out)
+        return HallVector(self.q, {x: self.dht_constant_oracle_t1(a, b, x)
+                                   for x in cone_counts(self.reg, a, b)})
 
     # -- checks ----------------------------------------------------------------
 

@@ -8,9 +8,13 @@ ComplexObj carries honest differentials for the category C_t.
 A complex over Q is a representation of its degree quiver: one vertex (i, v)
 per degree i and vertex v, a copy of every arrow of Q at each degree, and one
 arrow (i, v) -> (i+1, v) per vertex carrying the differential.  Chain maps are
-the morphisms of these representations and subcomplexes their
-subrepresentations, so chain-map spaces, chain isomorphism, chain automorphism
-counts and sub/quotient complexes all come from reps.py.
+the morphisms of these representations, so chain isomorphism comes from
+reps.py.
+
+Derived morphisms Z_a -> Z_b at t = 1 are counted by their cone without
+listing complexes: they are the C_1-extensions of Z_a by Z_b, i.e. the pairs
+(class in Ext^1(A, B), f in Hom(A, B)), and each pair's cone is the homology
+of its middle complex (cone_counts).
 """
 from __future__ import annotations
 
@@ -20,13 +24,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (EnumerationTooLarge, IncompatibleObjects, InternalInconsistency,
-                     NotASubobject, UnsupportedPeriod)
-from .hall import closed_subspace_tuples, ext1_count, ext1_dim, euler_mult
-from .linalg import Mat, kernel_basis, rank, subspace_from_vectors
-from .quivers import Arrow, DimVec, Quiver, dims_add
+                     UnsupportedPeriod)
+from .hall import ext1_count, ext1_dim, euler_mult
+from .linalg import Mat, Subspace, kernel_basis, rank, rref, subspace_from_vectors
+from .quivers import Arrow, DimVec, Quiver
 from .reps import (DEFAULT_ISO_ENUM_BOUND, ClassRegistry, IsoClassId, Morphism, Rep,
-                   _hom_elements, _hom_kernel, _isomorphisms, _unflatten, direct_sum, hom_dim,
-                   is_isomorphic, quotient_by_subrep, restrict_to_subspaces, zero_rep)
+                   _hom_elements, _hom_kernel, _hom_system, _unflatten, direct_sum,
+                   is_isomorphic, quotient_by_subrep, restrict_to_subspaces)
 
 DEFAULT_COMPLEX_ENUM_BOUND = 2 ** 17
 
@@ -268,31 +272,18 @@ def _columns(m: Mat) -> list[tuple[int, ...]]:
 
 def homology(reg: ClassRegistry, c: ComplexObj) -> GradedObject:
     """Degreewise ker/im homology, classified into a GradedObject."""
-    q = c.quiver
+    q, p = c.quiver, c.p
     items: list[tuple[int, IsoClassId]] = []
     for deg, rep in c.components:
-        d_out = c.diff_at(deg)
-        prev = (deg - 1) % c.t if c.t > 0 else deg - 1
-        d_in = c.diff_at(prev)
-        ker_subs = []
-        for v in range(q.n):
-            if d_out is None:
-                basis = tuple(tuple(1 if i == j else 0 for i in range(rep.dims[v]))
-                              for j in range(rep.dims[v]))
-                ker_subs.append(subspace_from_vectors(c.p, rep.dims[v], list(basis)))
-            else:
-                ker_subs.append(subspace_from_vectors(c.p, rep.dims[v],
-                                                      list(kernel_basis(d_out[v]))))
-        ker_rep = restrict_to_subspaces(rep, tuple(ker_subs))
-        im_subs = []
-        for v in range(q.n):
-            vecs = []
-            if d_in is not None:
-                for col in _columns(d_in[v]):
-                    # d.d = 0 puts every image vector inside the kernel.
-                    vecs.append(ker_subs[v].coords(col))
-            im_subs.append(subspace_from_vectors(c.p, ker_subs[v].dim, vecs))
-        h = quotient_by_subrep(ker_rep, tuple(im_subs))
+        d_out, d_in = c.diff_at(deg), c.diff_at((deg - 1) % c.t if c.t > 0 else deg - 1)
+        ker = tuple(subspace_from_vectors(p, rep.dims[v], kernel_basis(d_out[v]) if d_out
+                                          else Mat.identity(p, rep.dims[v]).entries)
+                    for v in range(q.n))
+        # d.d = 0 puts every image vector inside the kernel.
+        im = tuple(subspace_from_vectors(p, ker[v].dim, [ker[v].coords(col) for col in
+                                                         (_columns(d_in[v]) if d_in else ())])
+                   for v in range(q.n))
+        h = quotient_by_subrep(restrict_to_subspaces(rep, ker), im)
         if h.total_dim > 0:
             items.append((deg, reg.classify(h)))
     return graded_object(c.t, q.n, items)
@@ -345,35 +336,16 @@ def _as_reps(*cs: ComplexObj) -> tuple[Rep, ...]:
     return tuple(out)
 
 
-def hom_ct_dim(c1: ComplexObj, c2: ComplexObj) -> int:
-    """Dimension of the space of chain maps c1 -> c2."""
-    return hom_dim(*_as_reps(c1, c2))
-
-
-def hom_ct_count(c1: ComplexObj, c2: ComplexObj) -> int:
-    """Number of chain maps c1 -> c2 in C_t."""
-    return c1.p ** hom_ct_dim(c1, c2)
-
-
 def is_chain_isomorphic(c1: ComplexObj, c2: ComplexObj,
                         bound: int = DEFAULT_ISO_ENUM_BOUND) -> bool:
     """Exhaustive chain-isomorphism test."""
     return is_isomorphic(*_as_reps(c1, c2), bound)
 
 
-def aut_ct_count(reg: ClassRegistry, c: ComplexObj,
-                 bound: int = DEFAULT_ISO_ENUM_BOUND) -> int:
-    """|Aut_{C_t}(c)|; zero-differential complexes use per-component counts."""
-    if not c.differentials:
-        out = 1
-        for _, rep in c.components:
-            out *= reg.aut_count(reg.classify(rep))
-        return out
-    (rep,) = _as_reps(c)
-    return sum(1 for _ in _isomorphisms(rep, rep, bound))
-
-
 # -- enumeration of complex classes -------------------------------------------
+# The engine no longer needs these (cone_counts lists no complexes); the
+# benchmark's tracer wraps both names, and tests/oracles.py judges the cone
+# counts with them.
 
 
 def enumerate_complex_classes(reg: ClassRegistry, t: int, dims_by_degree,
@@ -467,76 +439,98 @@ def enumerate_complex_classes(reg: ClassRegistry, t: int, dims_by_degree,
     return found
 
 
-# -- subcomplexes and Hall numbers in C_t --------------------------------------
+# -- derived morphisms at t = 1, counted by cone --------------------------------
 
 
-def hall_number_ct(reg: ClassRegistry, a: GradedObject, b: GradedObject,
-                   c: ComplexObj) -> int:
-    """Subcomplexes of c isomorphic to Z_b with quotient complex isomorphic to Z_a."""
-    if a.t != c.t or b.t != c.t:
-        raise IncompatibleObjects("periodicities differ")
-    degrees = sorted(set(c.degrees) | set(a.support) | set(b.support))
-    for i in degrees:
-        if dims_add(a.dims_at(i), b.dims_at(i)) != c.dims_at(i):
-            return 0
-    rep_c, rep_a, rep_b = _as_reps(c, zero_diff_complex(reg, a), zero_diff_complex(reg, b))
-    # One tuple of subrepresentations per degree of the degree quiver, in its
-    # vertex order; restrict_to_subspaces then checks the differentials.
-    zero = zero_rep(reg.quiver, reg.p)
-    per_degree = [list(closed_subspace_tuples(c.comp_at(i) or zero, b.dims_at(i)))
-                  for i in (range(c.t) if c.t else c.degrees)]
-    count = 0
-    for assignment in itertools.product(*per_degree):
-        subs = tuple(itertools.chain.from_iterable(assignment))
-        try:
-            sub = restrict_to_subspaces(rep_c, subs)
-        except NotASubobject:  # not closed under the differentials
-            continue
-        if is_isomorphic(sub, rep_b) and is_isomorphic(quotient_by_subrep(rep_c, subs), rep_a):
-            count += 1
-    return count
+def _coboundary_transversal(m: Rep, n: Rep) -> list[tuple[int, int, int]]:
+    """Cocycle coordinates (arrow, row, column) whose unit cocycles are a basis
+    of Ext^1(m, n): the non-pivots of the RREF of the coboundaries
+    delta(h)_a = n_a h_s - h_t m_a of the standard basis of (+)_v Hom_k(m_v, n_v).
+    Those are minus the columns of the full Hom system, whose rows are the
+    cocycle coordinates (an n_t x m_s matrix per arrow a: s -> t, row-major)."""
+    system = _hom_system(m, n, all_rows=True)[0]
+    pivots = set(rref(Mat(m.p, system.cols, system.rows, tuple(zip(*system.entries)))).pivots
+                 if system.rows else ())
+    coords = [(idx, r, c) for idx, a in enumerate(m.quiver.arrows)
+              for r in range(n.dims[a.target]) for c in range(m.dims[a.source])]
+    return [rc for k, rc in enumerate(coords) if k not in pivots]
 
 
-def ext1_ct_middle_count(reg: ClassRegistry, a: GradedObject, b: GradedObject,
-                         c: ComplexObj) -> int:
-    """|Ext^1_{C_t}(Z_a, Z_b)_c| via the Riedtmann identity inside C_t."""
-    g = hall_number_ct(reg, a, b, c)
-    if g == 0:
-        return 0
-    za = zero_diff_complex(reg, a)
-    zb = zero_diff_complex(reg, b)
-    num = (g * hom_ct_count(za, zb)
-           * aut_ct_count(reg, za) * aut_ct_count(reg, zb))
-    den = aut_ct_count(reg, c)
-    if num % den != 0:
-        raise InternalInconsistency("C_t extension count with fixed middle is not an integer")
-    return num // den
+def _middle_modules(rep_a: Rep, rep_b: Rep, transversal: list[tuple[int, int, int]]) -> list[Rep]:
+    """M_eps = B + A with arrow matrices [[B_a, eps_a], [0, A_a]], one per eps
+    in the span of the transversal's unit cocycles."""
+    q, p = rep_a.quiver, rep_a.p
+    split = direct_sum(rep_b, rep_a)
+    out = []
+    for coeffs in itertools.product(range(p), repeat=len(transversal)):
+        rows = [[list(r) for r in m.entries] for m in split.mats]
+        for x, (idx, r, c) in zip(coeffs, transversal):
+            rows[idx][r][rep_b.dims[q.arrows[idx].source] + c] = x
+        out.append(Rep(q, p, split.dims, tuple(Mat(p, m.rows, m.cols, tuple(map(tuple, rs)))
+                                               for m, rs in zip(split.mats, rows))))
+    return out
+
+
+def cone_counts(reg: ClassRegistry, a: GradedObject,
+                b: GradedObject) -> dict[GradedObject, int]:
+    """{x: number of morphisms Z_a -> Z_b in D_1 with cone Z_x}, memoized per (a, b).
+
+    With A, B the components of a, b, a C_1-extension of Z_a by Z_b is a module
+    extension M_eps of A by B with d = i f p for a unique f in Hom(A, B), which
+    equivalent extensions share (p i = 0).  So the morphisms are the pairs
+    (eps in a transversal of the coboundaries, f), and each one's cone is the
+    homology of (M_eps, i f p).  Past DEFAULT_COMPLEX_ENUM_BOUND pairs this
+    raises EnumerationTooLarge up front and memoizes nothing.
+    """
+    if not (a.t == b.t == 1):
+        raise UnsupportedPeriod("cone-class counting is implemented for t = 1")
+    memo = reg.memo("cone_counts")
+    if (a, b) in memo:
+        return memo[a, b]
+    total = hom_dt_count(reg, a, b, 0)
+    if total > DEFAULT_COMPLEX_ENUM_BOUND:
+        raise EnumerationTooLarge(
+            f"{total} derived morphisms to sort by cone exceed bound {DEFAULT_COMPLEX_ENUM_BOUND}")
+    cls_a, cls_b = class_at_or_zero(reg, a, 0), class_at_or_zero(reg, b, 0)
+    rep_a, rep_b = reg.representative(cls_a), reg.representative(cls_b)
+    transversal = _coboundary_transversal(rep_a, rep_b)
+    if len(transversal) != ext1_dim(reg, cls_a, cls_b):
+        raise InternalInconsistency("the coboundary transversal does not have dim Ext^1")
+    middles = _middle_modules(rep_a, rep_b, transversal)
+    p, na, nb = reg.p, rep_a.dims, rep_b.dims
+    kernel = _hom_kernel(rep_a, rep_b)
+    by_rep: dict[Rep, int] = {}
+    for flat in _hom_elements(p, kernel):
+        # d = i f p has kernel B + ker f and image im f + 0 in every M_eps, so
+        # their RREF bases are those of ker f and im f, padded.
+        ker_d, im_d = [], []
+        for v, fv in enumerate(_unflatten(p, flat, *kernel[1:])):
+            k = subspace_from_vectors(p, na[v], kernel_basis(fv))
+            i = subspace_from_vectors(p, nb[v], _columns(fv))
+            unit_b = (r + (0,) * na[v] for r in Mat.identity(p, nb[v]).entries)
+            ker_d.append(Subspace(p, nb[v] + na[v], (*unit_b, *((0,) * nb[v] + x for x in k.basis)),
+                                  (*range(nb[v]), *(nb[v] + c for c in k.pivots))))
+            im_d.append(Subspace(p, ker_d[v].dim, tuple(x + (0,) * k.dim for x in i.basis),
+                                 i.pivots))
+        for m in middles:
+            h = quotient_by_subrep(restrict_to_subspaces(m, tuple(ker_d)), tuple(im_d))
+            by_rep[h] = by_rep.get(h, 0) + 1
+    counts: dict[GradedObject, int] = {}
+    for h, n in by_rep.items():
+        x = graded_object(1, reg.quiver.n, [(0, reg.classify(h))])
+        counts[x] = counts.get(x, 0) + n
+    if sum(counts.values()) != total:
+        raise InternalInconsistency("cone counts do not add up to the derived Hom count")
+    memo[a, b] = counts
+    return counts
 
 
 def dt_hom_with_cone_count(reg: ClassRegistry, a: GradedObject, b: GradedObject,
                            x: GradedObject) -> int:
-    """|Hom_{D_1}(Z_a, Z_b)| with cone isomorphic to Z_x (period 1 only).
-
-    Counted through square-zero middle terms: morphisms with a given cone class
-    correspond to C_1-extension classes whose middle complex has homology x.
-    """
-    if not (a.t == b.t == x.t == 1):
+    """|Hom_{D_1}(Z_a, Z_b)| with cone isomorphic to Z_x (period 1 only)."""
+    if x.t != 1:
         raise UnsupportedPeriod("cone-class counting is implemented for t = 1")
-    memo = reg.memo("cone_count")
-    key = (a, b, x)
-    if key in memo:
-        return memo[key]
-    # The complex classes of the cone's dims, grouped by homology once per dims.
-    by_dims = reg.memo("complex_classes_by_homology")
-    target = dims_add(a.dims_at(0), b.dims_at(0))
-    if target not in by_dims:
-        groups: dict[GradedObject, list[ComplexObj]] = {}
-        for cplx in enumerate_complex_classes(reg, 1, (target,)):
-            groups.setdefault(homology(reg, cplx), []).append(cplx)
-        by_dims[target] = groups
-    total = memo[key] = sum(ext1_ct_middle_count(reg, a, b, cplx)
-                            for cplx in by_dims[target].get(x, ()))
-    return total
+    return cone_counts(reg, a, b).get(x, 0)
 
 
 # -- derived Hom counting -------------------------------------------------------

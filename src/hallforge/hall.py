@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .errors import InternalInconsistency
-from .linalg import (Subspace, gaussian_binomial, rank, subspace_from_vectors,
+from .linalg import (Subspace, gaussian_binomial, subspace_from_vectors,
                      subspaces_containing)
 from .quivers import (DimVec, Quiver, dims_add, dims_leq, dims_sub, subdimvecs,
                       topological_order)
@@ -114,13 +114,6 @@ def _count_with_meet(d: int, w: int, u: int, j: int, p: int) -> int:
             * p ** ((w - j) * (u - j)))
 
 
-def _rank_tuple(reg: ClassRegistry, cid: IsoClassId) -> tuple[int, ...]:
-    memo = reg.memo("rank_tuple")
-    if cid not in memo:
-        memo[cid] = tuple(rank(m) for m in reg.representative(cid).mats)
-    return memo[cid]
-
-
 def _hall_number_rank_form(reg: ClassRegistry, a: IsoClassId, b: IsoClassId,
                            c: IsoClassId) -> int:
     """Subobject count when every arrow touches its own pair of vertices.
@@ -133,7 +126,7 @@ def _hall_number_rank_form(reg: ClassRegistry, a: IsoClassId, b: IsoClassId,
     one for U_t against im M among the overspaces of M(U_s).
     """
     p = reg.p
-    ra, rb, rc = (_rank_tuple(reg, x) for x in (a, b, c))
+    ra, rb, rc = (reg.rank_tuple(x) for x in (a, b, c))
     g = 1
     touched = set()
     for idx, arr in enumerate(reg.quiver.arrows):

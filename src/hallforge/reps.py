@@ -91,14 +91,17 @@ def direct_sum(m: Rep, n: Rep) -> Rep:
     return Rep(m.quiver, p, dims, tuple(mats))
 
 
-def _hom_system(m: Rep, n: Rep) -> tuple[Mat, list[tuple[int, int]], list[int]]:
+def _hom_system(m: Rep, n: Rep,
+                all_rows: bool = False) -> tuple[Mat, list[tuple[int, int]], list[int]]:
     """Linear system whose kernel is Hom(m, n).
 
     Variables are the entries of the vertex maps f_v : m_v -> n_v (shape
     n.dims[v] x m.dims[v]), vertices in order, each matrix row-major.  One
-    equation block per arrow a: s->t, reading f_t . m_a = n_a . f_s.  All-zero
-    rows, among them every row of an arrow that is zero in both m and n, are
-    left out: the row space, so the RREF and the kernel basis, stay the same.
+    equation block per arrow a: s->t, reading f_t . m_a = n_a . f_s, one row
+    per entry (i, j) of an n_t x m_s matrix, row-major.  Unless all_rows, the
+    all-zero rows, among them every row of an arrow that is zero in both m
+    and n, are left out: the row space, so the RREF and the kernel basis,
+    stay the same.
     """
     _check_compatible(m, n)
     p = m.p
@@ -114,7 +117,7 @@ def _hom_system(m: Rep, n: Rep) -> tuple[Mat, list[tuple[int, int]], list[int]]:
     for idx, a in enumerate(q.arrows):
         s, t = a.source, a.target
         ma, na = m.mats[idx], n.mats[idx]
-        if ma.is_zero() and na.is_zero():
+        if not all_rows and ma.is_zero() and na.is_zero():
             continue
         for i in range(n.dims[t]):
             for j in range(m.dims[s]):
@@ -124,7 +127,7 @@ def _hom_system(m: Rep, n: Rep) -> tuple[Mat, list[tuple[int, int]], list[int]]:
                 for l in range(n.dims[s]):
                     row[offsets[s] + l * m.dims[s] + j] -= na.entries[i][l]
                 row = [x % p for x in row]
-                if any(row):
+                if all_rows or any(row):
                     rows.append(tuple(row))
     return Mat(p, len(rows), nvars, tuple(rows)), shapes, offsets
 
@@ -344,6 +347,8 @@ class ClassRegistry:
         self._hom_dim: dict[tuple[IsoClassId, IsoClassId], int] = {}
         self._id_str: dict[IsoClassId, str] = {}
         self._memos: dict[str, dict] = {}
+        # With no two arrows sharing a vertex, the arrow ranks decide the class.
+        self._classified_by_ranks = _arrows_vertex_disjoint(quiver)
 
     def memo(self, name, factory=dict) -> dict:
         """The memo table called name, made by factory() on first use."""
@@ -437,6 +442,15 @@ class ClassRegistry:
         if rep.quiver != self.quiver or rep.p != self.p:
             raise IncompatibleObjects("representation belongs to a different registry")
         self.ensure_enumerated(rep.dims)
+        if self._classified_by_ranks:
+            by_ranks = self.memo("class_by_rank_tuple")
+            index = by_ranks.get(rep.dims)
+            if index is None:
+                index = by_ranks[rep.dims] = {self.rank_tuple(c): c for c in self._ids[rep.dims]}
+            cid = index.get(tuple(rank(m) for m in rep.mats))
+            if cid is None:
+                raise InternalInconsistency("representation matched no enumerated class")
+            return cid
         d_end = None  # dim End(rep), computed once the first candidate differs from rep
         for cid, cand in zip(self._ids[rep.dims], self._classes[rep.dims]):
             if rep == cand:
@@ -455,6 +469,13 @@ class ClassRegistry:
         return out
 
     # -- memoized invariants ----------------------------------------------
+
+    def rank_tuple(self, cid: IsoClassId) -> tuple[int, ...]:
+        """The ranks of the arrow matrices of cid's representative."""
+        memo = self.memo("rank_tuple")
+        if cid not in memo:
+            memo[cid] = tuple(rank(m) for m in self.representative(cid).mats)
+        return memo[cid]
 
     def orbit_size(self, cid: IsoClassId) -> int:
         self.ensure_enumerated(cid.dims)

@@ -4,11 +4,15 @@ These deliberately avoid the library's counting code paths: morphism spaces
 are enumerated from hom_basis, exactness is checked with ranks and composites,
 and everything is counted one map at a time.  Chain maps are per-degree
 morphisms checked against the differentials one at a time, not solutions of
-one linear system.  Slow but transparent.  The one exception is
-gamma_by_middle_class_sum, which sums Hall numbers one gamma coefficient at a
-time to check the join in hall.gamma_terms.  FractionPairScalar is the
-plain pair-of-Fractions model of Q(sqrt q) that hallforge.scalars' integer
-triples are checked against.
+one linear system.  Slow but transparent.  Two exceptions are former
+library routes kept as judges: gamma_by_middle_class_sum, which sums Hall
+numbers one gamma coefficient at a time to check the join in
+hall.gamma_terms, and cone_counts_by_complex_classes, which counts t = 1
+cones through the complex classes of the cone's dims and the C_t Hall
+numbers (hall_number_ct and its helpers, on the degree quiver) to check
+complexes.cone_counts.  FractionPairScalar is the plain pair-of-Fractions
+model of Q(sqrt q) that hallforge.scalars' integer triples are checked
+against.
 """
 from __future__ import annotations
 
@@ -16,13 +20,15 @@ import itertools
 import math
 from fractions import Fraction
 
-from hallforge.complexes import (ComplexObj, GradedObject, class_at_or_zero,
-                                 zero_diff_complex)
-from hallforge.hall import hall_number
+from hallforge.complexes import (ComplexObj, GradedObject, _as_reps, class_at_or_zero,
+                                 enumerate_complex_classes, homology, zero_diff_complex)
+from hallforge.errors import IncompatibleObjects, InternalInconsistency, NotASubobject
+from hallforge.hall import closed_subspace_tuples, hall_number
 from hallforge.linalg import Mat, rank, subspace_from_vectors
-from hallforge.quivers import dims_sub
-from hallforge.reps import (ClassRegistry, IsoClassId, Rep, hom_basis,
-                            is_isomorphic, quotient_by_subrep, zero_rep)
+from hallforge.quivers import dims_add, dims_sub
+from hallforge.reps import (DEFAULT_ISO_ENUM_BOUND, ClassRegistry, IsoClassId, Rep,
+                            _isomorphisms, hom_basis, hom_dim, is_isomorphic,
+                            quotient_by_subrep, restrict_to_subspaces, zero_rep)
 
 ORACLE_HOM_BOUND = 5000
 
@@ -220,6 +226,89 @@ def hall_number_ct_injection_oracle(reg: ClassRegistry, a: GradedObject, b: Grad
     aut_b = math.prod(reg.aut_count(cls) for _, cls in b.components)
     assert count % aut_b == 0
     return count // aut_b
+
+
+# -- t = 1 cones through complex classes, the former library route -------------
+
+
+def hom_ct_dim(c1: ComplexObj, c2: ComplexObj) -> int:
+    """Dimension of the space of chain maps c1 -> c2."""
+    return hom_dim(*_as_reps(c1, c2))
+
+
+def hom_ct_count(c1: ComplexObj, c2: ComplexObj) -> int:
+    """Number of chain maps c1 -> c2 in C_t."""
+    return c1.p ** hom_ct_dim(c1, c2)
+
+
+def aut_ct_count(reg: ClassRegistry, c: ComplexObj,
+                 bound: int = DEFAULT_ISO_ENUM_BOUND) -> int:
+    """|Aut_{C_t}(c)|; zero-differential complexes use per-component counts."""
+    if not c.differentials:
+        out = 1
+        for _, rep in c.components:
+            out *= reg.aut_count(reg.classify(rep))
+        return out
+    (rep,) = _as_reps(c)
+    return sum(1 for _ in _isomorphisms(rep, rep, bound))
+
+
+def hall_number_ct(reg: ClassRegistry, a: GradedObject, b: GradedObject,
+                   c: ComplexObj) -> int:
+    """Subcomplexes of c isomorphic to Z_b with quotient complex isomorphic to Z_a."""
+    if a.t != c.t or b.t != c.t:
+        raise IncompatibleObjects("periodicities differ")
+    degrees = sorted(set(c.degrees) | set(a.support) | set(b.support))
+    for i in degrees:
+        if dims_add(a.dims_at(i), b.dims_at(i)) != c.dims_at(i):
+            return 0
+    rep_c, rep_a, rep_b = _as_reps(c, zero_diff_complex(reg, a), zero_diff_complex(reg, b))
+    # One tuple of subrepresentations per degree of the degree quiver, in its
+    # vertex order; restrict_to_subspaces then checks the differentials.
+    zero = zero_rep(reg.quiver, reg.p)
+    per_degree = [list(closed_subspace_tuples(c.comp_at(i) or zero, b.dims_at(i)))
+                  for i in (range(c.t) if c.t else c.degrees)]
+    count = 0
+    for assignment in itertools.product(*per_degree):
+        subs = tuple(itertools.chain.from_iterable(assignment))
+        try:
+            sub = restrict_to_subspaces(rep_c, subs)
+        except NotASubobject:  # not closed under the differentials
+            continue
+        if is_isomorphic(sub, rep_b) and is_isomorphic(quotient_by_subrep(rep_c, subs), rep_a):
+            count += 1
+    return count
+
+
+def ext1_ct_middle_count(reg: ClassRegistry, a: GradedObject, b: GradedObject,
+                         c: ComplexObj) -> int:
+    """|Ext^1_{C_t}(Z_a, Z_b)_c| via the Riedtmann identity inside C_t."""
+    g = hall_number_ct(reg, a, b, c)
+    if g == 0:
+        return 0
+    za = zero_diff_complex(reg, a)
+    zb = zero_diff_complex(reg, b)
+    num = (g * hom_ct_count(za, zb)
+           * aut_ct_count(reg, za) * aut_ct_count(reg, zb))
+    den = aut_ct_count(reg, c)
+    if num % den != 0:
+        raise InternalInconsistency("C_t extension count with fixed middle is not an integer")
+    return num // den
+
+
+def cone_counts_by_complex_classes(reg: ClassRegistry, a: GradedObject,
+                                   b: GradedObject) -> dict[GradedObject, int]:
+    """{cone x: count} at t = 1 as the sum over the complex classes c of the
+    cone's dims with homology x of |Ext^1_{C_1}(Z_a, Z_b)_c|.  Each c is
+    found by sweeping End of its component and deduplicating by chain
+    isomorphism, so this refuses cones past 2^17 candidate differentials."""
+    counts: dict[GradedObject, int] = {}
+    for cplx in enumerate_complex_classes(reg, 1, (dims_add(a.dims_at(0), b.dims_at(0)),)):
+        n = ext1_ct_middle_count(reg, a, b, cplx)
+        if n:
+            x = homology(reg, cplx)
+            counts[x] = counts.get(x, 0) + n
+    return counts
 
 
 class FractionPairScalar:

@@ -7,17 +7,20 @@ Durations are printed for visibility but never asserted.
 from __future__ import annotations
 
 import itertools
+import json
 import time
 from fractions import Fraction
 
 import pytest
 
+from hallforge import cli
 from hallforge.algebra import RELATION_FAMILIES, DerivedHall, relation_check
+from hallforge.cache import CACHE_ENV_VAR
 from hallforge.cli import graded_objects_within
 from hallforge.complexes import graded_object, hom_dt_count
 from hallforge.hall import ext1_count, ext1_middle_count, green_sides, hall_number
 from hallforge.linalg import gaussian_binomial
-from hallforge.quivers import dims_add, dims_sub, line_quiver, subdimvecs
+from hallforge.quivers import dims_add, dims_sub, line_quiver, quiver_to_dict, subdimvecs
 from hallforge.reps import semisimple_rep
 from hallforge.scalars import parse_scalar
 
@@ -145,6 +148,20 @@ def test_t1_coefficients_match_cone_counting(a1_f2):
         for x in cones:
             assert prod.coeff(x) == dh.dht_constant_oracle_t1(a, b, x), (a, b, x)
     timed("t=1 cone-counting comparison", start)
+
+
+def test_t1_crosscheck_to_total_dim_3(capsys, monkeypatch, tmp_path):
+    """`crosscheck --t 1 --max-dim 3` finishes with no mismatch on A1 and A2,
+    whose largest cones ((6,) on A1, (0,6) on A2) no complex-class listing reaches."""
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    start = time.monotonic()
+    for n, pairs in ((1, 16), (2, 169)):
+        path = tmp_path / f"a{n}.json"
+        path.write_text(json.dumps(quiver_to_dict(line_quiver(n))))
+        code = cli.main(["crosscheck", "--t", "1", "--max-dim", "3", "--quiver", str(path)])
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert code == 0 and results["checked"] == pairs and results["mismatches"] == 0
+    timed("crosscheck --t 1 --max-dim 3 on A1 and A2 (185 pairs)", start)
 
 
 def test_t1_frozen_constants(a1_f2):

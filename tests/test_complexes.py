@@ -7,23 +7,21 @@ from fractions import Fraction
 import pytest
 
 from hallforge import (
+    DerivedHall,
     EnumerationTooLarge,
     IncompatibleObjects,
     Mat,
     UnsupportedPeriod,
     alt_hom_explicit,
     alt_hom_product,
-    aut_ct_count,
     check_period,
     class_at_or_zero,
     complex_obj,
+    cone_counts,
     dt_hom_with_cone_count,
     enumerate_complex_classes,
-    ext1_ct_middle_count,
     format_graded,
     graded_object,
-    hall_number_ct,
-    hom_ct_count,
     hom_dt_count,
     homology,
     parse_graded,
@@ -32,12 +30,14 @@ from hallforge import (
 )
 from hallforge import complexes
 from hallforge.cli import graded_objects_within
-from hallforge.complexes import GradedObject
+from hallforge.complexes import DEFAULT_COMPLEX_ENUM_BOUND, GradedObject
 from hallforge.linalg import rank
-from hallforge.quivers import dims_add, dims_sub, line_quiver, subdimvecs
+from hallforge.quivers import dims_sub, line_quiver, subdimvecs
 from hallforge.reps import ClassRegistry, IsoClassId
 
-from .oracles import chain_maps_by_enumeration, hall_number_ct_injection_oracle
+from .oracles import (aut_ct_count, chain_maps_by_enumeration, cone_counts_by_complex_classes,
+                      ext1_ct_middle_count, hall_number_ct, hall_number_ct_injection_oracle,
+                      hom_ct_count)
 
 
 def k_class(reg, n):
@@ -350,33 +350,54 @@ def test_cone_counts(a1_f2):
     assert dt_hom_with_cone_count(a1_f2, zk, zk, zk) == 0
 
 
-def test_cone_counts_take_each_complex_class_homology_once(monkeypatch):
+def test_cone_counts_compute_each_morphism_cone_once(monkeypatch):
+    """A first sweep builds the homology of each (extension, f) pair once, lists
+    no complex classes and classifies at most one module per pair; a memo-hit
+    sweep over every cone builds and classifies nothing."""
     reg = ClassRegistry(line_quiver(2), 2)
-    objects = graded_objects_within(reg, 1, 1)
-    cones = graded_objects_within(reg, 1, 2)
-    targets = {dims_add(a.dims_at(0), b.dims_at(0)) for a in objects for b in objects}
-    n_classes = sum(len(enumerate_complex_classes(reg, 1, (d,))) for d in targets)
-    calls = []
+    objects = graded_objects_within(reg, 1, 2)
+    cones = graded_objects_within(reg, 1, 4)
+    restricts, classified = [], []
 
-    def counting_homology(reg, c):
-        calls.append(c)
-        return homology(reg, c)
+    def counting_restrict(m, subs):
+        restricts.append(m)
+        return restrict_to_subspaces(m, subs)
 
-    monkeypatch.setattr(complexes, "homology", counting_homology)
+    def counting_classify(rep):
+        classified.append(rep)
+        return ClassRegistry.classify(reg, rep)
+
+    restrict_to_subspaces = complexes.restrict_to_subspaces
+    monkeypatch.setattr(complexes, "restrict_to_subspaces", counting_restrict)
+    monkeypatch.setattr(complexes, "homology", None)
+    monkeypatch.setattr(complexes, "enumerate_complex_classes", None)
+    monkeypatch.setattr(reg, "classify", counting_classify)
+    for a in objects:
+        for b in objects:
+            restricts.clear()
+            classified.clear()
+            n_morphisms = hom_dt_count(reg, a, b, 0)
+            assert sum(cone_counts(reg, a, b).values()) == n_morphisms
+            assert len(restricts) == n_morphisms and 0 < len(classified) <= n_morphisms, (a, b)
+    restricts.clear()
+    classified.clear()
     for a in objects:
         for b in objects:
             total = sum(dt_hom_with_cone_count(reg, a, b, x) for x in cones)
             assert total == hom_dt_count(reg, a, b, 0), (a, b)
-    assert 0 < len(calls) <= n_classes
+    assert restricts == [] and classified == []
 
 
-def test_cone_count_hits_the_bound_again_on_a_second_call(a1_f2):
-    # The cone has dims (5,): 2^25 square-zero candidates.  A failed
-    # enumeration must leave nothing behind that a later call reads as "no cones".
-    k2, k3 = (stalk(a1_f2, 1, k_class(a1_f2, n)) for n in (2, 3))
+def test_cone_count_hits_the_bound_again_on_a_second_call():
+    # Hom_{D_1}(Z_k5, Z_k4) has 2^20 elements, past the 2^17 bound.  A refused
+    # sweep must leave nothing behind that a later call reads as "no cones".
+    reg = ClassRegistry(line_quiver(1), 2)
+    k5, k4 = (stalk(reg, 1, k_class(reg, n)) for n in (5, 4))
+    assert hom_dt_count(reg, k5, k4, 0) == 2 ** 20 > DEFAULT_COMPLEX_ENUM_BOUND
     for _ in range(2):
-        with pytest.raises(EnumerationTooLarge):
-            dt_hom_with_cone_count(a1_f2, k3, k2, k2)
+        with pytest.raises(EnumerationTooLarge, match="derived morphisms"):
+            dt_hom_with_cone_count(reg, k5, k4, k4)
+        assert (k5, k4) not in reg.memo("cone_counts")
 
 
 def test_cone_counts_need_period_one(a1_f2):
@@ -388,12 +409,42 @@ def test_cone_counts_need_period_one(a1_f2):
 def test_cone_totals_match_hom_counts(a1_f2):
     """Every derived morphism has exactly one cone class, so the cone-resolved
     counts over all possible cones must add up to the plain Hom count."""
-    objects = graded_objects_within(a1_f2, 1, 2)
-    cones = graded_objects_within(a1_f2, 1, 4)
+    objects = graded_objects_within(a1_f2, 1, 3)
+    cones = graded_objects_within(a1_f2, 1, 6)
     for a in objects:
         for b in objects:
             total = sum(dt_hom_with_cone_count(a1_f2, a, b, x) for x in cones)
             assert total == hom_dt_count(a1_f2, a, b, 0), (a, b)
+
+
+# (registry fixture, max total dim of an object, max dim of the cone at a vertex):
+# the pairs the complex-class route finishes in a few seconds, 318 in all.
+CONE_ORACLE_SHAPES = [("a1_f2", 3, 3), ("a1_f3", 2, 2), ("a2_f2", 2, 3), ("a2_f3", 2, 2),
+                      ("a3_f2", 2, 3), ("kronecker_f2", 2, 3)]
+
+
+@pytest.mark.parametrize("fixture,max_total,max_vertex", CONE_ORACLE_SHAPES)
+def test_cone_counts_match_complex_class_route(request, fixture, max_total, max_vertex):
+    reg = request.getfixturevalue(fixture)
+    objects = graded_objects_within(reg, 1, max_total)
+    checked = 0
+    for a in objects:
+        for b in objects:
+            if max(x + y for x, y in zip(a.dims_at(0), b.dims_at(0))) > max_vertex:
+                continue
+            assert cone_counts(reg, a, b) == cone_counts_by_complex_classes(reg, a, b), (a, b)
+            checked += 1
+    assert checked > 0
+
+
+def test_crosscheck_passes_on_the_formerly_refused_a1_pairs(a1_f2):
+    # Their cones have dims (5,) and (6,): past the complex-class route's bound.
+    dh = DerivedHall(a1_f2, 1)
+    k2, k3 = (dh.stalk(k_class(a1_f2, n)) for n in (2, 3))
+    for a, b in ((k2, k3), (k3, k2), (k3, k3)):
+        with pytest.raises(EnumerationTooLarge):
+            cone_counts_by_complex_classes(a1_f2, a, b)
+        assert dh.theorem_crosscheck(a, b).ok, (a, b)
 
 
 # -- derived Hom counting ---------------------------------------------------------
