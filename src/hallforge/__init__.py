@@ -12,12 +12,12 @@ from .algebra import (RELATION_FAMILIES, CheckResult, DerivedHall, HallVector,
                       relation_check)
 from .cache import (CACHE_ENV_VAR, cache_path, load_cache, save_cache,
                     setup_fingerprint)
-from .complexes import (ComplexObj, GradedObject, alt_hom_explicit,
-                        alt_hom_product, check_period, class_at_or_zero,
-                        complex_obj, cone_counts, dt_hom_with_cone_count,
-                        enumerate_complex_classes, format_graded,
-                        graded_object, hom_dt_count, homology, parse_graded,
-                        stalk, validate_complex, zero_diff_complex)
+from .complexes import (ComplexObj, GradedObject, check_period,
+                        class_at_or_zero, complex_obj, cone_counts,
+                        dt_hom_with_cone_count, enumerate_complex_classes,
+                        format_graded, graded_object, hom_dt_count, homology,
+                        parse_graded, stalk, validate_complex,
+                        zero_diff_complex)
 from .errors import (CacheInvalid, DivisionByZero, EnumerationTooLarge,
                      HallforgeError, IncompatibleObjects, InternalInconsistency,
                      InvalidField, NotAPureQPower, NotASubobject,
@@ -45,11 +45,11 @@ __all__ = [
     "relation_check",
     "CACHE_ENV_VAR", "cache_path", "load_cache", "save_cache",
     "setup_fingerprint",
-    "ComplexObj", "GradedObject", "alt_hom_explicit", "alt_hom_product",
-    "check_period", "class_at_or_zero", "complex_obj", "cone_counts",
-    "dt_hom_with_cone_count", "enumerate_complex_classes", "format_graded",
-    "graded_object", "hom_dt_count", "homology", "parse_graded", "stalk",
-    "validate_complex", "zero_diff_complex",
+    "ComplexObj", "GradedObject", "check_period", "class_at_or_zero",
+    "complex_obj", "cone_counts", "dt_hom_with_cone_count",
+    "enumerate_complex_classes", "format_graded", "graded_object",
+    "hom_dt_count", "homology", "parse_graded", "stalk", "validate_complex",
+    "zero_diff_complex",
     "CacheInvalid", "DivisionByZero", "EnumerationTooLarge", "HallforgeError",
     "IncompatibleObjects", "InternalInconsistency", "InvalidField",
     "NotAPureQPower", "NotASubobject", "NotHereditarySetup",

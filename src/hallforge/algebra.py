@@ -14,7 +14,7 @@ from .complexes import (GradedObject, check_period, class_at_or_zero, cone_count
                         dt_hom_with_cone_count, format_graded, graded_object,
                         hom_dt_count, stalk)
 from .errors import IncompatibleObjects, RewriteBudgetExceeded, UnsupportedPeriod
-from .hall import ext1_count, euler_table, gamma_terms, hall_number
+from .hall import ext1_count, ext1_dim, euler_table, gamma_terms, hall_number
 from .quivers import dims_add, dims_sub, subdimvecs
 from .reps import ClassRegistry, IsoClassId
 from .scalars import QSqrtScalar, q_exponent, sqrt_of_fraction
@@ -116,6 +116,9 @@ class DerivedHall:
         self.q = reg.p
         self._n = reg.quiver.n
         self._mul = reg.memo(("dha_mul", t))
+        self._transfers = reg.memo("lt_transfer")
+        self._steps = reg.memo("lt_step")
+        self._a_primes = reg.memo(("a_prime", t))
 
     # -- scalar helpers -----------------------------------------------------
 
@@ -210,64 +213,103 @@ class DerivedHall:
                         out[x_cls] = out.get(x_cls, 0) + base * g_x
         return out
 
-    def _lt_paths(self, a: GradedObject, b: GradedObject, degrees: range,
-                  euler_exp) -> tuple[dict[tuple, int], int]:
+    def _transfer(self, a1: IsoClassId, a2: IsoClassId, cap: tuple, cap_next: tuple,
+                  a_prev: tuple | None) -> tuple:
+        """One degree's transfer: (floor exponent, q^(exponent - floor) by (dims s_i,
+        dims s_next), s_i classes, s_next classes, rows by s_i and, where the degree
+        closes the chain, by (s_i, s_first)); memoized per registry by its arguments,
+        rows filled lazily."""
+        key = (a1, a2, cap, cap_next, a_prev)
+        tr = self._transfers.get(key)
+        if tr is None:
+            dims, dims_next = tuple(subdimvecs(cap)), tuple(subdimvecs(cap_next))
+            classes, nexts = (tuple(c for d in ds for c in self.reg.classes(d))
+                              for ds in (dims, dims_next))
+            euler = euler_table(self.reg)
+            if a_prev is None:  # odd t: 1 / (<a_i, S^i> <S^{i+1}, N^i>)
+                exps = {(d, dn): -(euler[a1.dims, d] + euler[dn, dims_sub(a2.dims, d)])
+                        for d in dims for dn in dims_next}
+            else:  # t = 0: 1 / <N^i, M^{i-1}>, N^i = b_i - I^{i-1}, M^{i-1} = a_{i-1} - I^{i-1}
+                exps = {(d, dn): -euler[dims_sub(a2.dims, d), dims_sub(a_prev, d)]
+                        for d in dims for dn in dims_next}
+            floor = min(exps.values())
+            tr = self._transfers[key] = (floor, {k: self.q ** (e - floor) for k, e in exps.items()},
+                                         classes, nexts, {})
+        return tr
+
+    def _lt_paths(self, a: GradedObject, b: GradedObject,
+                  degrees: range) -> tuple[dict[tuple, int], int]:
         """Sum of products of degree steps over chains s_first, ..., s_last, s_first.
 
-        s_i runs over the classes of dims <= min(b_i, a_{i-1}).  A frontier
-        DP fixes s_first, carries (s_i, X components so far) and closes the
-        chain at s_first.  For t = 0 the degrees span the support, s_first is
-        forced to zero and the chain is open; for odd t they run over Z/t.
-        euler_exp(i, dims s_i, dims s_next) is the q-exponent of each step.
-        Returns {X components: W} and E such that the sum is W * q^E divided
-        by the Aut of the X components; taking each step's exponent relative
-        to its minimum over the candidate dims keeps every W an integer.  The
-        X components are in ascending degree: canonical GradedObject components.
+        s_i runs over the classes of dims <= cap_i = min(b_i, a_{i-1}).  For
+        t = 0 the degrees span the support and s is zero at both ends; for
+        odd t they run over Z/t.  A degree where a and b are both zero forces
+        s_i = s_{i+1} = 0 through a unit step of exponent 0, so it is left
+        out.  Each other degree reads its _transfer, keyed by (a_i, b_i,
+        cap_i, cap_{i+1}) and, at t = 0, dims a_{i-1}: a floor exponent and
+        rows (s_next, X, q^(exponent - floor) * step weight), X None when
+        zero, built once per s_i that the DP reaches.  At the closing degree
+        only the entries with s_next = s_first are built, so no step runs
+        there that the chain cannot close through.  The DP starts at the
+        degree with the fewest s candidates, fixes s_first there, carries
+        (s_i, X components so far) and closes the chain at s_first.  Returns
+        {X components: W} and E, the sum of the floors: the sum is W * q^E
+        over the Aut of the X components, every W an integer, and the X
+        components are sorted by degree, as GradedObject keeps them.
         """
-        reg = self.reg
-        # Per cap: (subdimvecs(cap), the classes of those dims), memoized per registry.
-        below_memo = reg.memo("lt_below")
-        below = []
-        for i in degrees:
-            cap = tuple(map(min, b.dims_at(i), a.dims_at(i - 1)))
-            if cap not in below_memo:
-                dims = tuple(subdimvecs(cap))
-                below_memo[cap] = (dims, tuple(c for d in dims for c in reg.classes(d)))
-            below.append(below_memo[cap])
-        n = len(below)
-        # q^(exponent - floor) per degree and (dims s_i, dims s_next); E sums the floors.
-        q_pows: list[dict[tuple, int]] = []
-        e_total = 0
+        t, zero = self.t, self.reg.zero_class()
+        a_at, b_at = dict(a.components), dict(b.components)
+        # Classes at the degrees start - 1 .. stop, and caps[k] = cap at degree start + k.
+        around = range(degrees.start - 1, degrees.stop + 1)
+        a_cls = [a_at.get(i % t if t else i, zero) for i in around]
+        b_cls = [b_at.get(i % t if t else i, zero) for i in around]
+        caps = [tuple(map(min, c_b.dims, c_a.dims)) if c_a.total_dim and c_b.total_dim
+                else zero.dims for c_a, c_b in zip(a_cls, b_cls[1:])]
+        chain = []
         for k, i in enumerate(degrees):
-            exps = {(d, d_next): euler_exp(i, d, d_next) for d in below[k][0]
-                    for d_next in below[(k + 1) % n][0]}
-            floor = min(exps.values())
-            e_total += floor
-            q_pows.append({key: self.q ** (e - floor) for key, e in exps.items()})
-        comps = [(class_at_or_zero(reg, a, i), class_at_or_zero(reg, b, i)) for i in degrees]
-        steps = reg.memo("lt_step")
+            a1, a2 = a_cls[k + 1], b_cls[k + 1]
+            if a1.total_dim or a2.total_dim:
+                chain.append((i, a1, a2, self._transfer(a1, a2, caps[k], caps[k + 1],
+                                                        None if t else a_cls[k].dims)))
+        if not chain:  # a and b both zero: the empty chain's product is 1
+            return {(): 1}, 0
+        start = min(range(len(chain)), key=lambda k: len(chain[k][3][2]))
+        chain = chain[start:] + chain[:start]
+        last = len(chain) - 1
         total: dict[tuple, int] = {}
-        for s_first in below[0][1]:
+        for s_first in chain[0][3][2]:
             frontier: dict[tuple, int] = {(s_first, ()): 1}
-            for k, i in enumerate(degrees):
-                a1, a2 = comps[k]
-                nexts = below[k + 1][1] if k + 1 < n else [s_first]
+            for k, (i, a1, a2, (_floor, q_pow, _classes, nexts, rows)) in enumerate(chain):
                 new_frontier: dict[tuple, int] = {}
                 for (s_i, xs), w in frontier.items():
-                    for s_next in nexts:
-                        step = steps.get((a1, a2, s_i, s_next))
-                        if step is None:
-                            step = steps[a1, a2, s_i, s_next] = self._lt_step(a1, a2, s_i, s_next)
-                        if not step:
-                            continue
-                        scale = w * q_pows[k][s_i.dims, s_next.dims]
-                        for x_cls, num in step.items():
-                            nkey = (s_next, xs + ((i, x_cls),) if x_cls.total_dim else xs)
-                            new_frontier[nkey] = new_frontier.get(nkey, 0) + scale * num
+                    key = s_i if k < last else (s_i, s_first)
+                    row = rows.get(key)
+                    if row is None:
+                        row = rows[key] = self._transfer_row(
+                            a1, a2, q_pow, s_i, nexts if k < last else (s_first,))
+                    for s_next, x_cls, num in row:
+                        nkey = (s_next, xs + ((i, x_cls),) if x_cls is not None else xs)
+                        new_frontier[nkey] = new_frontier.get(nkey, 0) + w * num
                 frontier = new_frontier
             for (_s, xs), w in frontier.items():
+                xs = tuple(sorted(xs)) if start else xs
                 total[xs] = total.get(xs, 0) + w
-        return total, e_total
+        return total, sum(tr[0] for _i, _a1, _a2, tr in chain)
+
+    def _transfer_row(self, a1: IsoClassId, a2: IsoClassId, q_pow: dict, s_i: IsoClassId,
+                      nexts: tuple) -> tuple:
+        """(s_next, X or None if zero, q^(exponent - floor) * weight) over the nonzero
+        step weights from s_i to each s_next; the steps are memoized per registry."""
+        steps = self._steps
+        out = []
+        for s_next in nexts:
+            step = steps.get((a1, a2, s_i, s_next))
+            if step is None:
+                step = steps[a1, a2, s_i, s_next] = self._lt_step(a1, a2, s_i, s_next)
+            scale = q_pow[s_i.dims, s_next.dims]
+            out.extend((s_next, x_cls if x_cls.total_dim else None, scale * num)
+                       for x_cls, num in step.items())
+        return tuple(out)
 
     def lt_mul_t0(self, a: GradedObject, b: GradedObject) -> HallVector:
         """Local-to-global product for bounded (t = 0) complexes.
@@ -282,7 +324,6 @@ class DerivedHall:
         if self.t != 0:
             raise UnsupportedPeriod("this route is the t = 0 product")
         reg = self.reg
-        quiver = reg.quiver
         euler = euler_table(reg)
         support = sorted(set(a.support) | set(b.support))
         if not support:
@@ -301,13 +342,9 @@ class DerivedHall:
                 e = euler[b.dims_at(i + k), da1]
                 pref_exp += e if k % 2 == 0 else -e
 
-        def euler_exp(i, d_s, d_next):
-            # 1 / <N^i, M^{i-1}>, with N^i = b_i - I^{i-1} and M^{i-1} = a_{i-1} - I^{i-1}.
-            return -euler[dims_sub(b.dims_at(i), d_s), dims_sub(a.dims_at(i - 1), d_s)]
-
-        h, e = self._lt_paths(a, b, range(lo, hi + 1), euler_exp)
+        h, e = self._lt_paths(a, b, range(lo, hi + 1))
         return HallVector(self.q, {
-            GradedObject(0, quiver.n, xs):
+            GradedObject(0, self._n, xs):
                 QSqrtScalar.v_power(self.q, 2 * (e + pref_exp), w, aut_ab)
             for xs, w in h.items()})
 
@@ -322,27 +359,21 @@ class DerivedHall:
         if t < 1:
             raise UnsupportedPeriod("this route needs odd positive t")
         reg = self.reg
-        quiver = reg.quiver
         euler = euler_table(reg)
-        a_dims = [a.dims_at(i) for i in range(t)]
-        b_dims = [b.dims_at(i) for i in range(t)]
-
+        # sum_i <a_i, b_i> + sum_{k=1}^{t-1} (-1)^(k+1) <a_{i+k}, b_i>, over nonzero pairs.
         sqrt_exp = 0
-        for i in range(t):
-            sqrt_exp += euler[a_dims[i], b_dims[i]]
-            for k in range(1, t):
-                e = euler[a_dims[(i + k) % t], b_dims[i]]
-                sqrt_exp += e if k % 2 == 1 else -e
+        for i_a, c_a in a.components:
+            for i_b, c_b in b.components:
+                k = (i_a - i_b) % t
+                e = euler[c_a.dims, c_b.dims]
+                sqrt_exp += e if k == 0 or k % 2 == 1 else -e
 
-        def euler_exp(i, d_s, d_next):
-            return -(euler[a_dims[i], d_s] + euler[d_next, dims_sub(b_dims[i], d_s)])
-
-        h, e = self._lt_paths(a, b, range(t), euler_exp)
+        h, e = self._lt_paths(a, b, range(t))
         aut_a, v_a = self._a_prime_parts(a)
         aut_b, v_b = self._a_prime_parts(b)
         out: dict[GradedObject, QSqrtScalar] = {}
         for xs, w in h.items():
-            g = GradedObject(t, quiver.n, xs)
+            g = GradedObject(t, self._n, xs)
             aut_g, v_g = self._a_prime_parts(g)
             aut_x = 1
             for _i, x_cls in xs:
@@ -367,29 +398,32 @@ class DerivedHall:
         return out
 
     def bracket(self, x: GradedObject, y: GradedObject) -> Fraction:
-        """{X, Y}: alternating product of shifted derived Hom counts."""
+        """{X, Y} = prod_i |Hom_{D_t}(X[i], Y)|^{(-1)^i} over the shifts i = 1..t
+        (t = 0: i >= 1 up to the supports' reach), as one q-exponent over pairs of
+        components: a pair at degrees d_x, d_y adds dim Hom at i = d_x - d_y and
+        dim Ext^1 at i = d_x - d_y - 1 (mod t), as hom_dt_count counts them."""
         self._check_graded(x)
         self._check_graded(y)
-        if self.t > 0:
-            rng = range(1, self.t + 1)
-        else:
-            if x.is_zero() or y.is_zero():
-                return Fraction(1)
-            rng = range(1, max(x.support) - min(y.support) + 2)
-        num = den = 1
-        for i in rng:
-            h = hom_dt_count(self.reg, x, y, shift=i)
-            num, den = (num * h, den) if i % 2 == 0 else (num, den * h)
-        return Fraction(num, den)
+        reg, t = self.reg, self.t
+        e = 0
+        for d_x, c_x in x.components:
+            for d_y, c_y in y.components:
+                for i, ext in ((d_x - d_y, False), (d_x - d_y - 1, True)):
+                    if t:
+                        i = (i - 1) % t + 1
+                    if i >= 1:
+                        dim = ext1_dim(reg, c_x, c_y) if ext else reg.hom_dim_classes(c_x, c_y)
+                        e += dim if i % 2 == 0 else -dim
+        return Fraction(self.q) ** e
 
     def _a_prime_parts(self, g: GradedObject) -> tuple[int, int]:
         """(|Aut_{D_t}(g)|, e) with {g, g} = q^e, so that a'_g = |Aut_{D_t}(g)| v^e."""
         if self.t < 1:
             raise UnsupportedPeriod("a' is defined for odd positive t")
-        memo = self.reg.memo(("a_prime", self.t))
-        if g not in memo:
-            memo[g] = (self.aut_dt(g), q_exponent(self.bracket(g, g), self.q))
-        return memo[g]
+        parts = self._a_primes.get(g)
+        if parts is None:
+            parts = self._a_primes[g] = (self.aut_dt(g), q_exponent(self.bracket(g, g), self.q))
+        return parts
 
     def a_prime(self, g: GradedObject) -> QSqrtScalar:
         """a'_g = |Aut_{D_t}(g)| * {g, g}^{1/2} (odd t)."""

@@ -21,11 +21,10 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import (EnumerationTooLarge, IncompatibleObjects, InternalInconsistency,
                      UnsupportedPeriod)
-from .hall import ext1_count, ext1_dim, euler_mult
+from .hall import ext1_dim
 from .linalg import Mat, Subspace, kernel_basis, rank, rref, subspace_from_vectors
 from .quivers import Arrow, DimVec, Quiver
 from .reps import (DEFAULT_ISO_ENUM_BOUND, ClassRegistry, IsoClassId, Morphism, Rep,
@@ -554,36 +553,3 @@ def hom_dt_count(reg: ClassRegistry, a: GradedObject, b: GradedObject,
             e += ext1_dim(reg, src, tgt_e)
     return reg.p ** e
 
-
-def alt_hom_explicit(reg: ClassRegistry, a: GradedObject, b: GradedObject) -> Fraction:
-    """prod_{i=0}^{t-1} |Hom_{D_t}(a[i], b)|^{(-1)^i} for odd positive t, by counting."""
-    if a.t != b.t:
-        raise IncompatibleObjects("periodicities differ")
-    t = a.t
-    if t < 1 or t % 2 == 0:
-        raise UnsupportedPeriod("alternating Hom product needs odd positive t")
-    out = Fraction(1)
-    for i in range(t):
-        h = hom_dt_count(reg, a, b, shift=i)
-        out = out * h if i % 2 == 0 else out / h
-    return out
-
-
-def alt_hom_product(reg: ClassRegistry, a: GradedObject, b: GradedObject) -> Fraction:
-    """Closed form of the alternating Hom product through Euler forms."""
-    if a.t != b.t:
-        raise IncompatibleObjects("periodicities differ")
-    t = a.t
-    if t < 1 or t % 2 == 0:
-        raise UnsupportedPeriod("closed form needs odd positive t")
-    out = Fraction(1)
-    for i in range(t):
-        ca = a.component(i)
-        cb = b.component(i)
-        if ca is not None and cb is not None:
-            out *= reg.p ** reg.hom_dim_classes(ca, cb)
-            out *= ext1_count(reg, ca, cb)
-        for k in range(1, t):
-            e = euler_mult(reg, a.dims_at(i + k), b.dims_at(i))
-            out = out * e if k % 2 == 0 else out / e
-    return out

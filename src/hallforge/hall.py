@@ -15,8 +15,8 @@ from .linalg import (Subspace, gaussian_binomial, subspace_from_vectors,
                      subspaces_containing)
 from .quivers import (DimVec, Quiver, dims_add, dims_leq, dims_sub, subdimvecs,
                       topological_order)
-from .reps import (ClassRegistry, IsoClassId, Rep, _arrows_vertex_disjoint,
-                   is_subrep, quotient_by_subrep, restrict_to_subspaces)
+from .reps import (ClassRegistry, IsoClassId, Rep, is_subrep, quotient_by_subrep,
+                   restrict_to_subspaces)
 
 
 def euler_add(quiver: Quiver, d1: DimVec, d2: DimVec) -> int:
@@ -147,7 +147,7 @@ def _hall_number_rank_form(reg: ClassRegistry, a: IsoClassId, b: IsoClassId,
 
 def _walked(reg: ClassRegistry, c: IsoClassId) -> bool:
     """Whether c's Hall numbers come from the subobject walk: no closed form covers c."""
-    return not (_is_split_class(c) or _arrows_vertex_disjoint(reg.quiver))
+    return not (_is_split_class(c) or reg._classified_by_ranks)
 
 
 def hall_number(reg: ClassRegistry, a: IsoClassId, b: IsoClassId, c: IsoClassId) -> int:

@@ -10,9 +10,13 @@ numbers one gamma coefficient at a time to check the join in
 hall.gamma_terms, and cone_counts_by_complex_classes, which counts t = 1
 cones through the complex classes of the cone's dims and the C_t Hall
 numbers (hall_number_ct and its helpers, on the degree quiver) to check
-complexes.cone_counts.  FractionPairScalar is the plain pair-of-Fractions
-model of Q(sqrt q) that hallforge.scalars' integer triples are checked
-against.
+complexes.cone_counts.  frontier_product is the derived product kernel's
+former route, a frontier DP over every degree of the chain, kept to judge
+DerivedHall.multiply_graded; bracket_by_shifts and alt_hom_explicit
+multiply hom_dt_count over the shifts, as {X, Y} and the alternating Hom
+product are defined, and alt_hom_product is the latter's Euler-form closed
+form.  FractionPairScalar is the plain pair-of-Fractions model of Q(sqrt q)
+that hallforge.scalars' integer triples are checked against.
 """
 from __future__ import annotations
 
@@ -20,15 +24,20 @@ import itertools
 import math
 from fractions import Fraction
 
+from hallforge.algebra import DerivedHall, HallVector
 from hallforge.complexes import (ComplexObj, GradedObject, _as_reps, class_at_or_zero,
-                                 enumerate_complex_classes, homology, zero_diff_complex)
-from hallforge.errors import IncompatibleObjects, InternalInconsistency, NotASubobject
-from hallforge.hall import closed_subspace_tuples, hall_number
+                                 enumerate_complex_classes, hom_dt_count, homology,
+                                 zero_diff_complex)
+from hallforge.errors import (IncompatibleObjects, InternalInconsistency, NotASubobject,
+                              UnsupportedPeriod)
+from hallforge.hall import (closed_subspace_tuples, euler_mult, euler_table, ext1_count,
+                            hall_number)
 from hallforge.linalg import Mat, rank, subspace_from_vectors
-from hallforge.quivers import dims_add, dims_sub
+from hallforge.quivers import dims_add, dims_sub, subdimvecs
 from hallforge.reps import (DEFAULT_ISO_ENUM_BOUND, ClassRegistry, IsoClassId, Rep,
                             _isomorphisms, hom_basis, hom_dim, is_isomorphic,
                             quotient_by_subrep, restrict_to_subspaces, zero_rep)
+from hallforge.scalars import QSqrtScalar, q_exponent
 
 ORACLE_HOM_BOUND = 5000
 
@@ -309,6 +318,165 @@ def cone_counts_by_complex_classes(reg: ClassRegistry, a: GradedObject,
             x = homology(reg, cplx)
             counts[x] = counts.get(x, 0) + n
     return counts
+
+
+def alt_hom_explicit(reg: ClassRegistry, a: GradedObject, b: GradedObject) -> Fraction:
+    """prod_{i=0}^{t-1} |Hom_{D_t}(a[i], b)|^{(-1)^i} for odd positive t, by counting."""
+    if a.t != b.t:
+        raise IncompatibleObjects("periodicities differ")
+    t = a.t
+    if t < 1 or t % 2 == 0:
+        raise UnsupportedPeriod("alternating Hom product needs odd positive t")
+    out = Fraction(1)
+    for i in range(t):
+        h = hom_dt_count(reg, a, b, shift=i)
+        out = out * h if i % 2 == 0 else out / h
+    return out
+
+
+def alt_hom_product(reg: ClassRegistry, a: GradedObject, b: GradedObject) -> Fraction:
+    """Closed form of the alternating Hom product through Euler forms."""
+    if a.t != b.t:
+        raise IncompatibleObjects("periodicities differ")
+    t = a.t
+    if t < 1 or t % 2 == 0:
+        raise UnsupportedPeriod("closed form needs odd positive t")
+    out = Fraction(1)
+    for i in range(t):
+        ca = a.component(i)
+        cb = b.component(i)
+        if ca is not None and cb is not None:
+            out *= reg.p ** reg.hom_dim_classes(ca, cb)
+            out *= ext1_count(reg, ca, cb)
+        for k in range(1, t):
+            e = euler_mult(reg, a.dims_at(i + k), b.dims_at(i))
+            out = out * e if k % 2 == 0 else out / e
+    return out
+
+
+def bracket_by_shifts(reg: ClassRegistry, x: GradedObject, y: GradedObject) -> Fraction:
+    """{X, Y} = prod_i |Hom_{D_t}(X[i], Y)|^{(-1)^i}, one hom_dt_count per shift:
+    i = 1..t, or at t = 0 i = 1..max(supp X) - min(supp Y) + 1."""
+    t = x.t
+    if t > 0:
+        shifts = range(1, t + 1)
+    elif x.is_zero() or y.is_zero():
+        return Fraction(1)
+    else:
+        shifts = range(1, max(x.support) - min(y.support) + 2)
+    out = Fraction(1)
+    for i in shifts:
+        h = hom_dt_count(reg, x, y, shift=i)
+        out = out * h if i % 2 == 0 else out / h
+    return out
+
+
+def _frontier_lt_paths(dh: DerivedHall, a: GradedObject, b: GradedObject, degrees: range,
+                       euler_exp) -> tuple[dict[tuple, int], int]:
+    """Sum of products of degree steps over chains s_first, ..., s_last, s_first,
+    by a frontier DP over every degree: the same return as DerivedHall._lt_paths.
+
+    s_i runs over the classes of dims <= min(b_i, a_{i-1}); the DP fixes
+    s_first at the first degree, carries (s_i, X components so far) and
+    closes the chain at s_first.  euler_exp(i, dims s_i, dims s_next) is the
+    q-exponent of each step, taken relative to its minimum over the
+    candidate dims so that every weight stays an integer; the minima add up
+    to the returned exponent.  Steps come from DerivedHall._lt_step through
+    a memo of the judge's own.
+    """
+    reg = dh.reg
+    below = []
+    for i in degrees:
+        dims = tuple(subdimvecs(tuple(map(min, b.dims_at(i), a.dims_at(i - 1)))))
+        below.append((dims, tuple(c for d in dims for c in reg.classes(d))))
+    n = len(below)
+    q_pows: list[dict[tuple, int]] = []
+    e_total = 0
+    for k, i in enumerate(degrees):
+        exps = {(d, d_next): euler_exp(i, d, d_next) for d in below[k][0]
+                for d_next in below[(k + 1) % n][0]}
+        floor = min(exps.values())
+        e_total += floor
+        q_pows.append({key: dh.q ** (e - floor) for key, e in exps.items()})
+    comps = [(class_at_or_zero(reg, a, i), class_at_or_zero(reg, b, i)) for i in degrees]
+    steps = reg.memo("judge_lt_step")
+    total: dict[tuple, int] = {}
+    for s_first in below[0][1]:
+        frontier: dict[tuple, int] = {(s_first, ()): 1}
+        for k, i in enumerate(degrees):
+            a1, a2 = comps[k]
+            nexts = below[k + 1][1] if k + 1 < n else [s_first]
+            new_frontier: dict[tuple, int] = {}
+            for (s_i, xs), w in frontier.items():
+                for s_next in nexts:
+                    step = steps.get((a1, a2, s_i, s_next))
+                    if step is None:
+                        step = steps[a1, a2, s_i, s_next] = dh._lt_step(a1, a2, s_i, s_next)
+                    scale = w * q_pows[k][s_i.dims, s_next.dims]
+                    for x_cls, num in step.items():
+                        nkey = (s_next, xs + ((i, x_cls),) if x_cls.total_dim else xs)
+                        new_frontier[nkey] = new_frontier.get(nkey, 0) + scale * num
+            frontier = new_frontier
+        for (_s, xs), w in frontier.items():
+            total[xs] = total.get(xs, 0) + w
+    return total, e_total
+
+
+def frontier_product(dh: DerivedHall, a: GradedObject, b: GradedObject) -> HallVector:
+    """[a][b] by the local-to-global formulas with the frontier DP: the Euler
+    prefactors summed over all degree pairs, and at odd t each a' = |Aut_{D_t}|
+    {g, g}^{1/2} with the bracket from bracket_by_shifts."""
+    reg, q, t = dh.reg, dh.q, dh.t
+    if a.is_zero() or b.is_zero():
+        return HallVector.basis(q, b if a.is_zero() else a)
+    euler = euler_table(reg)
+    if t == 0:
+        lo = min(a.support + b.support)
+        hi = max(a.support + b.support)
+        pref_exp = 0
+        aut_ab = 1
+        for i in range(lo, hi + 1):
+            aut_ab *= (reg.aut_count(class_at_or_zero(reg, a, i))
+                       * reg.aut_count(class_at_or_zero(reg, b, i)))
+            for k in range(2, hi - i + 1):
+                e = euler[b.dims_at(i + k), a.dims_at(i)]
+                pref_exp += e if k % 2 == 0 else -e
+
+        def euler_exp(i, d_s, d_next):
+            # 1 / <N^i, M^{i-1}>, with N^i = b_i - I^{i-1} and M^{i-1} = a_{i-1} - I^{i-1}.
+            return -euler[dims_sub(b.dims_at(i), d_s), dims_sub(a.dims_at(i - 1), d_s)]
+
+        h, e = _frontier_lt_paths(dh, a, b, range(lo, hi + 1), euler_exp)
+        return HallVector(q, {GradedObject(0, reg.quiver.n, xs):
+                              QSqrtScalar.v_power(q, 2 * (e + pref_exp), w, aut_ab)
+                              for xs, w in h.items()})
+
+    a_dims = [a.dims_at(i) for i in range(t)]
+    b_dims = [b.dims_at(i) for i in range(t)]
+    sqrt_exp = 0
+    for i in range(t):
+        sqrt_exp += euler[a_dims[i], b_dims[i]]
+        for k in range(1, t):
+            e = euler[a_dims[(i + k) % t], b_dims[i]]
+            sqrt_exp += e if k % 2 == 1 else -e
+
+    def euler_exp(i, d_s, d_next):
+        return -(euler[a_dims[i], d_s] + euler[d_next, dims_sub(b_dims[i], d_s)])
+
+    def a_prime_parts(g):
+        return dh.aut_dt(g), q_exponent(bracket_by_shifts(reg, g, g), q)
+
+    h, e = _frontier_lt_paths(dh, a, b, range(t), euler_exp)
+    aut_a, v_a = a_prime_parts(a)
+    aut_b, v_b = a_prime_parts(b)
+    out = {}
+    for xs, w in h.items():
+        g = GradedObject(t, reg.quiver.n, xs)
+        aut_g, v_g = a_prime_parts(g)
+        aut_x = math.prod(reg.aut_count(x_cls) for _i, x_cls in xs)
+        out[g] = QSqrtScalar.v_power(q, sqrt_exp + 2 * e + v_g - v_a - v_b,
+                                     w * aut_g, aut_x * aut_a * aut_b)
+    return HallVector(q, out)
 
 
 class FractionPairScalar:

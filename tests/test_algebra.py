@@ -17,6 +17,8 @@ from hallforge.reps import ClassRegistry
 from hallforge.scalars import QSqrtScalar, parse_scalar
 from hallforge.cli import graded_objects_within
 
+from .oracles import bracket_by_shifts, frontier_product
+
 
 def k_class(reg, n):
     return reg.classes((n,))[0]
@@ -96,6 +98,10 @@ def test_unit_laws(a1_f2, t):
     x = HallVector.basis(2, g)
     assert dh.multiply(dh.one(), x) == x
     assert dh.multiply(x, dh.one()) == x
+    # The kernels themselves, which multiply_graded bypasses on a zero factor.
+    kernel = dh.lt_mul_t0 if t == 0 else dh.lt_mul_odd
+    assert kernel(dh.unit_graded(), dh.unit_graded()) == dh.one()
+    assert kernel(dh.unit_graded(), g) == x == kernel(g, dh.unit_graded())
 
 
 def test_multiply_is_bilinear(d1, a1_f2):
@@ -242,6 +248,50 @@ def test_aut_dt_counts(d3, a1_f2):
     # |Aut(k)|^2 times the Ext twist between adjacent degrees (trivial on A_1).
     assert d3.aut_dt(pair) == 1
     assert d3.aut_dt(d3.stalk(k_class(a1_f2, 2), 0)) == 6
+
+
+# -- the product kernel against its former route -----------------------------------------
+
+
+def _graded_on(reg, t, degrees, max_total):
+    """Every graded object with components at some of degrees, of total dim <= max_total."""
+    classes = [c for c in reg.all_classes_total_le(max_total) if c.total_dim]
+    out = []
+    for r in range(len(degrees) + 1):
+        for degs in itertools.combinations(degrees, r):
+            for comps in itertools.product(classes, repeat=r):
+                if sum(c.total_dim for c in comps) <= max_total:
+                    out.append(graded_object(t, reg.quiver.n, list(zip(degs, comps))))
+    return out
+
+
+@pytest.mark.parametrize("n_vertices,max_total", [(1, 3), (2, 2)])
+@pytest.mark.parametrize("t", [0, 1, 3, 5])
+def test_product_kernel_matches_frontier_judge(n_vertices, max_total, t):
+    """multiply_graded equals the frontier DP over every degree, exactly, for
+    every ordered pair of objects of total dim <= 2 on A2 (71 objects at
+    t = 5) and <= 3 on A1, where chains such as [k1@0, k1@1, k1@2]^2 have
+    no degree with a single s candidate.  At t = 0 the degrees are {0, 1, 3},
+    so supports such as [k1@0]·[k1@3] and [k1@0, k1@3] leave interior
+    degrees where both factors are zero."""
+    reg = ClassRegistry(line_quiver(n_vertices), 2)
+    dh = DerivedHall(reg, t)
+    objs = (_graded_on(reg, 0, (0, 1, 3), max_total) if t == 0
+            else graded_objects_within(reg, t, max_total))
+    for a, b in itertools.product(objs, repeat=2):
+        assert dh.multiply_graded(a, b) == frontier_product(dh, a, b), (a, b)
+
+
+@pytest.mark.parametrize("t", [0, 1, 3, 5])
+def test_bracket_is_the_shiftwise_hom_product(a1_f2, a2_f2, t):
+    """{X, Y} equals prod_i hom_dt_count(X, Y, i)^{(-1)^i} over its shift range;
+    at t = 0 the supports reach below zero and leave gaps."""
+    for reg in (a1_f2, a2_f2):
+        dh = DerivedHall(reg, t)
+        objs = (_graded_on(reg, 0, (-2, 0, 1, 3), 2) if t == 0
+                else graded_objects_within(reg, t, 2))
+        for x, y in itertools.product(objs, repeat=2):
+            assert dh.bracket(x, y) == bracket_by_shifts(reg, x, y), (x, y)
 
 
 # -- associativity and cross-check routes ---------------------------------------------

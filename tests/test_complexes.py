@@ -12,8 +12,6 @@ from hallforge import (
     IncompatibleObjects,
     Mat,
     UnsupportedPeriod,
-    alt_hom_explicit,
-    alt_hom_product,
     check_period,
     class_at_or_zero,
     complex_obj,
@@ -35,9 +33,9 @@ from hallforge.linalg import rank
 from hallforge.quivers import dims_sub, line_quiver, subdimvecs
 from hallforge.reps import ClassRegistry, IsoClassId
 
-from .oracles import (aut_ct_count, chain_maps_by_enumeration, cone_counts_by_complex_classes,
-                      ext1_ct_middle_count, hall_number_ct, hall_number_ct_injection_oracle,
-                      hom_ct_count)
+from .oracles import (alt_hom_explicit, alt_hom_product, aut_ct_count, chain_maps_by_enumeration,
+                      cone_counts_by_complex_classes, ext1_ct_middle_count, hall_number_ct,
+                      hall_number_ct_injection_oracle, hom_ct_count)
 
 
 def k_class(reg, n):
