@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from .errors import (EnumerationTooLarge, IncompatibleObjects, InternalInconsistency,
                      UnsupportedPeriod)
 from .hall import ext1_dim
-from .linalg import Mat, Subspace, kernel_basis, rank, rref, subspace_from_vectors
+from .linalg import Mat, Subspace, echelon, kernel_basis, rank, subspace_from_vectors
 from .quivers import Arrow, DimVec, Quiver
 from .reps import (DEFAULT_ISO_ENUM_BOUND, ClassRegistry, IsoClassId, Morphism, Rep,
                    _hom_elements, _hom_kernel, _hom_system, _unflatten, direct_sum,
@@ -447,9 +447,7 @@ def _coboundary_transversal(m: Rep, n: Rep) -> list[tuple[int, int, int]]:
     delta(h)_a = n_a h_s - h_t m_a of the standard basis of (+)_v Hom_k(m_v, n_v).
     Those are minus the columns of the full Hom system, whose rows are the
     cocycle coordinates (an n_t x m_s matrix per arrow a: s -> t, row-major)."""
-    system = _hom_system(m, n, all_rows=True)[0]
-    pivots = set(rref(Mat(m.p, system.cols, system.rows, tuple(zip(*system.entries)))).pivots
-                 if system.rows else ())
+    pivots = set(echelon(m.p, _hom_system(m, n)[0])[1])
     coords = [(idx, r, c) for idx, a in enumerate(m.quiver.arrows)
               for r in range(n.dims[a.target]) for c in range(m.dims[a.source])]
     return [rc for k, rc in enumerate(coords) if k not in pivots]

@@ -3,10 +3,17 @@
 Elements of F_p are Python ints in range(p); vectors are tuples of ints;
 matrices are immutable row-major tuples of tuples.  Everything here is exact
 integer arithmetic -- no floating point anywhere.
+
+One elimination core (echelon, reduced_rows) works on each field's own row
+format: over F_2 a row is one int whose top bit is column 0, reduced by XOR;
+otherwise a row is a list of ints in range(p).  pack_row reads each entry
+mod p, so rank, kernel_basis, rref and subspace_from_vectors accept any
+ints; rank and is_invertible stop at the echelon form.
 """
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -33,14 +40,6 @@ def check_prime(p: int) -> None:
         raise InvalidField(f"field order must be prime, got {p!r}")
 
 
-def inv_mod(a: int, p: int) -> int:
-    """Multiplicative inverse in F_p; raises DivisionByZero on 0."""
-    a %= p
-    if a == 0:
-        raise DivisionByZero(f"0 has no inverse in F_{p}")
-    return pow(a, p - 2, p)
-
-
 @dataclass(frozen=True)
 class FieldSpec:
     """A prime field F_p with element arithmetic on ints in range(p)."""
@@ -54,7 +53,10 @@ class FieldSpec:
         return (a * b) % self.p
 
     def inv(self, a: int) -> int:
-        return inv_mod(a, self.p)
+        """Multiplicative inverse; raises DivisionByZero on 0."""
+        if a % self.p == 0:
+            raise DivisionByZero(f"0 has no inverse in F_{self.p}")
+        return pow(a, self.p - 2, self.p)
 
 
 def vec_add(p: int, u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
@@ -113,7 +115,7 @@ class Mat:
             if other.cols == 0:
                 out.append(())
                 continue
-            out.append(tuple(sum(a * b for a, b in zip(r, c)) % p for c in ot))
+            out.append(tuple(sum(map(operator.mul, r, c)) % p for c in ot))
         return Mat(p, self.rows, other.cols, tuple(out))
 
     def apply(self, vec: tuple[int, ...]) -> tuple[int, ...]:
@@ -121,7 +123,7 @@ class Mat:
         if len(vec) != self.cols:
             raise IncompatibleObjects("vector length does not match column count")
         p = self.p
-        return tuple(sum(a * b for a, b in zip(row, vec)) % p for row in self.entries)
+        return tuple(sum(map(operator.mul, row, vec)) % p for row in self.entries)
 
     def _check_same_shape(self, other: "Mat") -> None:
         if self.p != other.p or self.rows != other.rows or self.cols != other.cols:
@@ -135,53 +137,101 @@ class RrefResult:
     rank: int
 
 
-def rref(m: Mat) -> RrefResult:
-    """Reduced row echelon form by Gauss-Jordan elimination over F_p."""
-    p = m.p
-    rows = [list(r) for r in m.entries]
-    pivots: list[int] = []
+def pack_bits(entries, stride: int = 1) -> int:
+    """The entries mod 2 as the bits of one int, stride apart, the first one highest."""
     r = 0
-    for c in range(m.cols):
-        pivot_row = next((i for i in range(r, m.rows) if rows[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = inv_mod(rows[r][c], p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(m.rows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == m.rows:
-            break
-    out = Mat(p, m.rows, m.cols, tuple(tuple(row) for row in rows))
-    return RrefResult(out, tuple(pivots), r)
+    for x in entries:
+        r = r << stride | x & 1
+    return r
+
+
+def pack_row(p: int, entries) -> int | list[int]:
+    return pack_bits(entries) if p == 2 else [x % p for x in entries]
+
+
+def echelon(p: int, rows) -> tuple[dict, list[int]]:
+    """Row echelon form of rows in F_p's row format: ({key: row}, the indices
+    of the rows independent of the rows before them).  A key is the row's
+    bit_length() over F_2, else its pivot column, where it is scaled to 1."""
+    piv: dict = {}
+    used: list[int] = []
+    if p == 2:
+        for i, r in enumerate(rows):
+            while r:
+                s = piv.get(b := r.bit_length())
+                if s is None:
+                    piv[b] = r
+                    used.append(i)
+                    break
+                r ^= s
+        return piv, used
+    for i, r in enumerate(rows):
+        c = next((c for c, x in enumerate(r) if x), None)
+        while c is not None:
+            s = piv.get(c)
+            if s is None:
+                inv = pow(r[c], p - 2, p)
+                piv[c] = [x * inv % p for x in r]
+                used.append(i)
+                break
+            f = r[c]
+            r = [(x - f * y) % p for x, y in zip(r, s)]
+            c = next((j for j in range(c + 1, len(r)) if r[j]), None)
+    return piv, used
+
+
+def reduced_rows(p: int, cols: int, rows) -> tuple[list[int], list[tuple[int, ...]]]:
+    """Reduced row echelon form of rows in F_p's row format: the pivot columns
+    ascending and their rows as tuples, each zero at the other pivots."""
+    piv = echelon(p, rows)[0]
+    keys = sorted(piv, reverse=p != 2)
+    done: list = []
+    # Clear each row against the rows of the pivots right of its own.
+    for key in keys:
+        r = piv[key]
+        for k, s in zip(keys, done):
+            if p == 2:
+                if r >> (k - 1) & 1:
+                    r ^= s
+            elif r[k]:
+                f = r[k]
+                r = [(x - f * y) % p for x, y in zip(r, s)]
+        done.append(r)
+    if p == 2:
+        return ([cols - k for k in reversed(keys)],
+                [tuple(map(int, bin(r | 1 << cols)[3:])) for r in reversed(done)])
+    return keys[::-1], [tuple(r) for r in reversed(done)]
+
+
+def rref(m: Mat) -> RrefResult:
+    """Reduced row echelon form over F_p (entries read mod p)."""
+    pivots, red = reduced_rows(m.p, m.cols, [pack_row(m.p, r) for r in m.entries])
+    ents = tuple(red) + ((0,) * m.cols,) * (m.rows - len(red))
+    return RrefResult(Mat(m.p, m.rows, m.cols, ents), tuple(pivots), len(red))
 
 
 def rank(m: Mat) -> int:
-    return rref(m).rank
+    return len(echelon(m.p, [pack_row(m.p, r) for r in m.entries])[0])
+
+
+def rows_kernel(p: int, cols: int, rows) -> tuple[tuple[int, ...], ...]:
+    """Deterministic basis of {x : R x = 0} for rows R in F_p's row format:
+    one vector per free column f (ascending), x_f = 1, other free
+    coordinates 0, pivot coordinates read off the reduced rows."""
+    pivots, red = reduced_rows(p, cols, rows)
+    basis = []
+    for f in sorted(set(range(cols)).difference(pivots)):
+        x = [0] * cols
+        x[f] = 1
+        for c, r in zip(pivots, red):
+            x[c] = -r[f] % p
+        basis.append(tuple(x))
+    return tuple(basis)
 
 
 def kernel_basis(m: Mat) -> tuple[tuple[int, ...], ...]:
-    """Deterministic basis of {x : m @ x = 0}.
-
-    One basis vector per free column f (ascending): x_f = 1, other free
-    coordinates 0, pivot coordinates read off the RREF rows.
-    """
-    p = m.p
-    red = rref(m)
-    pivset = set(red.pivots)
-    free = [c for c in range(m.cols) if c not in pivset]
-    basis = []
-    for f in free:
-        x = [0] * m.cols
-        x[f] = 1
-        for i, c in enumerate(red.pivots):
-            x[c] = (-red.matrix.entries[i][f]) % p
-        basis.append(tuple(x))
-    return tuple(basis)
+    """rows_kernel of m's rows: a deterministic basis of {x : m @ x = 0}."""
+    return rows_kernel(m.p, m.cols, [pack_row(m.p, r) for r in m.entries])
 
 
 def is_invertible(m: Mat) -> bool:
@@ -223,10 +273,10 @@ class Subspace:
 
 
 def subspace_from_vectors(p: int, ambient: int, vectors: list[tuple[int, ...]] | tuple[tuple[int, ...], ...]) -> Subspace:
-    m = Mat(p, len(vectors), ambient, tuple(tuple(x % p for x in v) for v in vectors))
-    red = rref(m)
-    basis = tuple(red.matrix.entries[i] for i in range(red.rank))
-    return Subspace(p, ambient, basis, red.pivots)
+    if set(map(len, vectors)) - {ambient}:
+        raise IncompatibleObjects("vector length does not match the ambient dimension")
+    pivots, red = reduced_rows(p, ambient, [pack_row(p, v) for v in vectors])
+    return Subspace(p, ambient, tuple(red), tuple(pivots))
 
 
 def zero_subspace(p: int, ambient: int) -> Subspace:

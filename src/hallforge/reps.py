@@ -17,8 +17,8 @@ from typing import Iterator
 
 from .errors import (EnumerationTooLarge, IncompatibleObjects, InternalInconsistency,
                      NotASubobject)
-from .linalg import (FieldSpec, Mat, Subspace, count_matrices_of_rank, gl_order,
-                     is_invertible, kernel_basis, rank)
+from .linalg import (FieldSpec, Mat, Subspace, count_matrices_of_rank, echelon, gl_order,
+                     pack_bits, pack_row, rank, rows_kernel)
 from .quivers import DimVec, Quiver, total_dim, validate_quiver
 
 #: Enumeration ceiling for Hom-space searches in isomorphism tests.
@@ -91,52 +91,52 @@ def direct_sum(m: Rep, n: Rep) -> Rep:
     return Rep(m.quiver, p, dims, tuple(mats))
 
 
-def _hom_system(m: Rep, n: Rep,
-                all_rows: bool = False) -> tuple[Mat, list[tuple[int, int]], list[int]]:
-    """Linear system whose kernel is Hom(m, n).
+def _hom_system(m: Rep, n: Rep) -> tuple[list, list[tuple[int, int]], list[int]]:
+    """Linear system whose kernel is Hom(m, n), as rows in F_p's row format
+    (see hallforge.linalg).
 
     Variables are the entries of the vertex maps f_v : m_v -> n_v (shape
     n.dims[v] x m.dims[v]), vertices in order, each matrix row-major.  One
     equation block per arrow a: s->t, reading f_t . m_a = n_a . f_s, one row
-    per entry (i, j) of an n_t x m_s matrix, row-major.  Unless all_rows, the
-    all-zero rows, among them every row of an arrow that is zero in both m
-    and n, are left out: the row space, so the RREF and the kernel basis,
-    stay the same.
+    per entry (i, j) of an n_t x m_s matrix, row-major.
     """
     _check_compatible(m, n)
     p = m.p
     q = m.quiver
     shapes = [(n.dims[v], m.dims[v]) for v in range(q.n)]
-    offsets = []
-    acc = 0
-    for r, c in shapes:
-        offsets.append(acc)
-        acc += r * c
-    nvars = acc
-    rows: list[tuple[int, ...]] = []
+    offsets = list(itertools.accumulate((r * c for r, c in shapes), initial=0))
+    nvars = offsets.pop()
+    rows: list = []
     for idx, a in enumerate(q.arrows):
         s, t = a.source, a.target
-        ma, na = m.mats[idx], n.mats[idx]
-        if not all_rows and ma.is_zero() and na.is_zero():
+        ma, na = m.mats[idx].entries, n.mats[idx].entries
+        mt, ms, nt, ns = m.dims[t], m.dims[s], n.dims[t], n.dims[s]
+        if not (nt and ms):
             continue
-        for i in range(n.dims[t]):
-            for j in range(m.dims[s]):
+        if p == 2:
+            # Bit nvars - 1 - x stands for variable x.  Row (i, j) holds column j
+            # of m_a at the variables (t, i, k), k < m_t, and row i of n_a at the
+            # variables (s, l, j), l < n_s: these shifted right by i * m_t and j.
+            col_m = ([pack_bits(col) << nvars - offsets[t] - mt for col in zip(*ma)] if mt
+                     else [0] * ms)
+            row_n = [pack_bits(row, ms) << nvars - 1 - offsets[s] - (ns - 1) * ms for row in na]
+            rows.extend(col_m[j] >> i * mt ^ row_n[i] >> j for i in range(nt) for j in range(ms))
+            continue
+        for i in range(nt):
+            for j in range(ms):
                 row = [0] * nvars
-                for k in range(m.dims[t]):
-                    row[offsets[t] + i * m.dims[t] + k] += ma.entries[k][j]
-                for l in range(n.dims[s]):
-                    row[offsets[s] + l * m.dims[s] + j] -= na.entries[i][l]
-                row = [x % p for x in row]
-                if all_rows or any(row):
-                    rows.append(tuple(row))
-    return Mat(p, len(rows), nvars, tuple(rows)), shapes, offsets
+                for k in range(mt):
+                    row[offsets[t] + i * mt + k] += ma[k][j]
+                for l in range(ns):
+                    row[offsets[s] + l * ms + j] -= na[i][l]
+                rows.append([x % p for x in row])
+    return rows, shapes, offsets
 
 
 def hom_dim(m: Rep, n: Rep) -> int:
     """Dimension of Hom(m, n) over F_p."""
-    system, shapes, _ = _hom_system(m, n)
-    nvars = sum(r * c for r, c in shapes)
-    return nvars - rank(system)
+    rows, shapes, _ = _hom_system(m, n)
+    return sum(r * c for r, c in shapes) - len(echelon(m.p, rows)[0])
 
 
 def _unflatten(p: int, vec: tuple[int, ...], shapes: list[tuple[int, int]],
@@ -150,8 +150,8 @@ def _unflatten(p: int, vec: tuple[int, ...], shapes: list[tuple[int, int]],
 
 def _hom_kernel(m: Rep, n: Rep) -> tuple[list[tuple[int, ...]], list[tuple[int, int]], list[int]]:
     """(flat kernel basis, shapes, offsets) of the Hom(m, n) system."""
-    system, shapes, offsets = _hom_system(m, n)
-    return [tuple(v) for v in kernel_basis(system)], shapes, offsets
+    rows, shapes, offsets = _hom_system(m, n)
+    return list(rows_kernel(m.p, sum(r * c for r, c in shapes), rows)), shapes, offsets
 
 
 def hom_basis(m: Rep, n: Rep) -> tuple[Morphism, ...]:
@@ -196,8 +196,8 @@ def _isomorphisms(m: Rep, n: Rep, bound: int, kernel=None) -> Iterator[tuple[int
         return
     blocks = [(r, off) for (r, _), off in zip(shapes, offsets) if r]
     for flat in _hom_elements(p, kernel):
-        if all(is_invertible(Mat(p, r, r, tuple(flat[off + i * r:off + i * r + r]
-                                                for i in range(r))))
+        if all(len(echelon(p, [pack_row(p, flat[i:i + r])
+                               for i in range(off, off + r * r, r)])[0]) == r
                for r, off in blocks):
             yield flat
 
@@ -271,10 +271,8 @@ def quotient_by_subrep(m: Rep, subs: tuple[Subspace, ...]) -> Rep:
         if mat.is_zero():
             mats.append(Mat.zeros(p, len(comp[t]), len(comp[s])))
             continue
-        cols = []
-        for c in comp[s]:
-            e = tuple(1 if i == c else 0 for i in range(m.dims[s]))
-            cols.append(project(t, mat.apply(e)))
+        # The image of the c-th unit vector is column c.
+        cols = [project(t, tuple(row[c] % p for row in mat.entries)) for c in comp[s]]
         ents = tuple(tuple(col[i] for col in cols) for i in range(len(comp[t])))
         mats.append(Mat(p, len(comp[t]), len(comp[s]), ents))
     dims = tuple(len(c) for c in comp)
@@ -554,7 +552,10 @@ class ClassRegistry:
 
         Each stored Aut must satisfy |Aut| * orbit = prod |GL(d_v)|, and the
         orbits of one dimension vector must partition all p^{#entries} matrix
-        tuples; a file that breaks either raises CacheInvalid.
+        tuples.  Every matrix entry must be an int in range(p); per dims, class
+        0 must be the all-zero tuple, no two representatives may be equal, and
+        on a quiver classified by ranks the rank tuples must strictly increase.
+        A file that breaks any of these raises CacheInvalid.
         """
         from .errors import CacheInvalid
         loaded: list[IsoClassId] = []
@@ -566,9 +567,11 @@ class ClassRegistry:
                 for row in rows:
                     mats = []
                     for a, ents in zip(self.quiver.arrows, row["mats"]):
-                        r, c = dims[a.target], dims[a.source]
-                        mats.append(Mat(self.p, r, c, tuple(tuple(int(x) % self.p for x in er)
-                                                            for er in ents)))
+                        ents = tuple(map(tuple, ents))
+                        if not all(type(x) is int and 0 <= x < self.p for er in ents for x in er):
+                            raise CacheInvalid(f"class {len(reps)} of dims {dims}: a matrix "
+                                               f"entry is not an int in range({self.p})")
+                        mats.append(Mat(self.p, dims[a.target], dims[a.source], ents))
                     reps.append(Rep(self.quiver, self.p, dims, tuple(mats)))
                     orbit = int(row["orbit"])
                     aut = None if row.get("aut") is None else int(row["aut"])
@@ -577,6 +580,15 @@ class ClassRegistry:
                                            f"aut {aut} and orbit {orbit} break |Aut| * orbit = {glp}")
                     orbits.append(orbit)
                     auts.append(aut)
+                # hall._is_split_class and classify read these, so they must hold.
+                if reps and not all(m.is_zero() for m in reps[0].mats):
+                    raise CacheInvalid(f"class 0 of dims {dims} is not the all-zero tuple")
+                if len({rep.mats for rep in reps}) != len(reps):
+                    raise CacheInvalid(f"dims {dims} store two equal representatives")
+                if self._classified_by_ranks:
+                    ranks = [tuple(map(rank, rep.mats)) for rep in reps]
+                    if any(x >= y for x, y in zip(ranks, ranks[1:])):
+                        raise CacheInvalid(f"the rank tuples of dims {dims} do not increase")
                 n_entries = sum(dims[a.target] * dims[a.source] for a in self.quiver.arrows)
                 if sum(orbits) != self.p ** n_entries:
                     raise CacheInvalid(f"stored orbits of dims {dims} do not add up to "

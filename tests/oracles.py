@@ -16,7 +16,10 @@ DerivedHall.multiply_graded; bracket_by_shifts and alt_hom_explicit
 multiply hom_dt_count over the shifts, as {X, Y} and the alternating Hom
 product are defined, and alt_hom_product is the latter's Euler-form closed
 form.  FractionPairScalar is the plain pair-of-Fractions model of Q(sqrt q)
-that hallforge.scalars' integer triples are checked against.
+that hallforge.scalars' integer triples are checked against.  list_rref,
+list_kernel_basis, list_subspace_from_vectors and list_hom_system are the
+former list-row Gauss-Jordan elimination and Hom system, kept to judge the
+packed-row elimination core of hallforge.linalg and reps._hom_system.
 """
 from __future__ import annotations
 
@@ -28,14 +31,14 @@ from hallforge.algebra import DerivedHall, HallVector
 from hallforge.complexes import (ComplexObj, GradedObject, _as_reps, class_at_or_zero,
                                  enumerate_complex_classes, hom_dt_count, homology,
                                  zero_diff_complex)
-from hallforge.errors import (IncompatibleObjects, InternalInconsistency, NotASubobject,
-                              UnsupportedPeriod)
+from hallforge.errors import (DivisionByZero, IncompatibleObjects, InternalInconsistency,
+                              NotASubobject, UnsupportedPeriod)
 from hallforge.hall import (closed_subspace_tuples, euler_mult, euler_table, ext1_count,
                             hall_number)
-from hallforge.linalg import Mat, rank, subspace_from_vectors
+from hallforge.linalg import Mat, RrefResult, Subspace, rank, subspace_from_vectors
 from hallforge.quivers import dims_add, dims_sub, subdimvecs
 from hallforge.reps import (DEFAULT_ISO_ENUM_BOUND, ClassRegistry, IsoClassId, Rep,
-                            _isomorphisms, hom_basis, hom_dim, is_isomorphic,
+                            _check_compatible, _isomorphisms, hom_basis, hom_dim, is_isomorphic,
                             quotient_by_subrep, restrict_to_subspaces, zero_rep)
 from hallforge.scalars import QSqrtScalar, q_exponent
 
@@ -524,3 +527,107 @@ class FractionPairScalar:
 
     def __str__(self) -> str:
         return f"{self.a} + {self.b}*v"
+
+
+# -- list-row linear algebra, the elimination core's judge ----------------------
+
+
+def inv_mod(a: int, p: int) -> int:
+    """Multiplicative inverse in F_p; raises DivisionByZero on 0."""
+    a %= p
+    if a == 0:
+        raise DivisionByZero(f"0 has no inverse in F_{p}")
+    return pow(a, p - 2, p)
+
+
+def list_rref(m: Mat) -> RrefResult:
+    """Reduced row echelon form by Gauss-Jordan elimination over F_p."""
+    p = m.p
+    rows = [list(r) for r in m.entries]
+    pivots: list[int] = []
+    r = 0
+    for c in range(m.cols):
+        pivot_row = next((i for i in range(r, m.rows) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = inv_mod(rows[r][c], p)
+        rows[r] = [(x * inv) % p for x in rows[r]]
+        for i in range(m.rows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == m.rows:
+            break
+    out = Mat(p, m.rows, m.cols, tuple(tuple(row) for row in rows))
+    return RrefResult(out, tuple(pivots), r)
+
+
+def list_kernel_basis(m: Mat) -> tuple[tuple[int, ...], ...]:
+    """Deterministic basis of {x : m @ x = 0}.
+
+    One basis vector per free column f (ascending): x_f = 1, other free
+    coordinates 0, pivot coordinates read off the RREF rows.
+    """
+    p = m.p
+    red = list_rref(m)
+    pivset = set(red.pivots)
+    free = [c for c in range(m.cols) if c not in pivset]
+    basis = []
+    for f in free:
+        x = [0] * m.cols
+        x[f] = 1
+        for i, c in enumerate(red.pivots):
+            x[c] = (-red.matrix.entries[i][f]) % p
+        basis.append(tuple(x))
+    return tuple(basis)
+
+
+def list_subspace_from_vectors(p: int, ambient: int, vectors: list[tuple[int, ...]] | tuple[tuple[int, ...], ...]) -> Subspace:
+    m = Mat(p, len(vectors), ambient, tuple(tuple(x % p for x in v) for v in vectors))
+    red = list_rref(m)
+    basis = tuple(red.matrix.entries[i] for i in range(red.rank))
+    return Subspace(p, ambient, basis, red.pivots)
+
+
+def list_hom_system(m: Rep, n: Rep,
+                    all_rows: bool = False) -> tuple[Mat, list[tuple[int, int]], list[int]]:
+    """Linear system whose kernel is Hom(m, n).
+
+    Variables are the entries of the vertex maps f_v : m_v -> n_v (shape
+    n.dims[v] x m.dims[v]), vertices in order, each matrix row-major.  One
+    equation block per arrow a: s->t, reading f_t . m_a = n_a . f_s, one row
+    per entry (i, j) of an n_t x m_s matrix, row-major.  Unless all_rows, the
+    all-zero rows, among them every row of an arrow that is zero in both m
+    and n, are left out: the row space, so the RREF and the kernel basis,
+    stay the same.
+    """
+    _check_compatible(m, n)
+    p = m.p
+    q = m.quiver
+    shapes = [(n.dims[v], m.dims[v]) for v in range(q.n)]
+    offsets = []
+    acc = 0
+    for r, c in shapes:
+        offsets.append(acc)
+        acc += r * c
+    nvars = acc
+    rows: list[tuple[int, ...]] = []
+    for idx, a in enumerate(q.arrows):
+        s, t = a.source, a.target
+        ma, na = m.mats[idx], n.mats[idx]
+        if not all_rows and ma.is_zero() and na.is_zero():
+            continue
+        for i in range(n.dims[t]):
+            for j in range(m.dims[s]):
+                row = [0] * nvars
+                for k in range(m.dims[t]):
+                    row[offsets[t] + i * m.dims[t] + k] += ma.entries[k][j]
+                for l in range(n.dims[s]):
+                    row[offsets[s] + l * m.dims[s] + j] -= na.entries[i][l]
+                row = [x % p for x in row]
+                if all_rows or any(row):
+                    rows.append(tuple(row))
+    return Mat(p, len(rows), nvars, tuple(rows)), shapes, offsets

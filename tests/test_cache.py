@@ -291,6 +291,46 @@ def test_stored_orbits_must_partition_the_matrix_tuples(tmp_path):
         _tamper(tmp_path, drop_aut_and_double_orbit)
 
 
+@pytest.mark.parametrize("entry", [2, 3, -1, "1", True, 1.0, None])
+def test_a_matrix_entry_must_be_an_int_in_range_p(tmp_path, entry):
+    def set_entry(classes):
+        classes["1,1"][1]["mats"][0][0][0] = entry
+    with pytest.raises(CacheInvalid, match=r"not an int in range\(2\)"):
+        _tamper(tmp_path, set_entry)
+
+
+def test_class_0_must_be_the_all_zero_tuple(tmp_path):
+    def swap_classes(classes):
+        classes["1,1"].reverse()
+    with pytest.raises(CacheInvalid, match="class 0 of dims .1, 1. is not the all-zero"):
+        _tamper(tmp_path, swap_classes)
+
+
+def test_two_equal_representatives_are_rejected(tmp_path):
+    # With k1.1#1's matrix zeroed, the file passes every count check, and
+    # k1.1#1 would get the split class's subobjects.
+    def zero_k11_1(classes):
+        classes["1,1"][1]["mats"] = [[[0]]]
+    with pytest.raises(CacheInvalid, match="two equal representatives"):
+        _tamper(tmp_path, zero_k11_1)
+
+
+@pytest.mark.parametrize("second,third", [
+    ({"mats": [[[0, 1], [1, 0]]], "orbit": 6, "aut": 6},
+     {"mats": [[[0, 0], [0, 1]]], "orbit": 9, "aut": 4}),
+    ({"mats": [[[0, 0], [0, 1]]], "orbit": 9, "aut": 4},
+     {"mats": [[[1, 0], [0, 0]]], "orbit": 6, "aut": 6}),
+], ids=["ranks-0-2-1", "ranks-0-1-1"])
+def test_rank_tuples_must_strictly_increase_on_a_rank_classified_quiver(tmp_path, second,
+                                                                      third):
+    # A2 over F_2, dims (2, 2): three distinct classes, the first all zero,
+    # whose orbits add up to 2^4 and satisfy |Aut| * orbit = |GL_2|^2 = 36.
+    def add_dims(classes):
+        classes["2,2"] = [{"mats": [[[0, 0], [0, 0]]], "orbit": 1, "aut": 36}, second, third]
+    with pytest.raises(CacheInvalid, match="rank tuples of dims .2, 2. do not increase"):
+        _tamper(tmp_path, add_dims)
+
+
 def test_concurrent_writers_do_not_share_a_temp_file(tmp_path):
     reg = warm_registry()
     errors = []

@@ -1,6 +1,7 @@
 """Command-line interface: reports, exit codes, CSV, caching, sampling."""
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import random
@@ -209,6 +210,42 @@ def test_reports_are_deterministic(capsys, monkeypatch):
     _, second, _ = run_cli(capsys, "hall", "--max-dim", "2")
     first.pop("timing_ms"), second.pop("timing_ms")
     assert first == second
+
+
+D4 = {"vertices": ["1", "2", "3", "c"],
+      "arrows": [{"src": v, "dst": "c", "label": f"a{v}"} for v in "123"]}
+
+#: sha256 of each report minus timing_ms (compact JSON, sorted keys), as the
+#: list-row elimination produced it; any route change must leave them alone.
+GOLDEN_REPORTS = [
+    ("Kronecker", KRONECKER, "classes --max-dim 5",
+     "19c9626ba8a6ddb8df4cd060181d809c7c8ee1cc7a544197f272900fa763c280"),
+    ("Kronecker", KRONECKER, "hall --max-dim 4",
+     "4ca0df3e9bd3aadeedc036101ac28383324effc19d4bab4828f9e557440fdb7a"),
+    ("Kronecker", KRONECKER, "gamma --max-dim 3",
+     "8e8f43f55ed4169431b6ef7108bf02808fd79b45974f10f57e55f9e30732d57f"),
+    ("Kronecker", KRONECKER, "hall --max-dim 3 --q 3",
+     "91dbaec6da92bba67009a4562ab05dc19744e371101831d6523b66f024805a48"),
+    ("A3", quiver_to_dict(line_quiver(3)), "hall --max-dim 4",
+     "7df12314b3cc10b746af2b79e34a7a1dd6b28f1bb0c799896aa1e8ac9bdb6de8"),
+    ("D4", D4, "hall --max-dim 4",
+     "80a6ee1df342d3732cec8bbe663e02e586df8456ccaac17f01224aa313f5adb9"),
+]
+
+
+@pytest.mark.parametrize("name,quiver,command,digest", GOLDEN_REPORTS,
+                         ids=[f"{name}-{cmd.replace(' ', '')}"
+                              for name, _, cmd, _ in GOLDEN_REPORTS])
+def test_report_matches_its_recorded_digest(capsys, tmp_path, monkeypatch, name, quiver,
+                                            command, digest):
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(quiver))
+    code, report, _ = run_cli(capsys, *command.split(), "--quiver", str(path))
+    assert code == 0
+    report.pop("timing_ms")
+    text = json.dumps(report, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_fingerprint_tracks_setup(capsys, monkeypatch):

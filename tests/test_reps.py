@@ -3,17 +3,21 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hallforge.complexes import _coboundary_transversal
 from hallforge.errors import (EnumerationTooLarge, IncompatibleObjects,
                               InvalidField)
 from hallforge.linalg import Mat, full_subspace, gl_order, subspace_from_vectors, zero_subspace
-from hallforge.quivers import dimvecs_up_to, line_quiver, quiver_from_dict
-from hallforge.reps import (ClassRegistry, IsoClassId, Rep, direct_sum,
-                            enumerate_iso_classes, hom_dim, is_isomorphic,
+from hallforge.quivers import Arrow, Quiver, dimvecs_up_to, line_quiver, quiver_from_dict
+from hallforge.reps import (ClassRegistry, IsoClassId, Rep, _unflatten, direct_sum,
+                            enumerate_iso_classes, hom_basis, hom_dim, is_isomorphic,
                             quotient_by_subrep, restrict_to_subspaces,
                             semisimple_rep, simple_rep, zero_rep)
 
-from .oracles import aut_count_by_enumeration, brute_force_classes
+from .oracles import (aut_count_by_enumeration, brute_force_classes, list_hom_system,
+                      list_kernel_basis, list_rref)
 
 
 def test_registry_rejects_composite_field():
@@ -84,6 +88,52 @@ def test_orbit_stabilizer_matches_endomorphism_scan(quiver, p, max_total):
         scanned = aut_count_by_enumeration(reg.representative(c), bound=p ** 9)
         assert scanned == reg.aut_count(c)
         assert scanned * reg.orbit_size(c) == reg.gl_product(c.dims)
+
+
+D4 = quiver_from_dict({"vertices": ["1", "2", "3", "c"],
+                       "arrows": [{"src": v, "dst": "c", "label": f"a{v}"} for v in "123"]})
+
+
+# A2 with a loop at each vertex, as in its degree quiver at t = 1: a loop puts
+# both sides of f_v . m_a = n_a . f_v into one row of the Hom system.
+LOOPED_A2 = Quiver(("1", "2"), (Arrow(0, 1, "a"), Arrow(0, 0, "d1"), Arrow(1, 1, "d2")))
+
+
+@st.composite
+def _rep_pairs(draw):
+    """Two representations of one of A2, Kronecker, D4 and looped A2 over F_2,
+    F_3 or F_5, with random arrow matrices (about half of their entries zero)."""
+    quiver = draw(st.sampled_from((line_quiver(2), quiver_from_dict(KRONECKER), D4,
+                                   LOOPED_A2)))
+    p = draw(st.sampled_from((2, 3, 5)))
+
+    def rep() -> Rep:
+        dims = tuple(draw(st.integers(0, 2 if quiver is D4 else 3)) for _ in range(quiver.n))
+        entry = st.one_of(st.just(0), st.integers(0, p - 1))
+        mats = tuple(Mat(p, dims[a.target], dims[a.source],
+                         tuple(tuple(draw(entry) for _ in range(dims[a.source]))
+                               for _ in range(dims[a.target])))
+                     for a in quiver.arrows)
+        return Rep(quiver, p, dims, mats)
+    return rep(), rep()
+
+
+@given(_rep_pairs())
+@settings(max_examples=200, deadline=None)
+def test_hom_matches_the_list_row_judge(pair):
+    m, n = pair
+    system, shapes, offsets = list_hom_system(m, n)
+    assert hom_dim(m, n) == system.cols - list_rref(system).rank
+    assert hom_basis(m, n) == tuple(_unflatten(m.p, v, shapes, offsets)
+                                    for v in list_kernel_basis(system))
+    # The transversal's former route: the pivots of the transposed full system.
+    full = list_hom_system(m, n, all_rows=True)[0]
+    pivots = set(list_rref(Mat(m.p, full.cols, full.rows, tuple(zip(*full.entries)))).pivots
+                 if full.rows else ())
+    coords = [(idx, r, c) for idx, a in enumerate(m.quiver.arrows)
+              for r in range(n.dims[a.target]) for c in range(m.dims[a.source])]
+    assert _coboundary_transversal(m, n) == [rc for k, rc in enumerate(coords)
+                                             if k not in pivots]
 
 
 def test_orbit_stabilizer_on_the_largest_endomorphism_scan(a1_f2):
