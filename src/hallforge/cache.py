@@ -2,14 +2,14 @@
 
 A cache file stores the isomorphism classes, orbit/automorphism counts and
 subobject tables of one (quiver, field, periodicity) setup: for each class c
-that hall._subobject_table walks and each subobject dims d, the nonzero
-{(quotient, subobject): count}, empty tables included.  Closed-form Hall
-numbers are recomputed.  The fingerprint ties the file to the setup, and a
-sha256 digest of the payload bytes, written as the file's first key, ties the
-counts to what was saved; loading a file whose fingerprint, layout (older
-formats included) or digest does not match, whose counts break the orbit
-identities, or whose tables no route reads raises CacheInvalid.  Caching only
-affects speed, never results.
+that hall._subobject_table walks and each subobject dims d other than 0 and
+dims c, the nonzero {(quotient, subobject): count}, empty tables included.
+Closed-form Hall numbers and tables are recomputed.  The fingerprint ties
+the file to the setup, and a sha256 digest of the payload bytes, written as
+the file's first key, ties the counts to what was saved; loading a file
+whose fingerprint, layout (older formats included) or digest does not match,
+whose counts break the orbit identities, or whose tables no route reads
+raises CacheInvalid.  Caching only affects speed, never results.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from .quivers import Quiver, canonical_quiver_json, dims_sub
 from .reps import ClassRegistry
 
 CACHE_ENV_VAR = "HALLFORGE_CACHE"
-CACHE_FORMAT = 3
+CACHE_FORMAT = 4
 _BODY_START = len(b'{"sha256":"",') + 64  # where the payload's first key starts
 
 
@@ -137,6 +137,8 @@ def load_cache(reg: ClassRegistry, t: int,
             if len(d) != len(c.dims) or not all(type(x) is int and 0 <= x <= y
                                                 for x, y in zip(d, c.dims)):
                 raise CacheInvalid(f"subobject dims {d} do not fit in {c_s}")
+            if not any(d) or d == c.dims:
+                raise CacheInvalid(f"no route reads a table of {c_s} by dims {d}")
             table = memo[c, d] = {}
             for a_s, b_s, n in entries:
                 a, b = ids[a_s], ids[b_s]

@@ -15,8 +15,7 @@ from .linalg import (Subspace, gaussian_binomial, subspace_from_vectors,
                      subspaces_containing)
 from .quivers import (DimVec, Quiver, dims_add, dims_leq, dims_sub, subdimvecs,
                       topological_order)
-from .reps import (ClassRegistry, IsoClassId, Rep, is_subrep, quotient_by_subrep,
-                   restrict_to_subspaces)
+from .reps import ClassRegistry, IsoClassId, Rep, _quotient, _restrict, is_subrep
 
 
 def euler_add(quiver: Quiver, d1: DimVec, d2: DimVec) -> int:
@@ -94,10 +93,7 @@ def closed_subspace_tuples(rep: Rep, sub_dims: DimVec) -> Iterator[tuple[Subspac
             yield from fill(pos + 1, chosen)
         chosen.pop(v, None)
 
-    for subs in fill(0, {}):
-        if __debug__ and not is_subrep(rep, subs):
-            raise InternalInconsistency("constructed subspace tuple is not arrow-closed")
-        yield subs
+    yield from fill(0, {})
 
 
 def _is_split_class(cid: IsoClassId) -> bool:
@@ -175,15 +171,21 @@ def hall_number(reg: ClassRegistry, a: IsoClassId, b: IsoClassId, c: IsoClassId)
 def _subobject_table(reg: ClassRegistry, c: IsoClassId,
                      sub_dims: DimVec) -> dict[tuple[IsoClassId, IsoClassId], int]:
     """{(quotient class, subobject class): nonzero count} over the subobjects of c
-    of dims sub_dims, from one classifying walk; the cache persists these tables."""
+    of dims sub_dims.  The zero and the whole subobject have closed forms; any
+    other dims is one classifying walk, whose table the cache persists."""
+    if not any(sub_dims):
+        return {(c, reg.zero_class()): 1}
+    if sub_dims == c.dims:
+        return {(reg.zero_class(), c): 1}
     memo = reg.memo("subobject_table")
     table = memo.get((c, sub_dims))
     if table is None:
         rep_c = reg.representative(c)
         table = {}
         for subs in closed_subspace_tuples(rep_c, sub_dims):
-            key = (reg.classify(quotient_by_subrep(rep_c, subs)),
-                   reg.classify(restrict_to_subspaces(rep_c, subs)))
+            if not is_subrep(rep_c, subs):
+                raise InternalInconsistency("constructed subspace tuple is not arrow-closed")
+            key = reg.classify(_quotient(rep_c, subs)), reg.classify(_restrict(rep_c, subs))
             table[key] = table.get(key, 0) + 1
         memo[c, sub_dims] = table
     return table

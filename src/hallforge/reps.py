@@ -17,7 +17,7 @@ from typing import Iterator
 
 from .errors import (EnumerationTooLarge, IncompatibleObjects, InternalInconsistency,
                      NotASubobject)
-from .linalg import (FieldSpec, Mat, Subspace, count_matrices_of_rank, echelon, gl_order,
+from .linalg import (Mat, Subspace, check_prime, count_matrices_of_rank, echelon, gl_order,
                      pack_bits, pack_row, rank, rows_kernel)
 from .quivers import DimVec, Quiver, total_dim, validate_quiver
 
@@ -239,6 +239,11 @@ def restrict_to_subspaces(m: Rep, subs: tuple[Subspace, ...]) -> Rep:
     """The subrepresentation carried by closed subspaces, in their RREF bases."""
     if not is_subrep(m, subs):
         raise NotASubobject("subspaces are not closed under the arrow maps")
+    return _restrict(m, subs)
+
+
+def _restrict(m: Rep, subs: tuple[Subspace, ...]) -> Rep:
+    """restrict_to_subspaces for subspaces already known to be closed."""
     p = m.p
     mats = []
     for idx, a in enumerate(m.quiver.arrows):
@@ -258,6 +263,11 @@ def quotient_by_subrep(m: Rep, subs: tuple[Subspace, ...]) -> Rep:
     """
     if not is_subrep(m, subs):
         raise NotASubobject("subspaces are not closed under the arrow maps")
+    return _quotient(m, subs)
+
+
+def _quotient(m: Rep, subs: tuple[Subspace, ...]) -> Rep:
+    """quotient_by_subrep for subspaces already known to be closed."""
     p = m.p
     comp = [[c for c in range(s.ambient) if c not in s.pivots] for s in subs]
 
@@ -333,7 +343,7 @@ class ClassRegistry:
                  iso_enum_bound: int = DEFAULT_ISO_ENUM_BOUND,
                  tuple_bound: int = DEFAULT_TUPLE_BOUND) -> None:
         validate_quiver(quiver)
-        self.field = FieldSpec(p)
+        check_prime(p)
         self.quiver = quiver
         self.p = p
         self.iso_enum_bound = iso_enum_bound
@@ -437,10 +447,11 @@ class ClassRegistry:
         return self.classes((0,) * self.quiver.n)[0]
 
     def classify(self, rep: Rep) -> IsoClassId:
+        """The class of rep; off the rank-tuple route, memoized by matrix content."""
         if rep.quiver != self.quiver or rep.p != self.p:
             raise IncompatibleObjects("representation belongs to a different registry")
-        self.ensure_enumerated(rep.dims)
         if self._classified_by_ranks:
+            self.ensure_enumerated(rep.dims)
             by_ranks = self.memo("class_by_rank_tuple")
             index = by_ranks.get(rep.dims)
             if index is None:
@@ -449,6 +460,16 @@ class ClassRegistry:
             if cid is None:
                 raise InternalInconsistency("representation matched no enumerated class")
             return cid
+        memo = self.memo("classify")
+        key = (rep.dims, tuple(m.entries for m in rep.mats))
+        cid = memo.get(key)
+        if cid is None:
+            cid = memo[key] = self._search_class(rep)
+        return cid
+
+    def _search_class(self, rep: Rep) -> IsoClassId:
+        """The first class of rep.dims isomorphic to rep, tested in order."""
+        self.ensure_enumerated(rep.dims)
         d_end = None  # dim End(rep), computed once the first candidate differs from rep
         for cid, cand in zip(self._ids[rep.dims], self._classes[rep.dims]):
             if rep == cand:

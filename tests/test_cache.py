@@ -56,8 +56,9 @@ def test_roundtrip_restores_everything(tmp_path):
             assert fresh.orbit_size(c) == reg.orbit_size(c)
             assert fresh.aut_count(c) == reg.aut_count(c)
     assert fresh.memo("subobject_table") == reg.memo("subobject_table")
-    # The 3 + 4 non-split classes of (1,1) and (1,2), each walked for all its subobject dims.
-    assert len(fresh.memo("subobject_table")) == 3 * 4 + 4 * 6
+    # The 3 + 4 non-split classes of (1,1) and (1,2), each walked for all its
+    # subobject dims but 0 and its own dims, whose tables have closed forms.
+    assert len(fresh.memo("subobject_table")) == 3 * 2 + 4 * 4
     # A re-save of the loaded state reproduces the file byte for byte.
     again = save_cache(fresh, 0, tmp_path)
     assert again.read_bytes() == path.read_bytes()
@@ -237,6 +238,15 @@ def test_a_table_on_a_vertex_disjoint_quiver_is_rejected(tmp_path):
     path.write_bytes(encode_cache(payload))
     with pytest.raises(CacheInvalid, match="no route reads"):
         load_cache(ClassRegistry(line_quiver(2), 2), 0, tmp_path)
+
+
+@pytest.mark.parametrize("d,entry", [([0, 0], ["k1.1#1", "k0.0", 1]),
+                                     ([1, 1], ["k0.0", "k1.1#1", 1])], ids=["zero", "whole"])
+def test_a_trivial_table_is_rejected(tmp_path, d, entry):
+    def add_trivial_table(tables):
+        tables.append(["k1.1#1", d, [entry]])
+    with pytest.raises(CacheInvalid, match="no route reads"):
+        _reseal_tables(tmp_path, add_trivial_table)
 
 
 @pytest.mark.parametrize("d", [[2, 0], [0], [0, 1, 0], [-1, 2], [0, 1.5], "01"])

@@ -5,13 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from hallforge.hall import (ext1_count, ext1_middle_count, euler_add,
-                            euler_mult, euler_table, gamma_coeff, gamma_terms,
-                            green_sides, hall_number)
-from hallforge.linalg import gaussian_binomial
+from hallforge.hall import (closed_subspace_tuples, ext1_count, ext1_middle_count,
+                            euler_add, euler_mult, euler_table, gamma_coeff, gamma_terms,
+                            green_sides, hall_number, subquotient_tables)
+from hallforge.linalg import enumerate_subspaces, gaussian_binomial
 from hallforge.quivers import (dims_add, dims_sub, dimvecs_up_to, line_quiver,
                                quiver_from_dict, subdimvecs)
-from hallforge.reps import ClassRegistry
+from hallforge.reps import ClassRegistry, is_subrep
 
 from .oracles import (four_term_gamma_oracle, gamma_by_middle_class_sum,
                       hall_number_injection_oracle)
@@ -229,3 +229,32 @@ def test_extension_counts_sum_over_middles(request, fixture_name):
             parts = [ext1_middle_count(reg, a, b, c) for c in reg.classes(dsum)]
             assert all(isinstance(x, int) and x >= 0 for x in parts)
             assert sum(parts) == ext1_count(reg, a, b)
+
+
+@pytest.mark.parametrize("quiver,max_total", [(line_quiver(2), 4), (line_quiver(3), 3), (D4, 3),
+                                              (KRONECKER, 4)],
+                         ids=["A2", "A3", "D4", "Kronecker"])
+def test_closed_subspace_tuples_are_exactly_the_closed_ones(quiver, max_total):
+    # The walk trusts closed_subspace_tuples to yield closed tuples only, each
+    # once; the judge is every subspace tuple of the dims, filtered by is_subrep.
+    reg = ClassRegistry(quiver, 2)
+    for c in reg.all_classes_total_le(max_total):
+        rep = reg.representative(c)
+        for d in subdimvecs(c.dims):
+            walked = list(closed_subspace_tuples(rep, d))
+            assert all(is_subrep(rep, subs) for subs in walked)
+            brute = [subs for subs in itertools.product(
+                *(enumerate_subspaces(2, n, k) for n, k in zip(c.dims, d)))
+                if is_subrep(rep, subs)]
+            assert len(set(walked)) == len(walked) == len(brute)
+            assert set(walked) == set(brute)
+
+
+def test_walk_memo_sizes_after_kronecker_hall_max_dim_4():
+    # What `hall --max-dim 4` on Kronecker over F_2 leaves in memory: the
+    # distinct subobjects and quotients classified, and the walked tables.
+    reg = ClassRegistry(KRONECKER, 2)
+    for c in reg.all_classes_total_le(4):
+        subquotient_tables(reg, c)
+    assert len(reg.memo("classify")) == 42
+    assert len(reg.memo("subobject_table")) == 191

@@ -1,15 +1,17 @@
 from __future__ import annotations
 
+import functools
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hallforge.complexes import _coboundary_transversal
 from hallforge.errors import (EnumerationTooLarge, IncompatibleObjects,
                               InvalidField)
-from hallforge.linalg import Mat, full_subspace, gl_order, subspace_from_vectors, zero_subspace
+from hallforge.linalg import (Mat, full_subspace, gl_order, is_invertible, subspace_from_vectors,
+                             zero_subspace)
 from hallforge.quivers import Arrow, Quiver, dimvecs_up_to, line_quiver, quiver_from_dict
 from hallforge.reps import (ClassRegistry, IsoClassId, Rep, _unflatten, direct_sum,
                             enumerate_iso_classes, hom_basis, hom_dim, is_isomorphic,
@@ -134,6 +136,64 @@ def test_hom_matches_the_list_row_judge(pair):
               for r in range(n.dims[a.target]) for c in range(m.dims[a.source])]
     assert _coboundary_transversal(m, n) == [rc for k, rc in enumerate(coords)
                                              if k not in pivots]
+
+
+@functools.cache
+def _gl(p: int, n: int) -> tuple[tuple[Mat, Mat], ...]:
+    """Every (g, g^-1) in GL_n(F_p)."""
+    mats = [Mat(p, n, n, tuple(tuple(e[i * n:(i + 1) * n]) for i in range(n)))
+            for e in itertools.product(range(p), repeat=n * n)]
+    one = Mat.identity(p, n)
+    gl = [g for g in mats if is_invertible(g)]
+    return tuple((g, next(h for h in gl if g.mul(h) == one)) for g in gl)
+
+
+@functools.cache
+def _shared_registry(quiver: Quiver, p: int) -> ClassRegistry:
+    return ClassRegistry(quiver, p)
+
+
+@st.composite
+def _rep_and_base_change(draw):
+    """A representation of Kronecker, D4 or A3 over F_2 or F_3 with random
+    arrow matrices, and its image under a random base change g."""
+    quiver = draw(st.sampled_from((quiver_from_dict(KRONECKER), D4, line_quiver(3))))
+    p = draw(st.sampled_from((2, 3)))
+    dims = tuple(draw(st.integers(0, 1 if quiver is D4 and v < 3 else 2))
+                 for v in range(quiver.n))
+    # A fresh registry enumerates rep.dims: A3 (2, 2, 2) takes seconds over F_3.
+    assume(p == 2 or sum(dims) <= 4)
+    mats = tuple(Mat(p, dims[a.target], dims[a.source],
+                     tuple(tuple(draw(st.integers(0, p - 1)) for _ in range(dims[a.source]))
+                           for _ in range(dims[a.target])))
+                 for a in quiver.arrows)
+    g = [draw(st.sampled_from(_gl(p, d))) for d in dims]
+    moved = tuple(g[a.target][0].mul(m).mul(g[a.source][1]) for a, m in zip(quiver.arrows, mats))
+    return Rep(quiver, p, dims, mats), Rep(quiver, p, dims, moved)
+
+
+@given(_rep_and_base_change())
+@settings(max_examples=100, deadline=None)
+def test_memoized_classify_matches_a_fresh_registry(case):
+    rep, moved = case
+    reg = _shared_registry(rep.quiver, rep.p)
+    cid = reg.classify(rep)
+    assert (rep.dims, tuple(m.entries for m in rep.mats)) in reg.memo("classify")
+    assert reg.classify(rep) == cid == ClassRegistry(rep.quiver, rep.p).classify(rep)
+    assert reg.classify(moved) == cid
+
+
+def test_classify_memo_keeps_the_registry_check(kronecker_f2):
+    rep = Rep(kronecker_f2.quiver, 2, (1, 1), (Mat(2, 1, 1, ((1,),)), Mat(2, 1, 1, ((0,),))))
+    kronecker_f2.classify(rep)
+    assert ((1, 1), (((1,),), ((0,),))) in kronecker_f2.memo("classify")
+    relabelled = Quiver(kronecker_f2.quiver.vertices,
+                        tuple(Arrow(a.source, a.target, a.label + "'")
+                              for a in kronecker_f2.quiver.arrows))
+    for other in (Rep(relabelled, 2, rep.dims, rep.mats),
+                  Rep(rep.quiver, 3, rep.dims, tuple(Mat(3, 1, 1, m.entries) for m in rep.mats))):
+        with pytest.raises(IncompatibleObjects):
+            kronecker_f2.classify(other)
 
 
 def test_orbit_stabilizer_on_the_largest_endomorphism_scan(a1_f2):
