@@ -9,7 +9,10 @@ the file to the setup, and a sha256 digest of the payload bytes, written as
 the file's first key, ties the counts to what was saved; loading a file
 whose fingerprint, layout (older formats included) or digest does not match,
 whose counts break the orbit identities, or whose tables no route reads
-raises CacheInvalid.  Caching only affects speed, never results.
+raises CacheInvalid.  Every check runs at load, but the registry builds a
+class's representative from its checked entries only when something reads
+it, so a warm run that finds all it reads here builds none.  Caching only
+affects speed, never results.
 """
 from __future__ import annotations
 

@@ -35,7 +35,7 @@ from .errors import (CacheInvalid, DivisionByZero, EnumerationTooLarge,
                      IncompatibleObjects, InternalInconsistency, InvalidField,
                      NotAPureQPower, NotASubobject, NotHereditarySetup,
                      RewriteBudgetExceeded, UnsupportedPeriod)
-from .hall import gamma_terms, green_sides, subquotient_tables
+from .hall import gamma_sweep, green_sides, subquotient_tables
 from .quivers import (Quiver, dims_sub, dimvecs_up_to, line_quiver,
                       quiver_from_dict, quiver_to_dict, subdimvecs)
 from .reps import ClassRegistry
@@ -73,6 +73,16 @@ def load_quiver(path: str | None) -> Quiver:
     except (OSError, json.JSONDecodeError) as e:
         raise IncompatibleObjects(f"cannot read quiver file {path}: {e}") from None
     return quiver_from_dict(data)
+
+
+def write_csv(path: str, fields: list[str], rows: list[dict]) -> None:
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.DictWriter(fh, fieldnames=fields)
+            writer.writeheader()
+            writer.writerows(rows)
+    except OSError as e:
+        raise IncompatibleObjects(f"cannot write CSV file {path}: {e}") from None
 
 
 def parse_dims(text: str, n_vertices: int) -> tuple[int, ...]:
@@ -197,14 +207,12 @@ def cmd_green(args, reg: ClassRegistry, t: int):
 
 def cmd_gamma(args, reg: ClassRegistry, t: int):
     bound = args.max_dim if args.max_dim is not None else 2
-    rows = []
     classes = reg.all_classes_total_le(bound)
-    for a in classes:
-        for b in classes:
-            for m, n, val in gamma_terms(reg, a, b):
-                rows.append({"a": reg.class_id_str(a), "b": reg.class_id_str(b),
-                             "m": reg.class_id_str(m), "n": reg.class_id_str(n),
-                             "value": str(val)})
+    name = {c: reg.class_id_str(c) for c in classes}
+    # A value is written as str(Fraction(num, den)) would write it.
+    rows = [{"a": name[a], "b": name[b], "m": name[m], "n": name[n],
+             "value": f"{num}/{den}" if den != 1 else str(num)}
+            for a, b, terms in gamma_sweep(reg, classes) for m, n, num, den in terms]
     results = {"gamma": rows, "count": len(rows)}
     return results, [], EXIT_OK, ["a", "b", "m", "n", "value"], rows
 
@@ -406,6 +414,8 @@ def dispatch(argv: list[str] | None = None) -> tuple[dict | None, int]:
                 save_cache(reg, t)
             except OSError as e:
                 print(f"warning: could not write cache: {e}", file=sys.stderr)
+        if args.csv is not None:
+            write_csv(args.csv, csv_fields, csv_rows)
     except _USAGE_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return None, EXIT_USAGE
@@ -422,11 +432,6 @@ def dispatch(argv: list[str] | None = None) -> tuple[dict | None, int]:
         "counterexamples": counterexamples,
         "timing_ms": int((time.monotonic() - start) * 1000),
     }
-    if args.csv is not None:
-        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=csv_fields)
-            writer.writeheader()
-            writer.writerows(csv_rows)
     return report, code
 
 

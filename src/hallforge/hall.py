@@ -3,11 +3,16 @@
 Conventions: hall_number(reg, a, b, c) counts subrepresentations of a
 representative of c that are isomorphic to b with quotient isomorphic to a
 (second lower index = subobject).  All values are exact ints / Fractions.
+Each class keeps its nonzero Hall numbers by quotient and by subobject
+(subquotient_tables); the gamma counts of 4-term exact sequences are one
+join of two such tables, per pair in gamma_terms or over a class list in
+gamma_sweep.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterator
 
 from .errors import InternalInconsistency
@@ -212,18 +217,23 @@ def subquotient_tables(reg: ClassRegistry, c: IsoClassId) -> tuple[dict, dict]:
 
     The first is keyed by quotient, the second by subobject; both fill in one
     pass over subobject dims in subdimvecs order, subobject, then quotient.  A
-    walked class reads its subobject tables, any other calls hall_number.
+    walked class reads its subobject tables, a split class the one split pair
+    of each dims, any other calls hall_number on every pair.
     """
     memo = reg.memo("subquotient_tables")
     tables = memo.get(c)
     if tables is None:
         by_quot: dict[IsoClassId, list] = {}
         by_sub: dict[IsoClassId, list] = {}
-        walked = _walked(reg, c)
+        walked, split = _walked(reg, c), _is_split_class(c)
         for dsub in subdimvecs(c.dims):
             if walked:
                 counts = sorted(_subobject_table(reg, c, dsub).items(),
                                 key=lambda kv: (kv[0][1].index, kv[0][0].index))
+            elif split:
+                # Only the split quotient and subobject of a split class count.
+                quot, sub = reg.classes(dims_sub(c.dims, dsub))[0], reg.classes(dsub)[0]
+                counts = (((quot, sub), hall_number(reg, quot, sub, c)),)
             else:
                 quots = reg.classes(dims_sub(c.dims, dsub))
                 counts = (((quot, sub), hall_number(reg, quot, sub, c))
@@ -236,6 +246,33 @@ def subquotient_tables(reg: ClassRegistry, c: IsoClassId) -> tuple[dict, dict]:
     return tables
 
 
+def _gamma_join(b_by_sub: dict, a_by_sub: dict, den: int,
+                aut) -> list[tuple[IsoClassId, IsoClassId, int, int]]:
+    """The nonzero gamma(a, b, m, n) as (m, n, num, den) in lowest terms, from
+    b's and a's Hall numbers by subobject (subquotient_tables(reg, x)[1]),
+    den = a_a a_b and aut(x) = a_x.
+
+    For each subobject m of b in table order, that is by dims in subdimvecs
+    order, then index, sum_I g^b_{I,m} g^a_{n,I} a_I over the quotients I of
+    b by m, in integers; the n of one m share their dims and come by index.
+    """
+    out = []
+    for m, quots in b_by_sub.items():
+        sums: dict[IsoClassId, int] = {}
+        for i_cls, g_b in quots:
+            subs = a_by_sub.get(i_cls)
+            if subs is not None:
+                w = g_b * aut(i_cls)
+                for n, g_a in subs:
+                    sums[n] = sums.get(n, 0) + w * g_a
+        a_m = aut(m)
+        for n in sorted(sums, key=attrgetter("index")) if len(sums) > 1 else sums:
+            num = sums[n] * a_m * aut(n)
+            g = math.gcd(num, den)
+            out.append((m, n, num // g, den // g))
+    return out
+
+
 def gamma_terms(reg: ClassRegistry, a: IsoClassId,
                 b: IsoClassId) -> tuple[tuple[IsoClassId, IsoClassId, Fraction], ...]:
     """Every nonzero gamma(a, b, m, n) as (m, n, value).
@@ -245,29 +282,33 @@ def gamma_terms(reg: ClassRegistry, a: IsoClassId,
 
         gamma = a_m a_n / (a_a a_b) * sum_I g^b_{I,m} g^a_{n,I} a_I.
 
-    The sum is one join of b's table by quotient and a's table by subobject
-    on I, in integers.  Terms come in the order m's dims in subdimvecs(dims b),
+    The sum is one join of b's and a's tables by subobject on I, in integers
+    (_gamma_join).  Terms come in the order m's dims in subdimvecs(dims b),
     then m's index, then n's index.
     """
     memo = reg.memo("gamma_terms")
     terms = memo.get((a, b))
     if terms is None:
-        by_sub = subquotient_tables(reg, a)[1]
-        sums: dict[tuple[IsoClassId, IsoClassId], int] = {}
-        for i_cls, subs in subquotient_tables(reg, b)[0].items():
-            quots = by_sub.get(i_cls)
-            if quots is None:
-                continue
-            a_i = reg.aut_count(i_cls)
-            for m, g_b in subs:
-                for n, g_a in quots:
-                    sums[m, n] = sums.get((m, n), 0) + g_b * g_a * a_i
-        den = reg.aut_count(a) * reg.aut_count(b)
-        order = sorted(sums, key=lambda mn: (mn[0].dims, mn[0].index, mn[1].index))
-        terms = memo[a, b] = tuple(
-            (m, n, Fraction(sums[m, n] * reg.aut_count(m) * reg.aut_count(n), den))
-            for m, n in order)
+        joined = _gamma_join(subquotient_tables(reg, b)[1], subquotient_tables(reg, a)[1],
+                             reg.aut_count(a) * reg.aut_count(b), reg.aut_count)
+        terms = memo[a, b] = tuple((m, n, Fraction(num, den)) for m, n, num, den in joined)
     return terms
+
+
+def gamma_sweep(reg: ClassRegistry, classes: list[IsoClassId]) -> Iterator[
+        tuple[IsoClassId, IsoClassId, list[tuple[IsoClassId, IsoClassId, int, int]]]]:
+    """(a, b, terms) for every pair of classes, a-major: the terms of
+    gamma_terms(reg, a, b) with each value as num, den in lowest terms.
+
+    classes must hold every subobject and quotient of its members, as
+    all_classes_total_le does.  Each class's tables and Aut are read once,
+    and the gamma_terms memo is neither read nor filled.
+    """
+    aut = {c: reg.aut_count(c) for c in classes}
+    by_sub = {c: subquotient_tables(reg, c)[1] for c in classes}
+    for a in classes:
+        for b in classes:
+            yield a, b, _gamma_join(by_sub[b], by_sub[a], aut[a] * aut[b], aut.__getitem__)
 
 
 def gamma_coeff(reg: ClassRegistry, a: IsoClassId, b: IsoClassId,

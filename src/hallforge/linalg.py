@@ -211,7 +211,12 @@ def rref(m: Mat) -> RrefResult:
 
 
 def rank(m: Mat) -> int:
-    return len(echelon(m.p, [pack_row(m.p, r) for r in m.entries])[0])
+    return rows_rank(m.p, m.entries)
+
+
+def rows_rank(p: int, rows) -> int:
+    """The rank of the matrix with these rows of ints."""
+    return len(echelon(p, [pack_row(p, r) for r in rows])[0])
 
 
 def rows_kernel(p: int, cols: int, rows) -> tuple[tuple[int, ...], ...]:

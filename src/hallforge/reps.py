@@ -18,7 +18,7 @@ from typing import Iterator
 from .errors import (EnumerationTooLarge, IncompatibleObjects, InternalInconsistency,
                      NotASubobject)
 from .linalg import (Mat, Subspace, check_prime, count_matrices_of_rank, echelon, gl_order,
-                     pack_bits, pack_row, rank, rows_kernel)
+                     pack_bits, pack_row, rank, rows_kernel, rows_rank)
 from .quivers import DimVec, Quiver, total_dim, validate_quiver
 
 #: Enumeration ceiling for Hom-space searches in isomorphism tests.
@@ -348,7 +348,11 @@ class ClassRegistry:
         self.p = p
         self.iso_enum_bound = iso_enum_bound
         self.tuple_bound = tuple_bound
-        self._classes: dict[DimVec, list[Rep]] = {}
+        # Per enumerated dims, its representatives; for loaded dims in _unbuilt,
+        # their checked matrix entries until _reps builds them.  perfbench's
+        # tracer reads the keys and lengths.
+        self._classes: dict[DimVec, list] = {}
+        self._unbuilt: set[DimVec] = set()
         self._ids: dict[DimVec, tuple[IsoClassId, ...]] = {}
         self._orbit: dict[IsoClassId, int] = {}
         self._aut: dict[IsoClassId, int] = {}
@@ -414,10 +418,22 @@ class ClassRegistry:
         for cid, o in zip(self._store_classes(dims, found), orbits):
             self._orbit[cid] = o
 
-    def _store_classes(self, dims: DimVec, reps: list[Rep]) -> tuple[IsoClassId, ...]:
+    def _store_classes(self, dims: DimVec, reps: list) -> tuple[IsoClassId, ...]:
         self._classes[dims] = reps
         ids = self._ids[dims] = tuple(IsoClassId(dims, k) for k in range(len(reps)))
         return ids
+
+    def _reps(self, dims: DimVec) -> list[Rep]:
+        """The representatives of enumerated dims; loaded ones are built from
+        their stored entries on first use."""
+        reps = self._classes[dims]
+        if dims in self._unbuilt:
+            self._unbuilt.remove(dims)
+            q, p = self.quiver, self.p
+            reps[:] = [Rep(q, p, dims, tuple(Mat(p, dims[a.target], dims[a.source], ents)
+                                             for a, ents in zip(q.arrows, mats)))
+                       for mats in reps]
+        return reps
 
     def _signature(self, rep: Rep) -> tuple:
         sig = [hom_dim(rep, rep)]
@@ -438,7 +454,7 @@ class ClassRegistry:
 
     def representative(self, cid: IsoClassId) -> Rep:
         self.ensure_enumerated(cid.dims)
-        reps = self._classes[tuple(cid.dims)]
+        reps = self._reps(tuple(cid.dims))
         if not 0 <= cid.index < len(reps):
             raise IncompatibleObjects(f"no class with index {cid.index} for dims {cid.dims}")
         return reps[cid.index]
@@ -471,7 +487,7 @@ class ClassRegistry:
         """The first class of rep.dims isomorphic to rep, tested in order."""
         self.ensure_enumerated(rep.dims)
         d_end = None  # dim End(rep), computed once the first candidate differs from rep
-        for cid, cand in zip(self._ids[rep.dims], self._classes[rep.dims]):
+        for cid, cand in zip(self._ids[rep.dims], self._reps(rep.dims)):
             if rep == cand:
                 return cid
             d_end = hom_dim(rep, rep) if d_end is None else d_end
@@ -551,10 +567,10 @@ class ClassRegistry:
 
     def export_state(self) -> dict:
         classes = {}
-        for dims, reps in sorted(self._classes.items()):
+        for dims in sorted(self._classes):
             key = ",".join(str(d) for d in dims)
             rows = []
-            for cid, rep in zip(self._ids[dims], reps):
+            for cid, rep in zip(self._ids[dims], self._reps(dims)):
                 rows.append({
                     "mats": [[list(r) for r in m.entries] for m in rep.mats],
                     "orbit": self._orbit[cid],
@@ -573,48 +589,61 @@ class ClassRegistry:
 
         Each stored Aut must satisfy |Aut| * orbit = prod |GL(d_v)|, and the
         orbits of one dimension vector must partition all p^{#entries} matrix
-        tuples.  Every matrix entry must be an int in range(p); per dims, class
-        0 must be the all-zero tuple, no two representatives may be equal, and
-        on a quiver classified by ranks the rank tuples must strictly increase.
-        A file that breaks any of these raises CacheInvalid.
+        tuples.  Every class must hold one matrix per arrow, of the shape its
+        dims give, with every entry an int in range(p); per dims, class 0 must
+        be the all-zero tuple, no two representatives may be equal, and on a
+        quiver classified by ranks the rank tuples must strictly increase.  A
+        file that breaks any of these raises CacheInvalid.  The checked
+        entries are kept, and _reps builds a dims' representatives from them
+        on first use; the rank tuples computed here fill the rank_tuple memo.
         """
         from .errors import CacheInvalid
         loaded: list[IsoClassId] = []
+        p, arrows = self.p, self.quiver.arrows
+        rank_tuples = self.memo("rank_tuple")
         try:
             for key, rows in state.get("classes", {}).items():
                 dims = self._check_dims(tuple(int(x) for x in key.split(",")))
                 glp = self.gl_product(dims)
-                reps, orbits, auts = [], [], []
+                shapes = [(dims[a.target], dims[a.source]) for a in arrows]
+                stored, orbits, auts = [], [], []
                 for row in rows:
-                    mats = []
-                    for a, ents in zip(self.quiver.arrows, row["mats"]):
-                        ents = tuple(map(tuple, ents))
-                        if not all(type(x) is int and 0 <= x < self.p for er in ents for x in er):
-                            raise CacheInvalid(f"class {len(reps)} of dims {dims}: a matrix "
-                                               f"entry is not an int in range({self.p})")
-                        mats.append(Mat(self.p, dims[a.target], dims[a.source], ents))
-                    reps.append(Rep(self.quiver, self.p, dims, tuple(mats)))
+                    mats = tuple(tuple(map(tuple, ents)) for ents in row["mats"])
+                    if len(mats) != len(arrows):
+                        raise CacheInvalid(f"class {len(stored)} of dims {dims}: {len(mats)} "
+                                           f"matrices for {len(arrows)} arrows")
+                    for (r, c), ents in zip(shapes, mats):
+                        if not all(type(x) is int and 0 <= x < p for er in ents for x in er):
+                            raise CacheInvalid(f"class {len(stored)} of dims {dims}: a matrix "
+                                               f"entry is not an int in range({p})")
+                        if len(ents) != r or any(len(er) != c for er in ents):
+                            raise CacheInvalid(f"class {len(stored)} of dims {dims}: a matrix "
+                                               f"is not {r}x{c}")
                     orbit = int(row["orbit"])
                     aut = None if row.get("aut") is None else int(row["aut"])
                     if orbit < 1 or (aut is not None and aut * orbit != glp):
-                        raise CacheInvalid(f"class {len(reps) - 1} of dims {dims}: stored "
+                        raise CacheInvalid(f"class {len(stored)} of dims {dims}: stored "
                                            f"aut {aut} and orbit {orbit} break |Aut| * orbit = {glp}")
+                    stored.append(mats)
                     orbits.append(orbit)
                     auts.append(aut)
                 # hall._is_split_class and classify read these, so they must hold.
-                if reps and not all(m.is_zero() for m in reps[0].mats):
+                if stored and any(any(map(any, ents)) for ents in stored[0]):
                     raise CacheInvalid(f"class 0 of dims {dims} is not the all-zero tuple")
-                if len({rep.mats for rep in reps}) != len(reps):
+                if len(set(stored)) != len(stored):
                     raise CacheInvalid(f"dims {dims} store two equal representatives")
                 if self._classified_by_ranks:
-                    ranks = [tuple(map(rank, rep.mats)) for rep in reps]
+                    ranks = [tuple(rows_rank(p, ents) for ents in mats) for mats in stored]
                     if any(x >= y for x, y in zip(ranks, ranks[1:])):
                         raise CacheInvalid(f"the rank tuples of dims {dims} do not increase")
-                n_entries = sum(dims[a.target] * dims[a.source] for a in self.quiver.arrows)
-                if sum(orbits) != self.p ** n_entries:
+                n_entries = sum(r * c for r, c in shapes)
+                if sum(orbits) != p ** n_entries:
                     raise CacheInvalid(f"stored orbits of dims {dims} do not add up to "
-                                       f"{self.p}^{n_entries} matrix tuples")
-                ids = self._store_classes(dims, reps)
+                                       f"{p}^{n_entries} matrix tuples")
+                ids = self._store_classes(dims, stored)
+                self._unbuilt.add(dims)
+                if self._classified_by_ranks:
+                    rank_tuples.update(zip(ids, ranks))
                 loaded.extend(ids)
                 for cid, orbit, aut in zip(ids, orbits, auts):
                     self._orbit[cid] = orbit

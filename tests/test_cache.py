@@ -13,7 +13,7 @@ from hallforge.cache import (CACHE_ENV_VAR, CACHE_FORMAT, cache_directory,
 from hallforge.errors import CacheInvalid
 from hallforge.hall import hall_number, subquotient_tables
 from hallforge.quivers import line_quiver, quiver_from_dict
-from hallforge.reps import ClassRegistry
+from hallforge.reps import ClassRegistry, Rep
 
 KRONECKER = quiver_from_dict({"vertices": ["1", "2"],
                               "arrows": [{"src": "1", "dst": "2", "label": "a"},
@@ -307,6 +307,38 @@ def test_a_matrix_entry_must_be_an_int_in_range_p(tmp_path, entry):
         classes["1,1"][1]["mats"][0][0][0] = entry
     with pytest.raises(CacheInvalid, match=r"not an int in range\(2\)"):
         _tamper(tmp_path, set_entry)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda mats: mats.append([[0, 0]]), "2 matrices for 1 arrows"),
+    (lambda mats: mats.clear(), "0 matrices for 1 arrows"),
+    (lambda mats: mats[0].append([0, 0]), "a matrix is not 1x2"),
+    (lambda mats: mats[0].clear(), "a matrix is not 1x2"),
+    (lambda mats: mats[0][0].append(0), "a matrix is not 1x2"),
+    (lambda mats: mats[0][0].__setitem__(1, 2), r"a matrix entry is not an int in range\(2\)"),
+], ids=["extra-matrix", "no-matrix", "extra-row", "no-row", "long-row", "entry"])
+def test_a_bad_class_is_rejected_at_load_though_nothing_reads_it(tmp_path, edit, message):
+    # Class 1 of dims (2, 1): load_cache builds no representative, so each
+    # check has to run on the stored entries while the file loads.
+    def edit_k21_1(classes):
+        edit(classes["2,1"][1]["mats"])
+    with pytest.raises(CacheInvalid, match=r"class 1 of dims \(2, 1\): " + message):
+        _tamper(tmp_path, edit_k21_1)
+
+
+def test_loaded_representatives_are_built_on_first_use(tmp_path, monkeypatch):
+    reg = warm_kronecker()
+    save_cache(reg, 0, tmp_path)
+    fresh = ClassRegistry(KRONECKER, 2)
+    built = []
+    monkeypatch.setattr(Rep, "__post_init__", lambda rep: built.append(rep))
+    assert load_cache(fresh, 0, tmp_path)
+    assert built == []
+    monkeypatch.undo()
+    for dims in [(1, 1), (1, 2)]:
+        assert [fresh.representative(c) for c in fresh.classes(dims)] \
+            == [reg.representative(c) for c in reg.classes(dims)]
+    assert fresh.export_state() == reg.export_state()
 
 
 def test_class_0_must_be_the_all_zero_tuple(tmp_path):

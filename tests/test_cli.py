@@ -15,6 +15,7 @@ from hallforge import algebra, cli
 from hallforge.cache import CACHE_ENV_VAR, CACHE_FORMAT, cache_path, encode_cache
 from hallforge.errors import DivisionByZero, InternalInconsistency, NotAPureQPower
 from hallforge.quivers import line_quiver, quiver_to_dict
+from hallforge.reps import Rep
 
 KRONECKER = {"vertices": ["1", "2"],
              "arrows": [{"src": "1", "dst": "2", "label": "a"},
@@ -230,6 +231,12 @@ GOLDEN_REPORTS = [
      "7df12314b3cc10b746af2b79e34a7a1dd6b28f1bb0c799896aa1e8ac9bdb6de8"),
     ("D4", D4, "hall --max-dim 4",
      "80a6ee1df342d3732cec8bbe663e02e586df8456ccaac17f01224aa313f5adb9"),
+    ("A3", quiver_to_dict(line_quiver(3)), "gamma --max-dim 3",
+     "f2d77860f55521053a1293bee6b70544dfdaf6c78e510570533c222d93c28e46"),
+    ("D4", D4, "gamma --max-dim 3",
+     "249b201c1ad09f5d80501e4403f06195fdcc11e2dec00ea5a523e2b1f3489993"),
+    ("Kronecker", KRONECKER, "gamma --max-dim 3 --q 3",
+     "1fdba82ff51022d3461ccd1775743a2545f675c33614dcae0cbc65b00cffb21f"),
 ]
 
 
@@ -266,6 +273,34 @@ def test_csv_output(capsys, tmp_path, monkeypatch):
     assert lines[0] == "a,b,c,value"
     assert "k1,k1,k2,3" in lines[1:]
     assert len(lines) == 4
+
+
+def test_unwritable_csv_path_is_usage_error(capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    code, report, err = run_cli(capsys, "hall", "--dim", "2",
+                                "--csv", str(tmp_path / "missing" / "rows.csv"))
+    assert code == cli.EXIT_USAGE and report is None
+    assert err.startswith("error: cannot write CSV file") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name,quiver", [("Kronecker", KRONECKER),
+                                         ("A3", quiver_to_dict(line_quiver(3)))])
+def test_warm_hall_and_gamma_build_no_representative(capsys, tmp_path, monkeypatch, name,
+                                                     quiver):
+    # The cache holds every class, Aut and walked table these runs read, and
+    # the rank tuples come with the loaded classes, so no Rep is made.
+    monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(quiver))
+    commands = [("hall", "--max-dim", "3"), ("gamma", "--max-dim", "3")]
+    cold = [run_cli(capsys, *cmd, "--quiver", str(path))[1] for cmd in commands]
+    built = []
+    monkeypatch.setattr(Rep, "__post_init__", lambda rep: built.append(rep))
+    warm = [run_cli(capsys, *cmd, "--quiver", str(path))[1] for cmd in commands]
+    assert built == []
+    for report in cold + warm:
+        report.pop("timing_ms")
+    assert warm == cold
 
 
 def test_cache_roundtrip_and_corruption(capsys, tmp_path, monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 
 from hallforge.hall import (closed_subspace_tuples, ext1_count, ext1_middle_count,
                             euler_add, euler_mult, euler_table, gamma_coeff, gamma_terms,
-                            green_sides, hall_number, subquotient_tables)
+                            gamma_sweep, green_sides, hall_number, subquotient_tables)
 from hallforge.linalg import enumerate_subspaces, gaussian_binomial
 from hallforge.quivers import (dims_add, dims_sub, dimvecs_up_to, line_quiver,
                                quiver_from_dict, subdimvecs)
@@ -154,15 +154,19 @@ KRONECKER = quiver_from_dict({"vertices": ["1", "2"],
                                          {"src": "1", "dst": "2", "label": "b"}]})
 
 
-@pytest.mark.parametrize("quiver,p", [
-    (line_quiver(1), 2), (line_quiver(1), 3), (line_quiver(2), 2),
-    (line_quiver(2), 3), (line_quiver(3), 2), (KRONECKER, 2),
-], ids=["A1-F2", "A1-F3", "A2-F2", "A2-F3", "A3-F2", "Kronecker-F2"])
-def test_gamma_terms_match_middle_class_sum(quiver, p):
+@pytest.mark.parametrize("quiver,p,max_total", [
+    (line_quiver(1), 2, 3), (line_quiver(1), 3, 3), (line_quiver(2), 2, 3),
+    (line_quiver(2), 3, 3), (line_quiver(3), 2, 3), (KRONECKER, 2, 3),
+    (line_quiver(3), 2, 4), (KRONECKER, 2, 4),
+], ids=["A1-F2", "A1-F3", "A2-F2", "A2-F3", "A3-F2", "Kronecker-F2",
+        "A3-F2-total4", "Kronecker-F2-total4"])
+def test_gamma_terms_match_middle_class_sum(quiver, p, max_total):
     # Same terms in the same order as the per-coefficient loop the CLI and
-    # the rewriter used to run: m's dims in subdimvecs order, m, then n.
+    # the rewriter used to run: m's dims in subdimvecs order, m, then n.  At
+    # total 4 on A3 and Kronecker, some m meets its terms n through several
+    # middle classes I, out of n's index order.
     reg = ClassRegistry(quiver, p)
-    classes = reg.all_classes_total_le(3)
+    classes = reg.all_classes_total_le(max_total)
     for a in classes:
         for b in classes:
             want = []
@@ -258,3 +262,42 @@ def test_walk_memo_sizes_after_kronecker_hall_max_dim_4():
         subquotient_tables(reg, c)
     assert len(reg.memo("classify")) == 42
     assert len(reg.memo("subobject_table")) == 191
+
+
+@pytest.mark.parametrize("quiver,p,max_total", [
+    (line_quiver(2), 2, 3), (line_quiver(3), 2, 4), (D4, 2, 3), (KRONECKER, 2, 4),
+    (KRONECKER, 3, 3),
+], ids=["A2-F2", "A3-F2", "D4-F2", "Kronecker-F2", "Kronecker-F3"])
+def test_gamma_sweep_rows_equal_per_pair_gamma_terms(quiver, p, max_total):
+    # The `gamma` report's rows: the sweep's num/den against str(Fraction)
+    # of gamma_terms, pair by pair, on registries that share nothing.
+    sweep_reg, pair_reg = ClassRegistry(quiver, p), ClassRegistry(quiver, p)
+    swept = [(a, b, m, n, f"{num}/{den}" if den != 1 else str(num))
+             for a, b, terms in gamma_sweep(sweep_reg, sweep_reg.all_classes_total_le(max_total))
+             for m, n, num, den in terms]
+    classes = pair_reg.all_classes_total_le(max_total)
+    want = [(a, b, m, n, str(v)) for a in classes for b in classes
+            for m, n, v in gamma_terms(pair_reg, a, b)]
+    assert swept == want and swept
+    assert not sweep_reg.memo("gamma_terms")
+
+
+@pytest.mark.parametrize("quiver,p,max_total", [
+    (line_quiver(1), 3, 4), (line_quiver(2), 2, 4), (line_quiver(3), 2, 3), (D4, 2, 3),
+    (KRONECKER, 2, 4), (KRONECKER, 3, 3),
+], ids=["A1-F3", "A2-F2", "A3-F2", "D4-F2", "Kronecker-F2", "Kronecker-F3"])
+def test_split_class_tables_equal_hall_number_over_all_pairs(quiver, p, max_total):
+    # A split class's tables read only the split pair of each subobject dims;
+    # the judge asks hall_number for every (quotient, subobject) pair.
+    reg = ClassRegistry(quiver, p)
+    for dims in dimvecs_up_to(quiver.n, max_total):
+        c = reg.classes(dims)[0]
+        by_quot, by_sub = {}, {}
+        for dsub in subdimvecs(dims):
+            for sub in reg.classes(dsub):
+                for quot in reg.classes(dims_sub(dims, dsub)):
+                    g = hall_number(reg, quot, sub, c)
+                    if g:
+                        by_quot.setdefault(quot, []).append((sub, g))
+                        by_sub.setdefault(sub, []).append((quot, g))
+        assert subquotient_tables(reg, c) == (by_quot, by_sub), dims

@@ -7,6 +7,9 @@ deletes or renames a traced function fails here instead of breaking
 from __future__ import annotations
 
 import importlib
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -39,3 +42,19 @@ def test_traced_layer_resolves(module, path):
 ])
 def test_traced_helper_exists(module, attr):
     assert callable(getattr(importlib.import_module(f"hallforge.{module}"), attr))
+
+
+def test_importing_the_cli_imports_every_traced_module():
+    # Tracer.install imports hallforge.cli, then wraps functions in the
+    # hallforge modules already in sys.modules; a module the CLI imported
+    # lazily would be missing there, and its callers would run unwrapped.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    modules = sorted({module for module, _, _ in _load_tracing().LAYERS})
+    probe = ("import sys, hallforge.cli; "
+             f"print(*[m for m in {modules!r} if 'hallforge.' + m not in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
