@@ -25,7 +25,7 @@ from .errors import (CacheInvalid, DivisionByZero, EnumerationTooLarge,
                      UnsupportedPeriod)
 from .hall import (euler_add, euler_mult, euler_table, ext1_count, ext1_dim,
                    ext1_middle_count, gamma_coeff, gamma_terms, green_sides, hall_number)
-from .linalg import (FieldSpec, Mat, Subspace, count_matrices_of_rank,
+from .linalg import (Mat, Subspace, count_matrices_of_rank,
                      enumerate_subspaces, gaussian_binomial, gl_order,
                      is_invertible, kernel_basis, rank, rref,
                      subspace_from_vectors)
@@ -34,7 +34,7 @@ from .quivers import (Arrow, Quiver, canonical_quiver_json, dims_add,
                       quiver_to_dict, subdimvecs, topological_order,
                       validate_quiver)
 from .reps import (ClassRegistry, IsoClassId, Rep, direct_sum,
-                   enumerate_iso_classes, hom_basis, hom_dim, is_isomorphic,
+                   hom_basis, hom_dim, is_isomorphic,
                    semisimple_rep, simple_rep, zero_rep)
 from .scalars import QSqrtScalar, parse_scalar, sqrt_of_fraction
 
@@ -56,14 +56,14 @@ __all__ = [
     "RewriteBudgetExceeded", "UnsupportedPeriod",
     "euler_add", "euler_mult", "euler_table", "ext1_count", "ext1_dim",
     "ext1_middle_count", "gamma_coeff", "gamma_terms", "green_sides", "hall_number",
-    "FieldSpec", "Mat", "Subspace", "count_matrices_of_rank",
+    "Mat", "Subspace", "count_matrices_of_rank",
     "enumerate_subspaces", "gaussian_binomial", "gl_order", "is_invertible",
     "kernel_basis", "rank", "rref", "subspace_from_vectors",
     "Arrow", "Quiver", "canonical_quiver_json", "dims_add", "dims_sub",
     "dimvecs_up_to", "line_quiver", "quiver_from_dict", "quiver_to_dict",
     "subdimvecs", "topological_order", "validate_quiver",
     "ClassRegistry", "IsoClassId", "Rep", "direct_sum",
-    "enumerate_iso_classes", "hom_basis", "hom_dim", "is_isomorphic",
+    "hom_basis", "hom_dim", "is_isomorphic",
     "semisimple_rep", "simple_rep", "zero_rep",
     "QSqrtScalar", "parse_scalar", "sqrt_of_fraction",
     "__version__",

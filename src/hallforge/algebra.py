@@ -7,7 +7,7 @@ counting (t = 1), which the crosscheck routines compare term by term.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import (GradedObject, check_period, class_at_or_zero, cone_counts,
@@ -17,7 +17,7 @@ from .errors import IncompatibleObjects, RewriteBudgetExceeded, UnsupportedPerio
 from .hall import ext1_count, ext1_dim, euler_table, gamma_terms, hall_number
 from .quivers import dims_add, dims_sub, subdimvecs
 from .reps import ClassRegistry, IsoClassId
-from .scalars import QSqrtScalar, q_exponent, sqrt_of_fraction
+from .scalars import QSqrtScalar, q_exponent
 
 DEFAULT_REWRITE_BUDGET = 100_000
 
@@ -97,13 +97,12 @@ class CheckResult:
     lhs: HallVector
     rhs: HallVector
     mismatches: tuple[GradedObject, ...] = ()
-    notes: dict = field(default_factory=dict)
 
 
-def _compare(label: str, lhs: HallVector, rhs: HallVector, notes: dict | None = None) -> CheckResult:
+def _compare(label: str, lhs: HallVector, rhs: HallVector) -> CheckResult:
     bad = tuple(sorted((g for g in lhs.terms.keys() | rhs.terms.keys()
                         if lhs.coeff(g) != rhs.coeff(g)), key=_graded_sort_key))
-    return CheckResult(label, not bad, lhs, rhs, bad, notes or {})
+    return CheckResult(label, not bad, lhs, rhs, bad)
 
 
 class DerivedHall:
@@ -430,13 +429,6 @@ class DerivedHall:
         aut, e = self._a_prime_parts(g)
         return QSqrtScalar.v_power(self.q, e, aut)
 
-    def a_prime_endo_literal(self, g: GradedObject) -> QSqrtScalar:
-        """Variant normalization using |End| instead of |Aut| (kept for comparison)."""
-        if self.t < 1:
-            raise UnsupportedPeriod("a' is defined for odd positive t")
-        end_count = hom_dt_count(self.reg, g, g, shift=0)
-        return self.rational(end_count) * sqrt_of_fraction(self.q, self.bracket(g, g))
-
     # -- generator-word rewriting (t = 0) -------------------------------------
 
     def decompose_graded(self, g: GradedObject) -> Word:
@@ -630,22 +622,7 @@ def relation_check(reg: ClassRegistry, family: str, a_cls: IsoClassId, b_cls: Is
         a_g, b_g = dh.stalk(a_cls), dh.stalk(b_cls)
         lhs = dh.multiply_graded(a_g, b_g)
         rhs = dh.rp_product_t1(a_g, b_g)
-        result = _compare("dh1_re1", lhs, rhs)
-        # Surface how the literal total-endomorphism normalization would fare.
-        alt = HallVector(q)
-        denom = dh.a_prime_endo_literal(a_g) * dh.a_prime_endo_literal(b_g)
-        for g, _c in rhs.items():
-            count = dt_hom_with_cone_count(reg, a_g, b_g, g)
-            hom_total = hom_dt_count(reg, a_g, b_g, shift=0)
-            alt_c = (dh.rational(count) * QSqrtScalar.rational(q, 1, hom_total).sqrt()
-                     * dh.a_prime_endo_literal(g) / denom)
-            if alt_c:
-                alt = alt.add(HallVector(q, {g: alt_c}))
-        result.notes["endo_convention_matches"] = alt == lhs
-        result.notes["endo_convention_note"] = (
-            "normalizing by total endomorphism counts instead of automorphism "
-            "counts reproduces the product: " + str(alt == lhs))
-        return result
+        return _compare("dh1_re1", lhs, rhs)
 
     if family == "dh3_r1":
         lhs = dh.multiply_graded(dh.stalk(a_cls, n), dh.stalk(b_cls, n))

@@ -173,7 +173,7 @@ def cmd_hall(args, reg: ClassRegistry, t: int):
     rows = []
     for dims in _swept_dims(args, reg):
         for c in reg.classes(dims):
-            for b, quotients in subquotient_tables(reg, c)[1].items():
+            for b, quotients in subquotient_tables(reg, c).items():
                 for a, g in quotients:
                     rows.append({"a": reg.class_id_str(a), "b": reg.class_id_str(b),
                                  "c": reg.class_id_str(c), "value": g})
@@ -276,8 +276,6 @@ def cmd_relations(args, reg: ClassRegistry, t: int):
     for family in RELATION_FAMILIES:
         checked = 0
         failures = 0
-        endo_all = True
-        saw_endo = False
         for a in classes:
             for b in classes:
                 for degree, offset in _relation_instances(family, t):
@@ -285,9 +283,6 @@ def cmd_relations(args, reg: ClassRegistry, t: int):
                                          offset=offset,
                                          t=t if family == "dht_r3" and t >= 5 and t % 2 == 1 else None)
                     checked += 1
-                    if "endo_convention_matches" in res.notes:
-                        saw_endo = True
-                        endo_all = endo_all and res.notes["endo_convention_matches"]
                     if not res.ok:
                         failures += 1
                         row = {"family": family,
@@ -295,10 +290,7 @@ def cmd_relations(args, reg: ClassRegistry, t: int):
                                "degree": degree, "offset": offset}
                         row.update(_first_mismatch(reg, res))
                         counterexamples.append(row)
-        row = {"family": family, "checked": checked, "mismatches": failures}
-        if saw_endo:
-            row["endo_convention_matches_all"] = endo_all
-        rows.append(row)
+        rows.append({"family": family, "checked": checked, "mismatches": failures})
     results = {"families": rows, "classes": len(classes)}
     code = EXIT_MISMATCH if counterexamples else EXIT_OK
     fields = ["family", "a", "b", "degree", "offset", "basis", "lhs", "rhs"]

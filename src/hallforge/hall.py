@@ -3,10 +3,14 @@
 Conventions: hall_number(reg, a, b, c) counts subrepresentations of a
 representative of c that are isomorphic to b with quotient isomorphic to a
 (second lower index = subobject).  All values are exact ints / Fractions.
-Each class keeps its nonzero Hall numbers by quotient and by subobject
-(subquotient_tables); the gamma counts of 4-term exact sequences are one
-join of two such tables, per pair in gamma_terms or over a class list in
-gamma_sweep.
+Every Hall number is stored once, in the table of its class c and subobject
+dims (_subobject_table), which is also the one place a route is picked:
+closed forms for the zero and the whole subobject and for split classes, the
+rank form on quivers classified by arrow ranks, else a walk of the closed
+subspace tuples.  hall_number reads one entry; subquotient_tables lists a
+class's nonzero Hall numbers by subobject, and the gamma counts of 4-term
+exact sequences are one join of two such lists, per pair in gamma_terms or
+over a class list in gamma_sweep.
 """
 from __future__ import annotations
 
@@ -153,46 +157,50 @@ def _walked(reg: ClassRegistry, c: IsoClassId) -> bool:
 
 def hall_number(reg: ClassRegistry, a: IsoClassId, b: IsoClassId, c: IsoClassId) -> int:
     """Number of subobjects of c isomorphic to b with quotient isomorphic to a."""
-    if dims_add(a.dims, b.dims) != tuple(c.dims):
+    if dims_add(a.dims, b.dims) != c.dims:
         return 0
-    memo = reg.memo("hall_number")
-    key = (a, b, c)
-    if key in memo:
-        return memo[key]
-    if _walked(reg, c):
-        g = _subobject_table(reg, c, b.dims).get((a, b), 0)
-    elif _is_split_class(c):
-        # Semisimple ambient: every subspace tuple is closed, subs and quotients
-        # are semisimple of complementary dims, so only split a, b contribute.
-        g = 0
-        if _is_split_class(a) and _is_split_class(b):
-            g = math.prod(gaussian_binomial(cv, bv, reg.p) for cv, bv in zip(c.dims, b.dims))
-    else:
-        g = _hall_number_rank_form(reg, a, b, c)
-    memo[key] = g
-    return g
+    return _subobject_table(reg, c, b.dims).get((a, b), 0)
 
 
 def _subobject_table(reg: ClassRegistry, c: IsoClassId,
                      sub_dims: DimVec) -> dict[tuple[IsoClassId, IsoClassId], int]:
     """{(quotient class, subobject class): nonzero count} over the subobjects of c
-    of dims sub_dims.  The zero and the whole subobject have closed forms; any
-    other dims is one classifying walk, whose table the cache persists."""
+    of dims sub_dims: the one store of Hall numbers and the one place a route is
+    picked.  The zero and the whole subobject have closed forms.  Otherwise a
+    walked class is one classifying walk, whose table the cache persists; a split
+    class has its one split pair and a rank-form class the rank form over
+    quotient x subobject classes, kept in a memo the cache does not write."""
     if not any(sub_dims):
         return {(c, reg.zero_class()): 1}
     if sub_dims == c.dims:
         return {(reg.zero_class(), c): 1}
-    memo = reg.memo("subobject_table")
+    walked = _walked(reg, c)
+    memo = reg.memo("subobject_table" if walked else "closed_form_table")
     table = memo.get((c, sub_dims))
-    if table is None:
+    if table is not None:
+        return table
+    table = {}
+    if walked:
         rep_c = reg.representative(c)
-        table = {}
         for subs in closed_subspace_tuples(rep_c, sub_dims):
             if not is_subrep(rep_c, subs):
                 raise InternalInconsistency("constructed subspace tuple is not arrow-closed")
             key = reg.classify(_quotient(rep_c, subs)), reg.classify(_restrict(rep_c, subs))
             table[key] = table.get(key, 0) + 1
-        memo[c, sub_dims] = table
+    elif _is_split_class(c):
+        # Semisimple ambient: every subspace tuple is closed, subs and quotients
+        # are semisimple of complementary dims, so only the split pair counts.
+        quot, sub = reg.classes(dims_sub(c.dims, sub_dims))[0], reg.classes(sub_dims)[0]
+        table[quot, sub] = math.prod(gaussian_binomial(cv, bv, reg.p)
+                                     for cv, bv in zip(c.dims, sub_dims))
+    else:
+        quots = reg.classes(dims_sub(c.dims, sub_dims))
+        for sub in reg.classes(sub_dims):
+            for quot in quots:
+                g = _hall_number_rank_form(reg, quot, sub, c)
+                if g:
+                    table[quot, sub] = g
+    memo[c, sub_dims] = table
     return table
 
 
@@ -212,44 +220,26 @@ def ext1_middle_count(reg: ClassRegistry, a: IsoClassId, b: IsoClassId, c: IsoCl
     return num // den
 
 
-def subquotient_tables(reg: ClassRegistry, c: IsoClassId) -> tuple[dict, dict]:
-    """The nonzero Hall numbers of c, as ({I: [(m, g^c_{I,m})]}, {I: [(n, g^c_{n,I})]}).
-
-    The first is keyed by quotient, the second by subobject; both fill in one
-    pass over subobject dims in subdimvecs order, subobject, then quotient.  A
-    walked class reads its subobject tables, a split class the one split pair
-    of each dims, any other calls hall_number on every pair.
-    """
+def subquotient_tables(reg: ClassRegistry, c: IsoClassId) -> dict[IsoClassId, list]:
+    """The nonzero Hall numbers of c by subobject, {I: [(n, g^c_{n,I})]}: c's
+    subobject tables over subobject dims in subdimvecs order, each by subobject
+    index, then quotient index."""
     memo = reg.memo("subquotient_tables")
-    tables = memo.get(c)
-    if tables is None:
-        by_quot: dict[IsoClassId, list] = {}
-        by_sub: dict[IsoClassId, list] = {}
-        walked, split = _walked(reg, c), _is_split_class(c)
+    by_sub = memo.get(c)
+    if by_sub is None:
+        by_sub = {}
         for dsub in subdimvecs(c.dims):
-            if walked:
-                counts = sorted(_subobject_table(reg, c, dsub).items(),
-                                key=lambda kv: (kv[0][1].index, kv[0][0].index))
-            elif split:
-                # Only the split quotient and subobject of a split class count.
-                quot, sub = reg.classes(dims_sub(c.dims, dsub))[0], reg.classes(dsub)[0]
-                counts = (((quot, sub), hall_number(reg, quot, sub, c)),)
-            else:
-                quots = reg.classes(dims_sub(c.dims, dsub))
-                counts = (((quot, sub), hall_number(reg, quot, sub, c))
-                          for sub in reg.classes(dsub) for quot in quots)
-            for (quot, sub), g in counts:
-                if g:
-                    by_quot.setdefault(quot, []).append((sub, g))
-                    by_sub.setdefault(sub, []).append((quot, g))
-        tables = memo[c] = (by_quot, by_sub)
-    return tables
+            for (quot, sub), g in sorted(_subobject_table(reg, c, dsub).items(),
+                                         key=lambda kv: (kv[0][1].index, kv[0][0].index)):
+                by_sub.setdefault(sub, []).append((quot, g))
+        memo[c] = by_sub
+    return by_sub
 
 
 def _gamma_join(b_by_sub: dict, a_by_sub: dict, den: int,
                 aut) -> list[tuple[IsoClassId, IsoClassId, int, int]]:
     """The nonzero gamma(a, b, m, n) as (m, n, num, den) in lowest terms, from
-    b's and a's Hall numbers by subobject (subquotient_tables(reg, x)[1]),
+    b's and a's Hall numbers by subobject (subquotient_tables(reg, x)),
     den = a_a a_b and aut(x) = a_x.
 
     For each subobject m of b in table order, that is by dims in subdimvecs
@@ -289,7 +279,7 @@ def gamma_terms(reg: ClassRegistry, a: IsoClassId,
     memo = reg.memo("gamma_terms")
     terms = memo.get((a, b))
     if terms is None:
-        joined = _gamma_join(subquotient_tables(reg, b)[1], subquotient_tables(reg, a)[1],
+        joined = _gamma_join(subquotient_tables(reg, b), subquotient_tables(reg, a),
                              reg.aut_count(a) * reg.aut_count(b), reg.aut_count)
         terms = memo[a, b] = tuple((m, n, Fraction(num, den)) for m, n, num, den in joined)
     return terms
@@ -305,7 +295,7 @@ def gamma_sweep(reg: ClassRegistry, classes: list[IsoClassId]) -> Iterator[
     and the gamma_terms memo is neither read nor filled.
     """
     aut = {c: reg.aut_count(c) for c in classes}
-    by_sub = {c: subquotient_tables(reg, c)[1] for c in classes}
+    by_sub = {c: subquotient_tables(reg, c) for c in classes}
     for a in classes:
         for b in classes:
             yield a, b, _gamma_join(by_sub[b], by_sub[a], aut[a] * aut[b], aut.__getitem__)

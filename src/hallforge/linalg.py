@@ -17,7 +17,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import DivisionByZero, EnumerationTooLarge, IncompatibleObjects, InvalidField
+from .errors import EnumerationTooLarge, IncompatibleObjects, InvalidField
 
 #: Largest ambient dimension enumerate_subspaces accepts by default.
 SUBSPACE_AMBIENT_BOUND = 6
@@ -38,25 +38,6 @@ def check_prime(p: int) -> None:
     """Raise InvalidField unless p is a prime number."""
     if not isinstance(p, int) or not is_prime(p):
         raise InvalidField(f"field order must be prime, got {p!r}")
-
-
-@dataclass(frozen=True)
-class FieldSpec:
-    """A prime field F_p with element arithmetic on ints in range(p)."""
-
-    p: int
-
-    def __post_init__(self) -> None:
-        check_prime(self.p)
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def inv(self, a: int) -> int:
-        """Multiplicative inverse; raises DivisionByZero on 0."""
-        if a % self.p == 0:
-            raise DivisionByZero(f"0 has no inverse in F_{self.p}")
-        return pow(a, self.p - 2, self.p)
 
 
 def vec_add(p: int, u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
@@ -132,11 +133,11 @@ def line_quiver(n: int) -> Quiver:
 
 
 def dims_add(d1: DimVec, d2: DimVec) -> DimVec:
-    return tuple(a + b for a, b in zip(d1, d2))
+    return tuple(map(operator.add, d1, d2))
 
 
 def dims_sub(d1: DimVec, d2: DimVec) -> DimVec:
-    return tuple(a - b for a, b in zip(d1, d2))
+    return tuple(map(operator.sub, d1, d2))
 
 
 def dims_leq(d1: DimVec, d2: DimVec) -> bool:

@@ -657,8 +657,3 @@ class ClassRegistry:
 #: aut_count(registry, cid) as a module-level name, which perfbench/tracing.py
 #: wraps by name; it is the registry method, not a second route.
 aut_count = ClassRegistry.aut_count
-
-
-def enumerate_iso_classes(registry: ClassRegistry, dims: DimVec) -> list[Rep]:
-    """Canonical representatives of all classes with the given dimension vector."""
-    return [registry.representative(c) for c in registry.classes(dims)]

@@ -20,6 +20,11 @@ that hallforge.scalars' integer triples are checked against.  list_rref,
 list_kernel_basis, list_subspace_from_vectors and list_hom_system are the
 former list-row Gauss-Jordan elimination and Hom system, kept to judge the
 packed-row elimination core of hallforge.linalg and reps._hom_system.
+walked_subobject_table walks every class's subobjects the way the engine
+walks only the classes no closed form covers, to judge the closed-form
+tables of hall._subobject_table.  a_prime_by_endomorphisms and
+product_by_endomorphisms are the literal |End|-normalized reading of the
+t = 1 product, which the tests confirm differs from the |Aut| convention.
 """
 from __future__ import annotations
 
@@ -29,8 +34,8 @@ from fractions import Fraction
 
 from hallforge.algebra import DerivedHall, HallVector
 from hallforge.complexes import (ComplexObj, GradedObject, _as_reps, class_at_or_zero,
-                                 enumerate_complex_classes, hom_dt_count, homology,
-                                 zero_diff_complex)
+                                 dt_hom_with_cone_count, enumerate_complex_classes,
+                                 hom_dt_count, homology, zero_diff_complex)
 from hallforge.errors import (DivisionByZero, IncompatibleObjects, InternalInconsistency,
                               NotASubobject, UnsupportedPeriod)
 from hallforge.hall import (closed_subspace_tuples, euler_mult, euler_table, ext1_count,
@@ -40,7 +45,7 @@ from hallforge.quivers import dims_add, dims_sub, subdimvecs
 from hallforge.reps import (DEFAULT_ISO_ENUM_BOUND, ClassRegistry, IsoClassId, Rep,
                             _check_compatible, _isomorphisms, hom_basis, hom_dim, is_isomorphic,
                             quotient_by_subrep, restrict_to_subspaces, zero_rep)
-from hallforge.scalars import QSqrtScalar, q_exponent
+from hallforge.scalars import QSqrtScalar, q_exponent, sqrt_of_fraction
 
 ORACLE_HOM_BOUND = 5000
 
@@ -321,6 +326,42 @@ def cone_counts_by_complex_classes(reg: ClassRegistry, a: GradedObject,
             x = homology(reg, cplx)
             counts[x] = counts.get(x, 0) + n
     return counts
+
+
+def walked_subobject_table(reg: ClassRegistry, c: IsoClassId,
+                           sub_dims: tuple[int, ...]) -> dict[tuple[IsoClassId, IsoClassId], int]:
+    """{(quotient class, subobject class): count} over the subobjects of c of
+    dims sub_dims, by classifying the sub and quotient of every closed subspace
+    tuple, whatever route hall._subobject_table takes for c."""
+    rep_c = reg.representative(c)
+    table: dict[tuple[IsoClassId, IsoClassId], int] = {}
+    for subs in closed_subspace_tuples(rep_c, sub_dims):
+        key = (reg.classify(quotient_by_subrep(rep_c, subs)),
+               reg.classify(restrict_to_subspaces(rep_c, subs)))
+        table[key] = table.get(key, 0) + 1
+    return table
+
+
+def a_prime_by_endomorphisms(dh: DerivedHall, g: GradedObject) -> QSqrtScalar:
+    """|End_{D_t}(g)| * {g, g}^{1/2}: a'_g with |End| in place of |Aut| (odd t)."""
+    end_count = hom_dt_count(dh.reg, g, g, shift=0)
+    return dh.rational(end_count) * sqrt_of_fraction(dh.q, dh.bracket(g, g))
+
+
+def product_by_endomorphisms(reg: ClassRegistry, a: IsoClassId, b: IsoClassId) -> HallVector:
+    """The t = 1 cone-counting product of the stalks of a and b, normalized by
+    a_prime_by_endomorphisms instead of a'; terms on rp_product_t1's support."""
+    dh = DerivedHall(reg, 1)
+    a_g, b_g = dh.stalk(a), dh.stalk(b)
+    denom = a_prime_by_endomorphisms(dh, a_g) * a_prime_by_endomorphisms(dh, b_g)
+    hom_root = QSqrtScalar.rational(dh.q, 1, hom_dt_count(reg, a_g, b_g, shift=0)).sqrt()
+    out = HallVector(dh.q)
+    for g, _ in dh.rp_product_t1(a_g, b_g).items():
+        coeff = (dh.rational(dt_hom_with_cone_count(reg, a_g, b_g, g)) * hom_root
+                 * a_prime_by_endomorphisms(dh, g) / denom)
+        if coeff:
+            out = out.add(HallVector(dh.q, {g: coeff}))
+    return out
 
 
 def alt_hom_explicit(reg: ClassRegistry, a: GradedObject, b: GradedObject) -> Fraction:

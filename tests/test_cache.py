@@ -82,7 +82,7 @@ def test_closed_form_quiver_file_holds_class_data_only(tmp_path):
     reg = warm_registry()
     for c in reg.classes((2, 1)):
         subquotient_tables(reg, c)
-    assert reg.memo("hall_number")
+    assert reg.memo("closed_form_table")
     payload = json.loads(save_cache(reg, 0, tmp_path).read_text())
     assert payload["subobject_tables"] == []
     assert set(payload) == {"sha256", "format", "fingerprint", "q", "t", "registry",

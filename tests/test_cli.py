@@ -180,7 +180,8 @@ def test_relations_report(capsys, monkeypatch):
                              "dh3_r1", "dh3_r2", "dht_r3"}
     for row in families.values():
         assert row["mismatches"] == 0
-    assert families["dh1_re1"]["endo_convention_matches_all"] is False
+    # The |End|-normalization comparison is a test oracle, not a report field.
+    assert set(families["dh1_re1"]) == {"family", "checked", "mismatches"}
 
 
 def test_crosscheck_report(capsys, monkeypatch):

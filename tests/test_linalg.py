@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hallforge.errors import DivisionByZero, InvalidField
-from hallforge.linalg import (FieldSpec, Mat, count_matrices_of_rank,
+from hallforge.errors import InvalidField
+from hallforge.linalg import (Mat, check_prime, count_matrices_of_rank,
                               enumerate_subspaces, full_subspace,
                               gaussian_binomial, gl_order, is_invertible,
                               kernel_basis, rank, rref, subspace_from_vectors,
@@ -27,19 +27,12 @@ def _mats(max_dim=3, primes=PRIMES):
             lambda rows: Mat.from_rows(primes[pi], rows, shape[1]))))
 
 
-def test_field_spec_rejects_composite():
+def test_check_prime_rejects_non_primes():
     with pytest.raises(InvalidField):
-        FieldSpec(4)
+        check_prime(4)
     with pytest.raises(InvalidField):
-        FieldSpec(1)
-
-
-def test_field_inverse():
-    f = FieldSpec(5)
-    for a in range(1, 5):
-        assert f.mul(a, f.inv(a)) == 1
-    with pytest.raises(DivisionByZero):
-        f.inv(0)
+        check_prime(1)
+    check_prime(5)
 
 
 @given(_mats())

@@ -14,7 +14,7 @@ from hallforge.linalg import (Mat, full_subspace, gl_order, is_invertible, subsp
                              zero_subspace)
 from hallforge.quivers import Arrow, Quiver, dimvecs_up_to, line_quiver, quiver_from_dict
 from hallforge.reps import (ClassRegistry, IsoClassId, Rep, _unflatten, direct_sum,
-                            enumerate_iso_classes, hom_basis, hom_dim, is_isomorphic,
+                            hom_basis, hom_dim, is_isomorphic,
                             quotient_by_subrep, restrict_to_subspaces,
                             semisimple_rep, simple_rep, zero_rep)
 
@@ -266,12 +266,6 @@ def test_orbit_sizes_partition_all_matrix_tuples(quiver_size, p, max_total):
             for d in dims:
                 glp *= gl_order(d, p)
             assert reg.orbit_size(c) * reg.aut_count(c) == glp
-
-
-def test_enumerate_iso_classes_wrapper(a2_f2):
-    reps = enumerate_iso_classes(a2_f2, (1, 1))
-    assert len(reps) == 2
-    assert reps[0].mats[0].is_zero()
 
 
 def test_hom_dim_biadditive(a2_f2):

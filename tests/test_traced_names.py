@@ -58,3 +58,17 @@ def test_importing_the_cli_imports_every_traced_module():
                           env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+def test_state_the_hooks_read_exists():
+    # The boundary hooks read engine state directly: ensure_enumerated's
+    # reg._classes, aut_count's reg._aut, hall_number's reg._memos and
+    # multiply_graded's DerivedHall._mul.  A renamed attribute would make a
+    # hook raise, or silently count every call as a first call.
+    from hallforge.algebra import DerivedHall
+    from hallforge.quivers import line_quiver
+    from hallforge.reps import ClassRegistry
+    reg = ClassRegistry(line_quiver(2), 2)
+    for attr in ("_classes", "_aut", "_memos"):
+        assert isinstance(getattr(reg, attr), dict), attr
+    assert isinstance(DerivedHall(reg, 1)._mul, dict)
