@@ -14,10 +14,10 @@ from .complexes import (GradedObject, check_period, class_at_or_zero, cone_count
                         dt_hom_with_cone_count, format_graded, graded_object,
                         hom_dt_count, stalk)
 from .errors import IncompatibleObjects, RewriteBudgetExceeded, UnsupportedPeriod
-from .hall import ext1_count, ext1_dim, euler_table, gamma_terms, hall_number
+from .hall import euler_table, gamma_terms, hall_number
 from .quivers import dims_add, dims_sub, subdimvecs
 from .reps import ClassRegistry, IsoClassId
-from .scalars import QSqrtScalar, q_exponent
+from .scalars import QSqrtScalar
 
 DEFAULT_REWRITE_BUDGET = 100_000
 
@@ -384,36 +384,46 @@ class DerivedHall:
     # -- normalization invariants --------------------------------------------
 
     def aut_dt(self, g: GradedObject) -> int:
-        """|Aut_{D_t}| of a graded object (per-component Aut times Ext twists)."""
+        """|Aut_{D_t}(g)|: the components' |Aut| times q^(sum over degrees d of
+        dim Ext^1(g_d, g_{d-1})); at t = 1 that twist is Ext^1(g_0, g_0)."""
         self._check_graded(g)
-        reg = self.reg
-        out = 1
-        for _deg, cls in g.components:
-            out *= reg.aut_count(cls)
+        reg, t = self.reg, self.t
+        at = dict(g.components)
+        out, ext = 1, 0
         for deg, cls in g.components:
-            prev = g.component(deg - 1)
+            out *= reg.aut_count(cls)
+            prev = at.get((deg - 1) % t if t else deg - 1)
             if prev is not None:
-                out *= ext1_count(reg, cls, prev)
-        return out
+                ext += reg.hom_ext_dims(cls, prev)[1]
+        return out * reg.p ** ext
 
     def bracket(self, x: GradedObject, y: GradedObject) -> Fraction:
         """{X, Y} = prod_i |Hom_{D_t}(X[i], Y)|^{(-1)^i} over the shifts i = 1..t
-        (t = 0: i >= 1 up to the supports' reach), as one q-exponent over pairs of
-        components: a pair at degrees d_x, d_y adds dim Hom at i = d_x - d_y and
-        dim Ext^1 at i = d_x - d_y - 1 (mod t), as hom_dt_count counts them."""
+        (t = 0: i >= 1 up to the supports' reach), as q^_bracket_exp(x, y)."""
         self._check_graded(x)
         self._check_graded(y)
-        reg, t = self.reg, self.t
+        return Fraction(self.q) ** self._bracket_exp(x, y)
+
+    def _bracket_exp(self, x: GradedObject, y: GradedObject) -> int:
+        """The q-exponent of {X, Y}, in one pass over pairs of components: a pair
+        at degrees d_x, d_y adds dim Hom at i = d_x - d_y and dim Ext^1 at
+        i = d_x - d_y - 1 (mod t), as hom_dt_count counts them."""
+        hom_ext, t = self.reg.hom_ext_dims, self.t
         e = 0
         for d_x, c_x in x.components:
             for d_y, c_y in y.components:
-                for i, ext in ((d_x - d_y, False), (d_x - d_y - 1, True)):
-                    if t:
-                        i = (i - 1) % t + 1
-                    if i >= 1:
-                        dim = ext1_dim(reg, c_x, c_y) if ext else reg.hom_dim_classes(c_x, c_y)
-                        e += dim if i % 2 == 0 else -dim
-        return Fraction(self.q) ** e
+                i = d_x - d_y
+                if t:
+                    i = (i - 1) % t + 1
+                elif i < 1:
+                    continue
+                hom, ext = hom_ext(c_x, c_y)
+                e += hom if i % 2 == 0 else -hom
+                # Ext^1 counts at shift i - 1, which wraps to t (and at t = 0 drops out).
+                j = i - 1 or t
+                if j:
+                    e += ext if j % 2 == 0 else -ext
+        return e
 
     def _a_prime_parts(self, g: GradedObject) -> tuple[int, int]:
         """(|Aut_{D_t}(g)|, e) with {g, g} = q^e, so that a'_g = |Aut_{D_t}(g)| v^e."""
@@ -421,7 +431,7 @@ class DerivedHall:
             raise UnsupportedPeriod("a' is defined for odd positive t")
         parts = self._a_primes.get(g)
         if parts is None:
-            parts = self._a_primes[g] = (self.aut_dt(g), q_exponent(self.bracket(g, g), self.q))
+            parts = self._a_primes[g] = (self.aut_dt(g), self._bracket_exp(g, g))
         return parts
 
     def a_prime(self, g: GradedObject) -> QSqrtScalar:

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 from .errors import (EnumerationTooLarge, IncompatibleObjects, InternalInconsistency,
                      UnsupportedPeriod)
-from .hall import ext1_dim
 from .linalg import Mat, Subspace, echelon, kernel_basis, rank, subspace_from_vectors
 from .quivers import Arrow, DimVec, Quiver
 from .reps import (DEFAULT_ISO_ENUM_BOUND, ClassRegistry, IsoClassId, Morphism, Rep,
@@ -491,7 +490,7 @@ def cone_counts(reg: ClassRegistry, a: GradedObject,
     cls_a, cls_b = class_at_or_zero(reg, a, 0), class_at_or_zero(reg, b, 0)
     rep_a, rep_b = reg.representative(cls_a), reg.representative(cls_b)
     transversal = _coboundary_transversal(rep_a, rep_b)
-    if len(transversal) != ext1_dim(reg, cls_a, cls_b):
+    if len(transversal) != reg.hom_ext_dims(cls_a, cls_b)[1]:
         raise InternalInconsistency("the coboundary transversal does not have dim Ext^1")
     middles = _middle_modules(rep_a, rep_b, transversal)
     p, na, nb = reg.p, rep_a.dims, rep_b.dims
@@ -546,8 +545,10 @@ def hom_dt_count(reg: ClassRegistry, a: GradedObject, b: GradedObject,
         tgt_h = b_at.get(j)
         tgt_e = b_at.get((j - 1) % t if t else j - 1)
         if tgt_h is not None:
-            e += reg.hom_dim_classes(src, tgt_h)
-        if tgt_e is not None:
-            e += ext1_dim(reg, src, tgt_e)
+            hom, ext = reg.hom_ext_dims(src, tgt_h)
+            # At t = 1 the degrees j and j - 1 coincide: one pair, Hom and Ext^1.
+            e += hom + ext if t == 1 else hom
+        if tgt_e is not None and t != 1:
+            e += reg.hom_ext_dims(src, tgt_e)[1]
     return reg.p ** e
 

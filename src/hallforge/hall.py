@@ -22,17 +22,9 @@ from typing import Iterator
 from .errors import InternalInconsistency
 from .linalg import (Subspace, gaussian_binomial, subspace_from_vectors,
                      subspaces_containing)
-from .quivers import (DimVec, Quiver, dims_add, dims_leq, dims_sub, subdimvecs,
+from .quivers import (DimVec, Quiver, dims_add, dims_leq, dims_sub, euler_add, subdimvecs,
                       topological_order)
 from .reps import ClassRegistry, IsoClassId, Rep, _quotient, _restrict, is_subrep
-
-
-def euler_add(quiver: Quiver, d1: DimVec, d2: DimVec) -> int:
-    """Additive Euler form: sum_v d1_v d2_v - sum_{a: s->t} d1_s d2_t."""
-    out = sum(x * y for x, y in zip(d1, d2))
-    for a in quiver.arrows:
-        out -= d1[a.source] * d2[a.target]
-    return out
 
 
 class _EulerTable(dict):
@@ -58,16 +50,13 @@ def euler_mult(reg: ClassRegistry, d1: DimVec, d2: DimVec) -> Fraction:
 
 
 def ext1_dim(reg: ClassRegistry, a: IsoClassId, b: IsoClassId) -> int:
-    """dim Ext^1(a, b) = dim Hom - <dims a, dims b> (hereditary)."""
-    e = reg.hom_dim_classes(a, b) - euler_table(reg)[a.dims, b.dims]
-    if e < 0:
-        raise InternalInconsistency("negative Ext^1 dimension; category is not behaving hereditarily")
-    return e
+    """dim Ext^1(a, b), read from the registry's (Hom, Ext^1) store (reg.hom_ext_dims)."""
+    return reg.hom_ext_dims(a, b)[1]
 
 
 def ext1_count(reg: ClassRegistry, a: IsoClassId, b: IsoClassId) -> int:
     """|Ext^1(a, b)| = q^{dim Ext^1(a, b)}."""
-    return reg.p ** ext1_dim(reg, a, b)
+    return reg.p ** reg.hom_ext_dims(a, b)[1]
 
 
 def closed_subspace_tuples(rep: Rep, sub_dims: DimVec) -> Iterator[tuple[Subspace, ...]]:
@@ -356,8 +345,8 @@ def green_sides(reg: ClassRegistry, a: IsoClassId, b: IsoClassId,
                         g_b2 = hall_number(reg, x2, y2, b2)
                         if g_b2 == 0:
                             continue
-                        factor = Fraction(ext1_count(reg, x, y2),
-                                          reg.p ** reg.hom_dim_classes(x, y2))
+                        hom, ext = reg.hom_ext_dims(x, y2)
+                        factor = Fraction(reg.p) ** (ext - hom)
                         rhs += (factor * g_a * g_b * g_a2 * g_b2
                                 * reg.aut_count(x) * reg.aut_count(y)
                                 * reg.aut_count(x2) * reg.aut_count(y2))

@@ -144,6 +144,14 @@ def dims_leq(d1: DimVec, d2: DimVec) -> bool:
     return all(a <= b for a, b in zip(d1, d2))
 
 
+def euler_add(quiver: Quiver, d1: DimVec, d2: DimVec) -> int:
+    """Additive Euler form: sum_v d1_v d2_v - sum_{a: s->t} d1_s d2_t."""
+    out = sum(x * y for x, y in zip(d1, d2))
+    for a in quiver.arrows:
+        out -= d1[a.source] * d2[a.target]
+    return out
+
+
 def total_dim(d: DimVec) -> int:
     return sum(d)
 

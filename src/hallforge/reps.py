@@ -4,8 +4,8 @@ A representation assigns F_p^{d_v} to each vertex and a matrix to each arrow.
 The ClassRegistry lists the isomorphism classes of a dimension vector by
 sweeping matrix tuples with a prefix of vertex-disjoint arrows in rank normal
 form, groups them by exhaustive isomorphism search, and memoizes orbit and
-automorphism counts, Hom dimensions and (via its generic memo store) Hall
-numbers.
+automorphism counts, one (Hom, Ext^1) dimension pair per ordered pair of
+classes, and (via its generic memo store) Hall numbers.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from .errors import (EnumerationTooLarge, IncompatibleObjects, InternalInconsist
                      NotASubobject)
 from .linalg import (Mat, Subspace, check_prime, count_matrices_of_rank, echelon, gl_order,
                      pack_bits, pack_row, rank, rows_kernel, rows_rank)
-from .quivers import DimVec, Quiver, total_dim, validate_quiver
+from .quivers import DimVec, Quiver, euler_add, total_dim, validate_quiver
 
 #: Enumeration ceiling for Hom-space searches in isomorphism tests.
 DEFAULT_ISO_ENUM_BOUND = 2 ** 16
@@ -337,7 +337,8 @@ _CLASS_ID_RE = re.compile(r"^k(\d+(?:\.\d+)*)(?:#(\d+))?$")
 
 
 class ClassRegistry:
-    """Isomorphism classes, automorphism counts and memo tables for one (quiver, p)."""
+    """Isomorphism classes, automorphism counts, the one store of Hom and Ext^1
+    dimensions (hom_ext_dims) and memo tables for one (quiver, p)."""
 
     def __init__(self, quiver: Quiver, p: int,
                  iso_enum_bound: int = DEFAULT_ISO_ENUM_BOUND,
@@ -356,7 +357,7 @@ class ClassRegistry:
         self._ids: dict[DimVec, tuple[IsoClassId, ...]] = {}
         self._orbit: dict[IsoClassId, int] = {}
         self._aut: dict[IsoClassId, int] = {}
-        self._hom_dim: dict[tuple[IsoClassId, IsoClassId], int] = {}
+        self._hom_ext: dict[tuple[IsoClassId, IsoClassId], tuple[int, int]] = {}
         self._id_str: dict[IsoClassId, str] = {}
         self._memos: dict[str, dict] = {}
         # With no two arrows sharing a vertex, the arrow ranks decide the class.
@@ -535,11 +536,21 @@ class ClassRegistry:
             self._aut[cid] = glp // orbit
         return self._aut[cid]
 
+    def hom_ext_dims(self, a: IsoClassId, b: IsoClassId) -> tuple[int, int]:
+        """(dim Hom(a, b), dim Ext^1(a, b)), both computed on the pair's first
+        lookup: Ext^1 as dim Hom - <dims a, dims b>, since the category is hereditary."""
+        dims = self._hom_ext.get((a, b))
+        if dims is None:
+            h = hom_dim(self.representative(a), self.representative(b))
+            e = h - euler_add(self.quiver, a.dims, b.dims)
+            if e < 0:
+                raise InternalInconsistency(
+                    "negative Ext^1 dimension; category is not behaving hereditarily")
+            dims = self._hom_ext[a, b] = (h, e)
+        return dims
+
     def hom_dim_classes(self, a: IsoClassId, b: IsoClassId) -> int:
-        d = self._hom_dim.get((a, b))
-        if d is None:
-            d = self._hom_dim[a, b] = hom_dim(self.representative(a), self.representative(b))
-        return d
+        return self.hom_ext_dims(a, b)[0]
 
     # -- naming -------------------------------------------------------------
 

@@ -12,10 +12,11 @@ cones through the complex classes of the cone's dims and the C_t Hall
 numbers (hall_number_ct and its helpers, on the degree quiver) to check
 complexes.cone_counts.  frontier_product is the derived product kernel's
 former route, a frontier DP over every degree of the chain, kept to judge
-DerivedHall.multiply_graded; bracket_by_shifts and alt_hom_explicit
-multiply hom_dt_count over the shifts, as {X, Y} and the alternating Hom
-product are defined, and alt_hom_product is the latter's Euler-form closed
-form.  FractionPairScalar is the plain pair-of-Fractions model of Q(sqrt q)
+DerivedHall.multiply_graded; aut_dt_by_components counts |Aut_{D_t}| one
+component and one Ext twist at a time; bracket_by_shifts and
+alt_hom_explicit multiply hom_dt_count over the shifts, as {X, Y} and the
+alternating Hom product are defined, and alt_hom_product is the latter's
+Euler-form closed form.  FractionPairScalar is the plain pair-of-Fractions model of Q(sqrt q)
 that hallforge.scalars' integer triples are checked against.  list_rref,
 list_kernel_basis, list_subspace_from_vectors and list_hom_system are the
 former list-row Gauss-Jordan elimination and Hom system, kept to judge the
@@ -398,6 +399,19 @@ def alt_hom_product(reg: ClassRegistry, a: GradedObject, b: GradedObject) -> Fra
     return out
 
 
+def aut_dt_by_components(reg: ClassRegistry, g: GradedObject) -> int:
+    """|Aut_{D_t}(g)| as the product of the components' |Aut|, times one
+    |Ext^1(g_d, g_{d-1})| per component, looked up through g.component."""
+    out = 1
+    for _deg, cls in g.components:
+        out *= reg.aut_count(cls)
+    for deg, cls in g.components:
+        prev = g.component(deg - 1)
+        if prev is not None:
+            out *= ext1_count(reg, cls, prev)
+    return out
+
+
 def bracket_by_shifts(reg: ClassRegistry, x: GradedObject, y: GradedObject) -> Fraction:
     """{X, Y} = prod_i |Hom_{D_t}(X[i], Y)|^{(-1)^i}, one hom_dt_count per shift:
     i = 1..t, or at t = 0 i = 1..max(supp X) - min(supp Y) + 1."""
@@ -469,7 +483,8 @@ def _frontier_lt_paths(dh: DerivedHall, a: GradedObject, b: GradedObject, degree
 def frontier_product(dh: DerivedHall, a: GradedObject, b: GradedObject) -> HallVector:
     """[a][b] by the local-to-global formulas with the frontier DP: the Euler
     prefactors summed over all degree pairs, and at odd t each a' = |Aut_{D_t}|
-    {g, g}^{1/2} with the bracket from bracket_by_shifts."""
+    {g, g}^{1/2} with |Aut_{D_t}| from aut_dt_by_components and the bracket
+    from bracket_by_shifts."""
     reg, q, t = dh.reg, dh.q, dh.t
     if a.is_zero() or b.is_zero():
         return HallVector.basis(q, b if a.is_zero() else a)
@@ -508,7 +523,7 @@ def frontier_product(dh: DerivedHall, a: GradedObject, b: GradedObject) -> HallV
         return -(euler[a_dims[i], d_s] + euler[d_next, dims_sub(b_dims[i], d_s)])
 
     def a_prime_parts(g):
-        return dh.aut_dt(g), q_exponent(bracket_by_shifts(reg, g, g), q)
+        return aut_dt_by_components(reg, g), q_exponent(bracket_by_shifts(reg, g, g), q)
 
     h, e = _frontier_lt_paths(dh, a, b, range(t), euler_exp)
     aut_a, v_a = a_prime_parts(a)

@@ -10,15 +10,14 @@ import pytest
 from hallforge.algebra import (RELATION_FAMILIES, DerivedHall, HallVector,
                                relation_check)
 from hallforge.complexes import graded_object, stalk
-from hallforge.errors import (IncompatibleObjects, NotAPureQPower,
-                              RewriteBudgetExceeded, UnsupportedPeriod)
+from hallforge.errors import IncompatibleObjects, RewriteBudgetExceeded, UnsupportedPeriod
 from hallforge.quivers import line_quiver
 from hallforge.reps import ClassRegistry
-from hallforge.scalars import QSqrtScalar, parse_scalar
+from hallforge.scalars import QSqrtScalar, parse_scalar, q_exponent
 from hallforge.cli import graded_objects_within
 
-from .oracles import (a_prime_by_endomorphisms, bracket_by_shifts, frontier_product,
-                      product_by_endomorphisms)
+from .oracles import (a_prime_by_endomorphisms, aut_dt_by_components, bracket_by_shifts,
+                      frontier_product, product_by_endomorphisms)
 
 
 def k_class(reg, n):
@@ -232,23 +231,36 @@ def test_a_prime_needs_odd_period(d0, a1_f2):
         d0.a_prime(d0.unit_graded())
 
 
-def test_a_prime_rejects_a_bracket_that_is_no_q_power(monkeypatch):
-    # The product's integer kernel reads a' through the same pure-power check.
-    dh = DerivedHall(ClassRegistry(line_quiver(1), 2), 1)
-    monkeypatch.setattr(dh, "bracket", lambda x, y: Fraction(3, 2))
-    k = dh.stalk(dh.reg.classes((1,))[0])
-    with pytest.raises(NotAPureQPower):
-        dh.a_prime(k)
-    with pytest.raises(NotAPureQPower):
-        dh.multiply_graded(k, k)
+def test_a_prime_parts_are_the_shiftwise_exponents():
+    """The integer parts (|Aut_{D_t}|, e with {g, g} = q^e) of a' for every graded
+    object of total dim <= 2 on A1 and A2 at t = 1, 3, 5 are |Aut_{D_t}| by
+    components and the q-exponent of the bracket multiplied over the shifts."""
+    for n_vertices, t in itertools.product((1, 2), (1, 3, 5)):
+        reg = ClassRegistry(line_quiver(n_vertices), 2)
+        dh = DerivedHall(reg, t)
+        for g in graded_objects_within(reg, t, 2):
+            judge = (aut_dt_by_components(reg, g), q_exponent(bracket_by_shifts(reg, g, g), reg.p))
+            assert dh._a_prime_parts(g) == judge, g
 
 
-def test_aut_dt_counts(d3, a1_f2):
+def test_aut_dt_counts(d3, a1_f2, a2_f2):
     k = k_class(a1_f2, 1)
     pair = graded_object(3, 1, [(0, k), (1, k)])
     # |Aut(k)|^2 times the Ext twist between adjacent degrees (trivial on A_1).
     assert d3.aut_dt(pair) == 1
     assert d3.aut_dt(d3.stalk(k_class(a1_f2, 2), 0)) == 6
+    # On A_2, Ext^1(k1.0, k0.1) = F_2 twists k1.0 at degree d over k0.1 at d - 1,
+    # also across the wrap from degree 0 to t - 1; at t = 1 the split class
+    # k1.1 is twisted by its own Ext^1(c, c) = F_2.
+    s1, s2 = a2_f2.classes((1, 0))[0], a2_f2.classes((0, 1))[0]
+    split = next(c for c in a2_f2.classes((1, 1)) if a2_f2.hom_dim_classes(c, c) == 2)
+    cases = [(0, [(1, s1), (0, s2)], 2), (0, [(1, s2), (0, s1)], 1),
+             (3, [(1, s1), (0, s2)], 2), (3, [(0, s1), (2, s2)], 2),
+             (3, [(0, s2), (2, s1)], 1), (3, [(0, split), (1, split), (2, split)], 8),
+             (1, [(0, split)], 2), (1, [(0, s1)], 1)]
+    for t, comps, count in cases:
+        g = graded_object(t, 2, comps)
+        assert DerivedHall(a2_f2, t).aut_dt(g) == count == aut_dt_by_components(a2_f2, g), g
 
 
 # -- the product kernel against its former route -----------------------------------------

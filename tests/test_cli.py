@@ -11,10 +11,10 @@ from fractions import Fraction
 
 import pytest
 
-from hallforge import algebra, cli
+from hallforge import algebra, cli, reps
 from hallforge.cache import CACHE_ENV_VAR, CACHE_FORMAT, cache_path, encode_cache
 from hallforge.errors import DivisionByZero, InternalInconsistency, NotAPureQPower
-from hallforge.quivers import line_quiver, quiver_to_dict
+from hallforge.quivers import euler_add, line_quiver, quiver_to_dict
 from hallforge.reps import Rep
 
 KRONECKER = {"vertices": ["1", "2"],
@@ -462,9 +462,9 @@ def test_dispatch_calls_in_one_process_share_no_state(tmp_path, monkeypatch):
 def test_no_q_power_in_the_engine_is_an_internal_fault(capsys, monkeypatch):
     monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
 
-    def no_power(x, q):
-        raise NotAPureQPower(f"{x} planted")
-    monkeypatch.setattr(algebra, "q_exponent", no_power)
+    def no_power(self, x, y):
+        raise NotAPureQPower(f"{{{x}, {y}}} planted")
+    monkeypatch.setattr(algebra.DerivedHall, "_bracket_exp", no_power)
     code, report, err = run_cli(capsys, "dha-mul", "--t", "1",
                                 "--lhs", "[k1@0]", "--rhs", "[k1@0]")
     assert code == cli.EXIT_INTERNAL == 4
@@ -481,6 +481,17 @@ def test_engine_faults_have_their_own_exit_code(capsys, monkeypatch, fault):
     code, report, err = run_cli(capsys, "classes")
     assert code == cli.EXIT_INTERNAL == 4
     assert report is None and "error" in err and "planted" in err
+
+
+def test_negative_ext1_is_an_internal_fault(capsys, monkeypatch):
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    # <k1, k1> = 2 > dim Hom(k1, k1) = 1 makes Ext^1(k1, k1) negative.
+    monkeypatch.setattr(reps, "euler_add",
+                        lambda quiver, d1, d2: 2 if d1 == d2 == (1,) else euler_add(quiver, d1, d2))
+    code, report, err = run_cli(capsys, "dha-mul", "--t", "1",
+                                "--lhs", "[k1@0]", "--rhs", "[k1@0]")
+    assert code == cli.EXIT_INTERNAL == 4
+    assert report is None and "negative Ext^1 dimension" in err
 
 
 def test_negative_max_dim_is_usage_error(capsys, monkeypatch):

@@ -7,12 +7,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hallforge.complexes import _coboundary_transversal
-from hallforge.errors import (EnumerationTooLarge, IncompatibleObjects,
+from hallforge import reps
+from hallforge.algebra import DerivedHall
+from hallforge.complexes import _coboundary_transversal, graded_object, hom_dt_count
+from hallforge.errors import (EnumerationTooLarge, IncompatibleObjects, InternalInconsistency,
                               InvalidField)
+from hallforge.hall import ext1_dim
 from hallforge.linalg import (Mat, full_subspace, gl_order, is_invertible, subspace_from_vectors,
                              zero_subspace)
-from hallforge.quivers import Arrow, Quiver, dimvecs_up_to, line_quiver, quiver_from_dict
+from hallforge.quivers import (Arrow, Quiver, dimvecs_up_to, euler_add, line_quiver,
+                               quiver_from_dict)
 from hallforge.reps import (ClassRegistry, IsoClassId, Rep, _unflatten, direct_sum,
                             hom_basis, hom_dim, is_isomorphic,
                             quotient_by_subrep, restrict_to_subspaces,
@@ -44,6 +48,26 @@ def test_class_id_roundtrip(a2_f2):
         a2_f2.parse_class_id("k1.1#7")
     with pytest.raises(IncompatibleObjects):
         a2_f2.parse_class_id("nope")
+
+
+def test_negative_ext1_is_an_internal_inconsistency(monkeypatch):
+    # <k1.0, k0.1> = 1 > dim Hom(k1.0, k0.1) = 0 makes that one Ext^1 negative.
+    monkeypatch.setattr(reps, "euler_add", lambda quiver, d1, d2: (
+        1 if (d1, d2) == ((1, 0), (0, 1)) else euler_add(quiver, d1, d2)))
+
+    def fresh():
+        reg = ClassRegistry(line_quiver(2), 2)
+        return reg, reg.classes((1, 0))[0], reg.classes((0, 1))[0]
+    reg, s1, s2 = fresh()
+    assert ext1_dim(reg, s2, s1) == 0
+    with pytest.raises(InternalInconsistency, match="negative Ext"):
+        ext1_dim(reg, s1, s2)
+    reg, s1, s2 = fresh()
+    with pytest.raises(InternalInconsistency, match="negative Ext"):
+        hom_dt_count(reg, graded_object(3, 2, [(1, s1)]), graded_object(3, 2, [(0, s2)]))
+    reg, s1, s2 = fresh()
+    with pytest.raises(InternalInconsistency, match="negative Ext"):
+        DerivedHall(reg, 3).a_prime(graded_object(3, 2, [(0, s2), (1, s1)]))
 
 
 def test_hom_dims_projective_vs_simples(a2_f2):
