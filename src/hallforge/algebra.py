@@ -7,7 +7,7 @@ counting (t = 1), which the crosscheck routines compare term by term.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .complexes import (GradedObject, check_period, class_at_or_zero, cone_counts,
@@ -88,15 +88,10 @@ class HallVector:
         return {format_graded(reg, g): str(c) for g, c in self.items()}
 
 
-@dataclass
-class CheckResult:
+class CheckResult(namedtuple("CheckResult", "label ok lhs rhs mismatches", defaults=((),))):
     """Outcome of an identity check: both sides plus the mismatching keys."""
 
-    label: str
-    ok: bool
-    lhs: HallVector
-    rhs: HallVector
-    mismatches: tuple[GradedObject, ...] = ()
+    __slots__ = ()
 
 
 def _compare(label: str, lhs: HallVector, rhs: HallVector) -> CheckResult:

@@ -18,7 +18,6 @@ and a fresh start, never a report entry.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import hashlib
 import itertools
@@ -76,6 +75,7 @@ def load_quiver(path: str | None) -> Quiver:
 
 
 def write_csv(path: str, fields: list[str], rows: list[dict]) -> None:
+    import csv
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.DictWriter(fh, fieldnames=fields)

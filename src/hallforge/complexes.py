@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import (EnumerationTooLarge, IncompatibleObjects, InternalInconsistency,
                      UnsupportedPeriod)
@@ -39,25 +39,14 @@ def check_period(t: int) -> None:
         raise UnsupportedPeriod(f"periodicity must be 0 or a positive odd integer, got {t!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class GradedObject:
+class GradedObject(namedtuple("GradedObject", "t n_vertices components")):
     """An isomorphism class of zero-differential t-periodic complexes.
 
     components holds (degree, class) pairs, sorted, zero classes omitted;
-    degrees are residues mod t when t > 0, arbitrary ints when t = 0.  The
-    hash is that of (t, n_vertices, components), computed once.
+    degrees are residues mod t when t > 0, arbitrary ints when t = 0.
     """
 
-    t: int
-    n_vertices: int
-    components: tuple[tuple[int, IsoClassId], ...]
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.t, self.n_vertices, self.components)))
-
-    def __hash__(self) -> int:
-        return self._hash
+    __slots__ = ()
 
     def component(self, deg: int) -> IsoClassId | None:
         if self.t > 0:
@@ -152,19 +141,14 @@ def parse_graded(reg: ClassRegistry, t: int, text: str) -> GradedObject:
     return graded_object(t, reg.quiver.n, items)
 
 
-@dataclass(frozen=True)
-class ComplexObj:
+class ComplexObj(namedtuple("ComplexObj", "t quiver p components differentials")):
     """A t-periodic complex: components plus differentials d^i : comp(i) -> comp(i+1).
 
     Zero components and zero differentials are omitted (canonical structural
     form); degrees are residues mod t when t > 0.
     """
 
-    t: int
-    quiver: Quiver
-    p: int
-    components: tuple[tuple[int, Rep], ...]
-    differentials: tuple[tuple[int, Morphism], ...]
+    __slots__ = ()
 
     def next_deg(self, i: int) -> int:
         return (i + 1) % self.t if self.t > 0 else i + 1

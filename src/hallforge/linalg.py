@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterator
 
 from .errors import EnumerationTooLarge, IncompatibleObjects, InvalidField
@@ -44,18 +44,15 @@ def vec_add(p: int, u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
     return tuple((x + y) % p for x, y in zip(u, v))
 
 
-@dataclass(frozen=True)
-class Mat:
+class Mat(namedtuple("Mat", "p rows cols entries")):
     """An immutable rows x cols matrix over F_p (explicit shape even when empty)."""
 
-    p: int
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
+    def __new__(cls, p: int, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]) -> "Mat":
+        if len(entries) != rows or any(len(r) != cols for r in entries):
             raise IncompatibleObjects("matrix entries do not match declared shape")
+        return tuple.__new__(cls, (p, rows, cols, entries))
 
     @staticmethod
     def from_rows(p: int, rows: list[list[int]] | list[tuple[int, ...]], cols: int | None = None) -> "Mat":
@@ -111,11 +108,8 @@ class Mat:
             raise IncompatibleObjects("matrix shapes or fields differ")
 
 
-@dataclass(frozen=True)
-class RrefResult:
-    matrix: Mat
-    pivots: tuple[int, ...]
-    rank: int
+class RrefResult(namedtuple("RrefResult", "matrix pivots rank")):
+    __slots__ = ()
 
 
 def pack_bits(entries, stride: int = 1) -> int:
@@ -224,14 +218,10 @@ def is_invertible(m: Mat) -> bool:
     return m.rows == m.cols and rank(m) == m.rows
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(namedtuple("Subspace", "p ambient basis pivots")):
     """A subspace of F_p^ambient held as its canonical RREF basis."""
 
-    p: int
-    ambient: int
-    basis: tuple[tuple[int, ...], ...]
-    pivots: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def dim(self) -> int:

@@ -8,8 +8,7 @@ from __future__ import annotations
 import itertools
 import json
 import operator
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from typing import Iterator
 
 from .errors import NotHereditarySetup
@@ -17,17 +16,12 @@ from .errors import NotHereditarySetup
 DimVec = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Arrow:
-    source: int
-    target: int
-    label: str
+class Arrow(namedtuple("Arrow", "source target label")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Quiver:
-    vertices: tuple[str, ...]
-    arrows: tuple[Arrow, ...]
+class Quiver(namedtuple("Quiver", "vertices arrows")):
+    __slots__ = ()
 
     @property
     def n(self) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import Iterator
 
 from .errors import (EnumerationTooLarge, IncompatibleObjects, InternalInconsistency,
@@ -30,23 +30,20 @@ DEFAULT_TUPLE_BOUND = 2 ** 22
 Morphism = tuple[Mat, ...]
 
 
-@dataclass(frozen=True)
-class Rep:
+class Rep(namedtuple("Rep", "quiver p dims mats")):
     """A representation: dims[v] at each vertex, mats[i] over arrow i (target x source)."""
 
-    quiver: Quiver
-    p: int
-    dims: DimVec
-    mats: tuple[Mat, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.dims) != self.quiver.n or len(self.mats) != len(self.quiver.arrows):
+    def __new__(cls, quiver: Quiver, p: int, dims: DimVec, mats: tuple[Mat, ...]) -> "Rep":
+        if len(dims) != quiver.n or len(mats) != len(quiver.arrows):
             raise IncompatibleObjects("dimension vector or matrix list has wrong length")
-        for a, m in zip(self.quiver.arrows, self.mats):
-            if m.p != self.p or m.rows != self.dims[a.target] or m.cols != self.dims[a.source]:
+        for a, m in zip(quiver.arrows, mats):
+            if m.p != p or m.rows != dims[a.target] or m.cols != dims[a.source]:
                 raise IncompatibleObjects(
-                    f"arrow {a.label!r} needs a {self.dims[a.target]}x{self.dims[a.source]} "
-                    f"matrix over F_{self.p}")
+                    f"arrow {a.label!r} needs a {dims[a.target]}x{dims[a.source]} "
+                    f"matrix over F_{p}")
+        return tuple.__new__(cls, (quiver, p, dims, mats))
 
     @property
     def total_dim(self) -> int:
@@ -311,22 +308,17 @@ def _rank_form(p: int, rows: int, cols: int, r: int) -> Mat:
                                           for j in range(cols)) for i in range(rows)))
 
 
-@dataclass(frozen=True, slots=True)
-class IsoClassId:
+class IsoClassId(namedtuple("IsoClassId", "dims index total_dim")):
     """Stable identifier of an isomorphism class: dimension vector + enumeration index.
-    Its total dimension and its hash, that of (dims, index), are computed once."""
+    Its total dimension is computed once, from dims."""
 
-    dims: DimVec
-    index: int
-    total_dim: int = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "total_dim", total_dim(self.dims))
-        object.__setattr__(self, "_hash", hash((self.dims, self.index)))
+    def __new__(cls, dims: DimVec, index: int) -> "IsoClassId":
+        return tuple.__new__(cls, (dims, index, total_dim(dims)))
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __getnewargs__(self) -> tuple:
+        return self[:2]
 
     @property
     def sort_key(self) -> tuple:
@@ -528,13 +520,14 @@ class ClassRegistry:
 
         tests/test_reps.py checks these counts against a scan of End(rep).
         """
-        if cid not in self._aut:
+        aut = self._aut.get(cid)
+        if aut is None:
             glp, orbit = self.gl_product(cid.dims), self.orbit_size(cid)
             if glp % orbit != 0:
                 raise InternalInconsistency(
                     f"orbit of class {self.class_id_str(cid)} does not divide the base-change group order")
-            self._aut[cid] = glp // orbit
-        return self._aut[cid]
+            aut = self._aut[cid] = glp // orbit
+        return aut
 
     def hom_ext_dims(self, a: IsoClassId, b: IsoClassId) -> tuple[int, int]:
         """(dim Hom(a, b), dim Ext^1(a, b)), both computed on the pair's first

@@ -331,7 +331,8 @@ def test_loaded_representatives_are_built_on_first_use(tmp_path, monkeypatch):
     save_cache(reg, 0, tmp_path)
     fresh = ClassRegistry(KRONECKER, 2)
     built = []
-    monkeypatch.setattr(Rep, "__post_init__", lambda rep: built.append(rep))
+    new = Rep.__new__
+    monkeypatch.setattr(Rep, "__new__", lambda cls, *args: built.append(args) or new(cls, *args))
     assert load_cache(fresh, 0, tmp_path)
     assert built == []
     monkeypatch.undo()
