@@ -72,9 +72,12 @@ class GradedObject(namedtuple("GradedObject", "t n_vertices components")):
         return not self.components
 
     def shift(self, s: int) -> "GradedObject":
-        """The shift [s]: the component at degree d moves to degree d - s."""
-        return graded_object(self.t, self.n_vertices,
-                             [(d - s, c) for d, c in self.components])
+        """The shift [s]: the component at degree d moves to degree d - s.
+        Shifting keeps the order at t = 0; at odd t the residues are re-sorted."""
+        t = self.t
+        return GradedObject(t, self.n_vertices, tuple(
+            sorted(((d - s) % t, c) for d, c in self.components) if t
+            else ((d - s, c) for d, c in self.components)))
 
 
 def graded_object(t: int, n_vertices: int,

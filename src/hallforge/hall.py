@@ -14,6 +14,7 @@ over a class list in gamma_sweep.
 """
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from operator import attrgetter
@@ -21,7 +22,7 @@ from typing import Iterator
 
 from .errors import InternalInconsistency
 from .linalg import (Subspace, gaussian_binomial, subspace_from_vectors,
-                     subspaces_containing)
+                     subspaces_containing, zero_subspace)
 from .quivers import (DimVec, Quiver, dims_add, dims_leq, dims_sub, euler_add, subdimvecs,
                       topological_order)
 from .reps import ClassRegistry, IsoClassId, Rep, _quotient, _restrict, is_subrep
@@ -59,6 +60,13 @@ def ext1_count(reg: ClassRegistry, a: IsoClassId, b: IsoClassId) -> int:
     return reg.p ** reg.hom_ext_dims(a, b)[1]
 
 
+@functools.cache
+def _walk_plan(q: Quiver) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, int], ...], ...]]:
+    """q's topological order and, per vertex, its incoming (arrow index, source) pairs."""
+    return topological_order(q), tuple(tuple((idx, a.source) for idx, a in enumerate(q.arrows)
+                                             if a.target == v) for v in range(q.n))
+
+
 def closed_subspace_tuples(rep: Rep, sub_dims: DimVec) -> Iterator[tuple[Subspace, ...]]:
     """All per-vertex subspace tuples of the given dims closed under the arrow maps.
 
@@ -69,9 +77,7 @@ def closed_subspace_tuples(rep: Rep, sub_dims: DimVec) -> Iterator[tuple[Subspac
     if not dims_leq(sub_dims, rep.dims):
         return
     q = rep.quiver
-    order = topological_order(q)
-    incoming = [[(idx, a.source) for idx, a in enumerate(q.arrows) if a.target == v]
-                for v in range(q.n)]
+    order, incoming = _walk_plan(q)
     p = rep.p
 
     def fill(pos: int, chosen: dict[int, Subspace]) -> Iterator[tuple[Subspace, ...]]:
@@ -83,10 +89,11 @@ def closed_subspace_tuples(rep: Rep, sub_dims: DimVec) -> Iterator[tuple[Subspac
         for idx, src in incoming[v]:
             for b in chosen[src].basis:
                 vecs.append(rep.mats[idx].apply(b))
-        base = subspace_from_vectors(p, rep.dims[v], vecs)
+        d = rep.dims[v]
+        base = subspace_from_vectors(p, d, vecs) if vecs else zero_subspace(p, d)
         if base.dim > sub_dims[v]:
             return
-        for u in subspaces_containing(base, sub_dims[v], ambient_bound=max(6, rep.dims[v])):
+        for u in subspaces_containing(base, sub_dims[v], ambient_bound=max(6, d)):
             chosen[v] = u
             yield from fill(pos + 1, chosen)
         chosen.pop(v, None)

@@ -295,9 +295,11 @@ def subspaces_containing(base: Subspace, dim: int,
                          ambient_bound: int = SUBSPACE_AMBIENT_BOUND) -> Iterator[Subspace]:
     """All dim-dimensional subspaces of the ambient space containing base.
 
-    Subspaces U >= base correspond bijectively to subspaces of the quotient
-    by base; the quotient is realized on the non-pivot coordinates of base's
-    RREF basis, and each quotient subspace is lifted back and re-canonicalized.
+    Subspaces U >= base correspond bijectively to subspaces W of the quotient
+    by base, realized on the non-pivot coordinates of base's RREF basis, and
+    come in W's enumerate_subspaces order.  W's RREF rows, lifted back, are
+    zero at base's pivots and at each other's, so U's RREF basis is base's
+    rows cleared at the lifted pivots merged by pivot with the lifted rows.
     """
     d, r, p = base.ambient, base.dim, base.p
     if dim < r or dim > d:
@@ -305,15 +307,24 @@ def subspaces_containing(base: Subspace, dim: int,
     if dim == r:
         yield base
         return
+    if not r:
+        yield from enumerate_subspaces(p, d, dim, ambient_bound)
+        return
     comp = [c for c in range(d) if c not in base.pivots]
+    # Lifted, column c holds entry at[c] of the quotient row padded with a 0.
+    at = [comp.index(c) if c in comp else -1 for c in range(d)]
     for w in enumerate_subspaces(p, len(comp), dim - r, ambient_bound):
-        vecs = list(base.basis)
-        for qvec in w.basis:
-            lift = [0] * d
-            for coord, val in zip(comp, qvec):
-                lift[coord] = val
-            vecs.append(tuple(lift))
-        yield subspace_from_vectors(p, d, vecs)
+        lifted = [tuple(map((*qvec, 0).__getitem__, at)) for qvec in w.basis]
+        lifted_pivots = tuple(comp[j] for j in w.pivots)
+        rows = []
+        for row in base.basis:
+            for c, lift in zip(lifted_pivots, lifted):
+                if f := row[c]:
+                    row = tuple((x - f * y) % p for x, y in zip(row, lift))
+            rows.append(row)
+        # Pivots are distinct, so the sort never compares rows.
+        pivots, basis = zip(*sorted(zip(base.pivots + lifted_pivots, rows + lifted)))
+        yield Subspace(p, d, basis, pivots)
 
 
 def count_matrices_of_rank(rows: int, cols: int, r: int, p: int) -> int:

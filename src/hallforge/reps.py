@@ -240,13 +240,15 @@ def restrict_to_subspaces(m: Rep, subs: tuple[Subspace, ...]) -> Rep:
 
 
 def _restrict(m: Rep, subs: tuple[Subspace, ...]) -> Rep:
-    """restrict_to_subspaces for subspaces already known to be closed."""
+    """restrict_to_subspaces for subspaces already known to be closed
+    (is_subrep(m, subs)): an image vector then lies in its target subspace,
+    whose RREF coordinates are its entries at the pivots."""
     p = m.p
     mats = []
     for idx, a in enumerate(m.quiver.arrows):
         mat, src, tgt = m.mats[idx], subs[a.source], subs[a.target]
         cols = ([(0,) * tgt.dim] * src.dim if mat.is_zero()
-                else [tgt.coords(mat.apply(b)) for b in src.basis])
+                else [tuple(map(mat.apply(b).__getitem__, tgt.pivots)) for b in src.basis])
         ents = tuple(tuple(col[i] for col in cols) for i in range(tgt.dim))
         mats.append(Mat(p, tgt.dim, src.dim, ents))
     return Rep(m.quiver, p, tuple(s.dim for s in subs), tuple(mats))
@@ -269,8 +271,11 @@ def _quotient(m: Rep, subs: tuple[Subspace, ...]) -> Rep:
     comp = [[c for c in range(s.ambient) if c not in s.pivots] for s in subs]
 
     def project(v: int, vec: tuple[int, ...]) -> tuple[int, ...]:
-        residue = subs[v].reduce(vec)
-        return tuple(residue[c] for c in comp[v])
+        # An RREF row is zero at the other pivots, so the residue of vec at k
+        # is vec[k] - sum_i vec[pivot_i] basis_i[k].
+        s = subs[v]
+        terms = [(vec[c], row) for c, row in zip(s.pivots, s.basis) if vec[c]]
+        return tuple((vec[k] - sum(f * row[k] for f, row in terms)) % p for k in comp[v])
 
     mats = []
     for idx, a in enumerate(m.quiver.arrows):

@@ -21,6 +21,10 @@ that hallforge.scalars' integer triples are checked against.  list_rref,
 list_kernel_basis, list_subspace_from_vectors and list_hom_system are the
 former list-row Gauss-Jordan elimination and Hom system, kept to judge the
 packed-row elimination core of hallforge.linalg and reps._hom_system.
+overspaces_by_elimination, restrict_by_coords and quotient_by_reduce are
+the former subobject-walk steps, which re-eliminate each lifted overspace,
+image vector and unit column; they judge linalg.subspaces_containing and
+reps._restrict and reps._quotient, which read the same off RREF pivots.
 walked_subobject_table walks every class's subobjects the way the engine
 walks only the classes no closed form covers, to judge the closed-form
 tables of hall._subobject_table.  a_prime_by_endomorphisms and
@@ -41,7 +45,8 @@ from hallforge.errors import (DivisionByZero, IncompatibleObjects, InternalIncon
                               NotASubobject, UnsupportedPeriod)
 from hallforge.hall import (closed_subspace_tuples, euler_mult, euler_table, ext1_count,
                             hall_number)
-from hallforge.linalg import Mat, RrefResult, Subspace, rank, subspace_from_vectors
+from hallforge.linalg import (Mat, RrefResult, Subspace, enumerate_subspaces, rank,
+                              subspace_from_vectors)
 from hallforge.quivers import dims_add, dims_sub, subdimvecs
 from hallforge.reps import (DEFAULT_ISO_ENUM_BOUND, ClassRegistry, IsoClassId, Rep,
                             _check_compatible, _isomorphisms, hom_basis, hom_dim, is_isomorphic,
@@ -687,3 +692,55 @@ def list_hom_system(m: Rep, n: Rep,
                 if all_rows or any(row):
                     rows.append(tuple(row))
     return Mat(p, len(rows), nvars, tuple(rows)), shapes, offsets
+
+
+def overspaces_by_elimination(base: Subspace, dim: int) -> list[Subspace]:
+    """The dim-dimensional subspaces containing base, in the order of their
+    quotients by base in enumerate_subspaces: each quotient subspace on the
+    non-pivot coordinates of base is lifted back, put together with base's
+    rows and eliminated again."""
+    d, r, p = base.ambient, base.dim, base.p
+    if dim < r or dim > d:
+        return []
+    if dim == r:
+        return [base]
+    comp = [c for c in range(d) if c not in base.pivots]
+    out = []
+    for w in enumerate_subspaces(p, len(comp), dim - r, ambient_bound=d):
+        vecs = list(base.basis)
+        for qvec in w.basis:
+            lift = [0] * d
+            for coord, val in zip(comp, qvec):
+                lift[coord] = val
+            vecs.append(tuple(lift))
+        out.append(subspace_from_vectors(p, d, vecs))
+    return out
+
+
+def restrict_by_coords(m: Rep, subs: tuple[Subspace, ...]) -> Rep:
+    """The subrepresentation carried by closed subspaces: each image vector's
+    coordinates by Subspace.coords, which checks membership by reduction."""
+    mats = []
+    for idx, a in enumerate(m.quiver.arrows):
+        mat, src, tgt = m.mats[idx], subs[a.source], subs[a.target]
+        cols = [tgt.coords(mat.apply(b)) for b in src.basis]
+        mats.append(Mat(m.p, tgt.dim, src.dim,
+                        tuple(tuple(col[i] for col in cols) for i in range(tgt.dim))))
+    return Rep(m.quiver, m.p, tuple(s.dim for s in subs), tuple(mats))
+
+
+def quotient_by_reduce(m: Rep, subs: tuple[Subspace, ...]) -> Rep:
+    """The quotient by closed subspaces in complement coordinates: each unit
+    column's image reduced row by row by Subspace.reduce."""
+    p = m.p
+    comp = [[c for c in range(s.ambient) if c not in s.pivots] for s in subs]
+    mats = []
+    for idx, a in enumerate(m.quiver.arrows):
+        mat, s, t = m.mats[idx], a.source, a.target
+        cols = []
+        for c in comp[s]:
+            residue = subs[t].reduce(tuple(row[c] % p for row in mat.entries))
+            cols.append(tuple(residue[k] for k in comp[t]))
+        mats.append(Mat(p, len(comp[t]), len(comp[s]),
+                        tuple(tuple(col[i] for col in cols) for i in range(len(comp[t])))))
+    return Rep(m.quiver, p, tuple(len(c) for c in comp), tuple(mats))

@@ -112,6 +112,16 @@ def test_shift_moves_components_down(a1_f2):
     assert h.shift(1) == h
 
 
+@pytest.mark.parametrize("t", (0, 1, 3, 5))
+def test_shift_equals_the_graded_object_rebuild(a2_f2, t):
+    # shift builds the shifted components directly; the judge canonicalizes
+    # them again through graded_object.
+    for g in graded_objects_within(a2_f2, t, 2):
+        for s in range(-max(t, 2), 2 * max(t, 2) + 1):
+            want = graded_object(t, g.n_vertices, [(d - s, c) for d, c in g.components])
+            assert g.shift(s) == want
+
+
 def test_class_at_or_zero(a1_f2):
     k = k_class(a1_f2, 1)
     g = stalk(a1_f2, 0, k, deg=1)

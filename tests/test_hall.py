@@ -1,21 +1,25 @@
 from __future__ import annotations
 
+import collections
 import itertools
+import sys
 from fractions import Fraction
 
 import pytest
 
+from hallforge import linalg
 from hallforge.hall import (_subobject_table, _walked, closed_subspace_tuples, ext1_count,
                             ext1_middle_count, euler_add, euler_mult, euler_table, gamma_coeff,
                             gamma_terms, gamma_sweep, green_sides, hall_number,
                             subquotient_tables)
-from hallforge.linalg import enumerate_subspaces, gaussian_binomial
+from hallforge.linalg import Mat, enumerate_subspaces, gaussian_binomial
 from hallforge.quivers import (dims_add, dims_sub, dimvecs_up_to, line_quiver,
                                quiver_from_dict, subdimvecs)
-from hallforge.reps import ClassRegistry, is_subrep
+from hallforge.reps import ClassRegistry, Rep, _quotient, _restrict, is_subrep
 
 from .oracles import (four_term_gamma_oracle, gamma_by_middle_class_sum,
-                      hall_number_injection_oracle, walked_subobject_table)
+                      hall_number_injection_oracle, quotient_by_reduce, restrict_by_coords,
+                      walked_subobject_table)
 
 
 def _class_pairs_with_sum(reg, dsum):
@@ -236,23 +240,85 @@ def test_extension_counts_sum_over_middles(request, fixture_name):
             assert sum(parts) == ext1_count(reg, a, b)
 
 
-@pytest.mark.parametrize("quiver,max_total", [(line_quiver(2), 4), (line_quiver(3), 3), (D4, 3),
-                                              (KRONECKER, 4)],
-                         ids=["A2", "A3", "D4", "Kronecker"])
-def test_closed_subspace_tuples_are_exactly_the_closed_ones(quiver, max_total):
+@pytest.mark.parametrize("quiver,p,max_total", [
+    (line_quiver(2), 2, 4), (line_quiver(3), 2, 3), (D4, 2, 3), (KRONECKER, 2, 4),
+    (D4, 3, 3), (KRONECKER, 3, 4),
+], ids=["A2", "A3", "D4", "Kronecker", "D4-F3", "Kronecker-F3"])
+def test_closed_subspace_tuples_are_exactly_the_closed_ones(quiver, p, max_total):
     # The walk trusts closed_subspace_tuples to yield closed tuples only, each
     # once; the judge is every subspace tuple of the dims, filtered by is_subrep.
-    reg = ClassRegistry(quiver, 2)
+    # Over F_3 the overspaces clear base rows by multiples, not by XOR alone;
+    # Kronecker's total dim 4 has bases whose rows need that clearing.
+    reg = ClassRegistry(quiver, p)
     for c in reg.all_classes_total_le(max_total):
         rep = reg.representative(c)
         for d in subdimvecs(c.dims):
             walked = list(closed_subspace_tuples(rep, d))
             assert all(is_subrep(rep, subs) for subs in walked)
             brute = [subs for subs in itertools.product(
-                *(enumerate_subspaces(2, n, k) for n, k in zip(c.dims, d)))
+                *(enumerate_subspaces(p, n, k) for n, k in zip(c.dims, d)))
                 if is_subrep(rep, subs)]
             assert len(set(walked)) == len(walked) == len(brute)
             assert set(walked) == set(brute)
+
+
+@pytest.mark.parametrize("quiver,p,max_total", [
+    (line_quiver(2), 2, 3), (line_quiver(3), 2, 3), (D4, 2, 3), (KRONECKER, 2, 4),
+    (KRONECKER, 3, 3),
+], ids=["A2-F2", "A3-F2", "D4-F2", "Kronecker-F2", "Kronecker-F3"])
+def test_walk_subquotients_equal_the_reducing_judges(quiver, p, max_total):
+    # _restrict and _quotient read coordinates at the RREF pivots; the judges
+    # reduce every image vector and unit column row by row.  Each class is
+    # also taken in a sheared basis, where the images of the arrow maps are
+    # no longer unit vectors and a residue takes several basis rows (from
+    # total dim 4 on: a 2-dim subspace at a 3-dim target and a nonzero quotient
+    # at the source).
+    reg = ClassRegistry(quiver, p)
+    for c in reg.all_classes_total_le(max_total):
+        for rep in (reg.representative(c), _sheared(reg.representative(c))):
+            for d in subdimvecs(c.dims):
+                for subs in closed_subspace_tuples(rep, d):
+                    assert _restrict(rep, subs) == restrict_by_coords(rep, subs)
+                    assert _quotient(rep, subs) == quotient_by_reduce(rep, subs)
+
+
+def _sheared(rep):
+    """rep moved by the all-ones upper unitriangular base change U = (1 - N)^-1
+    at every vertex, N the superdiagonal shift: M_a -> U M_a (1 - N)."""
+    p = rep.p
+
+    def square(n, entry):
+        return Mat(p, n, n, tuple(tuple(entry(i, j) % p for j in range(n)) for i in range(n)))
+    ones = [square(n, lambda i, j: int(j >= i)) for n in rep.dims]
+    inverse = [square(n, lambda i, j: (i == j) - (j == i + 1)) for n in rep.dims]
+    mats = tuple(ones[a.target].mul(m).mul(inverse[a.source])
+                 for a, m in zip(rep.quiver.arrows, rep.mats))
+    return Rep(rep.quiver, p, rep.dims, mats)
+
+
+def test_kronecker_walk_elimination_counts(monkeypatch):
+    # Walking the 191 tables of `hall --max-dim 4` on Kronecker over F_2 runs
+    # one elimination per vertex visit with images to span, and none for the
+    # overspaces or the subquotient coordinates (re-eliminating them took
+    # 1,131 and 1,174 calls).  The count is exact, so an elimination brought
+    # back into the walk fails here.
+    reg = ClassRegistry(KRONECKER, 2)
+    classes = reg.all_classes_total_le(4)
+    calls = collections.Counter()
+    modules = [m for name, m in sys.modules.items() if name.startswith("hallforge")]
+    for name in ("subspace_from_vectors", "reduced_rows"):
+        func = getattr(linalg, name)
+
+        def counted(*args, _func=func, _name=name, **kwargs):
+            calls[_name] += 1
+            return _func(*args, **kwargs)
+        for module in modules:
+            if getattr(module, name, None) is func:
+                monkeypatch.setattr(module, name, counted)
+    for c in classes:
+        subquotient_tables(reg, c)
+    assert (len(classes), len(reg.memo("subobject_table"))) == (49, 191)
+    assert calls == {"subspace_from_vectors": 332, "reduced_rows": 375}
 
 
 def test_walk_memo_sizes_after_kronecker_hall_max_dim_4():

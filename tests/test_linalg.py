@@ -13,7 +13,8 @@ from hallforge.linalg import (Mat, check_prime, count_matrices_of_rank,
                               kernel_basis, rank, rref, subspace_from_vectors,
                               subspaces_containing, zero_subspace)
 
-from .oracles import list_kernel_basis, list_rref, list_subspace_from_vectors
+from .oracles import (list_kernel_basis, list_rref, list_subspace_from_vectors,
+                      overspaces_by_elimination)
 
 PRIMES = (2, 3, 5)
 
@@ -160,6 +161,20 @@ def test_subspaces_containing_counts(p):
     assert list(subspaces_containing(zero_subspace(p, 3), 2)) == \
         [s for s in enumerate_subspaces(p, 3, 2)]
     assert list(subspaces_containing(full_subspace(p, 3), 3)) == [full_subspace(p, 3)]
+
+
+@pytest.mark.parametrize("p,max_ambient", [(2, 5), (3, 3), (5, 2)])
+def test_subspaces_containing_equals_the_re_eliminating_judge(p, max_ambient):
+    # Every base and every target dim, including the empty ones: the same
+    # canonical subspaces, in the same order.
+    for d in range(max_ambient + 1):
+        for k in range(d + 1):
+            for base in enumerate_subspaces(p, d, k):
+                for dim in range(-1, d + 2):
+                    overs = list(subspaces_containing(base, dim))
+                    assert overs == overspaces_by_elimination(base, dim)
+                    assert all(type(s.basis) is tuple and type(s.pivots) is tuple
+                               for s in overs)
 
 
 @pytest.mark.parametrize("p", (2, 3))
