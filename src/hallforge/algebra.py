@@ -11,8 +11,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .complexes import (GradedObject, check_period, class_at_or_zero, cone_counts,
-                        dt_hom_with_cone_count, format_graded, graded_object,
-                        hom_dt_count, stalk)
+                        format_graded, graded_object, hom_dt_count, stalk)
 from .errors import IncompatibleObjects, RewriteBudgetExceeded, UnsupportedPeriod
 from .hall import euler_table, gamma_terms, hall_number
 from .quivers import dims_add, dims_sub, subdimvecs
@@ -445,14 +444,12 @@ class DerivedHall:
                                  budget: int = DEFAULT_REWRITE_BUDGET) -> HallVector:
         """Rewrite a product of shifted generators into the graded-object basis.
 
-        Repeatedly applies, at the leftmost violation, the same-degree
-        multiplication rule, the adjacent-degree straightening rule, or the
-        far-degree commutation rule, until every word is strictly descending
-        in degree; strictly descending words are direct sums.
+        Repeatedly replaces the leftmost pair whose degrees do not descend by
+        the terms of _pair_rule, until every word is strictly descending in
+        degree; strictly descending words are direct sums.
         """
         if self.t != 0:
             raise UnsupportedPeriod("word rewriting is the t = 0 presentation")
-        reg = self.reg
         word = tuple((c, d) for c, d in word if c.total_dim > 0)
         done: dict[GradedObject, QSqrtScalar] = {}
         pending: dict[Word, QSqrtScalar] = {word: self.one_scalar()}
@@ -468,53 +465,49 @@ class DerivedHall:
                     spot = i
                     break
             if spot is None:
-                g = graded_object(0, reg.quiver.n, [(d, c) for c, d in w])
+                g = graded_object(0, self._n, [(d, c) for c, d in w])
                 done[g] = done[g] + coeff if g in done else coeff
                 continue
             steps += 1
             if steps > budget:
                 raise RewriteBudgetExceeded(f"rewriting exceeded {budget} steps")
-            left_cls, n_deg = w[spot]
-            right_cls, m_deg = w[spot + 1]
             head, tail = w[:spot], w[spot + 2:]
-            if m_deg == n_deg:
-                # Same degree: multiply inside the copy of the Hall algebra.
-                for c_cls in reg.classes(dims_add(left_cls.dims, right_cls.dims)):
-                    g_c = hall_number(reg, left_cls, right_cls, c_cls)
-                    if g_c == 0:
-                        continue
-                    nw = head + ((c_cls, n_deg),) + tail
-                    self._push(pending, nw, coeff * self.rational(g_c))
-            elif m_deg == n_deg + 1:
-                # Adjacent degrees: straighten through 4-term exact sequences.
-                for m_cls, n_cls, gamma in gamma_terms(reg, right_cls, left_cls):
-                    factor = self._straighten_factor(gamma, n_cls, m_cls)
-                    nw = head
-                    if n_cls.total_dim:
-                        nw = nw + ((n_cls, m_deg),)
-                    if m_cls.total_dim:
-                        nw = nw + ((m_cls, n_deg),)
-                    nw = nw + tail
-                    self._push(pending, nw, coeff * factor)
-            else:
-                # Far degrees: commute up to an Euler-form power.
-                factor = self._commute_factor(right_cls, left_cls, m_deg - n_deg)
-                nw = head + ((right_cls, m_deg), (left_cls, n_deg)) + tail
-                self._push(pending, nw, coeff * factor)
+            for nw, c in self._pair_rule(*w[spot], *w[spot + 1]):
+                self._push(pending, head + nw + tail, coeff * c)
         return HallVector(self.q, done)
 
-    def _straighten_factor(self, gamma: Fraction, n_cls: IsoClassId,
-                           m_cls: IsoClassId) -> QSqrtScalar:
-        """The adjacent-degree rule's scalar gamma / <n, m>, where the
-        multiplicative Euler form <n, m> is q^{euler_add(n, m)}."""
-        e = euler_table(self.reg)[n_cls.dims, m_cls.dims]
-        return QSqrtScalar.v_power(self.q, -2 * e, gamma.numerator, gamma.denominator)
-
-    def _commute_factor(self, right_cls: IsoClassId, left_cls: IsoClassId,
-                        gap: int) -> QSqrtScalar:
-        """<right, left>^{(-1)^gap}: the scalar of the far-degree rule."""
-        e = euler_table(self.reg)[right_cls.dims, left_cls.dims]
-        return QSqrtScalar.v_power(self.q, 2 * e if gap % 2 == 0 else -2 * e)
+    def _pair_rule(self, left: IsoClassId, n: int, right: IsoClassId,
+                   m: int) -> list[tuple[Word, QSqrtScalar]]:
+        """The product [left@n][right@m] of two stalk generators as (word, scalar)
+        terms, by the degree gap m - n (mod t at odd t): 0, the Hall product;
+        1, straightening through 4-term exact sequences; 2 or more, commutation
+        up to an Euler-form power.  The t = 0 rules are those of Toen (2006) and
+        Xiao-Xu (2008), the odd-t ones those of Xu-Chen (2013).  No caller asks
+        for the gap t - 1, which has no rule."""
+        reg, t, q = self.reg, self.t, self.q
+        euler = euler_table(reg)
+        gap = (m - n) % t if t else m - n
+        if gap == 0:
+            e = -euler[right.dims, left.dims] if t else 0
+            return [(((c, n),), QSqrtScalar.v_power(q, e, g))
+                    for c in reg.classes(dims_add(left.dims, right.dims))
+                    if (g := hall_number(reg, left, right, c))]
+        if gap == 1:
+            out = []
+            for m_cls, n_cls, gamma in gamma_terms(reg, right, left):
+                dm, dn = m_cls.dims, n_cls.dims
+                if t:
+                    e = (euler[right.dims, right.dims] + euler[left.dims, left.dims]
+                         - euler[dm, dm] - euler[dn, dn] - euler[left.dims, right.dims]
+                         - euler[dn, dm])
+                else:
+                    e = -2 * euler[dn, dm]
+                word = tuple((c, d) for c, d in ((n_cls, m), (m_cls, n)) if c.total_dim)
+                out.append((word, QSqrtScalar.v_power(q, e, gamma.numerator, gamma.denominator)))
+            return out
+        e = (euler[left.dims, right.dims] + euler[right.dims, left.dims] if t
+             else 2 * euler[right.dims, left.dims])
+        return [(((right, m), (left, n)), QSqrtScalar.v_power(q, e if gap % 2 == 0 else -e))]
 
     @staticmethod
     def _push(pending: dict, w: Word, c: QSqrtScalar) -> None:
@@ -528,23 +521,19 @@ class DerivedHall:
     def dht_constant_oracle_t1(self, a: GradedObject, b: GradedObject,
                                x: GradedObject) -> QSqrtScalar:
         """Structure constant on [x] in [a][b] at t = 1 by counting cone classes."""
-        if self.t != 1:
-            raise UnsupportedPeriod("the cone-counting oracle is defined at t = 1")
-        count = dt_hom_with_cone_count(self.reg, a, b, x)
-        if count == 0:
-            return QSqrtScalar.zero(self.q)
-        hom_total = hom_dt_count(self.reg, a, b, shift=0)
-        return (self.rational(count)
-                * QSqrtScalar.rational(self.q, 1, hom_total).sqrt()
-                * self.a_prime(x) / (self.a_prime(a) * self.a_prime(b)))
+        return self.rp_product_t1(a, b).coeff(x)
 
     def rp_product_t1(self, a: GradedObject, b: GradedObject) -> HallVector:
         """The whole product [a][b] at t = 1 through the cone-counting oracle:
-        one term per cone that some morphism Z_a -> Z_b has."""
+        one term per cone Z_x that some morphism Z_a -> Z_b has, the number of
+        such morphisms times a'_x / (|Hom(Z_a, Z_b)|^(1/2) a'_a a'_b)."""
         if self.t != 1:
             raise UnsupportedPeriod("the cone-counting oracle is defined at t = 1")
-        return HallVector(self.q, {x: self.dht_constant_oracle_t1(a, b, x)
-                                   for x in cone_counts(self.reg, a, b)})
+        counts = cone_counts(self.reg, a, b)
+        base = (QSqrtScalar.rational(self.q, 1, hom_dt_count(self.reg, a, b, shift=0)).sqrt()
+                / (self.a_prime(a) * self.a_prime(b)))
+        return HallVector(self.q, {x: self.rational(n) * base * self.a_prime(x)
+                                   for x, n in counts.items()})
 
     # -- checks ----------------------------------------------------------------
 
@@ -573,101 +562,49 @@ class DerivedHall:
 RELATION_FAMILIES = ("dh0_43", "dh0_44", "dh0_45", "dh1_re1", "dh3_r1", "dh3_r2", "dht_r3")
 
 
+# Each family but dh1_re1 as (t, or None for the caller's t, default 5; whether a
+# is the left factor; the degree gap, or None for the offset).
+_RELATION_RULES = {"dh0_43": (0, True, 0), "dh0_44": (0, False, 1), "dh0_45": (0, False, None),
+                   "dh3_r1": (3, True, 0), "dh3_r2": (3, False, 1), "dht_r3": (None, True, None)}
+
+
 def relation_check(reg: ClassRegistry, family: str, a_cls: IsoClassId, b_cls: IsoClassId,
                    degree: int = 0, offset: int = 2, t: int | None = None) -> CheckResult:
     """Check one instance of a presentation relation family.
 
     degree is the base shift (n or i in the relation); offset is the degree
     gap used by the far-commutation families (dh0_45: m - n >= 2; dht_r3:
-    j - i in 2..t-2 -- the gap t-1 is cyclically adjacent, not far).
+    j - i in 2..t-2 -- the gap t-1 is cyclically adjacent, not far).  Each
+    family but dh1_re1 compares the product of two stalks with the terms
+    DerivedHall._pair_rule gives for it.
     """
     if family not in RELATION_FAMILIES:
         raise IncompatibleObjects(f"unknown relation family {family!r}; "
                                   f"choose from {', '.join(RELATION_FAMILIES)}")
-    if family.startswith("dh0"):
-        dh = DerivedHall(reg, 0)
-    elif family == "dh1_re1":
-        dh = DerivedHall(reg, 1)
-    elif family.startswith("dh3"):
-        dh = DerivedHall(reg, 3)
-    else:
-        dh = DerivedHall(reg, 5 if t is None else t)
     n = degree
-    q = dh.q
-
-    if family == "dh0_43":
-        lhs = dh.multiply_graded(dh.stalk(a_cls, n), dh.stalk(b_cls, n))
-        rhs = HallVector(q)
-        for c_cls in reg.classes(dims_add(a_cls.dims, b_cls.dims)):
-            g = hall_number(reg, a_cls, b_cls, c_cls)
-            if g:
-                rhs = rhs.add(dh.stalk_vector(c_cls, n).scale(g))
-        return _compare(f"dh0_43[deg {n}]", lhs, rhs)
-
-    if family == "dh0_44":
-        # Left: Z_B at degree n times Z_A at degree n+1.
-        lhs = dh.multiply_graded(dh.stalk(b_cls, n), dh.stalk(a_cls, n + 1))
-        rhs = HallVector(q)
-        for m_cls, n_cls, gamma in gamma_terms(reg, a_cls, b_cls):
-            factor = dh._straighten_factor(gamma, n_cls, m_cls)
-            prod = dh.multiply(dh.stalk_vector(n_cls, n + 1), dh.stalk_vector(m_cls, n))
-            rhs = rhs.add(prod.scale(factor))
-        return _compare(f"dh0_44[deg {n}]", lhs, rhs)
-
-    if family == "dh0_45":
-        m = n + offset
+    if family == "dh1_re1":
+        dh = DerivedHall(reg, 1)
+        a_g, b_g = dh.stalk(a_cls), dh.stalk(b_cls)
+        return _compare("dh1_re1", dh.multiply_graded(a_g, b_g), dh.rp_product_t1(a_g, b_g))
+    period, a_left, gap = _RELATION_RULES[family]
+    dh = DerivedHall(reg, period if period is not None else 5 if t is None else t)
+    label = f"{family}[deg {n}]"
+    if gap is None and period == 0:
         if offset < 2:
             raise IncompatibleObjects("dh0_45 needs a degree gap of at least 2")
-        lhs = dh.multiply_graded(dh.stalk(b_cls, n), dh.stalk(a_cls, m))
-        factor = dh._commute_factor(a_cls, b_cls, m - n)
-        rhs = dh.multiply_graded(dh.stalk(a_cls, m), dh.stalk(b_cls, n)).scale(factor)
-        return _compare(f"dh0_45[deg {n}, gap {offset}]", lhs, rhs)
-
-    if family == "dh1_re1":
-        a_g, b_g = dh.stalk(a_cls), dh.stalk(b_cls)
-        lhs = dh.multiply_graded(a_g, b_g)
-        rhs = dh.rp_product_t1(a_g, b_g)
-        return _compare("dh1_re1", lhs, rhs)
-
-    if family == "dh3_r1":
-        lhs = dh.multiply_graded(dh.stalk(a_cls, n), dh.stalk(b_cls, n))
-        rhs = HallVector(q)
-        e_ba = euler_table(reg)[b_cls.dims, a_cls.dims]
-        for c_cls in reg.classes(dims_add(a_cls.dims, b_cls.dims)):
-            g = hall_number(reg, a_cls, b_cls, c_cls)
-            if g:
-                rhs = rhs.add(dh.stalk_vector(c_cls, n).scale(
-                    dh.rational(g) * dh.v_power(-e_ba)))
-        return _compare(f"dh3_r1[deg {n}]", lhs, rhs)
-
-    if family == "dh3_r2":
-        lhs = dh.multiply_graded(dh.stalk(b_cls, n), dh.stalk(a_cls, n + 1))
-        rhs = HallVector(q)
-        euler = euler_table(reg)
-        e_aa = euler[a_cls.dims, a_cls.dims]
-        e_bb = euler[b_cls.dims, b_cls.dims]
-        e_ba = euler[b_cls.dims, a_cls.dims]
-        for m_cls, n_cls, gamma in gamma_terms(reg, a_cls, b_cls):
-            dm, dn = m_cls.dims, n_cls.dims
-            scalar = QSqrtScalar.v_power(
-                q, e_aa + e_bb - euler[dm, dm] - euler[dn, dn] - e_ba - euler[dn, dm],
-                gamma.numerator, gamma.denominator)
-            prod = dh.multiply(dh.stalk_vector(n_cls, n + 1), dh.stalk_vector(m_cls, n))
-            rhs = rhs.add(prod.scale(scalar))
-        return _compare(f"dh3_r2[deg {n}]", lhs, rhs)
-
-    # dht_r3: far commutation at odd t >= 5.
-    if dh.t < 5:
-        raise UnsupportedPeriod("the far-commutation family lives at odd t >= 5")
-    j = n + offset
-    if not 2 <= offset <= dh.t - 2:
-        # Gap t-1 wraps around to a cyclically adjacent pair, where extension
-        # terms appear on one side only and no scalar commutation can hold.
-        raise IncompatibleObjects(f"degree gap must lie in 2..{dh.t - 2}")
-    lhs = dh.multiply_graded(dh.stalk(a_cls, n), dh.stalk(b_cls, j))
-    euler = euler_table(reg)
-    e_sym = euler[a_cls.dims, b_cls.dims] + euler[b_cls.dims, a_cls.dims]
-    sign = 1 if offset % 2 == 0 else -1
-    factor = dh.v_power(sign * e_sym)
-    rhs = dh.multiply_graded(dh.stalk(b_cls, j), dh.stalk(a_cls, n)).scale(factor)
-    return _compare(f"dht_r3[t {dh.t}, deg {n}, gap {offset}]", lhs, rhs)
+        gap, label = offset, f"{family}[deg {n}, gap {offset}]"
+    elif gap is None:
+        if dh.t < 5:
+            raise UnsupportedPeriod("the far-commutation family lives at odd t >= 5")
+        if not 2 <= offset <= dh.t - 2:
+            # Gap t-1 wraps around to a cyclically adjacent pair, where extension
+            # terms appear on one side only and no scalar commutation can hold.
+            raise IncompatibleObjects(f"degree gap must lie in 2..{dh.t - 2}")
+        gap, label = offset, f"{family}[t {dh.t}, deg {n}, gap {offset}]"
+    m = n + gap
+    left, right = (a_cls, b_cls) if a_left else (b_cls, a_cls)
+    lhs = dh.multiply_graded(dh.stalk(left, n), dh.stalk(right, m))
+    rhs = HallVector(dh.q)
+    for word, c in dh._pair_rule(left, n, right, m):
+        rhs = rhs.add(dh.product_of([dh.stalk(cls, d) for cls, d in word]).scale(c))
+    return _compare(label, lhs, rhs)

@@ -238,24 +238,27 @@ def _first_mismatch(reg: ClassRegistry, result) -> dict:
             "rhs": str(result.rhs.coeff(g))}
 
 
-def cmd_dha_assoc(args, reg: ClassRegistry, t: int):
+def _sampled_checks(args, reg: ClassRegistry, t: int, check, names: tuple[str, ...]):
+    """Run check on every tuple of len(names) graded objects within --max-dim, or on
+    a --seed sample of them; a failing tuple is a counterexample row keyed by names."""
     bound = args.max_dim if args.max_dim is not None else 2
-    dh = DerivedHall(reg, t)
     objs = graded_objects_within(reg, t, bound)
-    checked, triples = _maybe_sample(objs, 3, args.seed)
+    checked, tuples = _maybe_sample(objs, len(names), args.seed)
     counterexamples = []
-    for a, b, c in triples:
-        res = dh.assoc_check(a, b, c)
+    for tup in tuples:
+        res = check(*tup)
         if not res.ok:
-            row = {"a": format_graded(reg, a), "b": format_graded(reg, b),
-                   "c": format_graded(reg, c)}
+            row = {name: format_graded(reg, g) for name, g in zip(names, tup)}
             row.update(_first_mismatch(reg, res))
             counterexamples.append(row)
     results = {"t": t, "objects": len(objs), "checked": checked,
                "mismatches": len(counterexamples), "seed": args.seed}
     code = EXIT_MISMATCH if counterexamples else EXIT_OK
-    fields = ["a", "b", "c", "basis", "lhs", "rhs"]
-    return results, counterexamples, code, fields, counterexamples
+    return results, counterexamples, code, [*names, "basis", "lhs", "rhs"], counterexamples
+
+
+def cmd_dha_assoc(args, reg: ClassRegistry, t: int):
+    return _sampled_checks(args, reg, t, DerivedHall(reg, t).assoc_check, ("a", "b", "c"))
 
 
 def _relation_instances(family: str, t: int):
@@ -263,8 +266,7 @@ def _relation_instances(family: str, t: int):
     if family == "dh0_45":
         return [(0, 2), (0, 3)]
     if family == "dht_r3":
-        top = t if t >= 5 and t % 2 == 1 else 5
-        return [(0, off) for off in range(2, top - 1)]
+        return [(0, off) for off in range(2, max(t, 5) - 1)]
     return [(0, 2)]
 
 
@@ -279,9 +281,8 @@ def cmd_relations(args, reg: ClassRegistry, t: int):
         for a in classes:
             for b in classes:
                 for degree, offset in _relation_instances(family, t):
-                    res = relation_check(reg, family, a, b, degree=degree,
-                                         offset=offset,
-                                         t=t if family == "dht_r3" and t >= 5 and t % 2 == 1 else None)
+                    res = relation_check(reg, family, a, b, degree=degree, offset=offset,
+                                         t=t if t >= 5 else None)
                     checked += 1
                     if not res.ok:
                         failures += 1
@@ -300,22 +301,7 @@ def cmd_relations(args, reg: ClassRegistry, t: int):
 def cmd_crosscheck(args, reg: ClassRegistry, t: int):
     if t not in (0, 1):
         raise UnsupportedPeriod("crosscheck routes exist for t = 0 and t = 1")
-    bound = args.max_dim if args.max_dim is not None else 2
-    dh = DerivedHall(reg, t)
-    objs = graded_objects_within(reg, t, bound)
-    checked, pairs = _maybe_sample(objs, 2, args.seed)
-    counterexamples = []
-    for a, b in pairs:
-        res = dh.theorem_crosscheck(a, b)
-        if not res.ok:
-            row = {"a": format_graded(reg, a), "b": format_graded(reg, b)}
-            row.update(_first_mismatch(reg, res))
-            counterexamples.append(row)
-    results = {"t": t, "objects": len(objs), "checked": checked,
-               "mismatches": len(counterexamples), "seed": args.seed}
-    code = EXIT_MISMATCH if counterexamples else EXIT_OK
-    fields = ["a", "b", "basis", "lhs", "rhs"]
-    return results, counterexamples, code, fields, counterexamples
+    return _sampled_checks(args, reg, t, DerivedHall(reg, t).theorem_crosscheck, ("a", "b"))
 
 
 COMMANDS = {

@@ -402,9 +402,11 @@ class ClassRegistry:
             signatures: dict[tuple, list[int]] = {}
             for assignment in itertools.product(range(p), repeat=offsets[-1]):
                 rep = Rep(q, p, dims, (*forms, *_unflatten(p, assignment, swept, offsets)))
-                bucket = signatures.setdefault(self._signature(rep) if swept else (), [])
-                hit = next((k for k in bucket
-                            if is_isomorphic(rep, found[k], self.iso_enum_bound)), None)
+                sig = self._signature(rep) if swept else ()
+                bucket = signatures.setdefault(sig, [])
+                # A bucket's reps share the signature, whose first entry is dim End.
+                hit = next((k for k in bucket if _isomorphic_given_end(
+                    rep, found[k], sig[0], self.iso_enum_bound)), None)
                 if hit is None:
                     bucket.append(len(found))
                     found.append(rep)

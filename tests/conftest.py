@@ -37,3 +37,10 @@ def kronecker_f2() -> ClassRegistry:
         "vertices": ["1", "2"],
         "arrows": [{"src": "1", "dst": "2", "label": "a"},
                    {"src": "1", "dst": "2", "label": "b"}]}), 2)
+
+
+@pytest.fixture(scope="session")
+def d4_f2() -> ClassRegistry:
+    return ClassRegistry(quiver_from_dict({
+        "vertices": ["1", "2", "3", "c"],
+        "arrows": [{"src": v, "dst": "c", "label": f"a{v}"} for v in "123"]}), 2)

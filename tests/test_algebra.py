@@ -406,6 +406,35 @@ def test_relation_families_a2_spot(a2_f2):
         assert relation_check(a2_f2, family, s2, s1).ok, family
 
 
+@pytest.mark.parametrize("setup", ["kronecker_f2", "a3_f2", "d4_f2", "a2_f3"])
+def test_relation_families_sweep(request, setup):
+    """Every family on every pair of classes of total dim <= 2, based at degree 1
+    (the relations command bases them at 0), at both far-commutation offsets."""
+    reg = request.getfixturevalue(setup)
+    classes = [c for c in reg.all_classes_total_le(2) if c.total_dim]
+    for family in RELATION_FAMILIES:
+        for a_cls, b_cls in itertools.product(classes, repeat=2):
+            for offset in (2, 3) if family in ("dh0_45", "dht_r3") else (2,):
+                res = relation_check(reg, family, a_cls, b_cls, degree=1, offset=offset)
+                assert res.ok, (family, a_cls, b_cls, offset, res.mismatches)
+
+
+@pytest.mark.parametrize("setup", ["a2_f2", "kronecker_f2"])
+def test_pair_rule_words_descend_at_t0(request, setup):
+    """Each t = 0 rule leaves a word the rewriting has finished with: degrees
+    strictly descending and no zero letter."""
+    reg = request.getfixturevalue(setup)
+    dh = DerivedHall(reg, 0)
+    classes = [c for c in reg.all_classes_total_le(2) if c.total_dim]
+    for left, right in itertools.product(classes, repeat=2):
+        for gap in range(4):
+            terms = dh._pair_rule(left, 1, right, 1 + gap)
+            assert terms, (left, right, gap)
+            for word, c in terms:
+                assert c and all(cls.total_dim for cls, _deg in word), (left, right, gap)
+                assert all(d > d_next for (_c, d), (_c2, d_next) in zip(word, word[1:]))
+
+
 def test_relation_far_commutation_offsets(a1_f2):
     k = k_class(a1_f2, 1)
     assert relation_check(a1_f2, "dh0_45", k, k, offset=3).ok

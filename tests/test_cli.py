@@ -238,6 +238,26 @@ GOLDEN_REPORTS = [
      "249b201c1ad09f5d80501e4403f06195fdcc11e2dec00ea5a523e2b1f3489993"),
     ("Kronecker", KRONECKER, "gamma --max-dim 3 --q 3",
      "1fdba82ff51022d3461ccd1775743a2545f675c33614dcae0cbc65b00cffb21f"),
+    ("A1", quiver_to_dict(line_quiver(1)), "relations --max-dim 2",
+     "6eed2ae368efb85a22f33bb89f385831c7307874a910788e2279a17462b00501"),
+    ("A1", quiver_to_dict(line_quiver(1)), "relations --t 7 --max-dim 2",
+     "3cf55c7992c0d49af13dd418af28372649c7a2a91201fc61797789cd42d549cb"),
+    ("A2", quiver_to_dict(line_quiver(2)), "relations --t 5",
+     "1cba193af3b4f7200e1f7250ec4a36a3f34cd172d9b91b162f8230d4a40fb701"),
+    ("A2", quiver_to_dict(line_quiver(2)), "relations --q 3",
+     "99dcb6d328797b4ca2c1147a753d21bfda9c4f4211b749fce6ee4d30f0663f2e"),
+    ("Kronecker", KRONECKER, "relations --max-dim 2",
+     "29d44af44749db20f18cefa9fff299c79a0bada09fd18954fd7af65201ae5532"),
+    ("D4", D4, "relations --max-dim 2",
+     "7458fe9f286552a19e00eb6e5fb3cda70ff696c44bf789af47bf03329a19b479"),
+    ("A2", quiver_to_dict(line_quiver(2)), "crosscheck --t 0 --max-dim 3",
+     "74865f3bae3aee9126a194f4ba85b5c93af201ada34a3db2b49cb61d1b53f775"),
+    ("A2", quiver_to_dict(line_quiver(2)), "crosscheck --t 1 --max-dim 3",
+     "1b9c8543864d92ef70d9d56504285cd18d22b728a64782545e1294710ba9a9c3"),
+    ("A1", quiver_to_dict(line_quiver(1)), "crosscheck --t 1 --max-dim 3",
+     "d192424782e22898b0da7cdcfff6fa6d55bed9a5388a4e5ca63743ff28619427"),
+    ("A2", quiver_to_dict(line_quiver(2)), "dha-assoc --t 3 --seed 7",
+     "0c1782ec034c2cd4169bf46d427119646b89349a14c3418dc9055e2f002c7d4b"),
 ]
 
 
@@ -274,6 +294,28 @@ def test_csv_output(capsys, tmp_path, monkeypatch):
     assert lines[0] == "a,b,c,value"
     assert "k1,k1,k2,3" in lines[1:]
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("command,method,names", [
+    ("dha-assoc", "assoc_check", ["a", "b", "c"]),
+    ("crosscheck", "theorem_crosscheck", ["a", "b"])])
+def test_sampled_check_writes_one_row_per_failing_tuple(capsys, tmp_path, monkeypatch,
+                                                        command, method, names):
+    # A check that always fails on the unit: every tuple becomes a counterexample.
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    monkeypatch.setattr(algebra.DerivedHall, method, lambda dh, *objs: algebra.CheckResult(
+        "forced", False, dh.one(), algebra.HallVector(dh.q), (dh.unit_graded(),)))
+    out = tmp_path / "rows.csv"
+    code, report, _ = run_cli(capsys, command, "--t", "1", "--max-dim", "1", "--csv", str(out))
+    assert code == cli.EXIT_MISMATCH
+    results = report["results"]
+    assert results["checked"] == results["mismatches"] == results["objects"] ** len(names)
+    lines = out.read_text().strip().splitlines()
+    assert lines[0] == ",".join(names + ["basis", "lhs", "rhs"])
+    assert len(lines) == 1 + results["checked"]
+    row = report["counterexamples"][0]
+    assert sorted(row) == sorted(names + ["basis", "lhs", "rhs"])
+    assert (row["lhs"], row["rhs"]) == ("1 + 0*v", "0 + 0*v")
 
 
 def test_unwritable_csv_path_is_usage_error(capsys, tmp_path, monkeypatch):

@@ -116,6 +116,15 @@ def test_orbit_stabilizer_matches_endomorphism_scan(quiver, p, max_total):
         assert scanned * reg.orbit_size(c) == reg.gl_product(c.dims)
 
 
+def test_enumeration_reads_end_dims_off_the_signature(monkeypatch):
+    # Tuples in one signature bucket share its first entry, dim End, so testing
+    # a new tuple against a bucket computes no End again (799 calls when it did).
+    calls = []
+    monkeypatch.setattr(reps, "hom_dim", lambda m, n: calls.append(1) or hom_dim(m, n))
+    ClassRegistry(quiver_from_dict(KRONECKER), 2).all_classes_total_le(4)
+    assert len(calls) == 605
+
+
 D4 = quiver_from_dict({"vertices": ["1", "2", "3", "c"],
                        "arrows": [{"src": v, "dst": "c", "label": f"a{v}"} for v in "123"]})
 
