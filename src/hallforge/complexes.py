@@ -24,7 +24,8 @@ from collections import namedtuple
 
 from .errors import (EnumerationTooLarge, IncompatibleObjects, InternalInconsistency,
                      UnsupportedPeriod)
-from .linalg import Mat, Subspace, echelon, kernel_basis, rank, subspace_from_vectors
+from .linalg import (Mat, Subspace, echelon, kernel_basis, pack_row, rank, rows_kernel,
+                     subspace_from_vectors)
 from .quivers import Arrow, DimVec, Quiver
 from .reps import (DEFAULT_ISO_ENUM_BOUND, ClassRegistry, IsoClassId, Morphism, Rep,
                    _hom_elements, _hom_kernel, _hom_system, _unflatten, direct_sum,
@@ -480,20 +481,25 @@ def cone_counts(reg: ClassRegistry, a: GradedObject,
     if len(transversal) != reg.hom_ext_dims(cls_a, cls_b)[1]:
         raise InternalInconsistency("the coboundary transversal does not have dim Ext^1")
     middles = _middle_modules(rep_a, rep_b, transversal)
-    p, na, nb = reg.p, rep_a.dims, rep_b.dims
+    p = reg.p
     kernel = _hom_kernel(rep_a, rep_b)
+    # Per vertex v: f_v's shape nb x na and offset in a flat Hom vector, and
+    # B_v's unit rows padded by A_v's zeros.
+    blocks = [(nb, na, off, tuple(r + (0,) * na for r in Mat.identity(p, nb).entries))
+              for (nb, na), off in zip(kernel[1], kernel[2])]
     by_rep: dict[Rep, int] = {}
     for flat in _hom_elements(p, kernel):
         # d = i f p has kernel B + ker f and image im f + 0 in every M_eps, so
         # their RREF bases are those of ker f and im f, padded.
         ker_d, im_d = [], []
-        for v, fv in enumerate(_unflatten(p, flat, *kernel[1:])):
-            k = subspace_from_vectors(p, na[v], kernel_basis(fv))
-            i = subspace_from_vectors(p, nb[v], _columns(fv))
-            unit_b = (r + (0,) * na[v] for r in Mat.identity(p, nb[v]).entries)
-            ker_d.append(Subspace(p, nb[v] + na[v], (*unit_b, *((0,) * nb[v] + x for x in k.basis)),
-                                  (*range(nb[v]), *(nb[v] + c for c in k.pivots))))
-            im_d.append(Subspace(p, ker_d[v].dim, tuple(x + (0,) * k.dim for x in i.basis),
+        for nb, na, off, unit_b in blocks:
+            end = off + nb * na  # == off when na == 0, so the rows below are empty
+            k = subspace_from_vectors(p, na, rows_kernel(
+                p, na, [pack_row(p, flat[x:x + na]) for x in range(off, end, na or 1)]))
+            i = subspace_from_vectors(p, nb, [flat[off + j:end:na] for j in range(na)])
+            ker_d.append(Subspace(p, nb + na, (*unit_b, *((0,) * nb + x for x in k.basis)),
+                                  (*range(nb), *(nb + c for c in k.pivots))))
+            im_d.append(Subspace(p, nb + k.dim, tuple(x + (0,) * k.dim for x in i.basis),
                                  i.pivots))
         for m in middles:
             h = quotient_by_subrep(restrict_to_subspaces(m, tuple(ker_d)), tuple(im_d))

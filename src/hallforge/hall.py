@@ -25,7 +25,7 @@ from .linalg import (Subspace, gaussian_binomial, subspace_from_vectors,
                      subspaces_containing, zero_subspace)
 from .quivers import (DimVec, Quiver, dims_add, dims_leq, dims_sub, euler_add, subdimvecs,
                       topological_order)
-from .reps import ClassRegistry, IsoClassId, Rep, _quotient, _restrict, is_subrep
+from .reps import ClassRegistry, IsoClassId, Rep, _subquotient_entries
 
 
 class _EulerTable(dict):
@@ -177,11 +177,14 @@ def _subobject_table(reg: ClassRegistry, c: IsoClassId,
         return table
     table = {}
     if walked:
-        rep_c = reg.representative(c)
+        # One pass per tuple checks closure and reads both halves' entries.
+        rep_c, quot_dims = reg.representative(c), dims_sub(c.dims, sub_dims)
         for subs in closed_subspace_tuples(rep_c, sub_dims):
-            if not is_subrep(rep_c, subs):
+            entries = _subquotient_entries(rep_c, subs)
+            if entries is None:
                 raise InternalInconsistency("constructed subspace tuple is not arrow-closed")
-            key = reg.classify(_quotient(rep_c, subs)), reg.classify(_restrict(rep_c, subs))
+            key = (reg.classify_entries(quot_dims, entries[1]),
+                   reg.classify_entries(sub_dims, entries[0]))
             table[key] = table.get(key, 0) + 1
     elif _is_split_class(c):
         # Semisimple ambient: every subspace tuple is closed, subs and quotients

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from collections import namedtuple
 from typing import Iterator
@@ -218,40 +219,68 @@ def _isomorphic_given_end(m: Rep, n: Rep, d_end: int, enum_bound: int) -> bool:
     return next(_isomorphisms(m, n, enum_bound, kernel), None) is not None
 
 
-def is_subrep(m: Rep, subs: tuple[Subspace, ...]) -> bool:
-    """Do the given per-vertex subspaces form a subrepresentation of m?"""
+def _subquotient_entries(m: Rep, subs: tuple[Subspace, ...], quotient: bool = True):
+    """Per arrow, the entries of the subrepresentation on subs in their RREF
+    bases and (if quotient) of m / subs on the non-pivot unit vectors, from
+    one sweep of each arrow; None when subs is not closed.  A vector y lies in
+    a subspace iff its residue y[k] - sum_i y[pivot_i] basis_i[k] is 0 at every
+    non-pivot k; its coordinates are then its entries at the pivots, and its
+    quotient coordinates are always that residue."""
+    p = m.p
+    # Per vertex: the pivots and, per non-pivot k, k with the basis entries there.
+    split = [(s.pivots, [(k, tuple(row[k] for row in s.basis))
+                         for k in range(s.ambient) if k not in s.pivots]) for s in subs]
+    sub_mats, quot_mats = [], []
+    for a, mat in zip(m.quiver.arrows, m.mats):
+        rows = mat.entries
+        (src_piv, src_free), (piv, free) = split[a.source], split[a.target]
+        if not any(map(any, rows)):  # maps everything into every subspace
+            sub_mats.append(((0,) * len(src_piv),) * len(piv))
+            if quotient:
+                quot_mats.append(((0,) * len(src_free),) * len(free))
+            continue
+        cols = []
+        for b in subs[a.source].basis:
+            y = [sum(map(operator.mul, row, b)) % p for row in rows]
+            head = [y[i] for i in piv]
+            if any((y[k] - sum(map(operator.mul, head, col))) % p for k, col in free):
+                return None
+            cols.append(head)
+        sub_mats.append(tuple(zip(*cols)) if cols else ((),) * len(piv))
+        if quotient:
+            # The image of the c-th unit vector is column c.
+            cols = []
+            for c, _ in src_free:
+                y = [row[c] % p for row in rows]
+                head = [y[i] for i in piv]
+                cols.append([(y[k] - sum(map(operator.mul, head, col))) % p for k, col in free])
+            quot_mats.append(tuple(zip(*cols)) if cols else ((),) * len(free))
+    return tuple(sub_mats), tuple(quot_mats) if quotient else None
+
+
+def _closed_entries(m: Rep, subs: tuple[Subspace, ...], quotient: bool):
+    """_subquotient_entries for subs checked to fit m and to be closed."""
     if len(subs) != m.quiver.n or any(s.ambient != d for s, d in zip(subs, m.dims)):
         raise IncompatibleObjects("one subspace per vertex with matching ambient dimension required")
-    for idx, a in enumerate(m.quiver.arrows):
-        mat, tgt = m.mats[idx], subs[a.target]
-        if mat.is_zero():  # maps everything into every subspace
-            continue
-        for b in subs[a.source].basis:
-            if not tgt.contains(mat.apply(b)):
-                return False
+    entries = _subquotient_entries(m, subs, quotient)
+    if entries is None:
+        raise NotASubobject("subspaces are not closed under the arrow maps")
+    return entries
+
+
+def is_subrep(m: Rep, subs: tuple[Subspace, ...]) -> bool:
+    """Do the given per-vertex subspaces form a subrepresentation of m?"""
+    try:
+        _closed_entries(m, subs, False)
+    except NotASubobject:
+        return False
     return True
 
 
 def restrict_to_subspaces(m: Rep, subs: tuple[Subspace, ...]) -> Rep:
     """The subrepresentation carried by closed subspaces, in their RREF bases."""
-    if not is_subrep(m, subs):
-        raise NotASubobject("subspaces are not closed under the arrow maps")
-    return _restrict(m, subs)
-
-
-def _restrict(m: Rep, subs: tuple[Subspace, ...]) -> Rep:
-    """restrict_to_subspaces for subspaces already known to be closed
-    (is_subrep(m, subs)): an image vector then lies in its target subspace,
-    whose RREF coordinates are its entries at the pivots."""
-    p = m.p
-    mats = []
-    for idx, a in enumerate(m.quiver.arrows):
-        mat, src, tgt = m.mats[idx], subs[a.source], subs[a.target]
-        cols = ([(0,) * tgt.dim] * src.dim if mat.is_zero()
-                else [tuple(map(mat.apply(b).__getitem__, tgt.pivots)) for b in src.basis])
-        ents = tuple(tuple(col[i] for col in cols) for i in range(tgt.dim))
-        mats.append(Mat(p, tgt.dim, src.dim, ents))
-    return Rep(m.quiver, p, tuple(s.dim for s in subs), tuple(mats))
+    mats = _closed_entries(m, subs, False)[0]
+    return _rep_of_entries(m.quiver, m.p, tuple(s.dim for s in subs), mats)
 
 
 def quotient_by_subrep(m: Rep, subs: tuple[Subspace, ...]) -> Rep:
@@ -260,50 +289,29 @@ def quotient_by_subrep(m: Rep, subs: tuple[Subspace, ...]) -> Rep:
     Coordinates on each quotient are the non-pivot standard basis vectors of
     the corresponding subspace, so the construction is deterministic.
     """
-    if not is_subrep(m, subs):
-        raise NotASubobject("subspaces are not closed under the arrow maps")
-    return _quotient(m, subs)
+    mats = _closed_entries(m, subs, True)[1]
+    return _rep_of_entries(m.quiver, m.p, tuple(d - s.dim for d, s in zip(m.dims, subs)), mats)
 
 
-def _quotient(m: Rep, subs: tuple[Subspace, ...]) -> Rep:
-    """quotient_by_subrep for subspaces already known to be closed."""
-    p = m.p
-    comp = [[c for c in range(s.ambient) if c not in s.pivots] for s in subs]
-
-    def project(v: int, vec: tuple[int, ...]) -> tuple[int, ...]:
-        # An RREF row is zero at the other pivots, so the residue of vec at k
-        # is vec[k] - sum_i vec[pivot_i] basis_i[k].
-        s = subs[v]
-        terms = [(vec[c], row) for c, row in zip(s.pivots, s.basis) if vec[c]]
-        return tuple((vec[k] - sum(f * row[k] for f, row in terms)) % p for k in comp[v])
-
-    mats = []
-    for idx, a in enumerate(m.quiver.arrows):
-        mat, s, t = m.mats[idx], a.source, a.target
-        if mat.is_zero():
-            mats.append(Mat.zeros(p, len(comp[t]), len(comp[s])))
-            continue
-        # The image of the c-th unit vector is column c.
-        cols = [project(t, tuple(row[c] % p for row in mat.entries)) for c in comp[s]]
-        ents = tuple(tuple(col[i] for col in cols) for i in range(len(comp[t])))
-        mats.append(Mat(p, len(comp[t]), len(comp[s]), ents))
-    dims = tuple(len(c) for c in comp)
-    return Rep(m.quiver, p, dims, tuple(mats))
+def _rep_of_entries(q: Quiver, p: int, dims: DimVec, mats) -> Rep:
+    """The representation with these arrow-matrix entries (rows of ints)."""
+    return Rep(q, p, dims, tuple(Mat(p, dims[a.target], dims[a.source], ents)
+                                 for a, ents in zip(q.arrows, mats)))
 
 
-def _disjoint_prefix(q: Quiver) -> int:
-    """Length of the longest prefix of q.arrows in which no two arrows share an endpoint."""
+def _disjoint_prefix(arrows) -> int:
+    """Length of the longest prefix of arrows in which no two share an endpoint."""
     seen: set[int] = set()
-    for i, a in enumerate(q.arrows):
+    for i, a in enumerate(arrows):
         if a.source in seen or a.target in seen:
             return i
         seen.update((a.source, a.target))
-    return len(q.arrows)
+    return len(arrows)
 
 
 def _arrows_vertex_disjoint(q: Quiver) -> bool:
     """True when no two arrows share an endpoint (so GL factors act per arrow)."""
-    return _disjoint_prefix(q) == len(q.arrows)
+    return _disjoint_prefix(q.arrows) == len(q.arrows)
 
 
 def _rank_form(p: int, rows: int, cols: int, r: int) -> Mat:
@@ -311,6 +319,25 @@ def _rank_form(p: int, rows: int, cols: int, r: int) -> Mat:
     anti-diagonal in the bottom-right corner."""
     return Mat(p, rows, cols, tuple(tuple(int(i >= rows - r and i + j == rows - r + cols - 1)
                                           for j in range(cols)) for i in range(rows)))
+
+
+def _formed_prefixes(q: Quiver, p: int, shapes: list[tuple[int, int]],
+                     start: int = 0) -> Iterator[tuple[tuple[Mat, ...], int]]:
+    """(rank forms, weight) for the arrows from start on that are put in rank
+    forms, in lex order: the run of vertex-disjoint arrows at start, each in
+    one of its forms, standing for the weight = #matrices of those ranks;
+    where all its ranks are 0, the forms' stabilizer is all of GL(dims), so
+    the next run is put in rank forms too, its weights multiplied in."""
+    end = start + _disjoint_prefix(q.arrows[start:])
+    for ranks in itertools.product(*(range(min(shape) + 1) for shape in shapes[start:end])):
+        forms = tuple(_rank_form(p, r, c, k) for (r, c), k in zip(shapes[start:end], ranks))
+        weight = math.prod(count_matrices_of_rank(r, c, k, p)
+                           for (r, c), k in zip(shapes[start:end], ranks))
+        if any(ranks) or end == len(shapes):
+            yield forms, weight
+        else:
+            for more, w in _formed_prefixes(q, p, shapes, end):
+                yield forms + more, weight * w
 
 
 class IsoClassId(namedtuple("IsoClassId", "dims index total_dim")):
@@ -377,27 +404,26 @@ class ClassRegistry:
 
         The longest prefix of pairwise vertex-disjoint arrows, whose base-change
         groups act independently, is put in lex-first rank forms, each standing
-        for the #rank-r matrices equivalent to it; only the other arrows are
-        swept, and tuple_bound counts those tuples."""
+        for the #rank-r matrices equivalent to it, and so is the next such run
+        after a run of rank 0 (_formed_prefixes); only the other arrows are
+        swept.  tuple_bound counts the tuples the first run leaves, an upper
+        bound on those swept."""
         dims = self._check_dims(dims)
         if dims in self._classes:
             return
         q, p = self.quiver, self.p
-        n_formed = _disjoint_prefix(q)
         shapes = [(dims[a.target], dims[a.source]) for a in q.arrows]
-        swept = shapes[n_formed:]
-        offsets = list(itertools.accumulate((r * c for r, c in swept), initial=0))
-        rank_ranges = [range(min(shape) + 1) for shape in shapes[:n_formed]]
-        n_tuples = math.prod(map(len, rank_ranges)) * p ** offsets[-1]
+        n_formed = _disjoint_prefix(q.arrows)
+        n_tuples = (math.prod(min(shape) + 1 for shape in shapes[:n_formed])
+                    * p ** sum(r * c for r, c in shapes[n_formed:]))
         if n_tuples > self.tuple_bound:
             raise EnumerationTooLarge(
                 f"{n_tuples} matrix tuples for dims {dims} exceed bound {self.tuple_bound}")
         found: list[Rep] = []
         orbits: list[int] = []
-        for ranks in itertools.product(*rank_ranges):
-            forms = [_rank_form(p, r, c, k) for (r, c), k in zip(shapes, ranks)]
-            weight = math.prod(count_matrices_of_rank(r, c, k, p)
-                               for (r, c), k in zip(shapes, ranks))
+        for forms, weight in _formed_prefixes(q, p, shapes):
+            swept = shapes[len(forms):]
+            offsets = list(itertools.accumulate((r * c for r, c in swept), initial=0))
             # Tuples whose forms differ in rank are never isomorphic.
             signatures: dict[tuple, list[int]] = {}
             for assignment in itertools.product(range(p), repeat=offsets[-1]):
@@ -429,10 +455,7 @@ class ClassRegistry:
         reps = self._classes[dims]
         if dims in self._unbuilt:
             self._unbuilt.remove(dims)
-            q, p = self.quiver, self.p
-            reps[:] = [Rep(q, p, dims, tuple(Mat(p, dims[a.target], dims[a.source], ents)
-                                             for a, ents in zip(q.arrows, mats)))
-                       for mats in reps]
+            reps[:] = [_rep_of_entries(self.quiver, self.p, dims, mats) for mats in reps]
         return reps
 
     def _signature(self, rep: Rep) -> tuple:
@@ -463,24 +486,31 @@ class ClassRegistry:
         return self.classes((0,) * self.quiver.n)[0]
 
     def classify(self, rep: Rep) -> IsoClassId:
-        """The class of rep; off the rank-tuple route, memoized by matrix content."""
+        """The class of rep (classify_entries of its dims and matrix entries)."""
         if rep.quiver != self.quiver or rep.p != self.p:
             raise IncompatibleObjects("representation belongs to a different registry")
+        return self.classify_entries(rep.dims, tuple(m.entries for m in rep.mats))
+
+    def classify_entries(self, dims: DimVec, mats: tuple) -> IsoClassId:
+        """The class of the representation of dims whose arrow matrices have the
+        entries mats (one tuple of int rows per arrow, of the shape dims gives);
+        off the rank-tuple route it is memoized by (dims, mats), and a Rep is
+        built only for a content not seen before."""
         if self._classified_by_ranks:
-            self.ensure_enumerated(rep.dims)
+            self.ensure_enumerated(dims)
             by_ranks = self.memo("class_by_rank_tuple")
-            index = by_ranks.get(rep.dims)
+            index = by_ranks.get(dims)
             if index is None:
-                index = by_ranks[rep.dims] = {self.rank_tuple(c): c for c in self._ids[rep.dims]}
-            cid = index.get(tuple(rank(m) for m in rep.mats))
+                index = by_ranks[dims] = {self.rank_tuple(c): c for c in self._ids[dims]}
+            cid = index.get(tuple(rows_rank(self.p, ents) for ents in mats))
             if cid is None:
                 raise InternalInconsistency("representation matched no enumerated class")
             return cid
         memo = self.memo("classify")
-        key = (rep.dims, tuple(m.entries for m in rep.mats))
+        key = (dims, mats)
         cid = memo.get(key)
         if cid is None:
-            cid = memo[key] = self._search_class(rep)
+            cid = memo[key] = self._search_class(_rep_of_entries(self.quiver, self.p, dims, mats))
         return cid
 
     def _search_class(self, rep: Rep) -> IsoClassId:

@@ -21,10 +21,12 @@ that hallforge.scalars' integer triples are checked against.  list_rref,
 list_kernel_basis, list_subspace_from_vectors and list_hom_system are the
 former list-row Gauss-Jordan elimination and Hom system, kept to judge the
 packed-row elimination core of hallforge.linalg and reps._hom_system.
-overspaces_by_elimination, restrict_by_coords and quotient_by_reduce are
-the former subobject-walk steps, which re-eliminate each lifted overspace,
-image vector and unit column; they judge linalg.subspaces_containing and
-reps._restrict and reps._quotient, which read the same off RREF pivots.
+overspaces_by_elimination, is_subrep_by_reduce, restrict_by_coords and
+quotient_by_reduce are the former subobject-walk steps, which re-eliminate
+each lifted overspace, image vector and unit column; they judge
+linalg.subspaces_containing and reps._subquotient_entries (through
+is_subrep, restrict_to_subspaces and quotient_by_subrep too), which reads
+the same off RREF pivots in one pass.
 walked_subobject_table walks every class's subobjects the way the engine
 walks only the classes no closed form covers, to judge the closed-form
 tables of hall._subobject_table.  a_prime_by_endomorphisms and
@@ -715,6 +717,13 @@ def overspaces_by_elimination(base: Subspace, dim: int) -> list[Subspace]:
             vecs.append(tuple(lift))
         out.append(subspace_from_vectors(p, d, vecs))
     return out
+
+
+def is_subrep_by_reduce(m: Rep, subs: tuple[Subspace, ...]) -> bool:
+    """Whether subs is closed: every image of a source basis vector reduces
+    to 0 against its target subspace (Subspace.contains)."""
+    return all(subs[a.target].contains(mat.apply(b))
+               for a, mat in zip(m.quiver.arrows, m.mats) for b in subs[a.source].basis)
 
 
 def restrict_by_coords(m: Rep, subs: tuple[Subspace, ...]) -> Rep:

@@ -228,6 +228,10 @@ GOLDEN_REPORTS = [
      "8e8f43f55ed4169431b6ef7108bf02808fd79b45974f10f57e55f9e30732d57f"),
     ("Kronecker", KRONECKER, "hall --max-dim 3 --q 3",
      "91dbaec6da92bba67009a4562ab05dc19744e371101831d6523b66f024805a48"),
+    ("A3", quiver_to_dict(line_quiver(3)), "classes --max-dim 4",
+     "9367f3ce9b2c6e5121fe47429848666dc78e45fde255996ed5b799ef433da2cb"),
+    ("D4", D4, "classes --max-dim 4",
+     "40b627c1c37c9f452b5736ae093be558fc0f20e14da1f80e39e5a1d0d4fa3ac4"),
     ("A3", quiver_to_dict(line_quiver(3)), "hall --max-dim 4",
      "7df12314b3cc10b746af2b79e34a7a1dd6b28f1bb0c799896aa1e8ac9bdb6de8"),
     ("D4", D4, "hall --max-dim 4",
@@ -274,6 +278,25 @@ def test_report_matches_its_recorded_digest(capsys, tmp_path, monkeypatch, name,
     report.pop("timing_ms")
     text = json.dumps(report, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name,quiver,objects", [
+    ("A3", quiver_to_dict(line_quiver(3)), 12), ("D4", D4, 18),
+])
+def test_dha_assoc_t1_reaches_the_dims_past_a_zero_arrow(capsys, tmp_path, monkeypatch, name,
+                                                         quiver, objects):
+    # These sweeps reach the dims A3 (0, 1, 5) and D4 (1, 0, 0, 5), whose classes
+    # took a 2^21 isomorphism search (exit 3) before the arrows after a run of
+    # rank-0 arrows were put in rank forms too.
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(quiver))
+    code, report, _ = run_cli(capsys, "dha-assoc", "--t", "1", "--max-dim", "2",
+                              "--quiver", str(path))
+    assert code == 0
+    assert report["results"]["objects"] == objects
+    assert report["results"]["checked"] == objects ** 3
+    assert report["results"]["mismatches"] == 0
 
 
 def test_fingerprint_tracks_setup(capsys, monkeypatch):

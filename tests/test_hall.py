@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from hallforge import linalg
+from hallforge import hall, linalg
+from hallforge.errors import InternalInconsistency, NotASubobject
 from hallforge.hall import (_subobject_table, _walked, closed_subspace_tuples, ext1_count,
                             ext1_middle_count, euler_add, euler_mult, euler_table, gamma_coeff,
                             gamma_terms, gamma_sweep, green_sides, hall_number,
@@ -15,11 +16,12 @@ from hallforge.hall import (_subobject_table, _walked, closed_subspace_tuples, e
 from hallforge.linalg import Mat, enumerate_subspaces, gaussian_binomial
 from hallforge.quivers import (dims_add, dims_sub, dimvecs_up_to, line_quiver,
                                quiver_from_dict, subdimvecs)
-from hallforge.reps import ClassRegistry, Rep, _quotient, _restrict, is_subrep
+from hallforge.reps import (ClassRegistry, Rep, _subquotient_entries, is_subrep,
+                            quotient_by_subrep, restrict_to_subspaces)
 
 from .oracles import (four_term_gamma_oracle, gamma_by_middle_class_sum,
-                      hall_number_injection_oracle, quotient_by_reduce, restrict_by_coords,
-                      walked_subobject_table)
+                      hall_number_injection_oracle, is_subrep_by_reduce, quotient_by_reduce,
+                      restrict_by_coords, walked_subobject_table)
 
 
 def _class_pairs_with_sum(reg, dsum):
@@ -246,7 +248,8 @@ def test_extension_counts_sum_over_middles(request, fixture_name):
 ], ids=["A2", "A3", "D4", "Kronecker", "D4-F3", "Kronecker-F3"])
 def test_closed_subspace_tuples_are_exactly_the_closed_ones(quiver, p, max_total):
     # The walk trusts closed_subspace_tuples to yield closed tuples only, each
-    # once; the judge is every subspace tuple of the dims, filtered by is_subrep.
+    # once; the judge is every subspace tuple of the dims, filtered by
+    # reduction, and is_subrep must agree with the judge on every tuple.
     # Over F_3 the overspaces clear base rows by multiples, not by XOR alone;
     # Kronecker's total dim 4 has bases whose rows need that clearing.
     reg = ClassRegistry(quiver, p)
@@ -255,9 +258,13 @@ def test_closed_subspace_tuples_are_exactly_the_closed_ones(quiver, p, max_total
         for d in subdimvecs(c.dims):
             walked = list(closed_subspace_tuples(rep, d))
             assert all(is_subrep(rep, subs) for subs in walked)
-            brute = [subs for subs in itertools.product(
-                *(enumerate_subspaces(p, n, k) for n, k in zip(c.dims, d)))
-                if is_subrep(rep, subs)]
+            brute = []
+            for subs in itertools.product(
+                    *(enumerate_subspaces(p, n, k) for n, k in zip(c.dims, d))):
+                closed = is_subrep_by_reduce(rep, subs)
+                assert is_subrep(rep, subs) == closed
+                if closed:
+                    brute.append(subs)
             assert len(set(walked)) == len(walked) == len(brute)
             assert set(walked) == set(brute)
 
@@ -267,19 +274,41 @@ def test_closed_subspace_tuples_are_exactly_the_closed_ones(quiver, p, max_total
     (KRONECKER, 3, 3),
 ], ids=["A2-F2", "A3-F2", "D4-F2", "Kronecker-F2", "Kronecker-F3"])
 def test_walk_subquotients_equal_the_reducing_judges(quiver, p, max_total):
-    # _restrict and _quotient read coordinates at the RREF pivots; the judges
-    # reduce every image vector and unit column row by row.  Each class is
-    # also taken in a sheared basis, where the images of the arrow maps are
-    # no longer unit vectors and a residue takes several basis rows (from
-    # total dim 4 on: a 2-dim subspace at a 3-dim target and a nonzero quotient
-    # at the source).
+    # The walk's one pass reads coordinates at the RREF pivots and residues at
+    # the other columns; the judges reduce every image vector and unit column
+    # row by row.  Each class is also taken in a sheared basis, where the
+    # images of the arrow maps are no longer unit vectors and a residue takes
+    # several basis rows (from total dim 4 on: a 2-dim subspace at a 3-dim
+    # target and a nonzero quotient at the source).  The entries are checked
+    # as the walk reads them, and through the Rep wrappers.
     reg = ClassRegistry(quiver, p)
     for c in reg.all_classes_total_le(max_total):
         for rep in (reg.representative(c), _sheared(reg.representative(c))):
             for d in subdimvecs(c.dims):
                 for subs in closed_subspace_tuples(rep, d):
-                    assert _restrict(rep, subs) == restrict_by_coords(rep, subs)
-                    assert _quotient(rep, subs) == quotient_by_reduce(rep, subs)
+                    sub, quot = restrict_by_coords(rep, subs), quotient_by_reduce(rep, subs)
+                    entries = tuple(tuple(m.entries for m in x.mats) for x in (sub, quot))
+                    assert _subquotient_entries(rep, subs) == entries
+                    assert _subquotient_entries(rep, subs, False) == (entries[0], None)
+                    assert restrict_to_subspaces(rep, subs) == sub
+                    assert quotient_by_subrep(rep, subs) == quot
+
+
+def test_walk_and_wrappers_reject_a_tuple_that_is_not_closed(monkeypatch):
+    # A Kronecker (1, 1) class with a nonzero arrow, and the line at the source
+    # but not its image: the walk raises an engine fault, the public wrappers
+    # a usage error.
+    reg = ClassRegistry(KRONECKER, 2)
+    c = next(c for c in reg.classes((1, 1)) if _walked(reg, c))
+    rep = reg.representative(c)
+    subs = (linalg.full_subspace(2, 1), linalg.zero_subspace(2, 1))
+    assert not is_subrep(rep, subs) and _subquotient_entries(rep, subs) is None
+    for wrapper in (restrict_to_subspaces, quotient_by_subrep):
+        with pytest.raises(NotASubobject):
+            wrapper(rep, subs)
+    monkeypatch.setattr(hall, "closed_subspace_tuples", lambda rep, d: iter([subs]))
+    with pytest.raises(InternalInconsistency, match="not arrow-closed"):
+        _subobject_table(reg, c, (1, 0))
 
 
 def _sheared(rep):
@@ -321,13 +350,19 @@ def test_kronecker_walk_elimination_counts(monkeypatch):
     assert calls == {"subspace_from_vectors": 332, "reduced_rows": 375}
 
 
-def test_walk_memo_sizes_after_kronecker_hall_max_dim_4():
+def test_walk_memo_sizes_after_kronecker_hall_max_dim_4(monkeypatch):
     # What `hall --max-dim 4` on Kronecker over F_2 leaves in memory: the
     # distinct subobjects and quotients classified, and the walked tables.
+    # The walk classifies 678 subquotients off their entries and builds a Rep
+    # only for each of the 42 contents classify_entries has not seen.
     reg = ClassRegistry(KRONECKER, 2)
-    for c in reg.all_classes_total_le(4):
+    classes = reg.all_classes_total_le(4)
+    built = []
+    rep_new = Rep.__new__
+    monkeypatch.setattr(Rep, "__new__", lambda cls, *args: built.append(1) or rep_new(cls, *args))
+    for c in classes:
         subquotient_tables(reg, c)
-    assert len(reg.memo("classify")) == 42
+    assert len(reg.memo("classify")) == len(built) == 42
     assert len(reg.memo("subobject_table")) == 191
 
 

@@ -119,10 +119,12 @@ def test_orbit_stabilizer_matches_endomorphism_scan(quiver, p, max_total):
 def test_enumeration_reads_end_dims_off_the_signature(monkeypatch):
     # Tuples in one signature bucket share its first entry, dim End, so testing
     # a new tuple against a bucket computes no End again (799 calls when it did).
+    # With b in rank forms too where a has rank 0, those tuples are not swept
+    # (605 calls when they were).
     calls = []
     monkeypatch.setattr(reps, "hom_dim", lambda m, n: calls.append(1) or hom_dim(m, n))
     ClassRegistry(quiver_from_dict(KRONECKER), 2).all_classes_total_le(4)
-    assert len(calls) == 605
+    assert len(calls) == 321
 
 
 D4 = quiver_from_dict({"vertices": ["1", "2", "3", "c"],
@@ -227,6 +229,23 @@ def test_classify_memo_keeps_the_registry_check(kronecker_f2):
                   Rep(rep.quiver, 3, rep.dims, tuple(Mat(3, 1, 1, m.entries) for m in rep.mats))):
         with pytest.raises(IncompatibleObjects):
             kronecker_f2.classify(other)
+
+
+def test_classify_and_classify_entries_share_one_memo_entry():
+    # Kronecker (1, 1) with a = b = 1 and with a = 1, b = 0: one content goes in
+    # through classify, the other through classify_entries; either way each
+    # content holds one entry, which the other route then reads.
+    reg = ClassRegistry(quiver_from_dict(KRONECKER), 2)
+    memo = reg.memo("classify")
+    first, second = ((((1,),), ((1,),)), (((1,),), ((0,),)))
+    cid = reg.classify(Rep(reg.quiver, 2, (1, 1), tuple(Mat(2, 1, 1, e) for e in first)))
+    assert list(memo) == [((1, 1), first)]
+    assert reg.classify_entries((1, 1), first) is cid
+    other = reg.classify_entries((1, 1), second)
+    assert list(memo) == [((1, 1), first), ((1, 1), second)]
+    assert reg.classify(Rep(reg.quiver, 2, (1, 1), tuple(Mat(2, 1, 1, e) for e in second))) \
+        is other != cid
+    assert len(memo) == 2
 
 
 def test_orbit_stabilizer_on_the_largest_endomorphism_scan(a1_f2):
@@ -338,6 +357,22 @@ def test_enumeration_refuses_huge_sweeps():
     reg = ClassRegistry(line_quiver(3), 2)
     with pytest.raises(EnumerationTooLarge, match="matrix tuples"):
         reg.classes((1, 5, 5))
+
+
+@pytest.mark.parametrize("quiver,dims,orbits", [
+    (quiver_from_dict(KRONECKER), (5, 1), [1, 31, 31, 31, 930]),
+    (quiver_from_dict(KRONECKER), (1, 5), [1, 31, 31, 31, 930]),
+    (line_quiver(3), (0, 1, 5), [1, 31]), (D4, (1, 0, 0, 5), [1, 31]),
+], ids=["Kronecker-5,1", "Kronecker-1,5", "A3-0,1,5", "D4-1,0,0,5"])
+def test_arrows_after_a_rank_zero_run_are_put_in_rank_forms(quiver, dims, orbits):
+    # Where the first run of vertex-disjoint arrows has rank 0 (a = 0 on
+    # Kronecker; the arrows at a zero vertex), the next run is put in rank
+    # forms too, with no search over an End of dim 21.  On Kronecker, a = 0
+    # leaves b = 0 or b of rank 1; a of rank 1 leaves b = 0, b = a or b
+    # independent of a.
+    reg = ClassRegistry(quiver, 2)
+    assert [reg.orbit_size(c) for c in reg.classes(dims)] == orbits
+    assert sum(orbits) == 2 ** sum(dims[a.target] * dims[a.source] for a in quiver.arrows)
 
 
 def test_tuple_bound_counts_the_swept_tuples():
