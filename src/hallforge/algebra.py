@@ -112,6 +112,7 @@ class DerivedHall:
         self._transfers = reg.memo("lt_transfer")
         self._steps = reg.memo("lt_step")
         self._a_primes = reg.memo(("a_prime", t))
+        self._rules = reg.memo(("pair_rule", t))
 
     # -- scalar helpers -----------------------------------------------------
 
@@ -477,13 +478,23 @@ class DerivedHall:
         return HallVector(self.q, done)
 
     def _pair_rule(self, left: IsoClassId, n: int, right: IsoClassId,
-                   m: int) -> list[tuple[Word, QSqrtScalar]]:
+                   m: int) -> tuple[tuple[Word, QSqrtScalar], ...]:
         """The product [left@n][right@m] of two stalk generators as (word, scalar)
         terms, by the degree gap m - n (mod t at odd t): 0, the Hall product;
         1, straightening through 4-term exact sequences; 2 or more, commutation
         up to an Euler-form power.  The t = 0 rules are those of Toen (2006) and
         Xiao-Xu (2008), the odd-t ones those of Xu-Chen (2013).  No caller asks
-        for the gap t - 1, which has no rule."""
+        for the gap t - 1, which has no rule.  Memoized per registry and t by
+        (left, n, right, m), so every DerivedHall over one registry reads each
+        rule once."""
+        key = (left, n, right, m)
+        rule = self._rules.get(key)
+        if rule is None:
+            rule = self._rules[key] = tuple(self._build_pair_rule(left, n, right, m))
+        return rule
+
+    def _build_pair_rule(self, left: IsoClassId, n: int, right: IsoClassId,
+                         m: int) -> list[tuple[Word, QSqrtScalar]]:
         reg, t, q = self.reg, self.t, self.q
         euler = euler_table(reg)
         gap = (m - n) % t if t else m - n

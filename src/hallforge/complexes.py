@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from collections import namedtuple
 
 from .errors import (EnumerationTooLarge, IncompatibleObjects, InternalInconsistency,
                      UnsupportedPeriod)
-from .linalg import (Mat, Subspace, echelon, kernel_basis, pack_row, rank, rows_kernel,
+from .linalg import (Mat, echelon, kernel_basis, pack_row, rank, reduced_rows,
                      subspace_from_vectors)
 from .quivers import Arrow, DimVec, Quiver
 from .reps import (DEFAULT_ISO_ENUM_BOUND, ClassRegistry, IsoClassId, Morphism, Rep,
@@ -440,9 +441,10 @@ def _coboundary_transversal(m: Rep, n: Rep) -> list[tuple[int, int, int]]:
     return [rc for k, rc in enumerate(coords) if k not in pivots]
 
 
-def _middle_modules(rep_a: Rep, rep_b: Rep, transversal: list[tuple[int, int, int]]) -> list[Rep]:
-    """M_eps = B + A with arrow matrices [[B_a, eps_a], [0, A_a]], one per eps
-    in the span of the transversal's unit cocycles."""
+def _middle_modules(rep_a: Rep, rep_b: Rep, transversal: list[tuple[int, int, int]]) -> list[tuple]:
+    """The arrow-matrix entries of M_eps = B + A, [[B_a, eps_a], [0, A_a]] per
+    arrow (rows of ints), one per eps in the span of the transversal's unit
+    cocycles."""
     q, p = rep_a.quiver, rep_a.p
     split = direct_sum(rep_b, rep_a)
     out = []
@@ -450,9 +452,55 @@ def _middle_modules(rep_a: Rep, rep_b: Rep, transversal: list[tuple[int, int, in
         rows = [[list(r) for r in m.entries] for m in split.mats]
         for x, (idx, r, c) in zip(coeffs, transversal):
             rows[idx][r][rep_b.dims[q.arrows[idx].source] + c] = x
-        out.append(Rep(q, p, split.dims, tuple(Mat(p, m.rows, m.cols, tuple(map(tuple, rs)))
-                                               for m, rs in zip(split.mats, rows))))
+        out.append(tuple(tuple(map(tuple, rs)) for rs in rows))
     return out
+
+
+def _cone_spans(p: int, blocks: list[tuple[int, int]], key: tuple) -> list[tuple]:
+    """Per vertex v, from key (the RREFs of f_v's rows and columns, for the
+    vertices where f_v has entries): the basis of the cone's homology
+    H_v = (B_v + ker f_v) / im f_v as vectors of B_v + A_v, and what reads the
+    coordinates of a vector of B_v + ker f_v in it.  The basis is the unit
+    vectors of B_v off the pivots of im f_v, then the basis of ker f_v that is
+    1 at one free column of f_v and 0 at the others.  The reader is the pivots
+    of im f_v, each other coordinate k of B_v with im f_v's basis entries at
+    k, and the free columns of f_v, shifted past B_v."""
+    out = []
+    parts = iter(key)
+    for nb, na in blocks:
+        row_red, col_red = (next(parts), next(parts)) if nb and na else ((), ())
+        row_piv = [r.index(next(filter(None, r))) for r in row_red]
+        im_piv = [c.index(next(filter(None, c))) for c in col_red]
+        im_free = [(k, tuple(c[k] for c in col_red)) for k in range(nb) if k not in im_piv]
+        ker_free = [f for f in range(na) if f not in row_piv]
+        basis = [tuple(int(j == k) for j in range(nb + na)) for k, _ in im_free]
+        for f in ker_free:
+            x = [0] * (nb + na)
+            x[nb + f] = 1
+            for c, r in zip(row_piv, row_red):
+                x[nb + c] = -r[f] % p
+            basis.append(tuple(x))
+        out.append((basis, im_piv, im_free, [nb + f for f in ker_free]))
+    return out
+
+
+def _cone_entries(p: int, arrows, mats: tuple, spans: list[tuple]) -> tuple:
+    """Per arrow, the entries of the cone's homology on the bases of spans,
+    read off the entries mats of M_eps in one pass: each basis vector of the
+    source is mapped by M_eps's arrow matrix, and the image's coordinates are
+    its residue modulo im f at the target's other coordinates, then its
+    entries at ker f's free columns."""
+    out = []
+    for a, rows in zip(arrows, mats):
+        piv, free, ker = spans[a.target][1:]
+        cols = []
+        for w in spans[a.source][0]:
+            y = [sum(map(operator.mul, row, w)) % p for row in rows]
+            head = [y[i] for i in piv]
+            cols.append([(y[k] - sum(map(operator.mul, head, col))) % p for k, col in free]
+                        + [y[j] for j in ker])
+        out.append(tuple(zip(*cols)) if cols else ((),) * (len(free) + len(ker)))
+    return tuple(out)
 
 
 def cone_counts(reg: ClassRegistry, a: GradedObject,
@@ -463,8 +511,12 @@ def cone_counts(reg: ClassRegistry, a: GradedObject,
     extension M_eps of A by B with d = i f p for a unique f in Hom(A, B), which
     equivalent extensions share (p i = 0).  So the morphisms are the pairs
     (eps in a transversal of the coboundaries, f), and each one's cone is the
-    homology of (M_eps, i f p).  Past DEFAULT_COMPLEX_ENUM_BOUND pairs this
-    raises EnumerationTooLarge up front and memoizes nothing.
+    homology of (M_eps, i f p): ker d = B + ker f over im d = im f + 0, which
+    depend on f only through (ker f, im f).  So every f is swept, but only to
+    read off that key (the RREFs of f_v's rows and columns); the cone is built
+    once per (key, eps) and weighted by the number of maps sharing the key.
+    Past DEFAULT_COMPLEX_ENUM_BOUND pairs this raises EnumerationTooLarge up
+    front and memoizes nothing.
     """
     if not (a.t == b.t == 1):
         raise UnsupportedPeriod("cone-class counting is implemented for t = 1")
@@ -483,31 +535,28 @@ def cone_counts(reg: ClassRegistry, a: GradedObject,
     middles = _middle_modules(rep_a, rep_b, transversal)
     p = reg.p
     kernel = _hom_kernel(rep_a, rep_b)
-    # Per vertex v: f_v's shape nb x na and offset in a flat Hom vector, and
-    # B_v's unit rows padded by A_v's zeros.
-    blocks = [(nb, na, off, tuple(r + (0,) * na for r in Mat.identity(p, nb).entries))
-              for (nb, na), off in zip(kernel[1], kernel[2])]
-    by_rep: dict[Rep, int] = {}
+    blocks = kernel[1]
+    # Per vertex v with f_v not 0 x 0: the slices of f_v's rows and columns in a flat Hom vector.
+    slices = [(nb, na, [slice(x, x + na) for x in range(off, off + nb * na, na)],
+               [slice(off + j, off + nb * na, na) for j in range(na)])
+              for (nb, na), off in zip(blocks, kernel[2]) if nb and na]
+    by_key: dict[tuple, int] = {}
     for flat in _hom_elements(p, kernel):
-        # d = i f p has kernel B + ker f and image im f + 0 in every M_eps, so
-        # their RREF bases are those of ker f and im f, padded.
-        ker_d, im_d = [], []
-        for nb, na, off, unit_b in blocks:
-            end = off + nb * na  # == off when na == 0, so the rows below are empty
-            k = subspace_from_vectors(p, na, rows_kernel(
-                p, na, [pack_row(p, flat[x:x + na]) for x in range(off, end, na or 1)]))
-            i = subspace_from_vectors(p, nb, [flat[off + j:end:na] for j in range(na)])
-            ker_d.append(Subspace(p, nb + na, (*unit_b, *((0,) * nb + x for x in k.basis)),
-                                  (*range(nb), *(nb + c for c in k.pivots))))
-            im_d.append(Subspace(p, nb + k.dim, tuple(x + (0,) * k.dim for x in i.basis),
-                                 i.pivots))
-        for m in middles:
-            h = quotient_by_subrep(restrict_to_subspaces(m, tuple(ker_d)), tuple(im_d))
-            by_rep[h] = by_rep.get(h, 0) + 1
+        key = []
+        for nb, na, rows, cols in slices:
+            key.append(tuple(reduced_rows(p, na, [pack_row(p, flat[s]) for s in rows])[1]))
+            key.append(tuple(reduced_rows(p, nb, [pack_row(p, flat[s]) for s in cols])[1]))
+        key = tuple(key)
+        by_key[key] = by_key.get(key, 0) + 1
+    arrows = reg.quiver.arrows
     counts: dict[GradedObject, int] = {}
-    for h, n in by_rep.items():
-        x = graded_object(1, reg.quiver.n, [(0, reg.classify(h))])
-        counts[x] = counts.get(x, 0) + n
+    for key, weight in by_key.items():
+        spans = _cone_spans(p, blocks, key)
+        dims = tuple(len(s[0]) for s in spans)
+        for mats in middles:
+            x = graded_object(1, len(dims), [(0, reg.classify_entries(
+                dims, _cone_entries(p, arrows, mats, spans)))])
+            counts[x] = counts.get(x, 0) + weight
     if sum(counts.values()) != total:
         raise InternalInconsistency("cone counts do not add up to the derived Hom count")
     memo[a, b] = counts

@@ -10,7 +10,9 @@ numbers one gamma coefficient at a time to check the join in
 hall.gamma_terms, and cone_counts_by_complex_classes, which counts t = 1
 cones through the complex classes of the cone's dims and the C_t Hall
 numbers (hall_number_ct and its helpers, on the degree quiver) to check
-complexes.cone_counts.  frontier_product is the derived product kernel's
+complexes.cone_counts, and cone_counts_by_maps, which builds the cone of
+every map and extension class as a Rep where cone_counts builds one per
+(ker f, im f) and extension class.  frontier_product is the derived product kernel's
 former route, a frontier DP over every degree of the chain, kept to judge
 DerivedHall.multiply_graded; aut_dt_by_components counts |Aut_{D_t}| one
 component and one Ext twist at a time; bracket_by_shifts and
@@ -40,18 +42,20 @@ import math
 from fractions import Fraction
 
 from hallforge.algebra import DerivedHall, HallVector
-from hallforge.complexes import (ComplexObj, GradedObject, _as_reps, class_at_or_zero,
-                                 dt_hom_with_cone_count, enumerate_complex_classes,
-                                 hom_dt_count, homology, zero_diff_complex)
+from hallforge.complexes import (ComplexObj, GradedObject, _as_reps, _coboundary_transversal,
+                                 _middle_modules, class_at_or_zero, dt_hom_with_cone_count,
+                                 enumerate_complex_classes, graded_object, hom_dt_count,
+                                 homology, zero_diff_complex)
 from hallforge.errors import (DivisionByZero, IncompatibleObjects, InternalInconsistency,
                               NotASubobject, UnsupportedPeriod)
 from hallforge.hall import (closed_subspace_tuples, euler_mult, euler_table, ext1_count,
                             hall_number)
-from hallforge.linalg import (Mat, RrefResult, Subspace, enumerate_subspaces, rank,
-                              subspace_from_vectors)
+from hallforge.linalg import (Mat, RrefResult, Subspace, enumerate_subspaces, kernel_basis,
+                              rank, subspace_from_vectors)
 from hallforge.quivers import dims_add, dims_sub, subdimvecs
 from hallforge.reps import (DEFAULT_ISO_ENUM_BOUND, ClassRegistry, IsoClassId, Rep,
-                            _check_compatible, _isomorphisms, hom_basis, hom_dim, is_isomorphic,
+                            _check_compatible, _hom_elements, _hom_kernel, _isomorphisms,
+                            _rep_of_entries, _unflatten, hom_basis, hom_dim, is_isomorphic,
                             quotient_by_subrep, restrict_to_subspaces, zero_rep)
 from hallforge.scalars import QSqrtScalar, q_exponent, sqrt_of_fraction
 
@@ -333,6 +337,40 @@ def cone_counts_by_complex_classes(reg: ClassRegistry, a: GradedObject,
         if n:
             x = homology(reg, cplx)
             counts[x] = counts.get(x, 0) + n
+    return counts
+
+
+def cone_counts_by_maps(reg: ClassRegistry, a: GradedObject,
+                        b: GradedObject) -> dict[GradedObject, int]:
+    """{cone x: count} at t = 1, one morphism at a time: for every f in
+    Hom(A, B) and every middle module M_eps, the homology of (M_eps, i f p)
+    is built as a Rep, restricted to ker d = B + ker f and divided by
+    im d = im f + 0, and classified.  This is complexes.cone_counts before
+    it grouped the maps by (ker f, im f)."""
+    cls_a, cls_b = class_at_or_zero(reg, a, 0), class_at_or_zero(reg, b, 0)
+    rep_a, rep_b = reg.representative(cls_a), reg.representative(cls_b)
+    middles = [_rep_of_entries(reg.quiver, reg.p, dims_add(rep_b.dims, rep_a.dims), mats)
+               for mats in _middle_modules(rep_a, rep_b, _coboundary_transversal(rep_a, rep_b))]
+    p = reg.p
+    kernel = _hom_kernel(rep_a, rep_b)
+    by_rep: dict[Rep, int] = {}
+    for flat in _hom_elements(p, kernel):
+        ker_d, im_d = [], []
+        for (nb, na), f_v in zip(kernel[1], _unflatten(p, flat, kernel[1], kernel[2])):
+            k = subspace_from_vectors(p, na, kernel_basis(f_v))
+            i = subspace_from_vectors(p, nb, [tuple(row[j] for row in f_v.entries)
+                                              for j in range(na)])
+            ker_d.append(subspace_from_vectors(p, nb + na, [
+                *Mat.identity(p, nb + na).entries[:nb], *((0,) * nb + x for x in k.basis)]))
+            im_d.append(subspace_from_vectors(p, nb + k.dim,
+                                              [x + (0,) * k.dim for x in i.basis]))
+        for m in middles:
+            h = quotient_by_subrep(restrict_to_subspaces(m, tuple(ker_d)), tuple(im_d))
+            by_rep[h] = by_rep.get(h, 0) + 1
+    counts: dict[GradedObject, int] = {}
+    for h, n in by_rep.items():
+        x = graded_object(1, reg.quiver.n, [(0, reg.classify(h))])
+        counts[x] = counts.get(x, 0) + n
     return counts
 
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from hallforge import algebra
 from hallforge.algebra import (RELATION_FAMILIES, DerivedHall, HallVector,
                                relation_check)
 from hallforge.complexes import graded_object, stalk
@@ -433,6 +434,62 @@ def test_pair_rule_words_descend_at_t0(request, setup):
             for word, c in terms:
                 assert c and all(cls.total_dim for cls, _deg in word), (left, right, gap)
                 assert all(d > d_next for (_c, d), (_c2, d_next) in zip(word, word[1:]))
+
+
+def test_pair_rule_memo_gives_the_same_results_cold_and_warm():
+    """One registry serves the rules at t = 0, 3 and 5, as the relations command
+    uses it: every relation_check and rewrite gives the same result with the
+    rule memos emptied before it as with all three memos filled."""
+    reg = ClassRegistry(line_quiver(2), 2)
+    classes = [c for c in reg.all_classes_total_le(2) if c.total_dim]
+    memos = [reg.memo(("pair_rule", t)) for t in (0, 3, 5)]
+    checks = [(family, a, b, offset) for family in RELATION_FAMILIES if family != "dh1_re1"
+              for a, b in itertools.product(classes, repeat=2)
+              for offset in ((2, 3) if family in ("dh0_45", "dht_r3") else (2,))]
+    words = [((a, n), (b, m), (a, 1)) for a, b in itertools.product(classes, repeat=2)
+             for n, m in ((0, 0), (0, 1), (1, 0), (0, 2))]
+
+    def results(cold: bool) -> list:
+        out = []
+        for family, a, b, offset in checks:
+            if cold:
+                for memo in memos:
+                    memo.clear()
+            out.append(relation_check(reg, family, a, b, degree=1, offset=offset, t=5))
+        for word in words:
+            if cold:
+                memos[0].clear()
+            out.append(DerivedHall(reg, 0).normalize_generator_word(word))
+        return out
+
+    cold = results(cold=True)
+    assert all(res.ok for res in cold[:len(checks)])
+    results(cold=False)
+    assert all(memos)
+    assert results(cold=False) == cold
+
+
+def test_a_second_rewrite_reads_every_rule_from_the_memo(monkeypatch):
+    reg = ClassRegistry(line_quiver(2), 2)
+    calls = []
+
+    def counting(name):
+        f = getattr(algebra, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return f(*args)
+        return wrapper
+
+    for name in ("hall_number", "gamma_terms"):
+        monkeypatch.setattr(algebra, name, counting(name))
+    s1, s2 = (reg.classes(d)[0] for d in ((1, 0), (0, 1)))
+    word = ((s1, 0), (s2, 1), (s1, 1), (s2, 1))
+    first = DerivedHall(reg, 0).normalize_generator_word(word)
+    assert {"hall_number", "gamma_terms"} <= set(calls)
+    calls.clear()
+    assert DerivedHall(reg, 0).normalize_generator_word(word) == first
+    assert calls == []
 
 
 def test_relation_far_commutation_offsets(a1_f2):

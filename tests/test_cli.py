@@ -260,6 +260,11 @@ GOLDEN_REPORTS = [
      "1b9c8543864d92ef70d9d56504285cd18d22b728a64782545e1294710ba9a9c3"),
     ("A1", quiver_to_dict(line_quiver(1)), "crosscheck --t 1 --max-dim 3",
      "d192424782e22898b0da7cdcfff6fa6d55bed9a5388a4e5ca63743ff28619427"),
+    # Cone classification on quivers classify_entries handles by search, not arrow ranks.
+    ("Kronecker", KRONECKER, "crosscheck --t 1 --max-dim 2",
+     "8d504e422d6c7347c6aecf28307b4688b39841e4ede4e2a92cb065cb9dc08766"),
+    ("D4", D4, "crosscheck --t 1 --max-dim 2",
+     "f6ef4b9d69418668dd454f6c7b9aad295cbf773dd3da26883eddc470276a69a5"),
     ("A2", quiver_to_dict(line_quiver(2)), "dha-assoc --t 3 --seed 7",
      "0c1782ec034c2cd4169bf46d427119646b89349a14c3418dc9055e2f002c7d4b"),
 ]

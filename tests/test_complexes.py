@@ -29,12 +29,13 @@ from hallforge import (
 from hallforge import complexes
 from hallforge.cli import graded_objects_within
 from hallforge.complexes import DEFAULT_COMPLEX_ENUM_BOUND, GradedObject
-from hallforge.linalg import rank
+from hallforge.linalg import gaussian_binomial, kernel_basis, rank, subspace_from_vectors
 from hallforge.quivers import dims_sub, line_quiver, subdimvecs
 from hallforge.reps import ClassRegistry, IsoClassId
 
-from .oracles import (alt_hom_explicit, alt_hom_product, aut_ct_count, chain_maps_by_enumeration,
-                      cone_counts_by_complex_classes, ext1_ct_middle_count, hall_number_ct,
+from .oracles import (all_morphisms, alt_hom_explicit, alt_hom_product, aut_ct_count,
+                      chain_maps_by_enumeration, cone_counts_by_complex_classes,
+                      cone_counts_by_maps, ext1_ct_middle_count, hall_number_ct,
                       hall_number_ct_injection_oracle, hom_ct_count)
 
 
@@ -358,42 +359,72 @@ def test_cone_counts(a1_f2):
     assert dt_hom_with_cone_count(a1_f2, zk, zk, zk) == 0
 
 
+def _kernel_image_pairs(reg, a, b) -> set:
+    """The distinct (ker f_v, im f_v) per vertex over every f in Hom(A, B)."""
+    rep_a, rep_b = (reg.representative(class_at_or_zero(reg, g, 0)) for g in (a, b))
+    return {tuple((subspace_from_vectors(reg.p, f_v.cols, kernel_basis(f_v)),
+                   subspace_from_vectors(reg.p, f_v.rows, [tuple(r[j] for r in f_v.entries)
+                                                           for j in range(f_v.cols)]))
+                  for f_v in f)
+            for f in all_morphisms(rep_a, rep_b)}
+
+
 def test_cone_counts_compute_each_morphism_cone_once(monkeypatch):
-    """A first sweep builds the homology of each (extension, f) pair once, lists
-    no complex classes and classifies at most one module per pair; a memo-hit
-    sweep over every cone builds and classifies nothing."""
+    """A first sweep builds the homology once per (ker f, im f) and extension
+    class, lists no complex classes, builds no cone as a Rep on the way and
+    classifies each homology once; a memo-hit sweep over every cone builds and
+    classifies nothing."""
     reg = ClassRegistry(line_quiver(2), 2)
     objects = graded_objects_within(reg, 1, 2)
     cones = graded_objects_within(reg, 1, 4)
-    restricts, classified = [], []
+    built, classified = [], []
 
-    def counting_restrict(m, subs):
-        restricts.append(m)
-        return restrict_to_subspaces(m, subs)
+    def counting_entries(*args):
+        built.append(args)
+        return cone_entries(*args)
 
-    def counting_classify(rep):
-        classified.append(rep)
-        return ClassRegistry.classify(reg, rep)
+    def counting_classify(dims, mats):
+        classified.append(dims)
+        return ClassRegistry.classify_entries(reg, dims, mats)
 
-    restrict_to_subspaces = complexes.restrict_to_subspaces
-    monkeypatch.setattr(complexes, "restrict_to_subspaces", counting_restrict)
-    monkeypatch.setattr(complexes, "homology", None)
-    monkeypatch.setattr(complexes, "enumerate_complex_classes", None)
-    monkeypatch.setattr(reg, "classify", counting_classify)
+    cone_entries = complexes._cone_entries
+    monkeypatch.setattr(complexes, "_cone_entries", counting_entries)
+    for name in ("restrict_to_subspaces", "quotient_by_subrep", "homology",
+                 "enumerate_complex_classes"):
+        monkeypatch.setattr(complexes, name, None)
+    monkeypatch.setattr(reg, "classify_entries", counting_classify)
     for a in objects:
         for b in objects:
-            restricts.clear()
+            built.clear()
             classified.clear()
-            n_morphisms = hom_dt_count(reg, a, b, 0)
-            assert sum(cone_counts(reg, a, b).values()) == n_morphisms
-            assert len(restricts) == n_morphisms and 0 < len(classified) <= n_morphisms, (a, b)
-    restricts.clear()
+            assert sum(cone_counts(reg, a, b).values()) == hom_dt_count(reg, a, b, 0)
+            ext = reg.hom_ext_dims(*(class_at_or_zero(reg, g, 0) for g in (a, b)))[1]
+            n_cones = len(_kernel_image_pairs(reg, a, b)) * reg.p ** ext
+            assert len(built) == len(classified) == n_cones, (a, b)
+    built.clear()
     classified.clear()
     for a in objects:
         for b in objects:
             total = sum(dt_hom_with_cone_count(reg, a, b, x) for x in cones)
             assert total == hom_dt_count(reg, a, b, 0), (a, b)
-    assert restricts == [] and classified == []
+    assert built == [] and classified == []
+
+
+def test_a1_k3_cones_are_built_once_per_kernel_and_image(monkeypatch):
+    # Hom(k^3, k^3) has 512 maps, and Ext^1 vanishes on A1; the maps of rank r
+    # have one (ker f, im f) per pair of an (3 - r)- and an r-dimensional subspace.
+    reg = ClassRegistry(line_quiver(1), 2)
+    built = []
+
+    def counting_entries(*args):
+        built.append(args)
+        return cone_entries(*args)
+
+    cone_entries = complexes._cone_entries
+    monkeypatch.setattr(complexes, "_cone_entries", counting_entries)
+    k3 = stalk(reg, 1, k_class(reg, 3))
+    assert sum(cone_counts(reg, k3, k3).values()) == 512
+    assert len(built) == sum(gaussian_binomial(3, r, 2) ** 2 for r in range(4)) == 100
 
 
 def test_cone_count_hits_the_bound_again_on_a_second_call():
@@ -445,13 +476,44 @@ def test_cone_counts_match_complex_class_route(request, fixture, max_total, max_
     assert checked > 0
 
 
+# Every pair of CONE_ORACLE_SHAPES, and every D4 pair of total dim <= 2.
+@pytest.mark.parametrize("fixture,max_total,max_vertex", CONE_ORACLE_SHAPES + [("d4_f2", 2, 4)])
+def test_cone_counts_match_the_per_map_route(request, fixture, max_total, max_vertex):
+    reg = request.getfixturevalue(fixture)
+    objects = graded_objects_within(reg, 1, max_total)
+    checked = 0
+    for a in objects:
+        for b in objects:
+            if max(x + y for x, y in zip(a.dims_at(0), b.dims_at(0))) > max_vertex:
+                continue
+            assert cone_counts(reg, a, b) == cone_counts_by_maps(reg, a, b), (a, b)
+            checked += 1
+    assert checked > 0
+
+
+def test_cone_counts_match_the_per_map_route_on_kronecker_dims_1_2_and_2_1(kronecker_f2):
+    # The cones where im f is a sheared line of B_2 = F^2, or ker f a sheared line
+    # of A_1 = F^2, and the arrows reach the other coordinates: reading the
+    # cokernel without reducing modulo im f, or ker f on unit vectors, goes
+    # wrong here and on none of the pairs above.
+    reg = kronecker_f2
+    for dims in ((1, 2), (2, 1)):
+        for cls in reg.classes(dims):
+            c = stalk(reg, 1, cls)
+            for a in graded_objects_within(reg, 1, 2):
+                assert cone_counts(reg, a, c) == cone_counts_by_maps(reg, a, c), (a, c)
+                assert cone_counts(reg, c, a) == cone_counts_by_maps(reg, c, a), (c, a)
+
+
 def test_crosscheck_passes_on_the_formerly_refused_a1_pairs(a1_f2):
-    # Their cones have dims (5,) and (6,): past the complex-class route's bound.
+    # Their cones have dims (5,) and (6,): past the complex-class route's bound,
+    # but not the per-map route's.
     dh = DerivedHall(a1_f2, 1)
     k2, k3 = (dh.stalk(k_class(a1_f2, n)) for n in (2, 3))
     for a, b in ((k2, k3), (k3, k2), (k3, k3)):
         with pytest.raises(EnumerationTooLarge):
             cone_counts_by_complex_classes(a1_f2, a, b)
+        assert cone_counts(a1_f2, a, b) == cone_counts_by_maps(a1_f2, a, b), (a, b)
         assert dh.theorem_crosscheck(a, b).ok, (a, b)
 
 
