@@ -1,16 +1,28 @@
 """On-disk persistence of enumeration state, keyed by a setup fingerprint.
 
 A cache file stores the isomorphism classes, orbit/automorphism counts and
-subobject tables of one (quiver, field, periodicity) setup: for each class c
-that hall._subobject_table walks and each subobject dims d other than 0 and
-dims c, the nonzero {(quotient, subobject): count}, empty tables included.
+subobject tables of one (quiver, field, periodicity) setup, in a layout
+load_cache checks in one flat pass:
+
+- "classes": per dims "d_0,d_1,...", the lists "orbit", "aut" (null where not
+  computed) and "mats", one list of arrow-matrix codes per class, each code
+  the matrix's row-major entries as the base-p digits of one int
+  (reps._mat_code), in range(p^(rows*cols));
+- "tables": per dims of a class c, one group [index of c, [d, triples], ...]
+  per class that hall._subobject_table walks, with one [d, triples] per
+  subobject dims d other than 0 and dims c, empty tables included.  triples
+  is a flat list of (quotient index, subobject index, count) over the
+  nonzero counts, strictly increasing by (subobject index, quotient index);
+  the quotient and subobject dims are implied (dims c - d and d), and an
+  index resolves only against the classes of the same file.
+
 Closed-form Hall numbers and tables are recomputed.  The fingerprint ties
 the file to the setup, and a sha256 digest of the payload bytes, written as
 the file's first key, ties the counts to what was saved; loading a file
 whose fingerprint, layout (older formats included) or digest does not match,
 whose counts break the orbit identities, or whose tables no route reads
-raises CacheInvalid.  Every check runs at load, but the registry builds a
-class's representative from its checked entries only when something reads
+raises CacheInvalid.  Every check runs at load, but the registry decodes a
+class's representative from its checked codes only when something reads
 it, so a warm run that finds all it reads here builds none.  Caching only
 affects speed, never results.
 """
@@ -24,10 +36,10 @@ from pathlib import Path
 from .errors import CacheInvalid
 from .hall import _walked
 from .quivers import Quiver, canonical_quiver_json, dims_sub
-from .reps import ClassRegistry
+from .reps import ClassRegistry, class_name
 
 CACHE_ENV_VAR = "HALLFORGE_CACHE"
-CACHE_FORMAT = 4
+CACHE_FORMAT = 5
 _BODY_START = len(b'{"sha256":"",') + 64  # where the payload's first key starts
 
 
@@ -82,18 +94,22 @@ def save_cache(reg: ClassRegistry, t: int,
     path = cache_path(reg.quiver, reg.p, t, directory)
     if path is None:
         return None
-    name = reg.class_id_str
-    # A table keeps its walk's order, which depends only on the representative of c.
-    tables = [[name(c), list(d), [[name(a), name(b), n] for (a, b), n in table.items()]]
-              for (c, d), table in sorted(reg.memo("subobject_table").items(),
-                                          key=lambda kv: (kv[0][0].sort_key, kv[0][1]))]
+    tables: dict[str, list] = {}
+    for (c, d), table in sorted(reg.memo("subobject_table").items(),
+                                key=lambda kv: (kv[0][0].sort_key, kv[0][1])):
+        groups = tables.setdefault(",".join(map(str, c.dims)), [])
+        if not groups or groups[-1][0] != c.index:
+            groups.append([c.index])
+        # A table is kept in (subobject index, quotient index) order.
+        groups[-1].append([list(d), [x for (a, b), n in table.items()
+                                     for x in (a.index, b.index, n)]])
     payload = {
         "format": CACHE_FORMAT,
         "fingerprint": setup_fingerprint(reg.quiver, reg.p, t),
         "q": reg.p,
         "t": t,
-        "registry": reg.export_state(),
-        "subobject_tables": tables,
+        "classes": reg.export_state(),
+        "tables": tables,
     }
     path.parent.mkdir(parents=True, exist_ok=True)
     # A temp file of its own per writer, so concurrent saves never share one.
@@ -123,32 +139,89 @@ def load_cache(reg: ClassRegistry, t: int,
         raise CacheInvalid(f"cannot read cache file {path}: {e}") from None
     if not isinstance(payload, dict) or payload.get("format") != CACHE_FORMAT:
         raise CacheInvalid(f"cache file {path} has an unsupported layout")
-    expected = setup_fingerprint(reg.quiver, reg.p, t)
+    expected = path.stem  # the file is named by the setup's fingerprint
     if payload.get("fingerprint") != expected:
         raise CacheInvalid(
             f"cache file {path} was built for a different setup "
             f"(found {payload.get('fingerprint')!r}, expected {expected!r})")
     if raw[:_BODY_START] != _digest_head(b"{" + raw[_BODY_START:]):
         raise CacheInvalid(f"cache file {path} does not match its sha256 digest")
-    ids = {reg.class_id_str(cid): cid for cid in reg.import_state(payload.get("registry", {}))}
-    memo = reg.memo("subobject_table")
+    ids = reg.import_state(payload.get("classes"))
     try:
-        for c_s, d, entries in payload.get("subobject_tables", []):
-            c, d = ids[c_s], tuple(d)
-            if not _walked(reg, c):
-                raise CacheInvalid(f"no route reads a table of {c_s}")
-            if len(d) != len(c.dims) or not all(type(x) is int and 0 <= x <= y
-                                                for x, y in zip(d, c.dims)):
-                raise CacheInvalid(f"subobject dims {d} do not fit in {c_s}")
-            if not any(d) or d == c.dims:
-                raise CacheInvalid(f"no route reads a table of {c_s} by dims {d}")
-            table = memo[c, d] = {}
-            for a_s, b_s, n in entries:
-                a, b = ids[a_s], ids[b_s]
-                if (a.dims, b.dims) != (dims_sub(c.dims, d), d) or type(n) is not int or n < 1:
-                    raise CacheInvalid(f"entry {[a_s, b_s, n]} is no (quotient, subobject, "
-                                       f"positive count) of {c_s} by dims {d}")
-                table[a, b] = n
-    except (CacheInvalid, KeyError, TypeError, ValueError) as e:  # unknown ids: KeyError
+        _load_tables(reg, ids, payload.get("tables"))
+    except (CacheInvalid, KeyError, TypeError, ValueError, AttributeError) as e:
         raise CacheInvalid(f"cache file {path} holds a bad subobject table: {e}") from None
     return True
+
+
+def _load_tables(reg: ClassRegistry, ids: dict, tables: dict) -> None:
+    """Check the stored tables against the loaded classes ids and put them in
+    reg's subobject_table memo; raises CacheInvalid (or KeyError, TypeError,
+    ValueError, AttributeError on a malformed layout) at the first bad one."""
+    memo = reg.memo("subobject_table")
+    for key, groups in tables.items():
+        cd = tuple(map(int, key.split(",")))
+        if key != ",".join(map(str, cd)):
+            raise CacheInvalid(f"dims key {key!r} is not written as {','.join(map(str, cd))!r}")
+        c_ids = ids.get(cd)
+        if c_ids is None:
+            raise CacheInvalid(f"tables of dims {cd}, of which the file holds no class")
+        # d -> _table_dims(...), checked once per dims of c.  A bool or float
+        # equals an int in a dict key, so the types are compared first.
+        fits: dict = {}
+        int_types, last_c = [int] * len(cd), -1
+        for ci, *by_dims in groups:
+            if type(ci) is not int or not 0 <= ci < len(c_ids):
+                raise CacheInvalid(f"the file holds no class {class_name(cd, ci)}")
+            if ci <= last_c:
+                raise CacheInvalid(f"the tables of dims {cd} do not increase by class at {ci}")
+            c, last_c, last_d = c_ids[ci], ci, ()
+            if not _walked(reg, c):
+                raise CacheInvalid(f"no route reads a table of {class_name(cd, ci)}")
+            for d, flat in by_dims:
+                d = tuple(d)
+                fit = fits.get(d) if list(map(type, d)) == int_types else None
+                if fit is None:
+                    fit = fits[d] = _table_dims(ids, cd, d, ci)
+                qd, quots, subs = fit
+                if d <= last_d:
+                    raise CacheInvalid(f"the tables of {class_name(cd, ci)} do not increase "
+                                       f"by dims at {d}")
+                last_d, table = d, {}
+                memo[c, d] = table
+                if len(flat) % 3:
+                    raise CacheInvalid(f"the table of {class_name(cd, ci)} by dims {d} holds "
+                                       f"{len(flat)} numbers, not (quotient, subobject, count) "
+                                       f"triples")
+                nq, ns, last = len(quots), len(subs), -1
+                it = iter(flat)
+                for qi, si, n in zip(it, it, it):
+                    if not (type(qi) is type(si) is type(n) is int
+                            and 0 <= qi < nq and 0 <= si < ns and n > 0):
+                        names = [class_name(x, i) if type(i) is int else repr(i)
+                                 for x, i in ((qd, qi), (d, si))]
+                        raise CacheInvalid(f"entry {[qi, si, n]} ({', '.join(names)}) is no "
+                                           f"(quotient, subobject, positive count) of "
+                                           f"{class_name(cd, ci)} by dims {d}")
+                    if si * nq + qi <= last:
+                        raise CacheInvalid(f"the entries of {class_name(cd, ci)} by dims {d} do "
+                                           f"not strictly increase by (subobject, quotient) at "
+                                           f"{[qi, si, n]}")
+                    last = si * nq + qi
+                    table[quots[qi], subs[si]] = n
+
+
+def _table_dims(ids: dict, cd: tuple, d: tuple, ci: int) -> tuple:
+    """(dims c - d, the classes of dims c - d and of d) for the tables of
+    class ci of dims cd by subobject dims d, after checking that a route
+    reads them and that the file holds both dims."""
+    if len(d) != len(cd) or not all(type(x) is int and 0 <= x <= y for x, y in zip(d, cd)):
+        raise CacheInvalid(f"subobject dims {d} do not fit in {class_name(cd, ci)}")
+    if not any(d) or d == cd:
+        raise CacheInvalid(f"no route reads a table of {class_name(cd, ci)} by dims {d}")
+    qd = dims_sub(cd, d)
+    quots, subs = ids.get(qd), ids.get(d)
+    if quots is None or subs is None:
+        raise CacheInvalid(f"the table of {class_name(cd, ci)} by dims {d} reads classes of "
+                           f"dims {qd} and {d}, not all of which the file holds")
+    return qd, quots, subs

@@ -9,8 +9,8 @@ closed forms for the zero and the whole subobject and for split classes, the
 rank form on quivers classified by arrow ranks, else a walk of the closed
 subspace tuples.  hall_number reads one entry; subquotient_tables lists a
 class's nonzero Hall numbers by subobject, and the gamma counts of 4-term
-exact sequences are one join of two such lists, per pair in gamma_terms or
-over a class list in gamma_sweep.
+exact sequences are one join of such lists (_gamma_join), on one pair in
+gamma_terms or over a class list in gamma_sweep.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import Iterator
 
-from .errors import InternalInconsistency
+from .errors import IncompatibleObjects, InternalInconsistency
 from .linalg import (Subspace, gaussian_binomial, subspace_from_vectors,
                      subspaces_containing, zero_subspace)
 from .quivers import (DimVec, Quiver, dims_add, dims_leq, dims_sub, euler_add, subdimvecs,
@@ -67,28 +67,33 @@ def _walk_plan(q: Quiver) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, int],
                                              if a.target == v) for v in range(q.n))
 
 
-def closed_subspace_tuples(rep: Rep, sub_dims: DimVec) -> Iterator[tuple[Subspace, ...]]:
+def closed_subspace_tuples(rep: Rep, sub_dims: DimVec,
+                           images: list | None = None) -> Iterator[tuple[Subspace, ...]]:
     """All per-vertex subspace tuples of the given dims closed under the arrow maps.
 
     Vertices are filled in topological order, so at each vertex only the
     subspaces containing the images of the already-chosen source subspaces
-    are enumerated; every arrow constraint is enforced exactly once.
+    are enumerated; every arrow constraint is enforced exactly once.  When
+    images is a list of one slot per arrow, it holds, while a tuple is the
+    last one yielded, images[arrow index] = the images of the tuple's source
+    basis under that arrow, so that reading the tuple maps no vector again.
     """
     if not dims_leq(sub_dims, rep.dims):
         return
     q = rep.quiver
     order, incoming = _walk_plan(q)
     p = rep.p
+    images = [None] * len(q.arrows) if images is None else images
 
-    def fill(pos: int, chosen: dict[int, Subspace]) -> Iterator[tuple[Subspace, ...]]:
+    def fill(pos: int, chosen: list) -> Iterator[tuple[Subspace, ...]]:
         if pos == len(order):
-            yield tuple(chosen[v] for v in range(q.n))
+            yield tuple(chosen)
             return
         v = order[pos]
         vecs = []
         for idx, src in incoming[v]:
-            for b in chosen[src].basis:
-                vecs.append(rep.mats[idx].apply(b))
+            imgs = images[idx] = [rep.mats[idx].apply(b) for b in chosen[src].basis]
+            vecs += imgs
         d = rep.dims[v]
         base = subspace_from_vectors(p, d, vecs) if vecs else zero_subspace(p, d)
         if base.dim > sub_dims[v]:
@@ -96,9 +101,8 @@ def closed_subspace_tuples(rep: Rep, sub_dims: DimVec) -> Iterator[tuple[Subspac
         for u in subspaces_containing(base, sub_dims[v], ambient_bound=max(6, d)):
             chosen[v] = u
             yield from fill(pos + 1, chosen)
-        chosen.pop(v, None)
 
-    yield from fill(0, {})
+    yield from fill(0, [None] * q.n)
 
 
 def _is_split_class(cid: IsoClassId) -> bool:
@@ -161,11 +165,12 @@ def hall_number(reg: ClassRegistry, a: IsoClassId, b: IsoClassId, c: IsoClassId)
 def _subobject_table(reg: ClassRegistry, c: IsoClassId,
                      sub_dims: DimVec) -> dict[tuple[IsoClassId, IsoClassId], int]:
     """{(quotient class, subobject class): nonzero count} over the subobjects of c
-    of dims sub_dims: the one store of Hall numbers and the one place a route is
-    picked.  The zero and the whole subobject have closed forms.  Otherwise a
-    walked class is one classifying walk, whose table the cache persists; a split
-    class has its one split pair and a rank-form class the rank form over
-    quotient x subobject classes, kept in a memo the cache does not write."""
+    of dims sub_dims, by subobject index, then quotient index: the one store of
+    Hall numbers and the one place a route is picked.  The zero and the whole
+    subobject have closed forms.  Otherwise a walked class is one classifying
+    walk, whose table the cache persists; a split class has its one split pair
+    and a rank-form class the rank form over subobject x quotient classes,
+    kept in a memo the cache does not write."""
     if not any(sub_dims):
         return {(c, reg.zero_class()): 1}
     if sub_dims == c.dims:
@@ -177,15 +182,19 @@ def _subobject_table(reg: ClassRegistry, c: IsoClassId,
         return table
     table = {}
     if walked:
-        # One pass per tuple checks closure and reads both halves' entries.
+        # One pass per tuple checks closure and reads both halves' entries,
+        # off the arrow images the walk computed for the closure.
         rep_c, quot_dims = reg.representative(c), dims_sub(c.dims, sub_dims)
-        for subs in closed_subspace_tuples(rep_c, sub_dims):
-            entries = _subquotient_entries(rep_c, subs)
+        images = [None] * len(rep_c.mats)
+        for subs in closed_subspace_tuples(rep_c, sub_dims, images):
+            entries = _subquotient_entries(rep_c, subs, images=images)
             if entries is None:
                 raise InternalInconsistency("constructed subspace tuple is not arrow-closed")
-            key = (reg.classify_entries(quot_dims, entries[1]),
-                   reg.classify_entries(sub_dims, entries[0]))
+            quot = reg.classify_entries(quot_dims, entries[1])
+            key = (reg.classify_entries(sub_dims, entries[0]), quot)
             table[key] = table.get(key, 0) + 1
+        # Keyed (subobject, quotient) until here: ids of one dims compare by index.
+        table = {(quot, sub): n for (sub, quot), n in sorted(table.items())}
     elif _is_split_class(c):
         # Semisimple ambient: every subspace tuple is closed, subs and quotients
         # are semisimple of complementary dims, so only the split pair counts.
@@ -221,44 +230,55 @@ def ext1_middle_count(reg: ClassRegistry, a: IsoClassId, b: IsoClassId, c: IsoCl
 
 def subquotient_tables(reg: ClassRegistry, c: IsoClassId) -> dict[IsoClassId, list]:
     """The nonzero Hall numbers of c by subobject, {I: [(n, g^c_{n,I})]}: c's
-    subobject tables over subobject dims in subdimvecs order, each by subobject
-    index, then quotient index."""
+    subobject tables over subobject dims in subdimvecs order, each in its
+    stored order, by subobject index, then quotient index."""
     memo = reg.memo("subquotient_tables")
     by_sub = memo.get(c)
     if by_sub is None:
         by_sub = {}
         for dsub in subdimvecs(c.dims):
-            for (quot, sub), g in sorted(_subobject_table(reg, c, dsub).items(),
-                                         key=lambda kv: (kv[0][1].index, kv[0][0].index)):
+            for (quot, sub), g in _subobject_table(reg, c, dsub).items():
                 by_sub.setdefault(sub, []).append((quot, g))
         memo[c] = by_sub
     return by_sub
 
 
-def _gamma_join(b_by_sub: dict, a_by_sub: dict, den: int,
-                aut) -> list[tuple[IsoClassId, IsoClassId, int, int]]:
-    """The nonzero gamma(a, b, m, n) as (m, n, num, den) in lowest terms, from
-    b's and a's Hall numbers by subobject (subquotient_tables(reg, x)),
-    den = a_a a_b and aut(x) = a_x.
+def _gamma_join(reg: ClassRegistry, a_side, b_side, aut) -> dict[
+        tuple[IsoClassId, IsoClassId], list[tuple[IsoClassId, IsoClassId, int, int]]]:
+    """{(a, b): its nonzero gamma(a, b, m, n) as (m, n, num, den) in lowest
+    terms} over a in a_side and b in b_side: one join of the classes' Hall
+    numbers by subobject (subquotient_tables), with aut(x) = a_x.
 
-    For each subobject m of b in table order, that is by dims in subdimvecs
-    order, then index, sum_I g^b_{I,m} g^a_{n,I} a_I over the quotients I of
-    b by m, in integers; the n of one m share their dims and come by index.
+    a's tables come indexed by subobject class I (subquotient_tables), and
+    b's by subobject m, each m listing its quotient classes I; for every I
+    on both sides, g^b_{I,m} a_I g^a_{n,I} is added into (a, b, m, n) in
+    integers, and a_m a_n / (a_a a_b) applied at the end.  Each class's
+    tables and Aut are read once.  A pair's terms come by m in b's table
+    order, that is by dims in subdimvecs order, then index, and the n of
+    one m, which share their dims, by index.
     """
-    out = []
-    for m, quots in b_by_sub.items():
-        sums: dict[IsoClassId, int] = {}
-        for i_cls, g_b in quots:
-            subs = a_by_sub.get(i_cls)
-            if subs is not None:
-                w = g_b * aut(i_cls)
-                for n, g_a in subs:
-                    sums[n] = sums.get(n, 0) + w * g_a
-        a_m = aut(m)
-        for n in sorted(sums, key=attrgetter("index")) if len(sums) > 1 else sums:
-            num = sums[n] * a_m * aut(n)
-            g = math.gcd(num, den)
-            out.append((m, n, num // g, den // g))
+    tabs = [(a, subquotient_tables(reg, a), aut(a)) for a in a_side]
+    out: dict = {}
+    for b in b_side:
+        a_b, b_subs = aut(b), subquotient_tables(reg, b).items()
+        for a, by_sub, a_a in tabs:
+            terms, den = [], a_a * a_b
+            for m, quots in b_subs:
+                sums: dict = {}  # n -> sum over I
+                for i_cls, g_b in quots:
+                    subs = by_sub.get(i_cls)
+                    if subs is not None:
+                        w = g_b * aut(i_cls)
+                        for n, g_a in subs:
+                            sums[n] = sums.get(n, 0) + w * g_a
+                if sums:
+                    a_m = aut(m)
+                    for n in sorted(sums, key=attrgetter("index")) if len(sums) > 1 else sums:
+                        num = sums[n] * a_m * aut(n)
+                        g = math.gcd(num, den)
+                        terms.append((m, n, num // g, den // g))
+            if terms:
+                out[a, b] = terms
     return out
 
 
@@ -271,15 +291,13 @@ def gamma_terms(reg: ClassRegistry, a: IsoClassId,
 
         gamma = a_m a_n / (a_a a_b) * sum_I g^b_{I,m} g^a_{n,I} a_I.
 
-    The sum is one join of b's and a's tables by subobject on I, in integers
-    (_gamma_join).  Terms come in the order m's dims in subdimvecs(dims b),
-    then m's index, then n's index.
+    The sum is the join of _gamma_join on the one pair (a, b).  Terms come in
+    the order m's dims in subdimvecs(dims b), then m's index, then n's index.
     """
     memo = reg.memo("gamma_terms")
     terms = memo.get((a, b))
     if terms is None:
-        joined = _gamma_join(subquotient_tables(reg, b), subquotient_tables(reg, a),
-                             reg.aut_count(a) * reg.aut_count(b), reg.aut_count)
+        joined = _gamma_join(reg, (a,), (b,), reg.aut_count).get((a, b), ())
         terms = memo[a, b] = tuple((m, n, Fraction(num, den)) for m, n, num, den in joined)
     return terms
 
@@ -290,14 +308,22 @@ def gamma_sweep(reg: ClassRegistry, classes: list[IsoClassId]) -> Iterator[
     gamma_terms(reg, a, b) with each value as num, den in lowest terms.
 
     classes must hold every subobject and quotient of its members, as
-    all_classes_total_le does.  Each class's tables and Aut are read once,
-    and the gamma_terms memo is neither read nor filled.
+    all_classes_total_le does; IncompatibleObjects names a class it lacks.
+    All pairs come from one _gamma_join, which reads each class's tables and
+    Aut once, and the gamma_terms memo is neither read nor filled.
     """
     aut = {c: reg.aut_count(c) for c in classes}
-    by_sub = {c: subquotient_tables(reg, c) for c in classes}
+    for c in classes:
+        for sub, quots in subquotient_tables(reg, c).items():
+            missing = next((x for x in (sub, *(i for i, _ in quots)) if x not in aut), None)
+            if missing is not None:
+                raise IncompatibleObjects(
+                    f"class list holds {reg.class_id_str(c)} but not its subobject or "
+                    f"quotient {reg.class_id_str(missing)}")
+    joined = _gamma_join(reg, classes, classes, aut.__getitem__)
     for a in classes:
         for b in classes:
-            yield a, b, _gamma_join(by_sub[b], by_sub[a], aut[a] * aut[b], aut.__getitem__)
+            yield a, b, joined.get((a, b), [])
 
 
 def gamma_coeff(reg: ClassRegistry, a: IsoClassId, b: IsoClassId,

@@ -219,19 +219,24 @@ def _isomorphic_given_end(m: Rep, n: Rep, d_end: int, enum_bound: int) -> bool:
     return next(_isomorphisms(m, n, enum_bound, kernel), None) is not None
 
 
-def _subquotient_entries(m: Rep, subs: tuple[Subspace, ...], quotient: bool = True):
+def _subquotient_entries(m: Rep, subs: tuple[Subspace, ...], quotient: bool = True,
+                         images: list | None = None):
     """Per arrow, the entries of the subrepresentation on subs in their RREF
     bases and (if quotient) of m / subs on the non-pivot unit vectors, from
     one sweep of each arrow; None when subs is not closed.  A vector y lies in
     a subspace iff its residue y[k] - sum_i y[pivot_i] basis_i[k] is 0 at every
     non-pivot k; its coordinates are then its entries at the pivots, and its
-    quotient coordinates are always that residue."""
+    quotient coordinates are always that residue.  images[arrow index], where
+    given, holds the images of the source subspace's basis under that arrow
+    (as hall.closed_subspace_tuples fills it), which are then not mapped again."""
     p = m.p
     # Per vertex: the pivots and, per non-pivot k, k with the basis entries there.
-    split = [(s.pivots, [(k, tuple(row[k] for row in s.basis))
-                         for k in range(s.ambient) if k not in s.pivots]) for s in subs]
+    split = []
+    for s in subs:
+        cols = zip(*s.basis) if s.basis else [()] * s.ambient
+        split.append((s.pivots, [(k, col) for k, col in enumerate(cols) if k not in s.pivots]))
     sub_mats, quot_mats = [], []
-    for a, mat in zip(m.quiver.arrows, m.mats):
+    for a, mat, ys in zip(m.quiver.arrows, m.mats, images or itertools.repeat(None)):
         rows = mat.entries
         (src_piv, src_free), (piv, free) = split[a.source], split[a.target]
         if not any(map(any, rows)):  # maps everything into every subspace
@@ -240,8 +245,10 @@ def _subquotient_entries(m: Rep, subs: tuple[Subspace, ...], quotient: bool = Tr
                 quot_mats.append(((0,) * len(src_free),) * len(free))
             continue
         cols = []
-        for b in subs[a.source].basis:
-            y = [sum(map(operator.mul, row, b)) % p for row in rows]
+        if ys is None:
+            ys = ([sum(map(operator.mul, row, b)) % p for row in rows]
+                  for b in subs[a.source].basis)
+        for y in ys:
             head = [y[i] for i in piv]
             if any((y[k] - sum(map(operator.mul, head, col))) % p for k, col in free):
                 return None
@@ -297,6 +304,18 @@ def _rep_of_entries(q: Quiver, p: int, dims: DimVec, mats) -> Rep:
     """The representation with these arrow-matrix entries (rows of ints)."""
     return Rep(q, p, dims, tuple(Mat(p, dims[a.target], dims[a.source], ents)
                                  for a, ents in zip(q.arrows, mats)))
+
+
+def _mat_code(p: int, rows) -> int:
+    """A matrix's row-major entries as the digits of one base-p int, the first
+    entry lowest: the form in which a cache file stores it."""
+    return sum(x * p ** k for k, x in enumerate(x for row in rows for x in row))
+
+
+def _code_rows(p: int, rows: int, cols: int, code: int) -> tuple[tuple[int, ...], ...]:
+    """The entries, as rows of ints, of the rows x cols matrix whose _mat_code is code."""
+    flat = [code // p ** k % p for k in range(rows * cols)]
+    return tuple(tuple(flat[i * cols:(i + 1) * cols]) for i in range(rows))
 
 
 def _disjoint_prefix(arrows) -> int:
@@ -360,6 +379,12 @@ class IsoClassId(namedtuple("IsoClassId", "dims index total_dim")):
 _CLASS_ID_RE = re.compile(r"^k(\d+(?:\.\d+)*)(?:#(\d+))?$")
 
 
+def class_name(dims: DimVec, index) -> str:
+    """The id string of class index of dims, as parse_class_id reads it."""
+    base = "k" + ".".join(str(d) for d in dims)
+    return base if index == 0 else f"{base}#{index}"
+
+
 class ClassRegistry:
     """Isomorphism classes, automorphism counts, the one store of Hom and Ext^1
     dimensions (hom_ext_dims) and memo tables for one (quiver, p)."""
@@ -374,8 +399,8 @@ class ClassRegistry:
         self.iso_enum_bound = iso_enum_bound
         self.tuple_bound = tuple_bound
         # Per enumerated dims, its representatives; for loaded dims in _unbuilt,
-        # their checked matrix entries until _reps builds them.  perfbench's
-        # tracer reads the keys and lengths.
+        # their checked matrix codes (_mat_code, one per arrow) until _reps
+        # builds them.  perfbench's tracer reads the keys and lengths.
         self._classes: dict[DimVec, list] = {}
         self._unbuilt: set[DimVec] = set()
         self._ids: dict[DimVec, tuple[IsoClassId, ...]] = {}
@@ -450,12 +475,16 @@ class ClassRegistry:
         return ids
 
     def _reps(self, dims: DimVec) -> list[Rep]:
-        """The representatives of enumerated dims; loaded ones are built from
-        their stored entries on first use."""
+        """The representatives of enumerated dims; loaded ones are decoded from
+        their stored matrix codes on first use."""
         reps = self._classes[dims]
         if dims in self._unbuilt:
             self._unbuilt.remove(dims)
-            reps[:] = [_rep_of_entries(self.quiver, self.p, dims, mats) for mats in reps]
+            q, p = self.quiver, self.p
+            shapes = [(dims[a.target], dims[a.source]) for a in q.arrows]
+            reps[:] = [_rep_of_entries(q, p, dims, [_code_rows(p, r, c, code)
+                                                    for (r, c), code in zip(shapes, codes)])
+                       for codes in reps]
         return reps
 
     def _signature(self, rep: Rep) -> tuple:
@@ -587,8 +616,7 @@ class ClassRegistry:
     def class_id_str(self, cid: IsoClassId) -> str:
         s = self._id_str.get(cid)
         if s is None:
-            base = "k" + ".".join(str(d) for d in cid.dims)
-            s = self._id_str[cid] = base if cid.index == 0 else f"{base}#{cid.index}"
+            s = self._id_str[cid] = class_name(cid.dims, cid.index)
         return s
 
     def parse_class_id(self, s: str) -> IsoClassId:
@@ -607,90 +635,92 @@ class ClassRegistry:
     # -- cache support ------------------------------------------------------
 
     def export_state(self) -> dict:
-        classes = {}
-        for dims in sorted(self._classes):
-            key = ",".join(str(d) for d in dims)
-            rows = []
-            for cid, rep in zip(self._ids[dims], self._reps(dims)):
-                rows.append({
-                    "mats": [[list(r) for r in m.entries] for m in rep.mats],
-                    "orbit": self._orbit[cid],
-                    "aut": self._aut.get(cid),
-                })
-            classes[key] = rows
-        return {"classes": classes}
+        """Per enumerated dims, keyed "d_0,d_1,...": its classes' orbits, Aut
+        counts (None where not computed) and representatives, each as one
+        _mat_code per arrow, all as lists in class order."""
+        state = {}
+        for dims, reps in self._classes.items():
+            ids = self._ids[dims]
+            codes = reps if dims in self._unbuilt else [[_mat_code(self.p, m.entries)
+                                                         for m in rep.mats] for rep in reps]
+            state[",".join(map(str, dims))] = {"orbit": [self._orbit[c] for c in ids],
+                                               "aut": [self._aut.get(c) for c in ids],
+                                               "mats": [list(c) for c in codes]}
+        return state
 
     def export_size(self) -> tuple[int, int]:
         """(dimension vectors, Aut counts) in export_state; both only grow."""
         return len(self._classes), len(self._aut)
 
-    def import_state(self, state: dict) -> list[IsoClassId]:
+    def import_state(self, state: dict) -> dict[DimVec, tuple[IsoClassId, ...]]:
         """Load exported classes after checking their counts against theory;
-        returns the ids of the loaded classes.
+        returns the ids of the loaded classes by dims.
 
         Each stored Aut must satisfy |Aut| * orbit = prod |GL(d_v)|, and the
         orbits of one dimension vector must partition all p^{#entries} matrix
-        tuples.  Every class must hold one matrix per arrow, of the shape its
-        dims give, with every entry an int in range(p); per dims, class 0 must
-        be the all-zero tuple, no two representatives may be equal, and on a
-        quiver classified by ranks the rank tuples must strictly increase.  A
-        file that breaks any of these raises CacheInvalid.  The checked
-        entries are kept, and _reps builds a dims' representatives from them
-        on first use; the rank tuples computed here fill the rank_tuple memo.
+        tuples.  Every class must hold one matrix code per arrow, an int in
+        range(p^(r*c)) for its r x c shape; per dims, class 0 must be the
+        all-zero tuple, no two representatives may be equal, and on a quiver
+        classified by ranks the rank tuples must strictly increase.  A file
+        that breaks any of these raises CacheInvalid.  The checked codes are
+        kept, and _reps decodes a dims' representatives from them on first
+        use; the rank tuples computed here fill the rank_tuple memo.
         """
         from .errors import CacheInvalid
-        loaded: list[IsoClassId] = []
+        loaded: dict[DimVec, tuple[IsoClassId, ...]] = {}
         p, arrows = self.p, self.quiver.arrows
         rank_tuples = self.memo("rank_tuple")
         try:
-            for key, rows in state.get("classes", {}).items():
+            for key, stored in state.items():
                 dims = self._check_dims(tuple(int(x) for x in key.split(",")))
+                if key != ",".join(map(str, dims)):  # else two keys could name one dims
+                    raise CacheInvalid(f"dims key {key!r} is not written as "
+                                       f"{','.join(map(str, dims))!r}")
+                orbits, auts, codes = stored["orbit"], stored["aut"], stored["mats"]
+                if not len(orbits) == len(auts) == len(codes):
+                    raise CacheInvalid(f"dims {dims} store {len(orbits)} orbits, {len(auts)} "
+                                       f"Aut counts and {len(codes)} representatives")
                 glp = self.gl_product(dims)
                 shapes = [(dims[a.target], dims[a.source]) for a in arrows]
-                stored, orbits, auts = [], [], []
-                for row in rows:
-                    mats = tuple(tuple(map(tuple, ents)) for ents in row["mats"])
+                bounds = [p ** (r * c) for r, c in shapes]
+                for k, (mats, orbit, aut) in enumerate(zip(codes, orbits, auts)):
                     if len(mats) != len(arrows):
-                        raise CacheInvalid(f"class {len(stored)} of dims {dims}: {len(mats)} "
+                        raise CacheInvalid(f"class {k} of dims {dims}: {len(mats)} "
                                            f"matrices for {len(arrows)} arrows")
-                    for (r, c), ents in zip(shapes, mats):
-                        if not all(type(x) is int and 0 <= x < p for er in ents for x in er):
-                            raise CacheInvalid(f"class {len(stored)} of dims {dims}: a matrix "
-                                               f"entry is not an int in range({p})")
-                        if len(ents) != r or any(len(er) != c for er in ents):
-                            raise CacheInvalid(f"class {len(stored)} of dims {dims}: a matrix "
-                                               f"is not {r}x{c}")
-                    orbit = int(row["orbit"])
-                    aut = None if row.get("aut") is None else int(row["aut"])
-                    if orbit < 1 or (aut is not None and aut * orbit != glp):
-                        raise CacheInvalid(f"class {len(stored)} of dims {dims}: stored "
-                                           f"aut {aut} and orbit {orbit} break |Aut| * orbit = {glp}")
-                    stored.append(mats)
-                    orbits.append(orbit)
-                    auts.append(aut)
+                    for (r, c), bound, code in zip(shapes, bounds, mats):
+                        if type(code) is not int:
+                            raise CacheInvalid(f"class {k} of dims {dims}: a matrix entry is "
+                                               f"not an int in range({p}): code {code!r}")
+                        if not 0 <= code < bound:
+                            raise CacheInvalid(f"class {k} of dims {dims}: a matrix is not "
+                                               f"{r}x{c}: code {code} is not an int in "
+                                               f"range({bound})")
+                    if (type(orbit) is not int or orbit < 1
+                            or aut is not None and (type(aut) is not int or aut * orbit != glp)):
+                        raise CacheInvalid(f"class {k} of dims {dims}: stored aut {aut!r} and "
+                                           f"orbit {orbit!r} break |Aut| * orbit = {glp}")
+                stored = [tuple(mats) for mats in codes]
                 # hall._is_split_class and classify read these, so they must hold.
-                if stored and any(any(map(any, ents)) for ents in stored[0]):
+                if stored and any(stored[0]):
                     raise CacheInvalid(f"class 0 of dims {dims} is not the all-zero tuple")
                 if len(set(stored)) != len(stored):
                     raise CacheInvalid(f"dims {dims} store two equal representatives")
                 if self._classified_by_ranks:
-                    ranks = [tuple(rows_rank(p, ents) for ents in mats) for mats in stored]
+                    ranks = [tuple(rows_rank(p, _code_rows(p, r, c, code))
+                                   for (r, c), code in zip(shapes, mats)) for mats in stored]
                     if any(x >= y for x, y in zip(ranks, ranks[1:])):
                         raise CacheInvalid(f"the rank tuples of dims {dims} do not increase")
                 n_entries = sum(r * c for r, c in shapes)
                 if sum(orbits) != p ** n_entries:
                     raise CacheInvalid(f"stored orbits of dims {dims} do not add up to "
                                        f"{p}^{n_entries} matrix tuples")
-                ids = self._store_classes(dims, stored)
+                ids = loaded[dims] = self._store_classes(dims, stored)
                 self._unbuilt.add(dims)
                 if self._classified_by_ranks:
                     rank_tuples.update(zip(ids, ranks))
-                loaded.extend(ids)
-                for cid, orbit, aut in zip(ids, orbits, auts):
-                    self._orbit[cid] = orbit
-                    if aut is not None:
-                        self._aut[cid] = aut
-        except (KeyError, ValueError, TypeError, IncompatibleObjects) as e:
+                self._orbit.update(zip(ids, orbits))
+                self._aut.update((cid, aut) for cid, aut in zip(ids, auts) if aut is not None)
+        except (KeyError, ValueError, TypeError, AttributeError, IncompatibleObjects) as e:
             raise CacheInvalid(f"registry state failed validation: {e}") from None
         return loaded
 

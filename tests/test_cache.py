@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import re
 import sys
 import threading
 
@@ -64,6 +65,26 @@ def test_roundtrip_restores_everything(tmp_path):
     assert again.read_bytes() == path.read_bytes()
 
 
+D4 = quiver_from_dict({"vertices": ["1", "2", "3", "c"],
+                       "arrows": [{"src": v, "dst": "c", "label": f"a{v}"} for v in "123"]})
+
+
+@pytest.mark.parametrize("quiver,p", [(KRONECKER, 2), (KRONECKER, 3), (line_quiver(3), 2),
+                                      (D4, 2)], ids=["Kronecker-F2", "Kronecker-F3", "A3", "D4"])
+def test_save_load_save_is_byte_identical(tmp_path, quiver, p):
+    reg = ClassRegistry(quiver, p)
+    for c in reg.all_classes_total_le(3):
+        reg.aut_count(c)
+        subquotient_tables(reg, c)
+    first = save_cache(reg, 0, tmp_path).read_bytes()
+    fresh = ClassRegistry(quiver, p)
+    assert load_cache(fresh, 0, tmp_path)
+    assert save_cache(fresh, 0, tmp_path).read_bytes() == first
+    # Loaded tables keep the stored (subobject index, quotient index) order.
+    assert {k: list(t.items()) for k, t in fresh.memo("subobject_table").items()} \
+        == {k: list(t.items()) for k, t in reg.memo("subobject_table").items()}
+
+
 def test_saved_bytes_do_not_depend_on_the_walk_order(tmp_path):
     first = save_cache(warm_kronecker(), 0, tmp_path).read_bytes()
     assert save_cache(warm_kronecker(reverse=True), 0, tmp_path).read_bytes() == first
@@ -74,7 +95,8 @@ def test_saved_file_holds_no_zero_count(tmp_path):
     assert 0 in {hall_number(reg, a, b, c) for c in reg.classes((1, 2))
                  for a in reg.classes((1, 1)) for b in reg.classes((0, 1))}
     payload = json.loads(save_cache(reg, 0, tmp_path).read_text())
-    counts = [n for _, _, entries in payload["subobject_tables"] for _, _, n in entries]
+    counts = [n for groups in payload["tables"].values() for _, *tables in groups
+              for _, triples in tables for n in triples[2::3]]
     assert counts and min(counts) > 0
 
 
@@ -84,9 +106,8 @@ def test_closed_form_quiver_file_holds_class_data_only(tmp_path):
         subquotient_tables(reg, c)
     assert reg.memo("closed_form_table")
     payload = json.loads(save_cache(reg, 0, tmp_path).read_text())
-    assert payload["subobject_tables"] == []
-    assert set(payload) == {"sha256", "format", "fingerprint", "q", "t", "registry",
-                            "subobject_tables"}
+    assert payload["tables"] == {}
+    assert set(payload) == {"sha256", "format", "fingerprint", "q", "t", "classes", "tables"}
 
 
 def test_load_without_file_or_directory(tmp_path, monkeypatch):
@@ -147,19 +168,13 @@ def test_foreign_fingerprint_is_rejected(tmp_path):
 
 def test_bad_registry_state_is_rejected(tmp_path):
     reg = ClassRegistry(line_quiver(1), 2)
-    path = cache_path(reg.quiver, 2, 0, tmp_path)
-    payload = {
-        "format": CACHE_FORMAT,
-        "fingerprint": setup_fingerprint(reg.quiver, 2, 0),
-        "q": 2,
-        "t": 0,
-        "registry": {"classes": {"1": [{"mats": "nonsense", "orbit": "x"}]}},
-        "subobject_tables": [],
-    }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(encode_cache(payload))
+    reg.classes((1,))
+
+    def nonsense(payload):
+        payload["classes"] = {"1": {"mats": "nonsense", "orbit": "x"}}
+    reseal(save_cache(reg, 0, tmp_path), nonsense)
     with pytest.raises(CacheInvalid):
-        load_cache(reg, 0, tmp_path)
+        load_cache(ClassRegistry(line_quiver(1), 2), 0, tmp_path)
 
 
 def test_fingerprint_separates_setups():
@@ -172,16 +187,20 @@ def test_fingerprint_separates_setups():
     assert len(fp) == 64 and all(c in "0123456789abcdef" for c in fp)
 
 
-def _tamper(tmp_path, edit):
-    """Save a warm A2 registry, apply edit to the stored classes, write the
-    file again under a fresh digest, reload: what the registry checks catch
-    in a file whose digest holds."""
-    reg = warm_registry()
-    path = save_cache(reg, 0, tmp_path)
+def reseal(path, edit):
+    """Apply edit to the payload of the cache file at path and write the file
+    again under a fresh digest, so that what a load rejects is caught by its
+    checks of the content, not by the digest.  Returns path."""
     payload = json.loads(path.read_text())
     del payload["sha256"]
-    edit(payload["registry"]["classes"])
+    edit(payload)
     path.write_bytes(encode_cache(payload))
+    return path
+
+
+def _tamper(tmp_path, edit):
+    """Reload a warm A2 registry's file after edit(its stored classes)."""
+    reseal(save_cache(warm_registry(), 0, tmp_path), lambda payload: edit(payload["classes"]))
     load_cache(ClassRegistry(line_quiver(2), 2), 0, tmp_path)
 
 
@@ -193,8 +212,7 @@ def test_file_is_json_led_by_the_digest_of_its_body(tmp_path):
     assert path.read_bytes() == encode_cache(payload)
 
 
-@pytest.mark.parametrize("old,new", [(b'"k1.1#1",[0,1],[["k1.0","k0.1",1]]]',
-                                      b'"k1.1#1",[0,1],[["k1.0","k0.1",2]]]'),
+@pytest.mark.parametrize("old,new", [(b'[1,[[0,1],[0,0,1]]', b'[1,[[0,1],[0,0,2]]'),
                                      (b'"sha256":"', b'"sha256":"0')],
                          ids=["hall-number", "digest"])
 def test_edited_bytes_break_the_digest(tmp_path, old, new):
@@ -207,44 +225,43 @@ def test_edited_bytes_break_the_digest(tmp_path, old, new):
 
 
 def _reseal_tables(tmp_path, edit):
-    """Save a warm Kronecker registry, apply edit to its stored subobject tables,
-    write the file again under a fresh digest, reload: what the table checks
-    catch in a file whose digest holds."""
-    path = save_cache(warm_kronecker(), 0, tmp_path)
-    payload = json.loads(path.read_text())
-    del payload["sha256"]
-    edit(payload["subobject_tables"])
-    path.write_bytes(encode_cache(payload))
+    """Reload a warm Kronecker registry's file after edit(its stored tables)."""
+    reseal(save_cache(warm_kronecker(), 0, tmp_path), lambda payload: edit(payload["tables"]))
     load_cache(ClassRegistry(KRONECKER, 2), 0, tmp_path)
 
 
-def _table(tables, c, d):
-    return next(entries for c2, d2, entries in tables if (c2, d2) == (c, d))
+def _group(tables, dims, index):
+    """The stored [index, [d, triples], ...] of class index of dims."""
+    return next(g for g in tables[dims] if g[0] == index)
+
+
+def _triples(tables, dims, index, d):
+    """The stored flat (quotient index, subobject index, count) list of one table."""
+    return next(triples for d2, triples in _group(tables, dims, index)[1:] if d2 == d)
 
 
 def test_a_table_of_a_split_class_is_rejected(tmp_path):
     def add_split_table(tables):
-        tables.append(["k1.1", [0, 1], [["k1.0", "k0.1", 1]]])
+        tables["1,1"].insert(0, [0, [[0, 1], [0, 0, 1]]])
     with pytest.raises(CacheInvalid, match="no route reads"):
         _reseal_tables(tmp_path, add_split_table)
 
 
 def test_a_table_on_a_vertex_disjoint_quiver_is_rejected(tmp_path):
-    reg = warm_registry()
-    path = save_cache(reg, 0, tmp_path)
-    payload = json.loads(path.read_text())
-    del payload["sha256"]
-    payload["subobject_tables"] = [["k1.1#1", [0, 1], [["k1.0", "k0.1", 1]]]]
-    path.write_bytes(encode_cache(payload))
+    def add_table(payload):
+        payload["tables"] = {"1,1": [[1, [[0, 1], [0, 0, 1]]]]}
+    reseal(save_cache(warm_registry(), 0, tmp_path), add_table)
     with pytest.raises(CacheInvalid, match="no route reads"):
         load_cache(ClassRegistry(line_quiver(2), 2), 0, tmp_path)
 
 
-@pytest.mark.parametrize("d,entry", [([0, 0], ["k1.1#1", "k0.0", 1]),
-                                     ([1, 1], ["k0.0", "k1.1#1", 1])], ids=["zero", "whole"])
+# The entry of (1,1) by d = 0 is (quotient k1.1#1, subobject k0.0), by d = (1,1)
+# (quotient k0.0, subobject k1.1#1).
+@pytest.mark.parametrize("d,entry", [([0, 0], [1, 0, 1]), ([1, 1], [0, 1, 1])],
+                         ids=["zero", "whole"])
 def test_a_trivial_table_is_rejected(tmp_path, d, entry):
     def add_trivial_table(tables):
-        tables.append(["k1.1#1", d, [entry]])
+        _group(tables, "1,1", 1).append([d, entry])
     with pytest.raises(CacheInvalid, match="no route reads"):
         _reseal_tables(tmp_path, add_trivial_table)
 
@@ -252,16 +269,26 @@ def test_a_trivial_table_is_rejected(tmp_path, d, entry):
 @pytest.mark.parametrize("d", [[2, 0], [0], [0, 1, 0], [-1, 2], [0, 1.5], "01"])
 def test_table_dims_must_fit_in_the_class(tmp_path, d):
     def add_table(tables):
-        tables.append(["k1.1#1", d, []])
+        _group(tables, "1,1", 1).append([d, []])
     with pytest.raises(CacheInvalid, match="do not fit"):
         _reseal_tables(tmp_path, add_table)
 
 
-@pytest.mark.parametrize("entry", [["k0.1", "k1.0", 1], ["k1.1", "k0.0", 1]],
-                         ids=["swapped", "wrong-dims"])
+# k1.2#1 by d = (0, 1) stores (k1.1, k0.1, 1) and (k1.1#1, k0.1, 2): 4 quotient
+# classes of dims (1, 1) and 1 subobject class.  With the second entry's
+# indices swapped, subobject index 1 names no class of dims (0, 1); quotient
+# index 4 names a class of dims c = (1, 2), not of dims c - d.  The other
+# cases put an index out of range or make it no int; True and False equal an
+# index in range.
+@pytest.mark.parametrize("entry", [
+    [0, 1, 2], [4, 0, 2],
+    [-1, 0, 2], ["1", 0, 2], [True, 0, 2], [1.0, 0, 2], [None, 0, 2],
+    [1, -1, 2], [1, "0", 2], [1, False, 2], [1, 0.0, 2], [1, None, 2],
+], ids=["swapped", "wrong-dims", *(f"{side}-{kind}" for side in ("quotient", "subobject")
+                                  for kind in ("negative", "string", "bool", "float", "null"))])
 def test_an_entry_must_be_quotient_and_subobject_of_the_table_dims(tmp_path, entry):
     def misplace(tables):
-        _table(tables, "k1.1#1", [0, 1])[0] = entry
+        _triples(tables, "1,2", 1, [0, 1])[3:] = entry
     with pytest.raises(CacheInvalid, match="is no .quotient, subobject"):
         _reseal_tables(tmp_path, misplace)
 
@@ -269,61 +296,129 @@ def test_an_entry_must_be_quotient_and_subobject_of_the_table_dims(tmp_path, ent
 @pytest.mark.parametrize("count", [0, -1, 1.0, "1", True, None])
 def test_a_count_must_be_a_positive_int(tmp_path, count):
     def recount(tables):
-        _table(tables, "k1.1#1", [0, 1])[0][2] = count
+        _triples(tables, "1,1", 1, [0, 1])[2] = count
     with pytest.raises(CacheInvalid, match="positive count"):
         _reseal_tables(tmp_path, recount)
 
 
 @pytest.mark.parametrize("where", [0, 1], ids=["table", "entry"])
 def test_an_unknown_class_id_is_rejected(tmp_path, where):
+    # Class index 9 of dims (1, 1), as a table's class or as the quotient
+    # of k1.2#1 by d = (0, 1), whose quotient dims are (1, 1).
     def rename(tables):
         if where == 0:
-            tables[0][0] = "k1.1#9"
+            tables["1,1"][-1][0] = 9
         else:
-            _table(tables, "k1.1#1", [0, 1])[0][0] = "k5.0"
+            _triples(tables, "1,2", 1, [0, 1])[0] = 9
     with pytest.raises(CacheInvalid, match="k1.1#9|k5.0"):
         _reseal_tables(tmp_path, rename)
 
 
+@pytest.mark.parametrize("extra", [[0], [0, 1]], ids=["one", "two"])
+def test_a_triple_list_must_hold_whole_triples(tmp_path, extra):
+    def lengthen(tables):
+        _triples(tables, "1,2", 1, [1, 1]).extend(extra)
+    with pytest.raises(CacheInvalid, match=r"not \(quotient, subobject, count\) triples"):
+        _reseal_tables(tmp_path, lengthen)
+
+
+@pytest.mark.parametrize("triples", [[0, 0, 1, 0, 0, 1], [1, 0, 2, 0, 0, 1]],
+                         ids=["duplicate", "descending"])
+def test_entries_must_strictly_increase_by_subobject_then_quotient(tmp_path, triples):
+    # A duplicated (quotient, subobject) entry would let the later count win.
+    def reorder(tables):
+        _triples(tables, "1,2", 1, [0, 1])[:] = triples
+    with pytest.raises(CacheInvalid, match="do not strictly increase"):
+        _reseal_tables(tmp_path, reorder)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda tables: tables["1,1"].append(tables["1,1"][-1]), "do not increase by class"),
+    (lambda tables: _group(tables, "1,2", 1).append(_group(tables, "1,2", 1)[1]),
+     "do not increase by dims"),
+    # int() reads " 1" and "+1" as 1, so an aliased key could store a group again.
+    (lambda tables: tables.__setitem__(" 1,1", tables["1,1"]),
+     "dims key ' 1,1' is not written as '1,1'"),
+    (lambda tables: tables.__setitem__("1,+1", tables["1,1"]),
+     r"dims key '1,\+1' is not written as '1,1'"),
+], ids=["class", "dims", "key-space", "key-plus"])
+def test_a_table_is_stored_once(tmp_path, edit, message):
+    with pytest.raises(CacheInvalid, match=message):
+        _reseal_tables(tmp_path, edit)
+
+
+@pytest.mark.parametrize("edit,message,absent", [
+    (lambda payload: payload["tables"].__setitem__("2,2", [[1, [[0, 1], []]]]),
+     r"tables of dims \(2, 2\), of which the file holds no class", (2, 2)),
+    (lambda payload: payload["classes"].pop("0,2"),
+     r"reads classes of dims \(1, 0\) and \(0, 2\)", (0, 2)),
+], ids=["class-dims", "subobject-dims"])
+def test_a_table_whose_dims_are_not_in_the_file_is_rejected(tmp_path, edit, message, absent):
+    # Indices resolve only against the file's classes, so none starts an enumeration.
+    reseal(save_cache(warm_kronecker(), 0, tmp_path), edit)
+    fresh = ClassRegistry(KRONECKER, 2)
+    with pytest.raises(CacheInvalid, match=message):
+        load_cache(fresh, 0, tmp_path)
+    assert absent not in fresh._classes
+
+
 def test_stored_aut_must_satisfy_orbit_stabilizer(tmp_path):
     def double_aut(classes):
-        classes["1,1"][1]["aut"] *= 2
+        classes["1,1"]["aut"][1] *= 2
     with pytest.raises(CacheInvalid, match="aut"):
         _tamper(tmp_path, double_aut)
 
 
 def test_stored_orbits_must_partition_the_matrix_tuples(tmp_path):
     def drop_aut_and_double_orbit(classes):
-        row = classes["1,1"][1]
-        row["aut"] = None
-        row["orbit"] *= 2
+        stored = classes["1,1"]
+        stored["aut"][1] = None
+        stored["orbit"][1] *= 2
     with pytest.raises(CacheInvalid, match="add up"):
         _tamper(tmp_path, drop_aut_and_double_orbit)
 
 
 @pytest.mark.parametrize("entry", [2, 3, -1, "1", True, 1.0, None])
 def test_a_matrix_entry_must_be_an_int_in_range_p(tmp_path, entry):
+    # The code of a 1x1 matrix is its one entry.
     def set_entry(classes):
-        classes["1,1"][1]["mats"][0][0][0] = entry
+        classes["1,1"]["mats"][1][0] = entry
     with pytest.raises(CacheInvalid, match=r"not an int in range\(2\)"):
         _tamper(tmp_path, set_entry)
 
 
+# The 1x2 matrix (0 1) has code 2; a second row (0 1) adds 2 * 2^2, a third
+# entry 1 adds 2^2, and no code of a 1x2 matrix is negative.
 @pytest.mark.parametrize("edit,message", [
-    (lambda mats: mats.append([[0, 0]]), "2 matrices for 1 arrows"),
+    (lambda mats: mats.append(0), "2 matrices for 1 arrows"),
     (lambda mats: mats.clear(), "0 matrices for 1 arrows"),
-    (lambda mats: mats[0].append([0, 0]), "a matrix is not 1x2"),
-    (lambda mats: mats[0].clear(), "a matrix is not 1x2"),
-    (lambda mats: mats[0][0].append(0), "a matrix is not 1x2"),
-    (lambda mats: mats[0][0].__setitem__(1, 2), r"a matrix entry is not an int in range\(2\)"),
-], ids=["extra-matrix", "no-matrix", "extra-row", "no-row", "long-row", "entry"])
+    (lambda mats: mats.__setitem__(0, mats[0] + 8), "a matrix is not 1x2"),
+    (lambda mats: mats.__setitem__(0, -1), "a matrix is not 1x2"),
+    (lambda mats: mats.__setitem__(0, mats[0] + 4), "a matrix is not 1x2"),
+    (lambda mats: mats.__setitem__(0, [[0, 2]]), r"a matrix entry is not an int in range\(2\)"),
+    (lambda mats: mats.__setitem__(0, True), r"a matrix entry is not an int in range\(2\)"),
+    (lambda mats: mats.__setitem__(0, "2"), r"a matrix entry is not an int in range\(2\)"),
+    (lambda mats: mats.__setitem__(0, -2), r"a matrix is not 1x2: code -2 is not an int in range\(4\)"),
+    (lambda mats: mats.__setitem__(0, 4), r"a matrix is not 1x2: code 4 is not an int in range\(4\)"),
+], ids=["extra-matrix", "no-matrix", "extra-row", "no-row", "long-row", "entry",
+        "code-true", "code-string", "code-negative", "code-too-large"])
 def test_a_bad_class_is_rejected_at_load_though_nothing_reads_it(tmp_path, edit, message):
     # Class 1 of dims (2, 1): load_cache builds no representative, so each
-    # check has to run on the stored entries while the file loads.
+    # check has to run on the stored codes while the file loads.
     def edit_k21_1(classes):
-        edit(classes["2,1"][1]["mats"])
+        edit(classes["2,1"]["mats"][1])
     with pytest.raises(CacheInvalid, match=r"class 1 of dims \(2, 1\): " + message):
         _tamper(tmp_path, edit_k21_1)
+
+
+def test_matrix_codes_are_row_major_base_p_digits_first_entry_lowest(tmp_path):
+    reg = ClassRegistry(KRONECKER, 3)
+    c = reg.classes((1, 2))[-1]
+    reg.aut_count(c)
+    mats = json.loads(save_cache(reg, 0, tmp_path).read_text())["classes"]["1,2"]["mats"]
+    want = [sum(x * 3 ** k for k, x in enumerate(row[0] for row in m.entries))
+            for m in reg.representative(c).mats]
+    assert mats[c.index] == want
 
 
 def test_loaded_representatives_are_built_on_first_use(tmp_path, monkeypatch):
@@ -342,9 +437,20 @@ def test_loaded_representatives_are_built_on_first_use(tmp_path, monkeypatch):
     assert fresh.export_state() == reg.export_state()
 
 
+@pytest.mark.parametrize("alias", ["1,1 ", "1,01", "+1,1"])
+def test_a_dims_key_must_be_canonical(tmp_path, alias):
+    # int() reads each alias as (1, 1); stored beside "1,1", one copy of the
+    # dims' classes would silently replace the other.
+    def alias_dims(classes):
+        classes[alias] = classes["1,1"]
+    with pytest.raises(CacheInvalid, match=re.escape(f"dims key '{alias}' is not written as '1,1'")):
+        _tamper(tmp_path, alias_dims)
+
+
 def test_class_0_must_be_the_all_zero_tuple(tmp_path):
     def swap_classes(classes):
-        classes["1,1"].reverse()
+        for column in classes["1,1"].values():
+            column.reverse()
     with pytest.raises(CacheInvalid, match="class 0 of dims .1, 1. is not the all-zero"):
         _tamper(tmp_path, swap_classes)
 
@@ -353,23 +459,25 @@ def test_two_equal_representatives_are_rejected(tmp_path):
     # With k1.1#1's matrix zeroed, the file passes every count check, and
     # k1.1#1 would get the split class's subobjects.
     def zero_k11_1(classes):
-        classes["1,1"][1]["mats"] = [[[0]]]
+        classes["1,1"]["mats"][1] = [0]
     with pytest.raises(CacheInvalid, match="two equal representatives"):
         _tamper(tmp_path, zero_k11_1)
 
 
+# (code, orbit, aut): the codes 6, 8 and 1 are the matrices [[0, 1], [1, 0]],
+# [[0, 0], [0, 1]] and [[1, 0], [0, 0]].
 @pytest.mark.parametrize("second,third", [
-    ({"mats": [[[0, 1], [1, 0]]], "orbit": 6, "aut": 6},
-     {"mats": [[[0, 0], [0, 1]]], "orbit": 9, "aut": 4}),
-    ({"mats": [[[0, 0], [0, 1]]], "orbit": 9, "aut": 4},
-     {"mats": [[[1, 0], [0, 0]]], "orbit": 6, "aut": 6}),
+    ((6, 6, 6), (8, 9, 4)),
+    ((8, 9, 4), (1, 6, 6)),
 ], ids=["ranks-0-2-1", "ranks-0-1-1"])
 def test_rank_tuples_must_strictly_increase_on_a_rank_classified_quiver(tmp_path, second,
                                                                       third):
     # A2 over F_2, dims (2, 2): three distinct classes, the first all zero,
     # whose orbits add up to 2^4 and satisfy |Aut| * orbit = |GL_2|^2 = 36.
     def add_dims(classes):
-        classes["2,2"] = [{"mats": [[[0, 0], [0, 0]]], "orbit": 1, "aut": 36}, second, third]
+        codes, orbits, auts = zip((0, 1, 36), second, third)
+        classes["2,2"] = {"mats": [[x] for x in codes], "orbit": list(orbits),
+                          "aut": list(auts)}
     with pytest.raises(CacheInvalid, match="rank tuples of dims .2, 2. do not increase"):
         _tamper(tmp_path, add_dims)
 

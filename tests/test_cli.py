@@ -15,7 +15,7 @@ from hallforge import algebra, cli, reps
 from hallforge.cache import CACHE_ENV_VAR, CACHE_FORMAT, cache_path, encode_cache
 from hallforge.errors import DivisionByZero, InternalInconsistency, NotAPureQPower
 from hallforge.quivers import euler_add, line_quiver, quiver_to_dict
-from hallforge.reps import Rep
+from hallforge.reps import Rep, _code_rows, class_name
 
 KRONECKER = {"vertices": ["1", "2"],
              "arrows": [{"src": "1", "dst": "2", "label": "a"},
@@ -402,7 +402,7 @@ def test_doubled_cached_aut_is_rejected_not_used(capsys, tmp_path, monkeypatch):
     assert code == 0 and report["results"]["product"]["[k2@0]"] == "0 + 3/2*v"
     path = cache_path(line_quiver(1), 2, 1)
     payload = json.loads(path.read_text())
-    payload["registry"]["classes"]["1"][0]["aut"] *= 2
+    payload["classes"]["1"]["aut"][0] *= 2
     path.write_text(json.dumps(payload))
 
     code, again, err = run_cli(capsys, *argv)
@@ -411,14 +411,15 @@ def test_doubled_cached_aut_is_rejected_not_used(capsys, tmp_path, monkeypatch):
 
 
 def _double_cached_kronecker_entry(text: str, in_place: bool) -> str:
-    """Double the stored count of S1 as the quotient of k1.1#1 by S2."""
-    entry = '"k1.1#1",[0,1],[["k1.0","k0.1",1]]]'
+    """Double the stored count of S1 as the quotient of k1.1#1 by S2: the
+    triple (0, 0, 1) of class 1 of dims (1, 1) by d = (0, 1)."""
+    entry = '[1,[[0,1],[0,0,1]]'
     if in_place:  # same bytes around it, so only the digest can tell
         assert text.count(entry) == 1
-        return text.replace(entry, entry.replace("1]]]", "2]]]"))
+        return text.replace(entry, entry.replace("1]]", "2]]"))
     payload = json.loads(text)
-    table = next(t for t in payload["subobject_tables"] if t[:2] == ["k1.1#1", [0, 1]])
-    table[2][0][2] *= 2
+    group = next(g for g in payload["tables"]["1,1"] if g[0] == 1)
+    next(triples for d, triples in group[1:] if d == [0, 1])[2] *= 2
     return json.dumps(payload)
 
 
@@ -472,7 +473,7 @@ def test_older_format_file_is_rejected_then_rebuilt(capsys, tmp_path, monkeypatc
     code, cold, _ = run_cli(capsys, *argv)
     path = cache_path(cli.load_quiver(str(quiver)), 2, 0)
     payload = json.loads(path.read_text())
-    del payload["sha256"], payload["subobject_tables"]
+    del payload["sha256"], payload["tables"]
     payload["format"] = 2
     payload["hall_numbers"] = [["k1.0", "k0.1", "k1.1#1", 1]]
     path.write_bytes(encode_cache(payload))
@@ -483,6 +484,51 @@ def test_older_format_file_is_rejected_then_rebuilt(capsys, tmp_path, monkeypatc
     assert json.loads(path.read_text())["format"] == CACHE_FORMAT
     code, warm, err = run_cli(capsys, *argv)
     assert code == 0 and err == "" and warm["results"] == cold["results"]
+
+
+def _as_format_4(payload: dict, quiver) -> dict:
+    """A format-5 payload in the format-4 layout: per dims, one {"aut", "mats",
+    "orbit"} row per class with its matrices as rows of entries, and the
+    tables as [c, d, [[quotient, subobject, count], ...]] by class id."""
+    p = payload["q"]
+    classes = {}
+    for key, stored in payload["classes"].items():
+        dims = tuple(map(int, key.split(",")))
+        shapes = [(dims[a.target], dims[a.source]) for a in quiver.arrows]
+        classes[key] = [{"aut": aut, "orbit": orbit,
+                         "mats": [[list(r) for r in _code_rows(p, *shape, code)]
+                                  for shape, code in zip(shapes, codes)]}
+                        for codes, orbit, aut in zip(stored["mats"], stored["orbit"],
+                                                     stored["aut"])]
+    tables = []
+    for key, groups in payload["tables"].items():
+        cd = tuple(map(int, key.split(",")))
+        for ci, *by_dims in groups:
+            for d, flat in by_dims:
+                qd = tuple(x - y for x, y in zip(cd, d))
+                tables.append([class_name(cd, ci), d,
+                               [[class_name(qd, qi), class_name(tuple(d), si), n]
+                                for qi, si, n in zip(flat[::3], flat[1::3], flat[2::3])]])
+    return {"format": 4, "fingerprint": payload["fingerprint"], "q": p, "t": payload["t"],
+            "registry": {"classes": classes}, "subobject_tables": tables}
+
+
+def test_format_4_file_is_rejected_then_rebuilt_as_format_5(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "cache"))
+    quiver = tmp_path / "kronecker.json"
+    quiver.write_text(json.dumps(KRONECKER))
+    argv = ("gamma", "--max-dim", "3", "--quiver", str(quiver))
+    code, cold, _ = run_cli(capsys, *argv)
+    path = cache_path(cli.load_quiver(str(quiver)), 2, 0)
+    saved = path.read_bytes()
+    path.write_bytes(encode_cache(_as_format_4(json.loads(saved), cli.load_quiver(str(quiver)))))
+
+    code, again, err = run_cli(capsys, *argv)
+    assert code == 0 and "ignoring cache" in err and "unsupported layout" in err
+    cold.pop("timing_ms"), again.pop("timing_ms")
+    assert again == cold
+    assert json.loads(path.read_text())["format"] == CACHE_FORMAT == 5
+    assert path.read_bytes() == saved
 
 
 def test_cache_file_is_rewritten_only_when_the_run_added_to_it(capsys, tmp_path, monkeypatch):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from hallforge import hall, linalg
-from hallforge.errors import InternalInconsistency, NotASubobject
+from hallforge.errors import IncompatibleObjects, InternalInconsistency, NotASubobject
 from hallforge.hall import (_subobject_table, _walked, closed_subspace_tuples, ext1_count,
                             ext1_middle_count, euler_add, euler_mult, euler_table, gamma_coeff,
                             gamma_terms, gamma_sweep, green_sides, hall_number,
@@ -171,9 +171,11 @@ def test_gamma_terms_match_middle_class_sum(quiver, p, max_total):
     # Same terms in the same order as the per-coefficient loop the CLI and
     # the rewriter used to run: m's dims in subdimvecs order, m, then n.  At
     # total 4 on A3 and Kronecker, some m meets its terms n through several
-    # middle classes I, out of n's index order.
+    # middle classes I, out of n's index order.  The same judge takes the
+    # `gamma` report's rows, gamma_sweep's, in order and in lowest terms.
     reg = ClassRegistry(quiver, p)
     classes = reg.all_classes_total_le(max_total)
+    rows = []
     for a in classes:
         for b in classes:
             want = []
@@ -187,6 +189,22 @@ def test_gamma_terms_match_middle_class_sum(quiver, p, max_total):
                         if value:
                             want.append((m, n, value))
             assert list(gamma_terms(reg, a, b)) == want, (a, b)
+            rows.extend((a, b, m, n, v.numerator, v.denominator) for m, n, v in want)
+    assert [(a, b, *term) for a, b, terms in gamma_sweep(reg, classes)
+            for term in terms] == rows
+
+
+def test_gamma_sweep_names_a_class_its_list_lacks(kronecker_f2):
+    # k1.1#1 has the zero class as a subobject (and S1, S2 as quotient and
+    # subobject of dims (0, 1)); the zero class is the first one met.
+    reg = kronecker_f2
+    c = reg.classes((1, 1))[1]
+    with pytest.raises(IncompatibleObjects, match="holds k1.1#1 but not .* k0.0$"):
+        list(gamma_sweep(reg, [c]))
+    zero, s1, s2 = reg.zero_class(), reg.classes((1, 0))[0], reg.classes((0, 1))[0]
+    with pytest.raises(IncompatibleObjects, match="holds k1.1#1 but not .* k1.0$"):
+        list(gamma_sweep(reg, [zero, s2, c]))
+    assert [a for a, _, _ in gamma_sweep(reg, [zero, s1, s2, c])][::4] == [zero, s1, s2, c]
 
 
 def test_euler_form_values(a2_f2):
@@ -280,14 +298,17 @@ def test_walk_subquotients_equal_the_reducing_judges(quiver, p, max_total):
     # images of the arrow maps are no longer unit vectors and a residue takes
     # several basis rows (from total dim 4 on: a 2-dim subspace at a 3-dim
     # target and a nonzero quotient at the source).  The entries are checked
-    # as the walk reads them, and through the Rep wrappers.
+    # as the walk reads them, off the arrow images it computed for the
+    # closure, and through the Rep wrappers, which map the basis themselves.
     reg = ClassRegistry(quiver, p)
     for c in reg.all_classes_total_le(max_total):
         for rep in (reg.representative(c), _sheared(reg.representative(c))):
             for d in subdimvecs(c.dims):
-                for subs in closed_subspace_tuples(rep, d):
+                images = [None] * len(rep.mats)
+                for subs in closed_subspace_tuples(rep, d, images):
                     sub, quot = restrict_by_coords(rep, subs), quotient_by_reduce(rep, subs)
                     entries = tuple(tuple(m.entries for m in x.mats) for x in (sub, quot))
+                    assert _subquotient_entries(rep, subs, images=images) == entries
                     assert _subquotient_entries(rep, subs) == entries
                     assert _subquotient_entries(rep, subs, False) == (entries[0], None)
                     assert restrict_to_subspaces(rep, subs) == sub
@@ -306,7 +327,8 @@ def test_walk_and_wrappers_reject_a_tuple_that_is_not_closed(monkeypatch):
     for wrapper in (restrict_to_subspaces, quotient_by_subrep):
         with pytest.raises(NotASubobject):
             wrapper(rep, subs)
-    monkeypatch.setattr(hall, "closed_subspace_tuples", lambda rep, d: iter([subs]))
+    # The stand-in fills no arrow images, so the walk maps the basis itself.
+    monkeypatch.setattr(hall, "closed_subspace_tuples", lambda rep, d, images: iter([subs]))
     with pytest.raises(InternalInconsistency, match="not arrow-closed"):
         _subobject_table(reg, c, (1, 0))
 
