@@ -23,7 +23,7 @@ from .errors import (CacheInvalid, DivisionByZero, EnumerationTooLarge,
                      InvalidField, NotAPureQPower, NotASubobject,
                      NotHereditarySetup, RewriteBudgetExceeded,
                      UnsupportedPeriod)
-from .hall import (euler_add, euler_mult, euler_table, ext1_count, ext1_dim,
+from .hall import (euler_add, euler_mult, euler_table, ext1_count,
                    ext1_middle_count, gamma_coeff, gamma_terms, green_sides, hall_number)
 from .linalg import (Mat, Subspace, count_matrices_of_rank,
                      enumerate_subspaces, gaussian_binomial, gl_order,
@@ -54,7 +54,7 @@ __all__ = [
     "IncompatibleObjects", "InternalInconsistency", "InvalidField",
     "NotAPureQPower", "NotASubobject", "NotHereditarySetup",
     "RewriteBudgetExceeded", "UnsupportedPeriod",
-    "euler_add", "euler_mult", "euler_table", "ext1_count", "ext1_dim",
+    "euler_add", "euler_mult", "euler_table", "ext1_count",
     "ext1_middle_count", "gamma_coeff", "gamma_terms", "green_sides", "hall_number",
     "Mat", "Subspace", "count_matrices_of_rank",
     "enumerate_subspaces", "gaussian_binomial", "gl_order", "is_invertible",

@@ -10,8 +10,8 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .complexes import (GradedObject, check_period, class_at_or_zero, cone_counts,
-                        format_graded, graded_object, hom_dt_count, stalk)
+from .complexes import (GradedObject, add_degree, check_period, class_at_or_zero,
+                        cone_counts, format_graded, graded_object, hom_dt_count, stalk)
 from .errors import IncompatibleObjects, RewriteBudgetExceeded, UnsupportedPeriod
 from .hall import euler_table, gamma_terms, hall_number
 from .quivers import dims_add, dims_sub, subdimvecs
@@ -54,9 +54,6 @@ class HallVector:
             else:
                 out.pop(g, None)
         return HallVector(self.q, out)
-
-    def sub(self, other: "HallVector") -> "HallVector":
-        return self.add(other.scale(QSqrtScalar.rational(self.q, -1)))
 
     def scale(self, c) -> "HallVector":
         if not isinstance(c, QSqrtScalar):
@@ -114,17 +111,6 @@ class DerivedHall:
         self._a_primes = reg.memo(("a_prime", t))
         self._rules = reg.memo(("pair_rule", t))
 
-    # -- scalar helpers -----------------------------------------------------
-
-    def one_scalar(self) -> QSqrtScalar:
-        return QSqrtScalar.one(self.q)
-
-    def rational(self, x) -> QSqrtScalar:
-        return QSqrtScalar.rational(self.q, x)
-
-    def v_power(self, e: int) -> QSqrtScalar:
-        return QSqrtScalar.v_power(self.q, e)
-
     # -- basis helpers ------------------------------------------------------
 
     def unit_graded(self) -> GradedObject:
@@ -135,9 +121,6 @@ class DerivedHall:
 
     def stalk(self, cls: IsoClassId, deg: int = 0) -> GradedObject:
         return stalk(self.reg, self.t, cls, deg)
-
-    def stalk_vector(self, cls: IsoClassId, deg: int = 0) -> HallVector:
-        return HallVector.basis(self.q, self.stalk(cls, deg))
 
     def _check_graded(self, g: GradedObject) -> None:
         if g.t != self.t or g.n_vertices != self._n:
@@ -387,7 +370,7 @@ class DerivedHall:
         out, ext = 1, 0
         for deg, cls in g.components:
             out *= reg.aut_count(cls)
-            prev = at.get((deg - 1) % t if t else deg - 1)
+            prev = at.get(add_degree(t, deg, -1))
             if prev is not None:
                 ext += reg.hom_ext_dims(cls, prev)[1]
         return out * reg.p ** ext
@@ -441,19 +424,19 @@ class DerivedHall:
         self._check_graded(g)
         return tuple((cls, deg) for deg, cls in sorted(g.components, reverse=True))
 
-    def normalize_generator_word(self, word: Word,
-                                 budget: int = DEFAULT_REWRITE_BUDGET) -> HallVector:
+    def normalize_generator_word(self, word: Word) -> HallVector:
         """Rewrite a product of shifted generators into the graded-object basis.
 
         Repeatedly replaces the leftmost pair whose degrees do not descend by
         the terms of _pair_rule, until every word is strictly descending in
-        degree; strictly descending words are direct sums.
+        degree; strictly descending words are direct sums.  More than
+        DEFAULT_REWRITE_BUDGET replacements raise RewriteBudgetExceeded.
         """
         if self.t != 0:
             raise UnsupportedPeriod("word rewriting is the t = 0 presentation")
         word = tuple((c, d) for c, d in word if c.total_dim > 0)
         done: dict[GradedObject, QSqrtScalar] = {}
-        pending: dict[Word, QSqrtScalar] = {word: self.one_scalar()}
+        pending: dict[Word, QSqrtScalar] = {word: QSqrtScalar.one(self.q)}
         steps = 0
         while pending:
             w = next(iter(pending))
@@ -470,11 +453,12 @@ class DerivedHall:
                 done[g] = done[g] + coeff if g in done else coeff
                 continue
             steps += 1
-            if steps > budget:
-                raise RewriteBudgetExceeded(f"rewriting exceeded {budget} steps")
+            if steps > DEFAULT_REWRITE_BUDGET:
+                raise RewriteBudgetExceeded(f"rewriting exceeded {DEFAULT_REWRITE_BUDGET} steps")
             head, tail = w[:spot], w[spot + 2:]
             for nw, c in self._pair_rule(*w[spot], *w[spot + 1]):
-                self._push(pending, head + nw + tail, coeff * c)
+                key, x = head + nw + tail, coeff * c
+                pending[key] = pending[key] + x if key in pending else x
         return HallVector(self.q, done)
 
     def _pair_rule(self, left: IsoClassId, n: int, right: IsoClassId,
@@ -505,7 +489,7 @@ class DerivedHall:
                     if (g := hall_number(reg, left, right, c))]
         if gap == 1:
             out = []
-            for m_cls, n_cls, gamma in gamma_terms(reg, right, left):
+            for m_cls, n_cls, num, den in gamma_terms(reg, right, left):
                 dm, dn = m_cls.dims, n_cls.dims
                 if t:
                     e = (euler[right.dims, right.dims] + euler[left.dims, left.dims]
@@ -514,25 +498,13 @@ class DerivedHall:
                 else:
                     e = -2 * euler[dn, dm]
                 word = tuple((c, d) for c, d in ((n_cls, m), (m_cls, n)) if c.total_dim)
-                out.append((word, QSqrtScalar.v_power(q, e, gamma.numerator, gamma.denominator)))
+                out.append((word, QSqrtScalar.v_power(q, e, num, den)))
             return out
         e = (euler[left.dims, right.dims] + euler[right.dims, left.dims] if t
              else 2 * euler[right.dims, left.dims])
         return [(((right, m), (left, n)), QSqrtScalar.v_power(q, e if gap % 2 == 0 else -e))]
 
-    @staticmethod
-    def _push(pending: dict, w: Word, c: QSqrtScalar) -> None:
-        if w in pending:
-            pending[w] = pending[w] + c
-        else:
-            pending[w] = c
-
     # -- t = 1 cone-counting oracle -------------------------------------------
-
-    def dht_constant_oracle_t1(self, a: GradedObject, b: GradedObject,
-                               x: GradedObject) -> QSqrtScalar:
-        """Structure constant on [x] in [a][b] at t = 1 by counting cone classes."""
-        return self.rp_product_t1(a, b).coeff(x)
 
     def rp_product_t1(self, a: GradedObject, b: GradedObject) -> HallVector:
         """The whole product [a][b] at t = 1 through the cone-counting oracle:
@@ -543,7 +515,7 @@ class DerivedHall:
         counts = cone_counts(self.reg, a, b)
         base = (QSqrtScalar.rational(self.q, 1, hom_dt_count(self.reg, a, b, shift=0)).sqrt()
                 / (self.a_prime(a) * self.a_prime(b)))
-        return HallVector(self.q, {x: self.rational(n) * base * self.a_prime(x)
+        return HallVector(self.q, {x: QSqrtScalar.rational(self.q, n) * base * self.a_prime(x)
                                    for x, n in counts.items()})
 
     # -- checks ----------------------------------------------------------------
@@ -587,7 +559,8 @@ def relation_check(reg: ClassRegistry, family: str, a_cls: IsoClassId, b_cls: Is
     gap used by the far-commutation families (dh0_45: m - n >= 2; dht_r3:
     j - i in 2..t-2 -- the gap t-1 is cyclically adjacent, not far).  Each
     family but dh1_re1 compares the product of two stalks with the terms
-    DerivedHall._pair_rule gives for it.
+    DerivedHall._pair_rule gives for it; dh1_re1 is the t = 1
+    theorem_crosscheck of two stalks.
     """
     if family not in RELATION_FAMILIES:
         raise IncompatibleObjects(f"unknown relation family {family!r}; "
@@ -595,8 +568,7 @@ def relation_check(reg: ClassRegistry, family: str, a_cls: IsoClassId, b_cls: Is
     n = degree
     if family == "dh1_re1":
         dh = DerivedHall(reg, 1)
-        a_g, b_g = dh.stalk(a_cls), dh.stalk(b_cls)
-        return _compare("dh1_re1", dh.multiply_graded(a_g, b_g), dh.rp_product_t1(a_g, b_g))
+        return dh.theorem_crosscheck(dh.stalk(a_cls), dh.stalk(b_cls))
     period, a_left, gap = _RELATION_RULES[family]
     dh = DerivedHall(reg, period if period is not None else 5 if t is None else t)
     label = f"{family}[deg {n}]"

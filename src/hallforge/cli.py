@@ -35,7 +35,7 @@ from .errors import (CacheInvalid, DivisionByZero, EnumerationTooLarge,
                      NotAPureQPower, NotASubobject, NotHereditarySetup,
                      RewriteBudgetExceeded, UnsupportedPeriod)
 from .hall import gamma_sweep, green_sides, subquotient_tables
-from .quivers import (Quiver, dims_sub, dimvecs_up_to, line_quiver,
+from .quivers import (Quiver, dims_key, dims_sub, dimvecs_up_to, line_quiver,
                       quiver_from_dict, quiver_to_dict, subdimvecs)
 from .reps import ClassRegistry
 
@@ -96,10 +96,6 @@ def parse_dims(text: str, n_vertices: int) -> tuple[int, ...]:
     return dims
 
 
-def dims_str(dims: tuple[int, ...]) -> str:
-    return ",".join(str(d) for d in dims)
-
-
 def graded_objects_within(reg: ClassRegistry, t: int, max_total: int) -> list:
     """All zero-differential class objects with total dim <= max_total.
 
@@ -148,25 +144,29 @@ def _maybe_sample(objs: list, repeat: int, seed: int | None) -> tuple[int, Itera
 
 
 # -- subcommand pipelines ---------------------------------------------------
-# Each returns (results, counterexamples, exit_code, csv_fields, csv_rows).
+# Each returns (results, csv_fields, csv_rows); a check's rows are its
+# counterexamples (see COMMANDS).
+
+
+def _max_dim(args) -> int:
+    """--max-dim, default 2."""
+    return args.max_dim if args.max_dim is not None else 2
 
 
 def _swept_dims(args, reg: ClassRegistry) -> list:
-    """--dim alone, else every dims vector of total <= --max-dim (default 2), smallest first."""
+    """--dim alone, else every dims vector of total <= --max-dim, smallest first."""
     if args.dim is not None:
         return [parse_dims(args.dim, reg.quiver.n)]
-    bound = args.max_dim if args.max_dim is not None else 2
-    return sorted(dimvecs_up_to(reg.quiver.n, bound), key=lambda d: (sum(d), d))
+    return dimvecs_up_to(reg.quiver.n, _max_dim(args))
 
 
 def cmd_classes(args, reg: ClassRegistry, t: int):
     rows = []
     for dims in _swept_dims(args, reg):
         for cls in reg.classes(dims):
-            rows.append({"dims": dims_str(dims), "id": reg.class_id_str(cls),
+            rows.append({"dims": dims_key(dims), "id": reg.class_id_str(cls),
                          "orbit": reg.orbit_size(cls), "aut": reg.aut_count(cls)})
-    results = {"classes": rows, "count": len(rows)}
-    return results, [], EXIT_OK, ["dims", "id", "orbit", "aut"], rows
+    return {"classes": rows, "count": len(rows)}, ["dims", "id", "orbit", "aut"], rows
 
 
 def cmd_hall(args, reg: ClassRegistry, t: int):
@@ -177,15 +177,13 @@ def cmd_hall(args, reg: ClassRegistry, t: int):
                 for a, g in quotients:
                     rows.append({"a": reg.class_id_str(a), "b": reg.class_id_str(b),
                                  "c": reg.class_id_str(c), "value": g})
-    results = {"hall_numbers": rows, "count": len(rows)}
-    return results, [], EXIT_OK, ["a", "b", "c", "value"], rows
+    return {"hall_numbers": rows, "count": len(rows)}, ["a", "b", "c", "value"], rows
 
 
 def cmd_green(args, reg: ClassRegistry, t: int):
-    bound = args.max_dim if args.max_dim is not None else 2
     checked = 0
     counterexamples = []
-    for dsum in sorted(dimvecs_up_to(reg.quiver.n, bound), key=lambda d: (sum(d), d)):
+    for dsum in dimvecs_up_to(reg.quiver.n, _max_dim(args)):
         sides = []
         for da in subdimvecs(dsum):
             db = dims_sub(dsum, da)
@@ -201,20 +199,17 @@ def cmd_green(args, reg: ClassRegistry, t: int):
                     "a2": reg.class_id_str(a2), "b2": reg.class_id_str(b2),
                     "lhs": str(lhs), "rhs": str(rhs)})
     results = {"checked": checked, "mismatches": len(counterexamples)}
-    code = EXIT_MISMATCH if counterexamples else EXIT_OK
-    return results, counterexamples, code, ["a", "b", "a2", "b2", "lhs", "rhs"], counterexamples
+    return results, ["a", "b", "a2", "b2", "lhs", "rhs"], counterexamples
 
 
 def cmd_gamma(args, reg: ClassRegistry, t: int):
-    bound = args.max_dim if args.max_dim is not None else 2
-    classes = reg.all_classes_total_le(bound)
+    classes = reg.all_classes_total_le(_max_dim(args))
     name = {c: reg.class_id_str(c) for c in classes}
     # A value is written as str(Fraction(num, den)) would write it.
     rows = [{"a": name[a], "b": name[b], "m": name[m], "n": name[n],
              "value": f"{num}/{den}" if den != 1 else str(num)}
             for a, b, terms in gamma_sweep(reg, classes) for m, n, num, den in terms]
-    results = {"gamma": rows, "count": len(rows)}
-    return results, [], EXIT_OK, ["a", "b", "m", "n", "value"], rows
+    return {"gamma": rows, "count": len(rows)}, ["a", "b", "m", "n", "value"], rows
 
 
 def cmd_dha_mul(args, reg: ClassRegistry, t: int):
@@ -227,8 +222,7 @@ def cmd_dha_mul(args, reg: ClassRegistry, t: int):
     terms = prod.format(reg)
     results = {"t": t, "lhs": format_graded(reg, a), "rhs": format_graded(reg, b),
                "product": terms}
-    rows = [{"basis": k, "coeff": v} for k, v in terms.items()]
-    return results, [], EXIT_OK, ["basis", "coeff"], rows
+    return results, ["basis", "coeff"], [{"basis": k, "coeff": v} for k, v in terms.items()]
 
 
 def _first_mismatch(reg: ClassRegistry, result) -> dict:
@@ -241,8 +235,7 @@ def _first_mismatch(reg: ClassRegistry, result) -> dict:
 def _sampled_checks(args, reg: ClassRegistry, t: int, check, names: tuple[str, ...]):
     """Run check on every tuple of len(names) graded objects within --max-dim, or on
     a --seed sample of them; a failing tuple is a counterexample row keyed by names."""
-    bound = args.max_dim if args.max_dim is not None else 2
-    objs = graded_objects_within(reg, t, bound)
+    objs = graded_objects_within(reg, t, _max_dim(args))
     checked, tuples = _maybe_sample(objs, len(names), args.seed)
     counterexamples = []
     for tup in tuples:
@@ -253,8 +246,7 @@ def _sampled_checks(args, reg: ClassRegistry, t: int, check, names: tuple[str, .
             counterexamples.append(row)
     results = {"t": t, "objects": len(objs), "checked": checked,
                "mismatches": len(counterexamples), "seed": args.seed}
-    code = EXIT_MISMATCH if counterexamples else EXIT_OK
-    return results, counterexamples, code, [*names, "basis", "lhs", "rhs"], counterexamples
+    return results, [*names, "basis", "lhs", "rhs"], counterexamples
 
 
 def cmd_dha_assoc(args, reg: ClassRegistry, t: int):
@@ -271,8 +263,7 @@ def _relation_instances(family: str, t: int):
 
 
 def cmd_relations(args, reg: ClassRegistry, t: int):
-    bound = args.max_dim if args.max_dim is not None else 2
-    classes = [c for c in reg.all_classes_total_le(bound) if c.total_dim >= 1]
+    classes = [c for c in reg.all_classes_total_le(_max_dim(args)) if c.total_dim >= 1]
     rows = []
     counterexamples = []
     for family in RELATION_FAMILIES:
@@ -292,10 +283,8 @@ def cmd_relations(args, reg: ClassRegistry, t: int):
                         row.update(_first_mismatch(reg, res))
                         counterexamples.append(row)
         rows.append({"family": family, "checked": checked, "mismatches": failures})
-    results = {"families": rows, "classes": len(classes)}
-    code = EXIT_MISMATCH if counterexamples else EXIT_OK
     fields = ["family", "a", "b", "degree", "offset", "basis", "lhs", "rhs"]
-    return results, counterexamples, code, fields, counterexamples
+    return {"families": rows, "classes": len(classes)}, fields, counterexamples
 
 
 def cmd_crosscheck(args, reg: ClassRegistry, t: int):
@@ -304,15 +293,18 @@ def cmd_crosscheck(args, reg: ClassRegistry, t: int):
     return _sampled_checks(args, reg, t, DerivedHall(reg, t).theorem_crosscheck, ("a", "b"))
 
 
+# name: (pipeline, whether it is a check, help).  A check's rows are its
+# counterexamples, and any of them makes the run exit EXIT_MISMATCH.
 COMMANDS = {
-    "classes": cmd_classes,
-    "hall": cmd_hall,
-    "green": cmd_green,
-    "gamma": cmd_gamma,
-    "dha-mul": cmd_dha_mul,
-    "dha-assoc": cmd_dha_assoc,
-    "relations": cmd_relations,
-    "crosscheck": cmd_crosscheck,
+    "classes": (cmd_classes, False,
+                "enumerate isomorphism classes with orbit and automorphism counts"),
+    "hall": (cmd_hall, False, "nonzero subobject-counting structure constants"),
+    "green": (cmd_green, True, "verify the comultiplication compatibility identity on a sweep"),
+    "gamma": (cmd_gamma, False, "nonzero normalized 4-term exact sequence counts"),
+    "dha-mul": (cmd_dha_mul, False, "multiply two basis elements of the derived algebra"),
+    "dha-assoc": (cmd_dha_assoc, True, "verify associativity of the derived product on a sweep"),
+    "relations": (cmd_relations, True, "verify the generator-relation families on a sweep"),
+    "crosscheck": (cmd_crosscheck, True, "compare the product against an independent route"),
 }
 
 
@@ -344,22 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact computations in Ringel-Hall and derived Hall algebras "
                     "of quiver representations over prime fields.")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("classes", parents=[common],
-                   help="enumerate isomorphism classes with orbit and automorphism counts")
-    sub.add_parser("hall", parents=[common],
-                   help="nonzero subobject-counting structure constants")
-    sub.add_parser("green", parents=[common],
-                   help="verify the comultiplication compatibility identity on a sweep")
-    sub.add_parser("gamma", parents=[common],
-                   help="nonzero normalized 4-term exact sequence counts")
-    sub.add_parser("dha-mul", parents=[common],
-                   help="multiply two basis elements of the derived algebra")
-    sub.add_parser("dha-assoc", parents=[common],
-                   help="verify associativity of the derived product on a sweep")
-    sub.add_parser("relations", parents=[common],
-                   help="verify the generator-relation families on a sweep")
-    sub.add_parser("crosscheck", parents=[common],
-                   help="compare the product against an independent route")
+    for name, (_, _, help_text) in COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=help_text)
     return parser
 
 
@@ -384,8 +362,9 @@ def dispatch(argv: list[str] | None = None) -> tuple[dict | None, int]:
             except CacheInvalid as e:
                 print(f"warning: ignoring cache: {e}", file=sys.stderr)
                 reg = ClassRegistry(quiver, args.q)
-        results, counterexamples, code, csv_fields, csv_rows = \
-            COMMANDS[args.command](args, reg, t)
+        run, is_check, _ = COMMANDS[args.command]
+        results, csv_fields, csv_rows = run(args, reg, t)
+        counterexamples = csv_rows if is_check else []
         # A run that added nothing to a cleanly loaded file leaves it untouched.
         if cache_directory() is not None and cached_size(reg) != loaded:
             try:
@@ -410,7 +389,7 @@ def dispatch(argv: list[str] | None = None) -> tuple[dict | None, int]:
         "counterexamples": counterexamples,
         "timing_ms": int((time.monotonic() - start) * 1000),
     }
-    return report, code
+    return report, EXIT_MISMATCH if counterexamples else EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -28,9 +28,9 @@ from .errors import (EnumerationTooLarge, IncompatibleObjects, InternalInconsist
 from .linalg import (Mat, echelon, kernel_basis, pack_row, rank, reduced_rows,
                      subspace_from_vectors)
 from .quivers import Arrow, DimVec, Quiver
-from .reps import (DEFAULT_ISO_ENUM_BOUND, ClassRegistry, IsoClassId, Morphism, Rep,
-                   _hom_elements, _hom_kernel, _hom_system, _unflatten, direct_sum,
-                   is_isomorphic, quotient_by_subrep, restrict_to_subspaces)
+from .reps import (ClassRegistry, IsoClassId, Morphism, Rep, _hom_elements,
+                   _hom_kernel, _hom_system, _unflatten, direct_sum, is_isomorphic,
+                   quotient_by_subrep, restrict_to_subspaces)
 
 DEFAULT_COMPLEX_ENUM_BOUND = 2 ** 17
 
@@ -39,6 +39,37 @@ def check_period(t: int) -> None:
     """Allow t = 0 (bounded) or positive odd t; reject everything else."""
     if not isinstance(t, int) or t < 0 or (t > 0 and t % 2 == 0):
         raise UnsupportedPeriod(f"periodicity must be 0 or a positive odd integer, got {t!r}")
+
+
+def add_degree(t: int, i: int, k: int) -> int:
+    """Degree i + k: in Z/t when t > 0, in Z when t = 0."""
+    return (i + k) % t if t else i + k
+
+
+def _by_degree(t: int, pairs, drop_empty: bool, message: str) -> dict:
+    """{degree: item} from (degree, item) pairs, degrees reduced mod t when
+    t > 0 and, if drop_empty, items of total dimension 0 dropped; a repeated
+    degree raises IncompatibleObjects(message.format(degree))."""
+    out: dict = {}
+    for deg, item in pairs:
+        if t > 0:
+            deg %= t
+        if drop_empty and item.total_dim == 0:
+            continue
+        if deg in out:
+            raise IncompatibleObjects(message.format(deg))
+        out[deg] = item
+    return out
+
+
+def _at_degree(pairs: tuple, t: int, deg: int):
+    """The item at deg (reduced mod t when t > 0) of (degree, item) pairs, else None."""
+    if t > 0:
+        deg %= t
+    for d, x in pairs:
+        if d == deg:
+            return x
+    return None
 
 
 class GradedObject(namedtuple("GradedObject", "t n_vertices components")):
@@ -51,12 +82,7 @@ class GradedObject(namedtuple("GradedObject", "t n_vertices components")):
     __slots__ = ()
 
     def component(self, deg: int) -> IsoClassId | None:
-        if self.t > 0:
-            deg %= self.t
-        for d, c in self.components:
-            if d == deg:
-                return c
-        return None
+        return _at_degree(self.components, self.t, deg)
 
     def dims_at(self, deg: int) -> DimVec:
         c = self.component(deg)
@@ -86,17 +112,8 @@ def graded_object(t: int, n_vertices: int,
                   items) -> GradedObject:
     """Canonical GradedObject from (degree, class) pairs; zero classes dropped."""
     check_period(t)
-    out: dict[int, IsoClassId] = {}
-    pairs = items.items() if hasattr(items, "items") else items
-    for deg, cls in pairs:
-        if t > 0:
-            deg %= t
-        if cls.total_dim == 0:
-            continue
-        if deg in out:
-            raise IncompatibleObjects(
-                f"two components share degree {deg}; combine them into one class first")
-        out[deg] = cls
+    out = _by_degree(t, items.items() if hasattr(items, "items") else items, True,
+                     "two components share degree {}; combine them into one class first")
     return GradedObject(t, n_vertices, tuple(sorted(out.items())))
 
 
@@ -131,9 +148,8 @@ def parse_graded(reg: ClassRegistry, t: int, text: str) -> GradedObject:
                 deg = int(deg_s.strip())
             except ValueError:
                 raise IncompatibleObjects(f"bad degree {deg_s.strip()!r}") from None
-            if t > 0:
-                deg %= t
-            by_degree.setdefault(deg, []).append(reg.parse_class_id(cls_s.strip()))
+            cls = reg.parse_class_id(cls_s.strip())
+            by_degree.setdefault(add_degree(t, deg, 0), []).append(cls)
     items = []
     for deg, classes in by_degree.items():
         if len(classes) == 1:
@@ -155,28 +171,15 @@ class ComplexObj(namedtuple("ComplexObj", "t quiver p components differentials")
 
     __slots__ = ()
 
-    def next_deg(self, i: int) -> int:
-        return (i + 1) % self.t if self.t > 0 else i + 1
-
     def comp_at(self, deg: int) -> Rep | None:
-        if self.t > 0:
-            deg %= self.t
-        for d, r in self.components:
-            if d == deg:
-                return r
-        return None
+        return _at_degree(self.components, self.t, deg)
 
     def dims_at(self, deg: int) -> DimVec:
         r = self.comp_at(deg)
         return r.dims if r is not None else (0,) * self.quiver.n
 
     def diff_at(self, deg: int) -> Morphism | None:
-        if self.t > 0:
-            deg %= self.t
-        for d, m in self.differentials:
-            if d == deg:
-                return m
-        return None
+        return _at_degree(self.differentials, self.t, deg)
 
     @property
     def degrees(self) -> tuple[int, ...]:
@@ -190,22 +193,8 @@ def complex_obj(t: int, quiver: Quiver, p: int, comps: dict[int, Rep],
                 diffs: dict[int, Morphism] | None = None, validate: bool = True) -> ComplexObj:
     """Canonicalize and (optionally) validate a complex given as degree dicts."""
     check_period(t)
-    comps_norm: dict[int, Rep] = {}
-    for deg, rep in comps.items():
-        if t > 0:
-            deg %= t
-        if rep.total_dim == 0:
-            continue
-        if deg in comps_norm:
-            raise IncompatibleObjects(f"two components share degree {deg}")
-        comps_norm[deg] = rep
-    diffs_norm: dict[int, Morphism] = {}
-    for deg, mor in (diffs or {}).items():
-        if t > 0:
-            deg %= t
-        if deg in diffs_norm:
-            raise IncompatibleObjects(f"two differentials share degree {deg}")
-        diffs_norm[deg] = mor
+    comps_norm = _by_degree(t, comps.items(), True, "two components share degree {}")
+    diffs_norm = _by_degree(t, (diffs or {}).items(), False, "two differentials share degree {}")
     comps_sorted = tuple(sorted(comps_norm.items()))
     if validate:
         # Zero differentials are checked too (vertex count, shapes) before they are dropped.
@@ -222,7 +211,7 @@ def validate_complex(c: ComplexObj) -> None:
         if rep.quiver != q or rep.p != c.p:
             raise IncompatibleObjects("component over a different quiver or field")
     for deg, mor in c.differentials:
-        src, tgt = c.comp_at(deg), c.comp_at(c.next_deg(deg))
+        src, tgt = c.comp_at(deg), c.comp_at(add_degree(c.t, deg, 1))
         src_dims = src.dims if src else (0,) * q.n
         tgt_dims = tgt.dims if tgt else (0,) * q.n
         if len(mor) != q.n:
@@ -240,7 +229,7 @@ def validate_complex(c: ComplexObj) -> None:
             if lhs != rhs:
                 raise IncompatibleObjects(f"differential at degree {deg} is not a morphism of representations")
     for deg, mor in c.differentials:
-        nxt = c.diff_at(c.next_deg(deg))
+        nxt = c.diff_at(add_degree(c.t, deg, 1))
         if nxt is None:
             continue
         for v in range(q.n):
@@ -262,7 +251,7 @@ def homology(reg: ClassRegistry, c: ComplexObj) -> GradedObject:
     q, p = c.quiver, c.p
     items: list[tuple[int, IsoClassId]] = []
     for deg, rep in c.components:
-        d_out, d_in = c.diff_at(deg), c.diff_at((deg - 1) % c.t if c.t > 0 else deg - 1)
+        d_out, d_in = c.diff_at(deg), c.diff_at(add_degree(c.t, deg, -1))
         ker = tuple(subspace_from_vectors(p, rep.dims[v], kernel_basis(d_out[v]) if d_out
                                           else Mat.identity(p, rep.dims[v]).entries)
                     for v in range(q.n))
@@ -292,7 +281,7 @@ def _degree_quiver(q: Quiver, t: int, degrees: tuple[int, ...]) -> Quiver:
         vertices += [f"{name}@{i}" for name in q.vertices]
         arrows += [Arrow(k * q.n + a.source, k * q.n + a.target, f"{a.label}@{i}")
                    for a in q.arrows]
-        nk = pos.get((i + 1) % t if t else i + 1)
+        nk = pos.get(add_degree(t, i, 1))
         if nk is not None:
             arrows += [Arrow(k * q.n + v, nk * q.n + v, f"d{v}@{i}") for v in range(q.n)]
     return Quiver(tuple(vertices), tuple(arrows))
@@ -315,7 +304,7 @@ def _as_reps(*cs: ComplexObj) -> tuple[Rep, ...]:
             rep, d, src = c.comp_at(i), c.diff_at(i), c.dims_at(i)
             dims += src
             mats += rep.mats if rep else [Mat.zeros(p, 0, 0)] * len(q.arrows)
-            ni = c.next_deg(i)
+            ni = add_degree(t, i, 1)
             if ni in degrees:
                 tgt = c.dims_at(ni)
                 mats += d if d else [Mat.zeros(p, tgt[v], src[v]) for v in range(q.n)]
@@ -323,10 +312,9 @@ def _as_reps(*cs: ComplexObj) -> tuple[Rep, ...]:
     return tuple(out)
 
 
-def is_chain_isomorphic(c1: ComplexObj, c2: ComplexObj,
-                        bound: int = DEFAULT_ISO_ENUM_BOUND) -> bool:
-    """Exhaustive chain-isomorphism test."""
-    return is_isomorphic(*_as_reps(c1, c2), bound)
+def is_chain_isomorphic(c1: ComplexObj, c2: ComplexObj) -> bool:
+    """Exhaustive chain-isomorphism test, bounded as reps.is_isomorphic is."""
+    return is_isomorphic(*_as_reps(c1, c2))
 
 
 # -- enumeration of complex classes -------------------------------------------
@@ -335,14 +323,14 @@ def is_chain_isomorphic(c1: ComplexObj, c2: ComplexObj,
 # counts with them.
 
 
-def enumerate_complex_classes(reg: ClassRegistry, t: int, dims_by_degree,
-                              bound: int = DEFAULT_COMPLEX_ENUM_BOUND) -> list[ComplexObj]:
+def enumerate_complex_classes(reg: ClassRegistry, t: int, dims_by_degree) -> list[ComplexObj]:
     """Canonical representatives of C_t-isomorphism classes of complexes.
 
     dims_by_degree[i] is the dimension vector at degree i (for t > 0 its length
     must be t; for t = 0 it describes the window starting at degree 0).
     Deterministic: component classes in registry order, differentials in
-    odometer order, classes in first-found order.
+    odometer order, classes in first-found order.  More than
+    DEFAULT_COMPLEX_ENUM_BOUND differential choices raise EnumerationTooLarge.
     """
     check_period(t)
     dims_by_degree = tuple(tuple(d) for d in dims_by_degree)
@@ -355,10 +343,6 @@ def enumerate_complex_classes(reg: ClassRegistry, t: int, dims_by_degree,
     q = reg.quiver
     p = reg.p
     degrees = list(range(len(dims_by_degree)))
-
-    def next_deg(i: int) -> int:
-        return (i + 1) % t if t > 0 else i + 1
-
     class_lists = [reg.classes(d) for d in dims_by_degree]
     found: list[ComplexObj] = []
     for comp_choice in itertools.product(*class_lists):
@@ -369,15 +353,15 @@ def enumerate_complex_classes(reg: ClassRegistry, t: int, dims_by_degree,
         blocks = []
         combos = 1
         for i in degrees:
-            ni = next_deg(i)
+            ni = add_degree(t, i, 1)
             if i in comps and ni in comps:
                 kernel = _hom_kernel(comps[i], comps[ni])
                 if kernel[0]:
                     blocks.append((i, kernel))
                     combos *= p ** len(kernel[0])
-        if combos > bound:
-            raise EnumerationTooLarge(
-                f"{combos} differential choices for dims {dims_by_degree} exceed bound {bound}")
+        if combos > DEFAULT_COMPLEX_ENUM_BOUND:
+            raise EnumerationTooLarge(f"{combos} differential choices for dims {dims_by_degree} "
+                                      f"exceed bound {DEFAULT_COMPLEX_ENUM_BOUND}")
         single_endo = (q.n == 1 and not q.arrows and t == 1 and len(blocks) == 1)
         buckets: dict[tuple, list[int]] = {}
         survivors = 0
@@ -389,7 +373,7 @@ def enumerate_complex_classes(reg: ClassRegistry, t: int, dims_by_degree,
                     diffs[i] = _unflatten(p, flat, shapes, offsets)
             # d.d = 0 across consecutive differentials.
             for i in list(diffs):
-                ni = next_deg(i)
+                ni = add_degree(t, i, 1)
                 if ni in diffs:
                     for v in range(q.n):
                         if not diffs[ni][v].mul(diffs[i][v]).is_zero():
@@ -583,14 +567,11 @@ def hom_dt_count(reg: ClassRegistry, a: GradedObject, b: GradedObject,
     b_at = dict(b.components)
     e = 0
     for d, src in a.components:
-        j = (d - shift) % t if t else d - shift
-        tgt_h = b_at.get(j)
-        tgt_e = b_at.get((j - 1) % t if t else j - 1)
+        j = add_degree(t, d, -shift)
+        tgt_h, tgt_e = b_at.get(j), b_at.get(add_degree(t, j, -1))
         if tgt_h is not None:
-            hom, ext = reg.hom_ext_dims(src, tgt_h)
-            # At t = 1 the degrees j and j - 1 coincide: one pair, Hom and Ext^1.
-            e += hom + ext if t == 1 else hom
-        if tgt_e is not None and t != 1:
+            e += reg.hom_ext_dims(src, tgt_h)[0]
+        if tgt_e is not None:
             e += reg.hom_ext_dims(src, tgt_e)[1]
     return reg.p ** e
 

@@ -50,11 +50,6 @@ def euler_mult(reg: ClassRegistry, d1: DimVec, d2: DimVec) -> Fraction:
     return Fraction(reg.p) ** euler_table(reg)[tuple(d1), tuple(d2)]
 
 
-def ext1_dim(reg: ClassRegistry, a: IsoClassId, b: IsoClassId) -> int:
-    """dim Ext^1(a, b), read from the registry's (Hom, Ext^1) store (reg.hom_ext_dims)."""
-    return reg.hom_ext_dims(a, b)[1]
-
-
 def ext1_count(reg: ClassRegistry, a: IsoClassId, b: IsoClassId) -> int:
     """|Ext^1(a, b)| = q^{dim Ext^1(a, b)}."""
     return reg.p ** reg.hom_ext_dims(a, b)[1]
@@ -283,8 +278,9 @@ def _gamma_join(reg: ClassRegistry, a_side, b_side, aut) -> dict[
 
 
 def gamma_terms(reg: ClassRegistry, a: IsoClassId,
-                b: IsoClassId) -> tuple[tuple[IsoClassId, IsoClassId, Fraction], ...]:
-    """Every nonzero gamma(a, b, m, n) as (m, n, value).
+                b: IsoClassId) -> tuple[tuple[IsoClassId, IsoClassId, int, int], ...]:
+    """Every nonzero gamma(a, b, m, n) as (m, n, num, den), the value num / den
+    in lowest terms.
 
     gamma counts 4-term exact sequences 0 -> m -> b -> a -> n -> 0, split at
     the middle class I into 0 -> m -> b -> I -> 0 and 0 -> I -> a -> n -> 0:
@@ -297,15 +293,14 @@ def gamma_terms(reg: ClassRegistry, a: IsoClassId,
     memo = reg.memo("gamma_terms")
     terms = memo.get((a, b))
     if terms is None:
-        joined = _gamma_join(reg, (a,), (b,), reg.aut_count).get((a, b), ())
-        terms = memo[a, b] = tuple((m, n, Fraction(num, den)) for m, n, num, den in joined)
+        terms = memo[a, b] = tuple(_gamma_join(reg, (a,), (b,), reg.aut_count).get((a, b), ()))
     return terms
 
 
 def gamma_sweep(reg: ClassRegistry, classes: list[IsoClassId]) -> Iterator[
         tuple[IsoClassId, IsoClassId, list[tuple[IsoClassId, IsoClassId, int, int]]]]:
     """(a, b, terms) for every pair of classes, a-major: the terms of
-    gamma_terms(reg, a, b) with each value as num, den in lowest terms.
+    gamma_terms(reg, a, b), as a list.
 
     classes must hold every subobject and quotient of its members, as
     all_classes_total_le does; IncompatibleObjects names a class it lacks.
@@ -330,7 +325,8 @@ def gamma_coeff(reg: ClassRegistry, a: IsoClassId, b: IsoClassId,
                 m: IsoClassId, n: IsoClassId) -> Fraction:
     """Normalized count of 4-term exact sequences 0 -> m -> b -> a -> n -> 0:
     the (m, n) term of gamma_terms(reg, a, b), or 0 when it has none."""
-    return next((v for m2, n2, v in gamma_terms(reg, a, b) if (m2, n2) == (m, n)), Fraction(0))
+    return next((Fraction(num, den) for m2, n2, num, den in gamma_terms(reg, a, b)
+                 if (m2, n2) == (m, n)), Fraction(0))
 
 
 def green_sides(reg: ClassRegistry, a: IsoClassId, b: IsoClassId,

@@ -40,10 +40,6 @@ def check_prime(p: int) -> None:
         raise InvalidField(f"field order must be prime, got {p!r}")
 
 
-def vec_add(p: int, u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple((x + y) % p for x, y in zip(u, v))
-
-
 class Mat(namedtuple("Mat", "p rows cols entries")):
     """An immutable rows x cols matrix over F_p (explicit shape even when empty)."""
 
@@ -75,9 +71,11 @@ class Mat(namedtuple("Mat", "p rows cols entries")):
         return not any(map(any, self.entries))
 
     def add(self, other: "Mat") -> "Mat":
-        self._check_same_shape(other)
-        return Mat(self.p, self.rows, self.cols,
-                   tuple(vec_add(self.p, r, s) for r, s in zip(self.entries, other.entries)))
+        if self.p != other.p or self.rows != other.rows or self.cols != other.cols:
+            raise IncompatibleObjects("matrix shapes or fields differ")
+        p = self.p
+        return Mat(p, self.rows, self.cols, tuple(tuple((x + y) % p for x, y in zip(r, s))
+                                                  for r, s in zip(self.entries, other.entries)))
 
     def mul(self, other: "Mat") -> "Mat":
         if self.p != other.p:
@@ -102,10 +100,6 @@ class Mat(namedtuple("Mat", "p rows cols entries")):
             raise IncompatibleObjects("vector length does not match column count")
         p = self.p
         return tuple(sum(map(operator.mul, row, vec)) % p for row in self.entries)
-
-    def _check_same_shape(self, other: "Mat") -> None:
-        if self.p != other.p or self.rows != other.rows or self.cols != other.cols:
-            raise IncompatibleObjects("matrix shapes or fields differ")
 
 
 class RrefResult(namedtuple("RrefResult", "matrix pivots rank")):

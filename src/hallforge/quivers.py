@@ -8,10 +8,10 @@ from __future__ import annotations
 import itertools
 import json
 import operator
-from collections import deque, namedtuple
+from collections import namedtuple
 from typing import Iterator
 
-from .errors import NotHereditarySetup
+from .errors import CacheInvalid, NotHereditarySetup
 
 DimVec = tuple[int, ...]
 
@@ -44,22 +44,7 @@ def validate_quiver(q: Quiver) -> None:
     for a in q.arrows:
         if not (0 <= a.source < q.n and 0 <= a.target < q.n):
             raise NotHereditarySetup(f"arrow {a.label!r} has an endpoint outside the vertex set")
-    # Kahn's algorithm; leftover vertices mean an oriented cycle.
-    indeg = [0] * q.n
-    for a in q.arrows:
-        indeg[a.target] += 1
-    queue = deque(v for v in range(q.n) if indeg[v] == 0)
-    seen = 0
-    while queue:
-        v = queue.popleft()
-        seen += 1
-        for a in q.arrows:
-            if a.source == v:
-                indeg[a.target] -= 1
-                if indeg[a.target] == 0:
-                    queue.append(a.target)
-    if seen != q.n:
-        raise NotHereditarySetup("quiver has an oriented cycle; category is not hereditary here")
+    topological_order(q)  # raises on an oriented cycle
 
 
 def topological_order(q: Quiver) -> tuple[int, ...]:
@@ -126,6 +111,21 @@ def line_quiver(n: int) -> Quiver:
     return Quiver(vertices, arrows)
 
 
+def dims_key(dims: DimVec) -> str:
+    """dims as the key "d_0,d_1,..." under which a cache file stores it."""
+    return ",".join(map(str, dims))
+
+
+def dims_of_key(key: str) -> DimVec:
+    """The dims a cache file's key names; CacheInvalid (or ValueError) unless
+    the key is written as dims_key writes it, since int() reads " 1" and "+1"
+    as 1 and two keys could otherwise name one dims."""
+    dims = tuple(map(int, key.split(",")))
+    if key != dims_key(dims):
+        raise CacheInvalid(f"dims key {key!r} is not written as {dims_key(dims)!r}")
+    return dims
+
+
 def dims_add(d1: DimVec, d2: DimVec) -> DimVec:
     return tuple(map(operator.add, d1, d2))
 
@@ -155,8 +155,8 @@ def subdimvecs(d: DimVec) -> Iterator[DimVec]:
     yield from itertools.product(*(range(x + 1) for x in d))
 
 
-def dimvecs_up_to(n_vertices: int, max_total: int) -> Iterator[DimVec]:
-    """All dimension vectors with total dimension at most max_total."""
-    for d in itertools.product(range(max_total + 1), repeat=n_vertices):
-        if sum(d) <= max_total:
-            yield d
+def dimvecs_up_to(n_vertices: int, max_total: int) -> list[DimVec]:
+    """All dimension vectors with total dimension at most max_total, smallest
+    total first, then in lex order."""
+    return sorted((d for d in itertools.product(range(max_total + 1), repeat=n_vertices)
+                   if sum(d) <= max_total), key=lambda d: (sum(d), d))

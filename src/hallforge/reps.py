@@ -20,8 +20,10 @@ from .errors import (EnumerationTooLarge, IncompatibleObjects, InternalInconsist
                      NotASubobject)
 from .linalg import (Mat, Subspace, check_prime, count_matrices_of_rank, echelon, gl_order,
                      pack_bits, pack_row, rank, rows_kernel, rows_rank)
-from .quivers import DimVec, Quiver, euler_add, total_dim, validate_quiver
+from .quivers import (DimVec, Quiver, dimvecs_up_to, dims_key, dims_of_key, euler_add,
+                      total_dim, validate_quiver)
 
+# Resource bounds, read where each one fires (tests monkeypatch them).
 #: Enumeration ceiling for Hom-space searches in isomorphism tests.
 DEFAULT_ISO_ENUM_BOUND = 2 ** 16
 #: Enumeration ceiling for matrix-tuple sweeps when listing classes of a dimension vector.
@@ -200,23 +202,24 @@ def _isomorphisms(m: Rep, n: Rep, bound: int, kernel=None) -> Iterator[tuple[int
             yield flat
 
 
-def is_isomorphic(m: Rep, n: Rep, enum_bound: int = DEFAULT_ISO_ENUM_BOUND) -> bool:
-    """Exhaustive isomorphism test with cheap invariant prefilters."""
+def is_isomorphic(m: Rep, n: Rep) -> bool:
+    """Exhaustive isomorphism test with cheap invariant prefilters; a search
+    over more than DEFAULT_ISO_ENUM_BOUND morphisms raises EnumerationTooLarge."""
     _check_compatible(m, n)
     if m.dims != n.dims:
         return False
     if m == n:
         return True
     d_end = hom_dim(m, m)
-    return hom_dim(n, n) == d_end and _isomorphic_given_end(m, n, d_end, enum_bound)
+    return hom_dim(n, n) == d_end and _isomorphic_given_end(m, n, d_end)
 
 
-def _isomorphic_given_end(m: Rep, n: Rep, d_end: int, enum_bound: int) -> bool:
+def _isomorphic_given_end(m: Rep, n: Rep, d_end: int) -> bool:
     """is_isomorphic(m, n) for m, n of equal dims whose End both have dimension d_end."""
     kernel = _hom_kernel(m, n)
     if len(kernel[0]) != d_end or hom_dim(n, m) != d_end:
         return False
-    return next(_isomorphisms(m, n, enum_bound, kernel), None) is not None
+    return next(_isomorphisms(m, n, DEFAULT_ISO_ENUM_BOUND, kernel), None) is not None
 
 
 def _subquotient_entries(m: Rep, subs: tuple[Subspace, ...], quotient: bool = True,
@@ -389,15 +392,11 @@ class ClassRegistry:
     """Isomorphism classes, automorphism counts, the one store of Hom and Ext^1
     dimensions (hom_ext_dims) and memo tables for one (quiver, p)."""
 
-    def __init__(self, quiver: Quiver, p: int,
-                 iso_enum_bound: int = DEFAULT_ISO_ENUM_BOUND,
-                 tuple_bound: int = DEFAULT_TUPLE_BOUND) -> None:
+    def __init__(self, quiver: Quiver, p: int) -> None:
         validate_quiver(quiver)
         check_prime(p)
         self.quiver = quiver
         self.p = p
-        self.iso_enum_bound = iso_enum_bound
-        self.tuple_bound = tuple_bound
         # Per enumerated dims, its representatives; for loaded dims in _unbuilt,
         # their checked matrix codes (_mat_code, one per arrow) until _reps
         # builds them.  perfbench's tracer reads the keys and lengths.
@@ -431,8 +430,8 @@ class ClassRegistry:
         groups act independently, is put in lex-first rank forms, each standing
         for the #rank-r matrices equivalent to it, and so is the next such run
         after a run of rank 0 (_formed_prefixes); only the other arrows are
-        swept.  tuple_bound counts the tuples the first run leaves, an upper
-        bound on those swept."""
+        swept.  DEFAULT_TUPLE_BOUND bounds the tuples the first run leaves, an
+        upper bound on those swept."""
         dims = self._check_dims(dims)
         if dims in self._classes:
             return
@@ -441,9 +440,9 @@ class ClassRegistry:
         n_formed = _disjoint_prefix(q.arrows)
         n_tuples = (math.prod(min(shape) + 1 for shape in shapes[:n_formed])
                     * p ** sum(r * c for r, c in shapes[n_formed:]))
-        if n_tuples > self.tuple_bound:
+        if n_tuples > DEFAULT_TUPLE_BOUND:
             raise EnumerationTooLarge(
-                f"{n_tuples} matrix tuples for dims {dims} exceed bound {self.tuple_bound}")
+                f"{n_tuples} matrix tuples for dims {dims} exceed bound {DEFAULT_TUPLE_BOUND}")
         found: list[Rep] = []
         orbits: list[int] = []
         for forms, weight in _formed_prefixes(q, p, shapes):
@@ -456,8 +455,8 @@ class ClassRegistry:
                 sig = self._signature(rep) if swept else ()
                 bucket = signatures.setdefault(sig, [])
                 # A bucket's reps share the signature, whose first entry is dim End.
-                hit = next((k for k in bucket if _isomorphic_given_end(
-                    rep, found[k], sig[0], self.iso_enum_bound)), None)
+                hit = next((k for k in bucket if _isomorphic_given_end(rep, found[k], sig[0])),
+                           None)
                 if hit is None:
                     bucket.append(len(found))
                     found.append(rep)
@@ -550,17 +549,13 @@ class ClassRegistry:
             if rep == cand:
                 return cid
             d_end = hom_dim(rep, rep) if d_end is None else d_end
-            if self.hom_dim_classes(cid, cid) == d_end and _isomorphic_given_end(
-                    rep, cand, d_end, self.iso_enum_bound):
+            if self.hom_dim_classes(cid, cid) == d_end and _isomorphic_given_end(rep, cand, d_end):
                 return cid
         raise InternalInconsistency("representation matched no enumerated class")
 
     def all_classes_total_le(self, max_total: int) -> list[IsoClassId]:
-        from .quivers import dimvecs_up_to
-        out: list[IsoClassId] = []
-        for dims in sorted(dimvecs_up_to(self.quiver.n, max_total), key=lambda d: (sum(d), d)):
-            out.extend(self.classes(dims))
-        return out
+        """The classes of total dimension <= max_total, by dims in dimvecs_up_to order."""
+        return [c for dims in dimvecs_up_to(self.quiver.n, max_total) for c in self.classes(dims)]
 
     # -- memoized invariants ----------------------------------------------
 
@@ -643,9 +638,9 @@ class ClassRegistry:
             ids = self._ids[dims]
             codes = reps if dims in self._unbuilt else [[_mat_code(self.p, m.entries)
                                                          for m in rep.mats] for rep in reps]
-            state[",".join(map(str, dims))] = {"orbit": [self._orbit[c] for c in ids],
-                                               "aut": [self._aut.get(c) for c in ids],
-                                               "mats": [list(c) for c in codes]}
+            state[dims_key(dims)] = {"orbit": [self._orbit[c] for c in ids],
+                                     "aut": [self._aut.get(c) for c in ids],
+                                     "mats": [list(c) for c in codes]}
         return state
 
     def export_size(self) -> tuple[int, int]:
@@ -672,10 +667,7 @@ class ClassRegistry:
         rank_tuples = self.memo("rank_tuple")
         try:
             for key, stored in state.items():
-                dims = self._check_dims(tuple(int(x) for x in key.split(",")))
-                if key != ",".join(map(str, dims)):  # else two keys could name one dims
-                    raise CacheInvalid(f"dims key {key!r} is not written as "
-                                       f"{','.join(map(str, dims))!r}")
+                dims = self._check_dims(dims_of_key(key))
                 orbits, auts, codes = stored["orbit"], stored["aut"], stored["mats"]
                 if not len(orbits) == len(auts) == len(codes):
                     raise CacheInvalid(f"dims {dims} store {len(orbits)} orbits, {len(auts)} "

@@ -43,9 +43,9 @@ from fractions import Fraction
 
 from hallforge.algebra import DerivedHall, HallVector
 from hallforge.complexes import (ComplexObj, GradedObject, _as_reps, _coboundary_transversal,
-                                 _middle_modules, class_at_or_zero, dt_hom_with_cone_count,
-                                 enumerate_complex_classes, graded_object, hom_dt_count,
-                                 homology, zero_diff_complex)
+                                 _middle_modules, add_degree, class_at_or_zero,
+                                 dt_hom_with_cone_count, enumerate_complex_classes,
+                                 graded_object, hom_dt_count, homology, zero_diff_complex)
 from hallforge.errors import (DivisionByZero, IncompatibleObjects, InternalInconsistency,
                               NotASubobject, UnsupportedPeriod)
 from hallforge.hall import (closed_subspace_tuples, euler_mult, euler_table, ext1_count,
@@ -117,7 +117,7 @@ def hall_number_injection_oracle(reg: ClassRegistry, a: IsoClassId,
             subspace_from_vectors(p, rep_c.dims[v], _columns(f[v]))
             for v in range(reg.quiver.n))
         quot = quotient_by_subrep(rep_c, subs)
-        if is_isomorphic(quot, rep_a, reg.iso_enum_bound):
+        if is_isomorphic(quot, rep_a):
             count += 1
     aut_b = reg.aut_count(b)
     assert count % aut_b == 0
@@ -200,7 +200,7 @@ def brute_force_classes(reg: ClassRegistry, dims: tuple[int, ...]):
             off += r * c
         rep = Rep(q, p, dims, tuple(mats))
         for k, known in enumerate(found):
-            if is_isomorphic(rep, known, reg.iso_enum_bound):
+            if is_isomorphic(rep, known):
                 orbits[k] += 1
                 break
         else:
@@ -211,7 +211,7 @@ def brute_force_classes(reg: ClassRegistry, dims: tuple[int, ...]):
 
 def _diff_or_zero(c: ComplexObj, i: int) -> tuple[Mat, ...]:
     """d^i of c, with the omitted zero differential spelled out."""
-    src, tgt = c.dims_at(i), c.dims_at(c.next_deg(i))
+    src, tgt = c.dims_at(i), c.dims_at(add_degree(c.t, i, 1))
     return c.diff_at(i) or tuple(Mat.zeros(c.p, tgt[v], src[v]) for v in range(c.quiver.n))
 
 
@@ -228,7 +228,7 @@ def chain_maps_by_enumeration(c1: ComplexObj, c2: ComplexObj) -> list[dict[int, 
     out = []
     for choice in itertools.product(*per_degree):
         f = dict(zip(degrees, choice))
-        if all(_compose(f[c1.next_deg(i)], _diff_or_zero(c1, i))
+        if all(_compose(f[add_degree(c1.t, i, 1)], _diff_or_zero(c1, i))
                == _compose(_diff_or_zero(c2, i), f[i]) for i in steps):
             out.append(f)
     return out
@@ -246,7 +246,7 @@ def hall_number_ct_injection_oracle(reg: ClassRegistry, a: GradedObject, b: Grad
             continue
         image = {i: tuple(subspace_from_vectors(p, c.dims_at(i)[v], _columns(f[i][v]))
                           for v in range(n)) for i in f}
-        if any(not image[c.next_deg(i)][v].contains(col)
+        if any(not image[add_degree(c.t, i, 1)][v].contains(col)
                for i, d in c.differentials for v in range(n) for col in _columns(d[v])):
             continue
         if all(reg.classify(quotient_by_subrep(c.comp_at(i), image[i]))
@@ -391,7 +391,7 @@ def walked_subobject_table(reg: ClassRegistry, c: IsoClassId,
 def a_prime_by_endomorphisms(dh: DerivedHall, g: GradedObject) -> QSqrtScalar:
     """|End_{D_t}(g)| * {g, g}^{1/2}: a'_g with |End| in place of |Aut| (odd t)."""
     end_count = hom_dt_count(dh.reg, g, g, shift=0)
-    return dh.rational(end_count) * sqrt_of_fraction(dh.q, dh.bracket(g, g))
+    return QSqrtScalar.rational(dh.q, end_count) * sqrt_of_fraction(dh.q, dh.bracket(g, g))
 
 
 def product_by_endomorphisms(reg: ClassRegistry, a: IsoClassId, b: IsoClassId) -> HallVector:
@@ -403,7 +403,7 @@ def product_by_endomorphisms(reg: ClassRegistry, a: IsoClassId, b: IsoClassId) -
     hom_root = QSqrtScalar.rational(dh.q, 1, hom_dt_count(reg, a_g, b_g, shift=0)).sqrt()
     out = HallVector(dh.q)
     for g, _ in dh.rp_product_t1(a_g, b_g).items():
-        coeff = (dh.rational(dt_hom_with_cone_count(reg, a_g, b_g, g)) * hom_root
+        coeff = (QSqrtScalar.rational(dh.q, dt_hom_with_cone_count(reg, a_g, b_g, g)) * hom_root
                  * a_prime_by_endomorphisms(dh, g) / denom)
         if coeff:
             out = out.add(HallVector(dh.q, {g: coeff}))

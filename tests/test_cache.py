@@ -8,7 +8,7 @@ import threading
 
 import pytest
 
-from hallforge.cache import (CACHE_ENV_VAR, CACHE_FORMAT, cache_directory,
+from hallforge.cache import (CACHE_ENV_VAR, CACHE_FORMAT, _digest_head, cache_directory,
                              cache_path, encode_cache, load_cache, save_cache,
                              setup_fingerprint)
 from hallforge.errors import CacheInvalid
@@ -177,6 +177,17 @@ def test_bad_registry_state_is_rejected(tmp_path):
         load_cache(ClassRegistry(line_quiver(1), 2), 0, tmp_path)
 
 
+def test_a_repeated_key_is_rejected(tmp_path):
+    # json.loads keeps the last of two equal keys, so a junk class entry
+    # before the real "1,1" one would be dropped without a word.
+    def repeat_key(payload):
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return text.replace('"classes":{', '"classes":{"1,1":{"aut":[],"mats":[],"orbit":[]},', 1)
+    reseal(save_cache(warm_kronecker(), 0, tmp_path), repeat_key)
+    with pytest.raises(CacheInvalid, match="repeats the key '1,1'"):
+        load_cache(ClassRegistry(KRONECKER, 2), 0, tmp_path)
+
+
 def test_fingerprint_separates_setups():
     a1, a2 = line_quiver(1), line_quiver(2)
     fp = setup_fingerprint(a1, 2, 0)
@@ -190,11 +201,17 @@ def test_fingerprint_separates_setups():
 def reseal(path, edit):
     """Apply edit to the payload of the cache file at path and write the file
     again under a fresh digest, so that what a load rejects is caught by its
-    checks of the content, not by the digest.  Returns path."""
+    checks of the content, not by the digest.  An edit that returns a str
+    gives the payload's JSON text itself, for a layout no dict can hold.
+    Returns path."""
     payload = json.loads(path.read_text())
     del payload["sha256"]
-    edit(payload)
-    path.write_bytes(encode_cache(payload))
+    text = edit(payload)
+    if isinstance(text, str):
+        body = text.encode("utf-8")
+        path.write_bytes(_digest_head(body) + body[1:])
+    else:
+        path.write_bytes(encode_cache(payload))
     return path
 
 

@@ -594,7 +594,7 @@ def test_engine_faults_have_their_own_exit_code(capsys, monkeypatch, fault):
 
     def broken(args, reg, t):
         raise fault("planted")
-    monkeypatch.setitem(cli.COMMANDS, "classes", broken)
+    monkeypatch.setitem(cli.COMMANDS, "classes", (broken, False, "planted"))
     code, report, err = run_cli(capsys, "classes")
     assert code == cli.EXIT_INTERNAL == 4
     assert report is None and "error" in err and "planted" in err

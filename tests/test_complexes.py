@@ -274,9 +274,10 @@ def test_complex_classes_need_t_dims(a1_f2):
         enumerate_complex_classes(a1_f2, 3, [(1,)])
 
 
-def test_complex_classes_bound(a1_f2):
+def test_complex_classes_bound(a1_f2, monkeypatch):
+    monkeypatch.setattr(complexes, "DEFAULT_COMPLEX_ENUM_BOUND", 100)
     with pytest.raises(EnumerationTooLarge):
-        enumerate_complex_classes(a1_f2, 1, [(5,)], bound=100)
+        enumerate_complex_classes(a1_f2, 1, [(5,)])
 
 
 # -- chain-level counting --------------------------------------------------------

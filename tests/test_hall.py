@@ -187,9 +187,9 @@ def test_gamma_terms_match_middle_class_sum(quiver, p, max_total):
                     for n in reg.classes(dn):
                         value = gamma_by_middle_class_sum(reg, a, b, m, n)
                         if value:
-                            want.append((m, n, value))
+                            want.append((m, n, value.numerator, value.denominator))
             assert list(gamma_terms(reg, a, b)) == want, (a, b)
-            rows.extend((a, b, m, n, v.numerator, v.denominator) for m, n, v in want)
+            rows.extend((a, b, *term) for term in want)
     assert [(a, b, *term) for a, b, terms in gamma_sweep(reg, classes)
             for term in terms] == rows
 
@@ -400,8 +400,8 @@ def test_gamma_sweep_rows_equal_per_pair_gamma_terms(quiver, p, max_total):
              for a, b, terms in gamma_sweep(sweep_reg, sweep_reg.all_classes_total_le(max_total))
              for m, n, num, den in terms]
     classes = pair_reg.all_classes_total_le(max_total)
-    want = [(a, b, m, n, str(v)) for a in classes for b in classes
-            for m, n, v in gamma_terms(pair_reg, a, b)]
+    want = [(a, b, m, n, str(Fraction(num, den))) for a in classes for b in classes
+            for m, n, num, den in gamma_terms(pair_reg, a, b)]
     assert swept == want and swept
     assert not sweep_reg.memo("gamma_terms")
 

@@ -20,9 +20,15 @@ def test_line_quiver_shape():
     assert line_quiver(1).arrows == ()
 
 
-def test_cycle_is_rejected():
-    q = Quiver(("1", "2"), (Arrow(0, 1, "a"), Arrow(1, 0, "b")))
-    with pytest.raises(NotHereditarySetup):
+@pytest.mark.parametrize("vertices,arrows", [
+    (("1",), [(0, 0)]),
+    (("1", "2"), [(0, 1), (1, 0)]),
+    # Vertex 1 is a source, and the cycle 2 -> 3 -> 4 -> 2 is reached from it.
+    (("1", "2", "3", "4"), [(0, 1), (1, 2), (2, 3), (3, 1)]),
+], ids=["loop", "2-cycle", "3-cycle-from-source"])
+def test_cycle_is_rejected(vertices, arrows):
+    q = Quiver(vertices, tuple(Arrow(s, t, f"a{i}") for i, (s, t) in enumerate(arrows)))
+    with pytest.raises(NotHereditarySetup, match="oriented cycle"):
         validate_quiver(q)
     with pytest.raises(NotHereditarySetup):
         topological_order(q)

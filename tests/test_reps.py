@@ -12,7 +12,6 @@ from hallforge.algebra import DerivedHall
 from hallforge.complexes import _coboundary_transversal, graded_object, hom_dt_count
 from hallforge.errors import (EnumerationTooLarge, IncompatibleObjects, InternalInconsistency,
                               InvalidField)
-from hallforge.hall import ext1_dim
 from hallforge.linalg import (Mat, full_subspace, gl_order, is_invertible, subspace_from_vectors,
                              zero_subspace)
 from hallforge.quivers import (Arrow, Quiver, dimvecs_up_to, euler_add, line_quiver,
@@ -59,9 +58,9 @@ def test_negative_ext1_is_an_internal_inconsistency(monkeypatch):
         reg = ClassRegistry(line_quiver(2), 2)
         return reg, reg.classes((1, 0))[0], reg.classes((0, 1))[0]
     reg, s1, s2 = fresh()
-    assert ext1_dim(reg, s2, s1) == 0
+    assert reg.hom_ext_dims(s2, s1)[1] == 0
     with pytest.raises(InternalInconsistency, match="negative Ext"):
-        ext1_dim(reg, s1, s2)
+        reg.hom_ext_dims(s1, s2)
     reg, s1, s2 = fresh()
     with pytest.raises(InternalInconsistency, match="negative Ext"):
         hom_dt_count(reg, graded_object(3, 2, [(1, s1)]), graded_object(3, 2, [(0, s2)]))
@@ -375,10 +374,11 @@ def test_arrows_after_a_rank_zero_run_are_put_in_rank_forms(quiver, dims, orbits
     assert sum(orbits) == 2 ** sum(dims[a.target] * dims[a.source] for a in quiver.arrows)
 
 
-def test_tuple_bound_counts_the_swept_tuples():
+def test_tuple_bound_counts_the_swept_tuples(monkeypatch):
     # Kronecker (2, 3): a in its 3 rank forms times 2^6 matrices b is 192
     # tuples, where the full sweep has 2^12 = 4096.
-    reg = ClassRegistry(quiver_from_dict(KRONECKER), 2, tuple_bound=1000)
+    monkeypatch.setattr(reps, "DEFAULT_TUPLE_BOUND", 1000)
+    reg = ClassRegistry(quiver_from_dict(KRONECKER), 2)
     assert sum(reg.orbit_size(c) for c in reg.classes((2, 3))) == 2 ** 12
     with pytest.raises(EnumerationTooLarge, match="2048 matrix tuples"):
         reg.classes((3, 3))
