@@ -29,10 +29,9 @@ from .linalg import (Mat, Subspace, count_matrices_of_rank,
                      enumerate_subspaces, gaussian_binomial, gl_order,
                      is_invertible, kernel_basis, rank, rref,
                      subspace_from_vectors)
-from .quivers import (Arrow, Quiver, canonical_quiver_json, dims_add,
-                      dims_sub, dimvecs_up_to, line_quiver, quiver_from_dict,
-                      quiver_to_dict, subdimvecs, topological_order,
-                      validate_quiver)
+from .quivers import (Arrow, Quiver, dims_add, dims_sub, dimvecs_up_to,
+                      line_quiver, quiver_from_dict, quiver_to_dict,
+                      subdimvecs, topological_order, validate_quiver)
 from .reps import (ClassRegistry, IsoClassId, Rep, direct_sum,
                    hom_basis, hom_dim, is_isomorphic,
                    semisimple_rep, simple_rep, zero_rep)
@@ -59,7 +58,7 @@ __all__ = [
     "Mat", "Subspace", "count_matrices_of_rank",
     "enumerate_subspaces", "gaussian_binomial", "gl_order", "is_invertible",
     "kernel_basis", "rank", "rref", "subspace_from_vectors",
-    "Arrow", "Quiver", "canonical_quiver_json", "dims_add", "dims_sub",
+    "Arrow", "Quiver", "dims_add", "dims_sub",
     "dimvecs_up_to", "line_quiver", "quiver_from_dict", "quiver_to_dict",
     "subdimvecs", "topological_order", "validate_quiver",
     "ClassRegistry", "IsoClassId", "Rep", "direct_sum",

@@ -1,13 +1,12 @@
 """On-disk persistence of enumeration state, keyed by a setup fingerprint.
 
-A cache file stores the isomorphism classes, orbit/automorphism counts and
+A cache file (format 6) stores the isomorphism classes, orbit counts and
 subobject tables of one (quiver, field, periodicity) setup, in a layout
 load_cache checks in one flat pass:
 
-- "classes": per dims "d_0,d_1,...", the lists "orbit", "aut" (null where not
-  computed) and "mats", one list of arrow-matrix codes per class, each code
-  the matrix's row-major entries as the base-p digits of one int
-  (reps._mat_code), in range(p^(rows*cols));
+- "classes": per dims "d_0,d_1,...", the lists "orbit" and "mats", one list
+  of arrow-matrix codes per class, each code the matrix's row-major entries
+  as the base-p digits of one int (reps._mat_code), in range(p^(rows*cols));
 - "tables": per dims of a class c, one group [index of c, [d, triples], ...]
   per class that hall._subobject_table walks, with one [d, triples] per
   subobject dims d other than 0 and dims c, empty tables included.  triples
@@ -16,15 +15,16 @@ load_cache checks in one flat pass:
   the quotient and subobject dims are implied (dims c - d and d), and an
   index resolves only against the classes of the same file.
 
-Closed-form Hall numbers and tables are recomputed.  The fingerprint ties
-the file to the setup, and a sha256 digest of the payload bytes, written as
-the file's first key, ties the counts to what was saved; loading a file
-whose fingerprint, layout (older formats included) or digest does not match,
-that repeats a key within one object, whose counts break the orbit
-identities, or whose tables no route reads raises CacheInvalid.  Every
-check runs at load, but the registry decodes a class's representative from
-its checked codes only when something reads it, so a warm run that finds
-all it reads here builds none.  Caching only affects speed, never results.
+|Aut| = |GL(d)| / orbit, closed-form Hall numbers and tables are derived.
+The fingerprint ties the file to the setup, and a sha256 digest of the
+payload bytes, written as the file's first key, ties the counts to what was
+saved; loading a file whose fingerprint, layout (older formats included) or
+digest does not match, that repeats a key within one object, whose orbits
+do not divide |GL(d)| or partition the matrix tuples, or whose tables no
+route reads raises CacheInvalid.  Every check runs at load, but a class's
+representative is decoded from its checked codes only when something reads
+it, so a warm run that finds all it reads here builds none.  Caching only
+affects speed, never results.
 """
 from __future__ import annotations
 
@@ -35,46 +35,42 @@ from pathlib import Path
 
 from .errors import CacheInvalid
 from .hall import _walked
-from .quivers import Quiver, canonical_quiver_json, dims_key, dims_of_key, dims_sub
+from .quivers import Quiver, dims_key, dims_of_key, dims_sub, quiver_to_dict
 from .reps import ClassRegistry, class_name
 
 CACHE_ENV_VAR = "HALLFORGE_CACHE"
-CACHE_FORMAT = 5
+CACHE_FORMAT = 6
 _BODY_START = len(b'{"sha256":"",') + 64  # where the payload's first key starts
 
 
-def setup_fingerprint(quiver: Quiver, q: int, t: int) -> str:
-    """sha256 of the canonical (quiver, q, t) description."""
-    payload = json.dumps({"quiver": json.loads(canonical_quiver_json(quiver)),
-                          "q": q, "t": t},
-                         sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+def _canonical_json(obj) -> bytes:
+    """obj as compact JSON with sorted keys, UTF-8 encoded."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def cache_directory(directory: str | os.PathLike | None = None) -> Path | None:
-    """The cache directory: the explicit argument, else $HALLFORGE_CACHE, else None."""
-    if directory is not None:
-        return Path(directory)
+def setup_fingerprint(quiver: Quiver, q: int, t: int, **bounds) -> str:
+    """sha256 of the canonical JSON of {quiver, q, t, **bounds}: a cache
+    file's name, or with a CLI run's max_dim and dim its report's."""
+    return hashlib.sha256(_canonical_json({"quiver": quiver_to_dict(quiver), "q": q, "t": t,
+                                           **bounds})).hexdigest()
+
+
+def cache_directory() -> Path | None:
+    """The directory $HALLFORGE_CACHE names, or None when it is unset or empty."""
     env = os.environ.get(CACHE_ENV_VAR)
     return Path(env) if env else None
 
 
-def cache_path(quiver: Quiver, q: int, t: int,
-               directory: str | os.PathLike | None = None) -> Path | None:
-    base = cache_directory(directory)
-    if base is None:
-        return None
-    return base / f"{setup_fingerprint(quiver, q, t)}.json"
+def cache_path(quiver: Quiver, q: int, t: int) -> Path | None:
+    base = cache_directory()
+    return None if base is None else base / f"{setup_fingerprint(quiver, q, t)}.json"
 
 
 def encode_cache(payload: dict) -> bytes:
-    """The file bytes for payload: its compact sorted JSON, with the sha256 of
-    those bytes spliced in as a first key "sha256".
-
-    A reader checks the digest on the bytes it read, from a fixed offset,
-    without serialising anything again.
-    """
-    body = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    """The file bytes for payload: its canonical JSON, with the sha256 of those
+    bytes spliced in as a first key "sha256", which a reader checks on the
+    bytes it read, from a fixed offset, without serialising anything again."""
+    body = _canonical_json(payload)
     return _digest_head(body) + body[1:]
 
 
@@ -82,16 +78,15 @@ def _digest_head(body: bytes) -> bytes:
     return b'{"sha256":"' + hashlib.sha256(body).hexdigest().encode("ascii") + b'",'
 
 
-def cached_size(reg: ClassRegistry) -> tuple[int, int, int]:
+def cached_size(reg: ClassRegistry) -> tuple[int, int]:
     """The sizes of the tables save_cache writes.  They only grow, so a registry
     whose sizes equal those just after a load would save the loaded contents."""
-    return (*reg.export_size(), len(reg.memo("subobject_table")))
+    return reg.export_size(), len(reg.memo("subobject_table"))
 
 
-def save_cache(reg: ClassRegistry, t: int,
-               directory: str | os.PathLike | None = None) -> Path | None:
+def save_cache(reg: ClassRegistry, t: int) -> Path | None:
     """Write the registry state; returns the path, or None when no dir is set."""
-    path = cache_path(reg.quiver, reg.p, t, directory)
+    path = cache_path(reg.quiver, reg.p, t)
     if path is None:
         return None
     tables: dict[str, list] = {}
@@ -103,14 +98,8 @@ def save_cache(reg: ClassRegistry, t: int,
         # A table is kept in (subobject index, quotient index) order.
         groups[-1].append([list(d), [x for (a, b), n in table.items()
                                      for x in (a.index, b.index, n)]])
-    payload = {
-        "format": CACHE_FORMAT,
-        "fingerprint": setup_fingerprint(reg.quiver, reg.p, t),
-        "q": reg.p,
-        "t": t,
-        "classes": reg.export_state(),
-        "tables": tables,
-    }
+    payload = {"format": CACHE_FORMAT, "fingerprint": path.stem,
+               "classes": reg.export_state(), "tables": tables}
     path.parent.mkdir(parents=True, exist_ok=True)
     # A temp file of its own per writer, so concurrent saves never share one.
     tmp = path.with_name(f"{path.stem}.{os.urandom(16).hex()}.tmp")
@@ -123,13 +112,12 @@ def save_cache(reg: ClassRegistry, t: int,
     return path
 
 
-def load_cache(reg: ClassRegistry, t: int,
-               directory: str | os.PathLike | None = None) -> bool:
+def load_cache(reg: ClassRegistry, t: int) -> bool:
     """Load cached state into the registry; False when there is nothing to load.
 
     Raises CacheInvalid when the file exists but does not match this setup.
     """
-    path = cache_path(reg.quiver, reg.p, t, directory)
+    path = cache_path(reg.quiver, reg.p, t)
     if path is None or not path.exists():
         return False
     try:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import itertools
 import json
 import random
@@ -28,7 +27,7 @@ import time
 from typing import Iterable
 
 from .algebra import RELATION_FAMILIES, DerivedHall, relation_check
-from .cache import cache_directory, cached_size, load_cache, save_cache
+from .cache import cache_directory, cached_size, load_cache, save_cache, setup_fingerprint
 from .complexes import check_period, format_graded, graded_object, parse_graded
 from .errors import (CacheInvalid, DivisionByZero, EnumerationTooLarge,
                      IncompatibleObjects, InternalInconsistency, InvalidField,
@@ -36,7 +35,7 @@ from .errors import (CacheInvalid, DivisionByZero, EnumerationTooLarge,
                      RewriteBudgetExceeded, UnsupportedPeriod)
 from .hall import gamma_sweep, green_sides, subquotient_tables
 from .quivers import (Quiver, dims_key, dims_sub, dimvecs_up_to, line_quiver,
-                      quiver_from_dict, quiver_to_dict, subdimvecs)
+                      quiver_from_dict, subdimvecs)
 from .reps import ClassRegistry
 
 EXIT_OK = 0
@@ -51,16 +50,6 @@ _USAGE_ERRORS = (InvalidField, NotHereditarySetup, UnsupportedPeriod,
                  IncompatibleObjects, NotASubobject)
 # NotAPureQPower comes out of engine arithmetic (a', square roots), never user input.
 _ENGINE_FAULTS = (InternalInconsistency, DivisionByZero, NotAPureQPower)
-
-
-def report_fingerprint(quiver: Quiver, q: int, t: int,
-                       max_dim: int | None, dim: tuple[int, ...] | None) -> str:
-    """sha256 over the run setup: quiver, field size, periodicity, bounds."""
-    payload = json.dumps({"quiver": quiver_to_dict(quiver), "q": q, "t": t,
-                          "max_dim": max_dim,
-                          "dim": list(dim) if dim is not None else None},
-                         sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def load_quiver(path: str | None) -> Quiver:
@@ -293,18 +282,39 @@ def cmd_crosscheck(args, reg: ClassRegistry, t: int):
     return _sampled_checks(args, reg, t, DerivedHall(reg, t).theorem_crosscheck, ("a", "b"))
 
 
-# name: (pipeline, whether it is a check, help).  A check's rows are its
-# counterexamples, and any of them makes the run exit EXIT_MISMATCH.
+# name: (pipeline, whether it is a check, its run options, help).  A check's
+# rows are its counterexamples, and any of them makes the run exit
+# EXIT_MISMATCH.  The options are OPTIONS flags; "a|b" makes a and b exclusive.
 COMMANDS = {
-    "classes": (cmd_classes, False,
+    "classes": (cmd_classes, False, "--max-dim|--dim",
                 "enumerate isomorphism classes with orbit and automorphism counts"),
-    "hall": (cmd_hall, False, "nonzero subobject-counting structure constants"),
-    "green": (cmd_green, True, "verify the comultiplication compatibility identity on a sweep"),
-    "gamma": (cmd_gamma, False, "nonzero normalized 4-term exact sequence counts"),
-    "dha-mul": (cmd_dha_mul, False, "multiply two basis elements of the derived algebra"),
-    "dha-assoc": (cmd_dha_assoc, True, "verify associativity of the derived product on a sweep"),
-    "relations": (cmd_relations, True, "verify the generator-relation families on a sweep"),
-    "crosscheck": (cmd_crosscheck, True, "compare the product against an independent route"),
+    "hall": (cmd_hall, False, "--max-dim|--dim", "nonzero subobject-counting structure constants"),
+    "green": (cmd_green, True, "--max-dim",
+              "verify the comultiplication compatibility identity on a sweep"),
+    "gamma": (cmd_gamma, False, "--max-dim", "nonzero normalized 4-term exact sequence counts"),
+    "dha-mul": (cmd_dha_mul, False, "--t --lhs --rhs",
+                "multiply two basis elements of the derived algebra"),
+    "dha-assoc": (cmd_dha_assoc, True, "--t --max-dim --seed",
+                  "verify associativity of the derived product on a sweep"),
+    "relations": (cmd_relations, True, "--t --max-dim",
+                  "verify the generator-relation families on a sweep"),
+    "crosscheck": (cmd_crosscheck, True, "--t --max-dim --seed",
+                   "compare the product against an independent route"),
+}
+
+# flag: add_argument keywords.  A command that does not take an option reads
+# its default, so the pipelines, the fingerprint and the cache key see the
+# same fields for every command.
+OPTIONS = {
+    "--t": dict(type=int, default=0, metavar="T",
+                help="complex periodicity: 0 or a positive odd integer (default 0)"),
+    "--max-dim": dict(type=int, default=None, metavar="N",
+                      help="total dimension bound for sweeps (default 2)"),
+    "--dim": dict(default=None, metavar="CSV", help="one dimension vector, comma-separated"),
+    "--lhs": dict(default=None, metavar="OBJ", help="left factor, e.g. '[k2@0, k1#1@1]'"),
+    "--rhs": dict(default=None, metavar="OBJ", help="right factor, same syntax as --lhs"),
+    "--seed": dict(type=int, default=None, metavar="N",
+                   help="sample large sweeps down to %d tuples with this seed" % SAMPLE_CAP),
 }
 
 
@@ -316,42 +326,35 @@ def build_parser() -> argparse.ArgumentParser:
                         help="quiver description as JSON; default: one vertex, no arrows")
     common.add_argument("--q", type=int, default=2, metavar="P",
                         help="prime field size (default 2)")
-    common.add_argument("--t", type=int, default=0, metavar="T",
-                        help="complex periodicity: 0 or a positive odd integer (default 0)")
-    common.add_argument("--max-dim", type=int, default=None, metavar="N",
-                        help="total dimension bound for sweeps (default 2)")
-    common.add_argument("--dim", default=None, metavar="CSV",
-                        help="one dimension vector, comma-separated")
-    common.add_argument("--lhs", default=None, metavar="OBJ",
-                        help="left factor, e.g. '[k2@0, k1#1@1]'")
-    common.add_argument("--rhs", default=None, metavar="OBJ",
-                        help="right factor, same syntax as --lhs")
-    common.add_argument("--seed", type=int, default=None, metavar="N",
-                        help="sample large sweeps down to %d triples with this seed" % SAMPLE_CAP)
     common.add_argument("--csv", default=None, metavar="PATH",
                         help="also write the result rows as CSV")
+    common.set_defaults(**{flag[2:].replace("-", "_"): kw["default"]
+                           for flag, kw in OPTIONS.items()})
 
     parser = argparse.ArgumentParser(
         prog="hallforge",
         description="Exact computations in Ringel-Hall and derived Hall algebras "
                     "of quiver representations over prime fields.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, _, help_text) in COMMANDS.items():
-        sub.add_parser(name, parents=[common], help=help_text)
+    for name, (_, _, options, help_text) in COMMANDS.items():
+        cmd = sub.add_parser(name, parents=[common], help=help_text)
+        for entry in options.split():
+            group = cmd.add_mutually_exclusive_group() if "|" in entry else cmd
+            for flag in entry.split("|"):
+                group.add_argument(flag, **OPTIONS[flag])
     return parser
 
 
 def dispatch(argv: list[str] | None = None) -> tuple[dict | None, int]:
     """Run one subcommand; returns (report, exit_code).  report is None when
     the run failed before producing results (usage, resource or engine errors)."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     start = time.monotonic()
     try:
         quiver = load_quiver(args.quiver)
         t = args.t
         check_period(t)
-        dim = parse_dims(args.dim, quiver.n) if args.dim is not None else None
+        dim = list(parse_dims(args.dim, quiver.n)) if args.dim is not None else None
         if args.max_dim is not None and args.max_dim < 0:
             raise IncompatibleObjects(f"--max-dim must be nonnegative, got {args.max_dim}")
         reg = ClassRegistry(quiver, args.q)
@@ -362,7 +365,7 @@ def dispatch(argv: list[str] | None = None) -> tuple[dict | None, int]:
             except CacheInvalid as e:
                 print(f"warning: ignoring cache: {e}", file=sys.stderr)
                 reg = ClassRegistry(quiver, args.q)
-        run, is_check, _ = COMMANDS[args.command]
+        run, is_check = COMMANDS[args.command][:2]
         results, csv_fields, csv_rows = run(args, reg, t)
         counterexamples = csv_rows if is_check else []
         # A run that added nothing to a cleanly loaded file leaves it untouched.
@@ -384,7 +387,7 @@ def dispatch(argv: list[str] | None = None) -> tuple[dict | None, int]:
         return None, EXIT_INTERNAL
     report = {
         "command": args.command,
-        "fingerprint": report_fingerprint(quiver, args.q, t, args.max_dim, dim),
+        "fingerprint": setup_fingerprint(quiver, args.q, t, max_dim=args.max_dim, dim=dim),
         "results": results,
         "counterexamples": counterexamples,
         "timing_ms": int((time.monotonic() - start) * 1000),

@@ -93,7 +93,7 @@ def closed_subspace_tuples(rep: Rep, sub_dims: DimVec,
         base = subspace_from_vectors(p, d, vecs) if vecs else zero_subspace(p, d)
         if base.dim > sub_dims[v]:
             return
-        for u in subspaces_containing(base, sub_dims[v], ambient_bound=max(6, d)):
+        for u in subspaces_containing(base, sub_dims[v]):
             chosen[v] = u
             yield from fill(pos + 1, chosen)
 

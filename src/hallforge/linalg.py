@@ -19,7 +19,7 @@ from typing import Iterator
 
 from .errors import EnumerationTooLarge, IncompatibleObjects, InvalidField
 
-#: Largest ambient dimension enumerate_subspaces accepts by default.
+#: Largest ambient dimension enumerate_subspaces accepts.
 SUBSPACE_AMBIENT_BOUND = 6
 
 
@@ -257,20 +257,25 @@ def full_subspace(p: int, ambient: int) -> Subspace:
     return subspace_from_vectors(p, ambient, list(Mat.identity(p, ambient).entries))
 
 
-def enumerate_subspaces(p: int, ambient: int, dim: int,
-                        ambient_bound: int = SUBSPACE_AMBIENT_BOUND) -> Iterator[Subspace]:
+def enumerate_subspaces(p: int, ambient: int, dim: int) -> Iterator[Subspace]:
     """All dim-dimensional subspaces of F_p^ambient, each exactly once.
 
     Order: pivot column sets in ascending lexicographic order; within a pivot
     set, the free entries run through an odometer in row-major cell order.
-    The count is gaussian_binomial(ambient, dim, p).
+    The count is gaussian_binomial(ambient, dim, p).  Raises
+    EnumerationTooLarge past ambient dimension SUBSPACE_AMBIENT_BOUND.
     """
     check_prime(p)
+    if 0 <= dim <= ambient and ambient > SUBSPACE_AMBIENT_BOUND:
+        raise EnumerationTooLarge(f"subspace enumeration in ambient dimension {ambient} "
+                                  f"exceeds bound {SUBSPACE_AMBIENT_BOUND}")
+    yield from _each_subspace(p, ambient, dim)
+
+
+def _each_subspace(p: int, ambient: int, dim: int) -> Iterator[Subspace]:
+    """enumerate_subspaces without its check of p and of the ambient bound."""
     if not 0 <= dim <= ambient:
         return
-    if ambient > ambient_bound:
-        raise EnumerationTooLarge(
-            f"subspace enumeration in ambient dimension {ambient} exceeds bound {ambient_bound}")
     for pivots in itertools.combinations(range(ambient), dim):
         pivset = set(pivots)
         # Free cells of the RREF: row i, column c, c > pivots[i], c not a pivot.
@@ -285,8 +290,7 @@ def enumerate_subspaces(p: int, ambient: int, dim: int,
             yield Subspace(p, ambient, tuple(tuple(r) for r in rows), tuple(pivots))
 
 
-def subspaces_containing(base: Subspace, dim: int,
-                         ambient_bound: int = SUBSPACE_AMBIENT_BOUND) -> Iterator[Subspace]:
+def subspaces_containing(base: Subspace, dim: int) -> Iterator[Subspace]:
     """All dim-dimensional subspaces of the ambient space containing base.
 
     Subspaces U >= base correspond bijectively to subspaces W of the quotient
@@ -302,12 +306,12 @@ def subspaces_containing(base: Subspace, dim: int,
         yield base
         return
     if not r:
-        yield from enumerate_subspaces(p, d, dim, ambient_bound)
+        yield from _each_subspace(p, d, dim)
         return
     comp = [c for c in range(d) if c not in base.pivots]
     # Lifted, column c holds entry at[c] of the quotient row padded with a 0.
     at = [comp.index(c) if c in comp else -1 for c in range(d)]
-    for w in enumerate_subspaces(p, len(comp), dim - r, ambient_bound):
+    for w in _each_subspace(p, len(comp), dim - r):
         lifted = [tuple(map((*qvec, 0).__getitem__, at)) for qvec in w.basis]
         lifted_pivots = tuple(comp[j] for j in w.pivots)
         rows = []

@@ -6,7 +6,6 @@ parsing and canonical serialization both preserve the given order.
 from __future__ import annotations
 
 import itertools
-import json
 import operator
 from collections import namedtuple
 from typing import Iterator
@@ -96,10 +95,6 @@ def quiver_to_dict(q: Quiver) -> dict:
         "arrows": [{"src": q.vertices[a.source], "dst": q.vertices[a.target], "label": a.label}
                    for a in q.arrows],
     }
-
-
-def canonical_quiver_json(q: Quiver) -> str:
-    return json.dumps(quiver_to_dict(q), sort_keys=True, separators=(",", ":"))
 
 
 def line_quiver(n: int) -> Quiver:

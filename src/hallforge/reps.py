@@ -16,8 +16,8 @@ import re
 from collections import namedtuple
 from typing import Iterator
 
-from .errors import (EnumerationTooLarge, IncompatibleObjects, InternalInconsistency,
-                     NotASubobject)
+from .errors import (CacheInvalid, EnumerationTooLarge, IncompatibleObjects,
+                     InternalInconsistency, NotASubobject)
 from .linalg import (Mat, Subspace, check_prime, count_matrices_of_rank, echelon, gl_order,
                      pack_bits, pack_row, rank, rows_kernel, rows_rank)
 from .quivers import (DimVec, Quiver, dimvecs_up_to, dims_key, dims_of_key, euler_add,
@@ -630,52 +630,49 @@ class ClassRegistry:
     # -- cache support ------------------------------------------------------
 
     def export_state(self) -> dict:
-        """Per enumerated dims, keyed "d_0,d_1,...": its classes' orbits, Aut
-        counts (None where not computed) and representatives, each as one
-        _mat_code per arrow, all as lists in class order."""
+        """Per enumerated dims, keyed "d_0,d_1,...": its classes' orbits and
+        representatives, each as one _mat_code per arrow, both as lists in
+        class order."""
         state = {}
         for dims, reps in self._classes.items():
             ids = self._ids[dims]
             codes = reps if dims in self._unbuilt else [[_mat_code(self.p, m.entries)
                                                          for m in rep.mats] for rep in reps]
             state[dims_key(dims)] = {"orbit": [self._orbit[c] for c in ids],
-                                     "aut": [self._aut.get(c) for c in ids],
                                      "mats": [list(c) for c in codes]}
         return state
 
-    def export_size(self) -> tuple[int, int]:
-        """(dimension vectors, Aut counts) in export_state; both only grow."""
-        return len(self._classes), len(self._aut)
+    def export_size(self) -> int:
+        """The dimension vectors in export_state; they only grow."""
+        return len(self._classes)
 
     def import_state(self, state: dict) -> dict[DimVec, tuple[IsoClassId, ...]]:
         """Load exported classes after checking their counts against theory;
         returns the ids of the loaded classes by dims.
 
-        Each stored Aut must satisfy |Aut| * orbit = prod |GL(d_v)|, and the
-        orbits of one dimension vector must partition all p^{#entries} matrix
-        tuples.  Every class must hold one matrix code per arrow, an int in
-        range(p^(r*c)) for its r x c shape; per dims, class 0 must be the
-        all-zero tuple, no two representatives may be equal, and on a quiver
-        classified by ranks the rank tuples must strictly increase.  A file
-        that breaks any of these raises CacheInvalid.  The checked codes are
-        kept, and _reps decodes a dims' representatives from them on first
-        use; the rank tuples computed here fill the rank_tuple memo.
+        Each orbit must be a positive int dividing prod |GL(d_v)|, which over
+        it is the class's |Aut|, and the orbits of one dimension vector must
+        partition all p^{#entries} matrix tuples.  Every class must hold one
+        matrix code per arrow, an int in range(p^(r*c)) for its r x c shape;
+        per dims, class 0 must be the all-zero tuple, no two representatives
+        may be equal, and on a quiver classified by ranks the rank tuples must
+        strictly increase.  A file that breaks any of these raises
+        CacheInvalid.  The checked codes are kept, and _reps decodes a dims'
+        representatives from them on first use; the rank tuples computed here
+        fill the rank_tuple memo.
         """
-        from .errors import CacheInvalid
         loaded: dict[DimVec, tuple[IsoClassId, ...]] = {}
         p, arrows = self.p, self.quiver.arrows
         rank_tuples = self.memo("rank_tuple")
         try:
             for key, stored in state.items():
                 dims = self._check_dims(dims_of_key(key))
-                orbits, auts, codes = stored["orbit"], stored["aut"], stored["mats"]
-                if not len(orbits) == len(auts) == len(codes):
-                    raise CacheInvalid(f"dims {dims} store {len(orbits)} orbits, {len(auts)} "
-                                       f"Aut counts and {len(codes)} representatives")
+                orbits, codes = stored["orbit"], stored["mats"]
                 glp = self.gl_product(dims)
                 shapes = [(dims[a.target], dims[a.source]) for a in arrows]
                 bounds = [p ** (r * c) for r, c in shapes]
-                for k, (mats, orbit, aut) in enumerate(zip(codes, orbits, auts)):
+                # strict: as many representatives as orbits, else a ValueError.
+                for k, (mats, orbit) in enumerate(zip(codes, orbits, strict=True)):
                     if len(mats) != len(arrows):
                         raise CacheInvalid(f"class {k} of dims {dims}: {len(mats)} "
                                            f"matrices for {len(arrows)} arrows")
@@ -687,10 +684,9 @@ class ClassRegistry:
                             raise CacheInvalid(f"class {k} of dims {dims}: a matrix is not "
                                                f"{r}x{c}: code {code} is not an int in "
                                                f"range({bound})")
-                    if (type(orbit) is not int or orbit < 1
-                            or aut is not None and (type(aut) is not int or aut * orbit != glp)):
-                        raise CacheInvalid(f"class {k} of dims {dims}: stored aut {aut!r} and "
-                                           f"orbit {orbit!r} break |Aut| * orbit = {glp}")
+                    if type(orbit) is not int or orbit < 1 or glp % orbit:
+                        raise CacheInvalid(f"class {k} of dims {dims}: stored orbit {orbit!r} "
+                                           f"is no positive int dividing |GL| = {glp}")
                 stored = [tuple(mats) for mats in codes]
                 # hall._is_split_class and classify read these, so they must hold.
                 if stored and any(stored[0]):
@@ -711,7 +707,7 @@ class ClassRegistry:
                 if self._classified_by_ranks:
                     rank_tuples.update(zip(ids, ranks))
                 self._orbit.update(zip(ids, orbits))
-                self._aut.update((cid, aut) for cid, aut in zip(ids, auts) if aut is not None)
+                self._aut.update((cid, glp // orbit) for cid, orbit in zip(ids, orbits))
         except (KeyError, ValueError, TypeError, AttributeError, IncompatibleObjects) as e:
             raise CacheInvalid(f"registry state failed validation: {e}") from None
         return loaded

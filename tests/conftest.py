@@ -3,7 +3,15 @@ from __future__ import annotations
 import pytest
 
 from hallforge import ClassRegistry
+from hallforge.cache import CACHE_ENV_VAR
 from hallforge.quivers import line_quiver, quiver_from_dict
+
+
+@pytest.fixture
+def cache_dir(tmp_path, monkeypatch):
+    """A fresh directory, named by $HALLFORGE_CACHE for the test's duration."""
+    monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
+    return tmp_path
 
 
 @pytest.fixture(scope="session")

@@ -50,7 +50,7 @@ from hallforge.errors import (DivisionByZero, IncompatibleObjects, InternalIncon
                               NotASubobject, UnsupportedPeriod)
 from hallforge.hall import (closed_subspace_tuples, euler_mult, euler_table, ext1_count,
                             hall_number)
-from hallforge.linalg import (Mat, RrefResult, Subspace, enumerate_subspaces, kernel_basis,
+from hallforge.linalg import (Mat, RrefResult, Subspace, _each_subspace, kernel_basis,
                               rank, subspace_from_vectors)
 from hallforge.quivers import dims_add, dims_sub, subdimvecs
 from hallforge.reps import (DEFAULT_ISO_ENUM_BOUND, ClassRegistry, IsoClassId, Rep,
@@ -746,7 +746,7 @@ def overspaces_by_elimination(base: Subspace, dim: int) -> list[Subspace]:
         return [base]
     comp = [c for c in range(d) if c not in base.pivots]
     out = []
-    for w in enumerate_subspaces(p, len(comp), dim - r, ambient_bound=d):
+    for w in _each_subspace(p, len(comp), dim - r):
         vecs = list(base.basis)
         for qvec in w.basis:
             lift = [0] * d

@@ -4,6 +4,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import random
 import subprocess
 import sys
@@ -14,6 +15,7 @@ import pytest
 from hallforge import algebra, cli, reps
 from hallforge.cache import CACHE_ENV_VAR, CACHE_FORMAT, cache_path, encode_cache
 from hallforge.errors import DivisionByZero, InternalInconsistency, NotAPureQPower
+from hallforge.linalg import gl_order
 from hallforge.quivers import euler_add, line_quiver, quiver_to_dict
 from hallforge.reps import Rep, _code_rows, class_name
 
@@ -45,7 +47,7 @@ def test_subprocess_entry_point():
 
 
 def test_subprocess_usage_exit_codes():
-    bad_t = subprocess.run([sys.executable, "-m", "hallforge", "green", "--t", "2"],
+    bad_t = subprocess.run([sys.executable, "-m", "hallforge", "dha-assoc", "--t", "2"],
                            capture_output=True, text=True)
     assert bad_t.returncode == 2 and bad_t.stdout == ""
     unknown = subprocess.run([sys.executable, "-m", "hallforge", "no-such-command"],
@@ -90,8 +92,50 @@ def test_bad_dim_is_usage_error(capsys, monkeypatch):
 
 def test_bad_period_is_usage_error(capsys, monkeypatch):
     monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
-    code, report, _ = run_cli(capsys, "green", "--t", "2")
+    code, report, _ = run_cli(capsys, "dha-assoc", "--t", "2")
     assert code == 2 and report is None
+
+
+# The run options each command reads; every command also takes --quiver, --q
+# and --csv.
+READ_OPTIONS = {
+    "classes": ["--max-dim", "--dim"],
+    "hall": ["--max-dim", "--dim"],
+    "green": ["--max-dim"],
+    "gamma": ["--max-dim"],
+    "dha-mul": ["--t", "--lhs", "--rhs"],
+    "dha-assoc": ["--t", "--max-dim", "--seed"],
+    "relations": ["--t", "--max-dim"],
+    "crosscheck": ["--t", "--max-dim", "--seed"],
+}
+
+
+def test_each_command_takes_only_the_options_it_reads(capsys):
+    def takes(command, flag):
+        try:
+            cli.build_parser().parse_args([command, flag, "1"])
+        except SystemExit as e:
+            assert e.code == cli.EXIT_USAGE
+            return False
+        return True
+    taken = {command: [flag for flag in cli.OPTIONS if takes(command, flag)]
+             for command in cli.COMMANDS}
+    assert taken == READ_OPTIONS
+    assert sum(map(len, taken.values())) == 17
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [("gamma", "--dim", "1,1"),
+                                  ("classes", "--dim", "1,1", "--max-dim", "3")],
+                         ids=["unread", "exclusive"])
+def test_an_option_the_command_does_not_read_is_a_usage_error(capsys, monkeypatch, argv):
+    # An option the run ignored would still change the report's fingerprint.
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, *argv)
+    assert exc.value.code == cli.EXIT_USAGE
+    out = capsys.readouterr()
+    assert out.out == "" and argv[1] in out.err
 
 
 def test_hall_report(capsys, monkeypatch):
@@ -402,7 +446,7 @@ def test_doubled_cached_aut_is_rejected_not_used(capsys, tmp_path, monkeypatch):
     assert code == 0 and report["results"]["product"]["[k2@0]"] == "0 + 3/2*v"
     path = cache_path(line_quiver(1), 2, 1)
     payload = json.loads(path.read_text())
-    payload["classes"]["1"]["aut"][0] *= 2
+    payload["classes"]["1"]["orbit"][0] *= 2
     path.write_text(json.dumps(payload))
 
     code, again, err = run_cli(capsys, *argv)
@@ -486,11 +530,17 @@ def test_older_format_file_is_rejected_then_rebuilt(capsys, tmp_path, monkeypatc
     assert code == 0 and err == "" and warm["results"] == cold["results"]
 
 
-def _as_format_4(payload: dict, quiver) -> dict:
-    """A format-5 payload in the format-4 layout: per dims, one {"aut", "mats",
-    "orbit"} row per class with its matrices as rows of entries, and the
-    tables as [c, d, [[quotient, subobject, count], ...]] by class id."""
-    p = payload["q"]
+def _auts(key: str, orbits: list, p: int) -> list:
+    """The Aut counts |GL(dims)| / orbit of the classes of one stored dims."""
+    glp = math.prod(gl_order(d, p) for d in map(int, key.split(",")))
+    return [glp // orbit for orbit in orbits]
+
+
+def _as_format_4(payload: dict, quiver, p: int, t: int) -> dict:
+    """A format-6 payload of the setup (quiver, p, t) in the format-4 layout:
+    q and t, per dims one {"aut", "mats", "orbit"} row per class with its
+    matrices as rows of entries, and the tables as
+    [c, d, [[quotient, subobject, count], ...]] by class id."""
     classes = {}
     for key, stored in payload["classes"].items():
         dims = tuple(map(int, key.split(",")))
@@ -499,7 +549,7 @@ def _as_format_4(payload: dict, quiver) -> dict:
                          "mats": [[list(r) for r in _code_rows(p, *shape, code)]
                                   for shape, code in zip(shapes, codes)]}
                         for codes, orbit, aut in zip(stored["mats"], stored["orbit"],
-                                                     stored["aut"])]
+                                                     _auts(key, stored["orbit"], p))]
     tables = []
     for key, groups in payload["tables"].items():
         cd = tuple(map(int, key.split(",")))
@@ -509,11 +559,21 @@ def _as_format_4(payload: dict, quiver) -> dict:
                 tables.append([class_name(cd, ci), d,
                                [[class_name(qd, qi), class_name(tuple(d), si), n]
                                 for qi, si, n in zip(flat[::3], flat[1::3], flat[2::3])]])
-    return {"format": 4, "fingerprint": payload["fingerprint"], "q": p, "t": payload["t"],
+    return {"format": 4, "fingerprint": payload["fingerprint"], "q": p, "t": t,
             "registry": {"classes": classes}, "subobject_tables": tables}
 
 
-def test_format_4_file_is_rejected_then_rebuilt_as_format_5(capsys, tmp_path, monkeypatch):
+def _as_format_5(payload: dict, quiver, p: int, t: int) -> dict:
+    """A format-6 payload of the setup (quiver, p, t) in the format-5 layout:
+    q and t, and per dims an "aut" list beside "orbit" and "mats"."""
+    classes = {key: {**stored, "aut": _auts(key, stored["orbit"], p)}
+               for key, stored in payload["classes"].items()}
+    return {**payload, "format": 5, "q": p, "t": t, "classes": classes}
+
+
+@pytest.mark.parametrize("convert", [_as_format_4, _as_format_5], ids=["4", "5"])
+def test_format_file_is_rejected_then_rebuilt_as_format_6(capsys, tmp_path, monkeypatch,
+                                                          convert):
     monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "cache"))
     quiver = tmp_path / "kronecker.json"
     quiver.write_text(json.dumps(KRONECKER))
@@ -521,13 +581,15 @@ def test_format_4_file_is_rejected_then_rebuilt_as_format_5(capsys, tmp_path, mo
     code, cold, _ = run_cli(capsys, *argv)
     path = cache_path(cli.load_quiver(str(quiver)), 2, 0)
     saved = path.read_bytes()
-    path.write_bytes(encode_cache(_as_format_4(json.loads(saved), cli.load_quiver(str(quiver)))))
+    payload = json.loads(saved)
+    del payload["sha256"]
+    path.write_bytes(encode_cache(convert(payload, cli.load_quiver(str(quiver)), 2, 0)))
 
     code, again, err = run_cli(capsys, *argv)
     assert code == 0 and "ignoring cache" in err and "unsupported layout" in err
     cold.pop("timing_ms"), again.pop("timing_ms")
     assert again == cold
-    assert json.loads(path.read_text())["format"] == CACHE_FORMAT == 5
+    assert json.loads(path.read_text())["format"] == CACHE_FORMAT == 6
     assert path.read_bytes() == saved
 
 
@@ -545,6 +607,21 @@ def test_cache_file_is_rewritten_only_when_the_run_added_to_it(capsys, tmp_path,
     # Sweeping further computes new Hall numbers, which are written.
     assert run_cli(capsys, "hall", "--max-dim", "3", "--quiver", str(quiver))[0] == 0
     assert len(path.read_bytes()) > len(before[0])
+
+
+def test_a_run_that_only_computes_aut_counts_leaves_the_file_untouched(capsys, tmp_path,
+                                                                      monkeypatch):
+    # Aut counts are |GL| / orbit of the loaded classes, so classes adds
+    # nothing to the file hall wrote for the same dims.
+    monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "cache"))
+    quiver = tmp_path / "kronecker.json"
+    quiver.write_text(json.dumps(KRONECKER))
+    assert run_cli(capsys, "hall", "--max-dim", "2", "--quiver", str(quiver))[0] == 0
+    path = cache_path(cli.load_quiver(str(quiver)), 2, 0)
+    before = (path.read_bytes(), path.stat().st_mtime_ns)
+    code, report, err = run_cli(capsys, "classes", "--max-dim", "2", "--quiver", str(quiver))
+    assert code == 0 and err == "" and report["results"]["count"] > 0
+    assert (path.read_bytes(), path.stat().st_mtime_ns) == before
 
 
 def test_dispatch_calls_in_one_process_share_no_state(tmp_path, monkeypatch):

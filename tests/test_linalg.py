@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hallforge.errors import InvalidField
-from hallforge.linalg import (Mat, check_prime, count_matrices_of_rank,
+from hallforge.errors import EnumerationTooLarge, InvalidField
+from hallforge.linalg import (SUBSPACE_AMBIENT_BOUND, Mat, check_prime, count_matrices_of_rank,
                               enumerate_subspaces, full_subspace,
                               gaussian_binomial, gl_order, is_invertible,
                               kernel_basis, rank, rref, subspace_from_vectors,
@@ -133,6 +133,14 @@ def test_enumerate_subspaces_counts(p, d):
             assert s.dim == k
             for b in s.basis:
                 assert s.contains(b)
+
+
+def test_enumerate_subspaces_refuses_an_ambient_past_its_bound():
+    assert SUBSPACE_AMBIENT_BOUND == 6
+    with pytest.raises(EnumerationTooLarge, match="ambient dimension 7 exceeds bound 6"):
+        list(enumerate_subspaces(2, 7, 1))
+    # The walk's enumeration of overspaces has no such bound.
+    assert len(list(subspaces_containing(zero_subspace(2, 7), 1))) == gaussian_binomial(7, 1, 2)
 
 
 def test_subspace_membership_and_coords():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hallforge.errors import NotHereditarySetup
-from hallforge.quivers import (Arrow, Quiver, canonical_quiver_json, dims_add,
+from hallforge.quivers import (Arrow, Quiver, dims_add,
                                dims_leq, dims_sub, dimvecs_up_to, line_quiver,
                                quiver_from_dict, quiver_to_dict, subdimvecs,
                                topological_order, total_dim, validate_quiver)
@@ -51,7 +51,7 @@ def test_quiver_dict_roundtrip():
     assert d == {"vertices": ["1", "2"],
                  "arrows": [{"src": "1", "dst": "2", "label": "a1"}]}
     assert quiver_from_dict(d) == q
-    parsed = quiver_from_dict(json.loads(canonical_quiver_json(q)))
+    parsed = quiver_from_dict(json.loads(json.dumps(quiver_to_dict(q))))
     assert parsed == q
 
 

@@ -72,3 +72,17 @@ def test_state_the_hooks_read_exists():
     for attr in ("_classes", "_aut", "_memos"):
         assert isinstance(getattr(reg, attr), dict), attr
     assert isinstance(DerivedHall(reg, 1)._mul, dict)
+
+
+def test_the_cache_hooks_call_their_functions_positionally(tmp_path, monkeypatch):
+    # perfbench/tracing.py's load_cache hook reads args[1] as t and calls
+    # cache_path(reg.quiver, reg.p, t); save_cache(reg, t) is called the same way.
+    from hallforge.cache import CACHE_ENV_VAR, cache_path, load_cache, save_cache
+    from hallforge.quivers import line_quiver
+    from hallforge.reps import ClassRegistry
+    monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
+    reg = ClassRegistry(line_quiver(2), 2)
+    reg.classes((1, 1))
+    path = save_cache(reg, 1)
+    assert path == cache_path(reg.quiver, reg.p, 1) and path.parent == tmp_path
+    assert load_cache(ClassRegistry(line_quiver(2), 2), 1) is True

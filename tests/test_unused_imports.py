@@ -1,7 +1,9 @@
-"""Every name a hallforge module imports is used in that module.
+"""Every name a hallforge module imports is used in that module, and
+__init__ exports exactly the names it imports.
 
 No linter runs on this tree, so a deletion could leave an import behind that
-nothing reads.  __init__ imports names only to export them and is left out.
+nothing reads.  __init__ imports names only to export them, so its imports
+are checked against __all__ instead.
 """
 from __future__ import annotations
 
@@ -36,3 +38,16 @@ def test_every_import_is_used(module):
 def test_the_guard_sees_an_unused_import():
     tree = ast.parse("import os\nfrom json import dumps, loads\nprint(loads)\n")
     assert _unused_imports(tree) == ["os (line 1)", "dumps (line 2)"]
+
+
+def test_all_is_exactly_what_init_imports():
+    # __init__ writes each public name twice, in its imports and in __all__.
+    tree = ast.parse((SRC / "__init__.py").read_text(), filename="__init__.py")
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                for alias in node.names]
+    exported = next(ast.literal_eval(node.value) for node in tree.body
+                    if isinstance(node, ast.Assign)
+                    and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["__all__"])
+    assert len(exported) == len(set(exported))
+    assert sorted(exported) == sorted(imported + ["__version__"])
