@@ -10,8 +10,8 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .complexes import (GradedObject, add_degree, check_period, class_at_or_zero,
-                        cone_counts, format_graded, graded_object, hom_dt_count, stalk)
+from .complexes import (GradedObject, check_period, cone_counts, format_graded, graded_object,
+                        hom_dt_count, stalk)
 from .errors import IncompatibleObjects, RewriteBudgetExceeded, UnsupportedPeriod
 from .hall import euler_table, gamma_terms, hall_number
 from .quivers import dims_add, dims_sub, subdimvecs
@@ -42,8 +42,15 @@ class HallVector:
                     self.terms[g] = c
 
     @staticmethod
+    def _nonzero(q: int, terms: dict[GradedObject, QSqrtScalar]) -> "HallVector":
+        """The vector holding terms itself, whose coefficients are all nonzero."""
+        out = object.__new__(HallVector)
+        out.q, out.terms = q, terms
+        return out
+
+    @staticmethod
     def basis(q: int, g: GradedObject) -> "HallVector":
-        return HallVector(q, {g: QSqrtScalar.one(q)})
+        return HallVector._nonzero(q, {g: QSqrtScalar.one(q)})
 
     def add(self, other: "HallVector") -> "HallVector":
         out = dict(self.terms)
@@ -53,14 +60,14 @@ class HallVector:
                 out[g] = s
             else:
                 out.pop(g, None)
-        return HallVector(self.q, out)
+        return HallVector._nonzero(self.q, out)
 
     def scale(self, c) -> "HallVector":
         if not isinstance(c, QSqrtScalar):
             c = QSqrtScalar.rational(self.q, c)
         if not c:
             return HallVector(self.q)
-        return HallVector(self.q, {g: x * c for g, x in self.terms.items()})
+        return HallVector._nonzero(self.q, {g: x * c for g, x in self.terms.items()})
 
     def coeff(self, g: GradedObject) -> QSqrtScalar:
         c = self.terms.get(g)
@@ -190,28 +197,26 @@ class DerivedHall:
                         out[x_cls] = out.get(x_cls, 0) + base * g_x
         return out
 
-    def _transfer(self, a1: IsoClassId, a2: IsoClassId, cap: tuple, cap_next: tuple,
-                  a_prev: tuple | None) -> tuple:
-        """One degree's transfer: (floor exponent, q^(exponent - floor) by (dims s_i,
-        dims s_next), s_i classes, s_next classes, rows by s_i and, where the degree
-        closes the chain, by (s_i, s_first)); memoized per registry by its arguments,
-        rows filled lazily."""
-        key = (a1, a2, cap, cap_next, a_prev)
-        tr = self._transfers.get(key)
-        if tr is None:
-            dims, dims_next = tuple(subdimvecs(cap)), tuple(subdimvecs(cap_next))
-            classes, nexts = (tuple(c for d in ds for c in self.reg.classes(d))
-                              for ds in (dims, dims_next))
-            euler = euler_table(self.reg)
-            if a_prev is None:  # odd t: 1 / (<a_i, S^i> <S^{i+1}, N^i>)
-                exps = {(d, dn): -(euler[a1.dims, d] + euler[dn, dims_sub(a2.dims, d)])
-                        for d in dims for dn in dims_next}
-            else:  # t = 0: 1 / <N^i, M^{i-1}>, N^i = b_i - I^{i-1}, M^{i-1} = a_{i-1} - I^{i-1}
-                exps = {(d, dn): -euler[dims_sub(a2.dims, d), dims_sub(a_prev, d)]
-                        for d in dims for dn in dims_next}
-            floor = min(exps.values())
-            tr = self._transfers[key] = (floor, {k: self.q ** (e - floor) for k, e in exps.items()},
-                                         classes, nexts, {})
+    def _transfer(self, key: tuple) -> tuple:
+        """Build one degree's transfer into the per-registry memo, keyed by
+        (a_i, b_i, cap_i, cap_{i+1}, dims a_{i-1} at t = 0 or None at odd t):
+        (floor exponent, q^(exponent - floor) by (dims s_i, dims s_next), s_i
+        classes, s_next classes, rows by s_i and, where the degree closes the
+        chain, by (s_i, s_first)), the rows filled lazily."""
+        a1, a2, cap, cap_next, a_prev = key
+        dims, dims_next = tuple(subdimvecs(cap)), tuple(subdimvecs(cap_next))
+        classes, nexts = (tuple(c for d in ds for c in self.reg.classes(d))
+                          for ds in (dims, dims_next))
+        euler = euler_table(self.reg)
+        if a_prev is None:  # odd t: 1 / (<a_i, S^i> <S^{i+1}, N^i>)
+            exps = {(d, dn): -(euler[a1.dims, d] + euler[dn, dims_sub(a2.dims, d)])
+                    for d in dims for dn in dims_next}
+        else:  # t = 0: 1 / <N^i, M^{i-1}>, N^i = b_i - I^{i-1}, M^{i-1} = a_{i-1} - I^{i-1}
+            exps = {(d, dn): -euler[dims_sub(a2.dims, d), dims_sub(a_prev, d)]
+                    for d in dims for dn in dims_next}
+        floor = min(exps.values())
+        tr = self._transfers[key] = (floor, {k: self.q ** (e - floor) for k, e in exps.items()},
+                                     classes, nexts, {})
         return tr
 
     def _lt_paths(self, a: GradedObject, b: GradedObject,
@@ -231,47 +236,67 @@ class DerivedHall:
         degree with the fewest s candidates, fixes s_first there, carries
         (s_i, X components so far) and closes the chain at s_first.  Returns
         {X components: W} and E, the sum of the floors: the sum is W * q^E
-        over the Aut of the X components, every W an integer, and the X
-        components are sorted by degree, as GradedObject keeps them.
+        over the Aut of the X components, every W a positive integer, and the
+        X components are sorted by degree, as GradedObject keeps them.
         """
         t, zero = self.t, self.reg.zero_class()
-        a_at, b_at = dict(a.components), dict(b.components)
-        # Classes at the degrees start - 1 .. stop, and caps[k] = cap at degree start + k.
-        around = range(degrees.start - 1, degrees.stop + 1)
-        a_cls = [a_at.get(i % t if t else i, zero) for i in around]
-        b_cls = [b_at.get(i % t if t else i, zero) for i in around]
-        caps = [tuple(map(min, c_b.dims, c_a.dims)) if c_a.total_dim and c_b.total_dim
-                else zero.dims for c_a, c_b in zip(a_cls, b_cls[1:])]
-        chain = []
-        for k, i in enumerate(degrees):
-            a1, a2 = a_cls[k + 1], b_cls[k + 1]
-            if a1.total_dim or a2.total_dim:
-                chain.append((i, a1, a2, self._transfer(a1, a2, caps[k], caps[k + 1],
-                                                        None if t else a_cls[k].dims)))
+        start, n = degrees.start, len(degrees)
+        # a_cls[k] is a at degree start + k - 1 and b_cls[k] is b at degree start + k,
+        # k = 0..n; at odd t the degrees wrap round, at t = 0 both ends are zero.
+        a_cls, b_cls = [zero] * (n + 1), [zero] * (n + 1)
+        for d, c in a.components:
+            a_cls[d - start + 1] = c
+        for d, c in b.components:
+            b_cls[d - start] = c
+        if t:
+            a_cls[0], b_cls[n] = a_cls[n], b_cls[0]
+        zero_dims, transfers = zero.dims, self._transfers
+        chain, cap, floors, first, fewest = [], None, 0, 0, 0
+        for k, (a1, b_k) in enumerate(zip(a_cls, b_cls)):
+            # cap at degree start + k; a1 is a at degree start + k - 1.
+            cap_next = (tuple(map(min, b_k.dims, a1.dims)) if a1.total_dim and b_k.total_dim
+                        else zero_dims)
+            if k:  # the degree start + k - 1, from cap to cap_next
+                a2 = b_cls[k - 1]
+                if a1.total_dim or a2.total_dim:
+                    key = (a1, a2, cap, cap_next, None if t else a_cls[k - 1].dims)
+                    tr = transfers.get(key) or self._transfer(key)
+                    floors += tr[0]
+                    if not chain or len(tr[2]) < fewest:  # start at the fewest s candidates
+                        first, fewest = len(chain), len(tr[2])
+                    chain.append((start + k - 1, a1, a2, *tr))
+            cap = cap_next
         if not chain:  # a and b both zero: the empty chain's product is 1
             return {(): 1}, 0
-        start = min(range(len(chain)), key=lambda k: len(chain[k][3][2]))
-        chain = chain[start:] + chain[:start]
-        last = len(chain) - 1
+        if first:
+            chain = chain[first:] + chain[:first]
+        i_last, a1_last, a2_last, _floor, q_last, _classes, _nexts, rows_last = chain[-1]
+        opening = chain[:-1]
         total: dict[tuple, int] = {}
-        for s_first in chain[0][3][2]:
+        for s_first in chain[0][5]:
             frontier: dict[tuple, int] = {(s_first, ()): 1}
-            for k, (i, a1, a2, (_floor, q_pow, _classes, nexts, rows)) in enumerate(chain):
+            for i, a1, a2, _floor, q_pow, _classes, nexts, rows in opening:
                 new_frontier: dict[tuple, int] = {}
                 for (s_i, xs), w in frontier.items():
-                    key = s_i if k < last else (s_i, s_first)
-                    row = rows.get(key)
+                    row = rows.get(s_i)
                     if row is None:
-                        row = rows[key] = self._transfer_row(
-                            a1, a2, q_pow, s_i, nexts if k < last else (s_first,))
+                        row = rows[s_i] = self._transfer_row(a1, a2, q_pow, s_i, nexts)
                     for s_next, x_cls, num in row:
                         nkey = (s_next, xs + ((i, x_cls),) if x_cls is not None else xs)
                         new_frontier[nkey] = new_frontier.get(nkey, 0) + w * num
                 frontier = new_frontier
-            for (_s, xs), w in frontier.items():
-                xs = tuple(sorted(xs)) if start else xs
-                total[xs] = total.get(xs, 0) + w
-        return total, sum(tr[0] for _i, _a1, _a2, tr in chain)
+            # The closing degree, whose one s_next is s_first.
+            for (s_i, xs), w in frontier.items():
+                row = rows_last.get((s_i, s_first))
+                if row is None:
+                    row = rows_last[s_i, s_first] = self._transfer_row(
+                        a1_last, a2_last, q_last, s_i, (s_first,))
+                for _s, x_cls, num in row:
+                    key = xs + ((i_last, x_cls),) if x_cls is not None else xs
+                    total[key] = total.get(key, 0) + w * num
+        if first:  # the X components came in chain order; one order maps to one sorted tuple
+            total = {tuple(sorted(xs)): w for xs, w in total.items()}
+        return total, floors
 
     def _transfer_row(self, a1: IsoClassId, a2: IsoClassId, q_pow: dict, s_i: IsoClassId,
                       nexts: tuple) -> tuple:
@@ -300,27 +325,23 @@ class DerivedHall:
         """
         if self.t != 0:
             raise UnsupportedPeriod("this route is the t = 0 product")
-        reg = self.reg
-        euler = euler_table(reg)
-        support = sorted(set(a.support) | set(b.support))
+        support = a.support + b.support
         if not support:
             return self.one()
-        lo, hi = support[0], support[-1]
+        aut_count, euler = self.reg.aut_count, euler_table(self.reg)
+        # Sum over component pairs a_i, b_j with j - i >= 2 of (-1)^(j - i) <b_j, a_i>.
+        pref_exp, aut_ab = 0, 1
+        for i, c_a in a.components:
+            aut_ab *= aut_count(c_a)
+            for j, c_b in b.components:
+                if j - i >= 2:
+                    e = euler[c_b.dims, c_a.dims]
+                    pref_exp += e if (j - i) % 2 == 0 else -e
+        for _j, c_b in b.components:
+            aut_ab *= aut_count(c_b)
 
-        pref_exp = 0
-        aut_ab = 1
-        for i in range(lo, hi + 1):
-            aut_ab *= (reg.aut_count(class_at_or_zero(reg, a, i))
-                       * reg.aut_count(class_at_or_zero(reg, b, i)))
-            da1 = a.dims_at(i)
-            if not any(da1):
-                continue
-            for k in range(2, hi - i + 1):
-                e = euler[b.dims_at(i + k), da1]
-                pref_exp += e if k % 2 == 0 else -e
-
-        h, e = self._lt_paths(a, b, range(lo, hi + 1))
-        return HallVector(self.q, {
+        h, e = self._lt_paths(a, b, range(min(support), max(support) + 1))
+        return HallVector._nonzero(self.q, {
             GradedObject(0, self._n, xs):
                 QSqrtScalar.v_power(self.q, 2 * (e + pref_exp), w, aut_ab)
             for xs, w in h.items()})
@@ -330,13 +351,15 @@ class DerivedHall:
 
         The degree steps of lt_mul_t0 closed into a cycle over Z/t, each
         weighted by 1 / (<a_i, S^i> <S^{i+1}, N^i>) and 1 / a_{X^i}, then
-        normalized by v^(sum of Euler forms) a'_X / (a'_a a'_b).
+        normalized by v^(sum of Euler forms) a'_X / (a'_a a'_b).  With a'_g =
+        prod |Aut g_i| v^(e_g) (_a_prime_parts), the prod |Aut X^i| of a'_X
+        cancels the steps' 1 / a_{X^i}, so a term is W v^(sum of Euler forms
+        + 2E + e_X - e_a - e_b) over the components' |Aut| of a and of b.
         """
         t = self.t
         if t < 1:
             raise UnsupportedPeriod("this route needs odd positive t")
-        reg = self.reg
-        euler = euler_table(reg)
+        euler = euler_table(self.reg)
         # sum_i <a_i, b_i> + sum_{k=1}^{t-1} (-1)^(k+1) <a_{i+k}, b_i>, over nonzero pairs.
         sqrt_exp = 0
         for i_a, c_a in a.components:
@@ -346,18 +369,16 @@ class DerivedHall:
                 sqrt_exp += e if k == 0 or k % 2 == 1 else -e
 
         h, e = self._lt_paths(a, b, range(t))
-        aut_a, v_a = self._a_prime_parts(a)
-        aut_b, v_b = self._a_prime_parts(b)
+        aut_a, e_a = self._a_prime_parts(a)
+        aut_b, e_b = self._a_prime_parts(b)
+        exp, den = sqrt_exp + 2 * e - e_a - e_b, aut_a * aut_b
+        q, n, a_primes = self.q, self._n, self._a_primes
         out: dict[GradedObject, QSqrtScalar] = {}
         for xs, w in h.items():
-            g = GradedObject(t, self._n, xs)
-            aut_g, v_g = self._a_prime_parts(g)
-            aut_x = 1
-            for _i, x_cls in xs:
-                aut_x *= reg.aut_count(x_cls)
-            out[g] = QSqrtScalar.v_power(self.q, sqrt_exp + 2 * e + v_g - v_a - v_b,
-                                         w * aut_g, aut_x * aut_a * aut_b)
-        return HallVector(self.q, out)
+            g = GradedObject(t, n, xs)
+            parts = a_primes.get(g) or self._a_prime_parts(g)
+            out[g] = QSqrtScalar.v_power(q, exp + parts[1], w, den)
+        return HallVector._nonzero(q, out)
 
     # -- normalization invariants --------------------------------------------
 
@@ -365,15 +386,24 @@ class DerivedHall:
         """|Aut_{D_t}(g)|: the components' |Aut| times q^(sum over degrees d of
         dim Ext^1(g_d, g_{d-1})); at t = 1 that twist is Ext^1(g_0, g_0)."""
         self._check_graded(g)
-        reg, t = self.reg, self.t
-        at = dict(g.components)
-        out, ext = 1, 0
-        for deg, cls in g.components:
-            out *= reg.aut_count(cls)
-            prev = at.get(add_degree(t, deg, -1))
-            if prev is not None:
-                ext += reg.hom_ext_dims(cls, prev)[1]
-        return out * reg.p ** ext
+        aut, twist = self._aut_and_twist(g)
+        return aut * self.reg.p ** twist
+
+    def _aut_and_twist(self, g: GradedObject) -> tuple[int, int]:
+        """(prod |Aut g_i|, the twist sum_d dim Ext^1(g_d, g_{d-1})) of aut_dt, in
+        one pass over the components in degree order: g_{d-1} is the component
+        before g_d or, at odd t, the last one taken one period down."""
+        reg = self.reg
+        aut, twist = 1, 0
+        if g.components:
+            prev_deg, prev = g.components[-1]
+            prev_deg -= self.t
+            for deg, cls in g.components:
+                aut *= reg.aut_count(cls)
+                if prev_deg == deg - 1:
+                    twist += reg.hom_ext_dims(cls, prev)[1]
+                prev_deg, prev = deg, cls
+        return aut, twist
 
     def bracket(self, x: GradedObject, y: GradedObject) -> Fraction:
         """{X, Y} = prod_i |Hom_{D_t}(X[i], Y)|^{(-1)^i} over the shifts i = 1..t
@@ -404,12 +434,14 @@ class DerivedHall:
         return e
 
     def _a_prime_parts(self, g: GradedObject) -> tuple[int, int]:
-        """(|Aut_{D_t}(g)|, e) with {g, g} = q^e, so that a'_g = |Aut_{D_t}(g)| v^e."""
+        """(prod |Aut g_i|, e_g) with e_g = 2 twist + e, {g, g} = q^e and the twist
+        of aut_dt, so that a'_g = |Aut_{D_t}(g)| {g, g}^{1/2} = prod |Aut g_i| v^(e_g)."""
         if self.t < 1:
             raise UnsupportedPeriod("a' is defined for odd positive t")
         parts = self._a_primes.get(g)
         if parts is None:
-            parts = self._a_primes[g] = (self.aut_dt(g), self._bracket_exp(g, g))
+            aut, twist = self._aut_and_twist(g)
+            parts = self._a_primes[g] = (aut, 2 * twist + self._bracket_exp(g, g))
         return parts
 
     def a_prime(self, g: GradedObject) -> QSqrtScalar:

@@ -19,7 +19,9 @@ load_cache checks in one flat pass:
 The fingerprint ties the file to the setup, and a sha256 digest of the
 payload bytes, written as the file's first key, ties the counts to what was
 saved; loading a file whose fingerprint, layout (older formats included) or
-digest does not match, that repeats a key within one object, whose orbits
+digest does not match, that repeats a key within one object or holds a key
+outside the layout above (the five top-level keys "sha256", "format",
+"fingerprint", "classes" and "tables"; "orbit" and "mats" per dims), whose orbits
 do not divide |GL(d)| or partition the matrix tuples, or whose tables no
 route reads raises CacheInvalid.  Every check runs at load, but a class's
 representative is decoded from its checked codes only when something reads
@@ -40,6 +42,8 @@ from .reps import ClassRegistry, class_name
 
 CACHE_ENV_VAR = "HALLFORGE_CACHE"
 CACHE_FORMAT = 6
+#: The top-level keys of a file, which save_cache writes and load_cache reads, no others.
+_KEYS = frozenset(("sha256", "format", "fingerprint", "classes", "tables"))
 _BODY_START = len(b'{"sha256":"",') + 64  # where the payload's first key starts
 
 
@@ -127,6 +131,9 @@ def load_cache(reg: ClassRegistry, t: int) -> bool:
         raise CacheInvalid(f"cannot read cache file {path}: {e}") from None
     if not isinstance(payload, dict) or payload.get("format") != CACHE_FORMAT:
         raise CacheInvalid(f"cache file {path} has an unsupported layout")
+    if payload.keys() != _KEYS:
+        raise CacheInvalid(f"cache file {path} holds the keys {sorted(payload)}, not exactly "
+                           f"{sorted(_KEYS)}")
     expected = path.stem  # the file is named by the setup's fingerprint
     if payload.get("fingerprint") != expected:
         raise CacheInvalid(

@@ -352,19 +352,19 @@ def dispatch(argv: list[str] | None = None) -> tuple[dict | None, int]:
     start = time.monotonic()
     try:
         quiver = load_quiver(args.quiver)
+        reg = ClassRegistry(quiver, args.q)  # validates the quiver, the run's one check of it
         t = args.t
         check_period(t)
         dim = list(parse_dims(args.dim, quiver.n)) if args.dim is not None else None
         if args.max_dim is not None and args.max_dim < 0:
             raise IncompatibleObjects(f"--max-dim must be nonnegative, got {args.max_dim}")
-        reg = ClassRegistry(quiver, args.q)
         loaded = None
         if cache_directory() is not None:
             try:
                 loaded = cached_size(reg) if load_cache(reg, t) else None
             except CacheInvalid as e:
                 print(f"warning: ignoring cache: {e}", file=sys.stderr)
-                reg = ClassRegistry(quiver, args.q)
+                reg.clear()
         run, is_check = COMMANDS[args.command][:2]
         results, csv_fields, csv_rows = run(args, reg, t)
         counterexamples = csv_rows if is_check else []

@@ -68,7 +68,8 @@ def topological_order(q: Quiver) -> tuple[int, ...]:
 
 
 def quiver_from_dict(d: dict) -> Quiver:
-    """Build and validate a quiver from {"vertices": [...], "arrows": [{src,dst,label}]}."""
+    """Build a quiver from {"vertices": [...], "arrows": [{src,dst,label}]};
+    the ClassRegistry built over it runs validate_quiver, once per quiver."""
     try:
         vertices = tuple(str(v) for v in d["vertices"])
         raw_arrows = d.get("arrows", [])
@@ -84,9 +85,7 @@ def quiver_from_dict(d: dict) -> Quiver:
         if src not in name_to_idx or dst not in name_to_idx:
             raise NotHereditarySetup(f"arrow #{i} references unknown vertex {src!r} or {dst!r}")
         arrows.append(Arrow(name_to_idx[src], name_to_idx[dst], str(a.get("label", f"a{i}"))))
-    q = Quiver(vertices, tuple(arrows))
-    validate_quiver(q)
-    return q
+    return Quiver(vertices, tuple(arrows))
 
 
 def quiver_to_dict(q: Quiver) -> dict:

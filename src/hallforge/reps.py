@@ -397,6 +397,12 @@ class ClassRegistry:
         check_prime(p)
         self.quiver = quiver
         self.p = p
+        # With no two arrows sharing a vertex, the arrow ranks decide the class.
+        self._classified_by_ranks = _arrows_vertex_disjoint(quiver)
+        self.clear()
+
+    def clear(self) -> None:
+        """Forget every class, count and memo table, as a new registry holds none."""
         # Per enumerated dims, its representatives; for loaded dims in _unbuilt,
         # their checked matrix codes (_mat_code, one per arrow) until _reps
         # builds them.  perfbench's tracer reads the keys and lengths.
@@ -408,8 +414,6 @@ class ClassRegistry:
         self._hom_ext: dict[tuple[IsoClassId, IsoClassId], tuple[int, int]] = {}
         self._id_str: dict[IsoClassId, str] = {}
         self._memos: dict[str, dict] = {}
-        # With no two arrows sharing a vertex, the arrow ranks decide the class.
-        self._classified_by_ranks = _arrows_vertex_disjoint(quiver)
 
     def memo(self, name, factory=dict) -> dict:
         """The memo table called name, made by factory() on first use."""
@@ -650,7 +654,8 @@ class ClassRegistry:
         """Load exported classes after checking their counts against theory;
         returns the ids of the loaded classes by dims.
 
-        Each orbit must be a positive int dividing prod |GL(d_v)|, which over
+        Each dims must store exactly the lists "orbit" and "mats".  Each orbit
+        must be a positive int dividing prod |GL(d_v)|, which over
         it is the class's |Aut|, and the orbits of one dimension vector must
         partition all p^{#entries} matrix tuples.  Every class must hold one
         matrix code per arrow, an int in range(p^(r*c)) for its r x c shape;
@@ -667,6 +672,9 @@ class ClassRegistry:
         try:
             for key, stored in state.items():
                 dims = self._check_dims(dims_of_key(key))
+                if stored.keys() != {"orbit", "mats"}:
+                    raise CacheInvalid(f"dims {dims} store the keys {sorted(stored)}, not "
+                                       f"exactly 'mats' and 'orbit'")
                 orbits, codes = stored["orbit"], stored["mats"]
                 glp = self.gl_product(dims)
                 shapes = [(dims[a.target], dims[a.source]) for a in arrows]

@@ -232,16 +232,21 @@ def test_a_prime_needs_odd_period(d0, a1_f2):
         d0.a_prime(d0.unit_graded())
 
 
-def test_a_prime_parts_are_the_shiftwise_exponents():
-    """The integer parts (|Aut_{D_t}|, e with {g, g} = q^e) of a' for every graded
-    object of total dim <= 2 on A1 and A2 at t = 1, 3, 5 are |Aut_{D_t}| by
-    components and the q-exponent of the bracket multiplied over the shifts."""
-    for n_vertices, t in itertools.product((1, 2), (1, 3, 5)):
-        reg = ClassRegistry(line_quiver(n_vertices), 2)
+def test_a_prime_parts_are_the_shiftwise_exponents(kronecker_f2):
+    """The integer parts (prod |Aut g_i|, e_g) of a' for every graded object of
+    total dim <= 2 on A1, A2 and Kronecker at t = 1, 3, 5, with twist the sum
+    over degrees d of dim Ext^1(g_d, g_{d-1}): prod |Aut g_i| q^twist is
+    |Aut_{D_t}| by components, and e_g - 2 twist the q-exponent of the bracket
+    multiplied over the shifts."""
+    registries = [ClassRegistry(line_quiver(n_vertices), 2) for n_vertices in (1, 2)]
+    for reg, t in itertools.product(registries + [kronecker_f2], (1, 3, 5)):
         dh = DerivedHall(reg, t)
         for g in graded_objects_within(reg, t, 2):
-            judge = (aut_dt_by_components(reg, g), q_exponent(bracket_by_shifts(reg, g, g), reg.p))
-            assert dh._a_prime_parts(g) == judge, g
+            aut, e = dh._a_prime_parts(g)
+            twist = sum(reg.hom_ext_dims(cls, g.component(deg - 1))[1]
+                        for deg, cls in g.components if g.component(deg - 1) is not None)
+            assert aut * reg.p ** twist == aut_dt_by_components(reg, g), g
+            assert e - 2 * twist == q_exponent(bracket_by_shifts(reg, g, g), reg.p), g
 
 
 def test_aut_dt_counts(d3, a1_f2, a2_f2):
@@ -279,21 +284,26 @@ def _graded_on(reg, t, degrees, max_total):
     return out
 
 
-@pytest.mark.parametrize("n_vertices,max_total", [(1, 3), (2, 2)])
-@pytest.mark.parametrize("t", [0, 1, 3, 5])
-def test_product_kernel_matches_frontier_judge(n_vertices, max_total, t):
-    """multiply_graded equals the frontier DP over every degree, exactly, for
-    every ordered pair of objects of total dim <= 2 on A2 (71 objects at
-    t = 5) and <= 3 on A1, where chains such as [k1@0, k1@1, k1@2]^2 have
-    no degree with a single s candidate.  At t = 0 the degrees are {0, 1, 3},
-    so supports such as [k1@0]·[k1@3] and [k1@0, k1@3] leave interior
-    degrees where both factors are zero."""
-    reg = ClassRegistry(line_quiver(n_vertices), 2)
+@pytest.mark.parametrize("t,quiver,max_total", [
+    (t, n_vertices, max_total) for t in (0, 1, 3, 5) for n_vertices, max_total in ((1, 3), (2, 2))
+] + [(0, "kronecker", 2), (3, "kronecker", 2), (5, "kronecker", 2), (3, "d4", 2)])
+def test_product_kernel_matches_frontier_judge(request, t, quiver, max_total):
+    """multiply_graded equals the frontier DP over every degree, exactly, with no
+    zero coefficient, for every ordered pair of objects of total dim <= 2 on
+    A2 (71 objects at t = 5), Kronecker and D4, whose classes arrow ranks do
+    not tell apart, and <= 3 on A1, where chains such as [k1@0, k1@1, k1@2]^2
+    have no degree with a single s candidate.  At t = 0 the degrees are
+    {0, 1, 3}, so supports such as [k1@0]·[k1@3] and [k1@0, k1@3] leave
+    interior degrees where both factors are zero."""
+    reg = (ClassRegistry(line_quiver(quiver), 2) if isinstance(quiver, int)
+           else request.getfixturevalue(f"{quiver}_f2"))
     dh = DerivedHall(reg, t)
     objs = (_graded_on(reg, 0, (0, 1, 3), max_total) if t == 0
             else graded_objects_within(reg, t, max_total))
     for a, b in itertools.product(objs, repeat=2):
-        assert dh.multiply_graded(a, b) == frontier_product(dh, a, b), (a, b)
+        product = dh.multiply_graded(a, b)
+        assert product == frontier_product(dh, a, b), (a, b)
+        assert all(product.terms.values()), (a, b)
 
 
 @pytest.mark.parametrize("t", [0, 1, 3, 5])

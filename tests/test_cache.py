@@ -193,6 +193,24 @@ def test_a_repeated_key_is_rejected():
         load_cache(ClassRegistry(KRONECKER, 2), 0)
 
 
+def test_a_top_level_key_outside_the_layout_is_rejected():
+    # 1 KB beside the five keys save_cache writes would be bytes no check reads.
+    def add_junk(payload):
+        payload["junk"] = "x" * 1024
+    reseal(save_cache(warm_registry(), 0), add_junk)
+    with pytest.raises(CacheInvalid, match=r"holds the keys \[.*'junk'.*\], not exactly"):
+        load_cache(ClassRegistry(line_quiver(2), 2), 0)
+
+
+def test_a_dims_holds_exactly_orbit_and_mats():
+    # |Aut| is derived from the orbits, so a stale Aut list beside them is refused.
+    def stale_aut(classes):
+        classes["1,1"]["aut"] = [999, 999]
+    with pytest.raises(CacheInvalid, match=r"dims \(1, 1\) store the keys "
+                                           r"\['aut', 'mats', 'orbit'\], not exactly"):
+        _tamper(stale_aut)
+
+
 def test_fingerprint_separates_setups():
     a1, a2 = line_quiver(1), line_quiver(2)
     fp = setup_fingerprint(a1, 2, 0)

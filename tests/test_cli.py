@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from hallforge import algebra, cli, reps
+from hallforge import algebra, cli, quivers, reps
 from hallforge.cache import CACHE_ENV_VAR, CACHE_FORMAT, cache_path, encode_cache
 from hallforge.errors import DivisionByZero, InternalInconsistency, NotAPureQPower
 from hallforge.linalg import gl_order
@@ -507,6 +507,38 @@ def _assert_warm_report_equals_the_cold_one(capsys, tmp_path, monkeypatch, *argv
     assert code == 0 and err == ""
     cold.pop("timing_ms"), warm.pop("timing_ms")
     assert warm == cold
+
+
+@pytest.mark.parametrize("cache", ["none", "warm", "rejected"])
+def test_a_run_validates_its_quiver_once(capsys, tmp_path, monkeypatch, cache):
+    quiver = tmp_path / "kronecker.json"
+    quiver.write_text(json.dumps(KRONECKER))
+    argv = ("classes", "--max-dim", "2", "--quiver", str(quiver))
+    if cache == "none":
+        monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    else:
+        monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "cache"))
+    code, cold, _ = run_cli(capsys, *argv)
+    path = cache_path(cli.load_quiver(str(quiver)), 2, 0)
+    if cache == "rejected":
+        payload = json.loads(path.read_text())
+        del payload["sha256"]
+        payload["junk"] = "x" * 1024
+        path.write_bytes(encode_cache(payload))
+    calls = []
+    validate = quivers.validate_quiver
+
+    def counted(q):
+        calls.append(q)
+        validate(q)
+    monkeypatch.setattr(quivers, "validate_quiver", counted)
+    monkeypatch.setattr(reps, "validate_quiver", counted)
+    code, report, err = run_cli(capsys, *argv)
+    assert code == 0 and len(calls) == 1
+    assert report["results"] == cold["results"]
+    if cache == "rejected":
+        assert "ignoring cache" in err and "'junk'" in err
+        assert "junk" not in json.loads(path.read_text())
 
 
 def test_older_format_file_is_rejected_then_rebuilt(capsys, tmp_path, monkeypatch):
