@@ -5,19 +5,16 @@ isomorphism classes of quiver representations by brute-force enumeration,
 subobject-counting structure constants, extension counts, the derived
 (t-periodic) product, and machine checks of the identities that make the
 whole thing an associative algebra.
+
+Importing the package loads the Ringel-Hall core (errors, linalg, quivers,
+reps, hall).  The derived layer (complexes, scalars, algebra) and the cache
+load on first access to one of their names, so a run that only counts Hall
+numbers, Ext groups or Green's formula never compiles them.
 """
 from __future__ import annotations
 
-from .algebra import (RELATION_FAMILIES, CheckResult, DerivedHall, HallVector,
-                      relation_check)
-from .cache import (CACHE_ENV_VAR, cache_path, load_cache, save_cache,
-                    setup_fingerprint)
-from .complexes import (ComplexObj, GradedObject, check_period,
-                        class_at_or_zero, complex_obj, cone_counts,
-                        dt_hom_with_cone_count, enumerate_complex_classes,
-                        format_graded, graded_object, hom_dt_count, homology,
-                        parse_graded, stalk, validate_complex,
-                        zero_diff_complex)
+import importlib
+
 from .errors import (CacheInvalid, DivisionByZero, EnumerationTooLarge,
                      HallforgeError, IncompatibleObjects, InternalInconsistency,
                      InvalidField, NotAPureQPower, NotASubobject,
@@ -35,9 +32,39 @@ from .quivers import (Arrow, Quiver, dims_add, dims_sub, dimvecs_up_to,
 from .reps import (ClassRegistry, IsoClassId, Rep, direct_sum,
                    hom_basis, hom_dim, is_isomorphic,
                    semisimple_rep, simple_rep, zero_rep)
-from .scalars import QSqrtScalar, parse_scalar, sqrt_of_fraction
 
 __version__ = "0.1.0"
+
+# Module -> the names it exports, resolved by __getattr__ on first access.
+_LAZY = {
+    "algebra": ("RELATION_FAMILIES", "CheckResult", "DerivedHall", "HallVector",
+                "relation_check"),
+    "cache": ("CACHE_ENV_VAR", "cache_path", "load_cache", "save_cache",
+              "setup_fingerprint"),
+    "complexes": ("ComplexObj", "GradedObject", "check_period", "class_at_or_zero",
+                  "complex_obj", "cone_counts", "dt_hom_with_cone_count",
+                  "enumerate_complex_classes", "format_graded", "graded_object",
+                  "hom_dt_count", "homology", "parse_graded", "stalk",
+                  "validate_complex", "zero_diff_complex"),
+    "scalars": ("QSqrtScalar", "parse_scalar", "sqrt_of_fraction"),
+}
+_LAZY_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    """Import a lazy name's module (PEP 562) and keep the value in this namespace."""
+    module = _LAZY_HOME.get(name)
+    if module is None:
+        if name in _LAZY:
+            return importlib.import_module(f"{__name__}.{name}")
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _LAZY_HOME.keys())
+
 
 __all__ = [
     "RELATION_FAMILIES", "CheckResult", "DerivedHall", "HallVector",

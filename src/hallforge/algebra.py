@@ -8,7 +8,6 @@ counting (t = 1), which the crosscheck routines compare term by term.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
 from .complexes import (GradedObject, check_period, cone_counts, format_graded, graded_object,
                         hom_dt_count, stalk)
@@ -405,43 +404,28 @@ class DerivedHall:
                 prev_deg, prev = deg, cls
         return aut, twist
 
-    def bracket(self, x: GradedObject, y: GradedObject) -> Fraction:
-        """{X, Y} = prod_i |Hom_{D_t}(X[i], Y)|^{(-1)^i} over the shifts i = 1..t
-        (t = 0: i >= 1 up to the supports' reach), as q^_bracket_exp(x, y)."""
-        self._check_graded(x)
-        self._check_graded(y)
-        return Fraction(self.q) ** self._bracket_exp(x, y)
-
-    def _bracket_exp(self, x: GradedObject, y: GradedObject) -> int:
-        """The q-exponent of {X, Y}, in one pass over pairs of components: a pair
-        at degrees d_x, d_y adds dim Hom at i = d_x - d_y and dim Ext^1 at
-        i = d_x - d_y - 1 (mod t), as hom_dt_count counts them."""
-        hom_ext, t = self.reg.hom_ext_dims, self.t
-        e = 0
-        for d_x, c_x in x.components:
-            for d_y, c_y in y.components:
-                i = d_x - d_y
-                if t:
-                    i = (i - 1) % t + 1
-                elif i < 1:
-                    continue
-                hom, ext = hom_ext(c_x, c_y)
-                e += hom if i % 2 == 0 else -hom
-                # Ext^1 counts at shift i - 1, which wraps to t (and at t = 0 drops out).
-                j = i - 1 or t
-                if j:
-                    e += ext if j % 2 == 0 else -ext
-        return e
-
     def _a_prime_parts(self, g: GradedObject) -> tuple[int, int]:
-        """(prod |Aut g_i|, e_g) with e_g = 2 twist + e, {g, g} = q^e and the twist
-        of aut_dt, so that a'_g = |Aut_{D_t}(g)| {g, g}^{1/2} = prod |Aut g_i| v^(e_g)."""
-        if self.t < 1:
+        """(prod |Aut g_i|, e_g) with a'_g = |Aut_{D_t}(g)| {g, g}^{1/2} = prod |Aut g_i| v^(e_g).
+
+        A pair of components x, y at shift i = d_x - d_y in 1..t (mod t) adds
+        (-1)^i (dim Hom - dim Ext^1) to the exponent of {g, g}, except at i = 1,
+        where it adds -(dim Hom + dim Ext^1) and aut_dt's twist adds 2 dim Ext^1.
+        So e_g is the sum over ordered pairs of (-1)^i <x, y>, read from the Euler
+        table alone: <x, y> = dim Hom - dim Ext^1 in a hereditary category."""
+        t = self.t
+        if t < 1:
             raise UnsupportedPeriod("a' is defined for odd positive t")
         parts = self._a_primes.get(g)
         if parts is None:
-            aut, twist = self._aut_and_twist(g)
-            parts = self._a_primes[g] = (aut, 2 * twist + self._bracket_exp(g, g))
+            aut_count, euler = self.reg.aut_count, euler_table(self.reg)
+            aut, e = 1, 0
+            for d_x, c_x in g.components:
+                aut *= aut_count(c_x)
+                for d_y, c_y in g.components:
+                    # (d_x - d_y - 1) % t is odd exactly when i = that + 1 is even.
+                    pair = euler[c_x.dims, c_y.dims]
+                    e += pair if (d_x - d_y - 1) % t % 2 else -pair
+            parts = self._a_primes[g] = (aut, e)
         return parts
 
     def a_prime(self, g: GradedObject) -> QSqrtScalar:

@@ -45,6 +45,10 @@ EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
 
 SAMPLE_CAP = 100
+# An unsampled sweep of more tuples than this exits 3 before its first check.
+# The largest full sweep run anywhere, A2 dha-assoc --t 5 --max-dim 2, has
+# 357,911; A2 --max-dim 3 at t = 5 would have 39,651,821.
+SWEEP_CAP = 2 ** 20
 
 _USAGE_ERRORS = (InvalidField, NotHereditarySetup, UnsupportedPeriod,
                  IncompatibleObjects, NotASubobject)
@@ -115,10 +119,14 @@ def _maybe_sample(objs: list, repeat: int, seed: int | None) -> tuple[int, Itera
 
     Samples are drawn as indices into the product and decoded one at a time,
     so the product is never built; the draw picks the same tuples as
-    sampling the list itself would.
+    sampling the list itself would.  Without a seed, more than SWEEP_CAP
+    tuples raise EnumerationTooLarge before any is checked.
     """
     n = len(objs)
     total = n ** repeat
+    if seed is None and total > SWEEP_CAP:
+        raise EnumerationTooLarge(f"{total} {repeat}-tuples of {n} objects exceed bound "
+                                  f"{SWEEP_CAP}; pass --seed to sample {SAMPLE_CAP} of them")
     if seed is None or total <= SAMPLE_CAP:
         return total, itertools.product(objs, repeat=repeat)
 
@@ -314,7 +322,8 @@ OPTIONS = {
     "--lhs": dict(default=None, metavar="OBJ", help="left factor, e.g. '[k2@0, k1#1@1]'"),
     "--rhs": dict(default=None, metavar="OBJ", help="right factor, same syntax as --lhs"),
     "--seed": dict(type=int, default=None, metavar="N",
-                   help="sample large sweeps down to %d tuples with this seed" % SAMPLE_CAP),
+                   help="sample large sweeps down to %d tuples with this seed; without "
+                        "it, a sweep of more than %d tuples exits 3" % (SAMPLE_CAP, SWEEP_CAP)),
 }
 
 

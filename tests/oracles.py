@@ -18,7 +18,10 @@ DerivedHall.multiply_graded; aut_dt_by_components counts |Aut_{D_t}| one
 component and one Ext twist at a time; bracket_by_shifts and
 alt_hom_explicit multiply hom_dt_count over the shifts, as {X, Y} and the
 alternating Hom product are defined, and alt_hom_product is the latter's
-Euler-form closed form.  FractionPairScalar is the plain pair-of-Fractions model of Q(sqrt q)
+Euler-form closed form.  bracket is the engine's former route to {X, Y}, one
+pass over pairs of components and their (Hom, Ext^1) dimensions; a' reads
+{g, g} from the Euler table instead, and the tests judge both against the
+shifts.  FractionPairScalar is the plain pair-of-Fractions model of Q(sqrt q)
 that hallforge.scalars' integer triples are checked against.  list_rref,
 list_kernel_basis, list_subspace_from_vectors and list_hom_system are the
 former list-row Gauss-Jordan elimination and Hom system, kept to judge the
@@ -391,7 +394,7 @@ def walked_subobject_table(reg: ClassRegistry, c: IsoClassId,
 def a_prime_by_endomorphisms(dh: DerivedHall, g: GradedObject) -> QSqrtScalar:
     """|End_{D_t}(g)| * {g, g}^{1/2}: a'_g with |End| in place of |Aut| (odd t)."""
     end_count = hom_dt_count(dh.reg, g, g, shift=0)
-    return QSqrtScalar.rational(dh.q, end_count) * sqrt_of_fraction(dh.q, dh.bracket(g, g))
+    return QSqrtScalar.rational(dh.q, end_count) * sqrt_of_fraction(dh.q, bracket(dh.reg, g, g))
 
 
 def product_by_endomorphisms(reg: ClassRegistry, a: IsoClassId, b: IsoClassId) -> HallVector:
@@ -455,6 +458,29 @@ def aut_dt_by_components(reg: ClassRegistry, g: GradedObject) -> int:
         if prev is not None:
             out *= ext1_count(reg, cls, prev)
     return out
+
+
+def bracket(reg: ClassRegistry, x: GradedObject, y: GradedObject) -> Fraction:
+    """{X, Y} = prod_i |Hom_{D_t}(X[i], Y)|^{(-1)^i} over the shifts i = 1..t
+    (t = 0: i >= 1 up to the supports' reach), as q^e in one pass over pairs of
+    components: a pair at degrees d_x, d_y adds dim Hom at i = d_x - d_y and
+    dim Ext^1 at i = d_x - d_y - 1 (mod t), as hom_dt_count counts them."""
+    t = x.t
+    e = 0
+    for d_x, c_x in x.components:
+        for d_y, c_y in y.components:
+            i = d_x - d_y
+            if t:
+                i = (i - 1) % t + 1
+            elif i < 1:
+                continue
+            hom, ext = reg.hom_ext_dims(c_x, c_y)
+            e += hom if i % 2 == 0 else -hom
+            # Ext^1 counts at shift i - 1, which wraps to t (and at t = 0 drops out).
+            j = i - 1 or t
+            if j:
+                e += ext if j % 2 == 0 else -ext
+    return Fraction(reg.p) ** e
 
 
 def bracket_by_shifts(reg: ClassRegistry, x: GradedObject, y: GradedObject) -> Fraction:

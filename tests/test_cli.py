@@ -8,6 +8,7 @@ import math
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -248,6 +249,20 @@ def test_resource_exit_code(capsys, tmp_path, monkeypatch):
     code, report, err = run_cli(capsys, "classes", "--quiver", qpath,
                                 "--dim", "4,4,4")
     assert code == 3 and report is None and "resource" in err
+
+
+def test_oversized_unsampled_sweep_exits_before_checking(capsys, tmp_path, monkeypatch):
+    # A2 at t = 5 has 341 objects of total dim <= 3: 341^3 = 39,651,821 triples.
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    argv = ["dha-assoc", "--quiver", write_quiver(tmp_path, 2), "--t", "5", "--max-dim", "3"]
+    start = time.monotonic()
+    code, report, err = run_cli(capsys, *argv)
+    assert time.monotonic() - start < 1.0
+    assert code == cli.EXIT_RESOURCE == 3 and report is None
+    assert "39651821" in err and "--seed" in err
+    code, report, _ = run_cli(capsys, *argv, "--seed", "7")
+    assert code == 0 and report["results"]["objects"] == 341
+    assert report["results"]["checked"] == cli.SAMPLE_CAP
 
 
 def test_reports_are_deterministic(capsys, monkeypatch):
@@ -688,9 +703,9 @@ def test_dispatch_calls_in_one_process_share_no_state(tmp_path, monkeypatch):
 def test_no_q_power_in_the_engine_is_an_internal_fault(capsys, monkeypatch):
     monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
 
-    def no_power(self, x, y):
-        raise NotAPureQPower(f"{{{x}, {y}}} planted")
-    monkeypatch.setattr(algebra.DerivedHall, "_bracket_exp", no_power)
+    def no_power(self, g):
+        raise NotAPureQPower(f"a'({g}) planted")
+    monkeypatch.setattr(algebra.DerivedHall, "_a_prime_parts", no_power)
     code, report, err = run_cli(capsys, "dha-mul", "--t", "1",
                                 "--lhs", "[k1@0]", "--rhs", "[k1@0]")
     assert code == cli.EXIT_INTERNAL == 4
@@ -711,11 +726,11 @@ def test_engine_faults_have_their_own_exit_code(capsys, monkeypatch, fault):
 
 def test_negative_ext1_is_an_internal_fault(capsys, monkeypatch):
     monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
-    # <k1, k1> = 2 > dim Hom(k1, k1) = 1 makes Ext^1(k1, k1) negative.
+    # <k1, k1> = 2 > dim Hom(k1, k1) = 1 makes Ext^1(k1, k1) negative; the
+    # cone-counting route reads Ext^1(k1, k1) for the pair ([k1@0], [k1@0]).
     monkeypatch.setattr(reps, "euler_add",
                         lambda quiver, d1, d2: 2 if d1 == d2 == (1,) else euler_add(quiver, d1, d2))
-    code, report, err = run_cli(capsys, "dha-mul", "--t", "1",
-                                "--lhs", "[k1@0]", "--rhs", "[k1@0]")
+    code, report, err = run_cli(capsys, "crosscheck", "--t", "1", "--max-dim", "1")
     assert code == cli.EXIT_INTERNAL == 4
     assert report is None and "negative Ext^1 dimension" in err
 

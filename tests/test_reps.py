@@ -66,7 +66,7 @@ def test_negative_ext1_is_an_internal_inconsistency(monkeypatch):
         hom_dt_count(reg, graded_object(3, 2, [(1, s1)]), graded_object(3, 2, [(0, s2)]))
     reg, s1, s2 = fresh()
     with pytest.raises(InternalInconsistency, match="negative Ext"):
-        DerivedHall(reg, 3).a_prime(graded_object(3, 2, [(0, s2), (1, s1)]))
+        DerivedHall(reg, 3).aut_dt(graded_object(3, 2, [(0, s2), (1, s1)]))
 
 
 def test_hom_dims_projective_vs_simples(a2_f2):
