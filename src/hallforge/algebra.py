@@ -381,35 +381,13 @@ class DerivedHall:
 
     # -- normalization invariants --------------------------------------------
 
-    def aut_dt(self, g: GradedObject) -> int:
-        """|Aut_{D_t}(g)|: the components' |Aut| times q^(sum over degrees d of
-        dim Ext^1(g_d, g_{d-1})); at t = 1 that twist is Ext^1(g_0, g_0)."""
-        self._check_graded(g)
-        aut, twist = self._aut_and_twist(g)
-        return aut * self.reg.p ** twist
-
-    def _aut_and_twist(self, g: GradedObject) -> tuple[int, int]:
-        """(prod |Aut g_i|, the twist sum_d dim Ext^1(g_d, g_{d-1})) of aut_dt, in
-        one pass over the components in degree order: g_{d-1} is the component
-        before g_d or, at odd t, the last one taken one period down."""
-        reg = self.reg
-        aut, twist = 1, 0
-        if g.components:
-            prev_deg, prev = g.components[-1]
-            prev_deg -= self.t
-            for deg, cls in g.components:
-                aut *= reg.aut_count(cls)
-                if prev_deg == deg - 1:
-                    twist += reg.hom_ext_dims(cls, prev)[1]
-                prev_deg, prev = deg, cls
-        return aut, twist
-
     def _a_prime_parts(self, g: GradedObject) -> tuple[int, int]:
         """(prod |Aut g_i|, e_g) with a'_g = |Aut_{D_t}(g)| {g, g}^{1/2} = prod |Aut g_i| v^(e_g).
 
         A pair of components x, y at shift i = d_x - d_y in 1..t (mod t) adds
         (-1)^i (dim Hom - dim Ext^1) to the exponent of {g, g}, except at i = 1,
-        where it adds -(dim Hom + dim Ext^1) and aut_dt's twist adds 2 dim Ext^1.
+        where it adds -(dim Hom + dim Ext^1) and |Aut_{D_t}(g)|, through its factor
+        q^(dim Ext^1(g_d, g_{d-1})) per degree d, adds 2 dim Ext^1.
         So e_g is the sum over ordered pairs of (-1)^i <x, y>, read from the Euler
         table alone: <x, y> = dim Hom - dim Ext^1 in a hereditary category."""
         t = self.t

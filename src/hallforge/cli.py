@@ -260,6 +260,9 @@ def _relation_instances(family: str, t: int):
 
 
 def cmd_relations(args, reg: ClassRegistry, t: int):
+    if 0 < t < 5:
+        raise UnsupportedPeriod(f"--t is the period of dht_r3, an odd t >= 5 (got {t}); "
+                                "the default 0 runs it at t = 5")
     classes = [c for c in reg.all_classes_total_le(_max_dim(args)) if c.total_dim >= 1]
     rows = []
     counterexamples = []
@@ -270,7 +273,7 @@ def cmd_relations(args, reg: ClassRegistry, t: int):
             for b in classes:
                 for degree, offset in _relation_instances(family, t):
                     res = relation_check(reg, family, a, b, degree=degree, offset=offset,
-                                         t=t if t >= 5 else None)
+                                         t=t or None)
                     checked += 1
                     if not res.ok:
                         failures += 1

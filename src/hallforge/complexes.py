@@ -362,7 +362,6 @@ def enumerate_complex_classes(reg: ClassRegistry, t: int, dims_by_degree) -> lis
         if combos > DEFAULT_COMPLEX_ENUM_BOUND:
             raise EnumerationTooLarge(f"{combos} differential choices for dims {dims_by_degree} "
                                       f"exceed bound {DEFAULT_COMPLEX_ENUM_BOUND}")
-        single_endo = (q.n == 1 and not q.arrows and t == 1 and len(blocks) == 1)
         buckets: dict[tuple, list[int]] = {}
         survivors = 0
         for assignment in itertools.product(*(_hom_elements(p, kernel) for _, kernel in blocks)):
@@ -385,15 +384,6 @@ def enumerate_complex_classes(reg: ClassRegistry, t: int, dims_by_degree) -> lis
                 continue
             survivors += 1
             cand = complex_obj(t, q, p, comps, diffs, validate=False)
-            if single_endo:
-                # One vertex, no arrows, period one: chain iso = conjugacy of a
-                # square-zero endomorphism, classified by its rank alone.
-                d0 = diffs.get(0)
-                sig: tuple = (rank(d0[0]) if d0 else 0,)
-                if sig not in buckets:
-                    buckets[sig] = [len(found)]
-                    found.append(cand)
-                continue
             ranks = tuple((i, tuple(rank(m) for m in diffs[i])) for i in sorted(diffs))
             sig = (ranks, homology(reg, cand).components)
             hit = None

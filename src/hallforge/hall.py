@@ -10,7 +10,8 @@ rank form on quivers classified by arrow ranks, else a walk of the closed
 subspace tuples.  hall_number reads one entry; subquotient_tables lists a
 class's nonzero Hall numbers by subobject, and the gamma counts of 4-term
 exact sequences are one join of such lists (_gamma_join), on one pair in
-gamma_terms or over a class list in gamma_sweep.
+gamma_terms or over a class list in gamma_sweep; the right side of Green's
+formula is another (green_sides).
 """
 from __future__ import annotations
 
@@ -334,10 +335,12 @@ def green_sides(reg: ClassRegistry, a: IsoClassId, b: IsoClassId,
     """Both sides of Green's formula for the quadruple (a, b, a2, b2).
 
     Left:  a_a a_b a_{a2} a_{b2} * sum_c g^c_{a,b} g^c_{a2,b2} / a_c.
-    Right: sum over class quadruples (x, y, x2, y2) with x+x2 = a, y+y2 = b,
-           x+y = a2, x2+y2 = b2 of |Ext^1(x,y2)|/|Hom(x,y2)| times the four
-           Hall numbers times a_x a_y a_{x2} a_{y2}.
+    Right: sum over (x, y, x2, y2) of q^(-<x, y2>) = |Ext^1(x, y2)| / |Hom(x, y2)|
+           times g^a_{x,x2} g^{a2}_{x,y} g^b_{y,y2} g^{b2}_{x2,y2} a_x a_y a_{x2} a_{y2}:
+           one join of the four classes' subquotient_tables, b's and b2's met at
+           their subobject y2, a's read at x2 and a2's at y.
     """
+    aut = reg.aut_count
     lhs = Fraction(0)
     if dims_add(a.dims, b.dims) == dims_add(a2.dims, b2.dims):
         for c in reg.classes(dims_add(a.dims, b.dims)):
@@ -347,39 +350,20 @@ def green_sides(reg: ClassRegistry, a: IsoClassId, b: IsoClassId,
             g2 = hall_number(reg, a2, b2, c)
             if g2 == 0:
                 continue
-            lhs += Fraction(g1 * g2, reg.aut_count(c))
-        lhs *= (reg.aut_count(a) * reg.aut_count(b)
-                * reg.aut_count(a2) * reg.aut_count(b2))
+            lhs += Fraction(g1 * g2, aut(c))
+        lhs *= aut(a) * aut(b) * aut(a2) * aut(b2)
 
+    euler, by_sub_a = euler_table(reg), subquotient_tables(reg, a)
+    by_sub_a2, by_sub_b2 = subquotient_tables(reg, a2), subquotient_tables(reg, b2)
     rhs = Fraction(0)
-    dx_max = tuple(min(u, v) for u, v in zip(a.dims, a2.dims))
-    for dx in subdimvecs(dx_max):
-        dx2 = dims_sub(a.dims, dx)
-        dy = dims_sub(a2.dims, dx)
-        dy2 = dims_sub(b2.dims, dx2)
-        if any(v < 0 for v in dx2 + dy + dy2):
-            continue
-        if dims_add(dy, dy2) != tuple(b.dims):
-            continue
-        for x in reg.classes(dx):
-            for x2 in reg.classes(dx2):
-                g_a = hall_number(reg, x, x2, a)
-                if g_a == 0:
-                    continue
-                for y in reg.classes(dy):
-                    g_a2 = hall_number(reg, x, y, a2)
-                    if g_a2 == 0:
-                        continue
-                    for y2 in reg.classes(dy2):
-                        g_b = hall_number(reg, y, y2, b)
-                        if g_b == 0:
-                            continue
-                        g_b2 = hall_number(reg, x2, y2, b2)
-                        if g_b2 == 0:
-                            continue
-                        hom, ext = reg.hom_ext_dims(x, y2)
-                        factor = Fraction(reg.p) ** (ext - hom)
-                        rhs += (factor * g_a * g_b * g_a2 * g_b2
-                                * reg.aut_count(x) * reg.aut_count(y)
-                                * reg.aut_count(x2) * reg.aut_count(y2))
+    for y2, ys in subquotient_tables(reg, b).items():
+        x2s = by_sub_b2.get(y2, ())
+        for y, g_b in ys:
+            xs = dict(by_sub_a2.get(y, ()))
+            for x2, g_b2 in x2s:
+                w = g_b * g_b2 * aut(y) * aut(y2) * aut(x2)
+                for x, g_a in by_sub_a.get(x2, ()):
+                    if x in xs:
+                        rhs += (Fraction(reg.p) ** -euler[x.dims, y2.dims]
+                                * (w * g_a * xs[x] * aut(x)))
     return lhs, rhs

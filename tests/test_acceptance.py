@@ -20,8 +20,9 @@ from hallforge.cli import graded_objects_within
 from hallforge.complexes import graded_object, hom_dt_count
 from hallforge.hall import ext1_count, ext1_middle_count, green_sides, hall_number
 from hallforge.linalg import gaussian_binomial
-from hallforge.quivers import dims_add, dims_sub, line_quiver, quiver_to_dict, subdimvecs
-from hallforge.reps import semisimple_rep
+from hallforge.quivers import (dims_add, dims_sub, dimvecs_up_to, line_quiver, quiver_to_dict,
+                               subdimvecs)
+from hallforge.reps import ClassRegistry, semisimple_rep
 from hallforge.scalars import parse_scalar
 
 from .oracles import alt_hom_product, aut_count_by_enumeration, product_by_endomorphisms
@@ -79,6 +80,27 @@ def test_green_identity_exhaustive(a1_f2, a1_f3, a2_f2, a2_f3):
                 checked += 1
     assert checked == 2 * 55 + 2 * 663
     timed(f"green identity ({checked} quadruples)", start)
+
+
+@pytest.mark.parametrize("fixture_name,q,max_dim,count", [
+    ("kronecker_f2", 2, 4, 7709), ("d4_f2", 2, 4, 17864), ("a3_f2", 2, 4, 5936),
+    ("kronecker_f2", 3, 3, 1355), ("a3_f2", 5, 3, 972)])
+def test_green_identity_beyond_a2(request, fixture_name, q, max_dim, count):
+    """Both sides agree for every quadruple of the green command's sweep to
+    total dim max_dim, on the Kronecker quiver (tame), D4 and A3."""
+    reg = request.getfixturevalue(fixture_name)
+    if q != reg.p:
+        reg = ClassRegistry(reg.quiver, q)
+    start = time.monotonic()
+    checked = 0
+    for dsum in dimvecs_up_to(reg.quiver.n, max_dim):
+        sides = side_pairs(reg, dsum)
+        for (a, b), (a2, b2) in itertools.product(sides, repeat=2):
+            lhs, rhs = green_sides(reg, a, b, a2, b2)
+            assert lhs == rhs, (q, a, b, a2, b2)
+            checked += 1
+    assert checked == count
+    timed(f"green identity on {fixture_name} over F_{q} ({checked} quadruples)", start)
 
 
 def test_green_identity_frozen_instance(a1_f2):

@@ -229,6 +229,17 @@ def test_relations_report(capsys, monkeypatch):
     assert set(families["dh1_re1"]) == {"family", "checked", "mismatches"}
 
 
+@pytest.mark.parametrize("t", ["1", "3"])
+def test_relations_rejects_a_period_below_five(capsys, monkeypatch, t):
+    # --t sets the period of dht_r3 only, which needs t >= 5; 0 runs it at 5.
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    code = cli.main(["relations", "--t", t, "--max-dim", "1"])
+    out = capsys.readouterr()
+    assert code == cli.EXIT_USAGE
+    assert out.out == ""
+    assert "period of dht_r3" in out.err
+
+
 def test_crosscheck_report(capsys, monkeypatch):
     monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
     code, report, _ = run_cli(capsys, "crosscheck", "--t", "1", "--max-dim", "2")
@@ -326,6 +337,13 @@ GOLDEN_REPORTS = [
      "f6ef4b9d69418668dd454f6c7b9aad295cbf773dd3da26883eddc470276a69a5"),
     ("A2", quiver_to_dict(line_quiver(2)), "dha-assoc --t 3 --seed 7",
      "0c1782ec034c2cd4169bf46d427119646b89349a14c3418dc9055e2f002c7d4b"),
+    # Recorded from the Hom-based right side of Green's formula, before its table join.
+    ("Kronecker", KRONECKER, "green --max-dim 4",
+     "616eec11c6f668d09403f7649cec45e1ed62e342c5daada3254d0a3e33d80b42"),
+    ("D4", D4, "green --max-dim 4",
+     "552afd80f6cc46392564be938ffde8f1dfd0d890c4669100dda049c1171cd6f7"),
+    ("A3", quiver_to_dict(line_quiver(3)), "green --max-dim 3 --q 3",
+     "76787b6f1ce5547b92f04ef80b6ebd9c78b49232d8412c637c340256ba95a5ae"),
 ]
 
 

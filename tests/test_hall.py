@@ -123,6 +123,28 @@ def test_green_zero_when_dims_disagree(a1_f2):
     assert lhs == rhs == 0
 
 
+def test_green_reads_no_hom_once_the_tables_are_walked(kronecker_f2, monkeypatch):
+    """Green's right side is a join of the Hall tables weighed from the Euler
+    table: with a Kronecker window's tables walked, both sides still come out
+    when hom_ext_dims raises."""
+    reg = kronecker_f2
+    for c in reg.all_classes_total_le(3):
+        subquotient_tables(reg, c)
+        reg.aut_count(c)
+
+    def no_hom(self, a, b):
+        raise AssertionError("green_sides asked for dim Hom")
+    monkeypatch.setattr(ClassRegistry, "hom_ext_dims", no_hom)
+    checked = 0
+    for dsum in dimvecs_up_to(2, 3):
+        pairs = list(_class_pairs_with_sum(reg, dsum))
+        for (a, b), (a2, b2) in itertools.product(pairs, repeat=2):
+            lhs, rhs = green_sides(reg, a, b, a2, b2)
+            assert lhs == rhs, (a, b, a2, b2)
+            checked += 1
+    assert checked == 959
+
+
 def test_gamma_frozen_values(a1_f2):
     k = a1_f2.classes((1,))[0]
     k2 = a1_f2.classes((2,))[0]

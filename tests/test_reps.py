@@ -7,8 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hallforge import reps
-from hallforge.algebra import DerivedHall
+from hallforge import hall, reps
 from hallforge.complexes import _coboundary_transversal, graded_object, hom_dt_count
 from hallforge.errors import (EnumerationTooLarge, IncompatibleObjects, InternalInconsistency,
                               InvalidField)
@@ -66,7 +65,7 @@ def test_negative_ext1_is_an_internal_inconsistency(monkeypatch):
         hom_dt_count(reg, graded_object(3, 2, [(1, s1)]), graded_object(3, 2, [(0, s2)]))
     reg, s1, s2 = fresh()
     with pytest.raises(InternalInconsistency, match="negative Ext"):
-        DerivedHall(reg, 3).aut_dt(graded_object(3, 2, [(0, s2), (1, s1)]))
+        hall.ext1_count(reg, s1, s2)
 
 
 def test_hom_dims_projective_vs_simples(a2_f2):
