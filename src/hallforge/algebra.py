@@ -97,6 +97,10 @@ class CheckResult(namedtuple("CheckResult", "label ok lhs rhs mismatches", defau
 
 
 def _compare(label: str, lhs: HallVector, rhs: HallVector) -> CheckResult:
+    """Both sides and the keys whose coefficients differ, sorted; equal term
+    dicts, the passing case, are told apart by one dict comparison."""
+    if lhs.terms == rhs.terms:
+        return CheckResult(label, True, lhs, rhs, ())
     bad = tuple(sorted((g for g in lhs.terms.keys() | rhs.terms.keys()
                         if lhs.coeff(g) != rhs.coeff(g)), key=_graded_sort_key))
     return CheckResult(label, not bad, lhs, rhs, bad)
@@ -135,11 +139,12 @@ class DerivedHall:
     # -- multiplication -----------------------------------------------------
 
     def multiply_graded(self, a: GradedObject, b: GradedObject) -> HallVector:
-        self._check_graded(a)
-        self._check_graded(b)
+        # The memo holds only checked pairs, so a hit needs no check.
         out = self._mul.get((a, b))
         if out is not None:
             return out
+        self._check_graded(a)
+        self._check_graded(b)
         if a.is_zero():
             out = HallVector.basis(self.q, b)
         elif b.is_zero():
@@ -211,8 +216,8 @@ class DerivedHall:
             exps = {(d, dn): -(euler[a1.dims, d] + euler[dn, dims_sub(a2.dims, d)])
                     for d in dims for dn in dims_next}
         else:  # t = 0: 1 / <N^i, M^{i-1}>, N^i = b_i - I^{i-1}, M^{i-1} = a_{i-1} - I^{i-1}
-            exps = {(d, dn): -euler[dims_sub(a2.dims, d), dims_sub(a_prev, d)]
-                    for d in dims for dn in dims_next}
+            by_d = {d: -euler[dims_sub(a2.dims, d), dims_sub(a_prev, d)] for d in dims}
+            exps = {(d, dn): by_d[d] for d in dims for dn in dims_next}
         floor = min(exps.values())
         tr = self._transfers[key] = (floor, {k: self.q ** (e - floor) for k, e in exps.items()},
                                      classes, nexts, {})
@@ -324,8 +329,9 @@ class DerivedHall:
         """
         if self.t != 0:
             raise UnsupportedPeriod("this route is the t = 0 product")
-        support = a.support + b.support
-        if not support:
+        # Components are sorted by degree, so the first and last bound the support.
+        ends = [cs[k][0] for cs in (a.components, b.components) if cs for k in (0, -1)]
+        if not ends:
             return self.one()
         aut_count, euler = self.reg.aut_count, euler_table(self.reg)
         # Sum over component pairs a_i, b_j with j - i >= 2 of (-1)^(j - i) <b_j, a_i>.
@@ -339,7 +345,7 @@ class DerivedHall:
         for _j, c_b in b.components:
             aut_ab *= aut_count(c_b)
 
-        h, e = self._lt_paths(a, b, range(min(support), max(support) + 1))
+        h, e = self._lt_paths(a, b, range(min(ends), max(ends) + 1))
         return HallVector._nonzero(self.q, {
             GradedObject(0, self._n, xs):
                 QSqrtScalar.v_power(self.q, 2 * (e + pref_exp), w, aut_ab)
@@ -390,11 +396,11 @@ class DerivedHall:
         q^(dim Ext^1(g_d, g_{d-1})) per degree d, adds 2 dim Ext^1.
         So e_g is the sum over ordered pairs of (-1)^i <x, y>, read from the Euler
         table alone: <x, y> = dim Hom - dim Ext^1 in a hereditary category."""
-        t = self.t
-        if t < 1:
-            raise UnsupportedPeriod("a' is defined for odd positive t")
-        parts = self._a_primes.get(g)
+        parts = self._a_primes.get(g)  # filled only at odd t, so a hit needs no check
         if parts is None:
+            t = self.t
+            if t < 1:
+                raise UnsupportedPeriod("a' is defined for odd positive t")
             aut_count, euler = self.reg.aut_count, euler_table(self.reg)
             aut, e = 1, 0
             for d_x, c_x in g.components:
@@ -416,7 +422,7 @@ class DerivedHall:
     def decompose_graded(self, g: GradedObject) -> Word:
         """A graded object as a strictly descending generator word."""
         self._check_graded(g)
-        return tuple((cls, deg) for deg, cls in sorted(g.components, reverse=True))
+        return tuple((cls, deg) for deg, cls in reversed(g.components))
 
     def normalize_generator_word(self, word: Word) -> HallVector:
         """Rewrite a product of shifted generators into the graded-object basis.
@@ -443,7 +449,9 @@ class DerivedHall:
                     spot = i
                     break
             if spot is None:
-                g = graded_object(0, self._n, [(d, c) for c, d in w])
+                # Degrees strictly descend and every class is nonzero, so the
+                # reversed word is the sorted component tuple.
+                g = GradedObject(0, self._n, tuple((d, c) for c, d in reversed(w)))
                 done[g] = done[g] + coeff if g in done else coeff
                 continue
             steps += 1

@@ -528,8 +528,9 @@ def cone_counts(reg: ClassRegistry, a: GradedObject,
         spans = _cone_spans(p, blocks, key)
         dims = tuple(len(s[0]) for s in spans)
         for mats in middles:
-            x = graded_object(1, len(dims), [(0, reg.classify_entries(
-                dims, _cone_entries(p, arrows, mats, spans)))])
+            # One component at degree 0, none for the zero class: already canonical.
+            cls = reg.classify_entries(dims, _cone_entries(p, arrows, mats, spans))
+            x = GradedObject(1, len(dims), ((0, cls),) if cls.total_dim else ())
             counts[x] = counts.get(x, 0) + weight
     if sum(counts.values()) != total:
         raise InternalInconsistency("cone counts do not add up to the derived Hom count")

@@ -7,10 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from hallforge import algebra
+from hallforge import algebra, complexes
 from hallforge.algebra import (RELATION_FAMILIES, DerivedHall, HallVector,
                                relation_check)
-from hallforge.complexes import graded_object, stalk
+from hallforge.complexes import cone_counts, graded_object, stalk
 from hallforge.errors import IncompatibleObjects, RewriteBudgetExceeded, UnsupportedPeriod
 from hallforge.quivers import line_quiver
 from hallforge.reps import ClassRegistry
@@ -117,9 +117,33 @@ def test_multiply_is_bilinear(d1, a1_f2):
 
 
 def test_multiply_rejects_foreign_graded(d0, a1_f2):
+    # The product memo is read before the check: a warm memo lets nothing foreign through.
+    zk = d0.stalk(k_class(a1_f2, 1))
+    assert not d0.multiply_graded(zk, zk).is_zero()
     wrong_t = stalk(a1_f2, 1, k_class(a1_f2, 1))
     with pytest.raises(IncompatibleObjects):
         d0.multiply_graded(wrong_t, wrong_t)
+
+
+def test_compare_lists_exactly_the_differing_keys(d0, a1_f2):
+    k, k2 = k_class(a1_f2, 1), k_class(a1_f2, 2)
+    g1, g2 = d0.stalk(k), d0.stalk(k2)
+    g3 = graded_object(0, 1, [(0, k), (1, k)])
+    g4 = graded_object(0, 1, [(-1, k2), (1, k)])
+    lhs = vec(d0, (g1, "1"), (g2, "2"), (g3, "v"))
+    assert algebra._compare("x", lhs, vec(d0, (g3, "v"), (g2, "2"), (g1, "1"))) == \
+        ("x", True, lhs, vec(d0, (g1, "1"), (g2, "2"), (g3, "v")), ())
+    rhs = vec(d0, (g1, "1"), (g2, "3"), (g4, "1"))
+    res = algebra._compare("x", lhs, rhs)
+    assert not res.ok and (res.lhs, res.rhs) == (lhs, rhs)
+    # g2 differs, g3 is on the left only and g4 on the right only; by degree then class.
+    assert res.mismatches == (g4, g3, g2)
+    assert res.mismatches == tuple(sorted({g2, g3, g4}, key=algebra._graded_sort_key))
+    # An explicit zero coefficient is the same vector as a missing key.
+    zero = QSqrtScalar.zero(2)
+    padded = HallVector._nonzero(2, {**lhs.terms, g4: zero})
+    assert algebra._compare("x", padded, lhs) == ("x", True, padded, lhs, ())
+    assert algebra._compare("x", lhs, padded).ok
 
 
 # -- frozen products ---------------------------------------------------------------
@@ -359,6 +383,50 @@ def test_theorem_crosscheck_sweep(a1_f2, t):
     for a, b in itertools.product(objects, repeat=2):
         res = dh.theorem_crosscheck(a, b)
         assert res.ok, (t, a, b, res.mismatches)
+
+
+@pytest.mark.parametrize("quiver,t,max_total", [
+    (1, 0, 3), (2, 0, 2), (1, 1, 2), (2, 1, 2), (1, 3, 2), (2, 3, 2), ("kronecker", 1, 2)])
+def test_engine_built_objects_are_canonical(request, quiver, t, max_total):
+    """The engine builds product terms, rewritten words and cones without
+    graded_object; each must be the object graded_object makes of its
+    components.  The Kronecker row puts the cone oracle on two arrows
+    between the same vertices: all 81 pairs to total dim 2."""
+    reg = request.getfixturevalue(f"a{quiver}_f2" if isinstance(quiver, int) else f"{quiver}_f2")
+    dh = DerivedHall(reg, t)
+    objs = graded_objects_within(reg, t, max_total)
+    pairs = list(itertools.product(objs, repeat=2))
+    built = 0
+    for a, b in pairs:
+        out = list(dh.multiply_graded(a, b).terms)
+        if t == 0:
+            out += dh.normalize_generator_word(dh.decompose_graded(a) + dh.decompose_graded(b)).terms
+        elif t == 1:
+            out += cone_counts(reg, a, b)
+        for g in out:
+            assert g == graded_object(g.t, g.n_vertices, g.components), (a, b, g)
+        built += len(out)
+    assert built > len(pairs)
+
+
+def test_crosscheck_builds_no_graded_object_once_the_inputs_exist(monkeypatch):
+    """Validation sits at the boundary: with the inputs built, a cold A2 crosscheck
+    sweep (rewriting at t = 0, cones at t = 1) runs with graded_object raising."""
+    reg = ClassRegistry(line_quiver(2), 2)
+    sweeps = [(DerivedHall(reg, t), graded_objects_within(reg, t, max_total))
+              for t, max_total in ((0, 3), (1, 2))]
+
+    def no_graded_object(*args):
+        raise AssertionError("the engine re-validated an object it built")
+    monkeypatch.setattr(algebra, "graded_object", no_graded_object)
+    monkeypatch.setattr(complexes, "graded_object", no_graded_object)
+    checked = 0
+    for dh, objs in sweeps:
+        for a, b in itertools.product(objs, repeat=2):
+            res = dh.theorem_crosscheck(a, b)
+            assert res.ok, (dh.t, a, b, res.mismatches)
+            checked += 1
+    assert checked == 2025 + 49
 
 
 def test_theorem_crosscheck_a2_spot(a2_f2):
