@@ -138,7 +138,10 @@ class DerivedHall:
 
     # -- multiplication -----------------------------------------------------
 
-    def multiply_graded(self, a: GradedObject, b: GradedObject) -> HallVector:
+    def multiply_graded(self, a: GradedObject, b: GradedObject,
+                        store: bool = True) -> HallVector:
+        """The product [a][b], read from the per-pair memo and, unless store is
+        false, kept there."""
         # The memo holds only checked pairs, so a hit needs no check.
         out = self._mul.get((a, b))
         if out is not None:
@@ -153,7 +156,8 @@ class DerivedHall:
             out = self.lt_mul_t0(a, b)
         else:
             out = self.lt_mul_odd(a, b)
-        self._mul[a, b] = out
+        if store:
+            self._mul[a, b] = out
         return out
 
     def multiply(self, x: HallVector, y: HallVector) -> HallVector:
@@ -531,14 +535,16 @@ class DerivedHall:
 
     def theorem_crosscheck(self, a: GradedObject, b: GradedObject) -> CheckResult:
         """Compare the product against the independent route (t = 0: rewriting;
-        t = 1: cone counting)."""
+        t = 1: cone counting).  A stored product is reused, but the product
+        computed here is not stored: a sweep compares each pair once, so its
+        memory follows the classes, not the pairs swept."""
         if self.t == 0:
-            lhs = self.multiply_graded(a, b)
+            lhs = self.multiply_graded(a, b, store=False)
             word = self.decompose_graded(a) + self.decompose_graded(b)
             rhs = self.normalize_generator_word(word)
             return _compare("product vs word rewriting", lhs, rhs)
         if self.t == 1:
-            lhs = self.multiply_graded(a, b)
+            lhs = self.multiply_graded(a, b, store=False)
             rhs = self.rp_product_t1(a, b)
             return _compare("product vs cone counting", lhs, rhs)
         raise UnsupportedPeriod("crosscheck routes exist for t = 0 and t = 1")

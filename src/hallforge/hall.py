@@ -11,7 +11,8 @@ subspace tuples.  hall_number reads one entry; subquotient_tables lists a
 class's nonzero Hall numbers by subobject, and the gamma counts of 4-term
 exact sequences are one join of such lists (_gamma_join), on one pair in
 gamma_terms or over a class list in gamma_sweep; the right side of Green's
-formula is another (green_sides).
+formula is another, and its left side reads the same lists regrouped by pair
+(green_sides).
 """
 from __future__ import annotations
 
@@ -330,11 +331,28 @@ def gamma_coeff(reg: ClassRegistry, a: IsoClassId, b: IsoClassId,
                  if (m2, n2) == (m, n)), Fraction(0))
 
 
+def _hall_by_pair(reg: ClassRegistry, dims: DimVec) -> dict[
+        tuple[IsoClassId, IsoClassId], dict[IsoClassId, int]]:
+    """{(a, b): {c: g^c_{a,b}}} over the classes c of dims, nonzero numbers only:
+    their subquotient_tables regrouped by (quotient, subobject) pair, memoized
+    per registry by dims."""
+    memo = reg.memo("hall_by_pair")
+    table = memo.get(dims)
+    if table is None:
+        table = memo[dims] = {}
+        for c in reg.classes(dims):
+            for sub, quots in subquotient_tables(reg, c).items():
+                for quot, g in quots:
+                    table.setdefault((quot, sub), {})[c] = g
+    return table
+
+
 def green_sides(reg: ClassRegistry, a: IsoClassId, b: IsoClassId,
                 a2: IsoClassId, b2: IsoClassId) -> tuple[Fraction, Fraction]:
     """Both sides of Green's formula for the quadruple (a, b, a2, b2).
 
-    Left:  a_a a_b a_{a2} a_{b2} * sum_c g^c_{a,b} g^c_{a2,b2} / a_c.
+    Left:  a_a a_b a_{a2} a_{b2} * sum_c g^c_{a,b} g^c_{a2,b2} / a_c, over the
+           classes c where both pairs' Hall numbers (_hall_by_pair) are nonzero.
     Right: sum over (x, y, x2, y2) of q^(-<x, y2>) = |Ext^1(x, y2)| / |Hom(x, y2)|
            times g^a_{x,x2} g^{a2}_{x,y} g^b_{y,y2} g^{b2}_{x2,y2} a_x a_y a_{x2} a_{y2}:
            one join of the four classes' subquotient_tables, b's and b2's met at
@@ -342,15 +360,14 @@ def green_sides(reg: ClassRegistry, a: IsoClassId, b: IsoClassId,
     """
     aut = reg.aut_count
     lhs = Fraction(0)
-    if dims_add(a.dims, b.dims) == dims_add(a2.dims, b2.dims):
-        for c in reg.classes(dims_add(a.dims, b.dims)):
-            g1 = hall_number(reg, a, b, c)
-            if g1 == 0:
-                continue
-            g2 = hall_number(reg, a2, b2, c)
-            if g2 == 0:
-                continue
-            lhs += Fraction(g1 * g2, aut(c))
+    dims = dims_add(a.dims, b.dims)
+    if dims == dims_add(a2.dims, b2.dims):
+        by_pair = _hall_by_pair(reg, dims)
+        cs2 = by_pair.get((a2, b2), {})
+        for c, g1 in by_pair.get((a, b), {}).items():
+            g2 = cs2.get(c)
+            if g2:
+                lhs += Fraction(g1 * g2, aut(c))
         lhs *= aut(a) * aut(b) * aut(a2) * aut(b2)
 
     euler, by_sub_a = euler_table(reg), subquotient_tables(reg, a)

@@ -121,16 +121,28 @@ def _hom_system(m: Rep, n: Rep) -> tuple[list, list[tuple[int, int]], list[int]]
                      else [0] * ms)
             row_n = [pack_bits(row, ms) << nvars - 1 - offsets[s] - (ns - 1) * ms for row in na]
             rows.extend(col_m[j] >> i * mt ^ row_n[i] >> j for i in range(nt) for j in range(ms))
-            continue
-        for i in range(nt):
-            for j in range(ms):
-                row = [0] * nvars
-                for k in range(mt):
-                    row[offsets[t] + i * mt + k] += ma[k][j]
-                for l in range(ns):
-                    row[offsets[s] + l * ms + j] -= na[i][l]
-                rows.append([x % p for x in row])
+        else:
+            rows.extend(_hom_arrow_rows(m, n, idx, offsets, nvars))
     return rows, shapes, offsets
+
+
+def _hom_arrow_rows(m: Rep, n: Rep, idx: int, offsets: list[int], nvars: int) -> list[list[int]]:
+    """The rows of _hom_system for the arrow idx, in order, as lists of ints in
+    range(p): the row format of every p but 2, where they are the system's rows."""
+    p, a = m.p, m.quiver.arrows[idx]
+    s, t = a.source, a.target
+    ma, na = m.mats[idx].entries, n.mats[idx].entries
+    mt, ms, nt, ns = m.dims[t], m.dims[s], n.dims[t], n.dims[s]
+    rows = []
+    for i in range(nt):
+        for j in range(ms):
+            row = [0] * nvars
+            for k in range(mt):
+                row[offsets[t] + i * mt + k] += ma[k][j]
+            for l in range(ns):
+                row[offsets[s] + l * ms + j] -= na[i][l]
+            rows.append([x % p for x in row])
+    return rows
 
 
 def hom_dim(m: Rep, n: Rep) -> int:

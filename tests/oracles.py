@@ -34,7 +34,8 @@ is_subrep, restrict_to_subspaces and quotient_by_subrep too), which reads
 the same off RREF pivots in one pass.
 walked_subobject_table walks every class's subobjects the way the engine
 walks only the classes no closed form covers, to judge the closed-form
-tables of hall._subobject_table.  a_prime_by_endomorphisms and
+tables of hall._subobject_table; riedtmann_hall_numbers counts extensions
+instead of subobjects, to judge the walked ones.  a_prime_by_endomorphisms and
 product_by_endomorphisms are the literal |End|-normalized reading of the
 t = 1 product, which the tests confirm differs from the |Aut| convention.
 """
@@ -375,6 +376,28 @@ def cone_counts_by_maps(reg: ClassRegistry, a: GradedObject,
         x = graded_object(1, reg.quiver.n, [(0, reg.classify(h))])
         counts[x] = counts.get(x, 0) + n
     return counts
+
+
+def riedtmann_hall_numbers(reg: ClassRegistry, a: IsoClassId,
+                           b: IsoClassId) -> dict[IsoClassId, int]:
+    """{c: g^c_{a,b}} over the middle terms c of the extensions of a by b, by
+    Riedtmann's formula g^c_{a,b} = |Ext^1(a, b)_c| |Aut c| / (|Hom(a, b)| |Aut a|
+    |Aut b|): one module extension per cocycle in the span of the coboundary
+    transversal, each middle term classified.  Every division must be exact."""
+    rep_a, rep_b = reg.representative(a), reg.representative(b)
+    dims = dims_add(b.dims, a.dims)
+    ext: dict[IsoClassId, int] = {}
+    for mats in _middle_modules(rep_a, rep_b, _coboundary_transversal(rep_a, rep_b)):
+        c = reg.classify_entries(dims, mats)
+        ext[c] = ext.get(c, 0) + 1
+    den = reg.p ** hom_dim(rep_a, rep_b) * reg.aut_count(a) * reg.aut_count(b)
+    out = {}
+    for c, n in ext.items():
+        g, rem = divmod(n * reg.aut_count(c), den)
+        if rem:
+            raise InternalInconsistency(f"Riedtmann's formula gives a fraction at class {c}")
+        out[c] = g
+    return out
 
 
 def walked_subobject_table(reg: ClassRegistry, c: IsoClassId,

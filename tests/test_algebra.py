@@ -427,6 +427,15 @@ def test_crosscheck_builds_no_graded_object_once_the_inputs_exist(monkeypatch):
             assert res.ok, (dh.t, a, b, res.mismatches)
             checked += 1
     assert checked == 2025 + 49
+    # The sweeps read the product memo but stored nothing; assoc_check still
+    # stores its products, and a crosscheck of a stored pair reuses the vector.
+    for dh, objs in sweeps:
+        assert reg.memo(("dha_mul", dh.t)) == {}
+        a, b, c = objs[1:4]
+        assert dh.assoc_check(a, b, c).ok
+        stored = reg.memo(("dha_mul", dh.t))
+        assert {(a, b), (b, c)} <= stored.keys()
+        assert dh.theorem_crosscheck(a, b).lhs is stored[a, b]
 
 
 def test_theorem_crosscheck_a2_spot(a2_f2):

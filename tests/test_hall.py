@@ -21,7 +21,7 @@ from hallforge.reps import (ClassRegistry, Rep, _subquotient_entries, is_subrep,
 
 from .oracles import (four_term_gamma_oracle, gamma_by_middle_class_sum,
                       hall_number_injection_oracle, is_subrep_by_reduce, quotient_by_reduce,
-                      restrict_by_coords, walked_subobject_table)
+                      restrict_by_coords, riedtmann_hall_numbers, walked_subobject_table)
 
 
 def _class_pairs_with_sum(reg, dsum):
@@ -125,8 +125,9 @@ def test_green_zero_when_dims_disagree(a1_f2):
 
 def test_green_reads_no_hom_once_the_tables_are_walked(kronecker_f2, monkeypatch):
     """Green's right side is a join of the Hall tables weighed from the Euler
-    table: with a Kronecker window's tables walked, both sides still come out
-    when hom_ext_dims raises."""
+    table, and its left side reads them regrouped by pair: with a Kronecker
+    window's tables walked, both sides still come out when hom_ext_dims and
+    hall_number raise."""
     reg = kronecker_f2
     for c in reg.all_classes_total_le(3):
         subquotient_tables(reg, c)
@@ -134,7 +135,11 @@ def test_green_reads_no_hom_once_the_tables_are_walked(kronecker_f2, monkeypatch
 
     def no_hom(self, a, b):
         raise AssertionError("green_sides asked for dim Hom")
+
+    def no_hall_number(*args):
+        raise AssertionError("green_sides looked up one Hall number")
     monkeypatch.setattr(ClassRegistry, "hom_ext_dims", no_hom)
+    monkeypatch.setattr(hall, "hall_number", no_hall_number)
     checked = 0
     for dsum in dimvecs_up_to(2, 3):
         pairs = list(_class_pairs_with_sum(reg, dsum))
@@ -446,6 +451,30 @@ def test_split_class_tables_equal_hall_number_over_all_pairs(quiver, p, max_tota
                     if g:
                         by_sub.setdefault(sub, []).append((quot, g))
         assert subquotient_tables(reg, c) == by_sub, dims
+
+
+@pytest.mark.parametrize("fixture,max_total", [
+    ("kronecker_f2", 4), ("a3_f2", 4), ("d4_f2", 4)])
+def test_walked_tables_equal_the_riedtmann_judge(request, fixture, max_total):
+    # Every walked table, subobjects counted, against the extensions of each
+    # (quotient, subobject) pair counted by middle term.
+    reg = request.getfixturevalue(fixture)
+    judged: dict = {}
+    tables = 0
+    for c in reg.all_classes_total_le(max_total):
+        if not _walked(reg, c):
+            continue
+        for dsub in subdimvecs(c.dims):
+            if not any(dsub) or dsub == c.dims:
+                continue
+            table = _subobject_table(reg, c, dsub)
+            for b in reg.classes(dsub):
+                for a in reg.classes(dims_sub(c.dims, dsub)):
+                    if (a, b) not in judged:
+                        judged[a, b] = riedtmann_hall_numbers(reg, a, b)
+                    assert table.get((a, b), 0) == judged[a, b].get(c, 0), (a, b, c)
+            tables += 1
+    assert tables
 
 
 @pytest.mark.parametrize("quiver,p,max_total", [

@@ -11,8 +11,8 @@ from hallforge import hall, reps
 from hallforge.complexes import _coboundary_transversal, graded_object, hom_dt_count
 from hallforge.errors import (EnumerationTooLarge, IncompatibleObjects, InternalInconsistency,
                               InvalidField)
-from hallforge.linalg import (Mat, full_subspace, gl_order, is_invertible, subspace_from_vectors,
-                             zero_subspace)
+from hallforge.linalg import (Mat, full_subspace, gl_order, is_invertible, pack_row, rows_kernel,
+                             subspace_from_vectors, zero_subspace)
 from hallforge.quivers import (Arrow, Quiver, dimvecs_up_to, euler_add, line_quiver,
                                quiver_from_dict)
 from hallforge.reps import (ClassRegistry, IsoClassId, Rep, _unflatten, direct_sum,
@@ -169,6 +169,23 @@ def test_hom_matches_the_list_row_judge(pair):
               for r in range(n.dims[a.target]) for c in range(m.dims[a.source])]
     assert _coboundary_transversal(m, n) == [rc for k, rc in enumerate(coords)
                                              if k not in pivots]
+
+
+@pytest.mark.parametrize("fixture", ["a2_f2", "a3_f2", "d4_f2", "kronecker_f2"])
+def test_generic_hom_rows_at_p2_are_the_packed_rows(request, fixture):
+    """_hom_system's two branches on one input: at p = 2 the generic per-arrow
+    rows pack to the packed branch's rows, in order, and their list-row kernel
+    is its Hom kernel, for every pair of classes to total dim 3."""
+    reg = request.getfixturevalue(fixture)
+    objs = [reg.representative(c) for c in reg.all_classes_total_le(3)]
+    for m, n in itertools.product(objs, repeat=2):
+        packed, shapes, offsets = reps._hom_system(m, n)
+        nvars = sum(r * c for r, c in shapes)
+        generic = [row for idx in range(len(m.quiver.arrows))
+                   for row in reps._hom_arrow_rows(m, n, idx, offsets, nvars)]
+        assert [pack_row(2, row) for row in generic] == packed, (m, n)
+        system = Mat(2, len(generic), nvars, tuple(map(tuple, generic)))
+        assert list_kernel_basis(system) == rows_kernel(2, nvars, packed), (m, n)
 
 
 @functools.cache
