@@ -26,9 +26,10 @@ from .linalg import (Mat, Subspace, count_matrices_of_rank,
                      enumerate_subspaces, gaussian_binomial, gl_order,
                      is_invertible, kernel_basis, rank, rref,
                      subspace_from_vectors)
-from .quivers import (Arrow, Quiver, dims_add, dims_sub, dimvecs_up_to,
-                      line_quiver, quiver_from_dict, quiver_to_dict,
-                      subdimvecs, topological_order, validate_quiver)
+from .quivers import (Arrow, Quiver, check_period, dims_add, dims_sub,
+                      dimvecs_up_to, line_quiver, quiver_from_dict,
+                      quiver_to_dict, subdimvecs, topological_order,
+                      validate_quiver)
 from .reps import (ClassRegistry, IsoClassId, Rep, direct_sum,
                    hom_basis, hom_dim, is_isomorphic,
                    semisimple_rep, simple_rep, zero_rep)
@@ -41,7 +42,7 @@ _LAZY = {
                 "relation_check"),
     "cache": ("CACHE_ENV_VAR", "cache_path", "load_cache", "save_cache",
               "setup_fingerprint"),
-    "complexes": ("ComplexObj", "GradedObject", "check_period", "class_at_or_zero",
+    "complexes": ("ComplexObj", "GradedObject", "class_at_or_zero",
                   "complex_obj", "cone_counts", "dt_hom_with_cone_count",
                   "enumerate_complex_classes", "format_graded", "graded_object",
                   "hom_dt_count", "homology", "parse_graded", "stalk",
@@ -71,7 +72,7 @@ __all__ = [
     "relation_check",
     "CACHE_ENV_VAR", "cache_path", "load_cache", "save_cache",
     "setup_fingerprint",
-    "ComplexObj", "GradedObject", "check_period", "class_at_or_zero",
+    "ComplexObj", "GradedObject", "class_at_or_zero",
     "complex_obj", "cone_counts", "dt_hom_with_cone_count",
     "enumerate_complex_classes", "format_graded", "graded_object",
     "hom_dt_count", "homology", "parse_graded", "stalk", "validate_complex",
@@ -85,7 +86,7 @@ __all__ = [
     "Mat", "Subspace", "count_matrices_of_rank",
     "enumerate_subspaces", "gaussian_binomial", "gl_order", "is_invertible",
     "kernel_basis", "rank", "rref", "subspace_from_vectors",
-    "Arrow", "Quiver", "dims_add", "dims_sub",
+    "Arrow", "Quiver", "check_period", "dims_add", "dims_sub",
     "dimvecs_up_to", "line_quiver", "quiver_from_dict", "quiver_to_dict",
     "subdimvecs", "topological_order", "validate_quiver",
     "ClassRegistry", "IsoClassId", "Rep", "direct_sum",

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .complexes import (GradedObject, check_period, cone_counts, format_graded, graded_object,
-                        hom_dt_count, stalk)
+from .complexes import (GradedObject, cone_counts, format_graded, graded_object, hom_dt_count,
+                        stalk)
 from .errors import IncompatibleObjects, RewriteBudgetExceeded, UnsupportedPeriod
 from .hall import euler_table, gamma_terms, hall_number
-from .quivers import dims_add, dims_sub, subdimvecs
+from .quivers import check_period, dims_add, dims_sub, subdimvecs
 from .reps import ClassRegistry, IsoClassId
 from .scalars import QSqrtScalar
 
@@ -52,14 +52,7 @@ class HallVector:
         return HallVector._nonzero(q, {g: QSqrtScalar.one(q)})
 
     def add(self, other: "HallVector") -> "HallVector":
-        out = dict(self.terms)
-        for g, c in other.terms.items():
-            s = out[g] + c if g in out else c
-            if s:
-                out[g] = s
-            else:
-                out.pop(g, None)
-        return HallVector._nonzero(self.q, out)
+        return _sum_scaled(self.q, ((None, self), (None, other)))
 
     def scale(self, c) -> "HallVector":
         if not isinstance(c, QSqrtScalar):
@@ -88,6 +81,18 @@ class HallVector:
 
     def format(self, reg: ClassRegistry) -> dict[str, str]:
         return {format_graded(reg, g): str(c) for g, c in self.items()}
+
+
+def _sum_scaled(q: int, pairs) -> HallVector:
+    """The sum of c * v over (c, v) pairs, c a coefficient or None for 1 and v a
+    HallVector; coefficients that sum to zero are dropped."""
+    out: dict[GradedObject, QSqrtScalar] = {}
+    for c, v in pairs:
+        for g, x in v.terms.items():
+            if c is not None:
+                x = x * c
+            out[g] = out[g] + x if g in out else x
+    return HallVector(q, out)
 
 
 class CheckResult(namedtuple("CheckResult", "label ok lhs rhs mismatches", defaults=((),))):
@@ -161,18 +166,14 @@ class DerivedHall:
         return out
 
     def multiply(self, x: HallVector, y: HallVector) -> HallVector:
-        out: dict[GradedObject, QSqrtScalar] = {}
-        for gx, cx in x.terms.items():
-            for gy, cy in y.terms.items():
-                c = cx * cy
-                for g, cg in self.multiply_graded(gx, gy).terms.items():
-                    out[g] = out[g] + cg * c if g in out else cg * c
-        return HallVector(self.q, out)
+        return _sum_scaled(self.q, ((cx * cy, self.multiply_graded(gx, gy))
+                                    for gx, cx in x.terms.items() for gy, cy in y.terms.items()))
 
     def product_of(self, factors: list[GradedObject]) -> HallVector:
         out = self.one()
         for g in factors:
-            out = self.multiply(out, HallVector.basis(self.q, g))
+            out = _sum_scaled(self.q, ((c, self.multiply_graded(h, g))
+                                       for h, c in out.terms.items()))
         return out
 
     def _lt_step(self, a1: IsoClassId, a2: IsoClassId, s_i: IsoClassId,
@@ -527,10 +528,11 @@ class DerivedHall:
     # -- checks ----------------------------------------------------------------
 
     def assoc_check(self, a: GradedObject, b: GradedObject, c: GradedObject) -> CheckResult:
+        """(a·b)·c against a·(b·c), each summed term by term over a·b and b·c."""
         ab = self.multiply_graded(a, b)
         bc = self.multiply_graded(b, c)
-        lhs = self.multiply(ab, HallVector.basis(self.q, c))
-        rhs = self.multiply(HallVector.basis(self.q, a), bc)
+        lhs = _sum_scaled(self.q, ((x, self.multiply_graded(g, c)) for g, x in ab.terms.items()))
+        rhs = _sum_scaled(self.q, ((x, self.multiply_graded(a, h)) for h, x in bc.terms.items()))
         return _compare("associativity", lhs, rhs)
 
     def theorem_crosscheck(self, a: GradedObject, b: GradedObject) -> CheckResult:
@@ -595,7 +597,6 @@ def relation_check(reg: ClassRegistry, family: str, a_cls: IsoClassId, b_cls: Is
     m = n + gap
     left, right = (a_cls, b_cls) if a_left else (b_cls, a_cls)
     lhs = dh.multiply_graded(dh.stalk(left, n), dh.stalk(right, m))
-    rhs = HallVector(dh.q)
-    for word, c in dh._pair_rule(left, n, right, m):
-        rhs = rhs.add(dh.product_of([dh.stalk(cls, d) for cls, d in word]).scale(c))
+    rhs = _sum_scaled(dh.q, ((c, dh.product_of([dh.stalk(cls, d) for cls, d in word]))
+                             for word, c in dh._pair_rule(left, n, right, m)))
     return _compare(label, lhs, rhs)

@@ -27,18 +27,12 @@ from .errors import (EnumerationTooLarge, IncompatibleObjects, InternalInconsist
                      UnsupportedPeriod)
 from .linalg import (Mat, echelon, kernel_basis, pack_row, rank, reduced_rows,
                      subspace_from_vectors)
-from .quivers import Arrow, DimVec, Quiver
+from .quivers import Arrow, DimVec, Quiver, check_period
 from .reps import (ClassRegistry, IsoClassId, Morphism, Rep, _hom_elements,
                    _hom_kernel, _hom_system, _unflatten, direct_sum, is_isomorphic,
                    quotient_by_subrep, restrict_to_subspaces)
 
 DEFAULT_COMPLEX_ENUM_BOUND = 2 ** 17
-
-
-def check_period(t: int) -> None:
-    """Allow t = 0 (bounded) or positive odd t; reject everything else."""
-    if not isinstance(t, int) or t < 0 or (t > 0 and t % 2 == 0):
-        raise UnsupportedPeriod(f"periodicity must be 0 or a positive odd integer, got {t!r}")
 
 
 def add_degree(t: int, i: int, k: int) -> int:

@@ -1,4 +1,5 @@
-"""Quivers (finite directed multigraphs) and dimension-vector helpers.
+"""Quivers (finite directed multigraphs) and dimension-vector helpers, and the
+rule for the period t of complexes, which every CLI run checks.
 
 Vertex order is semantic: it fixes the coordinates of dimension vectors, so
 parsing and canonical serialization both preserve the given order.
@@ -10,7 +11,7 @@ import operator
 from collections import namedtuple
 from typing import Iterator
 
-from .errors import CacheInvalid, NotHereditarySetup
+from .errors import CacheInvalid, NotHereditarySetup, UnsupportedPeriod
 
 DimVec = tuple[int, ...]
 
@@ -103,6 +104,12 @@ def line_quiver(n: int) -> Quiver:
     vertices = tuple(str(i + 1) for i in range(n))
     arrows = tuple(Arrow(i, i + 1, f"a{i + 1}") for i in range(n - 1))
     return Quiver(vertices, arrows)
+
+
+def check_period(t: int) -> None:
+    """Allow complex periodicity t = 0 (bounded) or positive odd t; reject everything else."""
+    if not isinstance(t, int) or t < 0 or (t > 0 and t % 2 == 0):
+        raise UnsupportedPeriod(f"periodicity must be 0 or a positive odd integer, got {t!r}")
 
 
 def dims_key(dims: DimVec) -> str:

@@ -31,7 +31,10 @@ quotient_by_reduce are the former subobject-walk steps, which re-eliminate
 each lifted overspace, image vector and unit column; they judge
 linalg.subspaces_containing and reps._subquotient_entries (through
 is_subrep, restrict_to_subspaces and quotient_by_subrep too), which reads
-the same off RREF pivots in one pass.
+the same off RREF pivots in one pass.  multiply_by_pairs is
+DerivedHall.multiply's former body, which sums the product of every pair of
+terms in place; it judges the sums of products that assoc_check forms
+without wrapping a factor as a basis vector.
 walked_subobject_table walks every class's subobjects the way the engine
 walks only the classes no closed form covers, to judge the closed-form
 tables of hall._subobject_table; riedtmann_hall_numbers counts extensions
@@ -630,6 +633,17 @@ def frontier_product(dh: DerivedHall, a: GradedObject, b: GradedObject) -> HallV
         out[g] = QSqrtScalar.v_power(q, sqrt_exp + 2 * e + v_g - v_a - v_b,
                                      w * aut_g, aut_x * aut_a * aut_b)
     return HallVector(q, out)
+
+
+def multiply_by_pairs(dh: DerivedHall, x: HallVector, y: HallVector) -> HallVector:
+    """x * y as the sum over pairs of terms of (cx cy) [gx gy], summed in place."""
+    out: dict[GradedObject, QSqrtScalar] = {}
+    for gx, cx in x.terms.items():
+        for gy, cy in y.terms.items():
+            c = cx * cy
+            for g, cg in dh.multiply_graded(gx, gy).terms.items():
+                out[g] = out[g] + cg * c if g in out else cg * c
+    return HallVector(dh.q, out)
 
 
 class FractionPairScalar:

@@ -18,7 +18,8 @@ from hallforge.scalars import QSqrtScalar, parse_scalar, q_exponent
 from hallforge.cli import graded_objects_within
 
 from .oracles import (a_prime_by_endomorphisms, aut_dt_by_components, bracket,
-                      bracket_by_shifts, frontier_product, product_by_endomorphisms)
+                      bracket_by_shifts, frontier_product, multiply_by_pairs,
+                      product_by_endomorphisms)
 
 
 def k_class(reg, n):
@@ -351,6 +352,38 @@ def test_associativity_small_sweep(a1_f2, t):
     for a, b, c in itertools.product(objects, repeat=3):
         res = dh.assoc_check(a, b, c)
         assert res.ok, (t, a, b, c, res.mismatches)
+
+
+@pytest.mark.parametrize("quiver,t,max_total", [
+    (n_vertices, t, 2) for n_vertices in (1, 2) for t in (0, 1, 3)] + [("kronecker", 1, 1)])
+def test_assoc_check_sums_products_without_basis_vectors(request, monkeypatch, quiver, t,
+                                                          max_total):
+    """assoc_check sums x [g c] over the terms x g of a b, and x [a h] over those
+    of b c: it wraps no factor as a basis vector, and both sides equal those of
+    the pairwise product judge, on every triple of objects of total dim <=
+    max_total, or 150 of them where there are more.  (Kronecker stays at 1: at
+    2 the inner products reach total dim 6, about 10 s of enumeration.)"""
+    reg = (ClassRegistry(line_quiver(quiver), 2) if isinstance(quiver, int)
+           else request.getfixturevalue(f"{quiver}_f2"))
+    dh = DerivedHall(reg, t)
+    objs = graded_objects_within(reg, t, max_total)
+    triples = list(itertools.product(objs, repeat=3))
+    if len(triples) > 150:
+        triples = random.Random(t).sample(triples, 150)
+    one = QSqrtScalar.one(dh.q)
+    # The judge fills the product memo with every pair assoc_check multiplies,
+    # so a product with the zero object is read there, not rebuilt.
+    sides = [(multiply_by_pairs(dh, dh.multiply_graded(a, b), HallVector(dh.q, {c: one})),
+              multiply_by_pairs(dh, HallVector(dh.q, {a: one}), dh.multiply_graded(b, c)))
+             for a, b, c in triples]
+
+    def no_basis(*args):
+        raise AssertionError("assoc_check built a basis vector")
+
+    monkeypatch.setattr(HallVector, "basis", staticmethod(no_basis))
+    for (a, b, c), (lhs, rhs) in zip(triples, sides):
+        res = dh.assoc_check(a, b, c)
+        assert (res.ok, res.lhs, res.rhs) == (True, lhs, rhs), (t, a, b, c)
 
 
 @pytest.mark.parametrize("t", [0, 1, 3, 5])

@@ -5,11 +5,13 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -769,3 +771,48 @@ def test_sampling_by_index_matches_sampling_the_list(repeat, seed):
     assert list(drawn) == random.Random(seed).sample(full, cli.SAMPLE_CAP)
     count, every = cli._maybe_sample(objs, repeat, None)
     assert count == len(full) and list(every) == full
+
+
+#: One run of each command, on an input that finishes in about a second.
+CAPPED_RUNS = [
+    (KRONECKER, "classes --max-dim 5"),
+    (KRONECKER, "hall --max-dim 5"),
+    (KRONECKER, "green --max-dim 4"),
+    (D4, "gamma --max-dim 4"),
+    (quiver_to_dict(line_quiver(2)), "dha-mul --t 5 --lhs [k1.1#1@0,k1.0@2] --rhs [k0.1@1,k1.1#1@2]"),
+    (quiver_to_dict(line_quiver(2)), "dha-assoc --t 3 --max-dim 2"),
+    (quiver_to_dict(line_quiver(2)), "relations --t 5 --max-dim 3"),
+    (quiver_to_dict(line_quiver(2)), "crosscheck --t 1 --max-dim 3"),
+]
+ADDRESS_SPACE_CAP = 1 << 30
+
+
+@pytest.mark.parametrize("quiver,command", CAPPED_RUNS,
+                         ids=[command.split()[0] for _, command in CAPPED_RUNS])
+def test_every_command_runs_under_a_1_gib_address_space_cap(tmp_path, monkeypatch, quiver,
+                                                            command):
+    """A child interpreter caps its own address space (RLIMIT_AS) at 1 GiB before
+    it imports hallforge, then runs the command: it exits as the in-process
+    dispatch does and prints the same report apart from timing_ms."""
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    path = tmp_path / "quiver.json"
+    path.write_text(json.dumps(quiver))
+    argv = command.split() + ["--quiver", str(path)]
+    child = f"""
+import resource, sys
+_soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+cap = {ADDRESS_SPACE_CAP} if hard == resource.RLIM_INFINITY else min({ADDRESS_SPACE_CAP}, hard)
+resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+from hallforge.cli import main
+sys.exit(main({argv!r}))
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {k: v for k, v in os.environ.items() if k != CACHE_ENV_VAR}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          env=env)
+    report, code = cli.dispatch(argv)
+    assert (proc.returncode, proc.stderr) == (code, "")
+    capped = json.loads(proc.stdout)
+    capped.pop("timing_ms"), report.pop("timing_ms")
+    assert capped == json.loads(json.dumps(report))

@@ -496,3 +496,72 @@ def test_closed_form_tables_equal_a_forced_walk(quiver, p, max_total):
                 (c, dsub)
             compared += 1
     assert compared and not reg.memo("subobject_table")
+
+
+# -- Hall polynomials across primes ---------------------------------------------------
+
+HALL_POLY_PRIMES = (2, 3, 5, 7)
+
+
+def _labelled_hall_numbers(quiver, p: int, max_total: int) -> dict:
+    """{(label a, label b, label c): g^c_{a,b}} over F_p for every class c of total
+    dim 1..max_total and every pair of classes a, b with dims a + dims b = dims c.
+    The indecomposables X are the classes with dim End = 1, and a class M's
+    label is (dims, dim Hom(X, M) over X, dim Hom(M, X) over X), the X in
+    order of dims; the labels must tell the classes apart."""
+    reg = ClassRegistry(quiver, p)
+    classes = reg.all_classes_total_le(max_total)
+    indecs = sorted((c for c in classes if c.total_dim and reg.hom_dim_classes(c, c) == 1),
+                    key=lambda c: c.dims)
+    label = {m: (m.dims, tuple(reg.hom_dim_classes(x, m) for x in indecs),
+                 tuple(reg.hom_dim_classes(m, x) for x in indecs)) for m in classes}
+    assert len(set(label.values())) == len(label), f"labels are not injective over F_{p}"
+    values = {}
+    for c in classes[1:]:
+        table = {(a, b): g for b, quotients in subquotient_tables(reg, c).items()
+                 for a, g in quotients}
+        for a, b in _class_pairs_with_sum(reg, c.dims):
+            values[label[a], label[b], label[c]] = table.get((a, b), 0)
+    return values
+
+
+def _interpolate(points: list[tuple[int, int]]) -> list[Fraction]:
+    """Coefficients, constant first, of the polynomial of degree < len(points)
+    through the (x, y) points (Lagrange)."""
+    out = [Fraction(0)] * len(points)
+    for i, (xi, yi) in enumerate(points):
+        basis = [Fraction(yi)]
+        for j, (xj, _) in enumerate(points):
+            if j != i:  # basis *= (x - xj) / (xi - xj)
+                shifted = [Fraction(0)] + basis
+                basis = [(hi - xj * lo) / (xi - xj)
+                         for hi, lo in zip(shifted, basis + [Fraction(0)])]
+        out = [o + b for o, b in zip(out, basis)]
+    return out
+
+
+@pytest.mark.parametrize("quiver,triples,spare", [
+    (line_quiver(2), 196, 190), (line_quiver(3), 911, 902), (D4, 2635, 2623)],
+    ids=["A2", "A3", "D4"])
+def test_hall_numbers_are_polynomials_across_primes(quiver, triples, spare):
+    """On a Dynkin quiver each g^c_{a,b} is one integer polynomial in q of degree
+    at most D = sum_v a_v b_v (Ringel 1990), since it counts points of
+    prod_v Gr(b_v, c_v).  Classes are matched across F_2, F_3, F_5 and F_7 by
+    their Hom dimensions against the indecomposables, and every label triple of
+    total dim <= 4 must lie on such a polynomial: the fit through the first
+    min(D + 1, 4) primes has integer coefficients and, where primes are left
+    over (`spare` of the triples), predicts their values."""
+    by_prime = [_labelled_hall_numbers(quiver, p, 4) for p in HALL_POLY_PRIMES]
+    keys = by_prime[0].keys()
+    assert all(values.keys() == keys for values in by_prime), "classes differ between fields"
+    over_determined = 0
+    for key in keys:
+        (a_dims, *_), (b_dims, *_), _c = key
+        degree = sum(x * y for x, y in zip(a_dims, b_dims))
+        points = [(p, values[key]) for p, values in zip(HALL_POLY_PRIMES, by_prime)]
+        fit = _interpolate(points[:degree + 1])
+        assert all(c.denominator == 1 for c in fit), (key, points)
+        for p, g in points[degree + 1:]:
+            assert sum(c * p ** k for k, c in enumerate(fit)) == g, (key, points)
+        over_determined += degree + 1 < len(points)
+    assert (len(keys), over_determined) == (triples, spare)

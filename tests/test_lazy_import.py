@@ -1,6 +1,8 @@
 """The package's lazy boundary: `import hallforge` loads the Ringel-Hall core
 (errors, linalg, quivers, reps, hall) and nothing else, and every exported
-name still resolves to the object its module defines.
+name still resolves to the object its module defines.  `import hallforge.cli`
+adds the cache, and the derived layer (algebra, complexes, scalars) runs only
+when a command that reads it does.
 """
 from __future__ import annotations
 
@@ -30,6 +32,75 @@ def _homes() -> dict[str, str]:
                 and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["_LAZY"])
     homes.update((name, module) for module, names in lazy.items() for name in names)
     return homes
+
+
+DERIVED = ("algebra", "complexes", "scalars")
+
+# Records the hallforge modules whose body has run, through the interpreter's
+# "exec" audit event, which fires once per module body executed.
+_RAN_HOOK = """
+import json, sys
+from pathlib import Path
+ran = set()
+
+def hook(event, args):
+    if event == "exec" and hasattr(args[0], "co_filename"):
+        path = Path(args[0].co_filename)
+        if path.parent.name == "hallforge":
+            ran.add(path.stem)
+
+sys.addaudithook(hook)
+"""
+
+
+def _run_probe(probe: str):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    env.pop("HALLFORGE_CACHE", None)
+    proc = subprocess.run([sys.executable, "-c", _RAN_HOOK + probe], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_ringel_hall_commands_run_no_derived_code():
+    probe = f"""
+import contextlib, io
+import hallforge.cli as cli
+derived = set({DERIVED!r})
+steps = [["import", sorted(ran & derived)]]
+for argv in (["classes", "--max-dim", "3"], ["hall", "--max-dim", "3"],
+             ["green", "--max-dim", "2"], ["gamma", "--max-dim", "2"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    steps.append([argv[0], code, sorted(ran & derived)])
+import hallforge
+steps.append(["check_period", hallforge.check_period.__module__, sorted(ran & derived)])
+print(json.dumps(steps))
+"""
+    assert _run_probe(probe) == [["import", []], ["classes", 0, []], ["hall", 0, []],
+                                 ["green", 0, []], ["gamma", 0, []],
+                                 ["check_period", "hallforge.quivers", []]]
+
+
+@pytest.mark.parametrize("argv", [
+    ["dha-mul", "--t", "1", "--lhs", "[k1@0]", "--rhs", "[k1@0]"],
+    ["dha-assoc", "--t", "3", "--max-dim", "1"],
+    ["relations", "--max-dim", "1"],
+    ["crosscheck", "--t", "1", "--max-dim", "1"],
+], ids=lambda argv: argv[0])
+def test_derived_commands_load_their_layers_when_they_run(argv):
+    probe = f"""
+import contextlib, io
+import hallforge.cli as cli
+derived = set({DERIVED!r})
+before = sorted(ran & derived)
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = cli.main({argv!r})
+report = json.loads(out.getvalue())
+print(json.dumps([before, code, report["command"], sorted(ran & derived)]))
+"""
+    assert _run_probe(probe) == [[], 0, argv[0], sorted(DERIVED)]
 
 
 def test_importing_the_package_loads_only_the_core():
