@@ -34,11 +34,7 @@ class HallVector:
 
     def __init__(self, q: int, terms: dict[GradedObject, QSqrtScalar] | None = None):
         self.q = q
-        self.terms: dict[GradedObject, QSqrtScalar] = {}
-        if terms:
-            for g, c in terms.items():
-                if c:
-                    self.terms[g] = c
+        self.terms = {g: c for g, c in terms.items() if c} if terms else {}
 
     @staticmethod
     def _nonzero(q: int, terms: dict[GradedObject, QSqrtScalar]) -> "HallVector":
@@ -123,7 +119,8 @@ class DerivedHall:
         self._mul = reg.memo(("dha_mul", t))
         self._transfers = reg.memo("lt_transfer")
         self._steps = reg.memo("lt_step")
-        self._a_primes = reg.memo(("a_prime", t))
+        self._terms = reg.memo(("dha_term", t))
+        self._coeffs = reg.memo("dha_coeff")
         self._rules = reg.memo(("pair_rule", t))
 
     # -- basis helpers ------------------------------------------------------
@@ -153,10 +150,8 @@ class DerivedHall:
             return out
         self._check_graded(a)
         self._check_graded(b)
-        if a.is_zero():
-            out = HallVector.basis(self.q, b)
-        elif b.is_zero():
-            out = HallVector.basis(self.q, a)
+        if a.is_zero() or b.is_zero():
+            out = HallVector.basis(self.q, b if a.is_zero() else a)
         elif self.t == 0:
             out = self.lt_mul_t0(a, b)
         else:
@@ -209,24 +204,23 @@ class DerivedHall:
     def _transfer(self, key: tuple) -> tuple:
         """Build one degree's transfer into the per-registry memo, keyed by
         (a_i, b_i, cap_i, cap_{i+1}, dims a_{i-1} at t = 0 or None at odd t):
-        (floor exponent, q^(exponent - floor) by (dims s_i, dims s_next), s_i
-        classes, s_next classes, rows by s_i and, where the degree closes the
-        chain, by (s_i, s_first)), the rows filled lazily."""
-        a1, a2, cap, cap_next, a_prev = key
-        dims, dims_next = tuple(subdimvecs(cap)), tuple(subdimvecs(cap_next))
+        (floor exponent, s_i classes, s_next classes, rows by s_i and, where
+        the degree closes the chain, by (s_i, s_first)), the rows filled lazily."""
+        dims, dims_next = (tuple(subdimvecs(cap)) for cap in key[2:4])
         classes, nexts = (tuple(c for d in ds for c in self.reg.classes(d))
                           for ds in (dims, dims_next))
-        euler = euler_table(self.reg)
-        if a_prev is None:  # odd t: 1 / (<a_i, S^i> <S^{i+1}, N^i>)
-            exps = {(d, dn): -(euler[a1.dims, d] + euler[dn, dims_sub(a2.dims, d)])
-                    for d in dims for dn in dims_next}
-        else:  # t = 0: 1 / <N^i, M^{i-1}>, N^i = b_i - I^{i-1}, M^{i-1} = a_{i-1} - I^{i-1}
-            by_d = {d: -euler[dims_sub(a2.dims, d), dims_sub(a_prev, d)] for d in dims}
-            exps = {(d, dn): by_d[d] for d in dims for dn in dims_next}
-        floor = min(exps.values())
-        tr = self._transfers[key] = (floor, {k: self.q ** (e - floor) for k, e in exps.items()},
-                                     classes, nexts, {})
-        return tr
+        floor = min(self._step_exponent(key, d, dn) for d in dims for dn in dims_next)
+        return self._transfers.setdefault(key, (floor, classes, nexts, {}))
+
+    def _step_exponent(self, key: tuple, d, d_next) -> int:
+        """The q-exponent of transfer key's step from dims s_i = d to dims s_next = d_next:
+        odd t, 1 / (<a_i, S^i> <S^{i+1}, N^i>); t = 0, 1 / <N^i, M^{i-1}>, N^i = b_i - I^{i-1},
+        M^{i-1} = a_{i-1} - I^{i-1}."""
+        a1, a2, _cap, _cap_next, a_prev = key
+        euler, n_dims = euler_table(self.reg), dims_sub(a2.dims, d)
+        if a_prev is None:
+            return -(euler[a1.dims, d] + euler[d_next, n_dims])
+        return -euler[n_dims, dims_sub(a_prev, d)]
 
     def _lt_paths(self, a: GradedObject, b: GradedObject,
                   degrees: range) -> tuple[dict[tuple, int], int]:
@@ -236,17 +230,16 @@ class DerivedHall:
         t = 0 the degrees span the support and s is zero at both ends; for
         odd t they run over Z/t.  A degree where a and b are both zero forces
         s_i = s_{i+1} = 0 through a unit step of exponent 0, so it is left
-        out.  Each other degree reads its _transfer, keyed by (a_i, b_i,
-        cap_i, cap_{i+1}) and, at t = 0, dims a_{i-1}: a floor exponent and
-        rows (s_next, X, q^(exponent - floor) * step weight), X None when
-        zero, built once per s_i that the DP reaches.  At the closing degree
-        only the entries with s_next = s_first are built, so no step runs
-        there that the chain cannot close through.  The DP starts at the
-        degree with the fewest s candidates, fixes s_first there, carries
-        (s_i, X components so far) and closes the chain at s_first.  Returns
-        {X components: W} and E, the sum of the floors: the sum is W * q^E
-        over the Aut of the X components, every W a positive integer, and the
-        X components are sorted by degree, as GradedObject keeps them.
+        out.  Each other degree reads its _transfer: a floor exponent and
+        rows (_transfer_row), built once per s_i that the DP reaches.  At the
+        closing degree only the entries with s_next = s_first are built, so
+        no step runs there that the chain cannot close through.  The DP
+        starts at the degree with the fewest s candidates, fixes s_first
+        there, carries (s_i, X components so far) and closes the chain at
+        s_first.  Returns {X components: W} and E, the sum of the floors: the
+        sum is W * q^E over the Aut of the X components, every W a positive
+        integer, and the X components are sorted by degree, as GradedObject
+        keeps them.
         """
         t, zero = self.t, self.reg.zero_class()
         start, n = degrees.start, len(degrees)
@@ -271,25 +264,25 @@ class DerivedHall:
                     key = (a1, a2, cap, cap_next, None if t else a_cls[k - 1].dims)
                     tr = transfers.get(key) or self._transfer(key)
                     floors += tr[0]
-                    if not chain or len(tr[2]) < fewest:  # start at the fewest s candidates
-                        first, fewest = len(chain), len(tr[2])
-                    chain.append((start + k - 1, a1, a2, *tr))
+                    if not chain or len(tr[1]) < fewest:  # start at the fewest s candidates
+                        first, fewest = len(chain), len(tr[1])
+                    chain.append((start + k - 1, key, *tr))
             cap = cap_next
         if not chain:  # a and b both zero: the empty chain's product is 1
             return {(): 1}, 0
         if first:
             chain = chain[first:] + chain[:first]
-        i_last, a1_last, a2_last, _floor, q_last, _classes, _nexts, rows_last = chain[-1]
+        i_last, key_last, floor_last, _classes, _nexts, rows_last = chain[-1]
         opening = chain[:-1]
         total: dict[tuple, int] = {}
-        for s_first in chain[0][5]:
+        for s_first in chain[0][3]:
             frontier: dict[tuple, int] = {(s_first, ()): 1}
-            for i, a1, a2, _floor, q_pow, _classes, nexts, rows in opening:
+            for i, key, floor, _classes, nexts, rows in opening:
                 new_frontier: dict[tuple, int] = {}
                 for (s_i, xs), w in frontier.items():
                     row = rows.get(s_i)
                     if row is None:
-                        row = rows[s_i] = self._transfer_row(a1, a2, q_pow, s_i, nexts)
+                        row = rows[s_i] = self._transfer_row(key, floor, s_i, nexts)
                     for s_next, x_cls, num in row:
                         nkey = (s_next, xs + ((i, x_cls),) if x_cls is not None else xs)
                         new_frontier[nkey] = new_frontier.get(nkey, 0) + w * num
@@ -299,7 +292,7 @@ class DerivedHall:
                 row = rows_last.get((s_i, s_first))
                 if row is None:
                     row = rows_last[s_i, s_first] = self._transfer_row(
-                        a1_last, a2_last, q_last, s_i, (s_first,))
+                        key_last, floor_last, s_i, (s_first,))
                 for _s, x_cls, num in row:
                     key = xs + ((i_last, x_cls),) if x_cls is not None else xs
                     total[key] = total.get(key, 0) + w * num
@@ -307,19 +300,21 @@ class DerivedHall:
             total = {tuple(sorted(xs)): w for xs, w in total.items()}
         return total, floors
 
-    def _transfer_row(self, a1: IsoClassId, a2: IsoClassId, q_pow: dict, s_i: IsoClassId,
-                      nexts: tuple) -> tuple:
+    def _transfer_row(self, key: tuple, floor: int, s_i: IsoClassId, nexts: tuple) -> tuple:
         """(s_next, X or None if zero, q^(exponent - floor) * weight) over the nonzero
-        step weights from s_i to each s_next; the steps are memoized per registry."""
-        steps = self._steps
+        step weights from s_i to each s_next of transfer key, the exponents read
+        from the Euler table; the steps are memoized per registry."""
+        a1, a2 = key[0], key[1]
+        steps, q = self._steps, self.q
         out = []
         for s_next in nexts:
             step = steps.get((a1, a2, s_i, s_next))
             if step is None:
                 step = steps[a1, a2, s_i, s_next] = self._lt_step(a1, a2, s_i, s_next)
-            scale = q_pow[s_i.dims, s_next.dims]
-            out.extend((s_next, x_cls if x_cls.total_dim else None, scale * num)
-                       for x_cls, num in step.items())
+            if step:
+                scale = q ** (self._step_exponent(key, s_i.dims, s_next.dims) - floor)
+                out.extend((s_next, x_cls if x_cls.total_dim else None, scale * num)
+                           for x_cls, num in step.items())
         return tuple(out)
 
     def lt_mul_t0(self, a: GradedObject, b: GradedObject) -> HallVector:
@@ -364,7 +359,8 @@ class DerivedHall:
         normalized by v^(sum of Euler forms) a'_X / (a'_a a'_b).  With a'_g =
         prod |Aut g_i| v^(e_g) (_a_prime_parts), the prod |Aut X^i| of a'_X
         cancels the steps' 1 / a_{X^i}, so a term is W v^(sum of Euler forms
-        + 2E + e_X - e_a - e_b) over the components' |Aut| of a and of b.
+        + 2E + e_X - e_a - e_b) over the components' |Aut| of a and of b.  X and
+        the scalar come from the term and coefficient tables, one instance each.
         """
         t = self.t
         if t < 1:
@@ -382,18 +378,24 @@ class DerivedHall:
         aut_a, e_a = self._a_prime_parts(a)
         aut_b, e_b = self._a_prime_parts(b)
         exp, den = sqrt_exp + 2 * e - e_a - e_b, aut_a * aut_b
-        q, n, a_primes = self.q, self._n, self._a_primes
+        terms, coeffs = self._terms, self._coeffs
         out: dict[GradedObject, QSqrtScalar] = {}
         for xs, w in h.items():
-            g = GradedObject(t, n, xs)
-            parts = a_primes.get(g) or self._a_prime_parts(g)
-            out[g] = QSqrtScalar.v_power(q, exp + parts[1], w, den)
-        return HallVector._nonzero(q, out)
+            g, _aut, e_x = terms.get(xs) or self._term(xs)
+            key = (exp + e_x, w, den)
+            out[g] = coeffs.get(key) or coeffs.setdefault(key, QSqrtScalar.v_power(self.q, *key))
+        return HallVector._nonzero(self.q, out)
 
     # -- normalization invariants --------------------------------------------
 
     def _a_prime_parts(self, g: GradedObject) -> tuple[int, int]:
-        """(prod |Aut g_i|, e_g) with a'_g = |Aut_{D_t}(g)| {g, g}^{1/2} = prod |Aut g_i| v^(e_g).
+        """(prod |Aut g_i|, e_g), read from the term table (_term)."""
+        return (self._terms.get(g.components) or self._term(g.components))[1:]
+
+    def _term(self, xs: tuple) -> tuple[GradedObject, int, int]:
+        """Enter the components xs of a g in this t's term table: (the GradedObject g
+        every product holding it shares, prod |Aut g_i|, e_g), with a'_g = |Aut_{D_t}(g)|
+        {g, g}^{1/2} = prod |Aut g_i| v^(e_g); filled at odd t only, so a hit needs no check.
 
         A pair of components x, y at shift i = d_x - d_y in 1..t (mod t) adds
         (-1)^i (dim Hom - dim Ext^1) to the exponent of {g, g}, except at i = 1,
@@ -401,21 +403,18 @@ class DerivedHall:
         q^(dim Ext^1(g_d, g_{d-1})) per degree d, adds 2 dim Ext^1.
         So e_g is the sum over ordered pairs of (-1)^i <x, y>, read from the Euler
         table alone: <x, y> = dim Hom - dim Ext^1 in a hereditary category."""
-        parts = self._a_primes.get(g)  # filled only at odd t, so a hit needs no check
-        if parts is None:
-            t = self.t
-            if t < 1:
-                raise UnsupportedPeriod("a' is defined for odd positive t")
-            aut_count, euler = self.reg.aut_count, euler_table(self.reg)
-            aut, e = 1, 0
-            for d_x, c_x in g.components:
-                aut *= aut_count(c_x)
-                for d_y, c_y in g.components:
-                    # (d_x - d_y - 1) % t is odd exactly when i = that + 1 is even.
-                    pair = euler[c_x.dims, c_y.dims]
-                    e += pair if (d_x - d_y - 1) % t % 2 else -pair
-            parts = self._a_primes[g] = (aut, e)
-        return parts
+        t = self.t
+        if t < 1:
+            raise UnsupportedPeriod("a' is defined for odd positive t")
+        aut_count, euler = self.reg.aut_count, euler_table(self.reg)
+        aut, e = 1, 0
+        for d_x, c_x in xs:
+            aut *= aut_count(c_x)
+            for d_y, c_y in xs:
+                # (d_x - d_y - 1) % t is odd exactly when i = that + 1 is even.
+                pair = euler[c_x.dims, c_y.dims]
+                e += pair if (d_x - d_y - 1) % t % 2 else -pair
+        return self._terms.setdefault(xs, (GradedObject(t, self._n, xs), aut, e))
 
     def a_prime(self, g: GradedObject) -> QSqrtScalar:
         """a'_g = |Aut_{D_t}(g)| * {g, g}^{1/2} (odd t)."""

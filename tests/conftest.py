@@ -39,12 +39,21 @@ def a3_f2() -> ClassRegistry:
     return ClassRegistry(line_quiver(3), 2)
 
 
-@pytest.fixture(scope="session")
-def kronecker_f2() -> ClassRegistry:
+def _kronecker(p: int) -> ClassRegistry:
     return ClassRegistry(quiver_from_dict({
         "vertices": ["1", "2"],
         "arrows": [{"src": "1", "dst": "2", "label": "a"},
-                   {"src": "1", "dst": "2", "label": "b"}]}), 2)
+                   {"src": "1", "dst": "2", "label": "b"}]}), p)
+
+
+@pytest.fixture(scope="session")
+def kronecker_f2() -> ClassRegistry:
+    return _kronecker(2)
+
+
+@pytest.fixture(scope="session")
+def kronecker_f3() -> ClassRegistry:
+    return _kronecker(3)
 
 
 @pytest.fixture(scope="session")

@@ -267,11 +267,50 @@ def test_a_prime_parts_are_the_shiftwise_exponents(kronecker_f2):
     for reg, t in itertools.product(registries + [kronecker_f2], (1, 3, 5)):
         dh = DerivedHall(reg, t)
         for g in graded_objects_within(reg, t, 2):
-            aut, e = dh._a_prime_parts(g)
-            twist = sum(reg.hom_ext_dims(cls, g.component(deg - 1))[1]
-                        for deg, cls in g.components if g.component(deg - 1) is not None)
-            assert aut * reg.p ** twist == aut_dt_by_components(reg, g), g
-            assert e - 2 * twist == q_exponent(bracket_by_shifts(reg, g, g), reg.p), g
+            _assert_a_prime_parts(reg, g, *dh._a_prime_parts(g))
+
+
+def _assert_a_prime_parts(reg, g, aut, e):
+    """(aut, e) are g's a' parts: aut times q^twist is |Aut_{D_t}| by components
+    and e - 2 twist the q-exponent of the bracket multiplied over the shifts."""
+    twist = sum(reg.hom_ext_dims(cls, g.component(deg - 1))[1]
+                for deg, cls in g.components if g.component(deg - 1) is not None)
+    assert aut * reg.p ** twist == aut_dt_by_components(reg, g), g
+    assert e - 2 * twist == q_exponent(bracket_by_shifts(reg, g, g), reg.p), g
+
+
+@pytest.mark.parametrize("t", [3, 5])
+def test_stored_products_share_their_terms_and_coefficients(t):
+    """After an A2 associativity sweep (every triple to total dim 1, then 300
+    seeded triples to total dim 2), the products the kernel built hold one
+    instance per value: each term is the term table's GradedObject for its
+    components, and each coefficient the coefficient table's scalar for its
+    (exponent, numerator, denominator), equal to a fresh v_power of them.
+    Every term table entry carries g's a' parts.  Products with a zero factor
+    hold their other factor itself and are left out."""
+    reg = ClassRegistry(line_quiver(2), 2)
+    dh = DerivedHall(reg, t)
+    small, objs = graded_objects_within(reg, t, 1), graded_objects_within(reg, t, 2)
+    rng = random.Random(t)
+    triples = list(itertools.product(small, repeat=3))
+    triples += [tuple(rng.choice(objs) for _ in range(3)) for _ in range(300)]
+    for a, b, c in triples:
+        assert dh.assoc_check(a, b, c).ok, (a, b, c)
+    built = [v for (x, y), v in reg.memo(("dha_mul", t)).items()
+             if not (x.is_zero() or y.is_zero())]
+    terms = [g for v in built for g in v.terms]
+    coeffs = [x for v in built for x in v.terms.values()]
+    table, coeff_table = reg.memo(("dha_term", t)), reg.memo("dha_coeff")
+    assert len(built) > 1000 and len(terms) > len(set(terms)) > 100
+    assert len({id(g) for g in terms}) == len(set(terms))
+    assert all(g is table[g.components][0] for g in terms)
+    shared = {id(x) for x in coeff_table.values()}
+    assert all(id(x) in shared for x in coeffs) and len(shared) < len(coeffs) // 4
+    for (e, w, den), x in coeff_table.items():
+        assert x == QSqrtScalar.v_power(reg.p, e, w, den), (e, w, den)
+    for xs, (g, aut, e) in table.items():
+        assert g == graded_object(t, 2, g.components) and g.components == xs
+        _assert_a_prime_parts(reg, g, aut, e)
 
 
 def test_aut_dt_counts(d3, a1_f2, a2_f2):
@@ -311,7 +350,8 @@ def _graded_on(reg, t, degrees, max_total):
 
 @pytest.mark.parametrize("t,quiver,max_total", [
     (t, n_vertices, max_total) for t in (0, 1, 3, 5) for n_vertices, max_total in ((1, 3), (2, 2))
-] + [(0, "kronecker", 2), (3, "kronecker", 2), (5, "kronecker", 2), (3, "d4", 2)])
+] + [(0, "kronecker", 2), (3, "kronecker", 2), (5, "kronecker", 2), (3, "d4", 2),
+     (0, "a2_f3", 2), (3, "a2_f3", 2), (3, "kronecker_f3", 2)])
 def test_product_kernel_matches_frontier_judge(request, t, quiver, max_total):
     """multiply_graded equals the frontier DP over every degree, exactly, with no
     zero coefficient, for every ordered pair of objects of total dim <= 2 on
@@ -319,9 +359,10 @@ def test_product_kernel_matches_frontier_judge(request, t, quiver, max_total):
     not tell apart, and <= 3 on A1, where chains such as [k1@0, k1@1, k1@2]^2
     have no degree with a single s candidate.  At t = 0 the degrees are
     {0, 1, 3}, so supports such as [k1@0]·[k1@3] and [k1@0, k1@3] leave
-    interior degrees where both factors are zero."""
+    interior degrees where both factors are zero.  Over F_3 (A2 at t = 0
+    and 3, Kronecker at t = 3) the steps' q-powers are not powers of 2."""
     reg = (ClassRegistry(line_quiver(quiver), 2) if isinstance(quiver, int)
-           else request.getfixturevalue(f"{quiver}_f2"))
+           else request.getfixturevalue(quiver if "_f" in quiver else f"{quiver}_f2"))
     dh = DerivedHall(reg, t)
     objs = (_graded_on(reg, 0, (0, 1, 3), max_total) if t == 0
             else graded_objects_within(reg, t, max_total))

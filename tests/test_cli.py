@@ -339,6 +339,11 @@ GOLDEN_REPORTS = [
      "f6ef4b9d69418668dd454f6c7b9aad295cbf773dd3da26883eddc470276a69a5"),
     ("A2", quiver_to_dict(line_quiver(2)), "dha-assoc --t 3 --seed 7",
      "0c1782ec034c2cd4169bf46d427119646b89349a14c3418dc9055e2f002c7d4b"),
+    # Every one of the 29,791 triples, so the product memo holds all the sweep's products.
+    ("A2", quiver_to_dict(line_quiver(2)), "dha-assoc --t 3 --max-dim 2",
+     "8cbfa982c845bf208e382082b0a32857f9f13795cac6692ce3f34b8207c29c48"),
+    ("A2", quiver_to_dict(line_quiver(2)), "dha-assoc --t 5 --q 3 --seed 7",
+     "9952d76e7189d1d0546493b1c146129d544292aeb03a58804c957b9cca03694a"),
     # Recorded from the Hom-based right side of Green's formula, before its table join.
     ("Kronecker", KRONECKER, "green --max-dim 4",
      "616eec11c6f668d09403f7649cec45e1ed62e342c5daada3254d0a3e33d80b42"),
