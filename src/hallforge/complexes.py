@@ -307,7 +307,7 @@ def _as_reps(*cs: ComplexObj) -> tuple[Rep, ...]:
 
 
 def is_chain_isomorphic(c1: ComplexObj, c2: ComplexObj) -> bool:
-    """Exhaustive chain-isomorphism test, bounded as reps.is_isomorphic is."""
+    """Chain-isomorphism test: reps.is_isomorphic on the degree quiver, bounded as it is."""
     return is_isomorphic(*_as_reps(c1, c2))
 
 

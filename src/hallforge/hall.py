@@ -64,8 +64,8 @@ def _walk_plan(q: Quiver) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, int],
                                              if a.target == v) for v in range(q.n))
 
 
-def closed_subspace_tuples(rep: Rep, sub_dims: DimVec,
-                           images: list | None = None) -> Iterator[tuple[Subspace, ...]]:
+def closed_subspace_tuples(rep: Rep, sub_dims: DimVec, images: list | None = None,
+                           memo: dict | None = None) -> Iterator[tuple[Subspace, ...]]:
     """All per-vertex subspace tuples of the given dims closed under the arrow maps.
 
     Vertices are filled in topological order, so at each vertex only the
@@ -74,6 +74,9 @@ def closed_subspace_tuples(rep: Rep, sub_dims: DimVec,
     images is a list of one slot per arrow, it holds, while a tuple is the
     last one yielded, images[arrow index] = the images of the tuple's source
     basis under that arrow, so that reading the tuple maps no vector again.
+    A memo dict, shared by walks over one field, keeps each span of image
+    vectors under the tuple of those vectors and each interval of overspaces
+    under (base, dim), as a tuple, so that neither is computed twice.
     """
     if not dims_leq(sub_dims, rep.dims):
         return
@@ -81,6 +84,7 @@ def closed_subspace_tuples(rep: Rep, sub_dims: DimVec,
     order, incoming = _walk_plan(q)
     p = rep.p
     images = [None] * len(q.arrows) if images is None else images
+    memo = {} if memo is None else memo
 
     def fill(pos: int, chosen: list) -> Iterator[tuple[Subspace, ...]]:
         if pos == len(order):
@@ -92,10 +96,20 @@ def closed_subspace_tuples(rep: Rep, sub_dims: DimVec,
             imgs = images[idx] = [rep.mats[idx].apply(b) for b in chosen[src].basis]
             vecs += imgs
         d = rep.dims[v]
-        base = subspace_from_vectors(p, d, vecs) if vecs else zero_subspace(p, d)
+        if vecs:
+            key = tuple(vecs)
+            base = memo.get(key)
+            if base is None:
+                base = memo[key] = subspace_from_vectors(p, d, vecs)
+        else:
+            base = zero_subspace(p, d)
         if base.dim > sub_dims[v]:
             return
-        for u in subspaces_containing(base, sub_dims[v]):
+        key = (base, sub_dims[v])
+        interval = memo.get(key)
+        if interval is None:
+            interval = memo[key] = tuple(subspaces_containing(base, sub_dims[v]))
+        for u in interval:
             chosen[v] = u
             yield from fill(pos + 1, chosen)
 
@@ -183,7 +197,7 @@ def _subobject_table(reg: ClassRegistry, c: IsoClassId,
         # off the arrow images the walk computed for the closure.
         rep_c, quot_dims = reg.representative(c), dims_sub(c.dims, sub_dims)
         images = [None] * len(rep_c.mats)
-        for subs in closed_subspace_tuples(rep_c, sub_dims, images):
+        for subs in closed_subspace_tuples(rep_c, sub_dims, images, reg.memo("subspace_walk")):
             entries = _subquotient_entries(rep_c, subs, images=images)
             if entries is None:
                 raise InternalInconsistency("constructed subspace tuple is not arrow-closed")

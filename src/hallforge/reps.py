@@ -3,15 +3,17 @@
 A representation assigns F_p^{d_v} to each vertex and a matrix to each arrow.
 The ClassRegistry lists the isomorphism classes of a dimension vector by
 sweeping matrix tuples with a prefix of vertex-disjoint arrows in rank normal
-form, groups them by exhaustive isomorphism search, and memoizes orbit and
-automorphism counts, one (Hom, Ext^1) dimension pair per ordered pair of
-classes, and (via its generic memo store) Hall numbers.
+form, groups them by isomorphism tests (a drawn witness, else exhaustive
+search), and memoizes orbit and automorphism counts, one (Hom, Ext^1)
+dimension pair per ordered pair of classes, and (via its generic memo store)
+Hall numbers.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import operator
+import random
 import re
 from collections import namedtuple
 from typing import Iterator
@@ -28,6 +30,9 @@ from .quivers import (DimVec, Quiver, dimvecs_up_to, dims_key, dims_of_key, eule
 DEFAULT_ISO_ENUM_BOUND = 2 ** 16
 #: Enumeration ceiling for matrix-tuple sweeps when listing classes of a dimension vector.
 DEFAULT_TUPLE_BOUND = 2 ** 22
+#: Seeded random Hom elements tried as isomorphism witnesses before an exhaustive
+#: search; the isomorphisms met on Kronecker to total dim 7 need at most 127.
+WITNESS_TRIES = 256
 
 #: A morphism of representations: one matrix per vertex.
 Morphism = tuple[Mat, ...]
@@ -184,12 +189,30 @@ def _hom_elements(p: int, kernel) -> Iterator[tuple[int, ...]]:
         yield from coeff_tuples
         return
     for coeffs in coeff_tuples:
-        acc = [0] * nvars
-        for c, vec in zip(coeffs, basis):
-            if c:
-                for i, x in enumerate(vec):
-                    acc[i] = (acc[i] + c * x) % p
-        yield tuple(acc)
+        yield _combination(p, basis, nvars, coeffs)
+
+
+def _combination(p: int, basis, nvars: int, coeffs) -> tuple[int, ...]:
+    """sum_i coeffs[i] * basis[i] mod p, a flat vector of length nvars."""
+    acc = [0] * nvars
+    for c, vec in zip(coeffs, basis):
+        if c:
+            acc = [(a + c * x) % p for a, x in zip(acc, vec)]
+    return tuple(acc)
+
+
+def _vertex_blocks(shapes: list[tuple[int, int]], offsets: list[int]) -> list[tuple[int, int]]:
+    """(r, offset) of each nonzero vertex matrix of a flat morphism whose
+    vertex matrices are square, r x r."""
+    return [(r, off) for (r, _), off in zip(shapes, offsets) if r]
+
+
+def _invertible_at_every_vertex(p: int, flat: tuple[int, ...], blocks) -> bool:
+    """Whether the flat morphism's vertex matrices at blocks (_vertex_blocks)
+    all have full rank."""
+    return all(len(echelon(p, [pack_row(p, flat[i:i + r])
+                               for i in range(off, off + r * r, r)])[0]) == r
+               for r, off in blocks)
 
 
 def _isomorphisms(m: Rep, n: Rep, bound: int, kernel=None) -> Iterator[tuple[int, ...]]:
@@ -206,17 +229,16 @@ def _isomorphisms(m: Rep, n: Rep, bound: int, kernel=None) -> Iterator[tuple[int
             f"isomorphism search over {p}^{len(basis)} candidate morphisms exceeds bound {bound}")
     if any(r != c for r, c in shapes):
         return
-    blocks = [(r, off) for (r, _), off in zip(shapes, offsets) if r]
+    blocks = _vertex_blocks(shapes, offsets)
     for flat in _hom_elements(p, kernel):
-        if all(len(echelon(p, [pack_row(p, flat[i:i + r])
-                               for i in range(off, off + r * r, r)])[0]) == r
-               for r, off in blocks):
+        if _invertible_at_every_vertex(p, flat, blocks):
             yield flat
 
 
 def is_isomorphic(m: Rep, n: Rep) -> bool:
-    """Exhaustive isomorphism test with cheap invariant prefilters; a search
-    over more than DEFAULT_ISO_ENUM_BOUND morphisms raises EnumerationTooLarge."""
+    """Isomorphism test: cheap invariant prefilters, then _isomorphic_given_end;
+    an exhaustive search over more than DEFAULT_ISO_ENUM_BOUND morphisms
+    raises EnumerationTooLarge."""
     _check_compatible(m, n)
     if m.dims != n.dims:
         return False
@@ -227,10 +249,24 @@ def is_isomorphic(m: Rep, n: Rep) -> bool:
 
 
 def _isomorphic_given_end(m: Rep, n: Rep, d_end: int) -> bool:
-    """is_isomorphic(m, n) for m, n of equal dims whose End both have dimension d_end."""
+    """is_isomorphic(m, n) for m, n of equal dims whose End both have dimension d_end.
+
+    Where Hom(m, n) has more than WITNESS_TRIES elements, that many are first
+    drawn from a random.Random seeded by dim Hom, so that runs repeat
+    exactly; a draw invertible at every vertex is an isomorphism, which
+    answers yes.  Otherwise the exhaustive search (_isomorphisms) decides."""
     kernel = _hom_kernel(m, n)
-    if len(kernel[0]) != d_end or hom_dim(n, m) != d_end:
+    basis, shapes, offsets = kernel
+    if len(basis) != d_end or hom_dim(n, m) != d_end:
         return False
+    p, k = m.p, len(basis)
+    if p ** k > WITNESS_TRIES:
+        rng, blocks = random.Random(k), _vertex_blocks(shapes, offsets)
+        nvars = sum(r * c for r, c in shapes)
+        for _ in range(WITNESS_TRIES):
+            flat = _combination(p, basis, nvars, rng.choices(range(p), k=k))
+            if _invertible_at_every_vertex(p, flat, blocks):
+                return True
     return next(_isomorphisms(m, n, DEFAULT_ISO_ENUM_BOUND, kernel), None) is not None
 
 

@@ -300,6 +300,17 @@ GOLDEN_REPORTS = [
      "8e8f43f55ed4169431b6ef7108bf02808fd79b45974f10f57e55f9e30732d57f"),
     ("Kronecker", KRONECKER, "hall --max-dim 3 --q 3",
      "91dbaec6da92bba67009a4562ab05dc19744e371101831d6523b66f024805a48"),
+    # The generic route's ids, orbits and tables where isomorphism searches
+    # reach Hom spaces of 2^13 to 2^21 elements, recorded before the drawn
+    # witnesses and the walk memo.
+    ("Kronecker", KRONECKER, "classes --max-dim 6",
+     "9a50ff4320610d4becea3731d4569341c37cafbf532ace5d9f303d19eebca4ef"),
+    ("D4", D4, "classes --max-dim 6",
+     "7ff48c2828fb2e599316ff9896902a3f8596794df85e5924b745f4450338d38f"),
+    ("D4", D4, "hall --max-dim 5",
+     "ca64d973c7d5a6bb7796dad819f4301dace65336984b89485db835efc1dcd640"),
+    ("Kronecker", KRONECKER, "hall --max-dim 5",
+     "5a5836b39721b54f8b1726f1b17e80479f06cfef6de14050c314fceec17e2f21"),
     ("A3", quiver_to_dict(line_quiver(3)), "classes --max-dim 4",
      "9367f3ce9b2c6e5121fe47429848666dc78e45fde255996ed5b799ef433da2cb"),
     ("D4", D4, "classes --max-dim 4",
@@ -364,9 +375,14 @@ def test_report_matches_its_recorded_digest(capsys, tmp_path, monkeypatch, name,
     path.write_text(json.dumps(quiver))
     code, report, _ = run_cli(capsys, *command.split(), "--quiver", str(path))
     assert code == 0
+    assert _report_digest(report) == digest
+
+
+def _report_digest(report: dict) -> str:
+    """sha256 of the report minus timing_ms, as compact JSON with sorted keys."""
     report.pop("timing_ms")
     text = json.dumps(report, sort_keys=True, separators=(",", ":"))
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("name,quiver,objects", [
@@ -386,6 +402,28 @@ def test_dha_assoc_t1_reaches_the_dims_past_a_zero_arrow(capsys, tmp_path, monke
     assert report["results"]["objects"] == objects
     assert report["results"]["checked"] == objects ** 3
     assert report["results"]["mismatches"] == 0
+
+
+@pytest.mark.parametrize("name,quiver,options,objects,digest", [
+    ("A3-F3", quiver_to_dict(line_quiver(3)), ["--q", "3"], 12, None),
+    ("Kronecker", KRONECKER, [], 9,
+     "2c14c10a04eda538559e114a362bfaabeffb8baf1de9aa24ccbc229e6ffc7c52"),
+], ids=["A3-F3", "Kronecker"])
+def test_dha_assoc_t1_finds_isomorphisms_by_witness(capsys, tmp_path, monkeypatch, name,
+                                                     quiver, options, objects, digest):
+    # A3 over F_3 exited 3 on a 3^13 isomorphism search, and Kronecker took
+    # about 14 s, where drawn witnesses take about 2.5 s.  Kronecker's report
+    # is the one recorded before the witnesses.
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(quiver))
+    code, report, _ = run_cli(capsys, "dha-assoc", "--t", "1", "--max-dim", "2", *options,
+                              "--quiver", str(path))
+    assert code == 0
+    assert report["results"]["objects"] == objects
+    assert report["results"]["checked"] == objects ** 3
+    assert report["results"]["mismatches"] == 0
+    assert digest is None or _report_digest(report) == digest
 
 
 def test_fingerprint_tracks_setup(capsys, monkeypatch):

@@ -296,12 +296,16 @@ def test_closed_subspace_tuples_are_exactly_the_closed_ones(quiver, p, max_total
     # once; the judge is every subspace tuple of the dims, filtered by
     # reduction, and is_subrep must agree with the judge on every tuple.
     # Over F_3 the overspaces clear base rows by multiples, not by XOR alone;
-    # Kronecker's total dim 4 has bases whose rows need that clearing.
+    # Kronecker's total dim 4 has bases whose rows need that clearing.  A walk
+    # sharing one memo of spans and intervals across all classes of the
+    # registry, as _subobject_table's does, yields the same tuples in order.
     reg = ClassRegistry(quiver, p)
+    memo = {}
     for c in reg.all_classes_total_le(max_total):
         rep = reg.representative(c)
         for d in subdimvecs(c.dims):
             walked = list(closed_subspace_tuples(rep, d))
+            assert list(closed_subspace_tuples(rep, d, memo=memo)) == walked
             assert all(is_subrep(rep, subs) for subs in walked)
             brute = []
             for subs in itertools.product(
@@ -355,7 +359,7 @@ def test_walk_and_wrappers_reject_a_tuple_that_is_not_closed(monkeypatch):
         with pytest.raises(NotASubobject):
             wrapper(rep, subs)
     # The stand-in fills no arrow images, so the walk maps the basis itself.
-    monkeypatch.setattr(hall, "closed_subspace_tuples", lambda rep, d, images: iter([subs]))
+    monkeypatch.setattr(hall, "closed_subspace_tuples", lambda rep, d, images, memo: iter([subs]))
     with pytest.raises(InternalInconsistency, match="not arrow-closed"):
         _subobject_table(reg, c, (1, 0))
 
@@ -375,11 +379,15 @@ def _sheared(rep):
 
 
 def test_kronecker_walk_elimination_counts(monkeypatch):
-    # Walking the 191 tables of `hall --max-dim 4` on Kronecker over F_2 runs
-    # one elimination per vertex visit with images to span, and none for the
-    # overspaces or the subquotient coordinates (re-eliminating them took
-    # 1,131 and 1,174 calls).  The count is exact, so an elimination brought
-    # back into the walk fails here.
+    # Walking the 191 tables of `hall --max-dim 4` on Kronecker over F_2 with
+    # one fresh registry runs one elimination per distinct span of images, 56
+    # in all, kept in the registry's walk memo with the intervals of
+    # overspaces (one per vertex visit with images to span took 332), and
+    # none for the overspaces or the subquotient coordinates (re-eliminating
+    # them took 1,131 and 1,174 calls).  The other 43 `reduced_rows` calls are
+    # the Hom kernels of classification.  The counts are exact, so an
+    # elimination brought back into the walk fails here.  The memo holds the
+    # 56 spans and 20 intervals (36 subspaces), until the registry is cleared.
     reg = ClassRegistry(KRONECKER, 2)
     classes = reg.all_classes_total_le(4)
     calls = collections.Counter()
@@ -396,7 +404,10 @@ def test_kronecker_walk_elimination_counts(monkeypatch):
     for c in classes:
         subquotient_tables(reg, c)
     assert (len(classes), len(reg.memo("subobject_table"))) == (49, 191)
-    assert calls == {"subspace_from_vectors": 332, "reduced_rows": 375}
+    assert calls == {"subspace_from_vectors": 56, "reduced_rows": 99}
+    assert len(reg.memo("subspace_walk")) == 56 + 20
+    reg.clear()
+    assert not reg.memo("subspace_walk")
 
 
 def test_walk_memo_sizes_after_kronecker_hall_max_dim_4(monkeypatch):

@@ -400,6 +400,59 @@ def test_tuple_bound_counts_the_swept_tuples(monkeypatch):
         reg.classes((3, 3))
 
 
+def _class_tables(quiver, p, max_total):
+    reg = ClassRegistry(quiver, p)
+    return [(c, reg.representative(c), reg.orbit_size(c))
+            for c in reg.all_classes_total_le(max_total)]
+
+
+@pytest.mark.parametrize("quiver,p,max_total", [
+    (quiver_from_dict(KRONECKER), 2, 5), (line_quiver(3), 2, 4), (D4, 2, 4),
+    (quiver_from_dict(KRONECKER), 3, 3),
+], ids=["Kronecker-F2", "A3-F2", "D4-F2", "Kronecker-F3"])
+def test_witnesses_leave_the_class_tables_alone(monkeypatch, quiver, p, max_total):
+    # A drawn witness only ever answers "isomorphic" with a real isomorphism,
+    # and candidates are still tested in order, so the ids, representatives
+    # and orbits are those of the exhaustive search alone.
+    drawn = _class_tables(quiver, p, max_total)
+    monkeypatch.setattr(reps, "WITNESS_TRIES", 0)
+    assert _class_tables(quiver, p, max_total) == drawn
+
+
+def test_only_an_invertible_draw_answers_yes():
+    # Kronecker k1.4#1 and k1.4#2 have Hom of dim 12 both ways (End has 13),
+    # so with 12 as the End dim every dimension check passes and 2^12 Hom
+    # elements are drawn from; no draw is an isomorphism, and neither is any
+    # element the exhaustive search then scans.
+    reg = ClassRegistry(quiver_from_dict(KRONECKER), 2)
+    m, n = (reg.representative(reg.parse_class_id(s)) for s in ("k1.4#1", "k1.4#2"))
+    assert hom_dim(m, n) == hom_dim(n, m) == 12
+    assert not reps._isomorphic_given_end(m, n, 12)
+
+
+def test_isomorphic_answers_need_no_exhaustive_search(monkeypatch):
+    # Every isomorphism met enumerating Kronecker to total dim 6, and the one
+    # the cone (1, 5) with a = 0 and b = e_2 has with its class (a 2^21
+    # search once), is found by a drawn witness wherever Hom has more than
+    # WITNESS_TRIES elements: a search over such a Hom space runs only to
+    # answer "not isomorphic".
+    fallbacks = []
+
+    def counted(m, n, bound, kernel):
+        for flat in isomorphisms(m, n, bound, kernel):
+            if m.p ** len(kernel[0]) > reps.WITNESS_TRIES:
+                fallbacks.append((m, n))
+            yield flat
+    isomorphisms = reps._isomorphisms
+    monkeypatch.setattr(reps, "_isomorphisms", counted)
+    q = quiver_from_dict(KRONECKER)
+    reg = ClassRegistry(q, 2)
+    assert len(reg.all_classes_total_le(6)) == 207
+    cone = Rep(q, 2, (1, 5), (Mat.zeros(2, 5, 1), Mat(2, 5, 1, ((0,), (1,), (0,), (0,), (0,)))))
+    assert reg.classify(cone) == reg.classes((1, 5))[1]
+    assert fallbacks == []
+
+
 def test_class_ids_compare_and_hash_by_value(a2_f2):
     ids = a2_f2.all_classes_total_le(2)
     assert len(set(ids)) == len(ids)
