@@ -143,7 +143,8 @@ class DerivedHall:
     def multiply_graded(self, a: GradedObject, b: GradedObject,
                         store: bool = True) -> HallVector:
         """The product [a][b], read from the per-pair memo and, unless store is
-        false, kept there."""
+        false, kept there.  A product with a zero factor is the other factor's
+        basis vector, built on each call and never kept, whatever store says."""
         # The memo holds only checked pairs, so a hit needs no check.
         out = self._mul.get((a, b))
         if out is not None:
@@ -151,8 +152,8 @@ class DerivedHall:
         self._check_graded(a)
         self._check_graded(b)
         if a.is_zero() or b.is_zero():
-            out = HallVector.basis(self.q, b if a.is_zero() else a)
-        elif self.t == 0:
+            return HallVector.basis(self.q, b if a.is_zero() else a)
+        if self.t == 0:
             out = self.lt_mul_t0(a, b)
         else:
             out = self.lt_mul_odd(a, b)

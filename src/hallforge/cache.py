@@ -162,9 +162,10 @@ def _unique_keys(pairs: list) -> dict:
 
 def _load_tables(reg: ClassRegistry, ids: dict, tables: dict) -> None:
     """Check the stored tables against the loaded classes ids and put them in
-    reg's subobject_table memo; raises CacheInvalid (or KeyError, TypeError,
-    ValueError, AttributeError on a malformed layout) at the first bad one."""
-    memo = reg.memo("subobject_table")
+    reg's subobject_table memo and its store of Hall tables (the same dict
+    in both); raises CacheInvalid (or KeyError, TypeError, ValueError,
+    AttributeError on a malformed layout) at the first bad one."""
+    memo, store = reg.memo("subobject_table"), reg.memo("hall_tables")
     for key, groups in tables.items():
         cd = dims_of_key(key)
         c_ids = ids.get(cd)
@@ -195,7 +196,8 @@ def _load_tables(reg: ClassRegistry, ids: dict, tables: dict) -> None:
                     raise CacheInvalid(f"the tables of {class_name(cd, ci)} do not increase "
                                        f"by dims at {d}")
                 last_d, table = d, {}
-                memo[c, d] = table
+                slot = (c, d)
+                memo[slot] = store[slot] = table
                 if len(flat) % 3:
                     raise CacheInvalid(f"the table of {class_name(cd, ci)} by dims {d} holds "
                                        f"{len(flat)} numbers, not (quotient, subobject, count) "

@@ -4,15 +4,17 @@ Conventions: hall_number(reg, a, b, c) counts subrepresentations of a
 representative of c that are isomorphic to b with quotient isomorphic to a
 (second lower index = subobject).  All values are exact ints / Fractions.
 Every Hall number is stored once, in the table of its class c and subobject
-dims (_subobject_table), which is also the one place a route is picked:
-closed forms for the zero and the whole subobject and for split classes, the
-rank form on quivers classified by arrow ranks, else a walk of the closed
-subspace tuples.  hall_number reads one entry; subquotient_tables lists a
-class's nonzero Hall numbers by subobject, and the gamma counts of 4-term
-exact sequences are one join of such lists (_gamma_join), on one pair in
-gamma_terms or over a class list in gamma_sweep; the right side of Green's
-formula is another, and its left side reads the same lists regrouped by pair
-(green_sides).
+dims, and every table any route builds sits in one per-registry store keyed
+by (c, subobject dims) (_subobject_table).  A route is picked only when the
+store misses: closed forms for the zero and the whole subobject and for split
+classes, the rank form on quivers classified by arrow ranks, else a walk of
+the closed subspace tuples.  A hall_number hit is two dict lookups, c's table
+by the subobject's dims and the (quotient, subobject) entry in it, with no
+dims check and no route.  subquotient_tables lists a class's nonzero Hall
+numbers by subobject, and the gamma counts of 4-term exact sequences are one
+join of such lists (_gamma_join), on one pair in gamma_terms or over a class
+list in gamma_sweep; the right side of Green's formula is another, and its
+left side reads the same lists regrouped by pair (green_sides).
 """
 from __future__ import annotations
 
@@ -167,32 +169,40 @@ def _walked(reg: ClassRegistry, c: IsoClassId) -> bool:
 
 
 def hall_number(reg: ClassRegistry, a: IsoClassId, b: IsoClassId, c: IsoClassId) -> int:
-    """Number of subobjects of c isomorphic to b with quotient isomorphic to a."""
-    if dims_add(a.dims, b.dims) != c.dims:
-        return 0
-    return _subobject_table(reg, c, b.dims).get((a, b), 0)
+    """Number of subobjects of c isomorphic to b with quotient isomorphic to a.
+
+    A hit is two lookups: c's table by b's dims in the store, then (a, b) in
+    it.  A table holds only quotients of dims c - dims b, so a mismatched a
+    reads 0 there; the dims check and the route run only on a miss."""
+    table = reg.memo("hall_tables").get((c, b.dims))
+    if table is None:
+        if dims_add(a.dims, b.dims) != c.dims:
+            return 0
+        table = _subobject_table(reg, c, b.dims)
+    return table.get((a, b), 0)
 
 
 def _subobject_table(reg: ClassRegistry, c: IsoClassId,
                      sub_dims: DimVec) -> dict[tuple[IsoClassId, IsoClassId], int]:
     """{(quotient class, subobject class): nonzero count} over the subobjects of c
-    of dims sub_dims, by subobject index, then quotient index: the one store of
-    Hall numbers and the one place a route is picked.  The zero and the whole
-    subobject have closed forms.  Otherwise a walked class is one classifying
-    walk, whose table the cache persists; a split class has its one split pair
-    and a rank-form class the rank form over subobject x quotient classes,
-    kept in a memo the cache does not write."""
-    if not any(sub_dims):
-        return {(c, reg.zero_class()): 1}
-    if sub_dims == c.dims:
-        return {(reg.zero_class(), c): 1}
-    walked = _walked(reg, c)
-    memo = reg.memo("subobject_table" if walked else "closed_form_table")
-    table = memo.get((c, sub_dims))
+    of dims sub_dims, by subobject index, then quotient index.  Every table
+    any route builds, or the cache loads, is kept by (c, sub_dims) in the
+    registry's one store ("hall_tables"), and a route is picked only when the
+    store misses.  The zero and the whole subobject have closed forms.
+    Otherwise a walked class is one classifying walk, whose table is also
+    kept in the "subobject_table" memo, the set the cache persists; a split
+    class has its one split pair and a rank-form class the rank form over
+    subobject x quotient classes."""
+    store, key = reg.memo("hall_tables"), (c, sub_dims)
+    table = store.get(key)
     if table is not None:
         return table
     table = {}
-    if walked:
+    if not any(sub_dims):
+        table[c, reg.zero_class()] = 1
+    elif sub_dims == c.dims:
+        table[reg.zero_class(), c] = 1
+    elif _walked(reg, c):
         # One pass per tuple checks closure and reads both halves' entries,
         # off the arrow images the walk computed for the closure.
         rep_c, quot_dims = reg.representative(c), dims_sub(c.dims, sub_dims)
@@ -202,10 +212,11 @@ def _subobject_table(reg: ClassRegistry, c: IsoClassId,
             if entries is None:
                 raise InternalInconsistency("constructed subspace tuple is not arrow-closed")
             quot = reg.classify_entries(quot_dims, entries[1])
-            key = (reg.classify_entries(sub_dims, entries[0]), quot)
-            table[key] = table.get(key, 0) + 1
+            pair = (reg.classify_entries(sub_dims, entries[0]), quot)
+            table[pair] = table.get(pair, 0) + 1
         # Keyed (subobject, quotient) until here: ids of one dims compare by index.
-        table = {(quot, sub): n for (sub, quot), n in sorted(table.items())}
+        table = reg.memo("subobject_table")[key] = {
+            (quot, sub): n for (sub, quot), n in sorted(table.items())}
     elif _is_split_class(c):
         # Semisimple ambient: every subspace tuple is closed, subs and quotients
         # are semisimple of complementary dims, so only the split pair counts.
@@ -219,7 +230,7 @@ def _subobject_table(reg: ClassRegistry, c: IsoClassId,
                 g = _hall_number_rank_form(reg, quot, sub, c)
                 if g:
                     table[quot, sub] = g
-    memo[c, sub_dims] = table
+    store[key] = table
     return table
 
 

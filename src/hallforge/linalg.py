@@ -149,9 +149,11 @@ def echelon(p: int, rows) -> tuple[dict, list[int]]:
     return piv, used
 
 
-def reduced_rows(p: int, cols: int, rows) -> tuple[list[int], list[tuple[int, ...]]]:
+def reduced_rows(p: int, cols: int, rows, as_tuples: bool = True) -> tuple[list[int], list]:
     """Reduced row echelon form of rows in F_p's row format: the pivot columns
-    ascending and their rows as tuples, each zero at the other pivots."""
+    ascending and their rows, each zero at the other pivots, as tuples, or
+    with as_tuples false in F_p's row format (column c is bit cols - 1 - c
+    of an F_2 row)."""
     piv = echelon(p, rows)[0]
     keys = sorted(piv, reverse=p != 2)
     done: list = []
@@ -166,10 +168,10 @@ def reduced_rows(p: int, cols: int, rows) -> tuple[list[int], list[tuple[int, ..
                 f = r[k]
                 r = [(x - f * y) % p for x, y in zip(r, s)]
         done.append(r)
-    if p == 2:
-        return ([cols - k for k in reversed(keys)],
-                [tuple(map(int, bin(r | 1 << cols)[3:])) for r in reversed(done)])
-    return keys[::-1], [tuple(r) for r in reversed(done)]
+    done.reverse()
+    if as_tuples:
+        done = [tuple(map(int, bin(r | 1 << cols)[3:])) if p == 2 else tuple(r) for r in done]
+    return [cols - k for k in reversed(keys)] if p == 2 else keys[::-1], done
 
 
 def rref(m: Mat) -> RrefResult:
@@ -192,13 +194,18 @@ def rows_kernel(p: int, cols: int, rows) -> tuple[tuple[int, ...], ...]:
     """Deterministic basis of {x : R x = 0} for rows R in F_p's row format:
     one vector per free column f (ascending), x_f = 1, other free
     coordinates 0, pivot coordinates read off the reduced rows."""
-    pivots, red = reduced_rows(p, cols, rows)
+    pivots, red = reduced_rows(p, cols, rows, as_tuples=False)
     basis = []
     for f in sorted(set(range(cols)).difference(pivots)):
         x = [0] * cols
         x[f] = 1
-        for c, r in zip(pivots, red):
-            x[c] = -r[f] % p
+        if p == 2:  # -1 == 1: the bit of column f of each packed row
+            bit = cols - 1 - f
+            for c, r in zip(pivots, red):
+                x[c] = r >> bit & 1
+        else:
+            for c, r in zip(pivots, red):
+                x[c] = -r[f] % p
         basis.append(tuple(x))
     return tuple(basis)
 

@@ -279,6 +279,24 @@ def _assert_a_prime_parts(reg, g, aut, e):
     assert e - 2 * twist == q_exponent(bracket_by_shifts(reg, g, g), reg.p), g
 
 
+def test_products_with_a_zero_factor_are_not_stored():
+    # The unsampled A2 `dha-assoc --t 3 --max-dim 2` sweep: every triple
+    # passes, and of its 17,639 distinct products the 599 with a zero factor
+    # are each the other factor's basis vector, built per call, not stored.
+    reg = ClassRegistry(line_quiver(2), 2)
+    dh = DerivedHall(reg, 3)
+    objs = graded_objects_within(reg, 3, 2)
+    zero = next(g for g in objs if g.is_zero())
+    assert all(dh.assoc_check(a, b, c).ok for a, b, c in itertools.product(objs, repeat=3))
+    stored = reg.memo(("dha_mul", 3))
+    assert not [(a, b) for a, b in stored if a.is_zero() or b.is_zero()]
+    assert len(stored) == 17639 - 599
+    for g in objs:
+        assert dh.multiply_graded(zero, g) == dh.multiply_graded(g, zero) \
+            == HallVector.basis(reg.p, g)
+    assert len(stored) == 17639 - 599
+
+
 @pytest.mark.parametrize("t", [3, 5])
 def test_stored_products_share_their_terms_and_coefficients(t):
     """After an A2 associativity sweep (every triple to total dim 1, then 300
@@ -400,10 +418,12 @@ def test_associativity_small_sweep(a1_f2, t):
 def test_assoc_check_sums_products_without_basis_vectors(request, monkeypatch, quiver, t,
                                                           max_total):
     """assoc_check sums x [g c] over the terms x g of a b, and x [a h] over those
-    of b c: it wraps no factor as a basis vector, and both sides equal those of
-    the pairwise product judge, on every triple of objects of total dim <=
-    max_total, or 150 of them where there are more.  (Kronecker stays at 1: at
-    2 the inner products reach total dim 6, about 10 s of enumeration.)"""
+    of b c: it wraps no factor as a basis vector (the only basis vectors it
+    builds are its products with a zero factor), and both sides equal those
+    of the pairwise product judge, on every triple of objects of total dim
+    <= max_total, or 150 of them where there are more.  (Kronecker stays at
+    1: at 2 the inner products reach total dim 6, about 10 s of
+    enumeration.)"""
     reg = (ClassRegistry(line_quiver(quiver), 2) if isinstance(quiver, int)
            else request.getfixturevalue(f"{quiver}_f2"))
     dh = DerivedHall(reg, t)
@@ -412,19 +432,32 @@ def test_assoc_check_sums_products_without_basis_vectors(request, monkeypatch, q
     if len(triples) > 150:
         triples = random.Random(t).sample(triples, 150)
     one = QSqrtScalar.one(dh.q)
-    # The judge fills the product memo with every pair assoc_check multiplies,
-    # so a product with the zero object is read there, not rebuilt.
+    # The judge fills the product memo with every pair of nonzero objects
+    # assoc_check multiplies, so such a product is read there, not rebuilt.  A
+    # product with a zero factor is the other factor's basis vector, which
+    # multiply_graded builds on each call and does not store.
     sides = [(multiply_by_pairs(dh, dh.multiply_graded(a, b), HallVector(dh.q, {c: one})),
               multiply_by_pairs(dh, HallVector(dh.q, {a: one}), dh.multiply_graded(b, c)))
              for a, b, c in triples]
+    built, zero_products = [], []
+    basis, multiply_graded = HallVector.basis, DerivedHall.multiply_graded
 
-    def no_basis(*args):
-        raise AssertionError("assoc_check built a basis vector")
+    def counted_basis(q, g):
+        built.append(g)
+        return basis(q, g)
 
-    monkeypatch.setattr(HallVector, "basis", staticmethod(no_basis))
+    def counted_multiply(self, x, y, store=True):
+        if x.is_zero() or y.is_zero():
+            zero_products.append(y if x.is_zero() else x)
+        return multiply_graded(self, x, y, store)
+
+    monkeypatch.setattr(HallVector, "basis", staticmethod(counted_basis))
+    monkeypatch.setattr(DerivedHall, "multiply_graded", counted_multiply)
     for (a, b, c), (lhs, rhs) in zip(triples, sides):
         res = dh.assoc_check(a, b, c)
         assert (res.ok, res.lhs, res.rhs) == (True, lhs, rhs), (t, a, b, c)
+        assert built == zero_products, (t, a, b, c)
+    assert zero_products
 
 
 @pytest.mark.parametrize("t", [0, 1, 3, 5])

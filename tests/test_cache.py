@@ -12,7 +12,7 @@ from hallforge.cache import (CACHE_ENV_VAR, CACHE_FORMAT, _digest_head, cache_di
                              cache_path, encode_cache, load_cache, save_cache,
                              setup_fingerprint)
 from hallforge.errors import CacheInvalid
-from hallforge.hall import hall_number, subquotient_tables
+from hallforge.hall import _subobject_table, hall_number, subquotient_tables
 from hallforge.quivers import line_quiver, quiver_from_dict
 from hallforge.reps import ClassRegistry, Rep
 
@@ -107,13 +107,33 @@ def test_closed_form_quiver_file_holds_class_data_only():
     reg = warm_registry()
     for c in reg.classes((2, 1)):
         subquotient_tables(reg, c)
-    assert reg.memo("closed_form_table")
+    # The closed-form tables sit in the store of Hall tables, not in the
+    # walked memo the cache writes.
+    assert reg.memo("hall_tables") and not reg.memo("subobject_table")
     payload = json.loads(save_cache(reg, 0).read_text())
     assert payload["tables"] == {}
     # Aut counts, q and t are derived from what is stored or named by the fingerprint.
     assert set(payload) == {"sha256", "format", "fingerprint", "classes", "tables"}
     assert {key: set(stored) for key, stored in payload["classes"].items()} \
         == {key: {"orbit", "mats"} for key in ["1,0", "0,1", "1,1", "2,1", "2,0", "0,0"]}
+
+
+def test_the_store_holds_the_walked_tables_themselves():
+    # The store of Hall tables holds references: a walked table is the same
+    # object in the store and in the subobject_table memo the cache writes,
+    # and a load puts each table it reads in both, not copied.
+    reg = warm_kronecker()
+    store, walked = reg.memo("hall_tables"), reg.memo("subobject_table")
+    assert walked and all(store[key] is table for key, table in walked.items())
+    save_cache(reg, 0)
+    fresh = ClassRegistry(KRONECKER, 2)
+    assert load_cache(fresh, 0)
+    store, walked = fresh.memo("hall_tables"), fresh.memo("subobject_table")
+    assert store.keys() == walked.keys() == reg.memo("subobject_table").keys()
+    for (c, d), table in walked.items():
+        assert store[c, d] is table and _subobject_table(fresh, c, d) is table
+    fresh.clear()
+    assert not fresh.memo("hall_tables") and not fresh.memo("subobject_table")
 
 
 def test_load_without_file_or_directory(monkeypatch):

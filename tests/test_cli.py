@@ -16,8 +16,9 @@ from pathlib import Path
 import pytest
 
 from hallforge import algebra, cli, quivers, reps
-from hallforge.cache import CACHE_ENV_VAR, CACHE_FORMAT, cache_path, encode_cache
-from hallforge.errors import DivisionByZero, InternalInconsistency, NotAPureQPower
+from hallforge.cache import CACHE_ENV_VAR, CACHE_FORMAT, cache_path, encode_cache, load_cache
+from hallforge.errors import CacheInvalid, DivisionByZero, InternalInconsistency, NotAPureQPower
+from hallforge.hall import hall_number
 from hallforge.linalg import gl_order
 from hallforge.quivers import euler_add, line_quiver, quiver_to_dict
 from hallforge.reps import Rep, _code_rows, class_name
@@ -732,6 +733,82 @@ def test_a_run_that_only_computes_aut_counts_leaves_the_file_untouched(capsys, t
     code, report, err = run_cli(capsys, "classes", "--max-dim", "2", "--quiver", str(quiver))
     assert code == 0 and err == "" and report["results"]["count"] > 0
     assert (path.read_bytes(), path.stat().st_mtime_ns) == before
+
+
+def _record_registries(monkeypatch) -> list:
+    """The registries dispatch builds from now on, in order."""
+    built = []
+
+    class Recorded(reps.ClassRegistry):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+    monkeypatch.setattr(cli, "ClassRegistry", Recorded)
+    return built
+
+
+def test_kronecker_hall_then_gamma_saves_the_walked_tables_only(capsys, tmp_path,
+                                                                monkeypatch):
+    # The warm-cache benchmark's file: 49 classes and their 191 walked tables
+    # in 4,405 bytes.  The closed-form tables (split classes, zero and whole
+    # subobjects) sit in the same store of Hall tables and are not written.
+    monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "cache"))
+    quiver = tmp_path / "kronecker.json"
+    quiver.write_text(json.dumps(KRONECKER))
+    registries = _record_registries(monkeypatch)
+    for argv in (("hall", "--max-dim", "4"), ("gamma", "--max-dim", "3")):
+        assert run_cli(capsys, *argv, "--quiver", str(quiver))[0] == 0
+    raw = cache_path(cli.load_quiver(str(quiver)), 2, 0).read_bytes()
+    payload = json.loads(raw)
+    groups = [(key, group) for key, by_class in payload["tables"].items() for group in by_class]
+    assert len(raw) == 4405
+    assert sum(len(stored["orbit"]) for stored in payload["classes"].values()) == 49
+    assert sum(len(group) - 1 for _, group in groups) == 191
+    # No split class (index 0) and no zero or whole subobject dims.
+    assert all(group[0] != 0 for _, group in groups)
+    assert all(any(d) and d != [int(x) for x in key.split(",")]
+               for key, group in groups for d, _ in group[1:])
+    hall_run = registries[0]
+    store, walked = hall_run.memo("hall_tables"), hall_run.memo("subobject_table")
+    assert len(walked) == 191 and len(store) > len(walked)
+
+
+def test_a_rejected_file_serves_no_table_after_dispatch_clears(capsys, tmp_path, monkeypatch):
+    # A file whose first table is doubled and whose last one holds a zero
+    # count: load_cache puts the doubled table in the registry before it
+    # reaches the zero, so only dispatch's clear() keeps it from being read.
+    monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "cache"))
+    quiver = tmp_path / "kronecker.json"
+    quiver.write_text(json.dumps(KRONECKER))
+    argv = ("hall", "--max-dim", "3", "--quiver", str(quiver))
+    code, cold, _ = run_cli(capsys, *argv)
+    kronecker = cli.load_quiver(str(quiver))
+    path = cache_path(kronecker, 2, 0)
+    good = path.read_bytes()
+    payload = json.loads(good)
+    del payload["sha256"]
+    by_class = [group for groups in payload["tables"].values() for group in groups]
+    tables = [triples for group in by_class for _, triples in group[1:] if triples]
+    tables[0][2::3] = [2 * n for n in tables[0][2::3]]
+    tables[-1][2] = 0
+    path.write_bytes(encode_cache(payload))
+    probe = reps.ClassRegistry(kronecker, 2)
+    with pytest.raises(CacheInvalid, match="positive count"):
+        load_cache(probe, 0)
+    assert probe.memo("subobject_table")
+
+    registries = _record_registries(monkeypatch)
+    code, again, err = run_cli(capsys, *argv)
+    assert code == 0 and "ignoring cache" in err and "positive count" in err
+    cold.pop("timing_ms"), again.pop("timing_ms")
+    assert again == cold
+    (reg,) = registries
+    fresh = reps.ClassRegistry(kronecker, 2)
+    classes = fresh.all_classes_total_le(3)
+    assert reg.all_classes_total_le(3) == classes
+    assert [hall_number(reg, a, b, c) for a, b, c in itertools.product(classes, repeat=3)] \
+        == [hall_number(fresh, a, b, c) for a, b, c in itertools.product(classes, repeat=3)]
+    assert path.read_bytes() == good
 
 
 def test_dispatch_calls_in_one_process_share_no_state(tmp_path, monkeypatch):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import collections
 import itertools
+import math
 import sys
 from fractions import Fraction
 
@@ -424,6 +425,44 @@ def test_walk_memo_sizes_after_kronecker_hall_max_dim_4(monkeypatch):
         subquotient_tables(reg, c)
     assert len(reg.memo("classify")) == len(built) == 42
     assert len(reg.memo("subobject_table")) == 191
+
+
+@pytest.mark.parametrize("quiver,p,max_total", [
+    (KRONECKER, 2, 4), (D4, 2, 3), (line_quiver(2), 3, 3),
+], ids=["Kronecker-F2", "D4-F2", "A2-F3"])
+def test_a_hall_number_hit_is_a_lookup_in_the_store(monkeypatch, quiver, p, max_total):
+    # Every (a, b, c) triple of classes, mismatched dims and zero or whole
+    # subobjects included, reads the same on a fresh registry as after every
+    # table is filled.  Once filled, a hit runs no route, no _walked test and
+    # no zero_class, builds no table and replaces none: the zero- and the
+    # whole-subobject table of each class are the same object on every call.
+    reg = ClassRegistry(quiver, p)
+    classes = reg.all_classes_total_le(max_total)
+    triples = list(itertools.product(classes, repeat=3))
+    fresh = [hall_number(reg, a, b, c) for a, b, c in triples]
+    for c in classes:
+        for dsub in subdimvecs(c.dims):
+            _subobject_table(reg, c, dsub)
+    store = reg.memo("hall_tables")
+    assert len(store) == sum(math.prod(d + 1 for d in c.dims) for c in classes)
+    filled = dict(store)
+
+    def no_route(*args, **kwargs):
+        raise AssertionError("a hit ran a route")
+    for name in ("_walked", "_hall_number_rank_form", "closed_subspace_tuples"):
+        monkeypatch.setattr(hall, name, no_route)
+    monkeypatch.setattr(reg, "zero_class", no_route)
+    assert [hall_number(reg, a, b, c) for a, b, c in triples] == fresh
+    zero = (0,) * quiver.n
+    for c in classes:
+        assert _subobject_table(reg, c, zero) is filled[c, zero]
+        assert _subobject_table(reg, c, c.dims) is filled[c, c.dims]
+    assert store == filled and all(store[key] is t for key, t in filled.items())
+    # Mismatched dims, zero and whole subobjects and nonzero counts all occur.
+    assert any(fresh) and len(triples) > sum(
+        dims_add(a.dims, b.dims) == c.dims for a, b, c in triples)
+    reg.clear()
+    assert not reg.memo("hall_tables")
 
 
 @pytest.mark.parametrize("quiver,p,max_total", [

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +11,8 @@ from hallforge.errors import EnumerationTooLarge, InvalidField
 from hallforge.linalg import (SUBSPACE_AMBIENT_BOUND, Mat, check_prime, count_matrices_of_rank,
                               enumerate_subspaces, full_subspace,
                               gaussian_binomial, gl_order, is_invertible,
-                              kernel_basis, rank, rref, subspace_from_vectors,
-                              subspaces_containing, zero_subspace)
+                              kernel_basis, pack_row, rank, reduced_rows, rows_kernel, rref,
+                              subspace_from_vectors, subspaces_containing, zero_subspace)
 
 from .oracles import (list_kernel_basis, list_rref, list_subspace_from_vectors,
                       overspaces_by_elimination)
@@ -77,6 +78,36 @@ def test_elimination_core_matches_the_list_row_judge(m):
     assert kernel_basis(m) == list_kernel_basis(m)
     assert (subspace_from_vectors(m.p, m.cols, m.entries)
             == list_subspace_from_vectors(m.p, m.cols, m.entries))
+
+
+def _random_f2_rows(rng, rows, cols, rank_cap):
+    """rows x cols over F_2 whose rows are random sums of rank_cap random rows."""
+    gens = [[rng.randrange(2) for _ in range(cols)] for _ in range(rank_cap)]
+    return [[sum(g[j] for g in gens if rng.randrange(2)) % 2 for j in range(cols)]
+            for _ in range(rows)]
+
+
+@pytest.mark.parametrize("rows,cols,rank_cap", [(4, 23, 4), (23, 4, 4), (9, 12, 3),
+                                                (30, 30, 12), (1, 70, 1), (12, 1, 1)],
+                         ids=["wide", "tall", "deficient", "square-deficient", "one-row",
+                              "one-col"])
+def test_f2_kernel_reads_the_packed_rows_as_the_tuple_rows(rows, cols, rank_cap):
+    # Over F_2 rows_kernel reads each free column's bit off the packed
+    # reduced rows; the judge reads the same entry of the tuple rows.
+    rng = random.Random(rows * 1000 + cols)
+    for _ in range(20):
+        entries = _random_f2_rows(rng, rows, cols, rank_cap)
+        packed = [pack_row(2, r) for r in entries]
+        pivots, red = reduced_rows(2, cols, packed)
+        want = []
+        for f in sorted(set(range(cols)).difference(pivots)):
+            x = [0] * cols
+            x[f] = 1
+            for c, r in zip(pivots, red):
+                x[c] = r[f]
+            want.append(tuple(x))
+        assert rows_kernel(2, cols, packed) == tuple(want)
+        assert all(not sum(a * b for a, b in zip(r, x)) % 2 for r in entries for x in want)
 
 
 @pytest.mark.parametrize("p", PRIMES)
