@@ -434,7 +434,9 @@ class DerivedHall:
 
         Repeatedly replaces the leftmost pair whose degrees do not descend by
         the terms of _pair_rule, until every word is strictly descending in
-        degree; strictly descending words are direct sums.  More than
+        degree; strictly descending words are direct sums.  Every rule
+        coefficient is positive (a Hall number, a gamma or a power of v), so
+        no pending sum cancels.  More than
         DEFAULT_REWRITE_BUDGET replacements raise RewriteBudgetExceeded.
         """
         if self.t != 0:
@@ -446,8 +448,6 @@ class DerivedHall:
         while pending:
             w = next(iter(pending))
             coeff = pending.pop(w)
-            if not coeff:
-                continue
             spot = None
             for i in range(len(w) - 1):
                 if w[i][1] <= w[i + 1][1]:

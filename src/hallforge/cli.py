@@ -174,7 +174,7 @@ def _max_dim(args) -> int:
 def _swept_dims(args, reg: ClassRegistry) -> list:
     """--dim alone, else every dims vector of total <= --max-dim, smallest first."""
     if args.dim is not None:
-        return [parse_dims(args.dim, reg.quiver.n)]
+        return [args.dim]
     return dimvecs_up_to(reg.quiver.n, _max_dim(args))
 
 
@@ -395,7 +395,8 @@ def dispatch(argv: list[str] | None = None) -> tuple[dict | None, int]:
         reg = ClassRegistry(quiver, args.q)  # validates the quiver, the run's one check of it
         t = args.t
         check_period(t)
-        dim = list(parse_dims(args.dim, quiver.n)) if args.dim is not None else None
+        if args.dim is not None:
+            args.dim = parse_dims(args.dim, quiver.n)
         if args.max_dim is not None and args.max_dim < 0:
             raise IncompatibleObjects(f"--max-dim must be nonnegative, got {args.max_dim}")
         loaded = None
@@ -427,7 +428,7 @@ def dispatch(argv: list[str] | None = None) -> tuple[dict | None, int]:
         return None, EXIT_INTERNAL
     report = {
         "command": args.command,
-        "fingerprint": setup_fingerprint(quiver, args.q, t, max_dim=args.max_dim, dim=dim),
+        "fingerprint": setup_fingerprint(quiver, args.q, t, max_dim=args.max_dim, dim=args.dim),
         "results": results,
         "counterexamples": counterexamples,
         "timing_ms": int((time.monotonic() - start) * 1000),

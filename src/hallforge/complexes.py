@@ -14,7 +14,7 @@ reps.py.
 Derived morphisms Z_a -> Z_b at t = 1 are counted by their cone without
 listing complexes: they are the C_1-extensions of Z_a by Z_b, i.e. the pairs
 (class in Ext^1(A, B), f in Hom(A, B)), and each pair's cone is the homology
-of its middle complex (cone_counts).
+of its middle complex (cone_counts, which keeps no memo).
 """
 from __future__ import annotations
 
@@ -473,7 +473,8 @@ def _cone_entries(p: int, arrows, mats: tuple, spans: list[tuple]) -> tuple:
 
 def cone_counts(reg: ClassRegistry, a: GradedObject,
                 b: GradedObject) -> dict[GradedObject, int]:
-    """{x: number of morphisms Z_a -> Z_b in D_1 with cone Z_x}, memoized per (a, b).
+    """{x: number of morphisms Z_a -> Z_b in D_1 with cone Z_x}, counted afresh on
+    every call: the t = 1 crosscheck asks for each pair once.
 
     With A, B the components of a, b, a C_1-extension of Z_a by Z_b is a module
     extension M_eps of A by B with d = i f p for a unique f in Hom(A, B), which
@@ -484,13 +485,10 @@ def cone_counts(reg: ClassRegistry, a: GradedObject,
     read off that key (the RREFs of f_v's rows and columns); the cone is built
     once per (key, eps) and weighted by the number of maps sharing the key.
     Past DEFAULT_COMPLEX_ENUM_BOUND pairs this raises EnumerationTooLarge up
-    front and memoizes nothing.
+    front.
     """
     if not (a.t == b.t == 1):
         raise UnsupportedPeriod("cone-class counting is implemented for t = 1")
-    memo = reg.memo("cone_counts")
-    if (a, b) in memo:
-        return memo[a, b]
     total = hom_dt_count(reg, a, b, 0)
     if total > DEFAULT_COMPLEX_ENUM_BOUND:
         raise EnumerationTooLarge(
@@ -528,7 +526,6 @@ def cone_counts(reg: ClassRegistry, a: GradedObject,
             counts[x] = counts.get(x, 0) + weight
     if sum(counts.values()) != total:
         raise InternalInconsistency("cone counts do not add up to the derived Hom count")
-    memo[a, b] = counts
     return counts
 
 

@@ -12,9 +12,10 @@ the closed subspace tuples.  A hall_number hit is two dict lookups, c's table
 by the subobject's dims and the (quotient, subobject) entry in it, with no
 dims check and no route.  subquotient_tables lists a class's nonzero Hall
 numbers by subobject, and the gamma counts of 4-term exact sequences are one
-join of such lists (_gamma_join), on one pair in gamma_terms or over a class
-list in gamma_sweep; the right side of Green's formula is another, and its
-left side reads the same lists regrouped by pair (green_sides).
+join of such lists (_gamma_join), on one pair in gamma_terms (which keeps no
+memo of its own) or over a class list in gamma_sweep; the right side of
+Green's formula is another, and its left side reads the same lists
+regrouped by pair (green_sides).
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from typing import Iterator
 from .errors import IncompatibleObjects, InternalInconsistency
 from .linalg import (Subspace, gaussian_binomial, subspace_from_vectors,
                      subspaces_containing, zero_subspace)
-from .quivers import (DimVec, Quiver, dims_add, dims_leq, dims_sub, euler_add, subdimvecs,
+from .quivers import (DimVec, Quiver, dims_add, dims_sub, euler_add, subdimvecs,
                       topological_order)
 from .reps import ClassRegistry, IsoClassId, Rep, _subquotient_entries
 
@@ -80,8 +81,6 @@ def closed_subspace_tuples(rep: Rep, sub_dims: DimVec, images: list | None = Non
     vectors under the tuple of those vectors and each interval of overspaces
     under (base, dim), as a tuple, so that neither is computed twice.
     """
-    if not dims_leq(sub_dims, rep.dims):
-        return
     q = rep.quiver
     order, incoming = _walk_plan(q)
     p = rep.p
@@ -314,14 +313,12 @@ def gamma_terms(reg: ClassRegistry, a: IsoClassId,
 
         gamma = a_m a_n / (a_a a_b) * sum_I g^b_{I,m} g^a_{n,I} a_I.
 
-    The sum is the join of _gamma_join on the one pair (a, b).  Terms come in
-    the order m's dims in subdimvecs(dims b), then m's index, then n's index.
+    The sum is the join of _gamma_join on the one pair (a, b), redone on
+    every call: the one engine caller, DerivedHall._pair_rule, memoizes the
+    rule it builds from the terms.  Terms come in the order m's dims in
+    subdimvecs(dims b), then m's index, then n's index.
     """
-    memo = reg.memo("gamma_terms")
-    terms = memo.get((a, b))
-    if terms is None:
-        terms = memo[a, b] = tuple(_gamma_join(reg, (a,), (b,), reg.aut_count).get((a, b), ()))
-    return terms
+    return tuple(_gamma_join(reg, (a,), (b,), reg.aut_count).get((a, b), ()))
 
 
 def gamma_sweep(reg: ClassRegistry, classes: list[IsoClassId]) -> Iterator[
@@ -332,7 +329,7 @@ def gamma_sweep(reg: ClassRegistry, classes: list[IsoClassId]) -> Iterator[
     classes must hold every subobject and quotient of its members, as
     all_classes_total_le does; IncompatibleObjects names a class it lacks.
     All pairs come from one _gamma_join, which reads each class's tables and
-    Aut once, and the gamma_terms memo is neither read nor filled.
+    Aut once.
     """
     aut = {c: reg.aut_count(c) for c in classes}
     for c in classes:

@@ -135,10 +135,6 @@ def dims_sub(d1: DimVec, d2: DimVec) -> DimVec:
     return tuple(map(operator.sub, d1, d2))
 
 
-def dims_leq(d1: DimVec, d2: DimVec) -> bool:
-    return all(a <= b for a, b in zip(d1, d2))
-
-
 def euler_add(quiver: Quiver, d1: DimVec, d2: DimVec) -> int:
     """Additive Euler form: sum_v d1_v d2_v - sum_{a: s->t} d1_s d2_t."""
     out = sum(x * y for x, y in zip(d1, d2))

@@ -251,22 +251,21 @@ def is_isomorphic(m: Rep, n: Rep) -> bool:
 def _isomorphic_given_end(m: Rep, n: Rep, d_end: int) -> bool:
     """is_isomorphic(m, n) for m, n of equal dims whose End both have dimension d_end.
 
-    Where Hom(m, n) has more than WITNESS_TRIES elements, that many are first
-    drawn from a random.Random seeded by dim Hom, so that runs repeat
-    exactly; a draw invertible at every vertex is an isomorphism, which
-    answers yes.  Otherwise the exhaustive search (_isomorphisms) decides."""
+    WITNESS_TRIES elements of Hom(m, n) are first drawn from a random.Random
+    seeded by dim Hom, so that runs repeat exactly; a draw invertible at
+    every vertex is an isomorphism, which answers yes.  Otherwise the
+    exhaustive search (_isomorphisms) decides."""
     kernel = _hom_kernel(m, n)
     basis, shapes, offsets = kernel
     if len(basis) != d_end or hom_dim(n, m) != d_end:
         return False
     p, k = m.p, len(basis)
-    if p ** k > WITNESS_TRIES:
-        rng, blocks = random.Random(k), _vertex_blocks(shapes, offsets)
-        nvars = sum(r * c for r, c in shapes)
-        for _ in range(WITNESS_TRIES):
-            flat = _combination(p, basis, nvars, rng.choices(range(p), k=k))
-            if _invertible_at_every_vertex(p, flat, blocks):
-                return True
+    rng, blocks = random.Random(k), _vertex_blocks(shapes, offsets)
+    nvars = sum(r * c for r, c in shapes)
+    for _ in range(WITNESS_TRIES):
+        flat = _combination(p, basis, nvars, rng.choices(range(p), k=k))
+        if _invertible_at_every_vertex(p, flat, blocks):
+            return True
     return next(_isomorphisms(m, n, DEFAULT_ISO_ENUM_BOUND, kernel), None) is not None
 
 
@@ -465,7 +464,10 @@ class ClassRegistry:
 
     def memo(self, name, factory=dict) -> dict:
         """The memo table called name, made by factory() on first use."""
-        return self._memos.get(name) or self._memos.setdefault(name, factory())
+        table = self._memos.get(name)
+        if table is None:
+            table = self._memos[name] = factory()
+        return table
 
     # -- class enumeration ------------------------------------------------
 

@@ -518,6 +518,23 @@ def test_cache_roundtrip_and_corruption(capsys, tmp_path, monkeypatch):
     assert after == report
 
 
+def test_unwritable_cache_warns_and_keeps_the_report(capsys, tmp_path, monkeypatch):
+    # A directory where the cache file belongs can be neither read nor
+    # replaced: the run warns twice, reports as without a cache, and removes
+    # the temp file it wrote.
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    code, plain, _ = run_cli(capsys, "classes", "--max-dim", "3")
+    monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
+    path = cache_path(line_quiver(1), 2, 0)
+    path.mkdir()
+    code, report, err = run_cli(capsys, "classes", "--max-dim", "3")
+    assert code == 0
+    assert "warning: ignoring cache" in err and "warning: could not write cache" in err
+    plain.pop("timing_ms"), report.pop("timing_ms")
+    assert report == plain
+    assert path.is_dir() and list(tmp_path.glob("*.tmp")) == []
+
+
 def test_doubled_cached_aut_is_rejected_not_used(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
     argv = ("dha-mul", "--t", "1", "--lhs", "[k1@0]", "--rhs", "[k1@0]")

@@ -480,7 +480,7 @@ def test_gamma_sweep_rows_equal_per_pair_gamma_terms(quiver, p, max_total):
     want = [(a, b, m, n, str(Fraction(num, den))) for a in classes for b in classes
             for m, n, num, den in gamma_terms(pair_reg, a, b)]
     assert swept == want and swept
-    assert not sweep_reg.memo("gamma_terms")
+    assert "gamma_terms" not in sweep_reg._memos and "gamma_terms" not in pair_reg._memos
 
 
 @pytest.mark.parametrize("quiver,p,max_total", [
@@ -546,6 +546,31 @@ def test_closed_form_tables_equal_a_forced_walk(quiver, p, max_total):
                 (c, dsub)
             compared += 1
     assert compared and not reg.memo("subobject_table")
+
+
+TWO_ARROWS_AND_A_POINT = quiver_from_dict({"vertices": ["1", "2", "3", "4", "5"],
+                                           "arrows": [{"src": "1", "dst": "2", "label": "a"},
+                                                      {"src": "3", "dst": "4", "label": "b"}]})
+
+
+@pytest.mark.parametrize("p,max_total,n_tables", [(2, 4, 1477), (3, 3, 366)],
+                         ids=["F2", "F3"])
+def test_rank_form_tables_equal_the_walk_over_two_arrows_and_an_isolated_vertex(
+        p, max_total, n_tables):
+    # 1 -> 2, 3 -> 4 and a lone vertex 5: the rank form multiplies one factor
+    # per arrow and a Gaussian binomial for the untouched vertex.  A registry
+    # told its quiver is not classified by arrow ranks walks the same tables.
+    ranked = ClassRegistry(TWO_ARROWS_AND_A_POINT, p)
+    walked = ClassRegistry(TWO_ARROWS_AND_A_POINT, p)
+    walked._classified_by_ranks = False
+    compared = 0
+    for c in ranked.all_classes_total_le(max_total):
+        for dsub in subdimvecs(c.dims):
+            assert _subobject_table(ranked, c, dsub) == _subobject_table(walked, c, dsub), \
+                (c, dsub)
+            compared += 1
+    assert compared == n_tables
+    assert not ranked.memo("subobject_table") and walked.memo("subobject_table")
 
 
 # -- Hall polynomials across primes ---------------------------------------------------

@@ -246,6 +246,22 @@ def test_classify_memo_keeps_the_registry_check(kronecker_f2):
             kronecker_f2.classify(other)
 
 
+def test_memo_runs_its_factory_once():
+    # An empty table is still the registry's table: later calls return it
+    # without building another.
+    reg = ClassRegistry(line_quiver(1), 2)
+    made = []
+
+    def factory():
+        made.append(1)
+        return {}
+    tables = [reg.memo("counted", factory) for _ in range(3)]
+    assert len(made) == 1 and not tables[0]
+    assert all(table is tables[0] for table in tables)
+    reg.clear()
+    assert reg.memo("counted", factory) is not tables[0] and len(made) == 2
+
+
 def test_classify_and_classify_entries_share_one_memo_entry():
     # Kronecker (1, 1) with a = b = 1 and with a = 1, b = 0: one content goes in
     # through classify, the other through classify_entries; either way each
@@ -350,6 +366,21 @@ def test_direct_sum_commutes_up_to_iso(a2_f2):
     assert not is_isomorphic(direct_sum(s1, simple_rep(line_quiver(2), 2, 1)), p1)
 
 
+def test_reps_of_different_dims_are_not_isomorphic(monkeypatch):
+    # Decided by the dims alone, though Hom is nonzero both ways; the
+    # exhaustive search yields nothing for non-square vertex blocks, and
+    # scans no element to say so.
+    q = line_quiver(2)
+    s1, s1_twice = simple_rep(q, 2, 0), semisimple_rep(q, 2, (2, 0))
+    assert hom_dim(s1, s1_twice) == hom_dim(s1_twice, s1) == 2
+    monkeypatch.setattr(reps, "_hom_kernel", None)
+    assert not is_isomorphic(s1, s1_twice) and not is_isomorphic(s1_twice, s1)
+    monkeypatch.undo()
+    monkeypatch.setattr(reps, "_hom_elements", None)
+    for m, n in ((s1, s1_twice), (s1_twice, s1)):
+        assert list(reps._isomorphisms(m, n, 1 << 16)) == []
+
+
 def test_semisimple_zero_simple_constructors():
     q = line_quiver(2)
     z = zero_rep(q, 2)
@@ -433,16 +464,13 @@ def test_only_an_invertible_draw_answers_yes():
 def test_isomorphic_answers_need_no_exhaustive_search(monkeypatch):
     # Every isomorphism met enumerating Kronecker to total dim 6, and the one
     # the cone (1, 5) with a = 0 and b = e_2 has with its class (a 2^21
-    # search once), is found by a drawn witness wherever Hom has more than
-    # WITNESS_TRIES elements: a search over such a Hom space runs only to
-    # answer "not isomorphic".
+    # search once), is found by a drawn witness, on small Hom spaces as on
+    # large ones: the exhaustive search is never entered.
     fallbacks = []
 
     def counted(m, n, bound, kernel):
-        for flat in isomorphisms(m, n, bound, kernel):
-            if m.p ** len(kernel[0]) > reps.WITNESS_TRIES:
-                fallbacks.append((m, n))
-            yield flat
+        fallbacks.append((m, n))
+        yield from isomorphisms(m, n, bound, kernel)
     isomorphisms = reps._isomorphisms
     monkeypatch.setattr(reps, "_isomorphisms", counted)
     q = quiver_from_dict(KRONECKER)
