@@ -6,14 +6,16 @@ subobject-counting structure constants, extension counts, the derived
 (t-periodic) product, and machine checks of the identities that make the
 whole thing an associative algebra.
 
-Importing the package loads the Ringel-Hall core (errors, linalg, quivers,
+Importing the package runs the Ringel-Hall core (errors, linalg, quivers,
 reps, hall).  The derived layer (complexes, scalars, algebra) and the cache
-load on first access to one of their names, so a run that only counts Hall
-numbers, Ext groups or Green's formula never compiles them.
+are bound here unexecuted, and each one's body runs on the first read of one
+of its attributes, so a run that only counts Hall numbers, Ext groups or
+Green's formula never compiles them.
 """
 from __future__ import annotations
 
-import importlib
+import importlib.util
+import sys
 
 from .errors import (CacheInvalid, DivisionByZero, EnumerationTooLarge,
                      HallforgeError, IncompatibleObjects, InternalInconsistency,
@@ -36,7 +38,11 @@ from .reps import (ClassRegistry, IsoClassId, Rep, direct_sum,
 
 __version__ = "0.1.0"
 
-# Module -> the names it exports, resolved by __getattr__ on first access.
+# The modules that load on first use -> the names they export, which __getattr__
+# resolves.  Each module is put in sys.modules and bound here through
+# importlib.util.LazyLoader, so `from . import algebra` runs nothing and a tool
+# that rebinds functions in every hallforge module of sys.modules
+# (perfbench/tracing.py) finds them all; reading an attribute runs the body.
 _LAZY = {
     "algebra": ("RELATION_FAMILIES", "CheckResult", "DerivedHall", "HallVector",
                 "relation_check"),
@@ -51,15 +57,20 @@ _LAZY = {
 }
 _LAZY_HOME = {name: module for module, names in _LAZY.items() for name in names}
 
+for _module in _LAZY:
+    _spec = importlib.util.find_spec(f"{__name__}.{_module}")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    globals()[_module] = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(sys.modules[_spec.name])
+del _module, _spec
+
 
 def __getattr__(name: str):
-    """Import a lazy name's module (PEP 562) and keep the value in this namespace."""
+    """Read a lazy name off its module (PEP 562) and keep the value in this namespace."""
     module = _LAZY_HOME.get(name)
     if module is None:
-        if name in _LAZY:
-            return importlib.import_module(f"{__name__}.{name}")
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    value = globals()[name] = getattr(globals()[module], name)
     return value
 
 

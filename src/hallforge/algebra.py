@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .complexes import (GradedObject, cone_counts, format_graded, graded_object, hom_dt_count,
-                        stalk)
+from .complexes import (GradedObject, _hom_dt_exponent, cone_counts, format_graded,
+                        graded_object, stalk)
 from .errors import IncompatibleObjects, RewriteBudgetExceeded, UnsupportedPeriod
 from .hall import euler_table, gamma_terms, hall_number
 from .quivers import check_period, dims_add, dims_sub, subdimvecs
@@ -515,15 +515,21 @@ class DerivedHall:
 
     def rp_product_t1(self, a: GradedObject, b: GradedObject) -> HallVector:
         """The whole product [a][b] at t = 1 through the cone-counting oracle:
-        one term per cone Z_x that some morphism Z_a -> Z_b has, the number of
-        such morphisms times a'_x / (|Hom(Z_a, Z_b)|^(1/2) a'_a a'_b)."""
+        one term per cone Z_x that some morphism Z_a -> Z_b has, the number n of
+        such morphisms times a'_x / (|Hom(Z_a, Z_b)|^(1/2) a'_a a'_b), that is,
+        with |Hom(Z_a, Z_b)| = q^h and a' read as in lt_mul_odd,
+        n prod |Aut x_i| v^(e_x - e_a - e_b - h) / (prod |Aut a_i| prod |Aut b_i|)."""
         if self.t != 1:
             raise UnsupportedPeriod("the cone-counting oracle is defined at t = 1")
         counts = cone_counts(self.reg, a, b)
-        base = (QSqrtScalar.rational(self.q, 1, hom_dt_count(self.reg, a, b, shift=0)).sqrt()
-                / (self.a_prime(a) * self.a_prime(b)))
-        return HallVector(self.q, {x: QSqrtScalar.rational(self.q, n) * base * self.a_prime(x)
-                                   for x, n in counts.items()})
+        aut_a, e_a = self._a_prime_parts(a)
+        aut_b, e_b = self._a_prime_parts(b)
+        exp = -e_a - e_b - _hom_dt_exponent(self.reg, a, b, 0)
+        out = {}
+        for x, n in counts.items():
+            aut_x, e_x = self._a_prime_parts(x)
+            out[x] = QSqrtScalar.v_power(self.q, exp + e_x, n * aut_x, aut_a * aut_b)
+        return HallVector(self.q, out)
 
     # -- checks ----------------------------------------------------------------
 

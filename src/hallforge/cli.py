@@ -13,13 +13,14 @@ consistency check failed, a zero scalar was inverted, or a scalar that must be
 a power of q was not).  When $HALLFORGE_CACHE names
 a directory, enumeration state is loaded from it, and saved to it when the run
 added to it; a corrupt or mismatched cache file produces a warning on stderr
-and a fresh start, never a report entry.
+and a fresh start, never a report entry.  algebra and complexes are imported
+like any module, but the package binds them unexecuted: only dha-mul,
+dha-assoc, relations and crosscheck run their code.
 """
 from __future__ import annotations
 
 import argparse
 import functools
-import importlib.util
 import itertools
 import json
 import random
@@ -27,6 +28,7 @@ import sys
 import time
 from typing import Iterable
 
+from . import algebra, complexes
 from .cache import cache_directory, cached_size, load_cache, save_cache, setup_fingerprint
 from .errors import (CacheInvalid, DivisionByZero, EnumerationTooLarge,
                      IncompatibleObjects, InternalInconsistency, InvalidField,
@@ -36,27 +38,6 @@ from .hall import gamma_sweep, green_sides, subquotient_tables
 from .quivers import (Quiver, check_period, dims_key, dims_sub, dimvecs_up_to, line_quiver,
                       quiver_from_dict, subdimvecs)
 from .reps import ClassRegistry
-
-
-def _register_unexecuted(name: str) -> None:
-    """Put hallforge.<name> in sys.modules without running it (importlib.util.LazyLoader);
-    its body runs on the first read of one of its attributes."""
-    fullname = f"{__package__}.{name}"
-    if fullname not in sys.modules:
-        spec = importlib.util.find_spec(fullname)
-        spec.loader = importlib.util.LazyLoader(spec.loader)
-        module = sys.modules[fullname] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-
-
-# The derived layer runs only in the commands that read it: dha-mul, dha-assoc,
-# relations and crosscheck import algebra and complexes where they use them, so a
-# classes, hall, green or gamma run never executes it.  Its modules are still
-# registered here, so that a tool which imports this module and then rebinds
-# functions in every hallforge module of sys.modules (perfbench/tracing.py) finds
-# them all; reading their namespace runs them.
-for _name in ("scalars", "complexes", "algebra"):
-    _register_unexecuted(_name)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -115,14 +96,13 @@ def graded_objects_within(reg: ClassRegistry, t: int, max_total: int) -> list:
     Degrees range over {0, 1} for t = 0 and over all residues for t > 0.
     The zero object is included.  Order is deterministic.
     """
-    from .complexes import graded_object
     degrees = (0, 1) if t == 0 else tuple(range(t))
     nonzero = [c for c in reg.all_classes_total_le(max_total) if c.total_dim >= 1]
     out = []
 
     def extend(i: int, comps: dict, used: int) -> None:
         if i == len(degrees):
-            out.append(graded_object(t, reg.quiver.n, dict(comps)))
+            out.append(complexes.graded_object(t, reg.quiver.n, dict(comps)))
             return
         extend(i + 1, comps, used)
         for cls in nonzero:
@@ -233,22 +213,18 @@ def cmd_gamma(args, reg: ClassRegistry, t: int):
 def cmd_dha_mul(args, reg: ClassRegistry, t: int):
     if args.lhs is None or args.rhs is None:
         raise IncompatibleObjects("dha-mul needs both --lhs and --rhs")
-    from .algebra import DerivedHall
-    from .complexes import format_graded, parse_graded
-    a = parse_graded(reg, t, args.lhs)
-    b = parse_graded(reg, t, args.rhs)
-    dh = DerivedHall(reg, t)
-    prod = dh.multiply_graded(a, b)
+    a = complexes.parse_graded(reg, t, args.lhs)
+    b = complexes.parse_graded(reg, t, args.rhs)
+    prod = algebra.DerivedHall(reg, t).multiply_graded(a, b)
     terms = prod.format(reg)
-    results = {"t": t, "lhs": format_graded(reg, a), "rhs": format_graded(reg, b),
-               "product": terms}
+    results = {"t": t, "lhs": complexes.format_graded(reg, a),
+               "rhs": complexes.format_graded(reg, b), "product": terms}
     return results, ["basis", "coeff"], [{"basis": k, "coeff": v} for k, v in terms.items()]
 
 
 def _first_mismatch(reg: ClassRegistry, result) -> dict:
-    from .complexes import format_graded
     g = result.mismatches[0]
-    return {"basis": format_graded(reg, g),
+    return {"basis": complexes.format_graded(reg, g),
             "lhs": str(result.lhs.coeff(g)),
             "rhs": str(result.rhs.coeff(g))}
 
@@ -256,14 +232,13 @@ def _first_mismatch(reg: ClassRegistry, result) -> dict:
 def _sampled_checks(args, reg: ClassRegistry, t: int, check, names: tuple[str, ...]):
     """Run check on every tuple of len(names) graded objects within --max-dim, or on
     a --seed sample of them; a failing tuple is a counterexample row keyed by names."""
-    from .complexes import format_graded
     objs = graded_objects_within(reg, t, _max_dim(args))
     checked, tuples = _maybe_sample(objs, len(names), args.seed)
     counterexamples = []
     for tup in tuples:
         res = check(*tup)
         if not res.ok:
-            row = {name: format_graded(reg, g) for name, g in zip(names, tup)}
+            row = {name: complexes.format_graded(reg, g) for name, g in zip(names, tup)}
             row.update(_first_mismatch(reg, res))
             counterexamples.append(row)
     results = {"t": t, "objects": len(objs), "checked": checked,
@@ -272,8 +247,8 @@ def _sampled_checks(args, reg: ClassRegistry, t: int, check, names: tuple[str, .
 
 
 def cmd_dha_assoc(args, reg: ClassRegistry, t: int):
-    from .algebra import DerivedHall
-    return _sampled_checks(args, reg, t, DerivedHall(reg, t).assoc_check, ("a", "b", "c"))
+    return _sampled_checks(args, reg, t, algebra.DerivedHall(reg, t).assoc_check,
+                           ("a", "b", "c"))
 
 
 def _relation_instances(family: str, t: int):
@@ -289,18 +264,17 @@ def cmd_relations(args, reg: ClassRegistry, t: int):
     if 0 < t < 5:
         raise UnsupportedPeriod(f"--t is the period of dht_r3, an odd t >= 5 (got {t}); "
                                 "the default 0 runs it at t = 5")
-    from .algebra import RELATION_FAMILIES, relation_check
     classes = [c for c in reg.all_classes_total_le(_max_dim(args)) if c.total_dim >= 1]
     rows = []
     counterexamples = []
-    for family in RELATION_FAMILIES:
+    for family in algebra.RELATION_FAMILIES:
         checked = 0
         failures = 0
         for a in classes:
             for b in classes:
                 for degree, offset in _relation_instances(family, t):
-                    res = relation_check(reg, family, a, b, degree=degree, offset=offset,
-                                         t=t or None)
+                    res = algebra.relation_check(reg, family, a, b, degree=degree,
+                                                 offset=offset, t=t or None)
                     checked += 1
                     if not res.ok:
                         failures += 1
@@ -317,8 +291,8 @@ def cmd_relations(args, reg: ClassRegistry, t: int):
 def cmd_crosscheck(args, reg: ClassRegistry, t: int):
     if t not in (0, 1):
         raise UnsupportedPeriod("crosscheck routes exist for t = 0 and t = 1")
-    from .algebra import DerivedHall
-    return _sampled_checks(args, reg, t, DerivedHall(reg, t).theorem_crosscheck, ("a", "b"))
+    return _sampled_checks(args, reg, t, algebra.DerivedHall(reg, t).theorem_crosscheck,
+                           ("a", "b"))
 
 
 # name: (pipeline, whether it is a check, its run options, help).  A check's

@@ -179,9 +179,6 @@ class ComplexObj(namedtuple("ComplexObj", "t quiver p components differentials")
     def degrees(self) -> tuple[int, ...]:
         return tuple(d for d, _ in self.components)
 
-    def total_dim(self) -> int:
-        return sum(r.total_dim for _, r in self.components)
-
 
 def complex_obj(t: int, quiver: Quiver, p: int, comps: dict[int, Rep],
                 diffs: dict[int, Morphism] | None = None, validate: bool = True) -> ComplexObj:
@@ -543,6 +540,11 @@ def dt_hom_with_cone_count(reg: ClassRegistry, a: GradedObject, b: GradedObject,
 def hom_dt_count(reg: ClassRegistry, a: GradedObject, b: GradedObject,
                  shift: int = 0) -> int:
     """|Hom_{D_t}(a[shift], b)| = prod_j |Hom(A^{j+s}, B^j)| |Ext^1(A^{j+s}, B^{j-1})|."""
+    return reg.p ** _hom_dt_exponent(reg, a, b, shift)
+
+
+def _hom_dt_exponent(reg: ClassRegistry, a: GradedObject, b: GradedObject, shift: int) -> int:
+    """The exponent of p in hom_dt_count: the sum of those dim Hom and dim Ext^1."""
     if a.t != b.t:
         raise IncompatibleObjects("periodicities differ")
     t = a.t
@@ -555,5 +557,5 @@ def hom_dt_count(reg: ClassRegistry, a: GradedObject, b: GradedObject,
             e += reg.hom_ext_dims(src, tgt_h)[0]
         if tgt_e is not None:
             e += reg.hom_ext_dims(src, tgt_e)[1]
-    return reg.p ** e
+    return e
 

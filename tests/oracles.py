@@ -50,9 +50,9 @@ from fractions import Fraction
 
 from hallforge.algebra import DerivedHall, HallVector
 from hallforge.complexes import (ComplexObj, GradedObject, _as_reps, _coboundary_transversal,
-                                 _middle_modules, add_degree, class_at_or_zero,
-                                 dt_hom_with_cone_count, enumerate_complex_classes,
-                                 graded_object, hom_dt_count, homology, zero_diff_complex)
+                                 _middle_modules, add_degree, class_at_or_zero, cone_counts,
+                                 enumerate_complex_classes, graded_object, hom_dt_count, homology,
+                                 zero_diff_complex)
 from hallforge.errors import (DivisionByZero, IncompatibleObjects, InternalInconsistency,
                               NotASubobject, UnsupportedPeriod)
 from hallforge.hall import (closed_subspace_tuples, euler_mult, euler_table, ext1_count,
@@ -425,18 +425,15 @@ def a_prime_by_endomorphisms(dh: DerivedHall, g: GradedObject) -> QSqrtScalar:
 
 def product_by_endomorphisms(reg: ClassRegistry, a: IsoClassId, b: IsoClassId) -> HallVector:
     """The t = 1 cone-counting product of the stalks of a and b, normalized by
-    a_prime_by_endomorphisms instead of a'; terms on rp_product_t1's support."""
+    a_prime_by_endomorphisms instead of a'; one term per cone, as in rp_product_t1,
+    from one cone_counts sweep of the pair."""
     dh = DerivedHall(reg, 1)
     a_g, b_g = dh.stalk(a), dh.stalk(b)
     denom = a_prime_by_endomorphisms(dh, a_g) * a_prime_by_endomorphisms(dh, b_g)
     hom_root = QSqrtScalar.rational(dh.q, 1, hom_dt_count(reg, a_g, b_g, shift=0)).sqrt()
-    out = HallVector(dh.q)
-    for g, _ in dh.rp_product_t1(a_g, b_g).items():
-        coeff = (QSqrtScalar.rational(dh.q, dt_hom_with_cone_count(reg, a_g, b_g, g)) * hom_root
-                 * a_prime_by_endomorphisms(dh, g) / denom)
-        if coeff:
-            out = out.add(HallVector(dh.q, {g: coeff}))
-    return out
+    return HallVector(dh.q, {g: QSqrtScalar.rational(dh.q, n) * hom_root
+                             * a_prime_by_endomorphisms(dh, g) / denom
+                             for g, n in cone_counts(reg, a_g, b_g).items()})
 
 
 def alt_hom_explicit(reg: ClassRegistry, a: GradedObject, b: GradedObject) -> Fraction:

@@ -1,6 +1,7 @@
 """Command-line interface: reports, exit codes, CSV, caching, sampling."""
 from __future__ import annotations
 
+import csv
 import hashlib
 import itertools
 import json
@@ -85,6 +86,30 @@ def test_classes_missing_quiver_file(capsys, monkeypatch):
     monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
     code, report, err = run_cli(capsys, "classes", "--quiver", "/no/such/file.json")
     assert code == 2 and report is None and "error" in err
+
+
+@pytest.mark.parametrize("quiver,message", [
+    ([], "malformed quiver description"),
+    ({"arrows": []}, "malformed quiver description"),
+    ({"vertices": []}, "quiver must have at least one vertex"),
+    ({"vertices": ["1", "1"]}, "duplicate vertex names"),
+    ({"vertices": ["1", "2"], "arrows": [{"src": "1", "dst": "2", "label": "a"},
+                                         {"src": "2", "dst": "1", "label": "a"}]},
+     "duplicate arrow labels"),
+    ({"vertices": ["1"], "arrows": [{"src": "1"}]}, "malformed arrow #0"),
+    ({"vertices": ["1"], "arrows": [{"src": "1", "dst": "9"}]},
+     "arrow #0 references unknown vertex '1' or '9'"),
+    ({"vertices": ["1", "2"], "arrows": [{"src": "1", "dst": "2"}, {"src": "2", "dst": "1"}]},
+     "oriented cycle"),
+], ids=["not-an-object", "no-vertices-key", "no-vertices", "duplicate-vertex",
+        "duplicate-label", "malformed-arrow", "unknown-vertex", "cycle"])
+def test_bad_quiver_file_is_usage_error(capsys, tmp_path, monkeypatch, quiver, message):
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    path = tmp_path / "quiver.json"
+    path.write_text(json.dumps(quiver))
+    code, report, err = run_cli(capsys, "classes", "--quiver", str(path))
+    assert code == cli.EXIT_USAGE and report is None
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
 def test_bad_dim_is_usage_error(capsys, monkeypatch):
@@ -241,6 +266,32 @@ def test_relations_rejects_a_period_below_five(capsys, monkeypatch, t):
     assert code == cli.EXIT_USAGE
     assert out.out == ""
     assert "period of dht_r3" in out.err
+
+
+def test_relations_mismatch_rows(capsys, tmp_path, monkeypatch):
+    # A doubled rule coefficient breaks every family that compares a product
+    # with DerivedHall._pair_rule's terms, that is all but dh1_re1 (the t = 1
+    # crosscheck); each broken instance is one counterexample row.
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    rule = algebra.DerivedHall._pair_rule
+    monkeypatch.setattr(algebra.DerivedHall, "_pair_rule",
+                        lambda dh, *key: tuple((word, c + c) for word, c in rule(dh, *key)))
+    out = tmp_path / "rows.csv"
+    code, report, _ = run_cli(capsys, "relations", "--max-dim", "1", "--csv", str(out))
+    assert code == cli.EXIT_MISMATCH
+    families = report["results"]["families"]
+    assert [row["mismatches"] for row in families] == [
+        0 if row["family"] == "dh1_re1" else row["checked"] for row in families]
+    rows = report["counterexamples"]
+    fields = ["family", "a", "b", "degree", "offset", "basis", "lhs", "rhs"]
+    assert len(rows) == sum(row["mismatches"] for row in families) == 8
+    assert all(sorted(row) == sorted(fields) for row in rows)
+    assert rows[0] == {"family": "dh0_43", "a": "k1", "b": "k1", "degree": 0, "offset": 2,
+                       "basis": "[k2@0]", "lhs": "3 + 0*v", "rhs": "6 + 0*v"}
+    with out.open(newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        assert reader.fieldnames == fields
+        assert list(reader) == [{k: str(row[k]) for k in fields} for row in rows]
 
 
 def test_crosscheck_report(capsys, monkeypatch):

@@ -1,4 +1,4 @@
-"""The package's lazy boundary: `import hallforge` loads the Ringel-Hall core
+"""The package's lazy boundary: `import hallforge` runs the Ringel-Hall core
 (errors, linalg, quivers, reps, hall) and nothing else, and every exported
 name still resolves to the object its module defines.  `import hallforge.cli`
 adds the cache, and the derived layer (algebra, complexes, scalars) runs only
@@ -35,6 +35,8 @@ def _homes() -> dict[str, str]:
 
 
 DERIVED = ("algebra", "complexes", "scalars")
+# The modules __init__ registers unexecuted, its _LAZY table.
+UNEXECUTED = DERIVED + ("cache",)
 
 # Records the hallforge modules whose body has run, through the interpreter's
 # "exec" audit event, which fires once per module body executed.
@@ -104,13 +106,20 @@ print(json.dumps([before, code, report["command"], sorted(ran & derived)]))
 
 
 def test_importing_the_package_loads_only_the_core():
+    # The lazy modules are in sys.modules and bound on the package, but their
+    # bodies have not run: each is still an importlib.util._LazyModule (type()
+    # reads no attribute, so it does not trigger the load).
     probe = f"""
-import importlib, json, sys
+import importlib, importlib.util
 import hallforge
+ran_on_import = sorted(ran - {{"__init__"}})
 loaded = sorted(m for m in sys.modules if m.startswith("hallforge."))
+unexecuted = sorted(m for m in {UNEXECUTED!r}
+                    if type(sys.modules["hallforge." + m]) is importlib.util._LazyModule
+                    and getattr(hallforge, m) is sys.modules["hallforge." + m])
 listed = set(hallforge.__all__) <= set(dir(hallforge))
 modules = all(getattr(hallforge, m) is importlib.import_module("hallforge." + m)
-              for m in ("algebra", "cache", "complexes", "scalars"))
+              for m in {UNEXECUTED!r})
 homes = {_homes()!r}
 differ = [name for name in hallforge.__all__ if name != "__version__"
           and getattr(hallforge, name)
@@ -120,14 +129,12 @@ try:
     unknown = "resolved"
 except AttributeError as e:
     unknown = str(e)
-print(json.dumps([loaded, listed, modules, differ, unknown]))
+print(json.dumps([ran_on_import, loaded, unexecuted, listed, modules, differ, unknown]))
 """
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    loaded, listed, modules, differ, unknown = json.loads(proc.stdout)
-    assert loaded == sorted(f"hallforge.{m}" for m in CORE)
+    ran_on_import, loaded, unexecuted, listed, modules, differ, unknown = _run_probe(probe)
+    assert ran_on_import == sorted(CORE)
+    assert loaded == sorted(f"hallforge.{m}" for m in CORE + UNEXECUTED)
+    assert unexecuted == sorted(UNEXECUTED)
     assert listed and modules
     assert differ == []
     assert unknown == "module 'hallforge' has no attribute 'no_such_name'"

@@ -61,6 +61,32 @@ def test_quiver_from_dict_errors():
         quiver_from_dict({"vertices": ["1"], "arrows": [{"src": "1", "dst": "9"}]})
 
 
+@pytest.mark.parametrize("quiver,message", [
+    (Quiver((), ()), "at least one vertex"),
+    (Quiver(("1", "1"), ()), "duplicate vertex names"),
+    (Quiver(("1", "2"), (Arrow(0, 1, "a"), Arrow(0, 1, "a"))), "duplicate arrow labels"),
+    (Quiver(("1", "2"), (Arrow(0, 2, "a"),)), "'a' has an endpoint outside the vertex set"),
+    (Quiver(("1", "2"), (Arrow(-1, 1, "b"),)), "'b' has an endpoint outside the vertex set"),
+], ids=["no-vertices", "duplicate-vertex", "duplicate-label", "target-outside",
+        "source-outside"])
+def test_malformed_quiver_is_rejected(quiver, message):
+    with pytest.raises(NotHereditarySetup, match=message):
+        validate_quiver(quiver)
+
+
+@pytest.mark.parametrize("arrow", ["a", {"src": "1"}, {"dst": "1"}],
+                         ids=["not-a-dict", "no-dst", "no-src"])
+def test_quiver_from_dict_rejects_a_malformed_arrow(arrow):
+    with pytest.raises(NotHereditarySetup, match="malformed arrow #1"):
+        quiver_from_dict({"vertices": ["1", "2"], "arrows": [{"src": "1", "dst": "2"}, arrow]})
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_line_quiver_needs_a_vertex(n):
+    with pytest.raises(NotHereditarySetup, match="at least one vertex"):
+        line_quiver(n)
+
+
 def test_dims_helpers():
     assert dims_add((1, 2), (3, 4)) == (4, 6)
     assert dims_sub((3, 4), (1, 2)) == (2, 2)
