@@ -19,9 +19,8 @@ import sys
 
 from .errors import (CacheInvalid, DivisionByZero, EnumerationTooLarge,
                      HallforgeError, IncompatibleObjects, InternalInconsistency,
-                     InvalidField, NotAPureQPower, NotASubobject,
-                     NotHereditarySetup, RewriteBudgetExceeded,
-                     UnsupportedPeriod)
+                     InvalidField, NotASubobject, NotHereditarySetup,
+                     RewriteBudgetExceeded, UnsupportedPeriod)
 from .hall import (euler_add, euler_mult, euler_table, ext1_count,
                    ext1_middle_count, gamma_coeff, gamma_terms, green_sides, hall_number)
 from .linalg import (Mat, Subspace, count_matrices_of_rank,
@@ -53,7 +52,7 @@ _LAZY = {
                   "enumerate_complex_classes", "format_graded", "graded_object",
                   "hom_dt_count", "homology", "parse_graded", "stalk",
                   "validate_complex", "zero_diff_complex"),
-    "scalars": ("QSqrtScalar", "parse_scalar", "sqrt_of_fraction"),
+    "scalars": ("QSqrtScalar", "parse_scalar"),
 }
 _LAZY_HOME = {name: module for module, names in _LAZY.items() for name in names}
 
@@ -90,8 +89,8 @@ __all__ = [
     "zero_diff_complex",
     "CacheInvalid", "DivisionByZero", "EnumerationTooLarge", "HallforgeError",
     "IncompatibleObjects", "InternalInconsistency", "InvalidField",
-    "NotAPureQPower", "NotASubobject", "NotHereditarySetup",
-    "RewriteBudgetExceeded", "UnsupportedPeriod",
+    "NotASubobject", "NotHereditarySetup", "RewriteBudgetExceeded",
+    "UnsupportedPeriod",
     "euler_add", "euler_mult", "euler_table", "ext1_count",
     "ext1_middle_count", "gamma_coeff", "gamma_terms", "green_sides", "hall_number",
     "Mat", "Subspace", "count_matrices_of_rank",
@@ -103,6 +102,6 @@ __all__ = [
     "ClassRegistry", "IsoClassId", "Rep", "direct_sum",
     "hom_basis", "hom_dim", "is_isomorphic",
     "semisimple_rep", "simple_rep", "zero_rep",
-    "QSqrtScalar", "parse_scalar", "sqrt_of_fraction",
+    "QSqrtScalar", "parse_scalar",
     "__version__",
 ]

@@ -32,8 +32,8 @@ from . import algebra, complexes
 from .cache import cache_directory, cached_size, load_cache, save_cache, setup_fingerprint
 from .errors import (CacheInvalid, DivisionByZero, EnumerationTooLarge,
                      IncompatibleObjects, InternalInconsistency, InvalidField,
-                     NotAPureQPower, NotASubobject, NotHereditarySetup,
-                     RewriteBudgetExceeded, UnsupportedPeriod)
+                     NotASubobject, NotHereditarySetup, RewriteBudgetExceeded,
+                     UnsupportedPeriod)
 from .hall import gamma_sweep, green_sides, subquotient_tables
 from .quivers import (Quiver, check_period, dims_key, dims_sub, dimvecs_up_to, line_quiver,
                       quiver_from_dict, subdimvecs)
@@ -53,8 +53,7 @@ SWEEP_CAP = 2 ** 20
 
 _USAGE_ERRORS = (InvalidField, NotHereditarySetup, UnsupportedPeriod,
                  IncompatibleObjects, NotASubobject)
-# NotAPureQPower comes out of engine arithmetic (a', square roots), never user input.
-_ENGINE_FAULTS = (InternalInconsistency, DivisionByZero, NotAPureQPower)
+_ENGINE_FAULTS = (InternalInconsistency, DivisionByZero)
 
 
 def load_quiver(path: str | None) -> Quiver:
@@ -364,6 +363,9 @@ def dispatch(argv: list[str] | None = None) -> tuple[dict | None, int]:
     the run failed before producing results (usage, resource or engine errors)."""
     args = build_parser().parse_args(argv)
     start = time.monotonic()
+    # Counts are exact: |GL_130(F_2)| alone has more digits than Python's default
+    # int-to-str limit, which the rows, the CSV and the JSON report all pass through.
+    sys.set_int_max_str_digits(0)
     try:
         quiver = load_quiver(args.quiver)
         reg = ClassRegistry(quiver, args.q)  # validates the quiver, the run's one check of it

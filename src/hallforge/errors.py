@@ -39,10 +39,6 @@ class InternalInconsistency(HallforgeError):
     """A cross-check that must hold by theory failed; indicates a bug."""
 
 
-class NotAPureQPower(HallforgeError):
-    """Square root requested of a scalar that is not an integer power of q."""
-
-
 class UnsupportedPeriod(HallforgeError):
     """Periodicity t is not 0 or a positive odd integer (or is unsupported here)."""
 

@@ -260,10 +260,6 @@ def zero_subspace(p: int, ambient: int) -> Subspace:
     return Subspace(p, ambient, (), ())
 
 
-def full_subspace(p: int, ambient: int) -> Subspace:
-    return subspace_from_vectors(p, ambient, list(Mat.identity(p, ambient).entries))
-
-
 def enumerate_subspaces(p: int, ambient: int, dim: int) -> Iterator[Subspace]:
     """All dim-dimensional subspaces of F_p^ambient, each exactly once.
 

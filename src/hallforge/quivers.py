@@ -73,7 +73,7 @@ def quiver_from_dict(d: dict) -> Quiver:
     the ClassRegistry built over it runs validate_quiver, once per quiver."""
     try:
         vertices = tuple(str(v) for v in d["vertices"])
-        raw_arrows = d.get("arrows", [])
+        raw_arrows = list(d.get("arrows", []))
     except (KeyError, TypeError) as e:
         raise NotHereditarySetup(f"malformed quiver description: {e}") from None
     name_to_idx = {v: i for i, v in enumerate(vertices)}

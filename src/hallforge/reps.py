@@ -215,18 +215,19 @@ def _invertible_at_every_vertex(p: int, flat: tuple[int, ...], blocks) -> bool:
                for r, off in blocks)
 
 
-def _isomorphisms(m: Rep, n: Rep, bound: int, kernel=None) -> Iterator[tuple[int, ...]]:
+def _isomorphisms(m: Rep, n: Rep, kernel=None) -> Iterator[tuple[int, ...]]:
     """The invertible elements of Hom(m, n) as flat vectors, in _hom_elements
     order (kernel = _hom_kernel(m, n) may be passed in when already computed).
 
-    Raises EnumerationTooLarge when Hom(m, n) has more than bound elements.
+    Raises EnumerationTooLarge when Hom(m, n) has more than
+    DEFAULT_ISO_ENUM_BOUND elements.
     """
     kernel = kernel if kernel is not None else _hom_kernel(m, n)
     basis, shapes, offsets = kernel
     p = m.p
-    if p ** len(basis) > bound:
-        raise EnumerationTooLarge(
-            f"isomorphism search over {p}^{len(basis)} candidate morphisms exceeds bound {bound}")
+    if p ** len(basis) > DEFAULT_ISO_ENUM_BOUND:
+        raise EnumerationTooLarge(f"isomorphism search over {p}^{len(basis)} candidate "
+                                  f"morphisms exceeds bound {DEFAULT_ISO_ENUM_BOUND}")
     if any(r != c for r, c in shapes):
         return
     blocks = _vertex_blocks(shapes, offsets)
@@ -266,7 +267,7 @@ def _isomorphic_given_end(m: Rep, n: Rep, d_end: int) -> bool:
         flat = _combination(p, basis, nvars, rng.choices(range(p), k=k))
         if _invertible_at_every_vertex(p, flat, blocks):
             return True
-    return next(_isomorphisms(m, n, DEFAULT_ISO_ENUM_BOUND, kernel), None) is not None
+    return next(_isomorphisms(m, n, kernel), None) is not None
 
 
 def _subquotient_entries(m: Rep, subs: tuple[Subspace, ...], quotient: bool = True,
@@ -323,15 +324,6 @@ def _closed_entries(m: Rep, subs: tuple[Subspace, ...], quotient: bool):
     if entries is None:
         raise NotASubobject("subspaces are not closed under the arrow maps")
     return entries
-
-
-def is_subrep(m: Rep, subs: tuple[Subspace, ...]) -> bool:
-    """Do the given per-vertex subspaces form a subrepresentation of m?"""
-    try:
-        _closed_entries(m, subs, False)
-    except NotASubobject:
-        return False
-    return True
 
 
 def restrict_to_subspaces(m: Rep, subs: tuple[Subspace, ...]) -> Rep:

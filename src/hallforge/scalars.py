@@ -5,16 +5,15 @@ A scalar a + b*sqrt(q) is one integer triple (x, y, d) meaning
 sqrt(q) is irrational the value fixes the triple, so equality and hashing are
 componentwise; each operation reduces its result with one math.gcd, and a
 nonzero scalar has an inverse (conjugate over norm).  Fractions appear only at
-the edges: the a and b properties, as_fraction and rational arguments.  Square
-roots are only taken of verified pure powers of q; anything else raises
-NotAPureQPower.
+the edges: the a and b properties and rational arguments.  Half-integer powers
+of q come from integer exponents (v_power); no square root is ever taken.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
 
-from .errors import DivisionByZero, IncompatibleObjects, NotAPureQPower
+from .errors import DivisionByZero, IncompatibleObjects
 
 
 def _ratio_str(num: int, den: int) -> str:
@@ -22,26 +21,6 @@ def _ratio_str(num: int, den: int) -> str:
     g = gcd(num, den)
     num, den = num // g, den // g
     return str(num) if den == 1 else f"{num}/{den}"
-
-
-def _q_exponent(num: int, den: int, q: int) -> int:
-    """e with num/den == q**e (lowest terms, den > 0); NotAPureQPower when there is none."""
-    n, m, sign = num, den, 1
-    if 0 < n < m:
-        n, m, sign = m, n, -1
-    e = 0
-    while n > 1 and n % q == 0:
-        n //= q
-        e += 1
-    if n != 1 or m != 1:
-        raise NotAPureQPower(f"{_ratio_str(num, den)} is not an integer power of {q}")
-    return sign * e
-
-
-def q_exponent(x, q: int) -> int:
-    """e with x == q**e; NotAPureQPower when there is none."""
-    x = Fraction(x)
-    return _q_exponent(x.numerator, x.denominator, q)
 
 
 _new = object.__new__
@@ -202,25 +181,10 @@ class QSqrtScalar:
     def __bool__(self) -> bool:
         return self.x != 0 or self.y != 0
 
-    def as_fraction(self) -> Fraction:
-        if self.y != 0:
-            raise NotAPureQPower(f"{self} is irrational")
-        return Fraction(self.x, self.d)
-
-    def sqrt(self) -> "QSqrtScalar":
-        """Square root, defined only for positive pure powers of q."""
-        if self.y != 0:
-            raise NotAPureQPower(f"square root of {self} is outside Q(sqrt {self.q})")
-        return QSqrtScalar.v_power(self.q, _q_exponent(self.x, self.d, self.q))
-
     def __str__(self) -> str:
         return f"{_ratio_str(self.x, self.d)} + {_ratio_str(self.y, self.d)}*v"
 
     __repr__ = __str__
-
-
-def sqrt_of_fraction(q: int, x: Fraction) -> QSqrtScalar:
-    return QSqrtScalar.rational(q, x).sqrt()
 
 
 def parse_scalar(q: int, text: str) -> QSqrtScalar:

@@ -30,7 +30,7 @@ overspaces_by_elimination, is_subrep_by_reduce, restrict_by_coords and
 quotient_by_reduce are the former subobject-walk steps, which re-eliminate
 each lifted overspace, image vector and unit column; they judge
 linalg.subspaces_containing and reps._subquotient_entries (through
-is_subrep, restrict_to_subspaces and quotient_by_subrep too), which reads
+restrict_to_subspaces and quotient_by_subrep too), which reads
 the same off RREF pivots in one pass.  multiply_by_pairs is
 DerivedHall.multiply's former body, which sums the product of every pair of
 terms in place; it judges the sums of products that assoc_check forms
@@ -41,6 +41,9 @@ tables of hall._subobject_table; riedtmann_hall_numbers counts extensions
 instead of subobjects, to judge the walked ones.  a_prime_by_endomorphisms and
 product_by_endomorphisms are the literal |End|-normalized reading of the
 t = 1 product, which the tests confirm differs from the |Aut| convention.
+q_power_exponent reads e off a rational q**e by Fraction arithmetic alone, so
+the oracles' half-integer powers sqrt(q**e) = v**e never pass through the
+engine's Euler-form exponents.
 """
 from __future__ import annotations
 
@@ -60,11 +63,11 @@ from hallforge.hall import (closed_subspace_tuples, euler_mult, euler_table, ext
 from hallforge.linalg import (Mat, RrefResult, Subspace, _each_subspace, kernel_basis,
                               rank, subspace_from_vectors)
 from hallforge.quivers import dims_add, dims_sub, subdimvecs
-from hallforge.reps import (DEFAULT_ISO_ENUM_BOUND, ClassRegistry, IsoClassId, Rep,
-                            _check_compatible, _hom_elements, _hom_kernel, _isomorphisms,
-                            _rep_of_entries, _unflatten, hom_basis, hom_dim, is_isomorphic,
-                            quotient_by_subrep, restrict_to_subspaces, zero_rep)
-from hallforge.scalars import QSqrtScalar, q_exponent, sqrt_of_fraction
+from hallforge.reps import (ClassRegistry, IsoClassId, Rep, _check_compatible, _hom_elements,
+                            _hom_kernel, _isomorphisms, _rep_of_entries, _unflatten, hom_basis,
+                            hom_dim, is_isomorphic, quotient_by_subrep, restrict_to_subspaces,
+                            zero_rep)
+from hallforge.scalars import QSqrtScalar
 
 ORACLE_HOM_BOUND = 5000
 
@@ -277,8 +280,7 @@ def hom_ct_count(c1: ComplexObj, c2: ComplexObj) -> int:
     return c1.p ** hom_ct_dim(c1, c2)
 
 
-def aut_ct_count(reg: ClassRegistry, c: ComplexObj,
-                 bound: int = DEFAULT_ISO_ENUM_BOUND) -> int:
+def aut_ct_count(reg: ClassRegistry, c: ComplexObj) -> int:
     """|Aut_{C_t}(c)|; zero-differential complexes use per-component counts."""
     if not c.differentials:
         out = 1
@@ -286,7 +288,7 @@ def aut_ct_count(reg: ClassRegistry, c: ComplexObj,
             out *= reg.aut_count(reg.classify(rep))
         return out
     (rep,) = _as_reps(c)
-    return sum(1 for _ in _isomorphisms(rep, rep, bound))
+    return sum(1 for _ in _isomorphisms(rep, rep))
 
 
 def hall_number_ct(reg: ClassRegistry, a: GradedObject, b: GradedObject,
@@ -417,10 +419,22 @@ def walked_subobject_table(reg: ClassRegistry, c: IsoClassId,
     return table
 
 
+def q_power_exponent(x, q: int) -> int:
+    """e with x == q**e for a rational x; ValueError when x is no integer power of q."""
+    r, e = Fraction(x), 0
+    while r >= q:
+        r, e = r / q, e + 1
+    while 0 < r < 1:
+        r, e = r * q, e - 1
+    if r != 1:
+        raise ValueError(f"{x} is not an integer power of {q}")
+    return e
+
+
 def a_prime_by_endomorphisms(dh: DerivedHall, g: GradedObject) -> QSqrtScalar:
     """|End_{D_t}(g)| * {g, g}^{1/2}: a'_g with |End| in place of |Aut| (odd t)."""
     end_count = hom_dt_count(dh.reg, g, g, shift=0)
-    return QSqrtScalar.rational(dh.q, end_count) * sqrt_of_fraction(dh.q, bracket(dh.reg, g, g))
+    return QSqrtScalar.v_power(dh.q, q_power_exponent(bracket(dh.reg, g, g), dh.q), end_count)
 
 
 def product_by_endomorphisms(reg: ClassRegistry, a: IsoClassId, b: IsoClassId) -> HallVector:
@@ -430,7 +444,8 @@ def product_by_endomorphisms(reg: ClassRegistry, a: IsoClassId, b: IsoClassId) -
     dh = DerivedHall(reg, 1)
     a_g, b_g = dh.stalk(a), dh.stalk(b)
     denom = a_prime_by_endomorphisms(dh, a_g) * a_prime_by_endomorphisms(dh, b_g)
-    hom_root = QSqrtScalar.rational(dh.q, 1, hom_dt_count(reg, a_g, b_g, shift=0)).sqrt()
+    hom_root = QSqrtScalar.v_power(dh.q, -q_power_exponent(hom_dt_count(reg, a_g, b_g, shift=0),
+                                                           dh.q))
     return HallVector(dh.q, {g: QSqrtScalar.rational(dh.q, n) * hom_root
                              * a_prime_by_endomorphisms(dh, g) / denom
                              for g, n in cone_counts(reg, a_g, b_g).items()})
@@ -617,7 +632,7 @@ def frontier_product(dh: DerivedHall, a: GradedObject, b: GradedObject) -> HallV
         return -(euler[a_dims[i], d_s] + euler[d_next, dims_sub(b_dims[i], d_s)])
 
     def a_prime_parts(g):
-        return aut_dt_by_components(reg, g), q_exponent(bracket_by_shifts(reg, g, g), q)
+        return aut_dt_by_components(reg, g), q_power_exponent(bracket_by_shifts(reg, g, g), q)
 
     h, e = _frontier_lt_paths(dh, a, b, range(t), euler_exp)
     aut_a, v_a = a_prime_parts(a)

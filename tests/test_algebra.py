@@ -14,12 +14,12 @@ from hallforge.complexes import cone_counts, graded_object, stalk
 from hallforge.errors import IncompatibleObjects, RewriteBudgetExceeded, UnsupportedPeriod
 from hallforge.quivers import line_quiver
 from hallforge.reps import ClassRegistry
-from hallforge.scalars import QSqrtScalar, parse_scalar, q_exponent
+from hallforge.scalars import QSqrtScalar, parse_scalar
 from hallforge.cli import graded_objects_within
 
 from .oracles import (a_prime_by_endomorphisms, aut_dt_by_components, bracket,
                       bracket_by_shifts, frontier_product, multiply_by_pairs,
-                      product_by_endomorphisms)
+                      product_by_endomorphisms, q_power_exponent)
 
 
 def k_class(reg, n):
@@ -276,7 +276,7 @@ def _assert_a_prime_parts(reg, g, aut, e):
     twist = sum(reg.hom_ext_dims(cls, g.component(deg - 1))[1]
                 for deg, cls in g.components if g.component(deg - 1) is not None)
     assert aut * reg.p ** twist == aut_dt_by_components(reg, g), g
-    assert e - 2 * twist == q_exponent(bracket_by_shifts(reg, g, g), reg.p), g
+    assert e - 2 * twist == q_power_exponent(bracket_by_shifts(reg, g, g), reg.p), g
 
 
 def test_products_with_a_zero_factor_are_not_stored():

@@ -18,7 +18,7 @@ import pytest
 
 from hallforge import algebra, cli, quivers, reps
 from hallforge.cache import CACHE_ENV_VAR, CACHE_FORMAT, cache_path, encode_cache, load_cache
-from hallforge.errors import CacheInvalid, DivisionByZero, InternalInconsistency, NotAPureQPower
+from hallforge.errors import CacheInvalid, DivisionByZero, InternalInconsistency
 from hallforge.hall import hall_number
 from hallforge.linalg import gl_order
 from hallforge.quivers import euler_add, line_quiver, quiver_to_dict
@@ -101,8 +101,11 @@ def test_classes_missing_quiver_file(capsys, monkeypatch):
      "arrow #0 references unknown vertex '1' or '9'"),
     ({"vertices": ["1", "2"], "arrows": [{"src": "1", "dst": "2"}, {"src": "2", "dst": "1"}]},
      "oriented cycle"),
+    ({"vertices": ["1"], "arrows": 5}, "malformed quiver description"),
+    ({"vertices": ["1"], "arrows": None}, "malformed quiver description"),
 ], ids=["not-an-object", "no-vertices-key", "no-vertices", "duplicate-vertex",
-        "duplicate-label", "malformed-arrow", "unknown-vertex", "cycle"])
+        "duplicate-label", "malformed-arrow", "unknown-vertex", "cycle", "arrows-not-a-list",
+        "arrows-null"])
 def test_bad_quiver_file_is_usage_error(capsys, tmp_path, monkeypatch, quiver, message):
     monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
     path = tmp_path / "quiver.json"
@@ -110,6 +113,26 @@ def test_bad_quiver_file_is_usage_error(capsys, tmp_path, monkeypatch, quiver, m
     code, report, err = run_cli(capsys, "classes", "--quiver", str(path))
     assert code == cli.EXIT_USAGE and report is None
     assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
+def test_counts_past_the_int_str_limit_are_reported_exactly(capsys, tmp_path, monkeypatch):
+    # |GL_130(F_2)| has more digits than Python's default int <-> str limit
+    # (4,300), which the JSON report and the CSV rows would otherwise trip.
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    out = tmp_path / "rows.csv"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, report, err = run_cli(capsys, "classes", "--dim", "130", "--csv", str(out))
+        assert code == cli.EXIT_OK and err == ""
+        aut = gl_order(130, 2)
+        assert aut > 10 ** 4300
+        assert [c["aut"] for c in report["results"]["classes"]] == [aut]
+        with out.open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["id"], int(r["aut"])) for r in rows] == [("k130", aut)]
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_bad_dim_is_usage_error(capsys, monkeypatch):
@@ -908,12 +931,12 @@ def test_dispatch_calls_in_one_process_share_no_state(tmp_path, monkeypatch):
         == [None, 4, 4, 4, 4]
 
 
-def test_no_q_power_in_the_engine_is_an_internal_fault(capsys, monkeypatch):
+def test_a_fault_inside_the_derived_product_is_an_internal_fault(capsys, monkeypatch):
     monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
 
-    def no_power(self, g):
-        raise NotAPureQPower(f"a'({g}) planted")
-    monkeypatch.setattr(algebra.DerivedHall, "_a_prime_parts", no_power)
+    def no_inverse(self, g):
+        raise DivisionByZero(f"a'({g}) planted")
+    monkeypatch.setattr(algebra.DerivedHall, "_a_prime_parts", no_inverse)
     code, report, err = run_cli(capsys, "dha-mul", "--t", "1",
                                 "--lhs", "[k1@0]", "--rhs", "[k1@0]")
     assert code == cli.EXIT_INTERNAL == 4

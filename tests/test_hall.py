@@ -17,8 +17,8 @@ from hallforge.hall import (_subobject_table, _walked, closed_subspace_tuples, e
 from hallforge.linalg import Mat, enumerate_subspaces, gaussian_binomial
 from hallforge.quivers import (dims_add, dims_sub, dimvecs_up_to, line_quiver,
                                quiver_from_dict, subdimvecs)
-from hallforge.reps import (ClassRegistry, Rep, _subquotient_entries, is_subrep,
-                            quotient_by_subrep, restrict_to_subspaces)
+from hallforge.reps import (ClassRegistry, Rep, _subquotient_entries, quotient_by_subrep,
+                            restrict_to_subspaces)
 
 from .oracles import (four_term_gamma_oracle, gamma_by_middle_class_sum,
                       hall_number_injection_oracle, is_subrep_by_reduce, quotient_by_reduce,
@@ -295,7 +295,8 @@ def test_extension_counts_sum_over_middles(request, fixture_name):
 def test_closed_subspace_tuples_are_exactly_the_closed_ones(quiver, p, max_total):
     # The walk trusts closed_subspace_tuples to yield closed tuples only, each
     # once; the judge is every subspace tuple of the dims, filtered by
-    # reduction, and is_subrep must agree with the judge on every tuple.
+    # reduction, and the closure test of _subquotient_entries must agree with
+    # the judge on every tuple.
     # Over F_3 the overspaces clear base rows by multiples, not by XOR alone;
     # Kronecker's total dim 4 has bases whose rows need that clearing.  A walk
     # sharing one memo of spans and intervals across all classes of the
@@ -307,12 +308,12 @@ def test_closed_subspace_tuples_are_exactly_the_closed_ones(quiver, p, max_total
         for d in subdimvecs(c.dims):
             walked = list(closed_subspace_tuples(rep, d))
             assert list(closed_subspace_tuples(rep, d, memo=memo)) == walked
-            assert all(is_subrep(rep, subs) for subs in walked)
+            assert all(_subquotient_entries(rep, subs, False) is not None for subs in walked)
             brute = []
             for subs in itertools.product(
                     *(enumerate_subspaces(p, n, k) for n, k in zip(c.dims, d))):
                 closed = is_subrep_by_reduce(rep, subs)
-                assert is_subrep(rep, subs) == closed
+                assert (_subquotient_entries(rep, subs, False) is not None) == closed
                 if closed:
                     brute.append(subs)
             assert len(set(walked)) == len(walked) == len(brute)
@@ -354,8 +355,9 @@ def test_walk_and_wrappers_reject_a_tuple_that_is_not_closed(monkeypatch):
     reg = ClassRegistry(KRONECKER, 2)
     c = next(c for c in reg.classes((1, 1)) if _walked(reg, c))
     rep = reg.representative(c)
-    subs = (linalg.full_subspace(2, 1), linalg.zero_subspace(2, 1))
-    assert not is_subrep(rep, subs) and _subquotient_entries(rep, subs) is None
+    subs = (linalg.subspace_from_vectors(2, 1, [(1,)]), linalg.zero_subspace(2, 1))
+    assert _subquotient_entries(rep, subs, False) is None
+    assert _subquotient_entries(rep, subs) is None
     for wrapper in (restrict_to_subspaces, quotient_by_subrep):
         with pytest.raises(NotASubobject):
             wrapper(rep, subs)

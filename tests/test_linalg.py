@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from hallforge.errors import EnumerationTooLarge, InvalidField
 from hallforge.linalg import (SUBSPACE_AMBIENT_BOUND, Mat, check_prime, count_matrices_of_rank,
-                              enumerate_subspaces, full_subspace,
-                              gaussian_binomial, gl_order, is_invertible,
+                              enumerate_subspaces, gaussian_binomial, gl_order, is_invertible,
                               kernel_basis, pack_row, rank, reduced_rows, rows_kernel, rref,
                               subspace_from_vectors, subspaces_containing, zero_subspace)
 
@@ -199,7 +198,8 @@ def test_subspaces_containing_counts(p):
     assert list(subspaces_containing(base, 0)) == []
     assert list(subspaces_containing(zero_subspace(p, 3), 2)) == \
         [s for s in enumerate_subspaces(p, 3, 2)]
-    assert list(subspaces_containing(full_subspace(p, 3), 3)) == [full_subspace(p, 3)]
+    whole = subspace_from_vectors(p, 3, Mat.identity(p, 3).entries)
+    assert list(subspaces_containing(whole, 3)) == [whole]
 
 
 @pytest.mark.parametrize("p,max_ambient", [(2, 5), (3, 3), (5, 2)])

