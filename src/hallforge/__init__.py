@@ -21,10 +21,10 @@ from .errors import (CacheInvalid, DivisionByZero, EnumerationTooLarge,
                      HallforgeError, IncompatibleObjects, InternalInconsistency,
                      InvalidField, NotASubobject, NotHereditarySetup,
                      RewriteBudgetExceeded, UnsupportedPeriod)
-from .hall import (euler_add, euler_mult, euler_table, ext1_count,
+from .hall import (euler_add, euler_table, ext1_count,
                    ext1_middle_count, gamma_coeff, gamma_terms, green_sides, hall_number)
 from .linalg import (Mat, Subspace, count_matrices_of_rank,
-                     enumerate_subspaces, gaussian_binomial, gl_order,
+                     gaussian_binomial, gl_order,
                      is_invertible, kernel_basis, rank, rref,
                      subspace_from_vectors)
 from .quivers import (Arrow, Quiver, check_period, dims_add, dims_sub,
@@ -32,8 +32,7 @@ from .quivers import (Arrow, Quiver, check_period, dims_add, dims_sub,
                       quiver_to_dict, subdimvecs, topological_order,
                       validate_quiver)
 from .reps import (ClassRegistry, IsoClassId, Rep, direct_sum,
-                   hom_basis, hom_dim, is_isomorphic,
-                   semisimple_rep, simple_rep, zero_rep)
+                   hom_dim, is_isomorphic, semisimple_rep, simple_rep)
 
 __version__ = "0.1.0"
 
@@ -51,7 +50,7 @@ _LAZY = {
                   "complex_obj", "cone_counts", "dt_hom_with_cone_count",
                   "enumerate_complex_classes", "format_graded", "graded_object",
                   "hom_dt_count", "homology", "parse_graded", "stalk",
-                  "validate_complex", "zero_diff_complex"),
+                  "validate_complex"),
     "scalars": ("QSqrtScalar", "parse_scalar"),
 }
 _LAZY_HOME = {name: module for module, names in _LAZY.items() for name in names}
@@ -86,22 +85,20 @@ __all__ = [
     "complex_obj", "cone_counts", "dt_hom_with_cone_count",
     "enumerate_complex_classes", "format_graded", "graded_object",
     "hom_dt_count", "homology", "parse_graded", "stalk", "validate_complex",
-    "zero_diff_complex",
     "CacheInvalid", "DivisionByZero", "EnumerationTooLarge", "HallforgeError",
     "IncompatibleObjects", "InternalInconsistency", "InvalidField",
     "NotASubobject", "NotHereditarySetup", "RewriteBudgetExceeded",
     "UnsupportedPeriod",
-    "euler_add", "euler_mult", "euler_table", "ext1_count",
+    "euler_add", "euler_table", "ext1_count",
     "ext1_middle_count", "gamma_coeff", "gamma_terms", "green_sides", "hall_number",
     "Mat", "Subspace", "count_matrices_of_rank",
-    "enumerate_subspaces", "gaussian_binomial", "gl_order", "is_invertible",
+    "gaussian_binomial", "gl_order", "is_invertible",
     "kernel_basis", "rank", "rref", "subspace_from_vectors",
     "Arrow", "Quiver", "check_period", "dims_add", "dims_sub",
     "dimvecs_up_to", "line_quiver", "quiver_from_dict", "quiver_to_dict",
     "subdimvecs", "topological_order", "validate_quiver",
     "ClassRegistry", "IsoClassId", "Rep", "direct_sum",
-    "hom_basis", "hom_dim", "is_isomorphic",
-    "semisimple_rep", "simple_rep", "zero_rep",
+    "hom_dim", "is_isomorphic", "semisimple_rep", "simple_rep",
     "QSqrtScalar", "parse_scalar",
     "__version__",
 ]

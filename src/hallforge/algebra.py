@@ -524,7 +524,7 @@ class DerivedHall:
         counts = cone_counts(self.reg, a, b)
         aut_a, e_a = self._a_prime_parts(a)
         aut_b, e_b = self._a_prime_parts(b)
-        exp = -e_a - e_b - _hom_dt_exponent(self.reg, a, b, 0)
+        exp = -e_a - e_b - _hom_dt_exponent(self.reg, a, b)
         out = {}
         for x, n in counts.items():
             aut_x, e_x = self._a_prime_parts(x)

@@ -101,7 +101,7 @@ def graded_objects_within(reg: ClassRegistry, t: int, max_total: int) -> list:
 
     def extend(i: int, comps: dict, used: int) -> None:
         if i == len(degrees):
-            out.append(complexes.graded_object(t, reg.quiver.n, dict(comps)))
+            out.append(complexes.graded_object(t, reg.quiver.n, comps.items()))
             return
         extend(i + 1, comps, used)
         for cls in nonzero:

@@ -102,11 +102,10 @@ class GradedObject(namedtuple("GradedObject", "t n_vertices components")):
             else ((d - s, c) for d, c in self.components)))
 
 
-def graded_object(t: int, n_vertices: int,
-                  items) -> GradedObject:
+def graded_object(t: int, n_vertices: int, items) -> GradedObject:
     """Canonical GradedObject from (degree, class) pairs; zero classes dropped."""
     check_period(t)
-    out = _by_degree(t, items.items() if hasattr(items, "items") else items, True,
+    out = _by_degree(t, items, True,
                      "two components share degree {}; combine them into one class first")
     return GradedObject(t, n_vertices, tuple(sorted(out.items())))
 
@@ -226,11 +225,6 @@ def validate_complex(c: ComplexObj) -> None:
         for v in range(q.n):
             if not nxt[v].mul(mor[v]).is_zero():
                 raise IncompatibleObjects(f"d.d != 0 at degree {deg}, vertex {v}")
-
-
-def zero_diff_complex(reg: ClassRegistry, g: GradedObject) -> ComplexObj:
-    comps = {deg: reg.representative(c) for deg, c in g.components}
-    return complex_obj(g.t, reg.quiver, reg.p, comps, {}, validate=False)
 
 
 def _columns(m: Mat) -> list[tuple[int, ...]]:
@@ -486,7 +480,7 @@ def cone_counts(reg: ClassRegistry, a: GradedObject,
     """
     if not (a.t == b.t == 1):
         raise UnsupportedPeriod("cone-class counting is implemented for t = 1")
-    total = hom_dt_count(reg, a, b, 0)
+    total = hom_dt_count(reg, a, b)
     if total > DEFAULT_COMPLEX_ENUM_BOUND:
         raise EnumerationTooLarge(
             f"{total} derived morphisms to sort by cone exceed bound {DEFAULT_COMPLEX_ENUM_BOUND}")
@@ -537,21 +531,20 @@ def dt_hom_with_cone_count(reg: ClassRegistry, a: GradedObject, b: GradedObject,
 # -- derived Hom counting -------------------------------------------------------
 
 
-def hom_dt_count(reg: ClassRegistry, a: GradedObject, b: GradedObject,
-                 shift: int = 0) -> int:
-    """|Hom_{D_t}(a[shift], b)| = prod_j |Hom(A^{j+s}, B^j)| |Ext^1(A^{j+s}, B^{j-1})|."""
-    return reg.p ** _hom_dt_exponent(reg, a, b, shift)
+def hom_dt_count(reg: ClassRegistry, a: GradedObject, b: GradedObject) -> int:
+    """|Hom_{D_t}(a, b)| = prod_j |Hom(A^j, B^j)| |Ext^1(A^j, B^{j-1})|; a
+    shift [s] of a is a.shift(s)."""
+    return reg.p ** _hom_dt_exponent(reg, a, b)
 
 
-def _hom_dt_exponent(reg: ClassRegistry, a: GradedObject, b: GradedObject, shift: int) -> int:
+def _hom_dt_exponent(reg: ClassRegistry, a: GradedObject, b: GradedObject) -> int:
     """The exponent of p in hom_dt_count: the sum of those dim Hom and dim Ext^1."""
     if a.t != b.t:
         raise IncompatibleObjects("periodicities differ")
     t = a.t
     b_at = dict(b.components)
     e = 0
-    for d, src in a.components:
-        j = add_degree(t, d, -shift)
+    for j, src in a.components:
         tgt_h, tgt_e = b_at.get(j), b_at.get(add_degree(t, j, -1))
         if tgt_h is not None:
             e += reg.hom_ext_dims(src, tgt_h)[0]

@@ -50,11 +50,6 @@ def euler_table(reg: ClassRegistry) -> dict[tuple[DimVec, DimVec], int]:
     return reg.memo("euler_add", lambda: _EulerTable(reg.quiver))
 
 
-def euler_mult(reg: ClassRegistry, d1: DimVec, d2: DimVec) -> Fraction:
-    """Multiplicative Euler form |Hom|/|Ext1| = q^{euler_add}; depends only on dims."""
-    return Fraction(reg.p) ** euler_table(reg)[tuple(d1), tuple(d2)]
-
-
 def ext1_count(reg: ClassRegistry, a: IsoClassId, b: IsoClassId) -> int:
     """|Ext^1(a, b)| = q^{dim Ext^1(a, b)}."""
     return reg.p ** reg.hom_ext_dims(a, b)[1]
@@ -67,25 +62,23 @@ def _walk_plan(q: Quiver) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, int],
                                              if a.target == v) for v in range(q.n))
 
 
-def closed_subspace_tuples(rep: Rep, sub_dims: DimVec, images: list | None = None,
-                           memo: dict | None = None) -> Iterator[tuple[Subspace, ...]]:
+def closed_subspace_tuples(rep: Rep, sub_dims: DimVec, images: list,
+                           memo: dict) -> Iterator[tuple[Subspace, ...]]:
     """All per-vertex subspace tuples of the given dims closed under the arrow maps.
 
     Vertices are filled in topological order, so at each vertex only the
     subspaces containing the images of the already-chosen source subspaces
-    are enumerated; every arrow constraint is enforced exactly once.  When
-    images is a list of one slot per arrow, it holds, while a tuple is the
-    last one yielded, images[arrow index] = the images of the tuple's source
-    basis under that arrow, so that reading the tuple maps no vector again.
-    A memo dict, shared by walks over one field, keeps each span of image
-    vectors under the tuple of those vectors and each interval of overspaces
-    under (base, dim), as a tuple, so that neither is computed twice.
+    are enumerated; every arrow constraint is enforced exactly once.  images,
+    a list of one slot per arrow, holds, while a tuple is the last one
+    yielded, images[arrow index] = the images of the tuple's source basis
+    under that arrow, so that reading the tuple maps no vector again.  memo,
+    a dict shared by walks over one field, keeps each span of image vectors
+    under the tuple of those vectors and each interval of overspaces under
+    (base, dim), as a tuple, so that neither is computed twice.
     """
     q = rep.quiver
     order, incoming = _walk_plan(q)
     p = rep.p
-    images = [None] * len(q.arrows) if images is None else images
-    memo = {} if memo is None else memo
 
     def fill(pos: int, chosen: list) -> Iterator[tuple[Subspace, ...]]:
         if pos == len(order):
@@ -242,7 +235,7 @@ def ext1_middle_count(reg: ClassRegistry, a: IsoClassId, b: IsoClassId, c: IsoCl
     g = hall_number(reg, a, b, c)
     if g == 0:
         return 0
-    num = g * reg.p ** reg.hom_dim_classes(a, b) * reg.aut_count(a) * reg.aut_count(b)
+    num = g * reg.p ** reg.hom_ext_dims(a, b)[0] * reg.aut_count(a) * reg.aut_count(b)
     den = reg.aut_count(c)
     if num % den != 0:
         raise InternalInconsistency("extension count with fixed middle is not an integer")

@@ -17,10 +17,7 @@ import operator
 from collections import namedtuple
 from typing import Iterator
 
-from .errors import EnumerationTooLarge, IncompatibleObjects, InvalidField
-
-#: Largest ambient dimension enumerate_subspaces accepts.
-SUBSPACE_AMBIENT_BOUND = 6
+from .errors import IncompatibleObjects, InvalidField
 
 
 def is_prime(n: int) -> bool:
@@ -51,15 +48,6 @@ class Mat(namedtuple("Mat", "p rows cols entries")):
         return tuple.__new__(cls, (p, rows, cols, entries))
 
     @staticmethod
-    def from_rows(p: int, rows: list[list[int]] | list[tuple[int, ...]], cols: int | None = None) -> "Mat":
-        if cols is None:
-            if not rows:
-                raise IncompatibleObjects("cannot infer column count of an empty matrix")
-            cols = len(rows[0])
-        ents = tuple(tuple(x % p for x in r) for r in rows)
-        return Mat(p, len(ents), cols, ents)
-
-    @staticmethod
     def zeros(p: int, rows: int, cols: int) -> "Mat":
         return Mat(p, rows, cols, tuple((0,) * cols for _ in range(rows)))
 
@@ -69,13 +57,6 @@ class Mat(namedtuple("Mat", "p rows cols entries")):
 
     def is_zero(self) -> bool:
         return not any(map(any, self.entries))
-
-    def add(self, other: "Mat") -> "Mat":
-        if self.p != other.p or self.rows != other.rows or self.cols != other.cols:
-            raise IncompatibleObjects("matrix shapes or fields differ")
-        p = self.p
-        return Mat(p, self.rows, self.cols, tuple(tuple((x + y) % p for x, y in zip(r, s))
-                                                  for r, s in zip(self.entries, other.entries)))
 
     def mul(self, other: "Mat") -> "Mat":
         if self.p != other.p:
@@ -238,9 +219,6 @@ class Subspace(namedtuple("Subspace", "p ambient basis pivots")):
                 v = [(x - f * y) % p for x, y in zip(v, row)]
         return tuple(v)
 
-    def contains(self, vec: tuple[int, ...]) -> bool:
-        return all(x == 0 for x in self.reduce(vec))
-
     def coords(self, vec: tuple[int, ...]) -> tuple[int, ...]:
         """Coordinates of vec in the RREF basis; raises if vec is outside."""
         cs = tuple(vec[c] for c in self.pivots)
@@ -260,23 +238,13 @@ def zero_subspace(p: int, ambient: int) -> Subspace:
     return Subspace(p, ambient, (), ())
 
 
-def enumerate_subspaces(p: int, ambient: int, dim: int) -> Iterator[Subspace]:
+def _each_subspace(p: int, ambient: int, dim: int) -> Iterator[Subspace]:
     """All dim-dimensional subspaces of F_p^ambient, each exactly once.
 
     Order: pivot column sets in ascending lexicographic order; within a pivot
     set, the free entries run through an odometer in row-major cell order.
-    The count is gaussian_binomial(ambient, dim, p).  Raises
-    EnumerationTooLarge past ambient dimension SUBSPACE_AMBIENT_BOUND.
+    The count is gaussian_binomial(ambient, dim, p).
     """
-    check_prime(p)
-    if 0 <= dim <= ambient and ambient > SUBSPACE_AMBIENT_BOUND:
-        raise EnumerationTooLarge(f"subspace enumeration in ambient dimension {ambient} "
-                                  f"exceeds bound {SUBSPACE_AMBIENT_BOUND}")
-    yield from _each_subspace(p, ambient, dim)
-
-
-def _each_subspace(p: int, ambient: int, dim: int) -> Iterator[Subspace]:
-    """enumerate_subspaces without its check of p and of the ambient bound."""
     if not 0 <= dim <= ambient:
         return
     for pivots in itertools.combinations(range(ambient), dim):
@@ -298,7 +266,7 @@ def subspaces_containing(base: Subspace, dim: int) -> Iterator[Subspace]:
 
     Subspaces U >= base correspond bijectively to subspaces W of the quotient
     by base, realized on the non-pivot coordinates of base's RREF basis, and
-    come in W's enumerate_subspaces order.  W's RREF rows, lifted back, are
+    come in W's _each_subspace order.  W's RREF rows, lifted back, are
     zero at base's pivots and at each other's, so U's RREF basis is base's
     rows cleared at the lifted pivots merged by pivot with the lifted rows.
     """

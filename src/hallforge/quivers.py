@@ -69,13 +69,16 @@ def topological_order(q: Quiver) -> tuple[int, ...]:
 
 
 def quiver_from_dict(d: dict) -> Quiver:
-    """Build a quiver from {"vertices": [...], "arrows": [{src,dst,label}]};
-    the ClassRegistry built over it runs validate_quiver, once per quiver."""
+    """Build a quiver from {"vertices": [...], "arrows": [{src,dst,label}]},
+    both lists; the ClassRegistry built over it runs validate_quiver, once
+    per quiver."""
     try:
-        vertices = tuple(str(v) for v in d["vertices"])
-        raw_arrows = list(d.get("arrows", []))
+        vertices, raw_arrows = d["vertices"], d.get("arrows", [])
+        if not isinstance(vertices, list) or not isinstance(raw_arrows, list):
+            raise TypeError("vertices and arrows must be lists")
     except (KeyError, TypeError) as e:
         raise NotHereditarySetup(f"malformed quiver description: {e}") from None
+    vertices = tuple(map(str, vertices))
     name_to_idx = {v: i for i, v in enumerate(vertices)}
     arrows = []
     for i, a in enumerate(raw_arrows):

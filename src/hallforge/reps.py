@@ -69,10 +69,6 @@ def semisimple_rep(quiver: Quiver, p: int, dims: DimVec) -> Rep:
     return Rep(quiver, p, tuple(dims), mats)
 
 
-def zero_rep(quiver: Quiver, p: int) -> Rep:
-    return semisimple_rep(quiver, p, (0,) * quiver.n)
-
-
 def simple_rep(quiver: Quiver, p: int, vertex: int) -> Rep:
     dims = tuple(1 if v == vertex else 0 for v in range(quiver.n))
     return semisimple_rep(quiver, p, dims)
@@ -171,12 +167,6 @@ def _hom_kernel(m: Rep, n: Rep) -> tuple[list[tuple[int, ...]], list[tuple[int, 
     return list(rows_kernel(m.p, sum(r * c for r, c in shapes), rows)), shapes, offsets
 
 
-def hom_basis(m: Rep, n: Rep) -> tuple[Morphism, ...]:
-    """Deterministic F_p-basis of Hom(m, n) as per-vertex matrix tuples."""
-    basis, shapes, offsets = _hom_kernel(m, n)
-    return tuple(_unflatten(m.p, v, shapes, offsets) for v in basis)
-
-
 def _hom_elements(p: int, kernel) -> Iterator[tuple[int, ...]]:
     """Every element of the Hom space that kernel = (basis, shapes, offsets)
     from _hom_kernel spans, as a flat vector, with the coefficients in
@@ -215,14 +205,13 @@ def _invertible_at_every_vertex(p: int, flat: tuple[int, ...], blocks) -> bool:
                for r, off in blocks)
 
 
-def _isomorphisms(m: Rep, n: Rep, kernel=None) -> Iterator[tuple[int, ...]]:
+def _isomorphisms(m: Rep, n: Rep, kernel) -> Iterator[tuple[int, ...]]:
     """The invertible elements of Hom(m, n) as flat vectors, in _hom_elements
-    order (kernel = _hom_kernel(m, n) may be passed in when already computed).
+    order, with kernel = _hom_kernel(m, n).
 
     Raises EnumerationTooLarge when Hom(m, n) has more than
     DEFAULT_ISO_ENUM_BOUND elements.
     """
-    kernel = kernel if kernel is not None else _hom_kernel(m, n)
     basis, shapes, offsets = kernel
     p = m.p
     if p ** len(basis) > DEFAULT_ISO_ENUM_BOUND:
@@ -595,7 +584,7 @@ class ClassRegistry:
             if rep == cand:
                 return cid
             d_end = hom_dim(rep, rep) if d_end is None else d_end
-            if self.hom_dim_classes(cid, cid) == d_end and _isomorphic_given_end(rep, cand, d_end):
+            if self.hom_ext_dims(cid, cid)[0] == d_end and _isomorphic_given_end(rep, cand, d_end):
                 return cid
         raise InternalInconsistency("representation matched no enumerated class")
 
@@ -648,9 +637,6 @@ class ClassRegistry:
                     "negative Ext^1 dimension; category is not behaving hereditarily")
             dims = self._hom_ext[a, b] = (h, e)
         return dims
-
-    def hom_dim_classes(self, a: IsoClassId, b: IsoClassId) -> int:
-        return self.hom_ext_dims(a, b)[0]
 
     # -- naming -------------------------------------------------------------
 

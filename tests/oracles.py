@@ -1,10 +1,10 @@
 """Independent reference computations the tests compare the library against.
 
 These deliberately avoid the library's counting code paths: morphism spaces
-are enumerated from hom_basis, exactness is checked with ranks and composites,
-and everything is counted one map at a time.  Chain maps are per-degree
-morphisms checked against the differentials one at a time, not solutions of
-one linear system.  Slow but transparent.  Two exceptions are former
+are enumerated from the Hom kernel basis, exactness is checked with ranks and
+composites, and everything is counted one map at a time.  Chain maps are
+per-degree morphisms checked against the differentials one at a time, not
+solutions of one linear system.  Slow but transparent.  Two exceptions are former
 library routes kept as judges: gamma_by_middle_class_sum, which sums Hall
 numbers one gamma coefficient at a time to check the join in
 hall.gamma_terms, and cone_counts_by_complex_classes, which counts t = 1
@@ -43,7 +43,9 @@ product_by_endomorphisms are the literal |End|-normalized reading of the
 t = 1 product, which the tests confirm differs from the |Aut| convention.
 q_power_exponent reads e off a rational q**e by Fraction arithmetic alone, so
 the oracles' half-integer powers sqrt(q**e) = v**e never pass through the
-engine's Euler-form exponents.
+engine's Euler-form exponents.  mat_add and zero_diff_complex build the sums
+and complexes that only the oracles read, and walked_tuples runs
+hall.closed_subspace_tuples with fresh image slots and memo.
 """
 from __future__ import annotations
 
@@ -54,28 +56,53 @@ from fractions import Fraction
 from hallforge.algebra import DerivedHall, HallVector
 from hallforge.complexes import (ComplexObj, GradedObject, _as_reps, _coboundary_transversal,
                                  _middle_modules, add_degree, class_at_or_zero, cone_counts,
-                                 enumerate_complex_classes, graded_object, hom_dt_count, homology,
-                                 zero_diff_complex)
+                                 complex_obj, enumerate_complex_classes, graded_object,
+                                 hom_dt_count, homology)
 from hallforge.errors import (DivisionByZero, IncompatibleObjects, InternalInconsistency,
                               NotASubobject, UnsupportedPeriod)
-from hallforge.hall import (closed_subspace_tuples, euler_mult, euler_table, ext1_count,
-                            hall_number)
+from hallforge.hall import closed_subspace_tuples, euler_table, ext1_count, hall_number
 from hallforge.linalg import (Mat, RrefResult, Subspace, _each_subspace, kernel_basis,
                               rank, subspace_from_vectors)
 from hallforge.quivers import dims_add, dims_sub, subdimvecs
 from hallforge.reps import (ClassRegistry, IsoClassId, Rep, _check_compatible, _hom_elements,
-                            _hom_kernel, _isomorphisms, _rep_of_entries, _unflatten, hom_basis,
+                            _hom_kernel, _isomorphisms, _rep_of_entries, _unflatten,
                             hom_dim, is_isomorphic, quotient_by_subrep, restrict_to_subspaces,
-                            zero_rep)
+                            semisimple_rep)
 from hallforge.scalars import QSqrtScalar
 
 ORACLE_HOM_BOUND = 5000
 
 
+def mat_add(a: Mat, b: Mat) -> Mat:
+    """The entrywise sum of two matrices of one shape over one field."""
+    if a.p != b.p or a.rows != b.rows or a.cols != b.cols:
+        raise IncompatibleObjects("matrix shapes or fields differ")
+    return Mat(a.p, a.rows, a.cols, tuple(tuple((x + y) % a.p for x, y in zip(r, s))
+                                          for r, s in zip(a.entries, b.entries)))
+
+
+def zero_diff_complex(reg: ClassRegistry, g: GradedObject) -> ComplexObj:
+    """The complex with g's class representatives as components and no differential."""
+    comps = {deg: reg.representative(c) for deg, c in g.components}
+    return complex_obj(g.t, reg.quiver, reg.p, comps, {}, validate=False)
+
+
+def walked_tuples(rep: Rep, sub_dims: tuple[int, ...]) -> list[tuple[Subspace, ...]]:
+    """Every closed subspace tuple of rep of dims sub_dims, walked as the engine
+    walks them, with fresh arrow-image slots and memo."""
+    return list(closed_subspace_tuples(rep, sub_dims, [None] * len(rep.mats), {}))
+
+
+def subspace_contains(s: Subspace, vec: tuple[int, ...]) -> bool:
+    return not any(s.reduce(vec))
+
+
 def all_morphisms(m: Rep, n: Rep, bound: int = ORACLE_HOM_BOUND) -> list[tuple[Mat, ...]]:
-    """Every element of Hom(m, n), built as F_p-combinations of a hom basis."""
-    basis = hom_basis(m, n)
+    """Every element of Hom(m, n), built as F_p-combinations of a basis of the
+    Hom system's kernel."""
+    kernel, shapes, offsets = _hom_kernel(m, n)
     p = m.p
+    basis = [_unflatten(p, v, shapes, offsets) for v in kernel]
     if p ** len(basis) > bound:
         raise AssertionError("oracle instance too large; shrink the test dims")
     zero = tuple(Mat.zeros(p, nv, mv) for nv, mv in zip(n.dims, m.dims))
@@ -85,8 +112,8 @@ def all_morphisms(m: Rep, n: Rep, bound: int = ORACLE_HOM_BOUND) -> list[tuple[M
     for b in basis:
         multiples = [zero]
         for _ in range(p - 1):
-            multiples.append(tuple(fv.add(bv) for fv, bv in zip(multiples[-1], b)))
-        out = [f if mult is zero else tuple(fv.add(mv) for fv, mv in zip(f, mult))
+            multiples.append(tuple(map(mat_add, multiples[-1], b)))
+        out = [f if mult is zero else tuple(map(mat_add, f, mult))
                for f in out for mult in multiples]
     return out
 
@@ -229,7 +256,7 @@ def chain_maps_by_enumeration(c1: ComplexObj, c2: ComplexObj) -> list[dict[int, 
     """Every chain map c1 -> c2 as {degree: morphism}: one element of
     all_morphisms per degree where either complex is nonzero, kept when
     f^{i+1} d1^i = d2^i f^i at every degree and vertex."""
-    zero = zero_rep(c1.quiver, c1.p)
+    zero = semisimple_rep(c1.quiver, c1.p, (0,) * c1.quiver.n)
     degrees = sorted(set(c1.degrees) | set(c2.degrees))
     per_degree = [all_morphisms(c1.comp_at(i) or zero, c2.comp_at(i) or zero) for i in degrees]
     # Differentials join nonzero components only, so every pair checked here
@@ -256,7 +283,7 @@ def hall_number_ct_injection_oracle(reg: ClassRegistry, a: GradedObject, b: Grad
             continue
         image = {i: tuple(subspace_from_vectors(p, c.dims_at(i)[v], _columns(f[i][v]))
                           for v in range(n)) for i in f}
-        if any(not image[add_degree(c.t, i, 1)][v].contains(col)
+        if any(not subspace_contains(image[add_degree(c.t, i, 1)][v], col)
                for i, d in c.differentials for v in range(n) for col in _columns(d[v])):
             continue
         if all(reg.classify(quotient_by_subrep(c.comp_at(i), image[i]))
@@ -288,7 +315,7 @@ def aut_ct_count(reg: ClassRegistry, c: ComplexObj) -> int:
             out *= reg.aut_count(reg.classify(rep))
         return out
     (rep,) = _as_reps(c)
-    return sum(1 for _ in _isomorphisms(rep, rep))
+    return sum(1 for _ in _isomorphisms(rep, rep, _hom_kernel(rep, rep)))
 
 
 def hall_number_ct(reg: ClassRegistry, a: GradedObject, b: GradedObject,
@@ -303,8 +330,8 @@ def hall_number_ct(reg: ClassRegistry, a: GradedObject, b: GradedObject,
     rep_c, rep_a, rep_b = _as_reps(c, zero_diff_complex(reg, a), zero_diff_complex(reg, b))
     # One tuple of subrepresentations per degree of the degree quiver, in its
     # vertex order; restrict_to_subspaces then checks the differentials.
-    zero = zero_rep(reg.quiver, reg.p)
-    per_degree = [list(closed_subspace_tuples(c.comp_at(i) or zero, b.dims_at(i)))
+    zero = semisimple_rep(reg.quiver, reg.p, (0,) * reg.quiver.n)
+    per_degree = [walked_tuples(c.comp_at(i) or zero, b.dims_at(i))
                   for i in (range(c.t) if c.t else c.degrees)]
     count = 0
     for assignment in itertools.product(*per_degree):
@@ -412,7 +439,7 @@ def walked_subobject_table(reg: ClassRegistry, c: IsoClassId,
     tuple, whatever route hall._subobject_table takes for c."""
     rep_c = reg.representative(c)
     table: dict[tuple[IsoClassId, IsoClassId], int] = {}
-    for subs in closed_subspace_tuples(rep_c, sub_dims):
+    for subs in walked_tuples(rep_c, sub_dims):
         key = (reg.classify(quotient_by_subrep(rep_c, subs)),
                reg.classify(restrict_to_subspaces(rep_c, subs)))
         table[key] = table.get(key, 0) + 1
@@ -433,7 +460,7 @@ def q_power_exponent(x, q: int) -> int:
 
 def a_prime_by_endomorphisms(dh: DerivedHall, g: GradedObject) -> QSqrtScalar:
     """|End_{D_t}(g)| * {g, g}^{1/2}: a'_g with |End| in place of |Aut| (odd t)."""
-    end_count = hom_dt_count(dh.reg, g, g, shift=0)
+    end_count = hom_dt_count(dh.reg, g, g)
     return QSqrtScalar.v_power(dh.q, q_power_exponent(bracket(dh.reg, g, g), dh.q), end_count)
 
 
@@ -444,7 +471,7 @@ def product_by_endomorphisms(reg: ClassRegistry, a: IsoClassId, b: IsoClassId) -
     dh = DerivedHall(reg, 1)
     a_g, b_g = dh.stalk(a), dh.stalk(b)
     denom = a_prime_by_endomorphisms(dh, a_g) * a_prime_by_endomorphisms(dh, b_g)
-    hom_root = QSqrtScalar.v_power(dh.q, -q_power_exponent(hom_dt_count(reg, a_g, b_g, shift=0),
+    hom_root = QSqrtScalar.v_power(dh.q, -q_power_exponent(hom_dt_count(reg, a_g, b_g),
                                                            dh.q))
     return HallVector(dh.q, {g: QSqrtScalar.rational(dh.q, n) * hom_root
                              * a_prime_by_endomorphisms(dh, g) / denom
@@ -460,7 +487,7 @@ def alt_hom_explicit(reg: ClassRegistry, a: GradedObject, b: GradedObject) -> Fr
         raise UnsupportedPeriod("alternating Hom product needs odd positive t")
     out = Fraction(1)
     for i in range(t):
-        h = hom_dt_count(reg, a, b, shift=i)
+        h = hom_dt_count(reg, a.shift(i), b)
         out = out * h if i % 2 == 0 else out / h
     return out
 
@@ -477,10 +504,10 @@ def alt_hom_product(reg: ClassRegistry, a: GradedObject, b: GradedObject) -> Fra
         ca = a.component(i)
         cb = b.component(i)
         if ca is not None and cb is not None:
-            out *= reg.p ** reg.hom_dim_classes(ca, cb)
+            out *= reg.p ** reg.hom_ext_dims(ca, cb)[0]
             out *= ext1_count(reg, ca, cb)
         for k in range(1, t):
-            e = euler_mult(reg, a.dims_at(i + k), b.dims_at(i))
+            e = Fraction(reg.p) ** euler_table(reg)[a.dims_at(i + k), b.dims_at(i)]
             out = out * e if k % 2 == 0 else out / e
     return out
 
@@ -533,7 +560,7 @@ def bracket_by_shifts(reg: ClassRegistry, x: GradedObject, y: GradedObject) -> F
         shifts = range(1, max(x.support) - min(y.support) + 2)
     out = Fraction(1)
     for i in shifts:
-        h = hom_dt_count(reg, x, y, shift=i)
+        h = hom_dt_count(reg, x.shift(i), y)
         out = out * h if i % 2 == 0 else out / h
     return out
 
@@ -811,7 +838,7 @@ def list_hom_system(m: Rep, n: Rep,
 
 def overspaces_by_elimination(base: Subspace, dim: int) -> list[Subspace]:
     """The dim-dimensional subspaces containing base, in the order of their
-    quotients by base in enumerate_subspaces: each quotient subspace on the
+    quotients by base in _each_subspace: each quotient subspace on the
     non-pivot coordinates of base is lifted back, put together with base's
     rows and eliminated again."""
     d, r, p = base.ambient, base.dim, base.p
@@ -834,8 +861,8 @@ def overspaces_by_elimination(base: Subspace, dim: int) -> list[Subspace]:
 
 def is_subrep_by_reduce(m: Rep, subs: tuple[Subspace, ...]) -> bool:
     """Whether subs is closed: every image of a source basis vector reduces
-    to 0 against its target subspace (Subspace.contains)."""
-    return all(subs[a.target].contains(mat.apply(b))
+    to 0 against its target subspace (subspace_contains)."""
+    return all(subspace_contains(subs[a.target], mat.apply(b))
                for a, mat in zip(m.quiver.arrows, m.mats) for b in subs[a.source].basis)
 
 

@@ -341,7 +341,7 @@ def test_aut_dt_counts(d3, a1_f2, a2_f2):
     # also across the wrap from degree 0 to t - 1; at t = 1 the split class
     # k1.1 is twisted by its own Ext^1(c, c) = F_2.
     s1, s2 = a2_f2.classes((1, 0))[0], a2_f2.classes((0, 1))[0]
-    split = next(c for c in a2_f2.classes((1, 1)) if a2_f2.hom_dim_classes(c, c) == 2)
+    split = next(c for c in a2_f2.classes((1, 1)) if a2_f2.hom_ext_dims(c, c)[0] == 2)
     cases = [(0, [(1, s1), (0, s2)], 2), (0, [(1, s2), (0, s1)], 1),
              (3, [(1, s1), (0, s2)], 2), (3, [(0, s1), (2, s2)], 2),
              (3, [(0, s2), (2, s1)], 1), (3, [(0, split), (1, split), (2, split)], 8),

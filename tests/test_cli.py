@@ -103,9 +103,12 @@ def test_classes_missing_quiver_file(capsys, monkeypatch):
      "oriented cycle"),
     ({"vertices": ["1"], "arrows": 5}, "malformed quiver description"),
     ({"vertices": ["1"], "arrows": None}, "malformed quiver description"),
+    ({"vertices": "12", "arrows": [{"src": "1", "dst": "2"}]}, "malformed quiver description"),
+    ({"vertices": {"1": 0, "2": 0}, "arrows": [{"src": "1", "dst": "2"}]},
+     "malformed quiver description"),
 ], ids=["not-an-object", "no-vertices-key", "no-vertices", "duplicate-vertex",
         "duplicate-label", "malformed-arrow", "unknown-vertex", "cycle", "arrows-not-a-list",
-        "arrows-null"])
+        "arrows-null", "vertices-a-string", "vertices-an-object"])
 def test_bad_quiver_file_is_usage_error(capsys, tmp_path, monkeypatch, quiver, message):
     monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
     path = tmp_path / "quiver.json"

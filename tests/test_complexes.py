@@ -24,7 +24,6 @@ from hallforge import (
     homology,
     parse_graded,
     stalk,
-    zero_diff_complex,
 )
 from hallforge import complexes
 from hallforge.cli import graded_objects_within
@@ -36,7 +35,7 @@ from hallforge.reps import ClassRegistry, IsoClassId
 from .oracles import (all_morphisms, alt_hom_explicit, alt_hom_product, aut_ct_count,
                       chain_maps_by_enumeration, cone_counts_by_complex_classes,
                       cone_counts_by_maps, ext1_ct_middle_count, hall_number_ct,
-                      hall_number_ct_injection_oracle, hom_ct_count)
+                      hall_number_ct_injection_oracle, hom_ct_count, zero_diff_complex)
 
 
 def k_class(reg, n):
@@ -400,7 +399,7 @@ def test_cone_counts_compute_each_morphism_cone_once(monkeypatch):
             built.clear()
             classified.clear()
             counts = cone_counts(reg, a, b)
-            assert sum(counts.values()) == hom_dt_count(reg, a, b, 0)
+            assert sum(counts.values()) == hom_dt_count(reg, a, b)
             ext = reg.hom_ext_dims(*(class_at_or_zero(reg, g, 0) for g in (a, b)))[1]
             n_cones = len(_kernel_image_pairs(reg, a, b)) * reg.p ** ext
             assert len(built) == len(classified) == n_cones, (a, b)
@@ -436,7 +435,7 @@ def test_cone_count_hits_the_bound_again_on_a_second_call():
     # sweep must leave nothing behind that a later call reads as "no cones".
     reg = ClassRegistry(line_quiver(1), 2)
     k5, k4 = (stalk(reg, 1, k_class(reg, n)) for n in (5, 4))
-    assert hom_dt_count(reg, k5, k4, 0) == 2 ** 20 > DEFAULT_COMPLEX_ENUM_BOUND
+    assert hom_dt_count(reg, k5, k4) == 2 ** 20 > DEFAULT_COMPLEX_ENUM_BOUND
     for _ in range(2):
         with pytest.raises(EnumerationTooLarge, match="derived morphisms"):
             dt_hom_with_cone_count(reg, k5, k4, k4)
@@ -457,7 +456,7 @@ def test_cone_totals_match_hom_counts(a1_f2):
     for a in objects:
         for b in objects:
             total = sum(dt_hom_with_cone_count(a1_f2, a, b, x) for x in cones)
-            assert total == hom_dt_count(a1_f2, a, b, 0), (a, b)
+            assert total == hom_dt_count(a1_f2, a, b), (a, b)
 
 
 # (registry fixture, max total dim of an object, max dim of the cone at a vertex):
@@ -526,14 +525,14 @@ def test_crosscheck_passes_on_the_formerly_refused_a1_pairs(a1_f2):
 
 def test_hom_dt_count_period_one(a1_f2):
     zk = stalk(a1_f2, 1, k_class(a1_f2, 1))
-    assert hom_dt_count(a1_f2, zk, zk, 0) == 2
+    assert hom_dt_count(a1_f2, zk, zk) == 2
 
 
 def test_hom_dt_count_period_three(a1_f2):
     zk = stalk(a1_f2, 3, k_class(a1_f2, 1))
-    assert hom_dt_count(a1_f2, zk, zk, 0) == 2
-    assert hom_dt_count(a1_f2, zk, zk, 1) == 1
-    assert hom_dt_count(a1_f2, zk, zk, 2) == 1
+    assert hom_dt_count(a1_f2, zk, zk) == 2
+    assert hom_dt_count(a1_f2, zk.shift(1), zk) == 1
+    assert hom_dt_count(a1_f2, zk.shift(2), zk) == 1
 
 
 def test_hom_dt_count_simples_a2(a2_f2):
@@ -542,17 +541,17 @@ def test_hom_dt_count_simples_a2(a2_f2):
     g1 = stalk(a2_f2, 1, s1)
     g2 = stalk(a2_f2, 1, s2)
     # No maps between distinct simples, but one extension direction is fertile.
-    assert hom_dt_count(a2_f2, g1, g2, 0) == 2
-    assert hom_dt_count(a2_f2, g2, g1, 0) == 1
+    assert hom_dt_count(a2_f2, g1, g2) == 2
+    assert hom_dt_count(a2_f2, g2, g1) == 1
 
 
 def test_bounded_hom_dt_count(a1_f2):
     k = k_class(a1_f2, 1)
     a = stalk(a1_f2, 0, k, deg=0)
     b = stalk(a1_f2, 0, k, deg=1)
-    assert hom_dt_count(a1_f2, a, a, 0) == 2
-    assert hom_dt_count(a1_f2, a, b, 0) == 1
-    assert hom_dt_count(a1_f2, a, b, -1) == 2
+    assert hom_dt_count(a1_f2, a, a) == 2
+    assert hom_dt_count(a1_f2, a, b) == 1
+    assert hom_dt_count(a1_f2, a.shift(-1), b) == 2
 
 
 def test_alt_hom_matches_closed_form_t1(a1_f2, a2_f2):

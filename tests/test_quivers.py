@@ -61,6 +61,18 @@ def test_quiver_from_dict_errors():
         quiver_from_dict({"vertices": ["1"], "arrows": [{"src": "1", "dst": "9"}]})
 
 
+@pytest.mark.parametrize("d", [
+    {"vertices": "12", "arrows": [{"src": "1", "dst": "2"}]},
+    {"vertices": {"1": 0, "2": 0}, "arrows": [{"src": "1", "dst": "2"}]},
+    {"vertices": ["1", "2"], "arrows": {"a": {"src": "1", "dst": "2"}}},
+    {"vertices": ["1", "2"], "arrows": "ab"},
+], ids=["vertices-a-string", "vertices-an-object", "arrows-an-object", "arrows-a-string"])
+def test_quiver_from_dict_reads_vertices_and_arrows_only_from_lists(d):
+    # Iterating a string or an object would read its characters or keys as vertices.
+    with pytest.raises(NotHereditarySetup, match="malformed quiver description"):
+        quiver_from_dict(d)
+
+
 @pytest.mark.parametrize("quiver,message", [
     (Quiver((), ()), "at least one vertex"),
     (Quiver(("1", "1"), ()), "duplicate vertex names"),

@@ -20,7 +20,7 @@ from hallforge.reps import IsoClassId, Rep
 
 
 def _rep() -> Rep:
-    return Rep(line_quiver(2), 2, tuple([1, 2]), (Mat.from_rows(2, [[1], [1]]),))
+    return Rep(line_quiver(2), 2, tuple([1, 2]), (Mat(2, 2, 1, tuple([(1,), (1,)])),))
 
 
 def _graded():
@@ -29,8 +29,8 @@ def _graded():
 
 # Each factory builds its value from fresh fields on every call.
 MAKERS = {
-    "Mat": lambda: Mat.from_rows(2, [[1, 0], [1, 1]]),
-    "RrefResult": lambda: rref(Mat.from_rows(3, [[1, 2], [2, 1]])),
+    "Mat": lambda: Mat(2, 2, 2, tuple([(1, 0), (1, 1)])),
+    "RrefResult": lambda: rref(Mat(3, 2, 2, tuple([(1, 2), (2, 1)]))),
     "Subspace": lambda: subspace_from_vectors(2, 3, [(1, 1, 0), (0, 1, 1)]),
     "Arrow": lambda: Arrow(0, 1, "".join(["a", "1"])),
     "Quiver": lambda: line_quiver(2),
@@ -50,7 +50,7 @@ UNHASHABLE = {"CheckResult"}
 
 def test_constructors_reject_bad_input():
     a2 = line_quiver(2)
-    one = Mat.from_rows(2, [[1]])
+    one = Mat(2, 1, 1, ((1,),))
     with pytest.raises(IncompatibleObjects, match="declared shape"):
         Mat(2, 2, 1, ((1,),))
     with pytest.raises(IncompatibleObjects, match="declared shape"):
@@ -62,7 +62,7 @@ def test_constructors_reject_bad_input():
     with pytest.raises(IncompatibleObjects, match="arrow 'a1' needs a 2x1 matrix over F_2"):
         Rep(a2, 2, (1, 2), (one,))
     with pytest.raises(IncompatibleObjects, match="arrow 'a1' needs a 1x1 matrix over F_2"):
-        Rep(a2, 2, (1, 1), (Mat.from_rows(3, [[1]]),))
+        Rep(a2, 2, (1, 1), (Mat(3, 1, 1, ((1,),)),))
 
 
 @pytest.mark.parametrize("name", sorted(MAKERS))
