@@ -31,8 +31,7 @@ from .quivers import (Arrow, Quiver, check_period, dims_add, dims_sub,
                       dimvecs_up_to, line_quiver, quiver_from_dict,
                       quiver_to_dict, subdimvecs, topological_order,
                       validate_quiver)
-from .reps import (ClassRegistry, IsoClassId, Rep, direct_sum,
-                   hom_dim, is_isomorphic, semisimple_rep, simple_rep)
+from .reps import ClassRegistry, IsoClassId, Rep, direct_sum, hom_dim, is_isomorphic
 
 __version__ = "0.1.0"
 
@@ -98,7 +97,7 @@ __all__ = [
     "dimvecs_up_to", "line_quiver", "quiver_from_dict", "quiver_to_dict",
     "subdimvecs", "topological_order", "validate_quiver",
     "ClassRegistry", "IsoClassId", "Rep", "direct_sum",
-    "hom_dim", "is_isomorphic", "semisimple_rep", "simple_rep",
+    "hom_dim", "is_isomorphic",
     "QSqrtScalar", "parse_scalar",
     "__version__",
 ]

@@ -23,6 +23,7 @@ import argparse
 import functools
 import itertools
 import json
+import os
 import random
 import sys
 import time
@@ -413,9 +414,15 @@ def dispatch(argv: list[str] | None = None) -> tuple[dict | None, int]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Print dispatch's report; return its exit code, also when stdout's reader is gone."""
     report, code = dispatch(argv)
     if report is not None:
-        print(json.dumps(report, sort_keys=True, indent=2))
+        try:
+            print(json.dumps(report, sort_keys=True, indent=2))
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The interpreter flushes stdout once more on exit; devnull takes it.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -68,27 +68,36 @@ def topological_order(q: Quiver) -> tuple[int, ...]:
     return tuple(order)
 
 
+def _name(value, what: str) -> str:
+    """value, which names a vertex or an arrow's end or label: it must be a string."""
+    if not isinstance(value, str):
+        raise NotHereditarySetup(f"malformed quiver description: {what} is {value!r}, "
+                                 f"not a string")
+    return value
+
+
 def quiver_from_dict(d: dict) -> Quiver:
     """Build a quiver from {"vertices": [...], "arrows": [{src,dst,label}]},
-    both lists; the ClassRegistry built over it runs validate_quiver, once
-    per quiver."""
+    both lists, every name a string; the ClassRegistry built over it runs
+    validate_quiver, once per quiver."""
     try:
         vertices, raw_arrows = d["vertices"], d.get("arrows", [])
         if not isinstance(vertices, list) or not isinstance(raw_arrows, list):
             raise TypeError("vertices and arrows must be lists")
     except (KeyError, TypeError) as e:
         raise NotHereditarySetup(f"malformed quiver description: {e}") from None
-    vertices = tuple(map(str, vertices))
+    vertices = tuple(_name(v, f"vertex #{i}") for i, v in enumerate(vertices))
     name_to_idx = {v: i for i, v in enumerate(vertices)}
     arrows = []
     for i, a in enumerate(raw_arrows):
         try:
-            src, dst = str(a["src"]), str(a["dst"])
+            src, dst = _name(a["src"], f"arrow #{i}'s src"), _name(a["dst"], f"arrow #{i}'s dst")
         except (KeyError, TypeError) as e:
             raise NotHereditarySetup(f"malformed arrow #{i}: {e}") from None
         if src not in name_to_idx or dst not in name_to_idx:
             raise NotHereditarySetup(f"arrow #{i} references unknown vertex {src!r} or {dst!r}")
-        arrows.append(Arrow(name_to_idx[src], name_to_idx[dst], str(a.get("label", f"a{i}"))))
+        label = _name(a.get("label", f"a{i}"), f"arrow #{i}'s label")
+        arrows.append(Arrow(name_to_idx[src], name_to_idx[dst], label))
     return Quiver(vertices, tuple(arrows))
 
 

@@ -3,10 +3,11 @@
 A representation assigns F_p^{d_v} to each vertex and a matrix to each arrow.
 The ClassRegistry lists the isomorphism classes of a dimension vector by
 sweeping matrix tuples with a prefix of vertex-disjoint arrows in rank normal
-form, groups them by isomorphism tests (a drawn witness, else exhaustive
-search), and memoizes orbit and automorphism counts, one (Hom, Ext^1)
-dimension pair per ordered pair of classes, and (via its generic memo store)
-Hall numbers.
+form, groups the swept tuples by dim End (the one prefilter that
+_search_class and is_isomorphic also use) and then by isomorphism tests (a
+drawn witness, else exhaustive search), and memoizes orbit and automorphism
+counts, one (Hom, Ext^1) dimension pair per ordered pair of classes, and (via
+its generic memo store) Hall numbers.
 """
 from __future__ import annotations
 
@@ -61,17 +62,6 @@ class Rep(namedtuple("Rep", "quiver p dims mats")):
 def _check_compatible(m: Rep, n: Rep) -> None:
     if m.quiver != n.quiver or m.p != n.p:
         raise IncompatibleObjects("representations live over different quivers or fields")
-
-
-def semisimple_rep(quiver: Quiver, p: int, dims: DimVec) -> Rep:
-    """The representation with the given dims and all arrow matrices zero."""
-    mats = tuple(Mat.zeros(p, dims[a.target], dims[a.source]) for a in quiver.arrows)
-    return Rep(quiver, p, tuple(dims), mats)
-
-
-def simple_rep(quiver: Quiver, p: int, vertex: int) -> Rep:
-    dims = tuple(1 if v == vertex else 0 for v in range(quiver.n))
-    return semisimple_rep(quiver, p, dims)
 
 
 def direct_sum(m: Rep, n: Rep) -> Rep:
@@ -205,9 +195,9 @@ def _invertible_at_every_vertex(p: int, flat: tuple[int, ...], blocks) -> bool:
                for r, off in blocks)
 
 
-def _isomorphisms(m: Rep, n: Rep, kernel) -> Iterator[tuple[int, ...]]:
+def _isomorphisms(m: Rep, kernel) -> Iterator[tuple[int, ...]]:
     """The invertible elements of Hom(m, n) as flat vectors, in _hom_elements
-    order, with kernel = _hom_kernel(m, n).
+    order, with kernel = _hom_kernel(m, n); m gives the field.
 
     Raises EnumerationTooLarge when Hom(m, n) has more than
     DEFAULT_ISO_ENUM_BOUND elements.
@@ -256,7 +246,7 @@ def _isomorphic_given_end(m: Rep, n: Rep, d_end: int) -> bool:
         flat = _combination(p, basis, nvars, rng.choices(range(p), k=k))
         if _invertible_at_every_vertex(p, flat, blocks):
             return True
-    return next(_isomorphisms(m, n, kernel), None) is not None
+    return next(_isomorphisms(m, kernel), None) is not None
 
 
 def _subquotient_entries(m: Rep, subs: tuple[Subspace, ...], quotient: bool = True,
@@ -483,14 +473,15 @@ class ClassRegistry:
         for forms, weight in _formed_prefixes(q, p, shapes):
             swept = shapes[len(forms):]
             offsets = list(itertools.accumulate((r * c for r, c in swept), initial=0))
-            # Tuples whose forms differ in rank are never isomorphic.
-            signatures: dict[tuple, list[int]] = {}
+            # Tuples whose forms differ in rank are never isomorphic, nor are
+            # tuples whose End dims differ.  With nothing swept the forms are
+            # one tuple, alone in its bucket, so its End is never read.
+            by_end: dict[int, list[int]] = {}
             for assignment in itertools.product(range(p), repeat=offsets[-1]):
                 rep = Rep(q, p, dims, (*forms, *_unflatten(p, assignment, swept, offsets)))
-                sig = self._signature(rep) if swept else ()
-                bucket = signatures.setdefault(sig, [])
-                # A bucket's reps share the signature, whose first entry is dim End.
-                hit = next((k for k in bucket if _isomorphic_given_end(rep, found[k], sig[0])),
+                d_end = hom_dim(rep, rep) if swept else 0
+                bucket = by_end.setdefault(d_end, [])
+                hit = next((k for k in bucket if _isomorphic_given_end(rep, found[k], d_end)),
                            None)
                 if hit is None:
                     bucket.append(len(found))
@@ -520,14 +511,6 @@ class ClassRegistry:
                                                     for (r, c), code in zip(shapes, codes)])
                        for codes in reps]
         return reps
-
-    def _signature(self, rep: Rep) -> tuple:
-        sig = [hom_dim(rep, rep)]
-        for v in range(self.quiver.n):
-            s = simple_rep(self.quiver, self.p, v)
-            sig.append(hom_dim(rep, s))
-            sig.append(hom_dim(s, rep))
-        return tuple(sig)
 
     def classes(self, dims: DimVec) -> tuple[IsoClassId, ...]:
         """The ids of dims in enumeration order, one shared tuple per dims."""

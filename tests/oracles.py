@@ -44,7 +44,8 @@ t = 1 product, which the tests confirm differs from the |Aut| convention.
 q_power_exponent reads e off a rational q**e by Fraction arithmetic alone, so
 the oracles' half-integer powers sqrt(q**e) = v**e never pass through the
 engine's Euler-form exponents.  mat_add and zero_diff_complex build the sums
-and complexes that only the oracles read, and walked_tuples runs
+and complexes that only the oracles read, semisimple_rep and simple_rep the
+representations with every arrow matrix zero, and walked_tuples runs
 hall.closed_subspace_tuples with fresh image slots and memo.
 """
 from __future__ import annotations
@@ -63,11 +64,10 @@ from hallforge.errors import (DivisionByZero, IncompatibleObjects, InternalIncon
 from hallforge.hall import closed_subspace_tuples, euler_table, ext1_count, hall_number
 from hallforge.linalg import (Mat, RrefResult, Subspace, _each_subspace, kernel_basis,
                               rank, subspace_from_vectors)
-from hallforge.quivers import dims_add, dims_sub, subdimvecs
+from hallforge.quivers import Quiver, dims_add, dims_sub, subdimvecs
 from hallforge.reps import (ClassRegistry, IsoClassId, Rep, _check_compatible, _hom_elements,
                             _hom_kernel, _isomorphisms, _rep_of_entries, _unflatten,
-                            hom_dim, is_isomorphic, quotient_by_subrep, restrict_to_subspaces,
-                            semisimple_rep)
+                            hom_dim, is_isomorphic, quotient_by_subrep, restrict_to_subspaces)
 from hallforge.scalars import QSqrtScalar
 
 ORACLE_HOM_BOUND = 5000
@@ -79,6 +79,18 @@ def mat_add(a: Mat, b: Mat) -> Mat:
         raise IncompatibleObjects("matrix shapes or fields differ")
     return Mat(a.p, a.rows, a.cols, tuple(tuple((x + y) % a.p for x, y in zip(r, s))
                                           for r, s in zip(a.entries, b.entries)))
+
+
+def semisimple_rep(quiver: Quiver, p: int, dims: tuple[int, ...]) -> Rep:
+    """The representation with the given dims and all arrow matrices zero."""
+    mats = tuple(Mat.zeros(p, dims[a.target], dims[a.source]) for a in quiver.arrows)
+    return Rep(quiver, p, tuple(dims), mats)
+
+
+def simple_rep(quiver: Quiver, p: int, vertex: int) -> Rep:
+    """The simple representation at vertex: F_p there, 0 elsewhere."""
+    dims = tuple(1 if v == vertex else 0 for v in range(quiver.n))
+    return semisimple_rep(quiver, p, dims)
 
 
 def zero_diff_complex(reg: ClassRegistry, g: GradedObject) -> ComplexObj:
@@ -315,7 +327,7 @@ def aut_ct_count(reg: ClassRegistry, c: ComplexObj) -> int:
             out *= reg.aut_count(reg.classify(rep))
         return out
     (rep,) = _as_reps(c)
-    return sum(1 for _ in _isomorphisms(rep, rep, _hom_kernel(rep, rep)))
+    return sum(1 for _ in _isomorphisms(rep, _hom_kernel(rep, rep)))
 
 
 def hall_number_ct(reg: ClassRegistry, a: GradedObject, b: GradedObject,

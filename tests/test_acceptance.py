@@ -22,10 +22,11 @@ from hallforge.hall import ext1_count, ext1_middle_count, green_sides, hall_numb
 from hallforge.linalg import gaussian_binomial
 from hallforge.quivers import (dims_add, dims_sub, dimvecs_up_to, line_quiver, quiver_to_dict,
                                subdimvecs)
-from hallforge.reps import ClassRegistry, semisimple_rep
+from hallforge.reps import ClassRegistry
 from hallforge.scalars import parse_scalar
 
-from .oracles import alt_hom_product, aut_count_by_enumeration, product_by_endomorphisms
+from .oracles import (alt_hom_product, aut_count_by_enumeration, product_by_endomorphisms,
+                      semisimple_rep)
 
 
 def timed(label, start):

@@ -60,6 +60,22 @@ def test_subprocess_usage_exit_codes():
     assert unknown.returncode == 2
 
 
+def test_a_closed_stdout_exits_quietly_with_the_runs_code(tmp_path):
+    # As `hallforge classes ... | head -3` once the head has exited: the read
+    # end of the child's stdout is closed before the child writes its report.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.Popen([sys.executable, "-m", "hallforge", "classes", "--max-dim", "1",
+                                 "--quiver", write_quiver(tmp_path, 2)],
+                                stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == cli.EXIT_OK
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
 def test_classes_default_report(capsys, monkeypatch):
     monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
     code, report, _ = run_cli(capsys, "classes")
@@ -106,9 +122,17 @@ def test_classes_missing_quiver_file(capsys, monkeypatch):
     ({"vertices": "12", "arrows": [{"src": "1", "dst": "2"}]}, "malformed quiver description"),
     ({"vertices": {"1": 0, "2": 0}, "arrows": [{"src": "1", "dst": "2"}]},
      "malformed quiver description"),
+    # Every name is a JSON string; null is not the vertex "None".
+    ({"vertices": ["1", None]}, "malformed quiver description: vertex #1 is None"),
+    ({"vertices": [{"name": "1"}]}, "malformed quiver description: vertex #0 is {'name': '1'}"),
+    ({"vertices": ["1", "2"], "arrows": [{"src": 1, "dst": "2"}]},
+     "malformed quiver description: arrow #0's src is 1"),
+    ({"vertices": ["1", "2"], "arrows": [{"src": "1", "dst": "2", "label": None}]},
+     "malformed quiver description: arrow #0's label is None"),
 ], ids=["not-an-object", "no-vertices-key", "no-vertices", "duplicate-vertex",
         "duplicate-label", "malformed-arrow", "unknown-vertex", "cycle", "arrows-not-a-list",
-        "arrows-null", "vertices-a-string", "vertices-an-object"])
+        "arrows-null", "vertices-a-string", "vertices-an-object", "vertex-null",
+        "vertex-an-object", "src-a-number", "label-null"])
 def test_bad_quiver_file_is_usage_error(capsys, tmp_path, monkeypatch, quiver, message):
     monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
     path = tmp_path / "quiver.json"

@@ -10,11 +10,15 @@ statement of src/.  An export is kept only while something outside the tests
 reads it: src/ outside __init__.py, perfbench/ (the names it imports from
 hallforge and the attribute paths its tracer wraps), or the README's Python
 quick start; otherwise it is a second way in that only the tests take.
+Within a class the same holds for each single-underscore method: it is no
+API, so something in src/ outside the method itself must read it as an
+attribute.
 """
 from __future__ import annotations
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 from hallforge import __all__ as EXPORTED
@@ -59,6 +63,43 @@ def test_the_guard_sees_an_unread_helper():
     }
     assert _unreferenced_helpers(trees, {"exported"}) == [
         "a._recursive", "a._Unread", "a.public_unread"]
+
+
+def _unread_private_methods(trees: dict[str, ast.Module]) -> list[str]:
+    """module.Class.method for each single-underscore method of a class that
+    no Attribute outside the method's own body names."""
+    read = Counter(n.attr for tree in trees.values() for n in ast.walk(tree)
+                   if isinstance(n, ast.Attribute))
+    dead = []
+    for module, tree in trees.items():
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for node in cls.body:
+                if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and node.name.startswith("_") and not node.name.startswith("__")
+                        and read[node.name] == sum(isinstance(n, ast.Attribute)
+                                                   and n.attr == node.name
+                                                   for n in ast.walk(node))):
+                    dead.append(f"{module}.{cls.name}.{node.name}")
+    return dead
+
+
+def test_every_private_method_is_read():
+    trees = {p.stem: ast.parse(p.read_text(), filename=p.name) for p in sorted(SRC.glob("*.py"))}
+    assert _unread_private_methods(trees) == []
+
+
+def test_the_guard_sees_an_unread_private_method():
+    trees = {
+        "a": ast.parse("class C:\n"
+                       "    def _used(self): return self._recursive(1)\n"
+                       "    def _recursive(self, n): return self._recursive(n - 1)\n"
+                       "    def _unread(self): pass\n"
+                       "    def _loop(self): return self._loop()\n"
+                       "    def __len__(self): return 0\n"
+                       "    def public(self): pass\n"),
+        "b": ast.parse("import a\nprint(a.C()._used())\n"),
+    }
+    assert _unread_private_methods(trees) == ["a.C._unread", "a.C._loop"]
 
 
 def _reads(tree: ast.Module) -> set[str]:

@@ -16,11 +16,10 @@ from hallforge.linalg import (Mat, gl_order, is_invertible, pack_row, rows_kerne
 from hallforge.quivers import (Arrow, Quiver, dimvecs_up_to, euler_add, line_quiver,
                                quiver_from_dict)
 from hallforge.reps import (ClassRegistry, IsoClassId, Rep, _hom_kernel, _unflatten, direct_sum,
-                            hom_dim, is_isomorphic, quotient_by_subrep, restrict_to_subspaces,
-                            semisimple_rep, simple_rep)
+                            hom_dim, is_isomorphic, quotient_by_subrep, restrict_to_subspaces)
 
 from .oracles import (aut_count_by_enumeration, brute_force_classes, list_hom_system,
-                      list_kernel_basis, list_rref)
+                      list_kernel_basis, list_rref, semisimple_rep, simple_rep)
 
 
 def test_registry_rejects_composite_field():
@@ -113,15 +112,15 @@ def test_orbit_stabilizer_matches_endomorphism_scan(quiver, p, max_total):
         assert scanned * reg.orbit_size(c) == reg.gl_product(c.dims)
 
 
-def test_enumeration_reads_end_dims_off_the_signature(monkeypatch):
-    # Tuples in one signature bucket share its first entry, dim End, so testing
-    # a new tuple against a bucket computes no End again (799 calls when it did).
-    # With b in rank forms too where a has rank 0, those tuples are not swept
-    # (605 calls when they were).
+def test_enumeration_groups_swept_tuples_by_end_dim_alone(monkeypatch):
+    # One End per swept tuple (58), and one Hom back per isomorphism test whose
+    # Hom forth has End's dim (31).  A bucket's tuples share dim End, so testing
+    # a new tuple against a bucket computes no End again; grouping by dim Hom to
+    # and from each simple as well took 321 calls.
     calls = []
-    monkeypatch.setattr(reps, "hom_dim", lambda m, n: calls.append(1) or hom_dim(m, n))
+    monkeypatch.setattr(reps, "hom_dim", lambda m, n: calls.append(m is n) or hom_dim(m, n))
     ClassRegistry(quiver_from_dict(KRONECKER), 2).all_classes_total_le(4)
-    assert len(calls) == 321
+    assert (len(calls), sum(calls)) == (89, 58)
 
 
 D4 = quiver_from_dict({"vertices": ["1", "2", "3", "c"],
@@ -378,7 +377,7 @@ def test_reps_of_different_dims_are_not_isomorphic(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(reps, "_hom_elements", None)
     for m, n in ((s1, s1_twice), (s1_twice, s1)):
-        assert list(reps._isomorphisms(m, n, _hom_kernel(m, n))) == []
+        assert list(reps._isomorphisms(m, _hom_kernel(m, n))) == []
 
 
 def test_semisimple_zero_simple_constructors():
@@ -462,23 +461,47 @@ def test_only_an_invertible_draw_answers_yes():
 
 
 def test_isomorphic_answers_need_no_exhaustive_search(monkeypatch):
-    # Every isomorphism met enumerating Kronecker to total dim 6, and the one
-    # the cone (1, 5) with a = 0 and b = e_2 has with its class (a 2^21
-    # search once), is found by a drawn witness, on small Hom spaces as on
-    # large ones: the exhaustive search is never entered.
+    # The isomorphism the cone (1, 5) with a = 0 and b = e_2 has with its class
+    # (a 2^21 search once) is found by a drawn witness; the enumerations are
+    # test_end_dim_buckets_need_no_exhaustive_search's.
     fallbacks = []
 
-    def counted(m, n, kernel):
-        fallbacks.append((m, n))
-        yield from isomorphisms(m, n, kernel)
+    def counted(m, kernel):
+        fallbacks.append(m)
+        yield from isomorphisms(m, kernel)
     isomorphisms = reps._isomorphisms
     monkeypatch.setattr(reps, "_isomorphisms", counted)
     q = quiver_from_dict(KRONECKER)
     reg = ClassRegistry(q, 2)
-    assert len(reg.all_classes_total_le(6)) == 207
     cone = Rep(q, 2, (1, 5), (Mat.zeros(2, 5, 1), Mat(2, 5, 1, ((0,), (1,), (0,), (0,), (0,)))))
     assert reg.classify(cone) == reg.classes((1, 5))[1]
     assert fallbacks == []
+
+
+@pytest.mark.parametrize("quiver,p,counts", [
+    (quiver_from_dict(KRONECKER), 2, [1, 3, 9, 21, 49, 101, 207]),
+    (quiver_from_dict(KRONECKER), 3, [1, 3, 10, 24, 62]),
+    (D4, 2, [1, 5, 18, 53, 137, 321, 699]),
+    (line_quiver(3), 2, [1, 4, 12, 29, 62, 120]),
+    (line_quiver(3), 3, [1, 4, 12, 29, 62, 120]),
+], ids=["Kronecker-F2", "Kronecker-F3", "D4-F2", "A3-F2", "A3-F3"])
+def test_end_dim_buckets_need_no_exhaustive_search(monkeypatch, quiver, p, counts):
+    # Swept tuples are grouped by dim End alone.  On these windows every
+    # non-isomorphic pair of one bucket differs in dim Hom forth or back, and
+    # every isomorphic pair meets a drawn witness, on small Hom spaces as on
+    # large ones, so the exhaustive search is never entered.  counts[k] is the
+    # number of classes of total dim <= k, as grouping by dim Hom to and from
+    # each simple as well gave them.
+    searched = []
+
+    def counted(m, kernel):
+        searched.append(m)
+        yield from isomorphisms(m, kernel)
+    isomorphisms = reps._isomorphisms
+    monkeypatch.setattr(reps, "_isomorphisms", counted)
+    reg = ClassRegistry(quiver, p)
+    assert [len(reg.all_classes_total_le(k)) for k in range(len(counts))] == counts
+    assert searched == []
 
 
 def test_class_ids_compare_and_hash_by_value(a2_f2):
